@@ -52,6 +52,8 @@ let catalogue =
         "try_read"; "try_write"; "try_rmw";
       ] );
     ("hist.ml", [ "record"; "record_n"; "index_of"; "bits_above" ]);
+    ( "shard.ml",
+      [ "hosted_drain"; "hosted_run"; "wake_rekey"; "wake_head"; "insert_due" ] );
   ]
 
 let raising = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]

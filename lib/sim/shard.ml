@@ -416,6 +416,21 @@ let hbox_push b ~at ~key ~dst ~flags fn =
   b.hb_fn.(n) <- fn;
   b.hb_len <- n + 1
 
+(* One shard's wake index: which of its engines have work due.  [w_heap]
+   holds (next event time, node) entries and is lazy — an entry is live
+   only while it matches [h_next.(node)]; anything else is stale and
+   skipped on the way out.  A node's head moves only when the node runs or
+   when the drain delivers mail to it, and both places re-key it, so a
+   window costs O(due nodes + mail) rather than O(nodes). *)
+type wake = {
+  w_heap : unit Eheap.t;  (* key (time, node); the node rides as the seq *)
+  w_due : int array;  (* this window's due nodes; sized to the shard *)
+  mutable w_ndue : int;
+  mutable w_live : int;  (* nodes with a non-daemon event pending *)
+  mutable w_min : Time_ns.t;  (* live head after the last drain; max_int = none *)
+  w_mail : int Eheap.t;  (* drain merge: key (at, key) -> slot (i * nshards + src) *)
+}
+
 type hosted = {
   h_engines : Engine.t array;
   h_nshards : int;
@@ -425,7 +440,10 @@ type hosted = {
   h_node_seq : int array;  (* single-writer: the node's own events *)
   h_shard_nodes : int array array;  (* shard -> its nodes, ascending *)
   h_boxes : hbox array;  (* (src shard * nshards) + dst shard *)
+  h_next : Time_ns.t array;  (* node -> its live wake-heap key; max_int = none *)
+  h_wake : wake array;  (* shard -> its wake index *)
   mutable h_windows : int;
+  mutable h_window_end : Time_ns.t;  (* exclusive end of the last window; 0 before *)
   mutable h_ran : bool;
 }
 
@@ -490,7 +508,21 @@ let host ?check ~shards ~lookahead engines =
       h_node_seq = Array.make nodes 0;
       h_shard_nodes = shard_nodes;
       h_boxes = Array.init (nshards * nshards) (fun _ -> hbox_create ());
+      h_next = Array.make nodes max_int;
+      h_wake =
+        Array.map
+          (fun mine ->
+            {
+              w_heap = Eheap.create ~capacity:(Array.length mine) ~dummy:() ();
+              w_due = Array.make (Array.length mine) 0;
+              w_ndue = 0;
+              w_live = 0;
+              w_min = max_int;
+              w_mail = Eheap.create ~capacity:64 ~dummy:0 ();
+            })
+          shard_nodes;
       h_windows = 0;
+      h_window_end = 0;
       h_ran = false;
     }
   in
@@ -516,74 +548,147 @@ let hosted_events h =
 
 let hosted_clock h = Array.fold_left (fun acc e -> max acc (Engine.now e)) 0 h.h_engines
 
-(* Deliver shard [sid]'s incoming mail.  Entries are merged across all
-   source shards and sorted by (time, key) before insertion, so each
-   destination engine assigns its internal sequence numbers in an order
-   that is a pure function of the workload — the crux of hosted
-   determinism (see the header above). *)
-let hosted_drain h sid =
-  let n = h.h_nshards in
-  let total = ref 0 in
-  for src = 0 to n - 1 do
-    total := !total + h.h_boxes.((src * n) + sid).hb_len
-  done;
-  if !total > 0 then begin
-    let batch = Array.make !total (0, 0, 0, 0, hnothing) in
-    let w = ref 0 in
-    for src = 0 to n - 1 do
-      let b = h.h_boxes.((src * n) + sid) in
-      for i = 0 to b.hb_len - 1 do
-        batch.(!w) <- (b.hb_at.(i), b.hb_key.(i), b.hb_dst.(i), b.hb_flags.(i), b.hb_fn.(i));
-        incr w;
-        b.hb_fn.(i) <- hnothing
-      done;
-      b.hb_len <- 0
-    done;
-    Array.sort
-      (fun (at1, k1, _, _, _) (at2, k2, _, _, _) ->
-        if at1 <> at2 then compare at1 at2 else compare k1 k2)
-      batch;
-    Array.iter
-      (fun (at, _, dst, flags, fn) ->
-        let e = h.h_engines.(dst) in
-        if h.h_check && at < Engine.now e then
-          failwith
-            (Printf.sprintf
-               "Shard.host check: mailbox delivery at %d before node %d clock %d (window \
-                violation)"
-               at dst (Engine.now e));
-        Engine.schedule_at e ~daemon:(flags land 1 <> 0) ~deferred:(flags land 2 <> 0)
-          ~at fn)
-      batch
+(* --- the wake index (each function touches only shard [sid]'s nodes) --- *)
+
+(* Re-key [node] after its queue changed — it ran, or mail arrived: index
+   its new head if that moved, and fold any liveness change into the
+   shard's count. *)
+let wake_rekey h w node ~was_live =
+  let e = h.h_engines.(node) in
+  let at = Engine.next_at e in
+  if at <> h.h_next.(node) then begin
+    h.h_next.(node) <- at;
+    if at < max_int then Eheap.add w.w_heap ~time:at ~seq:node ()
+  end;
+  let live = not (Engine.is_empty e) in
+  if live && not was_live then w.w_live <- w.w_live + 1
+  else if was_live && not live then w.w_live <- w.w_live - 1
+
+(* The earliest live key, popping stale entries off the top. *)
+let rec wake_head h heap =
+  if Eheap.is_empty heap then max_int
+  else begin
+    let at = Eheap.min_time heap in
+    if h.h_next.(Eheap.min_seq heap) = at then at
+    else begin
+      Eheap.pop heap;
+      wake_head h heap
+    end
   end
 
-let hosted_min h =
-  Array.fold_left (fun acc e -> min acc (Engine.next_at e)) max_int h.h_engines
+(* One insertion-sort step on the due list: few nodes are due per window. *)
+let rec insert_due a j v =
+  if j > 0 && a.(j - 1) > v then begin
+    a.(j) <- a.(j - 1);
+    insert_due a (j - 1) v
+  end
+  else a.(j) <- v
 
-let hosted_alive h = Array.exists (fun e -> not (Engine.is_empty e)) h.h_engines
+(* Round 0: index shard [sid]'s engines as setup left them. *)
+let hosted_index h sid =
+  let w = h.h_wake.(sid) in
+  let mine = h.h_shard_nodes.(sid) in
+  for i = 0 to Array.length mine - 1 do
+    wake_rekey h w mine.(i) ~was_live:false
+  done
+
+(* The run phase: take every node whose head falls inside the window off
+   the index, run them in ascending node order, and re-key each.  Nodes
+   with nothing due are not touched; their clocks lag until {!run_hosted}
+   brings them level. *)
+let hosted_run h sid ~window_end =
+  let w = h.h_wake.(sid) in
+  w.w_ndue <- 0;
+  while (not (Eheap.is_empty w.w_heap)) && Eheap.min_time w.w_heap < window_end do
+    let at = Eheap.min_time w.w_heap in
+    let node = Eheap.min_seq w.w_heap in
+    Eheap.pop w.w_heap;
+    if h.h_next.(node) = at then begin
+      (* taken: any duplicate entry for this key is now stale *)
+      h.h_next.(node) <- max_int;
+      w.w_due.(w.w_ndue) <- node;
+      w.w_ndue <- w.w_ndue + 1
+    end
+  done;
+  for i = 1 to w.w_ndue - 1 do
+    insert_due w.w_due i w.w_due.(i)
+  done;
+  for i = 0 to w.w_ndue - 1 do
+    let node = w.w_due.(i) in
+    let e = h.h_engines.(node) in
+    let was_live = not (Engine.is_empty e) in
+    (* run_until is inclusive; windows are [m, window_end). *)
+    Engine.run_until e (window_end - 1);
+    wake_rekey h w node ~was_live
+  done
+
+(* Stored cells for the drain's optional arguments: [~daemon:b] would box
+   a fresh [Some b] per message. *)
+let some_true = Some true
+
+(* Deliver shard [sid]'s incoming mail.  Entries from every source shard
+   merge through [w_mail] in (time, key) order — keys are unique, so the
+   order is total — and each destination engine therefore assigns its
+   internal sequence numbers in an order that is a pure function of the
+   workload: the crux of hosted determinism (see the header above).  Each
+   delivery re-keys its destination; the drain ends by publishing the
+   shard's live head. *)
+let hosted_drain h sid =
+  let n = h.h_nshards in
+  let w = h.h_wake.(sid) in
+  for src = 0 to n - 1 do
+    let b = h.h_boxes.((src * n) + sid) in
+    for i = 0 to b.hb_len - 1 do
+      Eheap.add w.w_mail ~time:b.hb_at.(i) ~seq:b.hb_key.(i) ((i * n) + src)
+    done
+  done;
+  while not (Eheap.is_empty w.w_mail) do
+    let at = Eheap.min_time w.w_mail in
+    let slot = Eheap.pop w.w_mail in
+    let b = h.h_boxes.(((slot mod n) * n) + sid) in
+    let i = slot / n in
+    let dst = b.hb_dst.(i) and flags = b.hb_flags.(i) and fn = b.hb_fn.(i) in
+    b.hb_fn.(i) <- hnothing;
+    (* Posted in the window that just closed, so due at or after its end. *)
+    if h.h_check && at < h.h_window_end then
+      failwith
+        (Printf.sprintf
+           "Shard.host check: mailbox delivery at %d to node %d before window end %d \
+            (window violation)"
+           at dst h.h_window_end);
+    let e = h.h_engines.(dst) in
+    let was_live = not (Engine.is_empty e) in
+    Engine.schedule_at e
+      ?daemon:(if flags land 1 <> 0 then some_true else None)
+      ?deferred:(if flags land 2 <> 0 then some_true else None)
+      ~at fn;
+    wake_rekey h w dst ~was_live
+  done;
+  for src = 0 to n - 1 do
+    h.h_boxes.((src * n) + sid).hb_len <- 0
+  done;
+  w.w_min <- wake_head h w.w_heap
 
 let hosted_rounds h ~phase =
-  (* Round 0 folds in anything posted during setup. *)
-  phase (fun sid -> hosted_drain h sid);
-  let continue = ref (hosted_alive h) in
-  while !continue do
-    let m = hosted_min h in
-    if m = max_int then continue := false
-    else begin
-      let window_end = m + h.h_lookahead in
-      h.h_windows <- h.h_windows + 1;
-      phase (fun sid ->
-          let mine = h.h_shard_nodes.(sid) in
-          for i = 0 to Array.length mine - 1 do
-            (* run_until is inclusive; windows are [m, window_end). *)
-            Engine.run_until h.h_engines.(mine.(i)) (window_end - 1)
-          done);
-      phase (fun sid -> hosted_drain h sid);
-      continue := hosted_alive h
-    end
+  (* Round 0 indexes the engines and folds in anything posted during setup. *)
+  phase (fun sid ->
+      hosted_index h sid;
+      hosted_drain h sid);
+  while Array.fold_left (fun acc w -> acc + w.w_live) 0 h.h_wake > 0 do
+    let m = Array.fold_left (fun acc w -> min acc w.w_min) max_int h.h_wake in
+    (* a live node has a normal event pending, hence a live key *)
+    assert (m < max_int);
+    let window_end = m + h.h_lookahead in
+    h.h_window_end <- window_end;
+    h.h_windows <- h.h_windows + 1;
+    phase (fun sid -> hosted_run h sid ~window_end);
+    phase (fun sid -> hosted_drain h sid)
   done
 
 let run_hosted ?(domains = 1) h =
   if h.h_ran then invalid_arg "Shard.run_hosted: already ran";
   h.h_ran <- true;
-  drive ~domains ~nshards:h.h_nshards (fun ~phase -> hosted_rounds h ~phase)
+  drive ~domains ~nshards:h.h_nshards (fun ~phase -> hosted_rounds h ~phase);
+  (* Skipped engines still sit at their last event: bring every clock to
+     the final window's end, where a scan of all engines would leave it. *)
+  Array.iter (fun e -> Engine.run_until e (h.h_window_end - 1)) h.h_engines

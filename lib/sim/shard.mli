@@ -117,7 +117,13 @@ val run_hosted : ?domains:int -> hosted -> unit
 (** Advance windows until no hosted engine has a non-daemon event pending
     and every mailbox is empty.  [domains = 1] (the default) drives every
     shard on the calling domain; larger counts spawn a worker pool.  The
-    result is identical either way.  A hosted group can run once. *)
+    result is identical either way.  A hosted group can run once.
+
+    A window costs O(due nodes + mail), not O(nodes): each shard keeps a
+    wake index of its engines' next event times, and a window runs only
+    the engines with an event inside it.  The others are not touched, so
+    their clocks lag during the run; when it ends, every engine's clock is
+    brought to the final window's end (the common {!hosted_clock}). *)
 
 val hosted_nodes : hosted -> int
 val hosted_shards : hosted -> int

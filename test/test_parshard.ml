@@ -83,6 +83,96 @@ let test_shard_ping_pong () =
   Alcotest.(check (list int))
     "identical at 4 shards / 2 domains" [ h; e; c ] [ h4; e4; c4 ]
 
+(* --- the hosted window loop's wake index ---
+
+   A window runs only the engines with an event inside it.  Each case
+   below pins a count or a time that a stale or missing wake-index entry
+   would change, over shards {1,2,8} x domains {1,2}, with the window
+   self-check armed. *)
+
+module Engine = Platinum_sim.Engine
+
+let hosted_cells f =
+  List.iter (fun shards -> List.iter (fun domains -> f ~shards ~domains) [ 1; 2 ]) shard_counts
+
+let cell name ~shards ~domains = Printf.sprintf "%s s=%d d=%d" name shards domains
+
+let check_clocks_level name engines h =
+  Array.iteri
+    (fun node e ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: node %d clock" name node)
+        (Shard.hosted_clock h) (Engine.now e))
+    engines
+
+let test_hosted_idle_engines_skipped () =
+  hosted_cells (fun ~shards ~domains ->
+      let name = cell "ping-pong" ~shards ~domains in
+      let lookahead = 100 in
+      let engines = Array.init 256 (fun _ -> Engine.create ()) in
+      let h = Shard.host ~check:true ~shards ~lookahead engines in
+      let hops = ref 0 in
+      let rec ping src dst () =
+        if !hops < 50 then begin
+          incr hops;
+          Engine.post engines.(src) ~src ~dst ~delay:lookahead (ping dst src)
+        end
+      in
+      Engine.schedule_at engines.(0) ~at:0 (ping 0 255);
+      Shard.run_hosted ~domains h;
+      Alcotest.(check int) (name ^ ": events") 51 (Shard.hosted_events h);
+      (* one window per hop: deliveries at 0, 100, ..., 5000 *)
+      Alcotest.(check int) (name ^ ": windows") 51 (Shard.hosted_windows h);
+      Alcotest.(check int) (name ^ ": final clock") 5_099 (Shard.hosted_clock h);
+      check_clocks_level name engines h)
+
+let test_hosted_mail_rekeys_destination () =
+  hosted_cells (fun ~shards ~domains ->
+      let name = cell "early mail" ~shards ~domains in
+      let lookahead = 100 in
+      let engines = Array.init 16 (fun _ -> Engine.create ()) in
+      let h = Shard.host ~check:true ~shards ~lookahead engines in
+      let ran_at = ref (-1) and replied_at = ref (-1) in
+      (* node 9's own queue holds only a far-future event *)
+      Engine.schedule_at engines.(9) ~at:1_000_000 ignore;
+      Engine.schedule_at engines.(0) ~at:0 (fun () ->
+          Engine.post engines.(0) ~src:0 ~dst:9 ~delay:lookahead (fun () ->
+              ran_at := Engine.now engines.(9);
+              Engine.post engines.(9) ~src:9 ~dst:0 ~delay:lookahead (fun () ->
+                  replied_at := Engine.now engines.(0))));
+      Shard.run_hosted ~domains h;
+      Alcotest.(check int) (name ^ ": mail runs at its own time") 100 !ran_at;
+      Alcotest.(check int) (name ^ ": reply follows it") 200 !replied_at;
+      (* [0,100) [100,200) [200,300) then the far event's window *)
+      Alcotest.(check int) (name ^ ": windows") 4 (Shard.hosted_windows h);
+      check_clocks_level name engines h)
+
+let test_hosted_daemon_does_not_keep_alive () =
+  hosted_cells (fun ~shards ~domains ->
+      let name = cell "daemon" ~shards ~domains in
+      let lookahead = 100 in
+      let engines = Array.init 16 (fun _ -> Engine.create ()) in
+      let h = Shard.host ~check:true ~shards ~lookahead engines in
+      let ticks = ref 0 and hops = ref 0 in
+      (* bounded, so a run the daemon wrongly keeps alive still ends *)
+      Engine.every engines.(15) ~daemon:true ~period:30 ~start:0 (fun () ->
+          incr ticks;
+          !ticks < 1_000);
+      let rec ping src dst () =
+        if !hops < 10 then begin
+          incr hops;
+          Engine.post engines.(src) ~src ~dst ~delay:lookahead (ping dst src)
+        end
+      in
+      Engine.schedule_at engines.(0) ~at:0 (ping 0 9);
+      Shard.run_hosted ~domains h;
+      (* normal work at 0, 100, ..., 1000: eleven windows [100k, 100k+100);
+         the daemon fires at every multiple of 30 below 1100 *)
+      Alcotest.(check int) (name ^ ": windows") 11 (Shard.hosted_windows h);
+      Alcotest.(check int) (name ^ ": daemon ticks") 37 !ticks;
+      Alcotest.(check int) (name ^ ": final clock") 1_099 (Shard.hosted_clock h);
+      check_clocks_level name engines h)
+
 (* --- byte-identical fingerprints across the grid --- *)
 
 let fingerprint_grid ?(inject_rate = 0.0) ~check workload =
@@ -264,6 +354,12 @@ let suite =
     ("shard: shard count clamps to nodes", `Quick, test_shard_clamps_to_nodes);
     ("shard: lookahead enforcement", `Quick, test_post_under_lookahead_rejected);
     ("shard: cross-shard ping-pong", `Quick, test_shard_ping_pong);
+    ("hosted: idle engines skipped, clocks level at the end", `Quick,
+      test_hosted_idle_engines_skipped);
+    ("hosted: early mail re-keys its destination", `Quick,
+      test_hosted_mail_rekeys_destination);
+    ("hosted: a daemon fires but does not keep the run alive", `Quick,
+      test_hosted_daemon_does_not_keep_alive);
   ]
   @ List.map det Scale.all_workloads
   @ List.map det_inj Scale.all_workloads
