@@ -13,7 +13,6 @@ module Time_ns = Platinum_sim.Time_ns
 type scale = {
   full : bool;  (** paper-size problems (slower) *)
   procs : int list;  (** processor counts for speedup curves *)
-  kernel : bool;  (** scale experiment: run only the hosted-kernel section *)
 }
 
 let default_procs = [ 1; 2; 4; 8; 12; 16 ]

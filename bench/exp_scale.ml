@@ -1,9 +1,11 @@
 (* scale: the sharded engine driving machines past the Butterfly.
 
-   Three message-level workloads (remote word traffic, shootdown storms,
-   RPC echo) run on hierarchical machines of hundreds to a thousand nodes,
-   with the event queue split into shards ([--shards]) advanced by the
-   domain pool ([-j]).  Two things are measured:
+   Four message-level workloads (remote word traffic, shootdown storms,
+   RPC echo, open-loop serving) run on hierarchical machines of hundreds
+   to a thousand nodes, one engine per node, with the nodes split into
+   shards ([--shards]) advanced by the domain pool ([-j]).  A second
+   section hosts a full kernel simulation per node on the same window
+   loop.  Two things are measured:
 
    - determinism: every workload's fingerprint is byte-identical across a
      (shards x domains) grid — the sharded engine's load-bearing contract,
@@ -141,40 +143,33 @@ let run (scale : scale) =
   let node_counts = if scale.full then [ 64; 256; 1024 ] else [ 64; 256 ] in
   let ops = if scale.full then 50 else 25 in
   Printf.printf
-    "topologies: %s nodes (clusters of 16); --shards %d, -j %d domain(s)%s\n%!"
+    "topologies: %s nodes (clusters of 16); --shards %d, -j %d domain(s)\n%!"
     (String.concat ", " (List.map string_of_int node_counts))
-    shards domains
-    (if scale.kernel then " (kernel section only)" else "");
+    shards domains;
 
-  (* --- message-level workloads (skipped under --kernel) --- *)
-  let identical, rows =
-    if scale.kernel then (None, [])
-    else begin
-      subsection "determinism across shard and domain counts (2% injection)";
-      let det_config = Config.hierarchical ~cluster_size:16 ~nodes:64 () in
-      let identical = determinism_ok ~config:det_config ~ops in
+  (* --- message-level workloads --- *)
+  subsection "determinism across shard and domain counts (2% injection)";
+  let det_config = Config.hierarchical ~cluster_size:16 ~nodes:64 () in
+  let identical = determinism_ok ~config:det_config ~ops in
 
-      subsection "throughput vs topology";
-      let rows =
-        List.concat_map
-          (fun nodes ->
-            let config = Config.hierarchical ~cluster_size:16 ~nodes () in
-            List.map (measure ~config ~ops ~shards ~domains) Scale.all_workloads)
-          node_counts
-      in
-      Printf.printf "%-8s %6s %9s %9s %12s %14s %14s\n" "workload" "nodes" "events"
-        "windows" "sim-time" "events/s" "sim-words/s";
-      List.iter
-        (fun { r; wall_s; _ } ->
-          Printf.printf "%-8s %6d %9d %9d %12s %14.0f %14.0f\n" r.Scale.workload
-            r.Scale.nodes r.Scale.events r.Scale.windows
-            (Time_ns.to_string r.Scale.clock)
-            (float_of_int r.Scale.events /. wall_s)
-            (float_of_int r.Scale.words /. wall_s))
-        rows;
-      (Some identical, rows)
-    end
+  subsection "throughput vs topology";
+  let rows =
+    List.concat_map
+      (fun nodes ->
+        let config = Config.hierarchical ~cluster_size:16 ~nodes () in
+        List.map (measure ~config ~ops ~shards ~domains) Scale.all_workloads)
+      node_counts
   in
+  Printf.printf "%-8s %6s %9s %9s %12s %14s %14s\n" "workload" "nodes" "events"
+    "windows" "sim-time" "events/s" "sim-words/s";
+  List.iter
+    (fun { r; wall_s; _ } ->
+      Printf.printf "%-8s %6d %9d %9d %12s %14.0f %14.0f\n" r.Scale.workload
+        r.Scale.nodes r.Scale.events r.Scale.windows
+        (Time_ns.to_string r.Scale.clock)
+        (float_of_int r.Scale.events /. wall_s)
+        (float_of_int r.Scale.words /. wall_s))
+    rows;
 
   (* Shard speedup: the same largest-topology run at 1 domain vs the pool.
      Host parallelism inside ONE simulation — meaningless on a host without
@@ -182,8 +177,7 @@ let run (scale : scale) =
      the determinism assertions above always run. *)
   let parallel_meaningful = Par.default_jobs () > 1 in
   let shard_speedup =
-    if scale.kernel then None
-    else if not parallel_meaningful then begin
+    if not parallel_meaningful then begin
       Printf.printf
         "\n  (host has %d core(s): shard speedup not meaningful, skipped)\n"
         (Par.default_jobs ());
@@ -206,10 +200,7 @@ let run (scale : scale) =
       Some speedup
     end
   in
-  (match identical with
-  | Some ok ->
-    check_shape "fingerprints identical across the shards x domains grid" ok
-  | None -> ());
+  check_shape "fingerprints identical across the shards x domains grid" identical;
   check_shape
     (Printf.sprintf "largest topology >= 256 nodes (%d)"
        (List.fold_left max 0 node_counts))
@@ -311,7 +302,6 @@ let run (scale : scale) =
     \  \"shards\": %d,\n\
     \  \"domains\": %d,\n\
     \  \"ops_per_node\": %d,\n\
-    \  \"kernel_only\": %b,\n\
     \  \"determinism\": %s,\n\
     \  \"parallel_meaningful\": %b,\n\
     \  \"shard_speedup\": %s,\n\
@@ -320,14 +310,11 @@ let run (scale : scale) =
     \  \"kernel_shard_speedup\": %s,\n\
     \  \"kernel_rows\": [\n%s\n  ]\n\
      }\n"
-    (host_json ()) shards domains ops scale.kernel
-    (match identical with
-    | Some ok ->
-      Printf.sprintf
-        "{ \"workloads\": %d, \"cells_per_workload\": %d, \"identical\": %b }"
-        (List.length Scale.all_workloads)
-        (List.length det_grid) ok
-    | None -> "null")
+    (host_json ()) shards domains ops
+    (Printf.sprintf
+       "{ \"workloads\": %d, \"cells_per_workload\": %d, \"identical\": %b }"
+       (List.length Scale.all_workloads)
+       (List.length det_grid) identical)
     parallel_meaningful
     (null_or_speedup shard_speedup)
     (String.concat ",\n" (List.map row_json rows))

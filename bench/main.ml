@@ -47,7 +47,7 @@ let experiments : (string * string * (Exp_common.scale -> unit)) list =
       Exp_serve.run );
   ]
 
-let run_selected names full procs jobs shards kernel list_only =
+let run_selected names full procs jobs shards list_only =
   if list_only then begin
     List.iter (fun (id, doc, _) -> Printf.printf "%-10s %s\n" id doc) experiments;
     0
@@ -55,7 +55,7 @@ let run_selected names full procs jobs shards kernel list_only =
   else begin
     Platinum_runner.Par.set_jobs jobs;
     Platinum_runner.Par.set_shards shards;
-    let scale = { Exp_common.full; procs; kernel } in
+    let scale = { Exp_common.full; procs } in
     let targets =
       match names with
       | [] -> experiments
@@ -105,14 +105,6 @@ let shards_arg =
   in
   Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
 
-let kernel_arg =
-  let doc =
-    "Scale experiment: run only the hosted-kernel section (per-node kernel \
-     simulations under the sharded engine), skipping the message-level workloads.  \
-     The CI smoke uses this for a fast determinism check."
-  in
-  Arg.(value & flag & info [ "kernel" ] ~doc)
-
 let list_arg =
   let doc = "List experiment ids and exit." in
   Arg.(value & flag & info [ "list" ] ~doc)
@@ -123,6 +115,6 @@ let cmd =
   Cmd.v info
     Term.(
       const run_selected $ names_arg $ full_arg $ procs_arg $ jobs_arg $ shards_arg
-      $ kernel_arg $ list_arg)
+      $ list_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -20,7 +20,11 @@
    failure path may build its message.  A [lint: allow zero-alloc] marker
    waives a function that allocates by design on a cold sub-path the
    analysis cannot separate (e.g. [Fastpath.arm]'s once-per-backend
-   [Some ops] refresh). *)
+   [Some ops] refresh).
+
+   A catalogued name missing from its file is itself a finding: a rename
+   or a deletion would otherwise switch that function's check off without
+   a word. *)
 
 open Ast_lint
 
@@ -53,7 +57,7 @@ let catalogue =
       ] );
     ("hist.ml", [ "record"; "record_n"; "index_of"; "bits_above" ]);
     ( "shard.ml",
-      [ "hosted_drain"; "hosted_run"; "wake_rekey"; "wake_head"; "insert_due" ] );
+      [ "hosted_drain"; "hosted_run"; "wake_rekey"; "wake_head" ] );
   ]
 
 let raising = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
@@ -145,6 +149,33 @@ let check_function u arities ~name (body : Parsetree.expression) acc =
   List.iter (it.expr it) (function_bodies body);
   !out
 
+let missing_construct = "catalogued but not defined"
+
+(* One finding per catalogued name that [u] no longer binds at top level. *)
+let stale (u : unit_) hot acc =
+  let names =
+    List.concat_map
+      (fun (item : Parsetree.structure_item) ->
+        match item.pstr_desc with
+        | Pstr_value (_, vbs) ->
+          List.filter_map (fun (vb : Parsetree.value_binding) -> binding_name vb.pvb_pat) vbs
+        | _ -> [])
+      u.u_ast
+  in
+  List.fold_left
+    (fun acc name ->
+      if List.mem name names then acc
+      else
+        finding u ~rule:rule_id ~line:1 ~name:(u.u_module ^ "." ^ name)
+          ~construct:missing_construct
+          ~detail:
+            (Printf.sprintf
+               "%s is in the zero-alloc catalogue but %s defines no such top-level \
+                function; fix the catalogue"
+               name u.u_base)
+        :: acc)
+    acc hot
+
 let run units =
   List.fold_left
     (fun acc u ->
@@ -165,7 +196,7 @@ let run units =
                   | _ -> acc)
                 acc vbs
             | _ -> acc)
-          acc u.u_ast)
+          (stale u hot acc) u.u_ast)
     [] units
 
 let rule =

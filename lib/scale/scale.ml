@@ -1,8 +1,9 @@
 (* Big-machine workloads for the sharded engine: every node is a logical
-   process owning its own memory module, RNG and fault plane, and all
-   cross-node traffic — remote word accesses (Xbar), shootdown IPIs, RPC
-   request/response, block payloads — travels as messages through the
-   shard mailboxes.  This is the message-level decomposition the sequential
+   process owning its own engine, memory module, RNG and fault plane, and
+   all cross-node traffic — remote word accesses (Xbar), shootdown IPIs,
+   RPC request/response, block payloads — travels as messages through the
+   hosted window loop's mailboxes ({!Shard.host}, the same loop that runs
+   Parkernel).  This is the message-level decomposition the sequential
    kernel model charges arithmetically: here the home node really does
    serve the request in its own event, against its own module's queue, at
    whatever time the fabric delivers it.
@@ -16,6 +17,7 @@
 module Config = Platinum_machine.Config
 module Memmodule = Platinum_machine.Memmodule
 module Xbar = Platinum_machine.Xbar
+module Engine = Platinum_sim.Engine
 module Shard = Platinum_sim.Shard
 module Inject = Platinum_sim.Inject
 module Rng = Platinum_sim.Rng
@@ -38,6 +40,7 @@ let all_workloads = [ Traffic; Storm; Echo; Serve ]
 
 type node = {
   id : int;
+  engine : Engine.t;
   rng : Rng.t;
   inject : Inject.t option;
   mmodule : Memmodule.t;
@@ -112,6 +115,7 @@ let make_nodes (c : Config.t) ~seed ~inject_rate ~ops_per_node =
       in
       {
         id;
+        engine = Engine.create ();
         rng;
         inject;
         mmodule = Memmodule.create id;
@@ -159,52 +163,52 @@ let think (n : node) = 1_000 + Rng.int n.rng 49_000
 
 (* --- Traffic: remote word accesses served at the home module --- *)
 
-let start_traffic (c : Config.t) sh nodes_arr modules =
-  let rec tick (n : node) (_now : int) =
+let start_traffic (c : Config.t) nodes_arr modules =
+  let rec tick (n : node) () =
     if n.ops_left > 0 then begin
       n.ops_left <- n.ops_left - 1;
       let words = 1 + Rng.int n.rng 8 in
       let remote = c.Config.nprocs > 1 && Rng.int n.rng 100 < 30 in
       if not remote then begin
         (* Local: the node's own module, served inline in its own event. *)
-        let now = Shard.now sh ~node:n.id in
+        let now = Engine.now n.engine in
         let lat = Xbar.access c modules ~now ~proc:n.id ~mem_module:n.id Xbar.Read ~words in
         n.accesses <- n.accesses + 1;
         n.words <- n.words + words;
         n.latency_ns <- n.latency_ns + lat;
-        Shard.schedule sh ~node:n.id ~delay:(think n + lat) (tick n)
+        Engine.schedule_after n.engine ~delay:(think n + lat) (tick n)
       end
       else begin
         let dst = pick_remote c n in
         let hop = Config.hop c ~src:n.id ~dst in
         n.remote <- n.remote + 1;
         if hop = Config.Cross then n.cross <- n.cross + 1;
-        let issue = Shard.now sh ~node:n.id in
+        let issue = Engine.now n.engine in
         let wire = Xbar.uncontended_word_ns c Xbar.Read ~hop in
         (* Request travels one word trip; the home node serves the burst
            against its own module queue and mails the payload back. *)
-        Shard.post sh ~src:n.id ~dst ~delay:wire (fun arrival ->
+        Engine.post n.engine ~src:n.id ~dst ~delay:wire (fun () ->
             let home = nodes_arr.(dst) in
             home.served <- home.served + 1;
             let lat =
-              Xbar.access ?inject:home.inject c modules ~now:arrival ~proc:n.id
-                ~mem_module:dst Xbar.Read ~words
+              Xbar.access ?inject:home.inject c modules ~now:(Engine.now home.engine)
+                ~proc:n.id ~mem_module:dst Xbar.Read ~words
             in
-            Shard.post sh ~src:dst ~dst:n.id ~delay:(max lat wire) (fun done_at ->
+            Engine.post home.engine ~src:dst ~dst:n.id ~delay:(max lat wire) (fun () ->
                 n.accesses <- n.accesses + 1;
                 n.words <- n.words + words;
-                n.latency_ns <- n.latency_ns + (done_at - issue);
-                Shard.schedule sh ~node:n.id ~delay:(think n) (tick n)))
+                n.latency_ns <- n.latency_ns + (Engine.now n.engine - issue);
+                Engine.schedule_after n.engine ~delay:(think n) (tick n)))
       end
     end
   in
   Array.iter
-    (fun n -> Shard.schedule sh ~node:n.id ~delay:(Rng.int n.rng 50_000) (tick n))
+    (fun n -> Engine.schedule_after n.engine ~delay:(Rng.int n.rng 50_000) (tick n))
     nodes_arr
 
 (* --- Storm: shootdown IPI rounds with lost/delayed-IPI recovery --- *)
 
-let start_storm (c : Config.t) sh nodes_arr =
+let start_storm (c : Config.t) nodes_arr =
   let nnodes = c.Config.nprocs in
   let ipi_ns ~src ~dst =
     c.Config.ipi_send_ns
@@ -212,29 +216,28 @@ let start_storm (c : Config.t) sh nodes_arr =
       | Config.Cross -> c.Config.ipi_cross_extra
       | Config.Local | Config.Intra -> 0)
   in
-  let rec round (n : node) (_now : int) =
+  let rec round (n : node) () =
     if n.ops_left > 0 then begin
       n.ops_left <- n.ops_left - 1;
-      if nnodes = 1 then Shard.schedule sh ~node:n.id ~delay:(think n) (round n)
+      if nnodes = 1 then Engine.schedule_after n.engine ~delay:(think n) (round n)
       else begin
         let targets = 1 + Rng.int n.rng (min 4 (nnodes - 1)) in
         let pending = ref targets in
-        let ack_from dst (_ : int) =
+        let ack_from () =
           n.acks <- n.acks + 1;
           decr pending;
-          ignore dst;
-          if !pending = 0 then Shard.schedule sh ~node:n.id ~delay:(think n) (round n)
+          if !pending = 0 then Engine.schedule_after n.engine ~delay:(think n) (round n)
         in
         let deliver dst ~delay =
           n.ipis <- n.ipis + 1;
-          Shard.post sh ~src:n.id ~dst ~delay (fun (_ : int) ->
+          Engine.post n.engine ~src:n.id ~dst ~delay (fun () ->
               let t = nodes_arr.(dst) in
               t.served <- t.served + 1;
               (* target-side synchronization handler, then the ack rides
                  an IPI back *)
-              Shard.post sh ~src:dst ~dst:n.id
+              Engine.post t.engine ~src:dst ~dst:n.id
                 ~delay:(c.Config.sync_handler_ns + ipi_ns ~src:dst ~dst:n.id)
-                (ack_from dst))
+                ack_from)
         in
         (* Each IPI may be dropped or delayed by this node's fault plane;
            a drop arms the ack-timeout retransmission timer, and the
@@ -251,8 +254,8 @@ let start_storm (c : Config.t) sh nodes_arr =
             | `Drop ->
               n.retries <- n.retries + 1;
               Inject.note_shootdown_retry inj;
-              Shard.schedule sh ~node:n.id ~delay:(Inject.ack_timeout inj ~attempt)
-                (fun (_ : int) -> send dst ~attempt:(attempt + 1)))
+              Engine.schedule_after n.engine ~delay:(Inject.ack_timeout inj ~attempt)
+                (fun () -> send dst ~attempt:(attempt + 1)))
         in
         for _ = 1 to targets do
           let dst = pick_remote c n in
@@ -262,12 +265,12 @@ let start_storm (c : Config.t) sh nodes_arr =
     end
   in
   Array.iter
-    (fun n -> Shard.schedule sh ~node:n.id ~delay:(Rng.int n.rng 50_000) (round n))
+    (fun n -> Engine.schedule_after n.engine ~delay:(Rng.int n.rng 50_000) (round n))
     nodes_arr
 
 (* --- Echo: RPC against per-cluster servers with retransmission --- *)
 
-let start_echo (c : Config.t) sh nodes_arr modules =
+let start_echo (c : Config.t) nodes_arr modules =
   let nnodes = c.Config.nprocs in
   let server_of (n : node) =
     let nclusters = Config.clusters c in
@@ -278,28 +281,30 @@ let start_echo (c : Config.t) sh nodes_arr modules =
     in
     min (cluster * c.Config.cluster_size) (nnodes - 1)
   in
-  let rec tick (n : node) (_now : int) =
+  let rec tick (n : node) () =
     if n.ops_left > 0 then begin
       n.ops_left <- n.ops_left - 1;
       let dst = server_of n in
       let words = 4 + Rng.int n.rng 28 in
-      let issue = Shard.now sh ~node:n.id in
+      let issue = Engine.now n.engine in
       let wire =
         c.Config.port_op_ns + (words * c.Config.t_block_word)
         + (match Config.hop c ~src:n.id ~dst with
           | Config.Cross -> words * c.Config.t_cross_block_extra
           | Config.Local | Config.Intra -> 0)
       in
-      let finish (done_at : int) =
+      let finish_at (done_at : int) =
         n.rpcs <- n.rpcs + 1;
         n.words <- n.words + (2 * words);
         n.latency_ns <- n.latency_ns + (done_at - issue);
-        Shard.schedule sh ~node:n.id ~delay:(think n) (tick n)
+        Engine.schedule_after n.engine ~delay:(think n) (tick n)
       in
-      let serve (arrival : int) =
+      let finish () = finish_at (Engine.now n.engine) in
+      let serve () =
         let server = nodes_arr.(dst) in
         server.served <- server.served + 1;
-        if dst = n.id then finish (arrival + c.Config.port_op_ns)
+        let arrival = Engine.now server.engine in
+        if dst = n.id then finish_at (arrival + c.Config.port_op_ns)
         else begin
           (* The server's module is the serialization point: bursts queue
              behind each other exactly like word runs at a memory module. *)
@@ -307,7 +312,8 @@ let start_echo (c : Config.t) sh nodes_arr modules =
             Xbar.access ?inject:server.inject c modules ~now:arrival ~proc:n.id
               ~mem_module:dst Xbar.Read ~words:1
           in
-          Shard.post sh ~src:dst ~dst:n.id ~delay:(max wire (q + c.Config.port_op_ns))
+          Engine.post server.engine ~src:dst ~dst:n.id
+            ~delay:(max wire (q + c.Config.port_op_ns))
             finish
         end
       in
@@ -315,21 +321,21 @@ let start_echo (c : Config.t) sh nodes_arr modules =
          bounded by the plane (the final attempt always goes through). *)
       let rec send ~attempt =
         match n.inject with
-        | None -> Shard.post sh ~src:n.id ~dst ~delay:wire serve
+        | None -> Engine.post n.engine ~src:n.id ~dst ~delay:wire serve
         | Some inj ->
           if Inject.rpc_drop inj ~attempt then begin
             n.retries <- n.retries + 1;
             Inject.note_rpc_retry inj;
-            Shard.schedule sh ~node:n.id ~delay:(Inject.rpc_retrans inj ~attempt)
-              (fun (_ : int) -> send ~attempt:(attempt + 1))
+            Engine.schedule_after n.engine ~delay:(Inject.rpc_retrans inj ~attempt) (fun () ->
+                send ~attempt:(attempt + 1))
           end
-          else Shard.post sh ~src:n.id ~dst ~delay:wire serve
+          else Engine.post n.engine ~src:n.id ~dst ~delay:wire serve
       in
       send ~attempt:0
     end
   in
   Array.iter
-    (fun n -> Shard.schedule sh ~node:n.id ~delay:(Rng.int n.rng 50_000) (tick n))
+    (fun n -> Engine.schedule_after n.engine ~delay:(Rng.int n.rng 50_000) (tick n))
     nodes_arr
 
 (* --- Serve: open-loop request serving with latency histograms --- *)
@@ -343,7 +349,7 @@ let start_echo (c : Config.t) sh nodes_arr modules =
    each completion records (done - scheduled_arrival) in the client's
    histogram, so the merged tails show queueing delay, fabric crossings
    and fault recovery all at once. *)
-let start_serve (c : Config.t) sh nodes_arr modules ~offered_rps =
+let start_serve (c : Config.t) nodes_arr modules ~offered_rps =
   let nnodes = c.Config.nprocs in
   let server_of (n : node) =
     let nclusters = Config.clusters c in
@@ -361,58 +367,61 @@ let start_serve (c : Config.t) sh nodes_arr modules ~offered_rps =
       (fun n -> Arrivals.create ~rng:n.rng (Arrivals.Poisson { rate_rps = offered_rps }))
       nodes_arr
   in
-  let rec arrive (n : node) (_now : int) =
+  let rec arrive (n : node) () =
     if n.ops_left > 0 then begin
       n.ops_left <- n.ops_left - 1;
       (* Open loop: commit to the next arrival before serving this one. *)
       if n.ops_left > 0 then
-        Shard.schedule sh ~node:n.id ~delay:(Arrivals.next_gap_ns gens.(n.id)) (arrive n);
+        Engine.schedule_after n.engine ~delay:(Arrivals.next_gap_ns gens.(n.id)) (arrive n);
       let dst = server_of n in
       let words = 2 + Rng.int n.rng 6 in
-      let issue = Shard.now sh ~node:n.id in
+      let issue = Engine.now n.engine in
       let wire =
         c.Config.port_op_ns + (words * c.Config.t_block_word)
         + (match Config.hop c ~src:n.id ~dst with
           | Config.Cross -> words * c.Config.t_cross_block_extra
           | Config.Local | Config.Intra -> 0)
       in
-      let finish (done_at : int) =
+      let finish_at (done_at : int) =
         n.rpcs <- n.rpcs + 1;
         n.words <- n.words + (2 * words);
         n.latency_ns <- n.latency_ns + (done_at - issue);
         Hist.record n.hist (done_at - issue)
       in
-      let serve (arrival : int) =
+      let finish () = finish_at (Engine.now n.engine) in
+      let serve () =
         let server = nodes_arr.(dst) in
         server.served <- server.served + 1;
-        if dst = n.id then finish (arrival + c.Config.port_op_ns)
+        let arrival = Engine.now server.engine in
+        if dst = n.id then finish_at (arrival + c.Config.port_op_ns)
         else begin
           let q =
             Xbar.access ?inject:server.inject c modules ~now:arrival ~proc:n.id
               ~mem_module:dst Xbar.Read ~words:1
           in
-          Shard.post sh ~src:dst ~dst:n.id ~delay:(max wire (q + c.Config.port_op_ns))
+          Engine.post server.engine ~src:dst ~dst:n.id
+            ~delay:(max wire (q + c.Config.port_op_ns))
             finish
         end
       in
       let rec send ~attempt =
         match n.inject with
-        | None -> Shard.post sh ~src:n.id ~dst ~delay:wire serve
+        | None -> Engine.post n.engine ~src:n.id ~dst ~delay:wire serve
         | Some inj ->
           if Inject.rpc_drop inj ~attempt then begin
             n.retries <- n.retries + 1;
             Inject.note_rpc_retry inj;
-            Shard.schedule sh ~node:n.id ~delay:(Inject.rpc_retrans inj ~attempt)
-              (fun (_ : int) -> send ~attempt:(attempt + 1))
+            Engine.schedule_after n.engine ~delay:(Inject.rpc_retrans inj ~attempt) (fun () ->
+                send ~attempt:(attempt + 1))
           end
-          else Shard.post sh ~src:n.id ~dst ~delay:wire serve
+          else Engine.post n.engine ~src:n.id ~dst ~delay:wire serve
       in
       send ~attempt:0
     end
   in
   Array.iter
     (fun n ->
-      Shard.schedule sh ~node:n.id ~delay:(Arrivals.next_gap_ns gens.(n.id)) (arrive n))
+      Engine.schedule_after n.engine ~delay:(Arrivals.next_gap_ns gens.(n.id)) (arrive n))
     nodes_arr
 
 (* --- fingerprinting and the driver --- *)
@@ -422,18 +431,21 @@ let fnv_prime = 0x100000001b3L
 let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L)
     ?(ops_per_node = 50) ?(offered_rps = 25_000.0) ~config workload =
   let c : Config.t = config in
-  let sh =
-    Shard.create ?check ~nodes:c.Config.nprocs ~shards
-      ~lookahead:(lookahead c workload) ()
-  in
   let nodes_arr = make_nodes c ~seed ~inject_rate ~ops_per_node in
   let modules = Array.map (fun n -> n.mmodule) nodes_arr in
+  let sh =
+    Shard.host ?check ~shards ~lookahead:(lookahead c workload)
+      (Array.map (fun n -> n.engine) nodes_arr)
+  in
   (match workload with
-  | Traffic -> start_traffic c sh nodes_arr modules
-  | Storm -> start_storm c sh nodes_arr
-  | Echo -> start_echo c sh nodes_arr modules
-  | Serve -> start_serve c sh nodes_arr modules ~offered_rps);
-  Shard.run ~domains sh;
+  | Traffic -> start_traffic c nodes_arr modules
+  | Storm -> start_storm c nodes_arr
+  | Echo -> start_echo c nodes_arr modules
+  | Serve -> start_serve c nodes_arr modules ~offered_rps);
+  Shard.run_hosted ~domains sh;
+  (* the exclusive end of the final window; run_hosted leaves the engines
+     at its last instant *)
+  let clock = Shard.hosted_clock sh + 1 in
   let h = ref 0xcbf29ce484222325L in
   let mixin v = h := Int64.mul (Int64.logxor !h (Int64.of_int v)) fnv_prime in
   let acc = ref (0, 0, 0, 0, 0, 0, 0, 0) in
@@ -468,8 +480,8 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L)
           p + n.rpcs,
           f + (match n.inject with None -> 0 | Some inj -> Inject.faults_injected inj) ))
     nodes_arr;
-  mixin (Shard.events_processed sh);
-  mixin (Shard.clock sh);
+  mixin (Shard.hosted_events sh);
+  mixin clock;
   let accesses, words, remote, cross, ipis, retries, rpcs, faults = !acc in
   let denom = max 1 (accesses + rpcs) in
   let merged = Hist.create ~precision_bits:5 () in
@@ -477,13 +489,13 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L)
   {
     workload = workload_name workload;
     nodes = c.Config.nprocs;
-    run_shards = Shard.shards sh;
+    run_shards = Shard.hosted_shards sh;
     (* the effective width: [drive] clamps the pool to the shard count,
        so a 1-shard run always reports 1 domain regardless of launch -j *)
-    run_domains = max 1 (min domains (Shard.shards sh));
-    events = Shard.events_processed sh;
-    windows = Shard.windows sh;
-    clock = Shard.clock sh;
+    run_domains = max 1 (min domains (Shard.hosted_shards sh));
+    events = Shard.hosted_events sh;
+    windows = Shard.hosted_windows sh;
+    clock;
     accesses;
     words;
     remote;

@@ -2,7 +2,8 @@
 
     The kernel simulation charges cross-node costs arithmetically inside
     one event; these workloads instead decompose them into real messages
-    over the sharded engine ({!Platinum_sim.Shard}): a remote word access
+    between per-node engines hosted on the sharded engine
+    ({!Platinum_sim.Shard.host}): a remote word access
     is a request event at the home node — served against the home module's
     queue, through the home node's fault plane — and a response event back;
     a shootdown is an IPI event per target with the ack riding back; an
@@ -44,7 +45,7 @@ type result = {
   run_domains : int;
   events : int;  (** events executed across all shards *)
   windows : int;  (** conservative synchronization windows taken *)
-  clock : int;  (** final simulated time, ns *)
+  clock : int;  (** final simulated time, ns: the exclusive end of the last window *)
   accesses : int;  (** completed word-burst accesses (Traffic) *)
   words : int;  (** simulated words moved *)
   remote : int;  (** accesses served by a remote home node *)

@@ -46,17 +46,16 @@ val schedule_after :
     default [post] is {!schedule_after} on this engine's own queue — the
     strictly sequential world, unchanged.
 
-    Router-install lifecycle: exactly two drivers ever install a
-    {!router}, and both own the engine(s) for the whole run.
-    {!Shard.run} (the message-level mesh) keys events by source node and
-    carries them through per-pair mailboxes; {!Shard.host} does the same
-    for a group of per-node engines carrying full kernel simulations — it
-    installs a router on {e every} hosted engine at {!Shard.host} time so
-    that even setup-time posts take the deterministic mailbox path.  The
-    classic sequential entry points ({!run}, [Runner], a lone kernel on
-    one engine) install no router, and a router must be absent there: the
-    no-router schedule is the golden oracle that sharded runs are
-    measured against. *)
+    Router-install lifecycle: only {!Shard.host} ever installs a
+    {!router}, and it owns the engines for the whole run.  It groups
+    per-node engines — light mesh nodes or full kernel simulations —,
+    keys their cross-node posts by source node and carries them through
+    per-pair mailboxes; it installs a router on {e every} hosted engine
+    at {!Shard.host} time so that even setup-time posts take the
+    deterministic mailbox path.  The classic sequential entry points
+    ({!run}, [Runner], a lone kernel on one engine) install no router,
+    and a router must be absent there: the no-router schedule is the
+    golden oracle that sharded runs are measured against. *)
 
 type router = {
   route :

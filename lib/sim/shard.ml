@@ -1,22 +1,39 @@
-(* The sharded peer of Engine: one simulation's event queue split into
-   per-node-cluster shards, advanced in parallel by OCaml 5 domains under
-   conservative time-window synchronization.
+(* The sharded peer of Engine: one simulation split into per-node
+   engines, grouped into shards and advanced in parallel by OCaml 5
+   domains under conservative time-window synchronization.
+
+   Each node is one complete {!Engine.t} — a Scale mesh node, or a whole
+   per-node kernel in Parkernel.  The group installs an {!Engine.router}
+   on every engine, so every [Engine.post] with [dst <> self] — mesh
+   messages, kernel wakeups, protocol messages, block-transfer
+   completions — crosses through a per-(src shard, dst shard) mailbox;
+   self-posts stay engine-local.
 
    Determinism contract — byte-identical output at ANY shard count and ANY
    domain count:
 
-   - Every event carries the key (time, src_node, src_seq), where src_seq
-     is drawn from a per-node counter at scheduling time.  A node's
-     counter is only ever advanced while one of that node's own events
-     runs (or during single-domain setup), so the keys an execution
+   - Every cross-node message carries the key (time, src_node, src_seq),
+     where src_seq is drawn from a per-node counter at posting time.  A
+     node's counter is only ever advanced while one of that node's own
+     events runs (or during single-domain setup), so the keys an execution
      produces are a pure function of the workload, not of the sharding.
-   - Each shard executes its events in strict key order.  Two events for
-     the same node therefore always run in the same relative order, and a
-     node's entire event history is identical whatever shard it lives on
-     and whoever drives that shard.
-   - Cross-shard events travel through per-(src,dst)-shard mailboxes and
-     are folded into the destination heap at window boundaries; since the
-     key rides along, arrival order through the mailbox is irrelevant.
+   - Cross-node messages take the mailbox path even when src and dst share
+     a shard (and even at shard count 1).  A destination engine assigns
+     its internal sequence numbers as events arrive, so arrival order must
+     be a pure function of the workload: mailboxes are drained in global
+     (time, key) order at window boundaries, which is shard-count-
+     independent, whereas a same-shard shortcut would interleave arrivals
+     with the destination's own scheduling and make sequence assignment
+     depend on the shard map.
+   - A node's events touch only its own state, so a node's entire history
+     is identical whatever shard it lives on, whoever drives that shard,
+     and in whatever order the due nodes of one window run.
+
+   Hosted runs are therefore byte-identical across every (shards,
+   domains) — including (1, 1) — but follow a different (equally valid)
+   schedule than the same kernels on one engine with no router; the
+   no-router sequential world remains the golden oracle and is untouched
+   by hosting.
 
    The conservative window: no event may affect another node sooner than
    [lookahead] ns (the machine's minimum cross-node latency — T_r, T_b and
@@ -28,211 +45,13 @@
    in drain phases, so each buffer has one owner at a time and the barrier
    publishes it.
 
-   A single shard driven by one domain degenerates to a plain event loop
-   in (time, node, seq) order — no mailboxes, no windows cut short, no
-   barriers taken.
-
-   Packed keys: the heap's seq word carries (src_node lsl 36) lor src_seq.
-   With more than one node that exceeds Eheap's packed-seq range, so big
-   sharded runs execute in Eheap's two-array fallback mode — the
-   previously-untested headroom path, now load-bearing (and covered by
-   regression tests). *)
+   Packed keys: the drain's merge heap takes (src_node lsl 36) lor src_seq
+   as its seq word.  With more than one node that exceeds Eheap's
+   packed-seq range, so multi-node runs merge mail in Eheap's two-array
+   fallback mode (covered by regression tests). *)
 
 let node_seq_bits = 36
 let max_node_seq = (1 lsl node_seq_bits) - 1
-
-type event = Time_ns.t -> unit
-
-let dummy_event (_ : Time_ns.t) = ()
-
-(* Mailbox for one (src shard, dst shard) pair.  Written by the source
-   shard during run phases, drained and cleared by the destination shard
-   during drain phases; the inter-phase barrier transfers ownership, so no
-   lock is ever taken. *)
-type box = {
-  mutable b_at : int array;
-  mutable b_key : int array;
-  mutable b_fn : event array;
-  mutable b_len : int;
-}
-
-let box_create () =
-  { b_at = Array.make 8 0; b_key = Array.make 8 0; b_fn = Array.make 8 dummy_event; b_len = 0 }
-
-let box_push b ~at ~key fn =
-  let n = b.b_len in
-  if n = Array.length b.b_at then begin
-    let cap = 2 * n in
-    let grow a fill =
-      let a' = Array.make cap fill in
-      Array.blit a 0 a' 0 n;
-      a'
-    in
-    b.b_at <- grow b.b_at 0;
-    b.b_key <- grow b.b_key 0;
-    b.b_fn <- grow b.b_fn dummy_event
-  end;
-  b.b_at.(n) <- at;
-  b.b_key.(n) <- key;
-  b.b_fn.(n) <- fn;
-  b.b_len <- n + 1
-
-type shard = {
-  sid : int;
-  heap : event Eheap.t;
-  mutable clock : Time_ns.t;  (* timestamp of the event being run *)
-  mutable processed : int;
-  mutable min_pending : Time_ns.t;  (* published at each barrier; max_int = empty *)
-}
-
-type t = {
-  nodes : int;
-  nshards : int;
-  lookahead : Time_ns.t;
-  check : bool;
-  shards_ : shard array;
-  node_shard : int array;  (* node -> shard *)
-  node_seq : int array;  (* node -> next seq (single-writer: owning shard) *)
-  boxes : box array;  (* (src shard * nshards) + dst shard *)
-  mutable windows : int;
-  mutable running : bool;
-  mutable window_end : Time_ns.t;  (* exclusive bound of the current run phase *)
-}
-
-let create ?check ~nodes ~shards ~lookahead () =
-  if nodes < 1 then invalid_arg "Shard.create: nodes must be >= 1";
-  if nodes > 1 lsl 25 then invalid_arg "Shard.create: too many nodes";
-  if shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
-  if lookahead < 1 then invalid_arg "Shard.create: lookahead must be >= 1";
-  let check =
-    match check with
-    | Some b -> b
-    | None -> ( match Sys.getenv_opt "PLATINUM_CHECK" with Some "1" -> true | _ -> false)
-  in
-  let nshards = min shards nodes in
-  {
-    nodes;
-    nshards;
-    lookahead;
-    check;
-    shards_ =
-      Array.init nshards (fun sid ->
-          {
-            sid;
-            heap = Eheap.create ~capacity:64 ~dummy:dummy_event ();
-            clock = 0;
-            processed = 0;
-            min_pending = max_int;
-          });
-    (* Contiguous blocks: node n lives on shard n*S/N, which keeps
-       cluster neighbours together for any S <= clusters. *)
-    node_shard = Array.init nodes (fun n -> n * nshards / nodes);
-    node_seq = Array.make nodes 0;
-    boxes = Array.init (nshards * nshards) (fun _ -> box_create ());
-    windows = 0;
-    running = false;
-    window_end = max_int;
-  }
-
-let nodes t = t.nodes
-let shards t = t.nshards
-let lookahead t = t.lookahead
-let shard_of_node t node = t.node_shard.(node)
-let windows t = t.windows
-
-let events_processed t =
-  Array.fold_left (fun acc s -> acc + s.processed) 0 t.shards_
-
-let clock t = Array.fold_left (fun acc s -> max acc s.clock) 0 t.shards_
-
-let now t ~node = t.shards_.(t.node_shard.(node)).clock
-
-let check_node t node what =
-  if node < 0 || node >= t.nodes then
-    invalid_arg (Printf.sprintf "Shard.%s: no node %d" what node)
-
-(* Draw the next key for an event originating at [node].  The per-node
-   counter makes the key independent of sharding; see the header. *)
-let key_of t ~node =
-  let seq = t.node_seq.(node) in
-  if seq > max_node_seq then invalid_arg "Shard: per-node sequence overflow";
-  t.node_seq.(node) <- seq + 1;
-  (node lsl node_seq_bits) lor seq
-
-let schedule t ~node ~delay fn =
-  check_node t node "schedule";
-  if delay < 0 then invalid_arg "Shard.schedule: negative delay";
-  let s = t.shards_.(t.node_shard.(node)) in
-  let at = s.clock + delay in
-  Eheap.add s.heap ~time:at ~seq:(key_of t ~node) fn
-
-let post t ~src ~dst ~delay fn =
-  check_node t src "post";
-  check_node t dst "post";
-  if src = dst then schedule t ~node:src ~delay fn
-  else begin
-    (* The conservative contract: cross-node effects are at least one
-       lookahead away.  Enforced for every src <> dst pair — including
-       same-shard pairs — so whether the rule fires can never depend on
-       the shard count. *)
-    if delay < t.lookahead then
-      invalid_arg
-        (Printf.sprintf "Shard.post: cross-node delay %d below lookahead %d" delay
-           t.lookahead);
-    let ss = t.shards_.(t.node_shard.(src)) in
-    let ds = t.node_shard.(dst) in
-    let at = ss.clock + delay in
-    let key = key_of t ~node:src in
-    if ds = ss.sid || not t.running then
-      (* Same shard (or pre-run setup): straight into the heap; the key
-         carries the merge order either way. *)
-      Eheap.add t.shards_.(ds).heap ~time:at ~seq:key fn
-    else box_push t.boxes.((ss.sid * t.nshards) + ds) ~at ~key fn
-  end
-
-(* --- per-shard phases (each touches only [s]'s own state plus, in the
-   drain phase, the mailboxes it exclusively owns this phase) --- *)
-
-let drain_phase t (s : shard) =
-  let n = t.nshards in
-  for src = 0 to n - 1 do
-    let b = t.boxes.((src * n) + s.sid) in
-    for i = 0 to b.b_len - 1 do
-      if t.check && b.b_at.(i) < s.clock then
-        failwith
-          (Printf.sprintf
-             "Shard check: mailbox delivery at %d before shard %d clock %d (window \
-              violation)"
-             b.b_at.(i) s.sid s.clock);
-      Eheap.add s.heap ~time:b.b_at.(i) ~seq:b.b_key.(i) b.b_fn.(i);
-      b.b_fn.(i) <- dummy_event
-    done;
-    b.b_len <- 0
-  done;
-  s.min_pending <- (if Eheap.is_empty s.heap then max_int else Eheap.min_time s.heap)
-
-let run_phase t (s : shard) ~window_end =
-  let continue = ref true in
-  while !continue do
-    if Eheap.is_empty s.heap then continue := false
-    else begin
-      let at = Eheap.min_time s.heap in
-      if at >= window_end then continue := false
-      else begin
-        let fn = Eheap.pop s.heap in
-        if t.check && at < s.clock then
-          failwith
-            (Printf.sprintf "Shard check: shard %d time ran backwards (%d after %d)" s.sid
-               at s.clock);
-        s.clock <- at;
-        s.processed <- s.processed + 1;
-        fn at
-      end
-    end
-  done;
-  (* Catch up idle shards so late-seeded events can't be scheduled into
-     another shard's past. *)
-  if window_end > s.clock && window_end < max_int then s.clock <- window_end
 
 (* --- the domain pool ---
 
@@ -294,32 +113,10 @@ let leader_phase pool ~nshards f =
   claim_all pool ~nshards ~parity:(r land 1);
   while Atomic.get pool.done_shards < nshards do Domain.cpu_relax () done
 
-(* --- the window loop --- *)
-
-let global_min t =
-  Array.fold_left (fun acc s -> min acc s.min_pending) max_int t.shards_
-
-let run_rounds t ~phase =
-  let continue = ref true in
-  (* Round 0 folds in anything posted during setup and publishes mins. *)
-  phase (fun i -> drain_phase t t.shards_.(i));
-  while !continue do
-    let m = global_min t in
-    if m = max_int then continue := false
-    else begin
-      let window_end = m + t.lookahead in
-      t.window_end <- window_end;
-      t.windows <- t.windows + 1;
-      phase (fun i -> run_phase t t.shards_.(i) ~window_end);
-      phase (fun i -> drain_phase t t.shards_.(i))
-    end
-  done
-
 (* Drive [rounds] with [nshards]-wide phases on [domains] domains: one
    domain claims shards in order with no pool and no barriers; more spawn
-   a worker pool.  Shared by {!run} (message-level shards) and
-   {!run_hosted} (per-node engines) — the results are identical either
-   way, by the key contract. *)
+   a worker pool.  The results are identical either way, by the key
+   contract. *)
 let drive ~domains ~nshards rounds =
   if domains < 1 then invalid_arg "Shard: domains must be >= 1";
   let ndomains = min domains nshards in
@@ -340,81 +137,52 @@ let drive ~domains ~nshards rounds =
       (fun () -> rounds ~phase:(leader_phase pool ~nshards))
   end
 
-let run ?(domains = 1) t =
-  if t.running then invalid_arg "Shard.run: already running";
-  t.running <- true;
-  Fun.protect
-    ~finally:(fun () -> t.running <- false)
-    (fun () -> drive ~domains ~nshards:t.nshards (fun ~phase -> run_rounds t ~phase))
-
-(* ------------------------------------------------------------------ *)
-(* Hosted engines: full kernel simulations under the window protocol.   *)
-(* ------------------------------------------------------------------ *)
-
-(* The hosted mode runs one complete {!Engine.t} — typically carrying a
-   whole per-node kernel — per node, advanced under the same conservative
-   windows and domain pool as the message-level shards above.  The group
-   installs an {!Engine.router} on every hosted engine, so every
-   [Engine.post] with [dst <> self] — kernel wakeups, protocol messages,
-   block-transfer completions — crosses through a per-(shard,shard)
-   mailbox.
-
-   One deliberate difference from [Shard.post]: cross-node events take the
-   mailbox path even when src and dst share a shard (and even at shard
-   count 1).  A destination engine assigns its internal sequence numbers
-   as events arrive, so arrival order must be a pure function of the
-   workload: mailboxes are drained in global (time, key) order at window
-   boundaries, which is shard-count-independent, whereas a same-shard
-   shortcut would interleave arrivals with the destination's own
-   scheduling and make sequence assignment depend on the shard map.
-   Hosted runs are therefore byte-identical across every (shards,
-   domains) — including (1, 1) — but follow a different (equally valid)
-   schedule than the same kernels on one engine with no router; the
-   no-router sequential world remains the golden oracle and is untouched
-   by hosting. *)
-
-type hbox = {
-  mutable hb_at : int array;
-  mutable hb_key : int array;
-  mutable hb_dst : int array;
-  mutable hb_flags : int array;  (* bit 0 daemon, bit 1 deferred *)
-  mutable hb_fn : (unit -> unit) array;
-  mutable hb_len : int;
+(* Mailbox for one (src shard, dst shard) pair.  Written by the source
+   shard during run phases, drained and cleared by the destination shard
+   during drain phases; the inter-phase barrier transfers ownership, so no
+   lock is ever taken. *)
+type box = {
+  mutable b_at : int array;
+  mutable b_key : int array;
+  mutable b_dst : int array;
+  mutable b_flags : int array;  (* bit 0 daemon, bit 1 deferred *)
+  mutable b_fn : (unit -> unit) array;
+  mutable b_len : int;
 }
 
-let hnothing () = ()
+let nothing () = ()
 
-let hbox_create () =
+let box_create () =
   {
-    hb_at = Array.make 8 0;
-    hb_key = Array.make 8 0;
-    hb_dst = Array.make 8 0;
-    hb_flags = Array.make 8 0;
-    hb_fn = Array.make 8 hnothing;
-    hb_len = 0;
+    b_at = Array.make 8 0;
+    b_key = Array.make 8 0;
+    b_dst = Array.make 8 0;
+    b_flags = Array.make 8 0;
+    b_fn = Array.make 8 nothing;
+    b_len = 0;
   }
 
-let hbox_push b ~at ~key ~dst ~flags fn =
-  let n = b.hb_len in
-  if n = Array.length b.hb_at then begin
+let box_push b ~at ~key ~dst ~flags fn =
+  let n = b.b_len in
+  if n = Array.length b.b_at then begin
     let cap = 2 * n in
     let grow a fill =
       let a' = Array.make cap fill in
       Array.blit a 0 a' 0 n;
       a'
     in
-    b.hb_at <- grow b.hb_at 0;
-    b.hb_key <- grow b.hb_key 0;
-    b.hb_dst <- grow b.hb_dst 0;
-    b.hb_flags <- grow b.hb_flags 0;
-    b.hb_fn <- grow b.hb_fn hnothing
+    b.b_at <- grow b.b_at 0;
+    b.b_key <- grow b.b_key 0;
+    b.b_dst <- grow b.b_dst 0;
+    b.b_flags <- grow b.b_flags 0;
+    b.b_fn <- grow b.b_fn nothing
   end;
-  b.hb_at.(n) <- at;
-  b.hb_key.(n) <- key;
-  b.hb_dst.(n) <- dst;
-  b.hb_flags.(n) <- flags;
-  b.hb_fn.(n) <- fn;
-  b.hb_len <- n + 1
+  b.b_at.(n) <- at;
+  b.b_key.(n) <- key;
+  b.b_dst.(n) <- dst;
+  b.b_flags.(n) <- flags;
+  b.b_fn.(n) <- fn;
+  b.b_len <- n + 1
 
 (* One shard's wake index: which of its engines have work due.  [w_heap]
    holds (next event time, node) entries and is lazy — an entry is live
@@ -424,8 +192,6 @@ let hbox_push b ~at ~key ~dst ~flags fn =
    window costs O(due nodes + mail) rather than O(nodes). *)
 type wake = {
   w_heap : unit Eheap.t;  (* key (time, node); the node rides as the seq *)
-  w_due : int array;  (* this window's due nodes; sized to the shard *)
-  mutable w_ndue : int;
   mutable w_live : int;  (* nodes with a non-daemon event pending *)
   mutable w_min : Time_ns.t;  (* live head after the last drain; max_int = none *)
   w_mail : int Eheap.t;  (* drain merge: key (at, key) -> slot (i * nshards + src) *)
@@ -439,7 +205,7 @@ type hosted = {
   h_node_shard : int array;
   h_node_seq : int array;  (* single-writer: the node's own events *)
   h_shard_nodes : int array array;  (* shard -> its nodes, ascending *)
-  h_boxes : hbox array;  (* (src shard * nshards) + dst shard *)
+  h_boxes : box array;  (* (src shard * nshards) + dst shard *)
   h_next : Time_ns.t array;  (* node -> its live wake-heap key; max_int = none *)
   h_wake : wake array;  (* shard -> its wake index *)
   mutable h_windows : int;
@@ -450,8 +216,7 @@ type hosted = {
 (* The router for hosted engine [node]: self-posts keep their engine-local
    schedule; anything else draws a key from the node's counter and rides a
    mailbox.  Only [node]'s own events (or pre-run setup, which is
-   single-domain) may reach this — the same single-writer rule as
-   {!schedule}. *)
+   single-domain) may reach this: the per-node counter is single-writer. *)
 let hosted_route h ~node ~dst ~daemon ~deferred ~delay fn =
   let e = h.h_engines.(node) in
   if dst = node then Engine.schedule_after e ~daemon ~deferred ~delay fn
@@ -468,7 +233,7 @@ let hosted_route h ~node ~dst ~daemon ~deferred ~delay fn =
     let key = (node lsl node_seq_bits) lor seq in
     let at = Engine.now e + delay in
     let flags = (if daemon then 1 else 0) lor if deferred then 2 else 0 in
-    hbox_push
+    box_push
       h.h_boxes.((h.h_node_shard.(node) * h.h_nshards) + h.h_node_shard.(dst))
       ~at ~key ~dst ~flags fn
   end
@@ -507,15 +272,13 @@ let host ?check ~shards ~lookahead engines =
       h_node_shard = node_shard;
       h_node_seq = Array.make nodes 0;
       h_shard_nodes = shard_nodes;
-      h_boxes = Array.init (nshards * nshards) (fun _ -> hbox_create ());
+      h_boxes = Array.init (nshards * nshards) (fun _ -> box_create ());
       h_next = Array.make nodes max_int;
       h_wake =
         Array.map
           (fun mine ->
             {
               w_heap = Eheap.create ~capacity:(Array.length mine) ~dummy:() ();
-              w_due = Array.make (Array.length mine) 0;
-              w_ndue = 0;
               w_live = 0;
               w_min = max_int;
               w_mail = Eheap.create ~capacity:64 ~dummy:0 ();
@@ -576,14 +339,6 @@ let rec wake_head h heap =
     end
   end
 
-(* One insertion-sort step on the due list: few nodes are due per window. *)
-let rec insert_due a j v =
-  if j > 0 && a.(j - 1) > v then begin
-    a.(j) <- a.(j - 1);
-    insert_due a (j - 1) v
-  end
-  else a.(j) <- v
-
 (* Round 0: index shard [sid]'s engines as setup left them. *)
 let hosted_index h sid =
   let w = h.h_wake.(sid) in
@@ -592,34 +347,26 @@ let hosted_index h sid =
     wake_rekey h w mine.(i) ~was_live:false
   done
 
-(* The run phase: take every node whose head falls inside the window off
-   the index, run them in ascending node order, and re-key each.  Nodes
+(* The run phase: pop every node whose head falls inside the window off
+   the index, run it to the window's end and re-key it.  Nodes run in pop
+   order: a node's events touch only its own state and the drain merges
+   mail by (at, key), so the order cannot change the output.  A re-keyed
+   head lands at or past [window_end], so no node is popped twice.  Nodes
    with nothing due are not touched; their clocks lag until {!run_hosted}
    brings them level. *)
 let hosted_run h sid ~window_end =
   let w = h.h_wake.(sid) in
-  w.w_ndue <- 0;
   while (not (Eheap.is_empty w.w_heap)) && Eheap.min_time w.w_heap < window_end do
     let at = Eheap.min_time w.w_heap in
     let node = Eheap.min_seq w.w_heap in
     Eheap.pop w.w_heap;
     if h.h_next.(node) = at then begin
-      (* taken: any duplicate entry for this key is now stale *)
-      h.h_next.(node) <- max_int;
-      w.w_due.(w.w_ndue) <- node;
-      w.w_ndue <- w.w_ndue + 1
+      let e = h.h_engines.(node) in
+      let was_live = not (Engine.is_empty e) in
+      (* run_until is inclusive; windows are [m, window_end). *)
+      Engine.run_until e (window_end - 1);
+      wake_rekey h w node ~was_live
     end
-  done;
-  for i = 1 to w.w_ndue - 1 do
-    insert_due w.w_due i w.w_due.(i)
-  done;
-  for i = 0 to w.w_ndue - 1 do
-    let node = w.w_due.(i) in
-    let e = h.h_engines.(node) in
-    let was_live = not (Engine.is_empty e) in
-    (* run_until is inclusive; windows are [m, window_end). *)
-    Engine.run_until e (window_end - 1);
-    wake_rekey h w node ~was_live
   done
 
 (* Stored cells for the drain's optional arguments: [~daemon:b] would box
@@ -630,7 +377,7 @@ let some_true = Some true
    merge through [w_mail] in (time, key) order — keys are unique, so the
    order is total — and each destination engine therefore assigns its
    internal sequence numbers in an order that is a pure function of the
-   workload: the crux of hosted determinism (see the header above).  Each
+   workload: the crux of hosted determinism (see the header).  Each
    delivery re-keys its destination; the drain ends by publishing the
    shard's live head. *)
 let hosted_drain h sid =
@@ -638,8 +385,8 @@ let hosted_drain h sid =
   let w = h.h_wake.(sid) in
   for src = 0 to n - 1 do
     let b = h.h_boxes.((src * n) + sid) in
-    for i = 0 to b.hb_len - 1 do
-      Eheap.add w.w_mail ~time:b.hb_at.(i) ~seq:b.hb_key.(i) ((i * n) + src)
+    for i = 0 to b.b_len - 1 do
+      Eheap.add w.w_mail ~time:b.b_at.(i) ~seq:b.b_key.(i) ((i * n) + src)
     done
   done;
   while not (Eheap.is_empty w.w_mail) do
@@ -647,8 +394,8 @@ let hosted_drain h sid =
     let slot = Eheap.pop w.w_mail in
     let b = h.h_boxes.(((slot mod n) * n) + sid) in
     let i = slot / n in
-    let dst = b.hb_dst.(i) and flags = b.hb_flags.(i) and fn = b.hb_fn.(i) in
-    b.hb_fn.(i) <- hnothing;
+    let dst = b.b_dst.(i) and flags = b.b_flags.(i) and fn = b.b_fn.(i) in
+    b.b_fn.(i) <- nothing;
     (* Posted in the window that just closed, so due at or after its end. *)
     if h.h_check && at < h.h_window_end then
       failwith
@@ -665,7 +412,7 @@ let hosted_drain h sid =
     wake_rekey h w dst ~was_live
   done;
   for src = 0 to n - 1 do
-    h.h_boxes.((src * n) + sid).hb_len <- 0
+    h.h_boxes.((src * n) + sid).b_len <- 0
   done;
   w.w_min <- wake_head h w.w_heap
 

@@ -11,6 +11,7 @@ module Rule_domain = Platinum_check.Rule_domain
 module Lint = Platinum_check.Lint
 
 let unit_ ~file src = Ast_lint.unit_of_source ~file src
+let lib_units = lazy (Ast_lint.load_dirs [ "../lib" ])
 
 (* findings rendered as "name:construct" / "name:allowed" strings, the
    same convention the textual-lint tests use *)
@@ -217,7 +218,12 @@ let test_settle_no_handler () =
 
 (* --- zero-alloc --- *)
 
-let alloc ?(file = "flat.ml") src = Rule_alloc.rule.Ast_lint.run [ unit_ ~file src ]
+(* The fixtures below define only the catalogued names they exercise, so
+   the stale-catalogue findings for the rest are filtered out here and
+   tested on their own. *)
+let alloc ?(file = "flat.ml") src =
+  Rule_alloc.rule.Ast_lint.run [ unit_ ~file src ]
+  |> List.filter (fun (f : Ast_lint.finding) -> f.construct <> Rule_alloc.missing_construct)
 
 let test_alloc_clean () =
   let fs =
@@ -292,6 +298,26 @@ let test_alloc_trailing_function_is_a_parameter () =
   in
   Alcotest.(check (list string)) "the function keyword is not a closure" [] (tags fs)
 
+let test_alloc_stale_catalogue_name () =
+  (* excise the binding name of a catalogued function from the real
+     shard.ml: the rule must say the name has gone, not skip its check *)
+  let units = Lazy.force lib_units in
+  match
+    Ast_lint.mutate_unit units ~base:"shard.ml"
+      ~f:(Ast_lint.excise ~anchor:"(* The earliest live key" ~needle:"wake_head")
+  with
+  | Error e -> Alcotest.fail ("mutation failed: " ^ e)
+  | Ok mutated ->
+    let stale =
+      List.filter
+        (fun (f : Ast_lint.finding) ->
+          f.construct = Rule_alloc.missing_construct && f.allowed = None)
+        (Rule_alloc.rule.Ast_lint.run mutated)
+    in
+    Alcotest.(check (list string)) "the excised name is reported"
+      [ "Shard.wake_head:" ^ Rule_alloc.missing_construct ]
+      (tags stale)
+
 (* --- toplevel-state on the typed AST --- *)
 
 let domain ?(file = "m.ml") src = Rule_domain.rule.Ast_lint.run [ unit_ ~file src ]
@@ -323,8 +349,6 @@ let test_domain_functor_bodies_skipped () =
   Alcotest.(check (list string)) "per-application state is fine" [] (tags fs)
 
 (* --- whole-tree gates --- *)
-
-let lib_units = lazy (Ast_lint.load_dirs [ "../lib" ])
 
 let test_lib_clean () =
   let units = Lazy.force lib_units in
@@ -396,6 +420,7 @@ let suite =
     ("alloc: uncatalogued functions ignored", `Quick, test_alloc_uncatalogued_ignored);
     ("alloc: marker downgrades", `Quick, test_alloc_marker);
     ("alloc: trailing function is a parameter", `Quick, test_alloc_trailing_function_is_a_parameter);
+    ("alloc: stale catalogue name reported", `Quick, test_alloc_stale_catalogue_name);
     ("domain: flags, Atomic, marker", `Quick, test_domain_flags_and_allows);
     ("domain: nested modules visible", `Quick, test_domain_sees_nested_modules);
     ("domain: functor bodies skipped", `Quick, test_domain_functor_bodies_skipped);

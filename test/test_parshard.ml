@@ -1,15 +1,18 @@
-(* The sharded event engine (Sim.Shard) and the message-level scale
-   workloads built on it (Platinum_scale.Scale).
+(* The sharded event engine (Sim.Shard) and the workloads hosted on it:
+   the message-level mesh (Platinum_scale.Scale) and per-node kernels
+   (Platinum_scale.Parkernel), both one Engine.t per node under the same
+   window loop.
 
    The load-bearing contract: a sharded run is a pure function of the
    workload parameters — the shard count and domain count never change a
    single byte of the result.  We pin that by fingerprint across a
-   shards x domains grid, for all three workloads, with the window
+   shards x domains grid, for all four mesh workloads, with the window
    self-checks armed, and again with the fault plane injecting at 2%
    (so the IPI-retry and RPC-retransmission recovery paths are inside the
    determinism envelope, not outside it). *)
 
 module Shard = Platinum_sim.Shard
+module Engine = Platinum_sim.Engine
 module Config = Platinum_machine.Config
 module Scale = Platinum_scale.Scale
 
@@ -21,19 +24,22 @@ let small = Config.hierarchical ~cluster_size:4 ~nodes:24 ()
 
 (* --- Shard mechanics --- *)
 
+let engines n = Array.init n (fun _ -> Engine.create ())
+
 let test_shard_basics () =
-  let sh = Shard.create ~check:true ~nodes:8 ~shards:4 ~lookahead:1_000 () in
-  Alcotest.(check int) "nodes" 8 (Shard.nodes sh);
-  Alcotest.(check int) "shards" 4 (Shard.shards sh);
-  Alcotest.(check int) "lookahead" 1_000 (Shard.lookahead sh);
-  Alcotest.(check int) "node 0 on shard 0" 0 (Shard.shard_of_node sh 0);
-  Alcotest.(check int) "node 7 on shard 3" 3 (Shard.shard_of_node sh 7);
+  let es = engines 8 in
+  let h = Shard.host ~check:true ~shards:4 ~lookahead:1_000 es in
+  Alcotest.(check int) "nodes" 8 (Shard.hosted_nodes h);
+  Alcotest.(check int) "shards" 4 (Shard.hosted_shards h);
+  Alcotest.(check int) "node 0 on shard 0" 0 (Shard.hosted_shard_of_node h 0);
+  Alcotest.(check int) "node 7 on shard 3" 3 (Shard.hosted_shard_of_node h 7);
   let log = ref [] in
-  Shard.schedule sh ~node:0 ~delay:10 (fun t -> log := (`A, t) :: !log);
-  Shard.schedule sh ~node:7 ~delay:5 (fun t -> log := (`B, t) :: !log);
-  Shard.post sh ~src:0 ~dst:7 ~delay:1_000 (fun t -> log := (`C, t) :: !log);
-  Shard.run sh;
-  Alcotest.(check int) "three events" 3 (Shard.events_processed sh);
+  let note k node () = log := (k, Engine.now es.(node)) :: !log in
+  Engine.schedule_after es.(0) ~delay:10 (note `A 0);
+  Engine.schedule_after es.(7) ~delay:5 (note `B 7);
+  Engine.post es.(0) ~src:0 ~dst:7 ~delay:1_000 (note `C 7);
+  Shard.run_hosted h;
+  Alcotest.(check int) "three events" 3 (Shard.hosted_events h);
   Alcotest.(check (list (pair bool int)))
     "delivery times in order"
     [ (true, 5); (true, 10); (false, 1_000) ]
@@ -41,47 +47,42 @@ let test_shard_basics () =
     |> List.sort (fun (_, a) (_, b) -> compare a b))
 
 let test_shard_clamps_to_nodes () =
-  let sh = Shard.create ~nodes:3 ~shards:16 ~lookahead:100 () in
-  Alcotest.(check int) "shards clamped to node count" 3 (Shard.shards sh)
+  let h = Shard.host ~shards:16 ~lookahead:100 (engines 3) in
+  Alcotest.(check int) "shards clamped to node count" 3 (Shard.hosted_shards h)
 
 let test_post_under_lookahead_rejected () =
-  let sh = Shard.create ~nodes:4 ~shards:2 ~lookahead:5_000 () in
+  let es = engines 4 in
+  let h = Shard.host ~shards:2 ~lookahead:5_000 es in
   (* Enforced even for a same-shard pair (nodes 0 and 1 both live on
      shard 0), so legality never depends on the shard count. *)
+  Alcotest.(check int) "same shard" (Shard.hosted_shard_of_node h 0)
+    (Shard.hosted_shard_of_node h 1);
   Alcotest.check_raises "cross-node post under the lookahead"
-    (Invalid_argument "Shard.post: cross-node delay 4999 below lookahead 5000")
-    (fun () ->
-      Shard.post sh ~src:0 ~dst:1 ~delay:4_999 (fun _ -> ()));
+    (Invalid_argument "Shard.host: cross-node delay 4999 below lookahead 5000")
+    (fun () -> Engine.post es.(0) ~src:0 ~dst:1 ~delay:4_999 ignore);
   (* src = dst is node-local scheduling: no lookahead constraint. *)
-  Shard.post sh ~src:0 ~dst:0 ~delay:1 (fun _ -> ());
-  Shard.run sh;
-  Alcotest.(check int) "local post delivered" 1 (Shard.events_processed sh)
+  Engine.post es.(0) ~src:0 ~dst:0 ~delay:1 ignore;
+  Shard.run_hosted h;
+  Alcotest.(check int) "local post delivered" 1 (Shard.hosted_events h)
 
-(* A cross-shard ping-pong whose event count and final clock are exact:
-   hand-checkable conservative-window behaviour. *)
-let test_shard_ping_pong () =
-  let run ~shards ~domains =
-    let sh = Shard.create ~check:true ~nodes:4 ~shards ~lookahead:100 () in
-    let hops = ref 0 in
-    let rec ping src dst _t =
-      if !hops < 50 then begin
-        incr hops;
-        Shard.post sh ~src ~dst ~delay:100 (ping dst src)
-      end
-    in
-    Shard.schedule sh ~node:0 ~delay:0 (ping 0 3);
-    Shard.run ~domains sh;
-    (!hops, Shard.events_processed sh, Shard.clock sh, Shard.windows sh)
-  in
-  let h, e, c, _ = run ~shards:1 ~domains:1 in
-  Alcotest.(check int) "50 hops" 50 h;
-  Alcotest.(check int) "51 events" 51 e;
-  (* Last delivery at 50 x 100 ns; the final window's idle catch-up then
-     advances the clocks to its end, one lookahead past it. *)
-  Alcotest.(check int) "clock = last delivery + final window" 5_100 c;
-  let h4, e4, c4, _ = run ~shards:4 ~domains:2 in
-  Alcotest.(check (list int))
-    "identical at 4 shards / 2 domains" [ h; e; c ] [ h4; e4; c4 ]
+let test_hosted_argument_checks () =
+  let es = engines 4 in
+  let h = Shard.host ~shards:2 ~lookahead:100 es in
+  Alcotest.check_raises "post to a node past the group"
+    (Invalid_argument "Shard.host: post to unknown node 4")
+    (fun () -> Engine.post es.(0) ~src:0 ~dst:4 ~delay:100 ignore);
+  Alcotest.check_raises "post to a negative node"
+    (Invalid_argument "Shard.host: post to unknown node -1")
+    (fun () -> Engine.post es.(0) ~src:0 ~dst:(-1) ~delay:100 ignore);
+  Alcotest.check_raises "an engine hosted twice"
+    (Invalid_argument "Shard.host: an engine already has a router")
+    (fun () -> ignore (Shard.host ~shards:1 ~lookahead:100 [| Engine.create (); es.(2) |]));
+  Engine.post es.(0) ~src:0 ~dst:3 ~delay:100 ignore;
+  Shard.run_hosted h;
+  Alcotest.(check int) "the legal post delivered" 1 (Shard.hosted_events h);
+  Alcotest.check_raises "a group runs once"
+    (Invalid_argument "Shard.run_hosted: already ran")
+    (fun () -> Shard.run_hosted h)
 
 (* --- the hosted window loop's wake index ---
 
@@ -89,8 +90,6 @@ let test_shard_ping_pong () =
    below pins a count or a time that a stale or missing wake-index entry
    would change, over shards {1,2,8} x domains {1,2}, with the window
    self-check armed. *)
-
-module Engine = Platinum_sim.Engine
 
 let hosted_cells f =
   List.iter (fun shards -> List.iter (fun domains -> f ~shards ~domains) [ 1; 2 ]) shard_counts
@@ -353,7 +352,7 @@ let suite =
     ("shard: basics", `Quick, test_shard_basics);
     ("shard: shard count clamps to nodes", `Quick, test_shard_clamps_to_nodes);
     ("shard: lookahead enforcement", `Quick, test_post_under_lookahead_rejected);
-    ("shard: cross-shard ping-pong", `Quick, test_shard_ping_pong);
+    ("hosted: argument checks", `Quick, test_hosted_argument_checks);
     ("hosted: idle engines skipped, clocks level at the end", `Quick,
       test_hosted_idle_engines_skipped);
     ("hosted: early mail re-keys its destination", `Quick,
