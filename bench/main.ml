@@ -23,7 +23,6 @@ let experiments : (string * string * (Exp_common.scale -> unit)) list =
     ("abl-arch", "ablation: block-transfer speed (the vital mechanism)", Exp_arch.run_arch);
     ("abl-defrost", "ablation: periodic vs adaptive defrost daemon", Exp_arch.run_defrost);
     ("abl-cache", "ablation: section-7 local caches without hardware coherency", Exp_arch.run_cache);
-    ("hotpath", "Bechamel micro-benchmarks of the simulator itself", Exp_bechamel.run);
     ( "throughput",
       "wall-clock words/second of the memory hot path (emits BENCH_hotpath.json)",
       Exp_hotpath.run );

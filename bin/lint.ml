@@ -1,48 +1,33 @@
-(* The static-analysis CI gate (see Platinum_check).  Three modes, one
-   exit-code convention: 0 clean, 1 unexempted violations, 2 usage or
-   environment errors (missing path, unparseable source, failed seeded
-   mutation).
+(* The static-analysis CI gate (see Platinum_check): the typed-AST rules
+   of Registry over library sources.  Two modes, one exit-code
+   convention: 0 clean, 1 unexempted violations or an uncaught seeded
+   mutation, 2 usage or environment errors (missing path, unparseable
+   source).
 
-     dune exec bin/lint.exe                   # textual pass over lib/
-     dune exec bin/lint.exe -- DIR...         # textual pass over the trees
-     dune exec bin/lint.exe -- --ast [DIR...] # all typed-AST rules
-     dune exec bin/lint.exe -- --must-catch [DIR...]
-                                              # seeded-mutation gate *)
+     dune exec bin/lint.exe                          # all rules over lib/
+     dune exec bin/lint.exe -- DIR...                # all rules over the trees
+     dune exec bin/lint.exe -- --must-catch [DIR...] # seeded-mutation gate *)
 
-module Lint = Platinum_check.Lint
 module Ast_lint = Platinum_check.Ast_lint
 module Registry = Platinum_check.Registry
 
-let check_paths dirs =
+let load_units dirs =
   let missing = List.filter (fun d -> not (Sys.file_exists d)) dirs in
   if missing <> [] then begin
     List.iter (Printf.eprintf "lint: no such path: %s\n") missing;
     exit 2
-  end
-
-let textual dirs =
-  check_paths dirs;
-  let files = List.concat_map Lint.files_under dirs in
-  let findings = Lint.scan_files files in
-  let bad = List.filter (fun f -> f.Lint.allowed = None) findings in
-  List.iter (fun f -> Format.printf "%a@." Lint.pp_finding f) findings;
-  Format.printf "lint: %d file(s), %d finding(s), %d violation(s)@." (List.length files)
-    (List.length findings) (List.length bad);
-  if bad <> [] then exit 1
-
-let load_units dirs =
-  check_paths dirs;
+  end;
   try Ast_lint.load_dirs dirs
   with Ast_lint.Parse_error msg ->
     Printf.eprintf "lint: %s\n" msg;
     exit 2
 
-let ast dirs =
+let lint dirs =
   let units = load_units dirs in
   let findings = Registry.run_rules units in
   let bad = Registry.violations findings in
   List.iter (fun f -> Format.printf "%a@." Ast_lint.pp_finding f) findings;
-  Format.printf "ast-lint: %d file(s), %d rule(s), %d finding(s), %d violation(s)@."
+  Format.printf "lint: %d file(s), %d rule(s), %d finding(s), %d violation(s)@."
     (List.length units)
     (List.length Registry.rules)
     (List.length findings) (List.length bad);
@@ -69,6 +54,5 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let default d = function [] -> d | dirs -> dirs in
   match args with
-  | "--ast" :: rest -> ast (default [ "lib" ] rest)
   | "--must-catch" :: rest -> must_catch (default [ "lib" ] rest)
-  | dirs -> textual (default [ "lib" ] dirs)
+  | dirs -> lint (default [ "lib" ] dirs)

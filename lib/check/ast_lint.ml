@@ -1,17 +1,17 @@
-(* Typed-AST static analysis framework (DESIGN.md §4h).
+(* Typed-AST static analysis framework (DESIGN.md §4h): the repo's one
+   lint pass.
 
-   The textual lint ({!Lint}) guards one invariant with one heuristic; the
-   invariants PRs 6-7 added — every coherence-state mutation bumps
+   The invariants it guards — every coherence-state mutation bumps
    [fp_epoch], every kernel handler arm settles, hot-path functions stay
-   allocation-free — need scopes, call graphs and precise locations, which
-   only the compiler's own parser provides.  This module is the shared
-   plumbing: it parses a compilation unit with [Parse.implementation]
-   (compiler-libs), records where every top-level structure item lives,
-   scans the raw source for [lint: allow <rule-id>] exemption markers, and
-   builds findings in the same shape as {!Lint.finding} (file / line /
-   name / construct / allowed), extended with the rule id and a detail
-   sentence.  Rules themselves live under [rules/] and are registered in
-   {!Registry}.
+   allocation-free, library code holds no unmarked toplevel mutable
+   state — need scopes, call graphs and precise locations, which only
+   the compiler's own parser provides.  This module is the shared
+   plumbing: it reads and parses each compilation unit with
+   [Parse.implementation] (compiler-libs), records where every top-level
+   structure item lives, scans the raw source for [lint: allow <rule-id>]
+   exemption markers, and builds findings (file / line / rule id / name /
+   construct / detail / allowed).  Rules themselves live under [rules/]
+   and are registered in {!Registry}.
 
    A marker waives findings of its rule within the enclosing top-level
    structure item (or up to five lines below the marker, for markers that
@@ -116,8 +116,23 @@ let unit_of_source ~file src =
     u_spans = spans;
   }
 
-let load_files files = List.map (fun f -> unit_of_source ~file:f (Lint.read_file f)) files
-let load_dirs dirs = load_files (List.concat_map Lint.files_under dirs)
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* All [.ml] files under a path, sorted; skips [_build] and dot-entries. *)
+let rec files_under path =
+  if Sys.is_directory path then
+    Sys.readdir path |> Array.to_list |> List.sort compare
+    |> List.filter (fun name -> name <> "_build" && not (String.length name > 0 && name.[0] = '.'))
+    |> List.concat_map (fun name -> files_under (Filename.concat path name))
+  else if Filename.check_suffix path ".ml" then [ path ]
+  else []
+
+let load_files files = List.map (fun f -> unit_of_source ~file:f (read_file f)) files
+let load_dirs dirs = load_files (List.concat_map files_under dirs)
 
 (* --- findings --- *)
 

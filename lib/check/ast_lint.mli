@@ -1,11 +1,12 @@
-(** Typed-AST static analysis framework (DESIGN.md §4h).
+(** Typed-AST static analysis framework (DESIGN.md §4h): the repo's one
+    lint pass.
 
     Parses library sources with the compiler's own parser
     ([Parse.implementation]) and runs pluggable rules over the
     [Parsetree], with precise locations and a [lint: allow <rule-id>]
     exemption-marker mechanism.  Rules live under [rules/] and are
     registered in {!Registry}; run the whole battery with
-    [dune exec bin/lint.exe -- --ast]. *)
+    [dune exec bin/lint.exe]. *)
 
 type finding = {
   file : string;
@@ -44,7 +45,10 @@ val parse_source : file:string -> string -> Parsetree.structure
 
 val unit_of_source : file:string -> string -> unit_
 val load_files : string list -> unit_ list
+
 val load_dirs : string list -> unit_ list
+(** Every [.ml] file under the given paths, recursively and in sorted
+    order; [_build] and dot-entries are skipped. *)
 
 val marker_allows : unit_ -> rule:string -> line:int -> bool
 (** Is [line] waived for [rule]?  A marker covers its enclosing top-level

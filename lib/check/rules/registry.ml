@@ -19,12 +19,13 @@ let violations findings = List.filter (fun f -> f.allowed = None) findings
    checks nothing, so each non-trivial rule is validated against a seeded
    mutation of the real tree (the same discipline the mc experiment
    applies to the runtime monitor): delete the [fp_bump] from
-   [Coherent.freeze_page], and unwrap the [settle] around the kernel's
-   [Compute] arm, in *in-memory* copies of the sources; the rule must
-   report exactly that site as an unexempted violation.  The surgery
-   anchors on exact source substrings and fails loudly when they are
-   missing, so a refactor that moves either site breaks the gate rather
-   than silently testing nothing. *)
+   [Coherent.freeze_page], unwrap the [settle] around the kernel's
+   [Compute] arm, and strip the allow marker from the shootdown test
+   knob, in *in-memory* copies of the sources; the rule must report
+   exactly that site as an unexempted violation.  The surgery anchors on
+   exact source substrings and fails loudly when they are missing, so a
+   refactor that moves a site breaks the gate rather than silently
+   testing nothing. *)
 
 type gate = { g_name : string; g_result : (unit, string) result }
 
@@ -62,8 +63,19 @@ let gate_settle units =
     expect_violation ~rule_:"settle-coverage" ~name:"Compute"
       (Rule_settle.rule.run mutated)
 
+let gate_domain units =
+  match
+    mutate_unit units ~base:"shootdown.ml"
+      ~f:(excise ~anchor:"Test-only fault-injection knob" ~needle:"lint: allow toplevel-state")
+  with
+  | Error e -> Error ("mutation failed: " ^ e)
+  | Ok mutated ->
+    expect_violation ~rule_:"toplevel-state" ~name:"test_skip_refmask_clear"
+      (Rule_domain.rule.run mutated)
+
 let mutation_gate units =
   [
     { g_name = "epoch-soundness catches a deleted fp_bump"; g_result = gate_epoch units };
     { g_name = "settle-coverage catches an unwrapped arm"; g_result = gate_settle units };
+    { g_name = "toplevel-state catches a stripped allow marker"; g_result = gate_domain units };
   ]

@@ -1,29 +1,52 @@
-(* toplevel-state: the textual domain-safety rule ({!Lint}) re-hosted on
-   the typed AST.
+(* toplevel-state: library code holds no unmarked toplevel mutable state.
 
-   Same invariant — library code runs on parallel domains (grid sweeps
-   and the sharded engine), so a mutable container created at module
-   toplevel is shared, unsynchronized, across domains — but checked on
-   the [Parsetree] instead of stripped text: no column-0 assumption, no
-   formatting sensitivity, and nested [module] structures are scanned
-   too (the textual pass only sees column-0 bindings).  The construct
-   catalogue is shared with {!Lint.constructs} so the two passes cannot
-   drift; the textual pass stays as a fallback oracle with a superset
-   test tying them together.
+   Library code runs on parallel domains two ways: the sweep harness fans
+   independent simulations over a pool (grid parallelism), and the
+   sharded engine splits one simulation's nodes across domains — so a
+   [ref], a [Hashtbl.t] or any other mutable container created at module
+   toplevel is shared, unsynchronized, across domains: a data race
+   waiting for a schedule.  Per-instance state is fine in both regimes.
 
-   As in the textual rule, bindings whose right-hand side is a function
-   are skipped (they allocate per call), [Atomic.make] is reported as
-   allowed, and a [lint: allow toplevel-state] marker waives a finding.
-   Functor bodies are skipped for the same reason function bodies of
-   value bindings are not: their allocations happen per application. *)
+   The rule walks every value binding at module toplevel, nested [module]
+   structures and [include]s too, and flags each mutable-container
+   constructor in its right-hand side.  [Atomic.make] is reported as
+   allowed; a [lint: allow toplevel-state] marker documenting why the
+   state is safe (e.g. a test-only knob never touched under parallelism)
+   waives a finding.  Bindings whose right-hand side is a function are
+   skipped (they allocate per call), and so are functor bodies (per
+   application). *)
 
 open Ast_lint
 
 let rule_id = "toplevel-state"
 
-(* Dotted constructors from the shared catalogue; [ref] and [lazy] have
-   their own AST shapes. *)
-let dotted = List.filter (fun c -> c <> "ref" && c <> "lazy") Lint.constructs
+(* The flagged dotted constructors; [ref] and [lazy] have their own AST
+   shapes.  Copies and conversions allocate fresh containers too. *)
+let constructs =
+  [
+    "Hashtbl.create";
+    "Array.make";
+    "Array.init";
+    "Array.create_float";
+    "Buffer.create";
+    "Bytes.create";
+    "Bytes.make";
+    "Queue.create";
+    "Stack.create";
+    "Weak.create";
+    "Dynarray.create";
+    "Domain.DLS.new_key";
+    "Float.Array.create";
+    "Array.copy";
+    "Array.of_list";
+    "Array.append";
+    "Bytes.copy";
+    "Bytes.of_string";
+    "Hashtbl.copy";
+    "Hashtbl.of_seq";
+    "Hashtbl.of_list";
+    "Queue.copy";
+  ]
 
 let scan_binding u ~name (rhs : Parsetree.expression) acc =
   let out = ref acc in
@@ -44,7 +67,7 @@ let scan_binding u ~name (rhs : Parsetree.expression) acc =
             let f = flatten txt in
             if f = "Atomic.make" then add ~allowed:"Atomic" e "Atomic.make"
             else if f = "ref" then add e "ref"
-            else if List.mem f dotted then add e f
+            else if List.mem f constructs then add e f
           | _ -> ());
           Ast_iterator.default_iterator.expr self e);
     }

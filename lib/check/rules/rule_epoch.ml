@@ -29,7 +29,7 @@
    participate in propagation — marking a teardown entry point covers the
    helpers only it calls — but a mutator's own marker never makes it
    *structurally* covered: it is reported with [allowed = Some "marker"]
-   so the exemption stays visible in [--ast] output. *)
+   so the exemption stays visible in [bin/lint.exe] output. *)
 
 open Ast_lint
 

@@ -268,70 +268,80 @@ let start_storm (c : Config.t) nodes_arr =
     (fun n -> Engine.schedule_after n.engine ~delay:(Rng.int n.rng 50_000) (round n))
     nodes_arr
 
+(* --- RPC to per-cluster servers, shared by Echo and Serve --- *)
+
+(* The client's server: the first node of its own cluster, or one time in
+   five another cluster's.  Draws from the client's stream. *)
+let server_of (c : Config.t) (n : node) =
+  let nclusters = Config.clusters c in
+  let cluster =
+    if nclusters > 1 && Rng.int n.rng 100 < 20 then
+      (Config.cluster_of c n.id + 1 + Rng.int n.rng (nclusters - 1)) mod nclusters
+    else Config.cluster_of c n.id
+  in
+  min (cluster * c.Config.cluster_size) (c.Config.nprocs - 1)
+
+(* One [words]-word RPC from [n] to [dst], issued now.  When the reply
+   lands, [n]'s counters take it and [on_done latency] runs on [n].
+   Draws nothing from [n]'s stream. *)
+let rpc (c : Config.t) nodes_arr modules (n : node) ~dst ~words ~on_done =
+  let issue = Engine.now n.engine in
+  let finish_at (done_at : int) =
+    n.rpcs <- n.rpcs + 1;
+    n.words <- n.words + (2 * words);
+    n.latency_ns <- n.latency_ns + (done_at - issue);
+    on_done (done_at - issue)
+  in
+  let wire =
+    c.Config.port_op_ns + (words * c.Config.t_block_word)
+    + (match Config.hop c ~src:n.id ~dst with
+      | Config.Cross -> words * c.Config.t_cross_block_extra
+      | Config.Local | Config.Intra -> 0)
+  in
+  let finish () = finish_at (Engine.now n.engine) in
+  let serve () =
+    let server = nodes_arr.(dst) in
+    server.served <- server.served + 1;
+    let arrival = Engine.now server.engine in
+    if dst = n.id then finish_at (arrival + c.Config.port_op_ns)
+    else begin
+      (* The server's module is the serialization point: bursts queue
+         behind each other exactly like word runs at a memory module. *)
+      let q =
+        Xbar.access ?inject:server.inject c modules ~now:arrival ~proc:n.id ~mem_module:dst
+          Xbar.Read ~words:1
+      in
+      Engine.post server.engine ~src:dst ~dst:n.id
+        ~delay:(max wire (q + c.Config.port_op_ns))
+        finish
+    end
+  in
+  (* A lossy switch may eat the request: back off and retransmit,
+     bounded by the plane (the final attempt always goes through). *)
+  let rec send ~attempt =
+    match n.inject with
+    | None -> Engine.post n.engine ~src:n.id ~dst ~delay:wire serve
+    | Some inj ->
+      if Inject.rpc_drop inj ~attempt then begin
+        n.retries <- n.retries + 1;
+        Inject.note_rpc_retry inj;
+        Engine.schedule_after n.engine ~delay:(Inject.rpc_retrans inj ~attempt) (fun () ->
+            send ~attempt:(attempt + 1))
+      end
+      else Engine.post n.engine ~src:n.id ~dst ~delay:wire serve
+  in
+  send ~attempt:0
+
 (* --- Echo: RPC against per-cluster servers with retransmission --- *)
 
 let start_echo (c : Config.t) nodes_arr modules =
-  let nnodes = c.Config.nprocs in
-  let server_of (n : node) =
-    let nclusters = Config.clusters c in
-    let cluster =
-      if nclusters > 1 && Rng.int n.rng 100 < 20 then
-        (Config.cluster_of c n.id + 1 + Rng.int n.rng (nclusters - 1)) mod nclusters
-      else Config.cluster_of c n.id
-    in
-    min (cluster * c.Config.cluster_size) (nnodes - 1)
-  in
   let rec tick (n : node) () =
     if n.ops_left > 0 then begin
       n.ops_left <- n.ops_left - 1;
-      let dst = server_of n in
+      let dst = server_of c n in
       let words = 4 + Rng.int n.rng 28 in
-      let issue = Engine.now n.engine in
-      let wire =
-        c.Config.port_op_ns + (words * c.Config.t_block_word)
-        + (match Config.hop c ~src:n.id ~dst with
-          | Config.Cross -> words * c.Config.t_cross_block_extra
-          | Config.Local | Config.Intra -> 0)
-      in
-      let finish_at (done_at : int) =
-        n.rpcs <- n.rpcs + 1;
-        n.words <- n.words + (2 * words);
-        n.latency_ns <- n.latency_ns + (done_at - issue);
-        Engine.schedule_after n.engine ~delay:(think n) (tick n)
-      in
-      let finish () = finish_at (Engine.now n.engine) in
-      let serve () =
-        let server = nodes_arr.(dst) in
-        server.served <- server.served + 1;
-        let arrival = Engine.now server.engine in
-        if dst = n.id then finish_at (arrival + c.Config.port_op_ns)
-        else begin
-          (* The server's module is the serialization point: bursts queue
-             behind each other exactly like word runs at a memory module. *)
-          let q =
-            Xbar.access ?inject:server.inject c modules ~now:arrival ~proc:n.id
-              ~mem_module:dst Xbar.Read ~words:1
-          in
-          Engine.post server.engine ~src:dst ~dst:n.id
-            ~delay:(max wire (q + c.Config.port_op_ns))
-            finish
-        end
-      in
-      (* A lossy switch may eat the request: back off and retransmit,
-         bounded by the plane (the final attempt always goes through). *)
-      let rec send ~attempt =
-        match n.inject with
-        | None -> Engine.post n.engine ~src:n.id ~dst ~delay:wire serve
-        | Some inj ->
-          if Inject.rpc_drop inj ~attempt then begin
-            n.retries <- n.retries + 1;
-            Inject.note_rpc_retry inj;
-            Engine.schedule_after n.engine ~delay:(Inject.rpc_retrans inj ~attempt) (fun () ->
-                send ~attempt:(attempt + 1))
-          end
-          else Engine.post n.engine ~src:n.id ~dst ~delay:wire serve
-      in
-      send ~attempt:0
+      rpc c nodes_arr modules n ~dst ~words ~on_done:(fun _ ->
+          Engine.schedule_after n.engine ~delay:(think n) (tick n))
     end
   in
   Array.iter
@@ -350,16 +360,6 @@ let start_echo (c : Config.t) nodes_arr modules =
    histogram, so the merged tails show queueing delay, fabric crossings
    and fault recovery all at once. *)
 let start_serve (c : Config.t) nodes_arr modules ~offered_rps =
-  let nnodes = c.Config.nprocs in
-  let server_of (n : node) =
-    let nclusters = Config.clusters c in
-    let cluster =
-      if nclusters > 1 && Rng.int n.rng 100 < 20 then
-        (Config.cluster_of c n.id + 1 + Rng.int n.rng (nclusters - 1)) mod nclusters
-      else Config.cluster_of c n.id
-    in
-    min (cluster * c.Config.cluster_size) (nnodes - 1)
-  in
   (* One arrival generator per node, created in node order off the node's
      own stream — shard- and domain-independent like every other draw. *)
   let gens =
@@ -373,50 +373,9 @@ let start_serve (c : Config.t) nodes_arr modules ~offered_rps =
       (* Open loop: commit to the next arrival before serving this one. *)
       if n.ops_left > 0 then
         Engine.schedule_after n.engine ~delay:(Arrivals.next_gap_ns gens.(n.id)) (arrive n);
-      let dst = server_of n in
+      let dst = server_of c n in
       let words = 2 + Rng.int n.rng 6 in
-      let issue = Engine.now n.engine in
-      let wire =
-        c.Config.port_op_ns + (words * c.Config.t_block_word)
-        + (match Config.hop c ~src:n.id ~dst with
-          | Config.Cross -> words * c.Config.t_cross_block_extra
-          | Config.Local | Config.Intra -> 0)
-      in
-      let finish_at (done_at : int) =
-        n.rpcs <- n.rpcs + 1;
-        n.words <- n.words + (2 * words);
-        n.latency_ns <- n.latency_ns + (done_at - issue);
-        Hist.record n.hist (done_at - issue)
-      in
-      let finish () = finish_at (Engine.now n.engine) in
-      let serve () =
-        let server = nodes_arr.(dst) in
-        server.served <- server.served + 1;
-        let arrival = Engine.now server.engine in
-        if dst = n.id then finish_at (arrival + c.Config.port_op_ns)
-        else begin
-          let q =
-            Xbar.access ?inject:server.inject c modules ~now:arrival ~proc:n.id
-              ~mem_module:dst Xbar.Read ~words:1
-          in
-          Engine.post server.engine ~src:dst ~dst:n.id
-            ~delay:(max wire (q + c.Config.port_op_ns))
-            finish
-        end
-      in
-      let rec send ~attempt =
-        match n.inject with
-        | None -> Engine.post n.engine ~src:n.id ~dst ~delay:wire serve
-        | Some inj ->
-          if Inject.rpc_drop inj ~attempt then begin
-            n.retries <- n.retries + 1;
-            Inject.note_rpc_retry inj;
-            Engine.schedule_after n.engine ~delay:(Inject.rpc_retrans inj ~attempt) (fun () ->
-                send ~attempt:(attempt + 1))
-          end
-          else Engine.post n.engine ~src:n.id ~dst ~delay:wire serve
-      in
-      send ~attempt:0
+      rpc c nodes_arr modules n ~dst ~words ~on_done:(Hist.record n.hist)
     end
   in
   Array.iter

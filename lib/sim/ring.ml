@@ -19,11 +19,16 @@ let clear t =
   Array.fill t.slots 0 (Array.length t.slots) None;
   t.pushed <- 0
 
-let to_list t =
+let fold t f init =
   let cap = Array.length t.slots in
   let n = length t in
   let first = t.pushed - n in
-  List.init n (fun i ->
-      match t.slots.((first + i) mod cap) with
-      | Some x -> x
-      | None -> assert false)
+  let acc = ref init in
+  for i = 0 to n - 1 do
+    match t.slots.((first + i) mod cap) with
+    | Some x -> acc := f !acc x
+    | None -> assert false
+  done;
+  !acc
+
+let to_list t = List.rev (fold t (fun acc x -> x :: acc) [])

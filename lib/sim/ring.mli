@@ -1,9 +1,9 @@
 (** A fixed-capacity ring buffer keeping the most recent pushes.
 
     Used by the coherence sanitizer to retain a bounded, replayable prefix
-    of recent protocol events: pushes past the capacity silently overwrite
-    the oldest entries, so holding one costs O(capacity) regardless of run
-    length. *)
+    of recent protocol events, and by [Platinum_stats.Trace] as its
+    recorder: pushes past the capacity silently overwrite the oldest
+    entries, so holding one costs O(capacity) regardless of run length. *)
 
 type 'a t
 
@@ -20,6 +20,10 @@ val pushed : 'a t -> int
 
 val capacity : 'a t -> int
 val clear : 'a t -> unit
+
+val fold : 'a t -> ('b -> 'a -> 'b) -> 'b -> 'b
+(** [fold t f init] folds [f] over the retained entries, oldest first,
+    without building a list. *)
 
 val to_list : 'a t -> 'a list
 (** Retained entries, oldest first. *)

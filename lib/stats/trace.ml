@@ -1,43 +1,31 @@
 module Probe = Platinum_core.Probe
 module Coherent = Platinum_core.Coherent
 module Time_ns = Platinum_sim.Time_ns
+module Ring = Platinum_sim.Ring
 
 type entry = {
   at : Time_ns.t;
   event : Probe.event;
 }
 
-type t = {
-  capacity : int;
-  buf : entry Queue.t;
-  mutable ndropped : int;
-}
+type t = entry Ring.t
 
 let create ?(capacity = 100_000) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  { capacity; buf = Queue.create (); ndropped = 0 }
+  Ring.create ~capacity
 
-let record t ~now event =
-  if Queue.length t.buf >= t.capacity then begin
-    ignore (Queue.pop t.buf);
-    t.ndropped <- t.ndropped + 1
-  end;
-  Queue.add { at = now; event } t.buf
-
+let record t ~now event = Ring.push t { at = now; event }
 let attach t coh = Coherent.set_probe coh (Some (fun ~now ev -> record t ~now ev))
-let entries t = List.of_seq (Queue.to_seq t.buf)
-let length t = Queue.length t.buf
-let dropped t = t.ndropped
-
-let clear t =
-  Queue.clear t.buf;
-  t.ndropped <- 0
+let entries = Ring.to_list
+let length = Ring.length
+let dropped t = Ring.pushed t - Ring.length t
+let clear = Ring.clear
 
 (* The query paths stream over the ring buffer — a trace at capacity holds
    10^5 entries, and materializing an intermediate list per query was the
    stats layer's own hot-path tax. *)
 
-let fold t f init = Queue.fold (fun acc e -> f acc e) init t.buf
+let fold = Ring.fold
 
 let filter t pred =
   List.rev (fold t (fun acc e -> if pred e.event then e :: acc else acc) [])
@@ -45,13 +33,16 @@ let filter t pred =
 let count t pred = fold t (fun n e -> if pred e.event then n + 1 else n) 0
 
 let pp_timeline ?(limit = 50) fmt t =
-  let n = Queue.length t.buf in
+  let n = length t in
+  let nd = dropped t in
   Format.fprintf fmt "@[<v>protocol timeline (%d events%s):@," n
-    (if t.ndropped > 0 then Printf.sprintf ", %d dropped" t.ndropped else "");
-  Seq.iteri
-    (fun i e ->
-      if i < limit then
-        Format.fprintf fmt "  %10s  %a@," (Time_ns.to_string e.at) Probe.pp_event e.event)
-    (Queue.to_seq t.buf);
+    (if nd > 0 then Printf.sprintf ", %d dropped" nd else "");
+  ignore
+    (fold t
+       (fun i e ->
+         if i < limit then
+           Format.fprintf fmt "  %10s  %a@," (Time_ns.to_string e.at) Probe.pp_event e.event;
+         i + 1)
+       0);
   if n > limit then Format.fprintf fmt "  ... %d more@," (n - limit);
   Format.fprintf fmt "@]"

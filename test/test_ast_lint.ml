@@ -8,13 +8,11 @@ module Rule_epoch = Platinum_check.Rule_epoch
 module Rule_settle = Platinum_check.Rule_settle
 module Rule_alloc = Platinum_check.Rule_alloc
 module Rule_domain = Platinum_check.Rule_domain
-module Lint = Platinum_check.Lint
 
 let unit_ ~file src = Ast_lint.unit_of_source ~file src
 let lib_units = lazy (Ast_lint.load_dirs [ "../lib" ])
 
-(* findings rendered as "name:construct" / "name:allowed" strings, the
-   same convention the textual-lint tests use *)
+(* findings rendered as "name:construct" / "name:allowed" strings *)
 let tags fs =
   List.map (fun (f : Ast_lint.finding) -> f.name ^ ":" ^ f.construct) (List.sort Ast_lint.compare_findings fs)
 
@@ -323,26 +321,74 @@ let test_alloc_stale_catalogue_name () =
 let domain ?(file = "m.ml") src = Rule_domain.rule.Ast_lint.run [ unit_ ~file src ]
 
 let test_domain_flags_and_allows () =
+  (* The allow marker comes last: it reaches five lines below itself. *)
   let fs =
     domain
-      "let counter = ref 0\n\
-       let table = Hashtbl.create 16\n\
-       let next = Atomic.make 0\n\
-       (* lint: allow toplevel-state -- test knob *)\n\
-       let knob = ref false\n\
-       let make () = ref 0\n"
+      (String.concat "\n"
+         [
+           "let counter = ref 0";
+           "let table = Hashtbl.create 16";
+           "let buf = Buffer.create 80";
+           "let scratch = Array.make 4 0";
+           "let next = Atomic.make 0";
+           "let make () = ref 0";
+           "let find tbl k = Hashtbl.create k";
+           "let f = fun x -> ref x";
+           "let g = function None -> ref 0 | Some r -> r";
+           "let answer = 42";
+           "let pair = (1, 2)";
+           (* a ref built while evaluating the binding is retained state *)
+           "let indented_is_local =";
+           "  let r = ref 0 in";
+           "  !r";
+           "let key = Domain.DLS.new_key (fun () -> make_ctx ())";
+           "let samples = Float.Array.create 64";
+           "let lut = Hashtbl.of_list [ (1, \"a\") ]";
+           "let joined = Array.append [| 1 |] [| 2 |]";
+           "(* let bad = ref 0 *)";
+           "let s = \"Hashtbl.create 16\"";
+           "let doc = \"a ref in a string\"";
+           "(* nested (* ref *) comment *)";
+           "let ok = 1";
+           "(* lint: allow toplevel-state -- test knob *)";
+           "let knob = ref false";
+           "";
+         ])
   in
+  Alcotest.(check (list string)) "constructs"
+    [
+      "counter:ref";
+      "table:Hashtbl.create";
+      "buf:Buffer.create";
+      "scratch:Array.make";
+      "next:Atomic.make";
+      "indented_is_local:ref";
+      "key:Domain.DLS.new_key";
+      "samples:Float.Array.create";
+      "lut:Hashtbl.of_list";
+      "joined:Array.append";
+      "knob:ref";
+    ]
+    (tags fs);
   Alcotest.(check (list string)) "verdicts"
-    [ "counter:VIOLATION"; "table:VIOLATION"; "next:Atomic"; "knob:marker" ]
+    [
+      "counter:VIOLATION";
+      "table:VIOLATION";
+      "buf:VIOLATION";
+      "scratch:VIOLATION";
+      "next:Atomic";
+      "indented_is_local:VIOLATION";
+      "key:VIOLATION";
+      "samples:VIOLATION";
+      "lut:VIOLATION";
+      "joined:VIOLATION";
+      "knob:marker";
+    ]
     (verdicts fs)
 
 let test_domain_sees_nested_modules () =
-  (* the column-0 textual heuristic cannot see this one *)
   let fs = domain "module Inner = struct\n  let hidden = ref 0\nend\n" in
-  Alcotest.(check (list string)) "nested toplevel state" [ "hidden:ref" ] (tags fs);
-  Alcotest.(check (list string)) "textual pass misses it" []
-    (List.map (fun (f : Lint.finding) -> f.name)
-       (Lint.scan_source ~file:"m.ml" "module Inner = struct\n  let hidden = ref 0\nend\n"))
+  Alcotest.(check (list string)) "nested toplevel state" [ "hidden:ref" ] (tags fs)
 
 let test_domain_functor_bodies_skipped () =
   let fs = domain "module Make (X : S) = struct\n  let per_instance = ref 0\nend\n" in
@@ -357,24 +403,19 @@ let test_lib_clean () =
   List.iter (fun f -> Format.eprintf "%a@." Ast_lint.pp_finding f) bad;
   Alcotest.(check int) "no unexempted findings in lib/" 0 (List.length bad)
 
-let test_superset_of_textual () =
-  (* the typed rule must find (at least) everything the textual fallback
-     oracle finds, so retiring the heuristic loses nothing *)
-  let units = Lazy.force lib_units in
-  let ast = Rule_domain.rule.Ast_lint.run units in
-  let textual = Lint.scan_files (Lint.files_under "../lib") in
-  List.iter
-    (fun (t : Lint.finding) ->
-      let covered =
-        List.exists
-          (fun (a : Ast_lint.finding) ->
-            a.file = t.file && a.name = t.name && a.construct = t.construct)
-          ast
-      in
-      if not covered then
-        Alcotest.failf "textual finding not reproduced by the AST rule: %s [%s] %s" t.file
-          t.name t.construct)
-    textual
+let test_lib_domain_findings_pinned () =
+  (* Every toplevel mutable binding in lib/, by name and verdict: a new
+     one, or a marker or Atomic that goes away, must show up here. *)
+  let fs = Rule_domain.rule.Ast_lint.run (Lazy.force lib_units) in
+  Alcotest.(check (list string)) "allowed lib/ findings"
+    [
+      "test_skip_refmask_clear:marker";
+      "key:marker";
+      "jobs_setting:Atomic";
+      "shards_setting:Atomic";
+      "next_id:Atomic";
+    ]
+    (verdicts fs)
 
 let test_eff_constructors_all_handled () =
   (* live exhaustiveness: every Eff.t constructor has an arm today *)
@@ -425,7 +466,7 @@ let suite =
     ("domain: nested modules visible", `Quick, test_domain_sees_nested_modules);
     ("domain: functor bodies skipped", `Quick, test_domain_functor_bodies_skipped);
     ("gate: lib/ has no unexempted findings", `Quick, test_lib_clean);
-    ("gate: AST domain rule supersedes textual", `Quick, test_superset_of_textual);
+    ("gate: lib/ domain findings pinned", `Quick, test_lib_domain_findings_pinned);
     ("gate: every Eff.t constructor handled", `Quick, test_eff_constructors_all_handled);
     ("gate: seeded mutations are caught", `Quick, test_mutation_gate);
   ]

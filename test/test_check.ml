@@ -1,5 +1,6 @@
 (* The coherence sanitizer (PR 3): the invariant catalogue, the runtime
-   monitor, the bounded model checker and the domain-safety lint. *)
+   monitor and the bounded model checker.  The domain-safety lint is
+   tested with the other typed-AST rules in test_ast_lint.ml. *)
 
 module Config = Platinum_machine.Config
 module Machine = Platinum_machine.Machine
@@ -17,7 +18,6 @@ module Policy = Platinum_core.Policy
 module Shootdown = Platinum_core.Shootdown
 module Coherent = Platinum_core.Coherent
 module Mc = Platinum_check.Mc
-module Lint = Platinum_check.Lint
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -353,118 +353,6 @@ let prop_random_sequences_clean =
       | Ok _ -> true
       | Error e -> QCheck.Test.fail_reportf "violation on [%s]: %s" (Mc.ops_to_string ops) e)
 
-(* --- the domain-safety lint --- *)
-
-let lint_src = Lint.scan_source ~file:"test.ml"
-
-let test_lint_flags_toplevel_refs () =
-  let findings =
-    lint_src
-      "let counter = ref 0\n\
-       let table = Hashtbl.create 16\n\
-       let buf = Buffer.create 80\n\
-       let scratch = Array.make 4 0\n"
-  in
-  Alcotest.(check (list string)) "all flagged"
-    [ "counter:ref"; "table:Hashtbl.create"; "buf:Buffer.create"; "scratch:Array.make" ]
-    (List.map (fun f -> f.Lint.name ^ ":" ^ f.Lint.construct) findings);
-  Alcotest.(check bool) "all violations" true
-    (List.for_all (fun f -> f.Lint.allowed = None) findings)
-
-let test_lint_allows_functions_and_values () =
-  let findings =
-    lint_src
-      "let make () = ref 0\n\
-       let find tbl k = Hashtbl.create k\n\
-       let f = fun x -> ref x\n\
-       let g = function None -> ref 0 | Some r -> r\n\
-       let answer = 42\n\
-       let pair = (1, 2)\n\
-       let indented_is_local =\n\
-      \  let r = ref 0 in\n\
-      \  !r\n"
-  in
-  (* [indented_is_local] binds a ref inside its body — still a fresh one
-     per evaluation of the toplevel binding; it IS retained state.  The
-     lint flags it: the rhs is a value and mentions [ref]. *)
-  Alcotest.(check (list string)) "only the retained ref" [ "indented_is_local:ref" ]
-    (List.map (fun f -> f.Lint.name ^ ":" ^ f.Lint.construct) findings)
-
-let test_lint_flags_dls_key () =
-  (* Domain.DLS keys are per-domain containers — sanctioned only with an
-     explicit marker (the coalescing fast path's context is the one
-     legitimate use, lib/kernel/fastpath.ml). *)
-  let findings = lint_src "let key = Domain.DLS.new_key (fun () -> make_ctx ())\n" in
-  Alcotest.(check (list string)) "DLS key flagged as violation"
-    [ "key:Domain.DLS.new_key:VIOLATION" ]
-    (List.map
-       (fun f ->
-         f.Lint.name ^ ":" ^ f.Lint.construct ^ ":"
-         ^ Option.value ~default:"VIOLATION" f.Lint.allowed)
-       findings)
-
-let test_lint_flags_new_constructs () =
-  (* PR 8 gap-fill: containers the original catalogue missed *)
-  let findings =
-    lint_src
-      "let samples = Float.Array.create 64\n\
-       let lut = Hashtbl.of_list [ (1, \"a\") ]\n\
-       let joined = Array.append [| 1 |] [| 2 |]\n"
-  in
-  Alcotest.(check (list string)) "all flagged"
-    [ "samples:Float.Array.create"; "lut:Hashtbl.of_list"; "joined:Array.append" ]
-    (List.map (fun f -> f.Lint.name ^ ":" ^ f.Lint.construct) findings);
-  Alcotest.(check bool) "all violations" true
-    (List.for_all (fun f -> f.Lint.allowed = None) findings)
-
-let test_lint_allows_atomic_and_marker () =
-  let findings =
-    lint_src
-      "let next_id = Atomic.make 0\n\
-       \n\
-       (* lint: allow toplevel-state -- single-domain test knob *)\n\
-       let knob = ref false\n"
-  in
-  Alcotest.(check (list string)) "both allowed"
-    [ "next_id:Atomic"; "knob:marker" ]
-    (List.map
-       (fun f -> f.Lint.name ^ ":" ^ Option.value ~default:"VIOLATION" f.Lint.allowed)
-       findings)
-
-let test_lint_ignores_comments_and_strings () =
-  let findings =
-    lint_src
-      "(* let bad = ref 0 *)\n\
-       let s = \"Hashtbl.create 16\"\n\
-       let doc = \"a ref in a string\"\n\
-       (* nested (* ref *) comment *)\n\
-       let ok = 1\n"
-  in
-  Alcotest.(check int) "nothing flagged" 0 (List.length findings)
-
-let test_lint_strip_preserves_lines () =
-  let src = "let a = 1 (* a\n   multiline\n   comment *)\nlet b = \"x\\ny\"\n" in
-  let stripped = Lint.strip src in
-  Alcotest.(check int) "same line count"
-    (List.length (String.split_on_char '\n' src))
-    (List.length (String.split_on_char '\n' stripped));
-  Alcotest.(check bool) "comment text gone" false
-    (let has sub s =
-       let n = String.length s and m = String.length sub in
-       let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-       go 0
-     in
-     has "multiline" stripped)
-
-let test_lint_repo_is_clean () =
-  (* the satellite gate, as a test: the library tree has no unmarked
-     toplevel mutable state *)
-  let files = Lint.files_under "../lib" in
-  Alcotest.(check bool) "found the library sources" true (List.length files > 30);
-  let bad = List.filter (fun f -> f.Lint.allowed = None) (Lint.scan_files files) in
-  List.iter (fun f -> Format.eprintf "%a@." Lint.pp_finding f) bad;
-  Alcotest.(check int) "no violations in lib/" 0 (List.length bad)
-
 let suite =
   [
     ("catalogue: clean views pass", `Quick, test_clean_views);
@@ -490,12 +378,4 @@ let suite =
     ("mc: clean exploration", `Quick, test_mc_explores_clean);
     ("mc: mutation is caught", `Quick, test_mc_catches_mutation);
     qtest prop_random_sequences_clean;
-    ("lint: flags toplevel mutable state", `Quick, test_lint_flags_toplevel_refs);
-    ("lint: functions and plain values pass", `Quick, test_lint_allows_functions_and_values);
-    ("lint: gap-fill constructs flagged", `Quick, test_lint_flags_new_constructs);
-    ("lint: Atomic and marker allowed", `Quick, test_lint_allows_atomic_and_marker);
-    ("lint: Domain.DLS keys flagged", `Quick, test_lint_flags_dls_key);
-    ("lint: comments and strings ignored", `Quick, test_lint_ignores_comments_and_strings);
-    ("lint: strip preserves line structure", `Quick, test_lint_strip_preserves_lines);
-    ("lint: the library tree is clean", `Quick, test_lint_repo_is_clean);
   ]
