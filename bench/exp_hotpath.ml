@@ -24,7 +24,13 @@
    driver ([Coherent.read_word_s]/[write_word_s]), the per-word Api stream,
    and the batched Api stream — and exits non-zero if the steady-state hit
    exceeds its budget (2 minor words/access; target 0) or the coalesced
-   per-word stream exceeds its own (4 minor words/access). *)
+   per-word stream exceeds its own (4 minor words/access).
+
+   A third stream runs the batched sweep on per-worker buffers through the
+   caller-slice calls ([block_read_into]/[block_write_sub], DESIGN.md
+   section 4a).  Its major-heap words per data word must stay at or below
+   0.01: a stream that went back to a fresh array per transaction would
+   put its 3n-word read results in the major heap, near 0.75. *)
 
 module Api = Platinum_kernel.Api
 module Config = Platinum_machine.Config
@@ -36,45 +42,80 @@ module Rights = Platinum_core.Rights
 module Cmap = Platinum_core.Cmap
 module Coherent = Platinum_core.Coherent
 
+(* The three ways the sweep moves a row: a word at a time, as block
+   transactions on fresh arrays, or as block transactions on two buffers
+   each worker reuses (the caller-slice calls). *)
+type stream = Per_word | Batched | Reused
+
 (* One stencil sweep: every interior row r is recomputed from rows r-1,
    r, r+1 of the source buffer into the destination buffer, [iters] times,
    rows block-partitioned over [nprocs] workers (no barriers: we measure
-   host throughput, not the numeric fixed point). *)
-let sweep ~per_word ~n ~iters ~nprocs () =
+   host throughput, not the numeric fixed point).  With [major], one
+   warm-up pass runs first and [major] receives the major-heap words the
+   [iters] passes after it allocate (allocation and promotion,
+   [Gc.quick_stat]), so frames materialized on first touch are not
+   counted. *)
+let sweep ~stream ~n ~iters ~nprocs ?major () =
   let words = n * n in
   let buf_a = Api.alloc ~page_aligned:true words in
   let buf_b = Api.alloc ~page_aligned:true words in
   let interior = n - 2 in
   let lo me = 1 + (me * interior / nprocs) in
   let hi me = 1 + (((me + 1) * interior / nprocs) - 1) in
-  let worker me =
-    let src = ref buf_a and dst = ref buf_b in
-    for _iter = 1 to iters do
-      for r = lo me to hi me do
-        if per_word then begin
-          for j = 0 to n - 1 do
-            let above = Api.read (!src + ((r - 1) * n) + j) in
-            let here = Api.read (!src + (r * n) + j) in
-            let below = Api.read (!src + ((r + 1) * n) + j) in
-            Api.write (!dst + (r * n) + j) ((above + here + below) / 3)
-          done
-        end
-        else begin
-          let tri = Api.block_read (!src + ((r - 1) * n)) (3 * n) in
-          let fresh =
-            Array.init n (fun j -> (tri.(j) + tri.(n + j) + tri.((2 * n) + j)) / 3)
-          in
-          Api.block_write (!dst + (r * n)) fresh
-        end
-      done;
-      let tmp = !src in
-      src := !dst;
-      dst := tmp
-    done
+  let bufs =
+    if stream = Reused then Array.init nprocs (fun _ -> (Array.make (3 * n) 0, Array.make n 0))
+    else [||]
   in
-  Api.spawn_join_all
-    ~procs:(List.init nprocs (fun i -> i))
-    (List.init nprocs (fun me _ -> worker me))
+  let row ~src ~dst me r =
+    match stream with
+    | Per_word ->
+      for j = 0 to n - 1 do
+        let above = Api.read (src + ((r - 1) * n) + j) in
+        let here = Api.read (src + (r * n) + j) in
+        let below = Api.read (src + ((r + 1) * n) + j) in
+        Api.write (dst + (r * n) + j) ((above + here + below) / 3)
+      done
+    | Batched ->
+      let tri = Api.block_read (src + ((r - 1) * n)) (3 * n) in
+      let fresh = Array.init n (fun j -> (tri.(j) + tri.(n + j) + tri.((2 * n) + j)) / 3) in
+      Api.block_write (dst + (r * n)) fresh
+    | Reused ->
+      let tri, fresh = bufs.(me) in
+      Api.block_read_into (src + ((r - 1) * n)) tri ~off:0 ~len:(3 * n);
+      for j = 0 to n - 1 do
+        fresh.(j) <- (tri.(j) + tri.(n + j) + tri.((2 * n) + j)) / 3
+      done;
+      Api.block_write_sub (dst + (r * n)) fresh ~off:0 ~len:n
+  in
+  let pass iters =
+    let worker me =
+      let src = ref buf_a and dst = ref buf_b in
+      for _iter = 1 to iters do
+        for r = lo me to hi me do
+          row ~src:!src ~dst:!dst me r
+        done;
+        let tmp = !src in
+        src := !dst;
+        dst := tmp
+      done
+    in
+    Api.spawn_join_all
+      ~procs:(List.init nprocs (fun i -> i))
+      (List.init nprocs (fun me _ -> worker me))
+  in
+  (* [quick_stat]'s counters advance at minor collections; force one on
+     each side so the window holds exactly the measured pass. *)
+  let major_words () =
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.major_words
+  in
+  match major with
+  | None -> pass iters
+  | Some cell ->
+    pass 1;
+    let m0 = major_words () in
+    pass iters;
+    cell := major_words () -. m0
 
 (* Data words the sweep moves: 3n read + n written per interior row. *)
 let sweep_words ~n ~iters = iters * (n - 2) * 4 * n
@@ -83,7 +124,7 @@ let sweep_words ~n ~iters = iters * (n - 2) * 4 * n
    plus the minor-heap words the whole stream allocates per data word
    (measured on the last rep; [Gc.minor_words] is sampled outside the run
    so the measurement itself is not in the window). *)
-let measure ~per_word ~n ~iters ~nprocs ~reps =
+let measure ~stream ~n ~iters ~nprocs ~reps =
   let config = Config.butterfly_plus ~nprocs () in
   let best = ref infinity in
   let mwords = ref 0.0 in
@@ -93,7 +134,7 @@ let measure ~per_word ~n ~iters ~nprocs ~reps =
     Platinum_kernel.Fastpath.reset_stats fp;
     let m0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
-    ignore (Runner.time ~config (sweep ~per_word ~n ~iters ~nprocs));
+    ignore (Runner.time ~config (sweep ~stream ~n ~iters ~nprocs));
     let dt = Unix.gettimeofday () -. t0 in
     mwords := Gc.minor_words () -. m0;
     let st = Platinum_kernel.Fastpath.stats fp in
@@ -105,6 +146,15 @@ let measure ~per_word ~n ~iters ~nprocs ~reps =
   ( !best,
     !mwords /. float_of_int (sweep_words ~n ~iters),
     (!runs, !coalesced, !fallbacks) )
+
+(* Wall time (set-up and warm-up pass included) and major-heap words per
+   data word of the reused-buffer stream. *)
+let measure_reused ~n ~iters ~nprocs =
+  let config = Config.butterfly_plus ~nprocs () in
+  let major = ref 0.0 in
+  let t0 = Unix.gettimeofday () in
+  ignore (Runner.time ~config (sweep ~stream:Reused ~n ~iters ~nprocs ~major));
+  (Unix.gettimeofday () -. t0, !major /. float_of_int (sweep_words ~n ~iters))
 
 (* --- the steady-state hit, measured bare ---
 
@@ -151,9 +201,10 @@ let run (scale : Exp_common.scale) =
   let nprocs = 4 and reps = 3 in
   let words = sweep_words ~n ~iters in
   let wall_word, mwpa_word, (runs, coalesced, fallbacks) =
-    measure ~per_word:true ~n ~iters ~nprocs ~reps
+    measure ~stream:Per_word ~n ~iters ~nprocs ~reps
   in
-  let wall_txn, mwpa_txn, _ = measure ~per_word:false ~n ~iters ~nprocs ~reps in
+  let wall_txn, mwpa_txn, _ = measure ~stream:Batched ~n ~iters ~nprocs ~reps in
+  let wall_reused, major_reused = measure_reused ~n ~iters ~nprocs in
   let steady_ops = 1_000_000 in
   let steady_wall, mwpa_steady = measure_steady ~ops:steady_ops in
   let rate w = float_of_int words /. w in
@@ -164,6 +215,8 @@ let run (scale : Exp_common.scale) =
     words;
   Printf.printf "  per-word stream: %.3f s wall  (%.0f words/s)\n" wall_word (rate wall_word);
   Printf.printf "  batched stream:  %.3f s wall  (%.0f words/s)\n" wall_txn (rate wall_txn);
+  Printf.printf "  reused buffers:  %.3f s wall  (one warm-up pass first), %.4f major words/data word\n"
+    wall_reused major_reused;
   Printf.printf "  batched / per-word throughput: %.1fx\n" speedup;
   Printf.printf "  coalescing: %d runs, %d words inline, %d fallbacks (%.1f%% coalesced)\n"
     runs coalesced fallbacks (100.0 *. coalesce_frac);
@@ -196,7 +249,13 @@ let run (scale : Exp_common.scale) =
   Exp_common.check_shape
     (Printf.sprintf "per-word stream allocates <= %.0f minor words/access" word_budget)
     word_budget_ok;
-  let all_ok = ratio_ok && budget_ok && word_budget_ok in
+  (* The caller-slice gate (see the header comment). *)
+  let major_limit = 0.01 in
+  let major_ok = major_reused <= major_limit in
+  Exp_common.check_shape
+    (Printf.sprintf "reused-buffer stream allocates <= %.2f major words/data word" major_limit)
+    major_ok;
+  let all_ok = ratio_ok && budget_ok && word_budget_ok && major_ok in
   let oc = open_out "BENCH_hotpath.json" in
   Printf.fprintf oc
     "{\n\
@@ -208,6 +267,8 @@ let run (scale : Exp_common.scale) =
     \  \"data_words\": %d,\n\
     \  \"per_word\": { \"wall_s\": %.6f, \"words_per_sec\": %.0f },\n\
     \  \"batched\": { \"wall_s\": %.6f, \"words_per_sec\": %.0f },\n\
+    \  \"reused\": { \"wall_s\": %.6f, \"warmup_passes\": 1, \"major_words_per_data_word\": %.6f, \
+     \"limit\": %.2f, \"ok\": %b },\n\
     \  \"throughput_ratio\": %.2f,\n\
     \  \"ratio_budget\": { \"limit\": %.1f, \"seed\": 17.9, \"ok\": %b },\n\
     \  \"coalescing\": { \"runs\": %d, \"words_inline\": %d, \"fallbacks\": %d, \
@@ -218,7 +279,8 @@ let run (scale : Exp_common.scale) =
     \  \"alloc_budget\": { \"steady_limit\": %.1f, \"per_word_limit\": %.1f, \"ok\": %b }\n\
      }\n"
     (Exp_common.host_json ()) n iters nprocs words wall_word (rate wall_word) wall_txn
-    (rate wall_txn) speedup ratio_limit ratio_ok runs coalesced fallbacks coalesce_frac
+    (rate wall_txn) wall_reused major_reused major_limit major_ok speedup ratio_limit ratio_ok runs
+    coalesced fallbacks coalesce_frac
     steady_ops steady_wall
     (float_of_int steady_ops /. steady_wall)
     mwpa_steady mwpa_word mwpa_txn budget word_budget
@@ -228,8 +290,8 @@ let run (scale : Exp_common.scale) =
   if not all_ok then begin
     Printf.printf
       "  GATE FAILED: ratio=%.1fx (limit %.1f), steady=%.3f (limit %.1f), per-word=%.1f \
-       (limit %.1f)\n\
+       (limit %.1f), reused major=%.4f (limit %.2f)\n\
        %!"
-      speedup ratio_limit mwpa_steady budget mwpa_word word_budget;
+      speedup ratio_limit mwpa_steady budget mwpa_word word_budget major_reused major_limit;
     exit 1
   end

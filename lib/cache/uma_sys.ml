@@ -105,23 +105,15 @@ let zone_alloc t ~zone ~words ~page_aligned =
    it (a threads-in-one-process model), and segments are just ranges. *)
 let memsys t =
   (* The UMA machine has no block-transfer hardware: every transaction is
-     a stream of word-sized bus operations, so block and strided chunks
-     loop per word.  Memtxn.run threads the accumulated latency through
-     chunk boundaries, making this bit-identical to the old per-word
-     closures. *)
+     a stream of word-sized bus operations, so every chunk loops per word
+     (a word transaction is a one-word chunk).  Memtxn.run threads the
+     accumulated latency through chunk boundaries, making this
+     bit-identical to the old per-word closures. *)
   let scratch = Some (Memtxn.make_scratch ()) in
   let submit ~now ~proc ~aspace:_ txn =
     let chunk_cost ~now ~data (c : Memtxn.chunk) =
       let vaddr = c.Memtxn.c_vaddr in
       match txn with
-      | Memtxn.Read _ ->
-        let lat = read_latency t ~now ~proc ~vaddr in
-        data.(0) <- load_word t vaddr;
-        lat
-      | Memtxn.Write _ ->
-        let lat = write_latency t ~now ~proc ~vaddr in
-        store_word t vaddr data.(0);
-        lat
       | Memtxn.Rmw { f; _ } ->
         (* A locked bus transaction: read + write held together. *)
         let l1 = read_latency t ~now ~proc ~vaddr in
@@ -131,7 +123,7 @@ let memsys t =
         snoop_invalidate t ~except:proc ~addr:vaddr;
         data.(0) <- old;
         l1 + l2
-      | Memtxn.Block_read _ | Memtxn.Stride_read _ ->
+      | Memtxn.Read _ | Memtxn.Block_read _ | Memtxn.Stride_read _ ->
         let lat = ref 0 in
         for i = 0 to c.Memtxn.c_words - 1 do
           let va = vaddr + i in
@@ -140,7 +132,7 @@ let memsys t =
           lat := !lat + l
         done;
         !lat
-      | Memtxn.Block_write _ | Memtxn.Stride_write _ ->
+      | Memtxn.Write _ | Memtxn.Block_write _ | Memtxn.Stride_write _ ->
         let lat = ref 0 in
         for i = 0 to c.Memtxn.c_words - 1 do
           let va = vaddr + i in

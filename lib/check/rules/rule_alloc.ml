@@ -44,6 +44,7 @@ let catalogue =
     ("cmap.ml", [ "find" ]);
     ("pmap.ml", [ "find" ]);
     ("cpage.ml", [ "any_copy"; "best_slot" ]);
+    ("frame.ml", [ "copy"; "read_words"; "write_words"; "blit_from" ]);
     ( "eheap.ml",
       [
         "add"; "pop"; "min_time"; "min_seq"; "check_nonempty"; "sift_up_packed";

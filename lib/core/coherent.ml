@@ -584,7 +584,7 @@ let fp_value_cell t = t.fp_value
    the touched range stale.  Each chunk translates through {!translate} at
    the time it begins, so a fault raised mid-transaction is charged exactly
    as the unbatched per-word stream would charge it; the data plane of a
-   chunk is one [Array.blit] against the frame. *)
+   chunk is one typed copy between the frame and the caller's slice. *)
 let submit_block t ~now ~proc ~cmap:cm txn =
   let cfg = config t in
   let modules = Machine.modules t.machine in
@@ -686,12 +686,13 @@ let rmw_word t ~now ~proc ~cmap ~vaddr f =
   (old, t.scratch.s_latency)
 
 let block_read t ~now ~proc ~cmap ~vaddr ~len =
-  match submit t ~now ~proc ~cmap (Memtxn.Block_read { vaddr; len }) with
-  | Memtxn.Words out, lat -> (out, lat)
-  | _ -> assert false
+  let dst = Array.make (max len 0) 0 in
+  let _, lat = submit t ~now ~proc ~cmap (Memtxn.Block_read { vaddr; dst; dst_off = 0; len }) in
+  (dst, lat)
 
-let block_write t ~now ~proc ~cmap ~vaddr data =
-  snd (submit t ~now ~proc ~cmap (Memtxn.Block_write { vaddr; data }))
+let block_write t ~now ~proc ~cmap ~vaddr src =
+  let len = Array.length src in
+  snd (submit t ~now ~proc ~cmap (Memtxn.Block_write { vaddr; src; src_off = 0; len }))
 
 let set_probe t probe = t.probe <- probe
 let set_freeze_hook t hook = t.freeze_hook <- hook

@@ -2,50 +2,42 @@ type t =
   | Read of { vaddr : int }
   | Write of { vaddr : int; value : int }
   | Rmw of { vaddr : int; f : int -> int }
-  | Block_read of { vaddr : int; len : int }
-  | Block_write of { vaddr : int; data : int array }
-  | Stride_read of { vaddr : int; count : int; elem_words : int; stride : int }
-  | Stride_write of { vaddr : int; data : int array; count : int; elem_words : int; stride : int }
+  | Block_read of { vaddr : int; dst : int array; dst_off : int; len : int }
+  | Block_write of { vaddr : int; src : int array; src_off : int; len : int }
+  | Stride_read of
+      { vaddr : int; dst : int array; dst_off : int; count : int; elem_words : int; stride : int }
+  | Stride_write of
+      { vaddr : int; src : int array; src_off : int; count : int; elem_words : int; stride : int }
 
 type result =
   | Unit
   | Word of int
-  | Words of int array
-
-type kind =
-  | Load
-  | Store
-  | Update
-
-let kind = function
-  | Read _ | Block_read _ | Stride_read _ -> Load
-  | Write _ | Block_write _ | Stride_write _ -> Store
-  | Rmw _ -> Update
-
-let is_write txn = kind txn <> Load
 
 let data_words = function
   | Read _ | Write _ | Rmw _ -> 1
-  | Block_read { len; _ } -> max len 0
-  | Block_write { data; _ } -> Array.length data
-  | Stride_read { count; elem_words; _ } -> max (count * elem_words) 0
-  | Stride_write { data; _ } -> Array.length data
+  | Block_read { len; _ } | Block_write { len; _ } -> max len 0
+  | Stride_read { count; elem_words; _ } | Stride_write { count; elem_words; _ } ->
+    max (count * elem_words) 0
 
-let validate_stride ~what ~count ~elem_words ~stride =
+let validate_slice what buf ~off ~len =
+  if len < 0 then invalid_arg (what ^ ": negative length");
+  if off < 0 || off > Array.length buf - len then invalid_arg (what ^ ": slice out of range")
+
+let validate_stride what buf ~off ~count ~elem_words ~stride =
   if count < 0 then invalid_arg (what ^ ": negative element count");
   if elem_words < 1 then invalid_arg (what ^ ": elements must be at least one word");
-  if stride < elem_words then invalid_arg (what ^ ": stride overlaps elements")
+  if stride < elem_words then invalid_arg (what ^ ": stride overlaps elements");
+  validate_slice what buf ~off ~len:(count * elem_words)
 
 let validate = function
   | Read _ | Write _ | Rmw _ -> ()
-  | Block_read { len; _ } -> if len < 0 then invalid_arg "Memtxn: negative length"
-  | Block_write _ -> ()
-  | Stride_read { count; elem_words; stride; _ } ->
-    validate_stride ~what:"Memtxn.Stride_read" ~count ~elem_words ~stride
-  | Stride_write { data; count; elem_words; stride; _ } ->
-    validate_stride ~what:"Memtxn.Stride_write" ~count ~elem_words ~stride;
-    if Array.length data <> count * elem_words then
-      invalid_arg "Memtxn.Stride_write: data length is not count * elem_words"
+  | Block_read { dst; dst_off; len; _ } -> validate_slice "Memtxn.Block_read" dst ~off:dst_off ~len
+  | Block_write { src; src_off; len; _ } ->
+    validate_slice "Memtxn.Block_write" src ~off:src_off ~len
+  | Stride_read { dst; dst_off; count; elem_words; stride; _ } ->
+    validate_stride "Memtxn.Stride_read" dst ~off:dst_off ~count ~elem_words ~stride
+  | Stride_write { src; src_off; count; elem_words; stride; _ } ->
+    validate_stride "Memtxn.Stride_write" src ~off:src_off ~count ~elem_words ~stride
 
 type chunk = {
   mutable c_vaddr : int;
@@ -87,13 +79,13 @@ let iter_chunks ?scratch ~page_words txn f =
     ch.c_index <- 0;
     ch.c_words <- 1;
     f ch
-  | Block_read { vaddr; len } -> iter_run ~page_words ~vaddr ~index:0 ~words:(max len 0) ch f
-  | Block_write { vaddr; data } ->
-    iter_run ~page_words ~vaddr ~index:0 ~words:(Array.length data) ch f
-  | Stride_read { vaddr; count; elem_words; stride }
-  | Stride_write { vaddr; count; elem_words; stride; _ } ->
+  | Block_read { vaddr; dst_off = off; len; _ } | Block_write { vaddr; src_off = off; len; _ }
+    ->
+    iter_run ~page_words ~vaddr ~index:off ~words:(max len 0) ch f
+  | Stride_read { vaddr; dst_off = off; count; elem_words; stride; _ }
+  | Stride_write { vaddr; src_off = off; count; elem_words; stride; _ } ->
     for k = 0 to count - 1 do
-      iter_run ~page_words ~vaddr:(vaddr + (k * stride)) ~index:(k * elem_words)
+      iter_run ~page_words ~vaddr:(vaddr + (k * stride)) ~index:(off + (k * elem_words))
         ~words:elem_words ch f
     done
 
@@ -110,40 +102,19 @@ let run ~page_words ~now ?scratch txn ~chunk_cost =
   validate txn;
   let data =
     match txn with
-    | Read _ | Rmw _ -> (
-      match scratch with
-      | Some s ->
-        s.s_word.(0) <- 0;
-        s.s_word
-      | None -> [| 0 |])
-    | Write { value; _ } -> (
-      match scratch with
-      | Some s ->
-        s.s_word.(0) <- value;
-        s.s_word
-      | None -> [| value |])
-    | Block_read _ | Stride_read _ -> Array.make (data_words txn) 0
-    | Block_write { data; _ } | Stride_write { data; _ } -> data
+    | Read _ | Write _ | Rmw _ ->
+      let word = match scratch with Some s -> s.s_word | None -> [| 0 |] in
+      word.(0) <- (match txn with Write { value; _ } -> value | _ -> 0);
+      word
+    | Block_read { dst; _ } | Stride_read { dst; _ } -> dst
+    | Block_write { src; _ } | Stride_write { src; _ } -> src
   in
   let lat = ref 0 in
   iter_chunks ?scratch ~page_words txn (fun chunk ->
       lat := !lat + chunk_cost ~now:(now + !lat) ~data chunk);
   let result =
     match txn with
-    | Write _ | Block_write _ | Stride_write _ -> Unit
     | Read _ | Rmw _ -> Word data.(0)
-    | Block_read _ | Stride_read _ -> Words data
+    | Write _ | Block_read _ | Block_write _ | Stride_read _ | Stride_write _ -> Unit
   in
   (result, !lat)
-
-let pp fmt = function
-  | Read { vaddr } -> Format.fprintf fmt "read @%d" vaddr
-  | Write { vaddr; value } -> Format.fprintf fmt "write @%d <- %d" vaddr value
-  | Rmw { vaddr; _ } -> Format.fprintf fmt "rmw @%d" vaddr
-  | Block_read { vaddr; len } -> Format.fprintf fmt "block-read @%d x%d" vaddr len
-  | Block_write { vaddr; data } ->
-    Format.fprintf fmt "block-write @%d x%d" vaddr (Array.length data)
-  | Stride_read { vaddr; count; elem_words; stride } ->
-    Format.fprintf fmt "stride-read @%d %dx%d step %d" vaddr count elem_words stride
-  | Stride_write { vaddr; count; elem_words; stride; _ } ->
-    Format.fprintf fmt "stride-write @%d %dx%d step %d" vaddr count elem_words stride

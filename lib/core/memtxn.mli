@@ -15,35 +15,34 @@
     charge.  Grouping words into one transaction changes how much host
     work the simulator does per simulated word, never the simulated time. *)
 
+(** {b The buffer contract.}  Every multi-word transaction moves data
+    through a slice of an array its caller owns: reads fill it, writes
+    drain it, and no backend allocates a result or retains the array past
+    completion.  A caller reusing one buffer across transactions therefore
+    moves data with no heap traffic at all. *)
 type t =
   | Read of { vaddr : int }  (** one 32-bit word *)
   | Write of { vaddr : int; value : int }
   | Rmw of { vaddr : int; f : int -> int }
       (** atomic read-modify-write; the result carries the old value *)
-  | Block_read of { vaddr : int; len : int }
-      (** [len] consecutive words (a hardware block transfer: bypasses the
-          per-processor word caches) *)
-  | Block_write of { vaddr : int; data : int array }
-  | Stride_read of { vaddr : int; count : int; elem_words : int; stride : int }
+  | Block_read of { vaddr : int; dst : int array; dst_off : int; len : int }
+      (** [len] consecutive words into [dst.(dst_off .. dst_off+len-1)] (a
+          hardware block transfer: bypasses the per-processor word caches) *)
+  | Block_write of { vaddr : int; src : int array; src_off : int; len : int }
+      (** [len] consecutive words from [src.(src_off .. src_off+len-1)] *)
+  | Stride_read of
+      { vaddr : int; dst : int array; dst_off : int; count : int; elem_words : int; stride : int }
       (** [count] elements of [elem_words] consecutive words each, the
-          k-th starting at [vaddr + k*stride]; charged like a block
-          transfer over each contiguous run *)
-  | Stride_write of { vaddr : int; data : int array; count : int; elem_words : int; stride : int }
-      (** element [k] is [data.(k*elem_words .. (k+1)*elem_words - 1)] *)
+          k-th starting at [vaddr + k*stride] and landing at
+          [dst.(dst_off + k*elem_words ..)]; charged like a block transfer
+          over each contiguous run *)
+  | Stride_write of
+      { vaddr : int; src : int array; src_off : int; count : int; elem_words : int; stride : int }
+      (** element [k] is [src.(src_off + k*elem_words .. src_off + (k+1)*elem_words - 1)] *)
 
 type result =
-  | Unit
+  | Unit  (** writes, and block/strided reads (their data is in the slice) *)
   | Word of int  (** [Read]: the value; [Rmw]: the old value *)
-  | Words of int array  (** [Block_read] / [Stride_read] *)
-
-type kind =
-  | Load
-  | Store
-  | Update
-
-val kind : t -> kind
-val is_write : t -> bool
-(** Whether the transaction needs a write translation ([Store] or [Update]). *)
 
 val data_words : t -> int
 (** Words of application data the transaction moves. *)
@@ -51,7 +50,7 @@ val data_words : t -> int
 val validate : t -> unit
 (** Raises [Invalid_argument] on malformed shapes: negative lengths,
     [elem_words < 1], overlapping stride elements ([stride < elem_words]),
-    or a strided write whose [data] length is not [count * elem_words]. *)
+    or a slice that does not lie inside its array. *)
 
 (** A maximal run of consecutive words that stays inside one page — the
     unit a backend translates and charges as a whole.  Generalizes the old
@@ -62,7 +61,7 @@ val validate : t -> unit
     record. *)
 type chunk = {
   mutable c_vaddr : int;  (** first word address of the run *)
-  mutable c_index : int;  (** position of the run in the transaction's data array *)
+  mutable c_index : int;  (** index of the run's first word in [data], slice offset included *)
   mutable c_words : int;  (** length of the run *)
 }
 
@@ -75,12 +74,9 @@ type scratch
 
 val make_scratch : unit -> scratch
 
-val iter_chunks : ?scratch:scratch -> page_words:int -> t -> (chunk -> unit) -> unit
-(** Chunks are visited in ascending address order (ascending element order
-    for strided transactions); single-word transactions yield one chunk. *)
-
 val iter_pages : page_words:int -> t -> (int -> unit) -> unit
-(** The virtual pages the transaction touches, in chunk order, consecutive
+(** The virtual pages the transaction touches, in chunk order (ascending
+    address, element by element for strided transactions), consecutive
     duplicates elided — what a VM layer must ensure is bound before the
     coherent layer runs. *)
 
@@ -91,12 +87,12 @@ val run :
   t ->
   chunk_cost:(now:int -> data:int array -> chunk -> int) ->
   result * int
-(** The shared cost-accounting loop.  Validates the transaction, allocates
-    the result buffer, and calls [chunk_cost] once per chunk with the time
-    at which that chunk begins ([now] plus the latency of every earlier
-    chunk); [chunk_cost] performs the data movement against [data] (reads
-    fill [data.(c_index ..)], writes consume it, an [Rmw] leaves the old
-    value in [data.(0)]) and returns the chunk's latency.  Returns the
-    assembled result and the total latency. *)
-
-val pp : Format.formatter -> t -> unit
+(** The shared cost-accounting loop.  Validates the transaction and calls
+    [chunk_cost] once per chunk, in {!iter_pages} order, with the time at which that chunk begins
+    ([now] plus the latency of every earlier chunk); [chunk_cost] performs
+    the data movement against [data] — the caller's slice array for a
+    block or strided transaction, a one-word buffer otherwise (reads fill
+    [data.(c_index ..)], writes consume it, an [Rmw] leaves the old value
+    in [data.(0)]) — and returns the chunk's latency.  Allocates no data
+    buffer for a multi-word transaction.  Returns the result and the total
+    latency. *)

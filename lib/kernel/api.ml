@@ -7,11 +7,6 @@ let word txn =
   | Memtxn.Word v -> v
   | _ -> assert false
 
-let words txn =
-  match access txn with
-  | Memtxn.Words a -> a
-  | _ -> assert false
-
 (* The word operations probe the coalescing fast path first (DESIGN.md
    §4g): while the kernel has armed the current fiber and the access is a
    clean micro-ATC hit, it completes inline — no effect, no suspend — and
@@ -30,28 +25,45 @@ let write vaddr value =
 let rmw vaddr f =
   let c = Fastpath.ctx () in
   if Fastpath.try_rmw c vaddr f then Fastpath.value c else word (Memtxn.Rmw { vaddr; f })
-let block_read vaddr len = words (Memtxn.Block_read { vaddr; len })
-let block_write vaddr data = ignore (access (Memtxn.Block_write { vaddr; data }))
-let read_array = block_read
-let write_array = block_write
+
+(* The slice transactions validate before the trap, so a bad slice raises
+   with no simulated time charged. *)
+let access_valid txn =
+  Memtxn.validate txn;
+  ignore (access txn)
+
+let block_read_into vaddr dst ~off ~len =
+  access_valid (Memtxn.Block_read { vaddr; dst; dst_off = off; len })
+
+let block_write_sub vaddr src ~off ~len =
+  access_valid (Memtxn.Block_write { vaddr; src; src_off = off; len })
+
+let block_read vaddr len =
+  let dst = Array.make (max len 0) 0 in
+  block_read_into vaddr dst ~off:0 ~len;
+  dst
+
+let block_write vaddr src = block_write_sub vaddr src ~off:0 ~len:(Array.length src)
 
 let read_stride ?(elem_words = 1) vaddr ~count ~stride =
   if elem_words <= 0 then
     invalid_arg (Printf.sprintf "read_stride: elem_words %d must be positive" elem_words);
   if count < 0 then invalid_arg (Printf.sprintf "read_stride: negative count %d" count);
-  words (Memtxn.Stride_read { vaddr; count; elem_words; stride })
+  let dst = Array.make (count * elem_words) 0 in
+  access_valid (Memtxn.Stride_read { vaddr; dst; dst_off = 0; count; elem_words; stride });
+  dst
 
-let write_stride ?(elem_words = 1) vaddr ~stride data =
+let write_stride ?(elem_words = 1) vaddr ~stride src =
   if elem_words <= 0 then
     invalid_arg (Printf.sprintf "write_stride: elem_words %d must be positive" elem_words);
   (* A ragged tail would silently truncate: the old code floored the
      element count, dropping up to [elem_words - 1] trailing words. *)
-  if Array.length data mod elem_words <> 0 then
+  if Array.length src mod elem_words <> 0 then
     invalid_arg
       (Printf.sprintf "write_stride: data length %d is not a multiple of elem_words %d"
-         (Array.length data) elem_words);
-  let count = Array.length data / elem_words in
-  ignore (access (Memtxn.Stride_write { vaddr; data; count; elem_words; stride }))
+         (Array.length src) elem_words);
+  let count = Array.length src / elem_words in
+  access_valid (Memtxn.Stride_write { vaddr; src; src_off = 0; count; elem_words; stride })
 let compute ns = if ns > 0 then Effect.perform (Eff.Compute ns)
 let now () = Effect.perform Eff.Now
 let sleep ns = if ns > 0 then Effect.perform (Eff.Sleep ns)

@@ -16,15 +16,27 @@ val rmw : int -> (int -> int) -> int
 (** Atomic read-modify-write; returns the old value.  The Butterfly's
     atomic network operations — the basis of locks and event counts. *)
 
+val block_read_into : int -> int array -> off:int -> len:int -> unit
+(** [block_read_into vaddr dst ~off ~len] reads [len] consecutive words
+    into [dst.(off .. off+len-1)] and touches no other element of [dst] —
+    the allocation-free form of {!block_read}: a caller that reuses [dst]
+    moves data with no heap traffic.  Raises [Invalid_argument], before
+    any simulated time is charged, when [len < 0], [off < 0] or
+    [off + len > Array.length dst].  If the transaction raises partway
+    (a fault the memory system cannot resolve), the contents of
+    [dst.(off .. off+len-1)] are unspecified. *)
+
+val block_write_sub : int -> int array -> off:int -> len:int -> unit
+(** [block_write_sub vaddr src ~off ~len] writes [src.(off .. off+len-1)]
+    to [len] consecutive words; same range checks as {!block_read_into}.
+    [src] must not change until the call returns. *)
+
 val block_read : int -> int -> int array
-(** [block_read vaddr len] reads [len] consecutive words. *)
+(** [block_read vaddr len] reads [len] consecutive words into a fresh
+    array: {!block_read_into} on a new buffer. *)
 
 val block_write : int -> int array -> unit
-
-val read_array : int -> int -> int array
-(** Alias of {!block_read}, reads an array stored at an address. *)
-
-val write_array : int -> int array -> unit
+(** {!block_write_sub} of the whole array. *)
 
 val read_stride : ?elem_words:int -> int -> count:int -> stride:int -> int array
 (** [read_stride vaddr ~count ~stride] gathers [count] elements of

@@ -60,9 +60,11 @@ let rmw t ~now ~proc ~aspace ~vaddr f =
   | _ -> assert false
 
 let block_read t ~now ~proc ~aspace ~vaddr ~len =
-  match t.submit ~now ~proc ~aspace (Platinum_core.Memtxn.Block_read { vaddr; len }) with
-  | Platinum_core.Memtxn.Words out, lat -> (out, lat)
-  | _ -> assert false
+  let dst = Array.make (max len 0) 0 in
+  let txn = Platinum_core.Memtxn.Block_read { vaddr; dst; dst_off = 0; len } in
+  (dst, snd (t.submit ~now ~proc ~aspace txn))
 
-let block_write t ~now ~proc ~aspace ~vaddr data =
-  snd (t.submit ~now ~proc ~aspace (Platinum_core.Memtxn.Block_write { vaddr; data }))
+let block_write t ~now ~proc ~aspace ~vaddr src =
+  let len = Array.length src in
+  let txn = Platinum_core.Memtxn.Block_write { vaddr; src; src_off = 0; len } in
+  snd (t.submit ~now ~proc ~aspace txn)

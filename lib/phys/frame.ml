@@ -23,13 +23,22 @@ let set_owner t = function
 let get t off = t.data.(off)
 let set t off v = t.data.(off) <- v
 
-let read_words t ~off ~dst ~dst_off ~words = Array.blit t.data off dst dst_off words
-let write_words t ~off ~src ~src_off ~words = Array.blit src src_off t.data off words
+(* A typed copy, so no write barrier (see frame.mli); one range check up front. *)
+let copy (src : int array) src_off (dst : int array) dst_off words =
+  if words < 0 || src_off < 0 || dst_off < 0 || src_off > Array.length src - words
+     || dst_off > Array.length dst - words
+  then invalid_arg "Frame: copy out of range";
+  for i = 0 to words - 1 do
+    Array.unsafe_set dst (dst_off + i) (Array.unsafe_get src (src_off + i))
+  done
+
+let read_words t ~off ~dst ~dst_off ~words = copy t.data off dst dst_off words
+let write_words t ~off ~src ~src_off ~words = copy src src_off t.data off words
 
 let blit_from ~src ~dst =
   if Array.length src.data <> Array.length dst.data then
     invalid_arg "Frame.blit_from: size mismatch";
-  Array.blit src.data 0 dst.data 0 (Array.length src.data)
+  copy src.data 0 dst.data 0 (Array.length src.data)
 
 let fill_zero t = Array.fill t.data 0 (Array.length t.data) 0
 
@@ -40,7 +49,3 @@ let equal_data a b =
     i >= Array.length a.data || (a.data.(i) = b.data.(i) && loop (i + 1))
   in
   loop 0
-
-let pp fmt t =
-  Format.fprintf fmt "frame(m%d.%d%s)" t.frame_module t.frame_index
-    (if t.owner < 0 then ", free" else Printf.sprintf ", cpage %d" t.owner)

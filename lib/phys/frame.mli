@@ -26,10 +26,19 @@ val get : t -> int -> int
 
 val set : t -> int -> int -> unit
 
+(** {b The block copies.}  [read_words], [write_words] and [blit_from]
+    are the data plane of every block transfer and replication.  They are
+    typed [int array] loops, not [Array.blit]: [Array.blit] is polymorphic,
+    so when its destination lives in the major heap — every 1024-word
+    frame, and any buffer over 256 words — OCaml 5 runs [caml_modify] on
+    every word it copies.  An [int array] store needs no write barrier.
+    Each checks
+    its ranges once and raises [Invalid_argument] before copying anything.
+    They are in the zero-alloc catalogue ([Rule_alloc]). *)
+
 val read_words : t -> off:int -> dst:int array -> dst_off:int -> words:int -> unit
 (** Copy [words] data words starting at [off] into [dst] at [dst_off] — the
-    data plane of a block-transfer chunk, one [Array.blit] instead of a
-    per-word loop. *)
+    data plane of a block-transfer chunk. *)
 
 val write_words : t -> off:int -> src:int array -> src_off:int -> words:int -> unit
 
@@ -41,5 +50,3 @@ val fill_zero : t -> unit
 
 val equal_data : t -> t -> bool
 (** Word-for-word data equality (used by coherence invariant checks). *)
-
-val pp : Format.formatter -> t -> unit

@@ -48,11 +48,13 @@ type workload =
   | Jacobi
   | Gauss
   | Rpc_echo
+  | Program of (node:int -> row:(int -> int) -> unit)
 
 let workload_name = function
   | Jacobi -> "jacobi"
   | Gauss -> "gauss"
   | Rpc_echo -> "rpc_echo"
+  | Program _ -> "program"
 
 let all_workloads = [ Jacobi; Gauss; Rpc_echo ]
 let lookahead = Config.lookahead_ns
@@ -170,20 +172,20 @@ let ipi_delay pm ~src ~dst =
 let txn_page pm = function
   | Memtxn.Read { vaddr } | Memtxn.Write { vaddr; _ } | Memtxn.Rmw { vaddr; _ } ->
     Some (vaddr / pm.pw)
-  | Memtxn.Block_read { vaddr; len } ->
-    if len >= 1 && vaddr / pm.pw = (vaddr + len - 1) / pm.pw then Some (vaddr / pm.pw)
-    else None
-  | Memtxn.Block_write { vaddr; data } ->
-    let len = Array.length data in
+  | Memtxn.Block_read { vaddr; len; _ } | Memtxn.Block_write { vaddr; len; _ } ->
     if len >= 1 && vaddr / pm.pw = (vaddr + len - 1) / pm.pw then Some (vaddr / pm.pw)
     else None
   | Memtxn.Stride_read _ | Memtxn.Stride_write _ -> None
 
-let txn_words = Memtxn.data_words
-
+(* Complete a read from page data [arr] into the requester's slice, on the
+   requesting node only: a home never writes into another node's buffer.
+   A typed loop: the slice may have been promoted while its thread waited,
+   and [Array.blit] into the major heap pays the write barrier per word. *)
 let read_result pm arr page = function
   | Memtxn.Read { vaddr } -> Memtxn.Word arr.(vaddr - (page * pm.pw))
-  | Memtxn.Block_read { vaddr; len } -> Memtxn.Words (Array.sub arr (vaddr - (page * pm.pw)) len)
+  | Memtxn.Block_read { vaddr; dst; dst_off; len } ->
+    for i = 0 to len - 1 do dst.(dst_off + i) <- arr.(vaddr - (page * pm.pw) + i) done;
+    Memtxn.Unit
   | _ -> assert false
 
 (* --- home-side service --- *)
@@ -250,7 +252,7 @@ let rec home_serve pm h p =
         (* the home reads its own page in place; no replica involved *)
         let nh = pm.nodes.(h) in
         let now = Engine.now nh.engine in
-        let words = txn_words p.p_txn in
+        let words = Memtxn.data_words p.p_txn in
         let lat =
           Xbar.access ?inject:nh.inject pm.cfg pm.mods ~now ~proc:h ~mem_module:h Xbar.Read
             ~words
@@ -281,9 +283,11 @@ and apply_write pm h hp p =
       let old = hp.hdata.(vaddr - base) in
       hp.hdata.(vaddr - base) <- f old land word_mask;
       (Xbar.Rmw, 1, Memtxn.Word old)
-    | Memtxn.Block_write { vaddr; data } ->
-      Array.iteri (fun i v -> hp.hdata.(vaddr - base + i) <- v land word_mask) data;
-      (Xbar.Write, Array.length data, Memtxn.Unit)
+    | Memtxn.Block_write { vaddr; src; src_off; len } ->
+      for i = 0 to len - 1 do
+        hp.hdata.(vaddr - base + i) <- src.(src_off + i) land word_mask
+      done;
+      (Xbar.Write, len, Memtxn.Unit)
     | _ -> assert false
   in
   hp.hversion <- hp.hversion + 1;
@@ -405,7 +409,7 @@ let try_remote pm s txn ~complete =
           | Some r ->
             (* steady-state hit: served from the local copy *)
             ns.c.local_hits <- ns.c.local_hits + 1;
-            let words = txn_words txn in
+            let words = Memtxn.data_words txn in
             let now = Engine.now ns.engine in
             let lat =
               Xbar.access ?inject:ns.inject pm.cfg pm.mods ~now ~proc:s ~mem_module:s
@@ -590,7 +594,7 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
     nodes;
   (* pre-seed the grid rows directly into their home pages (setup time,
      cost-free: the simulation starts with the data already placed) *)
-  let is_grid = match workload with Jacobi | Gauss -> true | Rpc_echo -> false in
+  let is_grid = match workload with Jacobi | Gauss -> true | Rpc_echo | Program _ -> false in
   let grid = Array.init n (fun r -> Array.init width (fun c -> seed_cell r c)) in
   if is_grid then
     Array.iteri
@@ -604,45 +608,39 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
   let hosted = Shard.host ?check ~shards ~lookahead:pm.la (Array.map (fun nd -> nd.engine) nodes) in
   (* the workload threads *)
   let kernel_of nd = match nd.kernel with Some k -> k | None -> assert false in
+  let spawn_each body =
+    Array.iter
+      (fun nd -> ignore (Kernel.spawn (kernel_of nd) ~proc:nd.id (fun () -> body nd.id)))
+      nodes
+  in
   (match workload with
   | Jacobi ->
-    Array.iter
-      (fun nd ->
-        let r = nd.id in
-        ignore
-          (Kernel.spawn (kernel_of nd) ~proc:r (fun () ->
-               let own_addr = row_addr pm ~spages r in
-               for _it = 1 to iters do
-                 let left = Api.block_read (row_addr pm ~spages ((r + n - 1) mod n)) width in
-                 let right = Api.block_read (row_addr pm ~spages ((r + 1) mod n)) width in
-                 let own = Api.block_read own_addr width in
-                 barrier ~parties:n ~pw ();
-                 let next =
-                   Array.init width (fun c -> (left.(c) + right.(c) + own.(c)) / 3 land word_mask)
-                 in
-                 Api.block_write own_addr next;
-                 barrier ~parties:n ~pw ()
-               done)))
-      nodes
+    spawn_each (fun r ->
+        let own_addr = row_addr pm ~spages r in
+        for _it = 1 to iters do
+          let left = Api.block_read (row_addr pm ~spages ((r + n - 1) mod n)) width in
+          let right = Api.block_read (row_addr pm ~spages ((r + 1) mod n)) width in
+          let own = Api.block_read own_addr width in
+          barrier ~parties:n ~pw ();
+          let next =
+            Array.init width (fun c -> (left.(c) + right.(c) + own.(c)) / 3 land word_mask)
+          in
+          Api.block_write own_addr next;
+          barrier ~parties:n ~pw ()
+        done)
   | Gauss ->
-    Array.iter
-      (fun nd ->
-        let r = nd.id in
-        ignore
-          (Kernel.spawn (kernel_of nd) ~proc:r (fun () ->
-               let own_addr = row_addr pm ~spages r in
-               for it = 0 to iters - 1 do
-                 let pivot = it mod n in
-                 let prow = Api.block_read (row_addr pm ~spages pivot) width in
-                 barrier ~parties:n ~pw ();
-                 let own = Api.block_read own_addr width in
-                 let next =
-                   Array.init width (fun c -> ((3 * own.(c)) + prow.(c)) land 0xFFFF)
-                 in
-                 Api.block_write own_addr next;
-                 barrier ~parties:n ~pw ()
-               done)))
-      nodes
+    spawn_each (fun r ->
+        let own_addr = row_addr pm ~spages r in
+        for it = 0 to iters - 1 do
+          let pivot = it mod n in
+          let prow = Api.block_read (row_addr pm ~spages pivot) width in
+          barrier ~parties:n ~pw ();
+          let own = Api.block_read own_addr width in
+          let next = Array.init width (fun c -> ((3 * own.(c)) + prow.(c)) land 0xFFFF) in
+          Api.block_write own_addr next;
+          barrier ~parties:n ~pw ()
+        done)
+  | Program f -> spawn_each (fun node -> f ~node ~row:(row_addr pm ~spages))
   | Rpc_echo ->
     (* pair 2p+1 (client) with 2p (server); request slot homed at the
        server, response slot homed at the client, a sequence word each *)
@@ -674,6 +672,15 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
   Shard.run_hosted ~domains hosted;
   Array.iter (fun nd -> ignore (Kernel.post_run_checks (kernel_of nd))) nodes;
   (* --- verification against a host-side oracle --- *)
+  let rows_match g =
+    Array.for_all
+      (fun nd ->
+        let r = nd.id in
+        match Flat.find nodes.(home_of (row_page ~spages r)).homes (row_page ~spages r) with
+        | Some hp -> Array.for_all (fun c -> hp.hdata.(c) = g.(r).(c)) (Array.init width Fun.id)
+        | None -> false)
+      nodes
+  in
   let verified =
     match workload with
     | Jacobi ->
@@ -688,13 +695,7 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
           done
         done
       done;
-      Array.for_all
-        (fun nd ->
-          let r = nd.id in
-          match Flat.find nodes.(home_of (row_page ~spages r)).homes (row_page ~spages r) with
-          | Some hp -> Array.for_all (fun c -> hp.hdata.(c) = g.(r).(c)) (Array.init width Fun.id)
-          | None -> false)
-        nodes
+      rows_match g
     | Gauss ->
       let g = Array.map Array.copy grid in
       for it = 0 to iters - 1 do
@@ -705,13 +706,8 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
           done
         done
       done;
-      Array.for_all
-        (fun nd ->
-          let r = nd.id in
-          match Flat.find nodes.(home_of (row_page ~spages r)).homes (row_page ~spages r) with
-          | Some hp -> Array.for_all (fun c -> hp.hdata.(c) = g.(r).(c)) (Array.init width Fun.id)
-          | None -> false)
-        nodes
+      rows_match g
+    | Program _ -> true
     | Rpc_echo ->
       (* every response slot must hold the last sequence number *)
       let pairs = n / 2 in

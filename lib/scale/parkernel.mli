@@ -31,6 +31,9 @@ type workload =
   | Jacobi  (** ring relaxation: neighbor-row replication + own-row shootdowns *)
   | Gauss  (** elimination: pivot-row replication storms (§5.1) *)
   | Rpc_echo  (** request/response over write-at-home message slots *)
+  | Program of (node:int -> row:(int -> int) -> unit)
+      (** every node [i] runs [f ~node:i ~row], where [row r] is the address
+          of the page homed at node [r]; verified trivially *)
 
 val workload_name : workload -> string
 val all_workloads : workload list

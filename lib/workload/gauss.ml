@@ -29,12 +29,12 @@ let init_elem p i j =
 
 let quot a b = if b = 0 then 0 else a / b
 
-(* One elimination step of row [row] (slice starting at column k) against
-   pivot slice [piv]; both slices have the same length and start at column
-   k, so index 0 is the pivot column. *)
-let eliminate ~row ~piv =
-  let factor = quot row.(0) piv.(0) in
-  for j = 0 to Array.length row - 1 do
+(* One elimination step of row [row] against pivot row [piv], in place
+   over the [len] elements from index [off]; index [off] is the pivot
+   column. *)
+let eliminate ~row ~piv ~off ~len =
+  let factor = quot row.(off) piv.(off) in
+  for j = off to off + len - 1 do
     row.(j) <- (row.(j) - (factor * piv.(j))) land value_mask
   done
 
@@ -42,11 +42,8 @@ let sequential p =
   let n = p.n in
   let m = Array.init n (fun i -> Array.init n (fun j -> init_elem p i j land value_mask)) in
   for k = 0 to n - 2 do
-    let piv = Array.sub m.(k) k (n - k) in
     for r = k + 1 to n - 1 do
-      let row = Array.sub m.(r) k (n - k) in
-      eliminate ~row ~piv;
-      Array.blit row 0 m.(r) k (n - k)
+      eliminate ~row:m.(r) ~piv:m.(k) ~off:k ~len:(n - k)
     done
   done;
   m
@@ -68,6 +65,9 @@ let make p =
     let ec_base = Api.alloc ~zone:szone n in
     let row_ready k = Sync.Event_count.of_addr (ec_base + k) in
     let worker me =
+      (* The pivot and row slices of every update land in these two
+         buffers, so the elimination loop allocates nothing. *)
+      let piv = Array.make n 0 and row = Array.make n 0 in
       (* First touch places each row in its owner's memory. *)
       let r = ref me in
       while !r < n do
@@ -87,12 +87,13 @@ let make p =
            replication, which is where it earns its keep. *)
         let first = k + 1 + ((me - owner (k + 1) + nprocs) mod nprocs) in
         let r = ref first in
+        let len = n - k in
         while !r < n do
-          let piv = Api.block_read (rows.(k) + k) (n - k) in
-          let row = Api.block_read (rows.(!r) + k) (n - k) in
-          eliminate ~row ~piv;
-          Api.compute ((n - k) * p.compute_ns_per_word);
-          Api.block_write (rows.(!r) + k) row;
+          Api.block_read_into (rows.(k) + k) piv ~off:0 ~len;
+          Api.block_read_into (rows.(!r) + k) row ~off:0 ~len;
+          eliminate ~row ~piv ~off:0 ~len;
+          Api.compute (len * p.compute_ns_per_word);
+          Api.block_write_sub (rows.(!r) + k) row ~off:0 ~len;
           if !r = k + 1 then Sync.Event_count.advance (row_ready (k + 1));
           r := !r + nprocs
         done

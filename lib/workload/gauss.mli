@@ -49,4 +49,4 @@ val sequential : params -> int array array
 
 val value_mask : int
 val init_elem : params -> int -> int -> int
-val eliminate : row:int array -> piv:int array -> unit
+val eliminate : row:int array -> piv:int array -> off:int -> len:int -> unit

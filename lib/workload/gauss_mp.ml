@@ -108,7 +108,7 @@ let make p =
         let r = ref first in
         while !r < n do
           let row = Api.block_read (rows.(!r) + k) (n - k) in
-          Gauss.eliminate ~row ~piv;
+          Gauss.eliminate ~row ~piv ~off:0 ~len:(n - k);
           Api.compute ((n - k) * p.compute_ns_per_word);
           Api.block_write (rows.(!r) + k) row;
           if !r = k + 1 && !r <= n - 2 && nprocs > 1 then broadcast (k + 1) row;

@@ -11,6 +11,7 @@ let () =
       ("vm", Test_vm.suite);
       ("kernel", Test_kernel.suite);
       ("fastpath", Test_fastpath.suite);
+      ("slices", Test_slices.suite);
       ("cache", Test_cache.suite);
       ("analysis", Test_analysis.suite);
       ("micro", Test_micro.suite);

@@ -231,6 +231,34 @@ let test_gauss_oracle_2x2 () =
   Alcotest.(check int) "eliminated col" ((a10 - (f * a00)) land Gauss.value_mask) m.(1).(0);
   Alcotest.(check int) "eliminated val" ((a11 - (f * a01)) land Gauss.value_mask) m.(1).(1)
 
+(* The oracle's earlier formulation: copy each row slice out, eliminate
+   it, blit it back.  The in-place oracle must produce the same matrix. *)
+let gauss_sub_blit p =
+  let n = p.Gauss.n in
+  let m =
+    Array.init n (fun i -> Array.init n (fun j -> Gauss.init_elem p i j land Gauss.value_mask))
+  in
+  for k = 0 to n - 2 do
+    let piv = Array.sub m.(k) k (n - k) in
+    for r = k + 1 to n - 1 do
+      let row = Array.sub m.(r) k (n - k) in
+      let factor = if piv.(0) = 0 then 0 else row.(0) / piv.(0) in
+      for j = 0 to n - k - 1 do
+        row.(j) <- (row.(j) - (factor * piv.(j))) land Gauss.value_mask
+      done;
+      Array.blit row 0 m.(r) k (n - k)
+    done
+  done;
+  m
+
+let test_gauss_oracle_in_place () =
+  List.iter
+    (fun seed ->
+      let p = Gauss.params ~n:64 ~nprocs:1 ~seed () in
+      Alcotest.(check (array (array int)))
+        (Printf.sprintf "seed %d" seed) (gauss_sub_blit p) (Gauss.sequential p))
+    [ 1; 42; 1989 ]
+
 let test_jacobi_oracle_smoothing () =
   (* One iteration of the all-equal grid is a fixed point. *)
   let p = Jacobi.params ~n:8 ~iters:1 ~nprocs:1 ~seed:0 () in
@@ -314,6 +342,7 @@ let suite =
     ("analysis: edge cases", `Quick, test_model_edges);
     ("defrost: default adaptive parameters", `Quick, test_defrost_default);
     ("gauss: 2x2 oracle by hand", `Quick, test_gauss_oracle_2x2);
+    ("gauss: in-place oracle = sub/blit", `Quick, test_gauss_oracle_in_place);
     ("jacobi: oracle smoothing by hand", `Quick, test_jacobi_oracle_smoothing);
     ("kernel: bad processor rejected", `Quick, test_spawn_bad_proc);
     ("kernel: same-proc migration free", `Quick, test_migrate_same_proc_free);
