@@ -77,6 +77,20 @@ let ms_of ns = float_of_int ns /. 1e6
 let check_shape what ok =
   Printf.printf "  [%s] %s\n%!" (if ok then "OK" else "MISS") what
 
+(* A check_shape that must hold: a miss is remembered, and the experiment
+   ends with [exit_on_missed_gates], which exits 1 after a miss. *)
+let missed_gates = ref 0
+
+let gate what ok =
+  check_shape what ok;
+  if not ok then incr missed_gates
+
+let exit_on_missed_gates ~tag what =
+  if !missed_gates > 0 then begin
+    Printf.printf "%s: %d gate(s) missed: %s\n%!" tag !missed_gates what;
+    exit 1
+  end
+
 (* One "host" JSON object for every BENCH_*.json file, so trajectory
    entries are comparable across machines. *)
 let host_json () =

@@ -28,9 +28,11 @@
       injected on every transport, retransmissions on the RPC path —
       since a fault run that never recovered anything proves nothing.
 
-   4. Sharded-mesh determinism: the Scale.Serve message-level variant of
-      the same workload over a (shards x domains) grid, clean and
-      injected — fingerprints must be byte-identical.
+   4. Sharded-mesh serving: the Mesh.Serve program — open-loop rmw
+      requests to per-cluster servers on the hosted kernel — over a
+      (shards x domains) grid, clean and injected.  Gates: fingerprints
+      byte-identical, every server's rmws atomic (the old values it
+      returned are exactly 0 .. k-1), and p99 non-decreasing in load.
 
    The JSON contains no wall-clock times and no -j/--shards-dependent
    fields: a BENCH_serve.json is byte-identical across parallelism
@@ -38,17 +40,13 @@
 
 open Exp_common
 module Serve = Platinum_serve.Serve
-module Scale = Platinum_scale.Scale
+module Mesh = Platinum_scale.Mesh
+module Parkernel = Platinum_scale.Parkernel
+module Hist = Platinum_stats.Hist
 module Arrivals = Platinum_sim.Arrivals
 module Inject = Platinum_sim.Inject
 
 let seed = 42L
-
-let failed = ref false
-
-let gate what ok =
-  check_shape what ok;
-  if not ok then failed := true
 
 (* --- topologies --- *)
 
@@ -237,7 +235,7 @@ let run (scale : scale) =
       end)
     fault_rows;
 
-  subsection "sharded mesh: Scale.Serve over (shards x domains), clean + 2% injected";
+  subsection "sharded mesh: Mesh.Serve over (shards x domains), clean + 2% injected";
   let mesh_config = Config.hierarchical ~cluster_size:16 ~nodes:64 () in
   let det_grid = [ (1, 1); (2, 1); (4, 2); (8, 4) ] in
   let mesh_rates = [ 0.0; 0.02 ] in
@@ -247,56 +245,58 @@ let run (scale : scale) =
       (fun inject_rate ->
         List.map
           (fun offered_rps ->
-            let fps =
+            let runs =
               List.map
                 (fun (shards, domains) ->
-                  (Scale.run ~shards ~domains ~inject_rate ~seed ~ops_per_node:25
-                     ~offered_rps ~config:mesh_config Scale.Serve)
-                    .Scale.fingerprint)
+                  Mesh.run ~shards ~domains ~inject_rate ~seed ~ops_per_node:25 ~offered_rps
+                    ~config:mesh_config Mesh.Serve)
                 det_grid
             in
-            let identical = List.for_all (( = ) (List.hd fps)) fps in
-            gate
-              (Printf.sprintf
-                 "mesh serve fingerprint identical over shards x domains (rate %.2f, %.0f rps)"
-                 inject_rate offered_rps)
-              identical;
-            let r =
-              Scale.run ~shards:1 ~domains:1 ~inject_rate ~seed ~ops_per_node:25
-                ~offered_rps ~config:mesh_config Scale.Serve
+            let what =
+              Printf.sprintf "(rate %.2f, %.0f rps) over shards x domains" inject_rate
+                offered_rps
             in
-            (inject_rate, offered_rps, identical, r))
+            let fp (m : Mesh.result) = m.Mesh.run.Parkernel.fingerprint in
+            let m = List.hd runs in
+            let identical = List.for_all (fun m' -> fp m' = fp m) runs in
+            gate ("mesh serve fingerprint identical " ^ what) identical;
+            gate ("mesh serve rmws atomic at every server " ^ what)
+              (List.for_all (fun (m : Mesh.result) -> m.Mesh.run.Parkernel.verified) runs);
+            (inject_rate, offered_rps, identical, m))
           mesh_rps)
       mesh_rates
   in
   List.iter
-    (fun (rate, rps, _, (r : Scale.result)) ->
+    (fun (rate, rps, _, (m : Mesh.result)) ->
+      let h = m.Mesh.latency in
       Printf.printf
-        "  mesh %4d nodes %8.0f rps/node inj %4.2f: rpcs=%d retries=%d p50=%s p99=%s p99.9=%s\n"
-        r.Scale.nodes rps rate r.Scale.rpcs r.Scale.retries
-        (Time_ns.to_string r.Scale.p50_ns) (Time_ns.to_string r.Scale.p99_ns)
-        (Time_ns.to_string r.Scale.p999_ns))
+        "  mesh %4d nodes %8.0f rps/node inj %4.2f: requests=%d retries=%d p50=%s p99=%s p99.9=%s\n"
+        m.Mesh.run.Parkernel.nodes rps rate (Hist.count h) m.Mesh.run.Parkernel.retries
+        (Time_ns.to_string (Hist.p50 h)) (Time_ns.to_string (Hist.p99 h))
+        (Time_ns.to_string (Hist.p999 h)))
     mesh_rows;
   (* The mesh tail must respond to offered load too. *)
   (match mesh_rows with
   | (_, _, _, lo) :: (_, _, _, hi) :: _ ->
+    let p99 (m : Mesh.result) = Hist.p99 m.Mesh.latency in
     gate
       (Printf.sprintf "mesh p99 monotone in offered load (%s <= %s)"
-         (Time_ns.to_string lo.Scale.p99_ns) (Time_ns.to_string hi.Scale.p99_ns))
-      (lo.Scale.p99_ns <= hi.Scale.p99_ns)
+         (Time_ns.to_string (p99 lo)) (Time_ns.to_string (p99 hi)))
+      (p99 lo <= p99 hi)
   | _ -> ());
 
   let mesh_json =
     List.map
-      (fun (rate, rps, identical, (r : Scale.result)) ->
+      (fun (rate, rps, identical, (m : Mesh.result)) ->
+        let r = m.Mesh.run and h = m.Mesh.latency in
         Printf.sprintf
           "    { \"nodes\": %d, \"offered_rps_per_node\": %.0f, \"inject_rate\": %.3f,\n\
-          \      \"rpcs\": %d, \"retries\": %d, \"faults\": %d, \"p50_ns\": %d,\n\
-          \      \"p95_ns\": %d, \"p99_ns\": %d, \"p999_ns\": %d,\n\
+          \      \"requests\": %d, \"retries\": %d, \"faults\": %d, \"p50_ns\": %d,\n\
+          \      \"p95_ns\": %d, \"p99_ns\": %d, \"p999_ns\": %d, \"verified\": %b,\n\
           \      \"grid_identical\": %b, \"fingerprint\": %S }"
-          r.Scale.nodes rps rate r.Scale.rpcs r.Scale.retries r.Scale.faults
-          r.Scale.p50_ns r.Scale.p95_ns r.Scale.p99_ns r.Scale.p999_ns identical
-          r.Scale.fingerprint)
+          r.Parkernel.nodes rps rate (Hist.count h) r.Parkernel.retries r.Parkernel.faults
+          (Hist.p50 h) (Hist.p95 h) (Hist.p99 h) (Hist.p999 h) r.Parkernel.verified identical
+          r.Parkernel.fingerprint)
       mesh_rows
   in
 
@@ -321,7 +321,4 @@ let run (scale : scale) =
     (String.concat ",\n" mesh_json);
   close_out oc;
   Printf.printf "  wrote BENCH_serve.json\n%!";
-  if !failed then begin
-    Printf.printf "SERVE_FAIL: a determinism, monotonicity or coverage gate missed\n%!";
-    exit 1
-  end
+  exit_on_missed_gates ~tag:"SERVE_FAIL" "a determinism, monotonicity, coverage or oracle gate"

@@ -33,6 +33,7 @@ module Engine = Platinum_sim.Engine
 module Shard = Platinum_sim.Shard
 module Inject = Platinum_sim.Inject
 module Rng = Platinum_sim.Rng
+module Fnv = Platinum_sim.Fnv
 module Config = Platinum_machine.Config
 module Machine = Platinum_machine.Machine
 module Xbar = Platinum_machine.Xbar
@@ -48,7 +49,7 @@ type workload =
   | Jacobi
   | Gauss
   | Rpc_echo
-  | Program of (node:int -> row:(int -> int) -> unit)
+  | Program of (node:int -> row:(int -> int) -> rng:Rng.t -> unit)
 
 let workload_name = function
   | Jacobi -> "jacobi"
@@ -131,6 +132,7 @@ type replica = { rdata : int array }
 type node = {
   id : int;
   engine : Engine.t;
+  rng : Rng.t;  (* consumed only by a [Program] thread on this node *)
   mutable kernel : Kernel.t option;
   inject : Inject.t option;
   homes : hpage Flat.t;  (* vpage -> home record, for pages homed here *)
@@ -521,9 +523,6 @@ type result = {
   fingerprint : string;
 }
 
-let fnv_prime = 0x100000001b3L
-let fnv_offset = 0xcbf29ce484222325L
-
 (* --- workload construction --- *)
 
 let row_page ~spages r = data_base_page + (r * spages)
@@ -550,7 +549,7 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
   let master = Rng.create seed in
   let nodes =
     Array.init n (fun id ->
-        let _rng = Rng.split master in
+        let rng = Rng.split master in
         let inject =
           if inject_rate > 0.0 then
             Some
@@ -565,6 +564,7 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
         {
           id;
           engine = Engine.create ();
+          rng;
           kernel = None;
           inject;
           homes = Flat.create ();
@@ -640,7 +640,8 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
           Api.block_write own_addr next;
           barrier ~parties:n ~pw ()
         done)
-  | Program f -> spawn_each (fun node -> f ~node ~row:(row_addr pm ~spages))
+  | Program f ->
+    spawn_each (fun node -> f ~node ~row:(row_addr pm ~spages) ~rng:nodes.(node).rng)
   | Rpc_echo ->
     (* pair 2p+1 (client) with 2p (server); request slot homed at the
        server, response slot homed at the client, a sequence word each *)
@@ -724,8 +725,8 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
   (* --- fingerprint: per-node counters, engine history, module stats,
      fault plane, then every home page's version and contents, all in
      node order --- *)
-  let h = ref fnv_offset in
-  let mixin v = h := Int64.mul (Int64.logxor !h (Int64.of_int v)) fnv_prime in
+  let h = Fnv.create () in
+  let mixin = Fnv.int h in
   Array.iter
     (fun nd ->
       let c = nd.c in
@@ -747,7 +748,7 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
       mixin (Memmodule.total_busy_ns pm.mods.(nd.id));
       mixin (Memmodule.total_wait_ns pm.mods.(nd.id));
       (match nd.inject with
-      | Some inj -> String.iter (fun ch -> mixin (Char.code ch)) (Inject.fingerprint inj)
+      | Some inj -> Fnv.string h (Inject.fingerprint inj)
       | None -> ());
       Flat.iter
         (fun page hp ->
@@ -790,5 +791,5 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
     span_words = (arena_base - data_base_page) * pw;
     setup_ms;
     verified;
-    fingerprint = Printf.sprintf "%016Lx" !h;
+    fingerprint = Fnv.to_hex h;
   }

@@ -1,8 +1,7 @@
 (** The PLATINUM kernel on the sharded engine: domain-parallel coherence
     simulation with GB-scale address spaces.
 
-    Where {!Scale} decomposes {e synthetic} workloads into messages, this
-    module runs the kernel simulation itself under
+    This module runs the kernel simulation itself under
     {!Platinum_sim.Shard.host}: one complete {!Platinum_kernel.Kernel} per
     node (a one-processor run-queue slice of the shared machine), threads
     programming against the ordinary {!Platinum_kernel.Api}, and a
@@ -31,9 +30,11 @@ type workload =
   | Jacobi  (** ring relaxation: neighbor-row replication + own-row shootdowns *)
   | Gauss  (** elimination: pivot-row replication storms (§5.1) *)
   | Rpc_echo  (** request/response over write-at-home message slots *)
-  | Program of (node:int -> row:(int -> int) -> unit)
-      (** every node [i] runs [f ~node:i ~row], where [row r] is the address
-          of the page homed at node [r]; verified trivially *)
+  | Program of (node:int -> row:(int -> int) -> rng:Platinum_sim.Rng.t -> unit)
+      (** every node [i] runs [f ~node:i ~row ~rng], where [row r] is the
+          address of the page homed at node [r] and [rng] is node [i]'s own
+          stream, split from [seed] in node order; verified trivially (the
+          mesh workloads of {!Mesh} are such programs) *)
 
 val workload_name : workload -> string
 val all_workloads : workload list

@@ -14,6 +14,7 @@ module Config = Platinum_machine.Config
 module Machine = Platinum_machine.Machine
 module Inject = Platinum_sim.Inject
 module Rng = Platinum_sim.Rng
+module Fnv = Platinum_sim.Fnv
 module Arrivals = Platinum_sim.Arrivals
 module Hist = Platinum_stats.Hist
 module Runner = Platinum_runner.Runner
@@ -140,8 +141,6 @@ let client_loop gen ~requests ~submit =
 
 let env_check () =
   match Sys.getenv_opt "PLATINUM_CHECK" with Some "1" -> true | _ -> false
-
-let fnv_prime = 0x100000001b3L
 
 let run ?config ?inject ?check ?(coalesce = true) ?(seed = 42L) (p : params) transport =
   let config = match config with Some c -> c | None -> Config.butterfly_plus () in
@@ -319,9 +318,8 @@ let run ?config ?inject ?check ?(coalesce = true) ?(seed = 42L) (p : params) tra
   in
   let c = Coherent.counters setup.Runner.coherent in
   let inj = Machine.inject setup.Runner.machine in
-  let h = ref 0xcbf29ce484222325L in
-  let mixin v = h := Int64.mul (Int64.logxor !h (Int64.of_int v)) fnv_prime in
-  let mixs s = String.iter (fun ch -> mixin (Char.code ch)) s in
+  let h = Fnv.create () in
+  let mixin = Fnv.int h and mixs = Fnv.string h in
   Array.iter
     (fun (row : tenant_row) ->
       mixin row.tenant;
@@ -373,5 +371,5 @@ let run ?config ?inject ?check ?(coalesce = true) ?(seed = 42L) (p : params) tra
     faults = (match inj with None -> 0 | Some i -> Inject.faults_injected i);
     retries = (match inj with None -> 0 | Some i -> Inject.retries i);
     per_tenant;
-    fingerprint = Printf.sprintf "%016Lx" !h;
+    fingerprint = Fnv.to_hex h;
   }

@@ -2,11 +2,10 @@
    engines, grouped into shards and advanced in parallel by OCaml 5
    domains under conservative time-window synchronization.
 
-   Each node is one complete {!Engine.t} — a Scale mesh node, or a whole
-   per-node kernel in Parkernel.  The group installs an {!Engine.router}
-   on every engine, so every [Engine.post] with [dst <> self] — mesh
-   messages, kernel wakeups, protocol messages, block-transfer
-   completions — crosses through a per-(src shard, dst shard) mailbox;
+   Each node is one complete {!Engine.t} — in Parkernel, a whole
+   per-node kernel.  The group installs an {!Engine.router} on every
+   engine, so every [Engine.post] with [dst <> self] — kernel wakeups,
+   protocol messages, block-transfer completions — crosses through a per-(src shard, dst shard) mailbox;
    self-posts stay engine-local.
 
    Determinism contract — byte-identical output at ANY shard count and ANY

@@ -6,13 +6,12 @@
     per-node engines (node [i] is [engines.(i)]) into [shards] shards and
     installs an {!Engine.router} on every one of them — this is the one
     place in the system that installs routers, and it owns the engines
-    until {!run_hosted} returns.  A node may be a message-level mesh node
-    (the [Scale] workloads) or carry a complete kernel simulation with
-    its own run-queue slice, coherence partition and fault sub-plane
-    ([Parkernel]); either way every [Engine.post ~dst] with [dst]
-    different from the posting node — mesh messages, kernel wakeups and
-    migrations, invalidation IPIs, copy-block transfers, RPC, remote
-    reads — draws a key [(time, src_node, src_seq)] from the node's
+    until {!run_hosted} returns.  A node typically carries a complete
+    kernel simulation with its own run-queue slice, coherence partition
+    and fault sub-plane ([Parkernel]); every [Engine.post ~dst] with
+    [dst] different from the posting node — kernel wakeups and
+    migrations, invalidation IPIs, copy-block transfers, request
+    retransmissions, remote reads — draws a key [(time, src_node, src_seq)] from the node's
     single-writer counter and crosses through a per-(shard, shard)
     mailbox; self-posts stay engine-local.
 

@@ -7,6 +7,8 @@
    [record] a pure index computation (no allocation, no branching on
    capacity) and makes [merge] a bucket-wise sum. *)
 
+module Fnv = Platinum_sim.Fnv
+
 type t = {
   precision : int;  (* p: sub-bucket bits *)
   sub : int;  (* 2^p *)
@@ -122,11 +124,9 @@ let clear t =
   t.min_v <- max_int;
   t.max_v <- 0
 
-let fnv_prime = 0x100000001b3L
-
 let fingerprint t =
-  let h = ref 0xcbf29ce484222325L in
-  let mixin v = h := Int64.mul (Int64.logxor !h (Int64.of_int v)) fnv_prime in
+  let h = Fnv.create () in
+  let mixin = Fnv.int h in
   mixin t.precision;
   mixin t.count;
   mixin t.total;
@@ -139,7 +139,7 @@ let fingerprint t =
         mixin c
       end)
     t.counts;
-  Printf.sprintf "%016Lx" !h
+  Fnv.to_hex h
 
 let pp ppf t =
   Format.fprintf ppf "n=%d mean=%.0f p50=%d p95=%d p99=%d p99.9=%d max=%d" t.count (mean t)

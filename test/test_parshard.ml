@@ -1,20 +1,24 @@
-(* The sharded event engine (Sim.Shard) and the workloads hosted on it:
-   the message-level mesh (Platinum_scale.Scale) and per-node kernels
-   (Platinum_scale.Parkernel), both one Engine.t per node under the same
-   window loop.
+(* The sharded event engine (Sim.Shard) and the hosted kernel on it
+   (Platinum_scale.Parkernel): one complete Kernel.t per node, one
+   Engine.t each, under the hosted window loop.
 
    The load-bearing contract: a sharded run is a pure function of the
    workload parameters — the shard count and domain count never change a
    single byte of the result.  We pin that by fingerprint across a
-   shards x domains grid, for all four mesh workloads, with the window
-   self-checks armed, and again with the fault plane injecting at 2%
-   (so the IPI-retry and RPC-retransmission recovery paths are inside the
-   determinism envelope, not outside it). *)
+   shards x domains grid, for the mesh workloads (Platinum_scale.Mesh's
+   traffic, storm and serve programs, and Parkernel's rpc_echo) and the
+   kernel workloads, with the window self-checks armed, and again with
+   the fault plane injecting at 2% (so the IPI-retry and
+   request-retransmission recovery paths are inside the determinism
+   envelope, not outside it).  Every cell must also pass its host oracle;
+   for serve that is the rmw atomicity check at the servers. *)
 
 module Shard = Platinum_sim.Shard
 module Engine = Platinum_sim.Engine
 module Config = Platinum_machine.Config
-module Scale = Platinum_scale.Scale
+module Parkernel = Platinum_scale.Parkernel
+module Mesh = Platinum_scale.Mesh
+module Api = Platinum_kernel.Api
 
 (* Grids kept modest: the full matrix runs under alcotest Quick. *)
 let shard_counts = [ 1; 2; 8 ]
@@ -174,22 +178,39 @@ let test_hosted_daemon_does_not_keep_alive () =
 
 (* --- byte-identical fingerprints across the grid --- *)
 
-let fingerprint_grid ?(inject_rate = 0.0) ~check workload =
+(* The mesh cells: the three Mesh programs, plus Parkernel's echo. *)
+let mesh_workloads =
+  let mesh w =
+    ( Mesh.workload_name w,
+      fun ~check ~shards ~domains ~inject_rate ~ops ->
+        (Mesh.run ~check ~shards ~domains ~inject_rate ~seed:7L ~ops_per_node:ops ~config:small
+           w)
+          .Mesh.run )
+  in
+  [
+    mesh Mesh.Traffic;
+    mesh Mesh.Storm;
+    ( "rpc_echo",
+      fun ~check ~shards ~domains ~inject_rate ~ops ->
+        Parkernel.run ~check ~shards ~domains ~inject_rate ~seed:7L ~ops_per_node:ops
+          ~config:small Parkernel.Rpc_echo );
+    mesh Mesh.Serve;
+  ]
+
+let fingerprint_grid ?(inject_rate = 0.0) ~check run =
   List.concat_map
     (fun shards ->
       List.map
         (fun domains ->
-          let r =
-            Scale.run ~check ~shards ~domains ~inject_rate ~seed:7L
-              ~ops_per_node:30 ~config:small workload
-          in
+          let r = run ~check ~shards ~domains ~inject_rate ~ops:30 in
+          let name = cell r.Parkernel.workload ~shards ~domains in
           Alcotest.(check bool)
-            (Printf.sprintf "%s s=%d d=%d made progress" r.Scale.workload shards
-               domains)
+            (name ^ " made progress")
             true
-            (r.Scale.events > 0 && r.Scale.clock > 0);
-          Printf.sprintf "%s events=%d windows=%d clock=%d fp=%s" r.Scale.workload
-            r.Scale.events r.Scale.windows r.Scale.clock r.Scale.fingerprint)
+            (r.Parkernel.events > 0 && r.Parkernel.clock > 0);
+          Alcotest.(check bool) (name ^ " verified against the oracle") true r.Parkernel.verified;
+          Printf.sprintf "%s events=%d windows=%d clock=%d fp=%s" r.Parkernel.workload
+            r.Parkernel.events r.Parkernel.windows r.Parkernel.clock r.Parkernel.fingerprint)
         domain_counts)
     shard_counts
 
@@ -202,51 +223,66 @@ let check_grid_identical name lines =
       (List.map (fun _ -> baseline) lines)
       lines
 
-let test_workload_deterministic workload () =
+let test_workload_deterministic run () =
   (* check:true = the PLATINUM_CHECK window monitors are armed in every
      cell; a violation raises and fails the test. *)
-  fingerprint_grid ~check:true workload
+  fingerprint_grid ~check:true run
   |> check_grid_identical "fingerprint identical across shards x domains"
 
-let test_workload_deterministic_injected workload () =
-  fingerprint_grid ~check:true ~inject_rate:0.02 workload
+let test_workload_deterministic_injected run () =
+  fingerprint_grid ~check:true ~inject_rate:0.02 run
   |> check_grid_identical "fingerprint identical under 2% fault injection"
+
+let mesh_run name = List.assoc name mesh_workloads
 
 let test_injection_exercises_recovery () =
   (* At 2% over enough ops the adversary must actually fire — otherwise
      the injected grid above degenerates to the clean one. *)
-  let storm =
-    Scale.run ~inject_rate:0.02 ~seed:7L ~ops_per_node:60 ~config:small
-      Scale.Storm
-  in
-  Alcotest.(check bool) "storm faults injected" true (storm.Scale.faults > 0);
-  Alcotest.(check bool) "shootdown retries taken" true (storm.Scale.retries > 0);
-  let echo =
-    Scale.run ~inject_rate:0.02 ~seed:7L ~ops_per_node:60 ~config:small
-      Scale.Echo
-  in
-  Alcotest.(check bool) "rpc retransmissions taken" true (echo.Scale.retries > 0)
+  let run name = mesh_run name ~check:false ~shards:1 ~domains:1 ~inject_rate:0.02 ~ops:60 in
+  let storm = run "storm" in
+  Alcotest.(check bool) "storm faults injected" true (storm.Parkernel.faults > 0);
+  Alcotest.(check bool) "shootdown retries taken" true (storm.Parkernel.retries > 0);
+  let echo = run "rpc_echo" in
+  Alcotest.(check bool) "echo retransmissions taken" true (echo.Parkernel.retries > 0);
+  let serve = run "serve" in
+  Alcotest.(check bool) "serve retransmissions taken" true (serve.Parkernel.retries > 0);
+  Alcotest.(check bool) "serve rmws atomic under injection" true serve.Parkernel.verified
 
 let test_clean_vs_injected_differ () =
-  let fp rate =
-    (Scale.run ~inject_rate:rate ~seed:7L ~ops_per_node:30 ~config:small
-       Scale.Storm)
-      .Scale.fingerprint
+  let fp inject_rate =
+    (mesh_run "storm" ~check:false ~shards:1 ~domains:1 ~inject_rate ~ops:30)
+      .Parkernel.fingerprint
   in
   Alcotest.(check bool) "2% injection perturbs the run" true (fp 0.0 <> fp 0.02)
 
-let test_hierarchical_topology_visible () =
-  (* On a clustered machine some traffic must cross the fabric, and the
-     cross surcharge must show up against a flat machine of equal size. *)
-  let r = Scale.run ~seed:7L ~ops_per_node:30 ~config:small Scale.Traffic in
-  Alcotest.(check bool) "cross-fabric accesses occurred" true (r.Scale.cross > 0);
-  Alcotest.(check bool) "remote accesses occurred" true
-    (r.Scale.remote > r.Scale.cross);
-  let flat = Config.hierarchical ~cluster_size:24 ~nodes:24 () in
-  let rf = Scale.run ~seed:7L ~ops_per_node:30 ~config:flat Scale.Traffic in
-  Alcotest.(check int) "flat machine sees no cross traffic" 0 rf.Scale.cross;
-  Alcotest.(check bool) "cross surcharge raises mean latency" true
-    (r.Scale.avg_latency_ns > rf.Scale.avg_latency_ns)
+(* Node 0 reads one word of an intra-cluster row (node 1's) and then of a
+   cross-cluster row (node 4's), nothing else running.  Each first read
+   fetches a page copy: the request pays the cross surcharge on one word
+   and the copy on every word of the page. *)
+let first_read_costs config =
+  let costs = ref [] in
+  let program ~node ~row ~rng:_ =
+    if node = 0 then
+      costs :=
+        List.map
+          (fun home ->
+            let t0 = Api.now () in
+            ignore (Api.read (row home));
+            Api.now () - t0)
+          [ 1; 4 ]
+  in
+  ignore (Parkernel.run ~check:true ~config (Parkernel.Program program));
+  match !costs with [ intra; cross ] -> (intra, cross) | _ -> Alcotest.fail "node 0 did not run"
+
+let test_hierarchical_topology_exact () =
+  let hier = Config.hierarchical ~cluster_size:4 ~nodes:8 () in
+  let intra, cross = first_read_costs hier in
+  Alcotest.(check int) "cross - intra = (page_words + 1) x t_cross_read_extra"
+    ((hier.Config.page_words + 1) * hier.Config.t_cross_read_extra)
+    (cross - intra);
+  let flat_intra, flat_cross = first_read_costs (Config.hierarchical ~cluster_size:8 ~nodes:8 ()) in
+  Alcotest.(check int) "flat machine: both reads cost the same" flat_intra flat_cross;
+  Alcotest.(check int) "flat machine: the intra-cluster read is unchanged" intra flat_intra
 
 (* --- the hosted kernel: full per-node kernel simulations under Shard ---
 
@@ -257,8 +293,6 @@ let test_hierarchical_topology_visible () =
    across the same shards x domains grid, clean and at 2% injection, with
    the window monitors armed (shard-local sweeps: each node's state is
    touched only by its own engine's events). *)
-
-module Parkernel = Platinum_scale.Parkernel
 
 let kernel_config = Config.hierarchical ~cluster_size:4 ~nodes:8 ()
 
@@ -336,17 +370,15 @@ let test_kernel_gb_span_sparse () =
   Alcotest.(check bool) (Printf.sprintf "setup under 100ms (%.1f)" setup_ms) true (setup_ms < 100.)
 
 let suite =
-  let det w =
-    ( Printf.sprintf "golden: %s fingerprint across shards x domains"
-        (Scale.workload_name w),
+  let det (name, run) =
+    ( Printf.sprintf "golden: %s fingerprint across shards x domains" name,
       `Quick,
-      test_workload_deterministic w )
+      test_workload_deterministic run )
   in
-  let det_inj w =
-    ( Printf.sprintf "golden: %s fingerprint under 2%% injection"
-        (Scale.workload_name w),
+  let det_inj (name, run) =
+    ( Printf.sprintf "golden: %s fingerprint under 2%% injection" name,
       `Quick,
-      test_workload_deterministic_injected w )
+      test_workload_deterministic_injected run )
   in
   [
     ("shard: basics", `Quick, test_shard_basics);
@@ -360,12 +392,13 @@ let suite =
     ("hosted: a daemon fires but does not keep the run alive", `Quick,
       test_hosted_daemon_does_not_keep_alive);
   ]
-  @ List.map det Scale.all_workloads
-  @ List.map det_inj Scale.all_workloads
+  @ List.map det mesh_workloads
+  @ List.map det_inj mesh_workloads
   @ [
       ("scale: injection exercises recovery", `Quick, test_injection_exercises_recovery);
       ("scale: injection perturbs the run", `Quick, test_clean_vs_injected_differ);
-      ("scale: topology visible in traffic", `Quick, test_hierarchical_topology_visible);
+      ("scale: first cross-cluster read costs (page_words + 1) x extra", `Quick,
+        test_hierarchical_topology_exact);
     ]
   @ List.map
       (fun w ->

@@ -19,7 +19,8 @@ module Rpc = Platinum_kernel.Rpc
 module Fastpath = Platinum_kernel.Fastpath
 module Serve = Platinum_serve.Serve
 module Ring = Platinum_serve.Ring
-module Scale = Platinum_scale.Scale
+module Mesh = Platinum_scale.Mesh
+module Parkernel = Platinum_scale.Parkernel
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -422,9 +423,9 @@ let test_serve_completes_and_measures () =
         && r.Serve.p999_ns <= Hist.max_value r.Serve.hist))
     Serve.all_transports
 
-(* The sharded-mesh variant across -j(domains) {1,4} x shards {1,4}, clean
+(* The mesh serve program across -j(domains) {1,4} x shards {1,4}, clean
    and injected — the grid the issue pins, on top of test_parshard's wider
-   sweep over every workload. *)
+   sweep over every workload.  Every cell must also pass the rmw oracle. *)
 let test_mesh_grid_identical () =
   let config = Config.hierarchical ~cluster_size:8 ~nodes:32 () in
   List.iter
@@ -435,9 +436,16 @@ let test_mesh_grid_identical () =
       let fps =
         List.map
           (fun (shards, domains) ->
-            (Scale.run ~check:true ~shards ~domains ~inject_rate ~seed:13L
-               ~ops_per_node:20 ~config Scale.Serve)
-              .Scale.fingerprint)
+            let r =
+              (Mesh.run ~check:true ~shards ~domains ~inject_rate ~seed:13L ~ops_per_node:20
+                 ~config Mesh.Serve)
+                .Mesh.run
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "mesh serve rmws atomic at rate %.2f, s=%d d=%d" inject_rate
+                 shards domains)
+              true r.Parkernel.verified;
+            r.Parkernel.fingerprint)
           cells
       in
       List.iter

@@ -5,6 +5,7 @@ module Eheap = Platinum_sim.Eheap
 module Engine = Platinum_sim.Engine
 module Rng = Platinum_sim.Rng
 module Time_ns = Platinum_sim.Time_ns
+module Fnv = Platinum_sim.Fnv
 
 module IH = Heap.Make (Int)
 
@@ -490,6 +491,27 @@ let test_rng_float_bounds () =
     Alcotest.(check bool) "in range" true (v >= 0.0 && v < 2.5)
   done
 
+(* --- Fnv --- *)
+
+(* Byte strings fold to the published 64-bit FNV-1a vectors, and an int
+   folds exactly as the Int64 xor-multiply every pinned fingerprint used. *)
+let test_fnv_vectors () =
+  let hex s =
+    let h = Fnv.create () in
+    Fnv.string h s;
+    Fnv.to_hex h
+  in
+  Alcotest.(check string) "empty" "cbf29ce484222325" (hex "");
+  Alcotest.(check string) "a" "af63dc4c8601ec8c" (hex "a");
+  Alcotest.(check string) "foobar" "85944171f73967e8" (hex "foobar");
+  let h = Fnv.create () in
+  List.iter (Fnv.int h) [ -1; max_int; 42 ];
+  let r = ref 0xcbf29ce484222325L in
+  List.iter
+    (fun v -> r := Int64.mul (Int64.logxor !r (Int64.of_int v)) 0x100000001b3L)
+    [ -1; max_int; 42 ];
+  Alcotest.(check string) "ints" (Printf.sprintf "%016Lx" !r) (Fnv.to_hex h)
+
 (* --- Time --- *)
 
 let test_time_units () =
@@ -545,6 +567,7 @@ let suite =
     qtest prop_rng_int_in;
     qtest prop_rng_shuffle_permutes;
     ("rng: float bounds", `Quick, test_rng_float_bounds);
+    ("fnv: FNV-1a vectors and the int fold", `Quick, test_fnv_vectors);
     ("time: units", `Quick, test_time_units);
     ("time: pretty printing", `Quick, test_time_pp);
   ]

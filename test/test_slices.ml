@@ -175,7 +175,9 @@ let on_uma ~slices ops =
    row. *)
 let on_parkernel ~slices ops =
   let logs = Array.init 8 (fun _ -> ref []) in
-  let program ~node ~row = if node = 0 || node = 3 then run_ops ~slices ~base:row ops logs.(node) in
+  let program ~node ~row ~rng:_ =
+    if node = 0 || node = 3 then run_ops ~slices ~base:row ops logs.(node)
+  in
   let config = Config.hierarchical ~cluster_size:4 ~page_words ~nodes:8 () in
   ignore (Parkernel.run ~check:true ~width:page_words ~config (Parkernel.Program program));
   Array.to_list (Array.map (fun l -> List.rev !l) logs)
