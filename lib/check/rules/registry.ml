@@ -52,8 +52,8 @@ let gate_epoch units =
       (Rule_epoch.rule.run mutated)
 
 let gate_settle units =
-  let wrapped = "settle t th (fun () -> complete t th k () (max ns 0))" in
-  let bare = "complete t th k () (max ns 0)" in
+  let wrapped = "settle t th compute_op k ns" in
+  let bare = "compute_op t th k ns" in
   match
     mutate_unit units ~base:"kernel.ml"
       ~f:(replace ~anchor:"Eff.Compute" ~needle:wrapped ~repl:bare)

@@ -17,6 +17,7 @@ let create ~proc =
 
 let proc t = t.atc_proc
 let active_aspace t = if t.aspace < 0 then None else Some t.aspace
+let is_active t ~aspace = aspace >= 0 && t.aspace = aspace
 
 let clear_last t =
   t.last_vpage <- -1;

@@ -15,6 +15,9 @@ val proc : t -> int
 
 val active_aspace : t -> int option
 
+val is_active : t -> aspace:int -> bool
+(** [active_aspace t = Some aspace], without allocating the option. *)
+
 val activate : t -> aspace:int -> bool
 (** Make [aspace] current.  Returns [true] (and flushes) when this changed
     the active space. *)

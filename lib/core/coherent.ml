@@ -75,7 +75,9 @@ let check_faults t =
       (* Directory frames must be owned by this page. *)
       Cpage.iter_copies
         (fun f ->
-          if Frame.owner f <> Some page.Cpage.id then
+          match Frame.owner f with
+          | Some o when o = page.Cpage.id -> ()
+          | _ ->
             fail ~cpage:page.Cpage.id ~inv:"directory-ownership" ~cite:"§2.3"
               "directory frame on module %d not owned by this page" (Frame.mem_module f))
         page;

@@ -99,7 +99,7 @@ let local_copy t m =
    A top-level tail recursion over the slot index (no closure, no ref
    cells, no allocation) — this sits on the cachability test of the read
    hit path and the zero-alloc lint holds it there. *)
-let rec best_slot seq m best best_seq =
+let rec best_slot (seq : int array) m best (best_seq : int) =
   if m >= Array.length seq then best
   else if Array.unsafe_get seq m > best_seq then
     best_slot seq (m + 1) m (Array.unsafe_get seq m)

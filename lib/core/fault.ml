@@ -82,7 +82,7 @@ let handle ctx ~now ~proc ~cmap ~vpage ~write =
     let entry = Pmap.install pmap ~vpage ~frame ~write_ok in
     centry.Cmap.refmask <- Procset.add proc centry.Cmap.refmask;
     let atc = ctx.atcs.(proc) in
-    if Atc.active_aspace atc = Some (Cmap.aspace cmap) then Atc.load atc ~vpage entry;
+    if Atc.is_active atc ~aspace:(Cmap.aspace cmap) then Atc.load atc ~vpage entry;
     if write_ok then page.Cpage.write_mapped <- true;
     Cpage.sync_state page;
     entry

@@ -204,21 +204,24 @@ and finish_thread t th =
   th.joiners <- [];
   dispatch t th.proc
 
-(* Complete an operation of [lat] ns for the current thread: charge any
-   pending interrupt penalty, extend the processor busy horizon, and
-   resume — immediately for zero-cost operations, via the event queue
-   otherwise.  Preemption happens only at operation boundaries. *)
-and finish_op : t -> thread -> lat:int -> (unit -> unit) -> unit =
- fun t th ~lat resume ->
-  let now = Engine.now t.engine in
-  let penalty = Machine.take_penalty t.machine ~proc:th.proc in
-  let total = lat + penalty in
-  Machine.set_proc_busy_until t.machine ~proc:th.proc (now + total);
+(* Charge an operation of [lat] ns to the current thread: add any pending
+   interrupt penalty, extend the processor busy horizon and the quantum.
+   Returns the total charged. *)
+and charge t th ~lat =
+  let total = lat + Machine.take_penalty t.machine ~proc:th.proc in
+  Machine.set_proc_busy_until t.machine ~proc:th.proc (Engine.now t.engine + total);
   th.quantum_used <- th.quantum_used + total;
-  if
-    th.quantum_used >= (config t).Config.quantum_ns
-    && not (Queue.is_empty (runq t th.proc))
-  then begin
+  total
+
+(* Preemption happens only at operation boundaries, and only when another
+   thread waits for the processor. *)
+and preempted t th =
+  th.quantum_used >= (config t).Config.quantum_ns && not (Queue.is_empty (runq t th.proc))
+
+(* Resume the current thread after a charge of [total] ns — immediately
+   for zero-cost operations, via the event queue otherwise. *)
+and resume_after t th total resume =
+  if preempted t th then begin
     th.state <- Runnable;
     th.resume <- Some resume;
     Engine.schedule_after t.engine ~delay:total (fun () ->
@@ -228,22 +231,37 @@ and finish_op : t -> thread -> lat:int -> (unit -> unit) -> unit =
   else if total = 0 then resume ()
   else Engine.schedule_after t.engine ~delay:total resume
 
+(* Complete an operation of [lat] ns by resuming the fiber with [v].  A
+   zero charge with no preemption resumes inline, with no resume
+   closure. *)
 and complete : type a. t -> thread -> (a, unit) Effect.Deep.continuation -> a -> int -> unit =
  fun t th k v lat ->
-  finish_op t th ~lat (fun () ->
-      arm t th;
-      Effect.Deep.continue k v)
+  let total = charge t th ~lat in
+  if total = 0 && not (preempted t th) then begin
+    arm t th;
+    Effect.Deep.continue k v
+  end
+  else
+    resume_after t th total (fun () ->
+        arm t th;
+        Effect.Deep.continue k v)
 
-(* Close the coalescing window before handling a real suspension: if the
-   thread drained a run of inline hits since it was last armed, charge
-   the accumulated cost as one batched operation — exactly what a Block
-   descriptor covering the same words would pay — and only then perform
-   the pending kernel work, at engine time [base + acc].  An empty run
-   costs one branch and falls straight through. *)
-and settle : t -> thread -> (unit -> unit) -> unit =
- fun t th pending ->
+(* Close the coalescing window before handling a real suspension, then
+   perform the pending kernel work [op t th x y]: if the thread drained a
+   run of inline hits since it was last armed, charge the accumulated
+   cost as one batched operation — exactly what a Block descriptor
+   covering the same words would pay — and only then run [op], at engine
+   time [base + acc].  [op] is a top-level function, so an empty run
+   costs one branch and allocates nothing; only a deferred [op] needs a
+   closure. *)
+and settle : type a b. t -> thread -> (t -> thread -> a -> b -> unit) -> a -> b -> unit =
+ fun t th op x y ->
   let acc = Fastpath.close (Fastpath.ctx ()) in
-  if acc = 0 then pending () else finish_op t th ~lat:acc pending
+  if acc = 0 then op t th x y
+  else resume_after t th (charge t th ~lat:acc) (fun () -> op t th x y)
+
+(* The [settle] op for handler code that needs a closure anyway. *)
+and call : t -> thread -> unit -> (unit -> unit) -> unit = fun _ _ () f -> f ()
 
 (* Run an operation that may raise (a protection or address-space error,
    an unknown port, ...): the exception is delivered back into the
@@ -255,6 +273,66 @@ and run_op : type a. t -> thread -> (a, unit) Effect.Deep.continuation -> (unit 
   match f () with
   | v, lat -> complete t th k v lat
   | exception e -> Effect.Deep.discontinue k e
+
+and reply : type a. t -> thread -> (a, unit) Effect.Deep.continuation -> a -> unit =
+ fun t th k v -> complete t th k v 0
+
+and now_op t th k () = complete t th k (Engine.now t.engine) 0
+and compute_op t th k ns = complete t th k () (max ns 0)
+
+(* The whole memory hot path: one trap, one backend submit — reached only
+   when the coalescer declined the access, so [settle] has already
+   charged any drained run and the submit runs at the batched-charge
+   horizon.
+
+   A distributed backend (Memsys.remote, DESIGN.md §4j) may adopt the
+   transaction instead: the thread blocks, protocol messages do their
+   round trips on the engine, and the completion callback wakes it with
+   the result — the latency is implicit in when that wake fires, so
+   nothing further is charged here. *)
+and access_op t th k txn =
+  match t.memsys.Memsys.remote with
+  | Some r ->
+    let adopted =
+      r.Memsys.try_remote ~now:(Engine.now t.engine) ~proc:th.proc ~aspace:th.aspace txn
+        ~complete:(fun res ->
+          park t th k res;
+          wake t th)
+    in
+    if adopted then begin
+      (* Blocked with no resume until [complete] supplies one: nothing
+         dispatches this thread before that [wake]. *)
+      th.state <- Blocked;
+      dispatch t th.proc
+    end
+    else submit_op t th k txn
+  | None -> submit_op t th k txn
+
+and submit_op t th k txn =
+  match
+    t.memsys.Memsys.submit ~now:(Engine.now t.engine) ~proc:th.proc ~aspace:th.aspace txn
+  with
+  | v, lat -> complete t th k v lat
+  | exception e -> Effect.Deep.discontinue k e
+
+(* A timed wait: the thread blocks, the processor moves on, and a deferred
+   engine event re-wakes it — timer plumbing rather than application
+   work, so it never consumes a run [?limit] budget. *)
+and sleep_op t th k ns =
+  th.state <- Blocked;
+  park t th k ();
+  Engine.schedule_after t.engine ~deferred:true ~delay:(max ns 0) (fun () -> wake t th);
+  dispatch t th.proc
+
+(* Store the fiber's resumption: the next dispatch of [th] re-arms it and
+   continues [k] with [v]. *)
+and park : type a. t -> thread -> (a, unit) Effect.Deep.continuation -> a -> unit =
+ fun t th k v ->
+  th.resume <-
+    Some
+      (fun () ->
+        arm t th;
+        Effect.Deep.continue k v)
 
 (* Block the current thread on [k]; its processor moves on. *)
 and block : type a. t -> thread -> (a, unit) Effect.Deep.continuation -> a Lazy.t -> unit =
@@ -274,75 +352,39 @@ and start_fiber t th =
   arm t th;
   match_with th.body ()
     {
-      retc = (fun () -> settle t th (fun () -> finish_thread t th));
+      retc = (fun () -> settle t th call () (fun () -> finish_thread t th));
       exnc =
         (fun e ->
-          settle t th (fun () ->
+          settle t th call () (fun () ->
               if t.failure = None then t.failure <- Some e;
               finish_thread t th));
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
           | Eff.Access_txn txn ->
-            (* The whole memory hot path: one trap, one backend submit —
-               reached only when the coalescer declined the access, so
-               [settle] first charges any drained run, then the submit
-               runs at the batched-charge horizon.
-
-               A distributed backend (Memsys.remote, DESIGN.md §4j) may
-               adopt the transaction instead: the thread blocks, protocol
-               messages do their round trips on the engine, and the
-               completion callback wakes it with the result — the latency
-               is implicit in when that wake fires, so nothing further is
-               charged here. *)
-            Some
-              (fun (k : (a, _) continuation) ->
-                settle t th (fun () ->
-                    let sync () =
-                      run_op t th k (fun () ->
-                          t.memsys.Memsys.submit ~now:(Engine.now t.engine) ~proc:th.proc
-                            ~aspace:th.aspace txn)
-                    in
-                    match t.memsys.Memsys.remote with
-                    | None -> sync ()
-                    | Some r ->
-                      let slot = ref Platinum_core.Memtxn.Unit in
-                      let adopted =
-                        r.Memsys.try_remote ~now:(Engine.now t.engine) ~proc:th.proc
-                          ~aspace:th.aspace txn
-                          ~complete:(fun res ->
-                            slot := res;
-                            wake t th)
-                      in
-                      if adopted then block t th k (lazy !slot) else sync ()))
-          | Eff.Compute ns ->
-            Some (fun k -> settle t th (fun () -> complete t th k () (max ns 0)))
+            Some (fun (k : (a, _) continuation) -> settle t th access_op k txn)
+          | Eff.Compute ns -> Some (fun k -> settle t th compute_op k ns)
           | Eff.Yield ->
             Some
               (fun k ->
-                settle t th (fun () ->
+                settle t th call () (fun () ->
                     th.state <- Runnable;
-                    th.resume <-
-                      Some
-                        (fun () ->
-                          arm t th;
-                          continue k ());
+                    park t th k ();
                     Queue.add th.tid (runq t th.proc);
                     dispatch t th.proc))
           | Eff.Spawn (body, hint, aspace_hint) ->
             Some
               (fun k ->
-                settle t th (fun () ->
-                    run_op t th k (fun () ->
-                        let proc = place t hint in
-                        let aspace = Option.value aspace_hint ~default:th.aspace in
-                        let child = make_thread t ~proc ~aspace body in
-                        wake_fresh ~src:th.proc t child;
-                        (child.tid, (config t).Config.thread_spawn_ns))))
+                settle t th run_op k (fun () ->
+                    let proc = place t hint in
+                    let aspace = Option.value aspace_hint ~default:th.aspace in
+                    let child = make_thread t ~proc ~aspace body in
+                    wake_fresh ~src:th.proc t child;
+                    (child.tid, (config t).Config.thread_spawn_ns)))
           | Eff.Join tid ->
             Some
               (fun k ->
-                settle t th (fun () ->
+                settle t th call () (fun () ->
                     match thread t tid with
                     | exception e -> Effect.Deep.discontinue k e
                     | target ->
@@ -354,7 +396,7 @@ and start_fiber t th =
           | Eff.Migrate proc ->
             Some
               (fun k ->
-                settle t th (fun () ->
+                settle t th call () (fun () ->
                     if not (in_slice t proc) then
                       Effect.Deep.discontinue k
                         (Invalid_argument (Printf.sprintf "migrate: no processor %d" proc))
@@ -370,11 +412,7 @@ and start_fiber t th =
                       (* The thread leaves this processor; resume it on the new
                          one and let this one schedule other work. *)
                       th.state <- Runnable;
-                      th.resume <-
-                        Some
-                          (fun () ->
-                            arm t th;
-                            continue k ());
+                      park t th k ();
                       let old = from_proc in
                       th.proc <- proc;
                       (* The migration itself is cross-node traffic: the thread
@@ -387,14 +425,13 @@ and start_fiber t th =
                           end);
                       dispatch t old
                     end))
-          | Eff.Self -> Some (fun k -> settle t th (fun () -> complete t th k th.tid 0))
-          | Eff.My_proc -> Some (fun k -> settle t th (fun () -> complete t th k th.proc 0))
-          | Eff.Now ->
-            Some (fun k -> settle t th (fun () -> complete t th k (Engine.now t.engine) 0))
+          | Eff.Self -> Some (fun k -> settle t th reply k th.tid)
+          | Eff.My_proc -> Some (fun k -> settle t th reply k th.proc)
+          | Eff.Now -> Some (fun k -> settle t th now_op k ())
           | Eff.New_port ->
             Some
               (fun k ->
-                settle t th (fun () ->
+                settle t th call () (fun () ->
                     let pid = t.next_pid in
                     t.next_pid <- pid + 1;
                     Hashtbl.replace t.ports pid
@@ -403,7 +440,7 @@ and start_fiber t th =
           | Eff.Port_send (pid, msg) ->
             Some
               (fun k ->
-                settle t th (fun () ->
+                settle t th call () (fun () ->
                     match Hashtbl.find_opt t.ports pid with
                     | None ->
                       Effect.Deep.discontinue k
@@ -421,7 +458,7 @@ and start_fiber t th =
           | Eff.Port_recv pid ->
             Some
               (fun k ->
-                settle t th (fun () ->
+                settle t th call () (fun () ->
                     match Hashtbl.find_opt t.ports pid with
                     | None ->
                       Effect.Deep.discontinue k
@@ -447,67 +484,40 @@ and start_fiber t th =
           | Eff.New_zone (name, pages) ->
             Some
               (fun k ->
-                settle t th (fun () ->
-                    run_op t th k (fun () ->
-                        (t.memsys.Memsys.new_zone ~aspace:th.aspace ~name ~pages, 0))))
+                settle t th run_op k (fun () ->
+                    (t.memsys.Memsys.new_zone ~aspace:th.aspace ~name ~pages, 0)))
           | Eff.Alloc (zone, words, page_aligned) ->
             Some
               (fun k ->
-                settle t th (fun () ->
-                    run_op t th k (fun () ->
-                        (t.memsys.Memsys.alloc ~zone ~words ~page_aligned, 0))))
+                settle t th run_op k (fun () ->
+                    (t.memsys.Memsys.alloc ~zone ~words ~page_aligned, 0)))
           | Eff.Alloc_pages (zone, pages) ->
             Some
               (fun k ->
-                settle t th (fun () ->
-                    run_op t th k (fun () -> (t.memsys.Memsys.alloc_pages ~zone ~pages, 0))))
-          | Eff.Page_words ->
-            Some (fun k -> settle t th (fun () -> complete t th k t.memsys.Memsys.page_words 0))
+                settle t th run_op k (fun () -> (t.memsys.Memsys.alloc_pages ~zone ~pages, 0)))
+          | Eff.Page_words -> Some (fun k -> settle t th reply k t.memsys.Memsys.page_words)
           | Eff.Advise (vaddr, len, advice) ->
             Some
               (fun k ->
-                settle t th (fun () ->
-                    run_op t th k (fun () ->
-                        ( (),
-                          t.memsys.Memsys.advise ~now:(Engine.now t.engine) ~proc:th.proc
-                            ~aspace:th.aspace ~vaddr ~len advice ))))
-          | Eff.My_aspace -> Some (fun k -> settle t th (fun () -> complete t th k th.aspace 0))
+                settle t th run_op k (fun () ->
+                    ( (),
+                      t.memsys.Memsys.advise ~now:(Engine.now t.engine) ~proc:th.proc
+                        ~aspace:th.aspace ~vaddr ~len advice )))
+          | Eff.My_aspace -> Some (fun k -> settle t th reply k th.aspace)
           | Eff.New_aspace ->
-            Some
-              (fun k ->
-                settle t th (fun () ->
-                    run_op t th k (fun () -> (t.memsys.Memsys.new_aspace (), 0))))
+            Some (fun k -> settle t th run_op k (fun () -> (t.memsys.Memsys.new_aspace (), 0)))
           | Eff.New_segment (name, pages) ->
             Some
               (fun k ->
-                settle t th (fun () ->
-                    run_op t th k (fun () -> (t.memsys.Memsys.new_segment ~name ~pages, 0))))
+                settle t th run_op k (fun () -> (t.memsys.Memsys.new_segment ~name ~pages, 0)))
           | Eff.Map_segment segment ->
             Some
               (fun k ->
-                settle t th (fun () ->
-                    run_op t th k (fun () ->
-                        ( t.memsys.Memsys.map_segment ~aspace:th.aspace ~segment,
-                          (config t).Config.vm_fault_ns ))))
-          | Eff.Sleep ns ->
-            Some
-              (fun k ->
-                settle t th (fun () ->
-                    (* A timed wait: the thread blocks, the processor moves on,
-                       and a deferred engine event re-wakes it — timer plumbing
-                       rather than application work, so it never consumes a
-                       run [?limit] budget. *)
-                    th.state <- Blocked;
-                    th.resume <-
-                      Some
-                        (fun () ->
-                          arm t th;
-                          continue k ());
-                    Engine.schedule_after t.engine ~deferred:true ~delay:(max ns 0) (fun () ->
-                        wake t th);
-                    dispatch t th.proc))
-          | Eff.Inject_handle ->
-            Some (fun k -> settle t th (fun () -> complete t th k (Machine.inject t.machine) 0))
+                settle t th run_op k (fun () ->
+                    ( t.memsys.Memsys.map_segment ~aspace:th.aspace ~segment,
+                      (config t).Config.vm_fault_ns )))
+          | Eff.Sleep ns -> Some (fun k -> settle t th sleep_op k ns)
+          | Eff.Inject_handle -> Some (fun k -> settle t th reply k (Machine.inject t.machine))
           | _ -> None)
     }
 

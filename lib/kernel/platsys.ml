@@ -93,13 +93,19 @@ let ensure_bound _t sp ~now ~vpage =
 (* Bind every page a transaction touches before the coherent layer runs,
    each at the time the VM work reaches it.  Memtxn.iter_pages walks pages
    in chunk order with consecutive duplicates elided, which for a
-   contiguous block is exactly the old first..last page loop. *)
+   contiguous block is exactly the old first..last page loop.  A word
+   transaction has one page, bound directly: no closure, ref or chunk
+   record on the trapped word path. *)
 let ensure_txn t sp ~now txn =
   let pw = Coherent.page_words t.coh in
-  let lat = ref 0 in
-  Memtxn.iter_pages ~page_words:pw txn (fun vpage ->
-      lat := !lat + ensure_bound t sp ~now:(now + !lat) ~vpage);
-  !lat
+  match txn with
+  | Memtxn.Read { vaddr } | Write { vaddr; _ } | Rmw { vaddr; _ } ->
+    ensure_bound t sp ~now ~vpage:(vaddr / pw)
+  | _ ->
+    let lat = ref 0 in
+    Memtxn.iter_pages ~page_words:pw txn (fun vpage ->
+        lat := !lat + ensure_bound t sp ~now:(now + !lat) ~vpage);
+    !lat
 
 let memsys t =
   let coh = t.coh in
@@ -108,8 +114,10 @@ let memsys t =
     let sp = space t aspace in
     Memtxn.validate txn;
     let l0 = ensure_txn t sp ~now txn in
-    let result, l = Coherent.submit coh ~now:(now + l0) ~proc ~cmap:sp.cm txn in
-    (result, l0 + l)
+    if l0 = 0 then Coherent.submit coh ~now ~proc ~cmap:sp.cm txn
+    else
+      let result, l = Coherent.submit coh ~now:(now + l0) ~proc ~cmap:sp.cm txn in
+      (result, l0 + l)
   in
   let advise ~now ~proc ~aspace ~vaddr ~len advice =
     let sp = space t aspace in

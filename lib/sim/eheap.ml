@@ -1,7 +1,7 @@
 (* Array-backed binary min-heap on (time, seq) keys.
 
    Packed mode: key = (time lsl seq_bits) lor seq, one immediate int per
-   entry, so sift comparisons are single unboxed compares.  Fallback mode
+   entry, so sift comparisons are single inline int compares.  Fallback mode
    (entered on the first key outside the packed ranges): parallel times[]
    and seqs[] arrays with lexicographic compares.  Both modes implement the
    identical total order, so the migration is invisible to callers. *)
@@ -73,9 +73,12 @@ let spill t =
    sifted key and payload threaded as arguments: a [let i = ref i]
    accumulator would box on every [add]/[pop] (no flambda), and the
    zero-alloc lint holds these to the same standard as the word paths
-   they serve. *)
+   they serve.  The keys are annotated [int] in all four loops: a
+   top-level loop generalises an unannotated key to ['a], and ocamlopt
+   then compiles each compare to a polymorphic C call ([caml_lessthan]),
+   which CI's [nm] step rejects. *)
 
-let rec sift_up_packed_loop keys data i k v =
+let rec sift_up_packed_loop (keys : int array) data i (k : int) v =
   let p = (i - 1) / 2 in
   if i > 0 && keys.(p) > k then begin
     keys.(i) <- keys.(p);
@@ -89,7 +92,7 @@ let rec sift_up_packed_loop keys data i k v =
 
 let sift_up_packed t i = sift_up_packed_loop t.keys t.data i t.keys.(i) t.data.(i)
 
-let rec sift_down_packed_loop keys data n i k v =
+let rec sift_down_packed_loop (keys : int array) data n i (k : int) v =
   let l = (2 * i) + 1 in
   if l >= n then begin
     keys.(i) <- k;
@@ -113,7 +116,7 @@ let sift_down_packed t i =
 
 (* --- fallback-mode sifts: lexicographic (time, seq) --- *)
 
-let rec sift_up_fb_loop times seqs data i tm sq v =
+let rec sift_up_fb_loop (times : int array) (seqs : int array) data i (tm : int) (sq : int) v =
   let p = (i - 1) / 2 in
   if i > 0 && (times.(p) > tm || (times.(p) = tm && seqs.(p) > sq)) then begin
     times.(i) <- times.(p);
@@ -130,7 +133,8 @@ let rec sift_up_fb_loop times seqs data i tm sq v =
 let sift_up_fb t i =
   sift_up_fb_loop t.times t.seqs t.data i t.times.(i) t.seqs.(i) t.data.(i)
 
-let rec sift_down_fb_loop times seqs data n i tm sq v =
+let rec sift_down_fb_loop (times : int array) (seqs : int array) data n i (tm : int) (sq : int)
+    v =
   let l = (2 * i) + 1 in
   if l >= n then begin
     times.(i) <- tm;

@@ -478,6 +478,56 @@ let test_sleep_advances_clock () =
   Alcotest.(check bool) "slept at least 1 ms" true (!t1 - !t0 >= 1_000_000);
   Alcotest.(check bool) "run terminated" true (r.Runner.elapsed >= 1_000_000)
 
+(* Host allocation of the trapped path (DESIGN.md §4g): a word access to
+   a frozen page is never coalesced, so each one is a full effect trap,
+   a kernel dispatch, a Platsys submit and an engine event.  Minor words
+   per operation are deterministic for a given compiler, so the budget is
+   an exact regression bound; [Gc.minor_words] boxes its result, so the
+   cost of one measurement is calibrated out. *)
+let test_trapped_path_allocation () =
+  let n = 1_000 in
+  let words = Hashtbl.create 4 in
+  let measure name op =
+    let c0 = Gc.minor_words () in
+    let c1 = Gc.minor_words () in
+    let w0 = Gc.minor_words () in
+    for i = 1 to n do
+      op i
+    done;
+    let w1 = Gc.minor_words () in
+    Hashtbl.replace words name ((w1 -. w0 -. (c1 -. c0)) /. float_of_int n)
+  in
+  let setup = Runner.make () in
+  Runner.run setup ~main:(fun () ->
+      let buf = Api.alloc ~page_aligned:true (Api.page_words ()) in
+      Api.write buf 0;
+      Api.advise buf 1 Platinum_kernel.Memsys.Freeze;
+      (* The frozen page's one copy stays on module 0; processor 1
+         measures, so every access is remote. *)
+      Api.join
+        (Api.spawn ~proc:1 (fun () ->
+             for _ = 1 to 10 do
+               ignore (Api.rmw buf succ : int)
+             done;
+             measure "read" (fun _ -> ignore (Api.read buf : int));
+             measure "write" (fun i -> Api.write buf i);
+             measure "rmw" (fun _ -> ignore (Api.rmw buf succ : int));
+             measure "now" (fun _ -> ignore (Api.now () : int)))))
+  |> ignore;
+  Alcotest.(check (list int)) "one frozen page, its copy on module 0" [ 0 ]
+    (List.map
+       (fun p -> Platinum_phys.Frame.mem_module (Platinum_core.Cpage.any_copy p))
+       (Platinum_core.Coherent.frozen_pages setup.Runner.coherent));
+  let over =
+    List.filter_map
+      (fun (name, budget) ->
+        let w = Hashtbl.find words name in
+        if w <= budget then None
+        else Some (Printf.sprintf "%s: %.1f minor words per op, budget %.0f" name w budget))
+      [ ("read", 32.); ("write", 32.); ("rmw", 32.); ("now", 12.) ]
+  in
+  Alcotest.(check (list string)) "every op within its budget" [] over
+
 (* Synchronization on an adversarial machine: module stalls/outages delay
    the atomic ops but must never corrupt them. *)
 let test_spinlock_under_injection () =
@@ -533,5 +583,6 @@ let suite =
     ("sync: event count wakes every waiter", `Quick, test_event_count_multiple_waiters);
     ("sync: barrier rejects zero parties", `Quick, test_barrier_invalid_parties);
     ("sync: sleep advances the clock", `Quick, test_sleep_advances_clock);
+    ("kernel: trapped path allocation budget", `Quick, test_trapped_path_allocation);
     ("sync: spinlock correct under fault injection", `Quick, test_spinlock_under_injection);
   ]
