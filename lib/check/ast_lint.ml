@@ -1,11 +1,10 @@
 (* Typed-AST static analysis framework (DESIGN.md §4h): the repo's one
    lint pass.
 
-   The invariants it guards — every coherence-state mutation bumps
-   [fp_epoch], every kernel handler arm settles, hot-path functions stay
-   allocation-free, library code holds no unmarked toplevel mutable
-   state — need scopes, call graphs and precise locations, which only
-   the compiler's own parser provides.  This module is the shared
+   The invariants it guards — every kernel handler arm settles, hot-path
+   functions stay allocation-free, library code holds no unmarked
+   toplevel mutable state — need scopes and precise locations, which
+   only the compiler's own parser provides.  This module is the shared
    plumbing: it reads and parses each compilation unit with
    [Parse.implementation] (compiler-libs), records where every top-level
    structure item lives, scans the raw source for [lint: allow <rule-id>]
@@ -22,7 +21,7 @@
 type finding = {
   file : string;
   line : int;  (** 1-based *)
-  rule : string;  (** rule id, e.g. ["epoch-soundness"] *)
+  rule : string;  (** rule id, e.g. ["zero-alloc"] *)
   name : string;  (** offending function / binding / handler arm *)
   construct : string;  (** what triggered it, e.g. ["field frozen <-"] *)
   detail : string;  (** one human sentence *)
@@ -46,8 +45,8 @@ type rule = {
   rule_id : string;
   rule_doc : string;  (** one line: the invariant the rule protects *)
   run : unit_ list -> finding list;
-      (** whole-program by design: the epoch rule needs the cross-module
-          call graph, the settle rule needs [eff.ml] next to [kernel.ml] *)
+      (** whole-program by design: the settle rule needs [eff.ml] next
+          to [kernel.ml] *)
 }
 
 exception Parse_error of string
@@ -171,15 +170,6 @@ let pp_finding ppf f =
 
 let flatten lid = try String.concat "." (Longident.flatten lid) with _ -> ""
 let last lid = Longident.last lid
-
-(* The last module on a dotted path: [Platinum_core.Coherent.fp_bump] and
-   [Coherent.fp_bump] both resolve to module ["Coherent"] — library
-   wrapping and the repo's alias convention (aliases keep the target's
-   name) collapse to the same answer. *)
-let last_module lid =
-  match (lid : Longident.t) with
-  | Lident _ | Lapply _ -> None
-  | Ldot (path, _) -> ( try Some (Longident.last path) with _ -> None)
 
 (* --- shared expression predicates --- *)
 

@@ -11,7 +11,7 @@
 type finding = {
   file : string;
   line : int;  (** 1-based *)
-  rule : string;  (** rule id, e.g. ["epoch-soundness"] *)
+  rule : string;  (** rule id, e.g. ["zero-alloc"] *)
   name : string;  (** offending function / binding / handler arm *)
   construct : string;  (** what triggered it, e.g. ["field frozen <-"] *)
   detail : string;  (** one human sentence *)
@@ -76,10 +76,6 @@ val flatten : Longident.t -> string
 (** Dotted name, e.g. ["Domain.DLS.new_key"]; [""] for functor paths. *)
 
 val last : Longident.t -> string
-
-val last_module : Longident.t -> string option
-(** Last module on a dotted path: both [Coherent.fp_bump] and
-    [Platinum_core.Coherent.fp_bump] give [Some "Coherent"]. *)
 
 val peel_params : Parsetree.expression -> Parsetree.expression
 val arity_of : Parsetree.expression -> int

@@ -6,7 +6,7 @@
 open Ast_lint
 
 let rules : rule list =
-  [ Rule_epoch.rule; Rule_settle.rule; Rule_alloc.rule; Rule_domain.rule ]
+  [ Rule_settle.rule; Rule_alloc.rule; Rule_domain.rule ]
 
 let run_rules ?(rules = rules) units =
   List.concat_map (fun (r : rule) -> r.run units) rules |> List.sort compare_findings
@@ -18,10 +18,9 @@ let violations findings = List.filter (fun f -> f.allowed = None) findings
    A linter that reports nothing is indistinguishable from a linter that
    checks nothing, so each non-trivial rule is validated against a seeded
    mutation of the real tree (the same discipline the mc experiment
-   applies to the runtime monitor): delete the [fp_bump] from
-   [Coherent.freeze_page], unwrap the [settle] around the kernel's
-   [Compute] arm, and strip the allow marker from the shootdown test
-   knob, in *in-memory* copies of the sources; the rule must report
+   applies to the runtime monitor): unwrap the [settle] around the
+   kernel's [Compute] arm, and strip the allow marker from the shootdown
+   test knob, in *in-memory* copies of the sources; the rule must report
    exactly that site as an unexempted violation.  The surgery anchors on
    exact source substrings and fails loudly when they are missing, so a
    refactor that moves a site breaks the gate rather than silently
@@ -40,16 +39,6 @@ let expect_violation ~rule_ ~name findings =
   | [] ->
     Error
       (Printf.sprintf "rule %s did not report the seeded violation in %s" rule_ name)
-
-let gate_epoch units =
-  match
-    mutate_unit units ~base:"coherent.ml"
-      ~f:(excise ~anchor:"let freeze_page" ~needle:"fp_bump t;")
-  with
-  | Error e -> Error ("mutation failed: " ^ e)
-  | Ok mutated ->
-    expect_violation ~rule_:"epoch-soundness" ~name:"Coherent.freeze_page"
-      (Rule_epoch.rule.run mutated)
 
 let gate_settle units =
   let wrapped = "settle t th compute_op k ns" in
@@ -75,7 +64,6 @@ let gate_domain units =
 
 let mutation_gate units =
   [
-    { g_name = "epoch-soundness catches a deleted fp_bump"; g_result = gate_epoch units };
     { g_name = "settle-coverage catches an unwrapped arm"; g_result = gate_settle units };
     { g_name = "toplevel-state catches a stripped allow marker"; g_result = gate_domain units };
   ]

@@ -35,7 +35,7 @@ let catalogue =
   [
     ( "coherent.ml",
       [
-        "fp_bump"; "fp_epoch"; "fp_page_ok"; "fp_read"; "fp_write"; "fp_rmw";
+        "fp_eligible"; "fp_read"; "fp_write"; "fp_rmw";
         "read_word_s"; "write_word_s"; "rmw_word_s"; "finish_read"; "finish_write";
         "finish_rmw"; "after_write_inline"; "page_of"; "only_holder_maps";
       ] );
@@ -53,7 +53,7 @@ let catalogue =
       ] );
     ( "fastpath.ml",
       [
-        "arm"; "close"; "armed"; "value"; "slot_ok"; "decline"; "vpage_of";
+        "arm"; "close"; "armed"; "value"; "decline"; "accept"; "vpage_of"; "run_open";
         "try_read"; "try_write"; "try_rmw";
       ] );
     ("hist.ml", [ "record"; "record_n"; "index_of"; "bits_above" ]);

@@ -35,10 +35,7 @@ let activate t ~aspace =
     true
   end
 
-(* lint: allow epoch-soundness — teardown entry point with no in-library
-   callers (tests and future kernels drop an ATC wholesale); emptying the
-   ATC can only turn fast-path hits into declines, never admit a stale
-   hit, so no epoch bump is needed for soundness. *)
+(* Teardown: drop the ATC wholesale (no in-library caller). *)
 let deactivate t =
   flush t;
   t.aspace <- -1

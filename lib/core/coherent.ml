@@ -35,12 +35,6 @@ type t = {
   mutable monitor : Check.monitor option;  (* the runtime invariant monitor *)
   scratch : scratch;  (* submit's own result slot for word transactions *)
   txn_scratch : Memtxn.scratch option;  (* pre-wrapped for [?scratch:] passing *)
-  (* Fast-path invalidation epoch (DESIGN.md §4g): bumped whenever any
-     translation, directory state, frozen bit or the monitor changes, so
-     the coalescing layer's cached page probes die.  Coarse by design —
-     correctness only needs "no stale eligibility survives", and these
-     events are all off the hit path. *)
-  mutable fp_epoch : int;
   fp_value : int ref;
       (* result slot for the fp_read/fp_rmw hit cores — a shared cell
          ({!fp_value_cell}) so the coalescer reads it without a call *)
@@ -139,16 +133,6 @@ let checkpoint t ~now =
   | Some m -> (
     match check_faults t with None -> () | Some f -> Check.raise_violation m ~now f)
 
-(* Invalidate every cached fast-path eligibility probe (DESIGN.md §4g).
-   Called from each protocol transition that can change a page's
-   translation, rights, directory state or frozen bit — including the
-   shootdown-bearing paths (unbind, thaw, collapse) and every fault
-   resolution — plus monitor arming, which must force all traffic back
-   onto the monitored full path. *)
-let fp_bump t = t.fp_epoch <- t.fp_epoch + 1
-
-let fp_epoch t = t.fp_epoch
-
 (* A frozen page must have exactly one backing copy (§4.2: "there can only
    be one physical page backing a frozen Cpage").  A replica can slip in
    between an invalidation and the next miss when fault-handling latency
@@ -157,7 +141,6 @@ let fp_epoch t = t.fp_epoch
    mapping is still installed and harmless. *)
 let freeze_page t ~now (page : Cpage.t) =
   if (not page.Cpage.frozen) && Cpage.ncopies page = 1 then begin
-    fp_bump t;
     page.Cpage.frozen <- true;
     page.Cpage.stats.Cpage.freezes <- page.Cpage.stats.Cpage.freezes + 1;
     page.Cpage.stats.Cpage.was_frozen <- true;
@@ -173,7 +156,6 @@ let freeze_page t ~now (page : Cpage.t) =
 
 let thaw_page t ~now (page : Cpage.t) =
   if page.Cpage.frozen then begin
-    fp_bump t;
     page.Cpage.frozen <- false;
     page.Cpage.stats.Cpage.thaws <- page.Cpage.stats.Cpage.thaws + 1;
     t.counters.Counters.thaws <- t.counters.Counters.thaws + 1;
@@ -275,7 +257,6 @@ let create machine ~engine:_ ~policy ?(frames_per_module = 1024) () =
     monitor = (if Check.env_enabled () then Some (Check.create_monitor ()) else None);
     scratch = make_scratch ();
     txn_scratch = Some (Memtxn.make_scratch ());
-    fp_epoch = 0;
     fp_value = ref 0;
   }
 
@@ -301,7 +282,6 @@ let new_cpage t ?home ?label () =
   page
 
 let bind t cm ~vpage page rights =
-  fp_bump t;
   ignore (Cmap.bind cm ~vpage page rights);
   let r =
     match Hashtbl.find_opt t.mappings page.Cpage.id with
@@ -318,7 +298,6 @@ let unbind t ~now cm ~vpage =
   match Cmap.find cm ~vpage with
   | None -> 0
   | Some ce ->
-    fp_bump t;
     let page = ce.Cmap.cpage in
     let r =
       Shootdown.run ?monitor:t.monitor ~machine:t.machine ~counters:t.counters ~atcs:t.atcs
@@ -344,7 +323,6 @@ let unbind t ~now cm ~vpage =
 let activate t ~now:_ ~proc ~aspace =
   if t.active_aspace.(proc) = aspace then 0
   else begin
-    fp_bump t;
     let prev = t.active_aspace.(proc) in
     if prev >= 0 then begin
       match Hashtbl.find_opt t.cmaps prev with
@@ -378,9 +356,6 @@ let translate t ~now ~proc ~cmap:cm ~vpage ~write =
       (match t.monitor with
       | None -> ()
       | Some m -> Check.note m ~now (Check.Request { proc; aspace; vpage; write }));
-      (* Any fault resolution may replicate, migrate, shoot down or
-         freeze: cached fast-path probes are stale. *)
-      fp_bump t;
       let entry, lat = Fault.handle (fault_ctx t) ~now:(now + act) ~proc ~cmap:cm ~vpage ~write in
       checkpoint t ~now:(now + act + lat);
       (entry, act + lat))
@@ -525,43 +500,46 @@ let rmw_word_s t sc ~now ~proc ~cmap:cm ~vaddr f =
 
    Hit-only variants of the [_s] word paths for the effect-boundary
    coalescer: they complete a word access if and only if it is a clean
-   steady-state hit (active aspace, ATC entry, sufficient rights),
-   returning its latency, and return [-1] otherwise — they never
-   translate, never fault, never touch policy state.  A successful call
-   charges exactly what the [_s] path's hit arm charges (the same
-   [finish_*] core at the same [now]), with the value in [fp_value].
+   steady-state hit (active aspace, ATC entry, sufficient rights, monitor
+   disarmed, page not frozen), returning its latency, and return [-1]
+   otherwise — they never translate, never fault, never touch policy
+   state.  A successful call charges exactly what the [_s] path's hit arm
+   charges (the same [finish_*] core at the same [now]), with the value
+   in [fp_value].
 
-   Page-level eligibility (frozen bit, monitor, aspace residency) is
-   checked once per page by [fp_page_ok] and cached by the caller against
-   {!fp_epoch}; the per-word cores still re-verify the ATC hit so a stale
-   cache can only decline, never mis-accept. *)
+   Every condition is read from live state on every word, so the
+   coalescer caches no verdict and nothing needs invalidating: the ATC
+   and the Pmaps, which shootdowns keep exact, stay the only cached
+   copies of translation state. *)
 
-let fp_page_ok t ~proc ~cmap:cm ~vpage ~write =
-  (match t.monitor with None -> true | Some _ -> false)
-  && t.active_aspace.(proc) = Cmap.aspace cm
-  && (match Atc.find t.atcs.(proc) ~aspace:(Cmap.aspace cm) ~vpage with
-     | Some e -> (
-       ((not write) || e.Pmap.write_ok)
-       && match Cmap.find cm ~vpage with
-          | Some ce -> not ce.Cmap.cpage.Cpage.frozen
-          | None -> false)
-     | None -> false)
+(* What the ATC entry does not record: an armed monitor sends all traffic
+   down the monitored full path, and a frozen page is shared through
+   remote mappings of its single copy, so other processors reach it
+   without faulting (§4.2); its words keep the per-word path, where each
+   access happens at its own charged time. *)
+let[@inline] fp_eligible t cm ~vpage =
+  match t.monitor with
+  | Some _ -> false
+  | None -> (
+    match Cmap.find cm ~vpage with
+    | Some ce -> not ce.Cmap.cpage.Cpage.frozen
+    | None -> false)
 
 let fp_read t ~now ~proc ~cmap:cm ~vpage ~vaddr =
   let aspace = Cmap.aspace cm in
   if t.active_aspace.(proc) = aspace then
     match Atc.find t.atcs.(proc) ~aspace ~vpage with
-    | Some e ->
+    | Some e when fp_eligible t cm ~vpage ->
       t.fp_value := finish_read t t.scratch ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e;
       t.scratch.s_latency
-    | None -> -1
+    | _ -> -1
   else -1
 
 let fp_write t ~now ~proc ~cmap:cm ~vpage ~vaddr v =
   let aspace = Cmap.aspace cm in
   if t.active_aspace.(proc) = aspace then
     match Atc.find t.atcs.(proc) ~aspace ~vpage with
-    | Some e when e.Pmap.write_ok ->
+    | Some e when e.Pmap.write_ok && fp_eligible t cm ~vpage ->
       finish_write t t.scratch ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e v;
       t.scratch.s_latency
     | _ -> -1
@@ -571,7 +549,7 @@ let fp_rmw t ~now ~proc ~cmap:cm ~vpage ~vaddr f =
   let aspace = Cmap.aspace cm in
   if t.active_aspace.(proc) = aspace then
     match Atc.find t.atcs.(proc) ~aspace ~vpage with
-    | Some e when e.Pmap.write_ok ->
+    | Some e when e.Pmap.write_ok && fp_eligible t cm ~vpage ->
       t.fp_value := finish_rmw t t.scratch ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e f;
       t.scratch.s_latency
     | _ -> -1
@@ -711,7 +689,6 @@ type advice =
 (* Collapse a page's directory to one copy, preferring module [keep_on]
    (allocating there if needed); shoots down every translation. *)
 let collapse_to t ~now ~proc ~keep_on (page : Cpage.t) =
-  fp_bump t;
   let lat = ref 0 in
   let cfg = config t in
   let chosen =
@@ -797,8 +774,6 @@ let n_cpages t = Hashtbl.length t.cpages
 
 (* --- sanitizer access --- *)
 
-let set_monitor t m =
-  fp_bump t;
-  t.monitor <- m
+let set_monitor t m = t.monitor <- m
 let monitor t = t.monitor
 let atc t ~proc = t.atcs.(proc)

@@ -78,22 +78,13 @@ val rmw_word_s :
 
    Hit-only word accesses for the kernel's effect-boundary coalescer:
    they complete the access iff it is a clean steady-state hit (active
-   aspace, ATC entry, sufficient rights), returning its latency, and
-   return [-1] otherwise — never translating, never faulting, never
-   touching policy state.  A successful call charges exactly what the
-   [_s] path's hit arm charges at the same [now]; read the result via
-   {!fp_value}.  Not reentrant (they share the internal scratch). *)
-
-val fp_epoch : t -> int
-(** The invalidation epoch: bumped on every remap, freeze, thaw,
-    shootdown-bearing transition, fault resolution, aspace switch and
-    monitor change.  Cached {!fp_page_ok} verdicts are valid only while
-    the epoch is unchanged. *)
-
-val fp_page_ok : t -> proc:int -> cmap:Cmap.t -> vpage:int -> write:bool -> bool
-(** Page-level coalescing eligibility: monitor disarmed, the cmap's
-    aspace active on [proc], translation present in the ATC with
-    sufficient rights, and the page not frozen. *)
+   aspace, ATC entry, sufficient rights, monitor disarmed, page not
+   frozen), returning its latency, and return [-1] otherwise — never
+   translating, never faulting, never touching policy state.  Every
+   condition is checked against live state on each call, so a caller
+   caches nothing.  A successful call charges exactly what the [_s]
+   path's hit arm charges at the same [now]; read the result via
+   {!fp_value_cell}.  Not reentrant (they share the internal scratch). *)
 
 val fp_read :
   t -> now:Platinum_sim.Time_ns.t -> proc:int -> cmap:Cmap.t -> vpage:int -> vaddr:int -> int

@@ -90,10 +90,7 @@ let restrict t ~vpage =
     if mirrored vpage then
       mirror_set t vpage (pack e)
 
-(* lint: allow epoch-soundness — teardown entry point with no in-library
-   callers (tests reset a processor's map wholesale); dropping
-   translations can only turn fast-path hits into faults on the full
-   path, never admit a stale hit, so no epoch bump is needed. *)
+(* Teardown: reset a processor's map wholesale (no in-library caller). *)
 let clear t =
   Flat.clear t.entries;
   t.packed <- [||]

@@ -26,35 +26,29 @@
 
    The context is per-domain ([Domain.DLS]) because fibers execute on the
    domain that resumed them and grid-parallel sweeps run one simulation
-   per domain; the run-buffer slots are per-thread (they live in the
-   kernel thread record) so cached page probes survive suspensions
-   without leaking between threads.  Slots are validated against a global
-   epoch the coherent layer bumps on every remap, freeze, thaw, shootdown
-   or monitor change — the invalidation hooks that flush in-flight state
-   when the directory moves underneath it. *)
+   per domain.  It caches no eligibility verdict: the backend's word ops
+   decide every word from live state (ATC entry, rights, frozen bit,
+   monitor), so no remap, freeze, thaw, shootdown or monitor change has
+   anything here to invalidate. *)
 
 module Cmap = Platinum_core.Cmap
 
 (* The operations the memory backend exposes to the coalescer.  All
    closures are built once at backend construction; calling them
-   allocates nothing.  [fp_read]/[fp_write]/[fp_rmw] re-verify the hit
-   (active aspace, ATC entry, rights) and return its latency, or [-1] —
-   never fault — on anything but a clean hit; the value of a successful
+   allocates nothing.  [fp_read]/[fp_write]/[fp_rmw] verify the hit
+   against live state (active aspace, ATC entry, rights, monitor
+   disarmed, page not frozen) and return its latency, or [-1] — never
+   fault — on anything but a clean hit; the value of a successful
    read/rmw sits in the shared [fp_value] cell. *)
 type ops = {
-  fp_epoch : unit -> int;
-      (* the coherent layer's invalidation epoch; any change kills every
-         cached slot.  Sampled once per arm: nothing can bump it inside an
-         armed window (no engine event fires mid-run, and inline hits
-         never change mappings). *)
   fp_page_words : int;
   fp_page_shift : int;
       (* log2 of fp_page_words when it is a power of two (the per-word
          page split becomes a shift), [-1] otherwise (divide) *)
-  fp_probe : proc:int -> aspace:int -> vpage:int -> write:bool -> Cmap.t option;
-      (* page-level eligibility: monitor disarmed, aspace active on the
-         processor, translation present with sufficient rights, page not
-         frozen.  [Some cmap] = eligible. *)
+  fp_cmap : aspace:int -> Cmap.t option;
+      (* the address space's Cmap, called once per arm; [None] (an
+         unknown aspace) declines every word of the run.  Returns a stored
+         option cell, so the arm allocates nothing. *)
   fp_inject_live : unit -> bool;
       (* whether a fault plane with a non-zero rate is attached; sampled
          once per arm to decide if [fp_ok_now] must run per word *)
@@ -70,29 +64,6 @@ type ops = {
   fp_value : int ref;  (* cell holding the last successful fp_read/fp_rmw result *)
 }
 
-(* One cached page-eligibility probe: valid while the epoch matches.
-   [sl_cm] is refreshed only when the underlying Cmap changes, so a
-   steady-state slot hit allocates nothing. *)
-type slot = {
-  mutable sl_epoch : int;
-  mutable sl_vpage : int;
-  mutable sl_ok : bool;
-  mutable sl_cm : Cmap.t option;
-}
-
-let make_slot () = { sl_epoch = -1; sl_vpage = -1; sl_ok = false; sl_cm = None }
-
-(* The per-thread run buffer: two read slots (direct-mapped by vpage
-   parity — a stencil alternating between two pages keeps both warm) and
-   one write slot shared by writes and rmws. *)
-type buf = {
-  rd0 : slot;
-  rd1 : slot;
-  wr : slot;
-}
-
-let make_buf () = { rd0 = make_slot (); rd1 = make_slot (); wr = make_slot () }
-
 type stats = {
   mutable runs : int;  (* settles that closed a non-empty run *)
   mutable coalesced : int;  (* words drained inline *)
@@ -106,14 +77,12 @@ let run_cap = 4096
 type ctx = {
   mutable armed : bool;
   mutable ops : ops option;
-  mutable buf : buf;
+  mutable cmap : Cmap.t option;  (* the armed fiber's address space *)
   mutable base : int;  (* engine time of the arming event *)
   mutable acc : int;  (* latency accumulated by the in-flight run *)
   mutable run_words : int;
   mutable proc : int;
-  mutable aspace : int;
   mutable quantum_left : int;  (* ns of quantum the run may consume *)
-  mutable epoch : int;  (* the invalidation epoch, sampled at arm *)
   mutable check_inject : bool;  (* a live fault plane requires fp_ok_now per word *)
   mutable out_value : int;  (* result slot for try_read/try_rmw *)
   st : stats;
@@ -123,14 +92,12 @@ let make_ctx () =
   {
     armed = false;
     ops = None;
-    buf = make_buf ();
+    cmap = None;
     base = 0;
     acc = 0;
     run_words = 0;
     proc = 0;
-    aspace = 0;
     quantum_left = 0;
-    epoch = -1;
     check_inject = false;
     out_value = 0;
     st = { runs = 0; coalesced = 0; fallbacks = 0 };
@@ -138,11 +105,10 @@ let make_ctx () =
 
 (* One context per domain: fibers run on the domain that resumed them and
    each domain drives at most one simulation event at a time, so the
-   context is never shared.  The run-buffer slots it points at are
-   per-thread state handed over at each arm.
+   context is never shared.
    lint: allow toplevel-state — Domain.DLS is the sanctioned per-domain
    container; the key itself is immutable and the init closure builds a
-   fresh context (and placeholder buffer) per domain. *)
+   fresh context per domain. *)
 let key = Domain.DLS.new_key (fun () -> make_ctx ())
 
 let ctx () = Domain.DLS.get key
@@ -153,17 +119,15 @@ let ctx () = Domain.DLS.get key
    handoff (a different simulation reusing the domain); in steady state
    the [==] guard keeps the cell physically unchanged and the arm is
    allocation-free. *)
-let arm c ops ~buf ~base ~proc ~aspace ~quantum_left =
+let arm c ops ~base ~proc ~aspace ~quantum_left =
   c.armed <- true;
   (match c.ops with Some o when o == ops -> () | _ -> c.ops <- Some ops);
-  c.buf <- buf;
+  c.cmap <- ops.fp_cmap ~aspace;
   c.base <- base;
   c.acc <- 0;
   c.run_words <- 0;
   c.proc <- proc;
-  c.aspace <- aspace;
   c.quantum_left <- quantum_left;
-  c.epoch <- ops.fp_epoch ();
   c.check_inject <- ops.fp_inject_live ()
 
 (* Close the in-flight run: disarm and return the accumulated latency the
@@ -183,117 +147,84 @@ let armed c = c.armed
 
 let value c = c.out_value
 
-(* Validate (or refresh) a slot's page-eligibility probe against the
-   arm-time epoch.  The [==] guard keeps [sl_cm] physically stable so a
-   steady-state refresh of the same page allocates nothing beyond the
-   probe itself.
-   lint: allow zero-alloc — the [Some cm] store runs only when the slot's
-   Cmap actually changed (first touch of a page, or a remap), never on
-   the steady-state revalidation path the [==] guard serves. *)
-let slot_ok c ops (sl : slot) ~vpage ~write =
-  if sl.sl_epoch = c.epoch && sl.sl_vpage = vpage then sl.sl_ok
-  else begin
-    let r = ops.fp_probe ~proc:c.proc ~aspace:c.aspace ~vpage ~write in
-    sl.sl_epoch <- c.epoch;
-    sl.sl_vpage <- vpage;
-    (match r with
-    | Some cm ->
-      sl.sl_ok <- true;
-      (match sl.sl_cm with
-      | Some old when old == cm -> ()
-      | _ -> sl.sl_cm <- Some cm)
-    | None -> sl.sl_ok <- false);
-    sl.sl_ok
-  end
-
 let decline c =
   c.st.fallbacks <- c.st.fallbacks + 1;
   false
 
+(* A word the backend completed inline: account for it in the run. *)
+let[@inline] accept c lat =
+  c.acc <- c.acc + lat;
+  c.run_words <- c.run_words + 1;
+  c.st.coalesced <- c.st.coalesced + 1;
+  true
+
 let[@inline] vpage_of ops vaddr =
   if ops.fp_page_shift >= 0 then vaddr lsr ops.fp_page_shift else vaddr / ops.fp_page_words
+
+(* The run-level gates every word passes before the backend sees it:
+   address sign, quantum, engine-liveness cap, injection. *)
+let[@inline] run_open c ops vaddr =
+  vaddr >= 0 && c.acc < c.quantum_left && c.run_words < run_cap
+  && ((not c.check_inject) || ops.fp_ok_now ())
 
 let try_read c vaddr =
   if not c.armed then false
   else
     match c.ops with
     | None -> false
-    | Some ops ->
-      if vaddr < 0 || c.acc >= c.quantum_left || c.run_words >= run_cap then decline c
-      else begin
-        let vpage = vpage_of ops vaddr in
-        let sl = if vpage land 1 = 0 then c.buf.rd0 else c.buf.rd1 in
-        if not (slot_ok c ops sl ~vpage ~write:false) then decline c
-        else if c.check_inject && not (ops.fp_ok_now ()) then decline c
-        else
-          match sl.sl_cm with
-          | Some cm ->
-            let lat = ops.fp_read ~now:(c.base + c.acc) ~proc:c.proc ~cmap:cm ~vpage ~vaddr in
-            if lat < 0 then decline c
-            else begin
-              c.out_value <- !(ops.fp_value);
-              c.acc <- c.acc + lat;
-              c.run_words <- c.run_words + 1;
-              c.st.coalesced <- c.st.coalesced + 1;
-              true
-            end
-          | None -> decline c
-      end
+    | Some ops -> (
+      if not (run_open c ops vaddr) then decline c
+      else
+        match c.cmap with
+        | None -> decline c
+        | Some cm ->
+          let lat =
+            ops.fp_read ~now:(c.base + c.acc) ~proc:c.proc ~cmap:cm ~vpage:(vpage_of ops vaddr)
+              ~vaddr
+          in
+          if lat < 0 then decline c
+          else begin
+            c.out_value <- !(ops.fp_value);
+            accept c lat
+          end)
 
 let try_write c vaddr value =
   if not c.armed then false
   else
     match c.ops with
     | None -> false
-    | Some ops ->
-      if vaddr < 0 || c.acc >= c.quantum_left || c.run_words >= run_cap then decline c
-      else begin
-        let vpage = vpage_of ops vaddr in
-        let sl = c.buf.wr in
-        if not (slot_ok c ops sl ~vpage ~write:true) then decline c
-        else if c.check_inject && not (ops.fp_ok_now ()) then decline c
-        else
-          match sl.sl_cm with
-          | Some cm ->
-            let lat =
-              ops.fp_write ~now:(c.base + c.acc) ~proc:c.proc ~cmap:cm ~vpage ~vaddr ~value
-            in
-            if lat < 0 then decline c
-            else begin
-              c.acc <- c.acc + lat;
-              c.run_words <- c.run_words + 1;
-              c.st.coalesced <- c.st.coalesced + 1;
-              true
-            end
-          | None -> decline c
-      end
+    | Some ops -> (
+      if not (run_open c ops vaddr) then decline c
+      else
+        match c.cmap with
+        | None -> decline c
+        | Some cm ->
+          let lat =
+            ops.fp_write ~now:(c.base + c.acc) ~proc:c.proc ~cmap:cm
+              ~vpage:(vpage_of ops vaddr) ~vaddr ~value
+          in
+          if lat < 0 then decline c else accept c lat)
 
 let try_rmw c vaddr f =
   if not c.armed then false
   else
     match c.ops with
     | None -> false
-    | Some ops ->
-      if vaddr < 0 || c.acc >= c.quantum_left || c.run_words >= run_cap then decline c
-      else begin
-        let vpage = vpage_of ops vaddr in
-        let sl = c.buf.wr in
-        if not (slot_ok c ops sl ~vpage ~write:true) then decline c
-        else if c.check_inject && not (ops.fp_ok_now ()) then decline c
-        else
-          match sl.sl_cm with
-          | Some cm ->
-            let lat = ops.fp_rmw ~now:(c.base + c.acc) ~proc:c.proc ~cmap:cm ~vpage ~vaddr ~f in
-            if lat < 0 then decline c
-            else begin
-              c.out_value <- !(ops.fp_value);
-              c.acc <- c.acc + lat;
-              c.run_words <- c.run_words + 1;
-              c.st.coalesced <- c.st.coalesced + 1;
-              true
-            end
-          | None -> decline c
-      end
+    | Some ops -> (
+      if not (run_open c ops vaddr) then decline c
+      else
+        match c.cmap with
+        | None -> decline c
+        | Some cm ->
+          let lat =
+            ops.fp_rmw ~now:(c.base + c.acc) ~proc:c.proc ~cmap:cm ~vpage:(vpage_of ops vaddr)
+              ~vaddr ~f
+          in
+          if lat < 0 then decline c
+          else begin
+            c.out_value <- !(ops.fp_value);
+            accept c lat
+          end)
 
 (* --- introspection (tests, the bench gates) --- *)
 

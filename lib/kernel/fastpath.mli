@@ -9,19 +9,18 @@
     page, armed monitor, pending injected fault or quantum exhaustion
     declines and takes the unchanged full-suspend path.
 
-    Eligibility and invalidation are documented on {!ops}; slots cached
-    in the per-thread {!buf} die whenever the coherent layer bumps its
-    epoch (remap, freeze, thaw, shootdown, retraction, monitor change). *)
+    Eligibility is documented on {!ops}.  The backend decides every word
+    from live state, so the coalescer caches no verdict and nothing needs
+    invalidating when a remap, freeze, thaw, shootdown or monitor change
+    moves that state. *)
 
 (** Backend operations; see the implementation for per-field contracts.
     The word ops return the access latency on a clean hit, [-1] on
     anything else. *)
 type ops = {
-  fp_epoch : unit -> int;
   fp_page_words : int;
   fp_page_shift : int;
-  fp_probe :
-    proc:int -> aspace:int -> vpage:int -> write:bool -> Platinum_core.Cmap.t option;
+  fp_cmap : aspace:int -> Platinum_core.Cmap.t option;
   fp_inject_live : unit -> bool;
   fp_ok_now : unit -> bool;
   fp_read : now:int -> proc:int -> cmap:Platinum_core.Cmap.t -> vpage:int -> vaddr:int -> int;
@@ -34,12 +33,6 @@ type ops = {
   fp_value : int ref;
 }
 
-type buf
-(** Per-thread run-buffer: cached page-eligibility slots.  Lives in the
-    kernel thread record and survives suspensions. *)
-
-val make_buf : unit -> buf
-
 type ctx
 (** The per-domain coalescing context. *)
 
@@ -51,8 +44,7 @@ val run_cap : int
 
 (* --- kernel side --- *)
 
-val arm :
-  ctx -> ops -> buf:buf -> base:int -> proc:int -> aspace:int -> quantum_left:int -> unit
+val arm : ctx -> ops -> base:int -> proc:int -> aspace:int -> quantum_left:int -> unit
 (** Arm the context for the fiber about to run: [base] is the engine time
     of this event, [quantum_left] the quantum budget a run may consume
     ([max_int] when the thread cannot be preempted). *)

@@ -20,7 +20,6 @@ type thread = {
   mutable resume : (unit -> unit) option;  (* pending continuation *)
   mutable joiners : int list;
   mutable quantum_used : int;
-  runbuf : Fastpath.buf;  (* per-thread coalescing slots (DESIGN.md §4g) *)
 }
 
 type port = {
@@ -129,7 +128,6 @@ let make_thread t ~proc ~aspace body =
       resume = None;
       joiners = [];
       quantum_used = 0;
-      runbuf = Fastpath.make_buf ();
     }
   in
   Hashtbl.replace t.threads tid th;
@@ -160,7 +158,7 @@ let arm t th =
       if Queue.is_empty (runq t th.proc) then max_int
       else (config t).Config.quantum_ns - th.quantum_used
     in
-    Fastpath.arm (Fastpath.ctx ()) ops ~buf:th.runbuf ~base:(Engine.now t.engine)
+    Fastpath.arm (Fastpath.ctx ()) ops ~base:(Engine.now t.engine)
       ~proc:th.proc ~aspace:th.aspace ~quantum_left
   | _ -> ()
 
@@ -379,7 +377,7 @@ and start_fiber t th =
                     let proc = place t hint in
                     let aspace = Option.value aspace_hint ~default:th.aspace in
                     let child = make_thread t ~proc ~aspace body in
-                    wake_fresh ~src:th.proc t child;
+                    wake ~src:th.proc t child;
                     (child.tid, (config t).Config.thread_spawn_ns)))
           | Eff.Join tid ->
             Some
@@ -521,15 +519,6 @@ and start_fiber t th =
           | _ -> None)
     }
 
-and wake_fresh ?src t th =
-  Queue.add th.tid (runq t th.proc);
-  if not (proc_busy t th.proc) then begin
-    set_proc_busy t th.proc true;
-    let delay = (config t).Config.context_switch_ns in
-    let src = match src with Some s -> s | None -> th.proc in
-    Engine.post t.engine ~src ~dst:th.proc ~delay (fun () -> dispatch t th.proc)
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Entry points.                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -537,7 +526,7 @@ and wake_fresh ?src t th =
 let spawn t ?proc ?(aspace = 0) body =
   let proc = place t proc in
   let th = make_thread t ~proc ~aspace body in
-  wake_fresh t th;
+  wake t th;
   th.tid
 
 (* The failure/deadlock report, split out of [run_spawned] so a driver

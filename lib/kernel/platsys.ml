@@ -12,7 +12,12 @@ module Machine = Platinum_machine.Machine
 type space = {
   asp : Addr_space.t;
   cm : Cmap.t;
+  some_cm : Cmap.t option;  (* [Some cm], built once for the coalescer's arm *)
 }
+
+let space_of asp =
+  let cm = Addr_space.cmap asp in
+  { asp; cm; some_cm = Some cm }
 
 type t = {
   coh : Coherent.t;
@@ -41,7 +46,7 @@ let new_zone t ~aspace:a ~name ~pages =
 
 let new_aspace t =
   let asp = Addr_space.create t.coh in
-  let sp = { asp; cm = Addr_space.cmap asp } in
+  let sp = space_of asp in
   t.spaces <- Array.append t.spaces [| sp |];
   let id = Array.length t.spaces - 1 in
   (* Each space gets a private heap zone; its handle is returned by the
@@ -143,28 +148,24 @@ let memsys t =
       (Machine.modules (Coherent.machine coh))
       ~now ~src:from_proc ~dst:to_proc ~words:pw
   in
-  (* The coalescing fast-path ops (DESIGN.md §4g): page eligibility and
-     epoch come from the coherent layer, the injection gate from the
-     machine's fault plane.  [fp_probe] never raises — an out-of-range
-     aspace just declines. *)
+  (* The coalescing fast-path ops (DESIGN.md §4g): the hit cores come
+     from the coherent layer, the injection gate from the machine's fault
+     plane.  [fp_cmap] never raises — an out-of-range aspace just
+     declines. *)
   let mach = Coherent.machine coh in
   let fastpath =
     Some
       {
-        Fastpath.fp_epoch = (fun () -> Coherent.fp_epoch coh);
-        fp_page_words = pw;
+        Fastpath.fp_page_words = pw;
         fp_page_shift =
           (if pw > 0 && pw land (pw - 1) = 0 then
              let rec log2 n acc = if n = 1 then acc else log2 (n lsr 1) (acc + 1) in
              log2 pw 0
            else -1);
-        fp_probe =
-          (fun ~proc ~aspace ~vpage ~write ->
+        fp_cmap =
+          (fun ~aspace ->
             if aspace < 0 || aspace >= Array.length t.spaces then None
-            else
-              let sp = t.spaces.(aspace) in
-              if Coherent.fp_page_ok coh ~proc ~cmap:sp.cm ~vpage ~write then Some sp.cm
-              else None);
+            else t.spaces.(aspace).some_cm);
         fp_inject_live =
           (fun () ->
             match Machine.inject mach with
@@ -208,7 +209,7 @@ let memsys t =
   }
 
 let create coh root_aspace ?(default_zone_pages = 4096) () =
-  let sp = { asp = root_aspace; cm = Addr_space.cmap root_aspace } in
+  let sp = space_of root_aspace in
   let t = { coh; default_zone_pages; spaces = [| sp |]; zones = [||]; segments = [||] } in
   (* Zone 0: the root space's default heap. *)
   ignore (new_zone t ~aspace:0 ~name:"heap" ~pages:default_zone_pages);

@@ -170,7 +170,8 @@ let ipi_delay pm ~src ~dst =
 (* The one-page restriction: a distributed transaction must fall within a
    single page so it has a single home.  Strides and page-straddling
    blocks are declined (the workloads never issue them; a caller that does
-   gets the synchronous path's [Invalid_argument]). *)
+   gets the synchronous path's [Invalid_argument]), and so is a
+   zero-length block, which the synchronous path completes at no cost. *)
 let txn_page pm = function
   | Memtxn.Read { vaddr } | Memtxn.Write { vaddr; _ } | Memtxn.Rmw { vaddr; _ } ->
     Some (vaddr / pm.pw)
@@ -455,7 +456,9 @@ let memsys_for pm s arena_base_word =
     submit =
       (fun ~now:_ ~proc:_ ~aspace:_ txn ->
         Memtxn.validate txn;
-        invalid_arg
+        if Memtxn.data_words txn = 0 then (Memtxn.Unit, 0)
+        else
+          invalid_arg
           "Parkernel: stride and page-straddling transactions are not supported on \
            distributed memory");
     new_aspace = (fun () -> invalid_arg "Parkernel: one address space per machine");

@@ -4,7 +4,6 @@
 
 module Ast_lint = Platinum_check.Ast_lint
 module Registry = Platinum_check.Registry
-module Rule_epoch = Platinum_check.Rule_epoch
 module Rule_settle = Platinum_check.Rule_settle
 module Rule_alloc = Platinum_check.Rule_alloc
 module Rule_domain = Platinum_check.Rule_domain
@@ -59,72 +58,6 @@ let test_surgery () =
   match Ast_lint.excise ~anchor:"ccc" ~needle:"needle" src with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "needle after anchor only"
-
-(* --- epoch-soundness --- *)
-
-let epoch src = Rule_epoch.rule.Ast_lint.run [ unit_ ~file:"coherent.ml" src ]
-
-let test_epoch_direct_and_uncovered () =
-  let fs =
-    epoch
-      "let fp_bump t = t.fp_epoch <- t.fp_epoch + 1\n\
-       let good t = fp_bump t; t.frozen <- true\n\
-       let bad t = t.frozen <- false\n"
-  in
-  Alcotest.(check (list string)) "only the bump-less mutator"
-    [ "Coherent.bad:field frozen <-" ] (tags fs)
-
-let test_epoch_caller_coverage () =
-  (* [helper] never bumps, but its only callers do: every entry path is
-     bracketed.  [orphan] has no in-library callers at all. *)
-  let fs =
-    epoch
-      "let fp_bump t = t.fp_epoch <- t.fp_epoch + 1\n\
-       let helper t = t.frozen <- true\n\
-       let caller1 t = fp_bump t; helper t\n\
-       let caller2 t = fp_bump t; helper t\n\
-       let orphan t = t.frozen <- false\n"
-  in
-  Alcotest.(check (list string)) "helper covered, orphan not"
-    [ "Coherent.orphan:field frozen <-" ] (tags fs)
-
-let test_epoch_uncovered_caller_breaks_coverage () =
-  (* one bump-less public caller poisons the callee's coverage *)
-  let fs =
-    epoch
-      "let fp_bump t = t.fp_epoch <- t.fp_epoch + 1\n\
-       let helper t = t.frozen <- true\n\
-       let covered t = fp_bump t; helper t\n\
-       let public t = helper t\n"
-  in
-  Alcotest.(check (list string)) "helper uncovered via public"
-    [ "Coherent.helper:field frozen <-" ] (tags fs)
-
-let test_epoch_marker_allows_and_propagates () =
-  let fs =
-    epoch
-      "let helper t = t.frozen <- true\n\
-       (* lint: allow epoch-soundness -- teardown only *)\n\
-       let teardown t = helper t; t.frozen <- false\n"
-  in
-  (* the marked teardown is reported-as-allowed; the helper it solely
-     calls is covered by the marked caller and not reported at all *)
-  Alcotest.(check (list string)) "marked mutator visible, helper silent"
-    [ "Coherent.teardown:marker" ] (verdicts fs)
-
-let test_epoch_excluded_fields_and_flat () =
-  let fs =
-    epoch
-      "let stats t = t.s_latency <- 0; t.queue_len <- t.queue_len + 1\n\
-       let table t v = Flat.set t.entries 3 v\n"
-  in
-  Alcotest.(check (list string)) "scratch excluded, Flat.set caught"
-    [ "Coherent.table:Flat.set" ] (tags fs)
-
-let test_epoch_array_on_state_field () =
-  let fs = epoch "let touch t p = t.active_aspace.(p) <- 7\n" in
-  Alcotest.(check (list string)) "array store on a state field"
-    [ "Coherent.touch:Array.set on field active_aspace" ] (tags fs)
 
 (* --- settle-coverage --- *)
 
@@ -443,12 +376,6 @@ let suite =
     ("framework: parse errors are located", `Quick, test_parse_error);
     ("framework: marker scope", `Quick, test_marker_scope);
     ("framework: mutation surgery is anchored and loud", `Quick, test_surgery);
-    ("epoch: direct bump vs bump-less mutator", `Quick, test_epoch_direct_and_uncovered);
-    ("epoch: caller coverage", `Quick, test_epoch_caller_coverage);
-    ("epoch: one uncovered caller poisons", `Quick, test_epoch_uncovered_caller_breaks_coverage);
-    ("epoch: markers allow and propagate", `Quick, test_epoch_marker_allows_and_propagates);
-    ("epoch: excluded fields and Flat setters", `Quick, test_epoch_excluded_fields_and_flat);
-    ("epoch: array stores on state fields", `Quick, test_epoch_array_on_state_field);
     ("settle: clean handler passes", `Quick, test_settle_clean);
     ("settle: unwrapped arm flagged", `Quick, test_settle_unwrapped_arm);
     ("settle: missing constructor flagged", `Quick, test_settle_missing_constructor);

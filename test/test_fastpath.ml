@@ -6,9 +6,10 @@
    schedule — because a coalesced word performs the identical cache and
    interconnect simulation, just without the per-word suspend.  The
    differential here runs random access programs both ways and compares
-   full fingerprints; the unit tests pin the invalidation hooks (epoch
-   bumps) and the mandatory fallbacks (frozen page, armed monitor,
-   pending injected fault). *)
+   full fingerprints; the unit tests pin the live-state eligibility
+   checks of the backend's hit cores, the allocation budget of a
+   multi-page stream, and the mandatory fallbacks (frozen page, armed
+   monitor, pending injected fault). *)
 
 module Api = Platinum_kernel.Api
 module Fastpath = Platinum_kernel.Fastpath
@@ -143,7 +144,7 @@ let test_disabled_never_engages () =
   let st = Fastpath.stats c in
   Alcotest.(check int) "no words coalesced with coalesce:false" 0 st.Fastpath.coalesced
 
-(* --- invalidation hooks: the epoch bumps that flush in-flight runs --- *)
+(* --- eligibility from live state --- *)
 
 let mk_coherent () =
   let config = Config.butterfly_plus ~nprocs:4 ~page_words:16 () in
@@ -153,57 +154,85 @@ let mk_coherent () =
   Coherent.create (Machine.create config) ~engine:(Engine.create ()) ~policy
     ~frames_per_module:64 ()
 
-let check_bumps what before after = Alcotest.(check bool) (what ^ " bumps fp_epoch") true (after > before)
-
-let test_epoch_bumps () =
+(* The hit cores decide every word from live state, so each transition
+   that once had to invalidate a cached verdict — freeze, monitor arming,
+   unbind, replica retraction — makes them decline on the very next call,
+   and a thaw or a re-fault makes them accept again. *)
+let test_cores_check_live_state () =
   let coh = mk_coherent () in
   let cm = Coherent.new_aspace coh in
   let page = Coherent.new_cpage coh () in
-  let e0 = Coherent.fp_epoch coh in
+  (* Steps further apart than the t1 window: no re-fault freezes. *)
+  let now = ref 0 in
+  let tick () =
+    now := !now + 20_000_000;
+    !now
+  in
+  let read ~proc = Coherent.fp_read coh ~now:(tick ()) ~proc ~cmap:cm ~vpage:0 ~vaddr:3 in
+  let write ~proc = Coherent.fp_write coh ~now:(tick ()) ~proc ~cmap:cm ~vpage:0 ~vaddr:3 9 in
+  let expect what ~proc accepted =
+    Alcotest.(check bool) (what ^ ": read accepted") accepted (read ~proc >= 0);
+    Alcotest.(check bool) (what ^ ": write accepted") accepted (write ~proc >= 0)
+  in
+  let fault_in ~proc = ignore (Coherent.write_word coh ~now:(tick ()) ~proc ~cmap:cm ~vaddr:3 1) in
   Coherent.bind coh cm ~vpage:0 page Rights.Read_write;
-  let e1 = Coherent.fp_epoch coh in
-  check_bumps "bind" e0 e1;
   ignore (Coherent.activate coh ~now:0 ~proc:0 ~aspace:(Cmap.aspace cm));
-  let e2 = Coherent.fp_epoch coh in
-  check_bumps "activate" e1 e2;
-  (* Fault the page in (the fault-resolution path must bump too). *)
-  ignore (Coherent.write_word coh ~now:0 ~proc:0 ~cmap:cm ~vaddr:3 42);
-  let e3 = Coherent.fp_epoch coh in
-  check_bumps "fault resolution" e2 e3;
-  Coherent.freeze_page coh ~now:1000 page;
-  let e4 = Coherent.fp_epoch coh in
-  check_bumps "freeze_page" e3 e4;
-  Coherent.thaw_page coh ~now:2000 page;
-  let e5 = Coherent.fp_epoch coh in
-  check_bumps "thaw_page" e4 e5;
+  expect "unmapped" ~proc:0 false;
+  fault_in ~proc:0;
+  expect "faulted in" ~proc:0 true;
+  Coherent.freeze_page coh ~now:(tick ()) page;
+  Alcotest.(check bool) "the page froze" true page.Cpage.frozen;
+  expect "frozen" ~proc:0 false;
+  Coherent.thaw_page coh ~now:(tick ()) page;
+  fault_in ~proc:0;
+  expect "thawed and re-faulted" ~proc:0 true;
   Coherent.set_monitor coh (Some (Check.create_monitor ()));
-  let e6 = Coherent.fp_epoch coh in
-  check_bumps "set_monitor" e5 e6;
+  expect "monitor armed" ~proc:0 false;
   Coherent.set_monitor coh None;
-  let e7 = Coherent.fp_epoch coh in
-  check_bumps "monitor disarm" e6 e7;
-  ignore (Coherent.unbind coh ~now:3000 cm ~vpage:0);
-  let e8 = Coherent.fp_epoch coh in
-  check_bumps "unbind (shootdown)" e7 e8
+  expect "monitor disarmed" ~proc:0 true;
+  ignore (Coherent.unbind coh ~now:(tick ()) cm ~vpage:0);
+  expect "unbound" ~proc:0 false;
+  Coherent.bind coh cm ~vpage:0 page Rights.Read_write;
+  fault_in ~proc:0;
+  expect "rebound and re-faulted" ~proc:0 true;
+  (* Both processors read: the page replicates.  A write fault on proc 0
+     retracts proc 1's replica. *)
+  ignore (Coherent.activate coh ~now:(tick ()) ~proc:1 ~aspace:(Cmap.aspace cm));
+  ignore (Coherent.read_word coh ~now:(tick ()) ~proc:0 ~cmap:cm ~vaddr:3);
+  ignore (Coherent.read_word coh ~now:(tick ()) ~proc:1 ~cmap:cm ~vaddr:3);
+  Alcotest.(check bool) "replica read accepted" true (read ~proc:1 >= 0);
+  fault_in ~proc:0;
+  Alcotest.(check bool) "retracted replica: read declined" false (read ~proc:1 >= 0);
+  ignore (Coherent.read_word coh ~now:(tick ()) ~proc:1 ~cmap:cm ~vaddr:3);
+  Alcotest.(check bool) "re-faulted replica: read accepted" true (read ~proc:1 >= 0)
 
-(* A write fault that retracts read replicas (the Cmap-retraction
-   shootdown) must bump the epoch: any other thread's cached read slots
-   on that page die with it. *)
-let test_retraction_bumps () =
-  let coh = mk_coherent () in
-  let cm0 = Coherent.new_aspace coh and cm1 = Coherent.new_aspace coh in
-  let page = Coherent.new_cpage coh () in
-  Coherent.bind coh cm0 ~vpage:0 page Rights.Read_write;
-  Coherent.bind coh cm1 ~vpage:0 page Rights.Read_write;
-  ignore (Coherent.activate coh ~now:0 ~proc:0 ~aspace:(Cmap.aspace cm0));
-  ignore (Coherent.activate coh ~now:0 ~proc:1 ~aspace:(Cmap.aspace cm1));
-  (* Both processors read: the page replicates. *)
-  ignore (Coherent.read_word coh ~now:1000 ~proc:0 ~cmap:cm0 ~vaddr:1);
-  ignore (Coherent.read_word coh ~now:2000 ~proc:1 ~cmap:cm1 ~vaddr:1);
-  let e0 = Coherent.fp_epoch coh in
-  (* Proc 0 writes: the replicas are retracted. *)
-  ignore (Coherent.write_word coh ~now:3000 ~proc:0 ~cmap:cm0 ~vaddr:1 7);
-  check_bumps "write-fault retraction" e0 (Coherent.fp_epoch coh)
+(* A stencil row cycles over three consecutive pages, word by word.  The
+   coalescer keeps no per-page state, so the stream's steady state
+   allocates nothing per word whichever page it is on. *)
+let test_three_page_stream_allocation () =
+  let per_word = ref infinity in
+  Runner.time ~frames_per_module:64 ~default_zone_pages:32 (fun () ->
+      let pw = Api.page_words () in
+      let buf = Api.alloc ~page_aligned:true (3 * pw) in
+      let sweep () =
+        let sum = ref 0 in
+        for i = 0 to pw - 1 do
+          sum := !sum + Api.read (buf + i) + Api.read (buf + pw + i) + Api.read (buf + (2 * pw) + i)
+        done;
+        !sum
+      in
+      ignore (sweep ());
+      let sweeps = 8 in
+      let m0 = Gc.minor_words () in
+      for _ = 1 to sweeps do
+        ignore (sweep ())
+      done;
+      let m1 = Gc.minor_words () in
+      per_word := (m1 -. m0) /. float_of_int (sweeps * 3 * pw))
+  |> ignore;
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 0.5 minor words per word (got %.3f)" !per_word)
+    true (!per_word <= 0.5)
 
 (* --- mandatory fallbacks mid-stream --- *)
 
@@ -330,8 +359,8 @@ let suite =
     qtest prop_differential;
     ("coalescer engages on a word stream", `Quick, test_coalescer_engages);
     ("coalesce:false never engages", `Quick, test_disabled_never_engages);
-    ("epoch bumps on every invalidation hook", `Quick, test_epoch_bumps);
-    ("epoch bumps on replica retraction", `Quick, test_retraction_bumps);
+    ("hit cores check live state", `Quick, test_cores_check_live_state);
+    ("three-page word stream allocation", `Quick, test_three_page_stream_allocation);
     ("freeze/thaw force fallback mid-stream", `Quick, test_freeze_forces_fallback);
     ("armed monitor disables coalescing", `Quick, test_monitor_disables_coalescing);
     ("injection schedule identical on/off", `Quick, test_injection_differential);

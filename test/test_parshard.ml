@@ -284,6 +284,26 @@ let test_hierarchical_topology_exact () =
   Alcotest.(check int) "flat machine: both reads cost the same" flat_intra flat_cross;
   Alcotest.(check int) "flat machine: the intra-cluster read is unchanged" intra flat_intra
 
+(* A zero-length block moves no data: on a hosted kernel it completes at
+   no cost, as it does on Platsys, instead of failing the thread. *)
+let test_zero_length_block () =
+  let out = ref None in
+  let program ~node ~row ~rng:_ =
+    if node = 0 then begin
+      let t0 = Api.now () in
+      let got = Api.block_read (row 1) 0 in
+      Api.block_write (row 1) [||];
+      Api.block_read_into (row 0) [| 5 |] ~off:1 ~len:0;
+      out := Some (Array.length got, Api.now () - t0)
+    end
+  in
+  let r =
+    Parkernel.run ~check:true ~config:(Config.hierarchical ~cluster_size:4 ~nodes:8 ())
+      (Parkernel.Program program)
+  in
+  Alcotest.(check bool) "run verified" true r.Parkernel.verified;
+  Alcotest.(check (option (pair int int))) "empty result, zero elapsed" (Some (0, 0)) !out
+
 (* --- the hosted kernel: full per-node kernel simulations under Shard ---
 
    Same contract, harder cargo: Parkernel runs one complete Kernel.t per
@@ -399,6 +419,7 @@ let suite =
       ("scale: injection perturbs the run", `Quick, test_clean_vs_injected_differ);
       ("scale: first cross-cluster read costs (page_words + 1) x extra", `Quick,
         test_hierarchical_topology_exact);
+      ("kernel: a zero-length block completes at no cost", `Quick, test_zero_length_block);
     ]
   @ List.map
       (fun w ->
