@@ -1,15 +1,14 @@
 (* Typed-AST static analysis framework (DESIGN.md §4h): the repo's one
    lint pass.
 
-   The invariants it guards — every kernel handler arm settles, hot-path
-   functions stay allocation-free, library code holds no unmarked
-   toplevel mutable state — need scopes and precise locations, which
-   only the compiler's own parser provides.  This module is the shared
-   plumbing: it reads and parses each compilation unit with
-   [Parse.implementation] (compiler-libs), records where every top-level
-   structure item lives, scans the raw source for [lint: allow <rule-id>]
-   exemption markers, and builds findings (file / line / rule id / name /
-   construct / detail / allowed).  Rules themselves live under [rules/]
+   The invariants it guards — hot-path functions stay allocation-free,
+   library code holds no unmarked toplevel mutable state — need scopes
+   and precise locations, which only the compiler's own parser provides.
+   This module is the shared plumbing: it reads and parses each
+   compilation unit with [Parse.implementation] (compiler-libs), records
+   where every top-level structure item lives, scans the raw source for
+   [lint: allow <rule-id>] exemption markers, and builds findings (file /
+   line / rule id / name / construct / detail / allowed).  Rules themselves live under [rules/]
    and are registered in {!Registry}.
 
    A marker waives findings of its rule within the enclosing top-level
@@ -45,8 +44,8 @@ type rule = {
   rule_id : string;
   rule_doc : string;  (** one line: the invariant the rule protects *)
   run : unit_ list -> finding list;
-      (** whole-program by design: the settle rule needs [eff.ml] next
-          to [kernel.ml] *)
+      (** whole-program by design: a rule sees every scanned unit at once
+          (the zero-alloc catalogue spans several files) *)
 }
 
 exception Parse_error of string
@@ -169,7 +168,6 @@ let pp_finding ppf f =
 (* --- Longident helpers --- *)
 
 let flatten lid = try String.concat "." (Longident.flatten lid) with _ -> ""
-let last lid = Longident.last lid
 
 (* --- shared expression predicates --- *)
 
@@ -208,24 +206,6 @@ let rec binding_name (p : Parsetree.pattern) =
   | Ppat_constraint (p, _) -> binding_name p
   | _ -> None
 
-(* Does [e] contain a reference to unqualified ident [name]?  (Used by the
-   settle rule: every resuming arm must reach [settle].) *)
-let mentions_ident name (e : Parsetree.expression) =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self ex ->
-          (match ex.pexp_desc with
-          | Pexp_ident { txt = Longident.Lident n; _ } when n = name -> found := true
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self ex);
-    }
-  in
-  it.expr it e;
-  !found
-
 (* --- in-memory mutation surgery (the must-catch gate) --- *)
 
 (* Find [needle] in [hay] at or after [from]; [-1] if absent. *)
@@ -249,16 +229,6 @@ let excise ~anchor ~needle src =
     else
       let j = i + String.length needle in
       Ok (String.sub src 0 i ^ String.sub src j (String.length src - j))
-
-(* Replace the first occurrence of [needle] after [anchor] with [repl]. *)
-let replace ~anchor ~needle ~repl src =
-  match excise ~anchor ~needle src with
-  | Error _ as e -> e
-  | Ok _ ->
-    let a = index_from src 0 anchor in
-    let i = index_from src a needle in
-    let j = i + String.length needle in
-    Ok (String.sub src 0 i ^ repl ^ String.sub src j (String.length src - j))
 
 (* Swap a mutated copy of [base]'s source into the unit list. *)
 let mutate_unit units ~base ~f =

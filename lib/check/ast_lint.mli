@@ -75,13 +75,10 @@ val pp_finding : Format.formatter -> finding -> unit
 val flatten : Longident.t -> string
 (** Dotted name, e.g. ["Domain.DLS.new_key"]; [""] for functor paths. *)
 
-val last : Longident.t -> string
-
 val peel_params : Parsetree.expression -> Parsetree.expression
 val arity_of : Parsetree.expression -> int
 val is_function : Parsetree.expression -> bool
 val binding_name : Parsetree.pattern -> string option
-val mentions_ident : string -> Parsetree.expression -> bool
 
 (** {2 In-memory mutation surgery (the must-catch gate)} *)
 
@@ -89,9 +86,6 @@ val excise : anchor:string -> needle:string -> string -> (string, string) result
 (** Delete the first [needle] after the first [anchor]; [Error] when
     either is missing, so a refactor that moves the seeded mutation site
     breaks the gate loudly instead of silently testing nothing. *)
-
-val replace :
-  anchor:string -> needle:string -> repl:string -> string -> (string, string) result
 
 val mutate_unit :
   unit_ list ->

@@ -5,8 +5,7 @@
 
 open Ast_lint
 
-let rules : rule list =
-  [ Rule_settle.rule; Rule_alloc.rule; Rule_domain.rule ]
+let rules : rule list = [ Rule_alloc.rule; Rule_domain.rule ]
 
 let run_rules ?(rules = rules) units =
   List.concat_map (fun (r : rule) -> r.run units) rules |> List.sort compare_findings
@@ -16,15 +15,16 @@ let violations findings = List.filter (fun f -> f.allowed = None) findings
 (* --- the must-catch gate ---
 
    A linter that reports nothing is indistinguishable from a linter that
-   checks nothing, so each non-trivial rule is validated against a seeded
-   mutation of the real tree (the same discipline the mc experiment
-   applies to the runtime monitor): unwrap the [settle] around the
-   kernel's [Compute] arm, and strip the allow marker from the shootdown
-   test knob, in *in-memory* copies of the sources; the rule must report
-   exactly that site as an unexempted violation.  The surgery anchors on
-   exact source substrings and fails loudly when they are missing, so a
-   refactor that moves a site breaks the gate rather than silently
-   testing nothing. *)
+   checks nothing, so the toplevel-state rule is validated against a
+   seeded mutation of the real tree (the same discipline the mc
+   experiment applies to the runtime monitor): strip the allow marker
+   from the shootdown test knob in an *in-memory* copy of the source; the
+   rule must report exactly that site as an unexempted violation.  The
+   surgery anchors on exact source substrings and fails loudly when they
+   are missing, so a refactor that moves the site breaks the gate rather
+   than silently testing nothing.  Kernel handler coverage needs no rule:
+   the services are one closed request type, so the compiler checks that
+   the handler is exhaustive and every arm settles by construction. *)
 
 type gate = { g_name : string; g_result : (unit, string) result }
 
@@ -40,18 +40,6 @@ let expect_violation ~rule_ ~name findings =
     Error
       (Printf.sprintf "rule %s did not report the seeded violation in %s" rule_ name)
 
-let gate_settle units =
-  let wrapped = "settle t th compute_op k ns" in
-  let bare = "compute_op t th k ns" in
-  match
-    mutate_unit units ~base:"kernel.ml"
-      ~f:(replace ~anchor:"Eff.Compute" ~needle:wrapped ~repl:bare)
-  with
-  | Error e -> Error ("mutation failed: " ^ e)
-  | Ok mutated ->
-    expect_violation ~rule_:"settle-coverage" ~name:"Compute"
-      (Rule_settle.rule.run mutated)
-
 let gate_domain units =
   match
     mutate_unit units ~base:"shootdown.ml"
@@ -64,6 +52,5 @@ let gate_domain units =
 
 let mutation_gate units =
   [
-    { g_name = "settle-coverage catches an unwrapped arm"; g_result = gate_settle units };
     { g_name = "toplevel-state catches a stripped allow marker"; g_result = gate_domain units };
   ]

@@ -65,11 +65,24 @@ let write_stride ?(elem_words = 1) vaddr ~stride src =
   let count = Array.length src / elem_words in
   access_valid (Memtxn.Stride_write { vaddr; src; src_off = 0; count; elem_words; stride })
 let compute ns = if ns > 0 then Effect.perform (Eff.Compute ns)
-let now () = Effect.perform Eff.Now
+
+(* Services with no payload perform shared toplevel requests, so the
+   perform allocates no [Syscall] wrapper. *)
+let now_req = Eff.Syscall Eff.Now
+let inject_handle_req = Eff.Syscall Eff.Inject_handle
+let yield_req = Eff.Syscall Eff.Yield
+let self_req = Eff.Syscall Eff.Self
+let my_proc_req = Eff.Syscall Eff.My_proc
+let new_port_req = Eff.Syscall Eff.New_port
+let page_words_req = Eff.Syscall Eff.Page_words
+let my_aspace_req = Eff.Syscall Eff.My_aspace
+let new_aspace_req = Eff.Syscall Eff.New_aspace
+let syscall req = Effect.perform (Eff.Syscall req)
+let now () = Effect.perform now_req
 let sleep ns = if ns > 0 then Effect.perform (Eff.Sleep ns)
-let inject_handle () = Effect.perform Eff.Inject_handle
-let spawn ?proc ?aspace body = Effect.perform (Eff.Spawn (body, proc, aspace))
-let join tid = Effect.perform (Eff.Join tid)
+let inject_handle () = Effect.perform inject_handle_req
+let spawn ?proc ?aspace body = syscall (Eff.Spawn (body, proc, aspace))
+let join tid = syscall (Eff.Join tid)
 
 let spawn_join_all ?procs bodies =
   let place i =
@@ -81,21 +94,21 @@ let spawn_join_all ?procs bodies =
   let tids = List.mapi (fun i body -> spawn ?proc:(place i) (fun () -> body i)) bodies in
   List.iter join tids
 
-let yield () = Effect.perform Eff.Yield
-let migrate proc = Effect.perform (Eff.Migrate proc)
-let self () = Effect.perform Eff.Self
-let my_proc () = Effect.perform Eff.My_proc
-let new_port () = Effect.perform Eff.New_port
-let send port msg = Effect.perform (Eff.Port_send (port, msg))
-let recv port = Effect.perform (Eff.Port_recv port)
-let new_zone name ~pages = Effect.perform (Eff.New_zone (name, pages))
+let yield () = Effect.perform yield_req
+let migrate proc = syscall (Eff.Migrate proc)
+let self () = Effect.perform self_req
+let my_proc () = Effect.perform my_proc_req
+let new_port () = Effect.perform new_port_req
+let send port msg = syscall (Eff.Port_send (port, msg))
+let recv port = syscall (Eff.Port_recv port)
+let new_zone name ~pages = syscall (Eff.New_zone (name, pages))
 let alloc ?(zone = 0) ?(page_aligned = false) words =
-  Effect.perform (Eff.Alloc (zone, words, page_aligned))
+  syscall (Eff.Alloc (zone, words, page_aligned))
 
-let alloc_pages ?(zone = 0) pages = Effect.perform (Eff.Alloc_pages (zone, pages))
-let page_words () = Effect.perform Eff.Page_words
-let advise vaddr len advice = Effect.perform (Eff.Advise (vaddr, len, advice))
-let my_aspace () = Effect.perform Eff.My_aspace
-let new_aspace () = Effect.perform Eff.New_aspace
-let new_segment name ~pages = Effect.perform (Eff.New_segment (name, pages))
-let map_segment segment = Effect.perform (Eff.Map_segment segment)
+let alloc_pages ?(zone = 0) pages = syscall (Eff.Alloc_pages (zone, pages))
+let page_words () = Effect.perform page_words_req
+let advise vaddr len advice = syscall (Eff.Advise (vaddr, len, advice))
+let my_aspace () = Effect.perform my_aspace_req
+let new_aspace () = Effect.perform new_aspace_req
+let new_segment name ~pages = syscall (Eff.New_segment (name, pages))
+let map_segment segment = syscall (Eff.Map_segment segment)

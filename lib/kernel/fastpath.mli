@@ -39,9 +39,6 @@ type ctx
 val ctx : unit -> ctx
 (** This domain's context ([Domain.DLS]). *)
 
-val run_cap : int
-(** Maximum words drained within one engine event (engine-liveness bound). *)
-
 (* --- kernel side --- *)
 
 val arm : ctx -> ops -> base:int -> proc:int -> aspace:int -> quantum_left:int -> unit

@@ -1,3 +1,11 @@
+(* The PLATINUM kernel runtime (interface in kernel.mli).  Simulated
+   threads trap in by performing the effects of {!Eff}; [start_fiber]
+   installs the one handler.  It has four arms — [Access_txn], [Compute],
+   [Sleep] and [Syscall] — and each closes the coalescing window through
+   [settle] before its op runs.  [syscall] handles every other service
+   in one exhaustive match over the closed [Eff.request] type, so a
+   service without an arm does not compile. *)
+
 module Engine = Platinum_sim.Engine
 module Machine = Platinum_machine.Machine
 module Config = Platinum_machine.Config
@@ -90,8 +98,6 @@ let engine t = t.engine
 let machine t = t.machine
 let memsys t = t.memsys
 let config t = Machine.config t.machine
-let live_threads t = t.live
-let all_done t = t.live = 0 && t.created > 0
 let threads_created t = t.created
 let context_switches t = t.switches
 
@@ -258,25 +264,24 @@ and settle : type a b. t -> thread -> (t -> thread -> a -> b -> unit) -> a -> b 
   if acc = 0 then op t th x y
   else resume_after t th (charge t th ~lat:acc) (fun () -> op t th x y)
 
-(* The [settle] op for handler code that needs a closure anyway. *)
-and call : t -> thread -> unit -> (unit -> unit) -> unit = fun _ _ () f -> f ()
-
-(* Run an operation that may raise (a protection or address-space error,
-   an unknown port, ...): the exception is delivered back into the
+(* Run a service that may raise (a protection or address-space error,
+   an exhausted zone, ...): the exception is delivered back into the
    faulting thread at its perform point via [discontinue], where the
    fiber's own handler turns it into a thread failure — one broken thread
    must not take down the whole simulated machine. *)
-and run_op : type a. t -> thread -> (a, unit) Effect.Deep.continuation -> (unit -> a * int) -> unit =
+and service :
+    type a. t -> thread -> (a, unit) Effect.Deep.continuation -> (unit -> a * int) -> unit =
  fun t th k f ->
   match f () with
   | v, lat -> complete t th k v lat
   | exception e -> Effect.Deep.discontinue k e
 
-and reply : type a. t -> thread -> (a, unit) Effect.Deep.continuation -> a -> unit =
- fun t th k v -> complete t th k v 0
-
-and now_op t th k () = complete t th k (Engine.now t.engine) 0
 and compute_op t th k ns = complete t th k () (max ns 0)
+and finish_op t th () () = finish_thread t th
+
+and fail_op t th () e =
+  if t.failure = None then t.failure <- Some e;
+  finish_thread t th
 
 (* The whole memory hot path: one trap, one backend submit — reached only
    when the coalescer declined the access, so [settle] has already
@@ -345,178 +350,141 @@ and block : type a. t -> thread -> (a, unit) Effect.Deep.continuation -> a Lazy.
         Effect.Deep.continue k v);
   dispatch t th.proc
 
+(* Every kernel service, in one exhaustive match over the closed request
+   type: a service without an arm here does not compile. *)
+and syscall :
+    type a. t -> thread -> (a, unit) Effect.Deep.continuation -> a Eff.request -> unit =
+ fun t th k req ->
+  match req with
+  | Eff.Yield ->
+    th.state <- Runnable;
+    park t th k ();
+    Queue.add th.tid (runq t th.proc);
+    dispatch t th.proc
+  | Eff.Spawn (body, hint, aspace_hint) ->
+    service t th k (fun () ->
+        let proc = place t hint in
+        let aspace = Option.value aspace_hint ~default:th.aspace in
+        let child = make_thread t ~proc ~aspace body in
+        wake ~src:th.proc t child;
+        (child.tid, (config t).Config.thread_spawn_ns))
+  | Eff.Join tid -> (
+    match thread t tid with
+    | exception e -> Effect.Deep.discontinue k e
+    | target when target == th ->
+      Effect.Deep.discontinue k
+        (Invalid_argument (Printf.sprintf "join: thread %d joins itself" tid))
+    | target ->
+      if target.state = Finished then complete t th k () 0
+      else begin
+        target.joiners <- th.tid :: target.joiners;
+        block t th k (lazy ())
+      end)
+  | Eff.Migrate proc ->
+    if not (in_slice t proc) then
+      Effect.Deep.discontinue k
+        (Invalid_argument (Printf.sprintf "migrate: no processor %d" proc))
+    else begin
+      let from_proc = th.proc in
+      let lat =
+        if proc = from_proc then 0
+        else
+          (config t).Config.thread_migrate_ns
+          + t.memsys.Memsys.migrate_cost ~now:(Engine.now t.engine) ~from_proc ~to_proc:proc
+      in
+      (* The thread leaves this processor; resume it on the new one and
+         let this one schedule other work. *)
+      th.state <- Runnable;
+      park t th k ();
+      th.proc <- proc;
+      (* The migration itself is cross-node traffic: the thread (kernel
+         stack and all) lands on [proc]'s queue. *)
+      Engine.post t.engine ~src:from_proc ~dst:proc ~delay:lat (fun () ->
+          Queue.add th.tid (runq t proc);
+          if not (proc_busy t proc) then begin
+            set_proc_busy t proc true;
+            dispatch t proc
+          end);
+      dispatch t from_proc
+    end
+  | Eff.Self -> complete t th k th.tid 0
+  | Eff.My_proc -> complete t th k th.proc 0
+  | Eff.Now -> complete t th k (Engine.now t.engine) 0
+  | Eff.New_port ->
+    let pid = t.next_pid in
+    t.next_pid <- pid + 1;
+    Hashtbl.replace t.ports pid { messages = Queue.create (); waiters = Queue.create () };
+    complete t th k pid 0
+  | Eff.Port_send (pid, msg) -> (
+    match Hashtbl.find_opt t.ports pid with
+    | None ->
+      Effect.Deep.discontinue k (Invalid_argument (Printf.sprintf "send: unknown port %d" pid))
+    | Some port ->
+      let cfg = config t in
+      let lat = cfg.Config.port_op_ns + (Array.length msg * cfg.Config.t_block_word) in
+      Queue.add (Array.copy msg) port.messages;
+      (match Queue.take_opt port.waiters with
+      | Some tid -> wake ~src:th.proc t (thread t tid)
+      | None -> ());
+      complete t th k () lat)
+  | Eff.Port_recv pid -> (
+    match Hashtbl.find_opt t.ports pid with
+    | None ->
+      Effect.Deep.discontinue k (Invalid_argument (Printf.sprintf "recv: unknown port %d" pid))
+    | Some port ->
+      let cfg = config t in
+      let take () =
+        match Queue.take_opt port.messages with
+        | Some m -> m
+        | None -> failwith "Kernel: woken receiver found empty port"
+      in
+      if not (Queue.is_empty port.messages) then begin
+        let m = take () in
+        complete t th k m (cfg.Config.port_op_ns + (Array.length m * cfg.Config.t_block_word))
+      end
+      else begin
+        Queue.add th.tid port.waiters;
+        block t th k (lazy (take ()))
+      end)
+  | Eff.New_zone (name, pages) ->
+    service t th k (fun () -> (t.memsys.Memsys.new_zone ~aspace:th.aspace ~name ~pages, 0))
+  | Eff.Alloc (zone, words, page_aligned) ->
+    service t th k (fun () -> (t.memsys.Memsys.alloc ~zone ~words ~page_aligned, 0))
+  | Eff.Alloc_pages (zone, pages) ->
+    service t th k (fun () -> (t.memsys.Memsys.alloc_pages ~zone ~pages, 0))
+  | Eff.Page_words -> complete t th k t.memsys.Memsys.page_words 0
+  | Eff.Advise (vaddr, len, advice) ->
+    service t th k (fun () ->
+        ( (),
+          t.memsys.Memsys.advise ~now:(Engine.now t.engine) ~proc:th.proc ~aspace:th.aspace
+            ~vaddr ~len advice ))
+  | Eff.My_aspace -> complete t th k th.aspace 0
+  | Eff.New_aspace -> service t th k (fun () -> (t.memsys.Memsys.new_aspace (), 0))
+  | Eff.New_segment (name, pages) ->
+    service t th k (fun () -> (t.memsys.Memsys.new_segment ~name ~pages, 0))
+  | Eff.Map_segment segment ->
+    service t th k (fun () ->
+        ( t.memsys.Memsys.map_segment ~aspace:th.aspace ~segment,
+          (config t).Config.vm_fault_ns ))
+  | Eff.Inject_handle -> complete t th k (Machine.inject t.machine) 0
+
+(* Thread exit and failure settle too, through top-level ops. *)
 and start_fiber t th =
   let open Effect.Deep in
   arm t th;
   match_with th.body ()
     {
-      retc = (fun () -> settle t th call () (fun () -> finish_thread t th));
-      exnc =
-        (fun e ->
-          settle t th call () (fun () ->
-              if t.failure = None then t.failure <- Some e;
-              finish_thread t th));
+      retc = (fun () -> settle t th finish_op () ());
+      exnc = (fun e -> settle t th fail_op () e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
           | Eff.Access_txn txn ->
             Some (fun (k : (a, _) continuation) -> settle t th access_op k txn)
           | Eff.Compute ns -> Some (fun k -> settle t th compute_op k ns)
-          | Eff.Yield ->
-            Some
-              (fun k ->
-                settle t th call () (fun () ->
-                    th.state <- Runnable;
-                    park t th k ();
-                    Queue.add th.tid (runq t th.proc);
-                    dispatch t th.proc))
-          | Eff.Spawn (body, hint, aspace_hint) ->
-            Some
-              (fun k ->
-                settle t th run_op k (fun () ->
-                    let proc = place t hint in
-                    let aspace = Option.value aspace_hint ~default:th.aspace in
-                    let child = make_thread t ~proc ~aspace body in
-                    wake ~src:th.proc t child;
-                    (child.tid, (config t).Config.thread_spawn_ns)))
-          | Eff.Join tid ->
-            Some
-              (fun k ->
-                settle t th call () (fun () ->
-                    match thread t tid with
-                    | exception e -> Effect.Deep.discontinue k e
-                    | target ->
-                      if target.state = Finished then complete t th k () 0
-                      else begin
-                        target.joiners <- th.tid :: target.joiners;
-                        block t th k (lazy ())
-                      end))
-          | Eff.Migrate proc ->
-            Some
-              (fun k ->
-                settle t th call () (fun () ->
-                    if not (in_slice t proc) then
-                      Effect.Deep.discontinue k
-                        (Invalid_argument (Printf.sprintf "migrate: no processor %d" proc))
-                    else begin
-                      let from_proc = th.proc in
-                      let lat =
-                        if proc = from_proc then 0
-                        else
-                          (config t).Config.thread_migrate_ns
-                          + t.memsys.Memsys.migrate_cost ~now:(Engine.now t.engine) ~from_proc
-                              ~to_proc:proc
-                      in
-                      (* The thread leaves this processor; resume it on the new
-                         one and let this one schedule other work. *)
-                      th.state <- Runnable;
-                      park t th k ();
-                      let old = from_proc in
-                      th.proc <- proc;
-                      (* The migration itself is cross-node traffic: the thread
-                         (kernel stack and all) lands on [proc]'s queue. *)
-                      Engine.post t.engine ~src:old ~dst:proc ~delay:lat (fun () ->
-                          Queue.add th.tid (runq t proc);
-                          if not (proc_busy t proc) then begin
-                            set_proc_busy t proc true;
-                            dispatch t proc
-                          end);
-                      dispatch t old
-                    end))
-          | Eff.Self -> Some (fun k -> settle t th reply k th.tid)
-          | Eff.My_proc -> Some (fun k -> settle t th reply k th.proc)
-          | Eff.Now -> Some (fun k -> settle t th now_op k ())
-          | Eff.New_port ->
-            Some
-              (fun k ->
-                settle t th call () (fun () ->
-                    let pid = t.next_pid in
-                    t.next_pid <- pid + 1;
-                    Hashtbl.replace t.ports pid
-                      { messages = Queue.create (); waiters = Queue.create () };
-                    complete t th k pid 0))
-          | Eff.Port_send (pid, msg) ->
-            Some
-              (fun k ->
-                settle t th call () (fun () ->
-                    match Hashtbl.find_opt t.ports pid with
-                    | None ->
-                      Effect.Deep.discontinue k
-                        (Invalid_argument (Printf.sprintf "send: unknown port %d" pid))
-                    | Some port ->
-                      let cfg = config t in
-                      let lat =
-                        cfg.Config.port_op_ns + (Array.length msg * cfg.Config.t_block_word)
-                      in
-                      Queue.add (Array.copy msg) port.messages;
-                      (match Queue.take_opt port.waiters with
-                      | Some tid -> wake ~src:th.proc t (thread t tid)
-                      | None -> ());
-                      complete t th k () lat))
-          | Eff.Port_recv pid ->
-            Some
-              (fun k ->
-                settle t th call () (fun () ->
-                    match Hashtbl.find_opt t.ports pid with
-                    | None ->
-                      Effect.Deep.discontinue k
-                        (Invalid_argument (Printf.sprintf "recv: unknown port %d" pid))
-                    | Some port ->
-                      let cfg = config t in
-                      let take () =
-                        match Queue.take_opt port.messages with
-                        | Some m -> m
-                        | None -> failwith "Kernel: woken receiver found empty port"
-                      in
-                      if not (Queue.is_empty port.messages) then begin
-                        let m = take () in
-                        let lat =
-                          cfg.Config.port_op_ns + (Array.length m * cfg.Config.t_block_word)
-                        in
-                        complete t th k m lat
-                      end
-                      else begin
-                        Queue.add th.tid port.waiters;
-                        block t th k (lazy (take ()))
-                      end))
-          | Eff.New_zone (name, pages) ->
-            Some
-              (fun k ->
-                settle t th run_op k (fun () ->
-                    (t.memsys.Memsys.new_zone ~aspace:th.aspace ~name ~pages, 0)))
-          | Eff.Alloc (zone, words, page_aligned) ->
-            Some
-              (fun k ->
-                settle t th run_op k (fun () ->
-                    (t.memsys.Memsys.alloc ~zone ~words ~page_aligned, 0)))
-          | Eff.Alloc_pages (zone, pages) ->
-            Some
-              (fun k ->
-                settle t th run_op k (fun () -> (t.memsys.Memsys.alloc_pages ~zone ~pages, 0)))
-          | Eff.Page_words -> Some (fun k -> settle t th reply k t.memsys.Memsys.page_words)
-          | Eff.Advise (vaddr, len, advice) ->
-            Some
-              (fun k ->
-                settle t th run_op k (fun () ->
-                    ( (),
-                      t.memsys.Memsys.advise ~now:(Engine.now t.engine) ~proc:th.proc
-                        ~aspace:th.aspace ~vaddr ~len advice )))
-          | Eff.My_aspace -> Some (fun k -> settle t th reply k th.aspace)
-          | Eff.New_aspace ->
-            Some (fun k -> settle t th run_op k (fun () -> (t.memsys.Memsys.new_aspace (), 0)))
-          | Eff.New_segment (name, pages) ->
-            Some
-              (fun k ->
-                settle t th run_op k (fun () -> (t.memsys.Memsys.new_segment ~name ~pages, 0)))
-          | Eff.Map_segment segment ->
-            Some
-              (fun k ->
-                settle t th run_op k (fun () ->
-                    ( t.memsys.Memsys.map_segment ~aspace:th.aspace ~segment,
-                      (config t).Config.vm_fault_ns )))
           | Eff.Sleep ns -> Some (fun k -> settle t th sleep_op k ns)
-          | Eff.Inject_handle -> Some (fun k -> settle t th reply k (Machine.inject t.machine))
-          | _ -> None)
+          | Eff.Syscall req -> Some (fun k -> settle t th syscall k req)
+          | _ -> None);
     }
 
 (* ------------------------------------------------------------------ *)
@@ -529,7 +497,7 @@ let spawn t ?proc ?(aspace = 0) body =
   wake t th;
   th.tid
 
-(* The failure/deadlock report, split out of [run_spawned] so a driver
+(* The failure/deadlock report, split out of [run] so a driver
    that advances the engine some other way — hosted under [Shard], where
    many per-node kernels share the window loop — can still get the same
    end-of-run diagnostics. *)
@@ -555,10 +523,7 @@ let post_run_checks t =
   end;
   t.finished_at
 
-let run_spawned t =
-  Engine.run t.engine;
-  post_run_checks t
-
 let run t ~main =
   ignore (spawn t ~proc:0 main);
-  run_spawned t
+  Engine.run t.engine;
+  post_run_checks t

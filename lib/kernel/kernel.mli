@@ -1,11 +1,12 @@
 (** The PLATINUM kernel runtime: threads, per-processor scheduling, ports.
 
     Threads are OCaml-5 effect-handler fibers.  When a thread performs a
-    memory (or other kernel) effect, the handler asks the {!Memsys} backend
-    for the operation's latency, marks the thread's processor busy for that
-    long on the discrete-event engine, and resumes the continuation when
-    the virtual clock gets there.  Pending interrupt-handler penalties
-    (shootdowns received) are charged at the next operation boundary.
+    memory effect or requests a kernel service ({!Eff}), the handler asks
+    the {!Memsys} backend for the operation's latency, marks the thread's
+    processor busy for that long on the discrete-event engine, and
+    resumes the continuation when the virtual clock gets there.  Pending
+    interrupt-handler penalties (shootdowns received) are charged at the
+    next operation boundary.
 
     A thread is bound to one processor at a time (§1.1); [Migrate] moves it
     explicitly, paying for the kernel-stack block copy.  Scheduling is
@@ -51,19 +52,11 @@ val spawn : t -> ?proc:int -> ?aspace:int -> (unit -> unit) -> Eff.thread_id
     Unplaced threads go round-robin over processors; [aspace] defaults to
     address space 0. *)
 
-val live_threads : t -> int
-val all_done : t -> bool
-(** True once every spawned thread has finished (the defrost daemon's stop
-    condition). *)
-
 val run : t -> main:(unit -> unit) -> Platinum_sim.Time_ns.t
 (** Spawn [main] on processor 0, run the simulation to completion, and
     return the time at which the last thread finished.  Raises
     {!Thread_failure} if any thread raised, {!Deadlock} if threads remain
     blocked forever. *)
-
-val run_spawned : t -> Platinum_sim.Time_ns.t
-(** Like {!run} for threads already created with {!spawn}. *)
 
 val post_run_checks : t -> Platinum_sim.Time_ns.t
 (** The end-of-run diagnostics of {!run}, without driving the engine:

@@ -55,18 +55,6 @@ let new_aspace t =
   ignore (new_zone t ~aspace:id ~name:(Printf.sprintf "heap@%d" id) ~pages:t.default_zone_pages);
   id
 
-let heap_zone_of_aspace t a =
-  (* The private heap created with the space; for space 0 it is zone 0. *)
-  if a = 0 then 0
-  else begin
-    (* zones were appended in creation order; find the heap@a zone *)
-    let found = ref (-1) in
-    Array.iteri
-      (fun i z -> if Zone.name z = Printf.sprintf "heap@%d" a then found := i)
-      t.zones;
-    !found
-  end
-
 let new_segment t ~name ~pages =
   let obj = Memobj.create t.coh ~name ~npages:pages in
   t.segments <- Array.append t.segments [| obj |];

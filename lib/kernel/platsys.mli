@@ -29,6 +29,3 @@ val aspace : t -> Platinum_vm.Addr_space.t
 
 val zone : t -> int -> Platinum_vm.Zone.t
 
-val heap_zone_of_aspace : t -> int -> int
-(** The private heap zone handle of an address space (0 for space 0);
-    -1 if unknown. *)

@@ -23,8 +23,6 @@ let serve ?proc handler =
   let server_tid = Api.spawn ?proc loop in
   { request_port; server_tid }
 
-let port_of t = t.request_port
-
 (* Ship one request, surviving a lossy switch: under fault injection the
    message may vanish in flight, in which case the client waits out a
    retransmission timeout (exponential backoff) and re-sends.  The

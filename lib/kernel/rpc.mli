@@ -19,9 +19,6 @@ val serve : ?proc:int -> (int array -> int array) -> server
     runs inside the simulation and may use {!Api} freely — typically it
     reads and writes data resident on its own node. *)
 
-val port_of : server -> Eff.port_id
-(** The request port (e.g. to hand to other threads by value). *)
-
 val call : server -> int array -> int array
 (** Synchronous call: ship the arguments, block until the reply.  Under
     fault injection ({!Platinum_machine.Machine.set_inject}) a request may

@@ -45,9 +45,23 @@ let fingerprint (r : Runner.result) =
 (* A random access program over a two-page buffer: word reads, writes,
    rmws and block transfers from two threads (proc 0 and proc 1) sharing
    the buffer, so the stream crosses replications, write-fault
-   retractions and freezes.  Ops are encoded as ints so the same list
+   retractions and freezes.  Interleaved kernel services — reading the
+   clock, computing, sleeping, yielding, asking for the thread id — close
+   the coalescing window at every kind of effect boundary, so a handler
+   arm that skips the batched charge shows up as a different clock
+   reading or elapsed time.  Ops are encoded as ints so the same list
    replays identically on both runs. *)
-type op = Read of int | Write of int * int | Rmw of int | Block_read of int * int | Block_write of int * int
+type op =
+  | Read of int
+  | Write of int * int
+  | Rmw of int
+  | Block_read of int * int
+  | Block_write of int * int
+  | Now
+  | Compute of int
+  | Sleep of int
+  | Yield
+  | Self
 
 let gen_op =
   QCheck.Gen.(
@@ -58,6 +72,11 @@ let gen_op =
         (2, map (fun o -> Rmw o) (int_bound 255));
         (1, map2 (fun o l -> Block_read (o, 1 + l)) (int_bound 200) (int_bound 40));
         (1, map2 (fun o l -> Block_write (o, 1 + l)) (int_bound 200) (int_bound 40));
+        (1, return Now);
+        (1, map (fun n -> Compute (1 + n)) (int_bound 2000));
+        (1, map (fun n -> Sleep (1 + n)) (int_bound 2000));
+        (1, return Yield);
+        (1, return Self);
       ])
 
 let show_op = function
@@ -66,6 +85,11 @@ let show_op = function
   | Rmw o -> Printf.sprintf "M%d" o
   | Block_read (o, l) -> Printf.sprintf "BR%d+%d" o l
   | Block_write (o, l) -> Printf.sprintf "BW%d+%d" o l
+  | Now -> "T"
+  | Compute n -> Printf.sprintf "C%d" n
+  | Sleep n -> Printf.sprintf "S%d" n
+  | Yield -> "Y"
+  | Self -> "I"
 
 let arb_prog = QCheck.make ~print:QCheck.Print.(list show_op) QCheck.Gen.(list_size (int_range 1 60) gen_op)
 
@@ -83,7 +107,12 @@ let run_prog ~coalesce prog =
         | Write (o, v) -> Api.write (buf + o) v
         | Rmw o -> note (Api.rmw (buf + o) (fun v -> v + 1))
         | Block_read (o, l) -> Array.iter note (Api.block_read (buf + o) l)
-        | Block_write (o, l) -> Api.block_write (buf + o) (Array.init l (fun i -> o + i)))
+        | Block_write (o, l) -> Api.block_write (buf + o) (Array.init l (fun i -> o + i))
+        | Now -> note (Api.now ())
+        | Compute n -> Api.compute n
+        | Sleep n -> Api.sleep n
+        | Yield -> Api.yield ()
+        | Self -> note (Api.self ()))
       ops
   in
   let config = Config.butterfly_plus ~nprocs:2 () in

@@ -198,6 +198,18 @@ let test_thread_failure_propagates () =
        false
      with Kernel.Thread_failure (Failure msg) -> msg = "boom")
 
+(* Joining yourself can never complete: like any other invalid request
+   it fails the caller at the call, rather than blocking it until the run
+   ends in a deadlock report. *)
+let test_self_join_fails_the_caller () =
+  let caught = ref "" in
+  run (fun () ->
+      match Api.join (Api.self ()) with
+      | () -> ()
+      | exception Invalid_argument msg -> caught := msg)
+  |> ignore;
+  Alcotest.(check string) "raised at the call" "join: thread 0 joins itself" !caught
+
 (* --- memory API --- *)
 
 let test_read_write_roundtrip () =
@@ -565,6 +577,7 @@ let suite =
     ("ports: multiple receivers", `Quick, test_port_many_receivers);
     ("kernel: deadlock detected", `Quick, test_deadlock_detected);
     ("kernel: thread failure propagates", `Quick, test_thread_failure_propagates);
+    ("kernel: self-join fails the caller", `Quick, test_self_join_fails_the_caller);
     ("memory: word round trip", `Quick, test_read_write_roundtrip);
     ("memory: block round trip", `Quick, test_block_roundtrip);
     ("memory: rmw returns old", `Quick, test_rmw_returns_old);
