@@ -47,8 +47,7 @@ let catalogue =
     ("frame.ml", [ "copy"; "read_words"; "write_words"; "blit_from" ]);
     ( "eheap.ml",
       [
-        "add"; "pop"; "min_time"; "min_seq"; "check_nonempty"; "sift_up_packed";
-        "sift_down_packed"; "sift_up_fb"; "sift_down_fb"; "sift_up_packed_loop";
+        "add"; "pop"; "min_time"; "min_seq"; "check_nonempty"; "sift_up_packed_loop";
         "sift_down_packed_loop"; "sift_up_fb_loop"; "sift_down_fb_loop";
       ] );
     ( "fastpath.ml",

@@ -24,6 +24,14 @@
    and a one-word run is byte-identical to it (the seed's submit is also
    synchronous at the same engine time).
 
+   A multi-word run is not exact when another processor contends for
+   the same memory module.  Word j is simulated at [base + acc_j], so
+   the module's busy horizon moves to that future time within this one
+   event; another processor's access that arrives earlier, but in a
+   later event, then queues behind it.  Word by word, that access would
+   have been served first.  DESIGN.md §4g gives the measured gap and
+   the exact variant (ROADMAP item 8).
+
    The context is per-domain ([Domain.DLS]) because fibers execute on the
    domain that resumed them and grid-parallel sweeps run one simulation
    per domain.  It caches no eligibility verdict: the backend's word ops

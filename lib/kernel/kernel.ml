@@ -235,13 +235,22 @@ and resume_after t th total resume =
   else if total = 0 then resume ()
   else Engine.schedule_after t.engine ~delay:total resume
 
-(* Complete an operation of [lat] ns by resuming the fiber with [v].  A
-   zero charge with no preemption resumes inline, with no resume
-   closure. *)
+(* Whether the thread may go on in place after a charge of [total] ns:
+   at once for a zero charge, and by an inline engine step when its
+   resume event would be the very next one popped.  [false] means the
+   caller must take [resume_after].  A [true] answer must be followed
+   only by the resumption itself (Engine.advance_inline's soundness
+   condition), so every caller uses it from tail position. *)
+and continues_in_place t th total =
+  (not (preempted t th))
+  && (total = 0 || Engine.advance_inline t.engine ~at:(Engine.now t.engine + total))
+
+(* Complete an operation of [lat] ns by resuming the fiber with [v], in
+   place when [continues_in_place] allows, with no resume closure. *)
 and complete : type a. t -> thread -> (a, unit) Effect.Deep.continuation -> a -> int -> unit =
  fun t th k v lat ->
   let total = charge t th ~lat in
-  if total = 0 && not (preempted t th) then begin
+  if continues_in_place t th total then begin
     arm t th;
     Effect.Deep.continue k v
   end
@@ -256,13 +265,17 @@ and complete : type a. t -> thread -> (a, unit) Effect.Deep.continuation -> a ->
    cost as one batched operation — exactly what a Block descriptor
    covering the same words would pay — and only then run [op], at engine
    time [base + acc].  [op] is a top-level function, so an empty run
-   costs one branch and allocates nothing; only a deferred [op] needs a
-   closure. *)
+   costs one branch and allocates nothing; only an [op] deferred through
+   the event queue needs a closure. *)
 and settle : type a b. t -> thread -> (t -> thread -> a -> b -> unit) -> a -> b -> unit =
  fun t th op x y ->
   let acc = Fastpath.close (Fastpath.ctx ()) in
   if acc = 0 then op t th x y
-  else resume_after t th (charge t th ~lat:acc) (fun () -> op t th x y)
+  else begin
+    let total = charge t th ~lat:acc in
+    if continues_in_place t th total then op t th x y
+    else resume_after t th total (fun () -> op t th x y)
+  end
 
 (* Run a service that may raise (a protection or address-space error,
    an exhausted zone, ...): the exception is delivered back into the

@@ -11,14 +11,23 @@
     fit their packed ranges the key lives as one tagged [int]
     ([time lsl seq_bits lor seq]); the first out-of-range insert migrates
     the whole heap to a two-array [(time, seq)] fallback with identical
-    ordering, so correctness never depends on the ranges. *)
+    ordering, so correctness never depends on the ranges.
+
+    Payloads never move.  Each sits in its own slot of a payload array,
+    written once by {!add} and reset to the [dummy] once by {!pop}; the
+    sifts reorder keys and an [int] array of slot indices beside them, so
+    in both modes a sift step moves immediate ints only and pays no write
+    barrier.  The unused tail of the slot-index array is the stack of free
+    slots.  Space: three words per entry of capacity while packed, four in
+    the fallback mode. *)
 
 type 'a t
 
 val create : ?capacity:int -> dummy:'a -> unit -> 'a t
 (** [create ~dummy ()] pre-sizes the arrays for [capacity] entries (default
     1024; grows by doubling).  [dummy] fills vacated payload slots so the
-    heap never retains popped values. *)
+    heap never retains popped values: a payload is unreachable from the
+    heap as soon as {!pop} returns it. *)
 
 val size : 'a t -> int
 (** O(1). *)

@@ -15,7 +15,14 @@
      but it is not application work, so it must not consume the ?limit
      budget either.  Before this class existed, injected delays had to be
      scheduled as normal events and a delayed interrupt re-enqueued past
-     the limit boundary miscounted against the caller's budget. *)
+     the limit boundary miscounted against the caller's budget.
+
+   Inline steps: inside an unbudgeted [run] on an engine with no router,
+   [advance_inline] lets the current event stand in for a normal event
+   that would be the very next one popped — due strictly before every
+   pending event — by advancing the clock and counting the step
+   ([processed] and [seq]) exactly as the pop would have, so the caller
+   runs the work in place with no closure and no heap round trip. *)
 
 let nothing () = ()
 
@@ -37,16 +44,20 @@ type t = {
   mutable processed : int;
   mutable normal_pending : int;  (* non-daemon (normal + deferred) events queued *)
   mutable router : router option;  (* the sharded façade's cross-node hook *)
+  mutable inlining : bool;  (* inside an unbudgeted, unrouted [run] *)
 }
 
 let create () =
   {
     clock = 0;
     seq = 0;
-    queue = Eheap.create ~capacity:256 ~dummy:nothing ();
+    (* Small, and grown by doubling: a hosted run keeps one engine per
+       node, most of them with only a handful of pending events. *)
+    queue = Eheap.create ~capacity:32 ~dummy:nothing ();
     processed = 0;
     normal_pending = 0;
     router = None;
+    inlining = false;
   }
 
 let now t = t.clock
@@ -107,7 +118,11 @@ let step t = step_kind t <> `Empty
 
 let run ?limit t =
   match limit with
-  | None -> while t.normal_pending > 0 && step t do () done
+  | None ->
+    t.inlining <- Option.is_none t.router;
+    Fun.protect
+      ~finally:(fun () -> t.inlining <- false)
+      (fun () -> while t.normal_pending > 0 && step t do () done)
   | Some n ->
     (* The budget counts normal events only: daemons (periodic kernel
        chores) and deferred events (injected delays, retransmission
@@ -135,3 +150,14 @@ let events_processed t = t.processed
 let pending_events t = Eheap.size t.queue
 let is_empty t = t.normal_pending = 0
 let next_at t = if Eheap.is_empty t.queue then max_int else Eheap.min_time t.queue
+
+let advance_inline t ~at =
+  t.inlining
+  && at >= t.clock
+  && at < next_at t
+  && begin
+    t.clock <- at;
+    t.seq <- t.seq + 1;
+    t.processed <- t.processed + 1;
+    true
+  end

@@ -100,7 +100,33 @@ val run : ?limit:int -> t -> unit
     {e normal} events have been processed (default unlimited).  Daemon and
     deferred events that interleave do not consume the budget: a limit
     bounds application work, independent of how often periodic daemons tick
-    or how many times the fault plane delayed an interrupt. *)
+    or how many times the fault plane delayed an interrupt.
+
+    Only an unbudgeted [run] on an engine with no {!router} permits
+    {!advance_inline}. *)
+
+val advance_inline : t -> at:Time_ns.t -> bool
+(** [advance_inline t ~at] is the inline form of scheduling a normal
+    event at [at] that would be the next one to run.  When [at] is not in
+    the past and is strictly earlier than every pending event, it advances
+    the clock to [at], counts the step as a popped normal event
+    ({!events_processed} and the sequence number both advance, so every
+    later event keeps its seed order and tie-breaks), and returns [true]:
+    the caller then runs the event's work in place, with no closure and
+    no heap round trip.  Otherwise it changes nothing and returns
+    [false], and the caller schedules the work as usual.
+
+    It returns [false] outside an unbudgeted {!run} on an engine with no
+    router: runs with [?limit] (whose budget counts popped events),
+    {!run_until} and {!step} driven from outside, and every engine hosted
+    under {!Shard} never inline.
+
+    Soundness: the in-place work runs before the rest of the current
+    event, not after it.  So after a caller continues work inline, nothing
+    in the same event may read {!now}, schedule or post an event, or
+    otherwise observe the order: the inline step must be the last thing
+    the current event does.  [Kernel] resumes fibers this way only from
+    tail position (its [complete] and [settle]). *)
 
 val run_until : t -> Time_ns.t -> unit
 (** Run every event with timestamp [<=] the given horizon, advancing the

@@ -492,7 +492,9 @@ let test_sleep_advances_clock () =
 
 (* Host allocation of the trapped path (DESIGN.md §4g): a word access to
    a frozen page is never coalesced, so each one is a full effect trap,
-   a kernel dispatch, a Platsys submit and an engine event.  Minor words
+   a kernel dispatch, a Platsys submit and an engine step.  Here the step
+   is inline (Engine.advance_inline): the only other pending event is the
+   defrost daemon's, far ahead, so no resume closure is built.  Minor words
    per operation are deterministic for a given compiler, so the budget is
    an exact regression bound; [Gc.minor_words] boxes its result, so the
    cost of one measurement is calibrated out. *)
@@ -536,9 +538,77 @@ let test_trapped_path_allocation () =
         let w = Hashtbl.find words name in
         if w <= budget then None
         else Some (Printf.sprintf "%s: %.1f minor words per op, budget %.0f" name w budget))
-      [ ("read", 32.); ("write", 32.); ("rmw", 32.); ("now", 12.) ]
+      [ ("read", 24.); ("write", 24.); ("rmw", 24.); ("now", 12.) ]
   in
   Alcotest.(check (list string)) "every op within its budget" [] over
+
+(* Inline resumption (Engine.advance_inline) against the schedule that
+   never inlines.  A budgeted run pops every event through the heap, so
+   the same program under [Engine.run ~limit:max_int] is the reference
+   for the plain [Engine.run] that [Kernel.run] uses.  Frozen-page reads,
+   writes and rmws are never coalesced, so each one is a trapped resume
+   the unbudgeted run may continue in place; five threads on three
+   processors interleave them with sleeps, computes and yields, so inline
+   steps alternate with popped events.  Values are recorded in host
+   execution order: an inline step that ran ahead of the rest of its
+   event would show up there even if the timings agreed. *)
+let run_inline_differential ~budgeted =
+  let config = Platinum_machine.Config.butterfly_plus ~nprocs:4 () in
+  let setup = Runner.make ~config ~frames_per_module:64 ~default_zone_pages:32 () in
+  let observed = ref [] in
+  let note v = observed := v :: !observed in
+  let main () =
+    let buf = Api.alloc ~page_aligned:true (Api.page_words ()) in
+    Api.write buf 0;
+    Api.advise buf 1 Platinum_kernel.Memsys.Freeze;
+    let worker w () =
+      for i = 1 to 60 do
+        (match (i * (w + 1)) mod 7 with
+        | 0 | 1 -> note (Api.read (buf + w))
+        | 2 -> Api.write (buf + w) (i * w)
+        | 3 -> note (Api.rmw buf succ)
+        | 4 -> Api.sleep (50 * (w + 1))
+        | 5 -> Api.compute (37 * i)
+        | _ -> Api.yield ());
+        note (Api.now ())
+      done
+    in
+    let tids = List.init 5 (fun w -> Api.spawn ~proc:(1 + (w mod 3)) (worker w)) in
+    List.iter Api.join tids;
+    note (Api.read buf)
+  in
+  ignore (Kernel.spawn setup.Runner.kernel ~proc:0 main : int);
+  let engine = setup.Runner.engine in
+  if budgeted then Platinum_sim.Engine.run ~limit:max_int engine
+  else Platinum_sim.Engine.run engine;
+  let elapsed = Kernel.post_run_checks setup.Runner.kernel in
+  let c = Platinum_core.Coherent.counters setup.Runner.coherent in
+  let counters =
+    Platinum_core.Counters.
+      [
+        c.read_faults; c.write_faults; c.vm_faults; c.replications; c.migrations;
+        c.remote_maps; c.freezes; c.thaws; c.shootdowns; c.messages; c.interrupts;
+        c.deferred_updates; c.pages_freed; c.zero_fills; c.atc_reloads; c.fault_ns; c.copy_ns;
+      ]
+  in
+  ( elapsed,
+    List.rev !observed,
+    counters,
+    Platinum_sim.Engine.events_processed engine,
+    Kernel.context_switches setup.Runner.kernel )
+
+let test_inline_resume_differential () =
+  let elapsed, values, counters, events, switches = run_inline_differential ~budgeted:false in
+  let elapsed', values', counters', events', switches' =
+    run_inline_differential ~budgeted:true
+  in
+  Alcotest.(check int) "elapsed" elapsed' elapsed;
+  Alcotest.(check (list int)) "values read, in execution order" values' values;
+  Alcotest.(check (list int)) "counters" counters' counters;
+  Alcotest.(check int) "events processed" events' events;
+  Alcotest.(check int) "context switches" switches' switches;
+  (* [freezes] is the seventh counter. *)
+  Alcotest.(check bool) "the run froze its page" true (List.nth counters 6 > 0)
 
 (* Synchronization on an adversarial machine: module stalls/outages delay
    the atomic ops but must never corrupt them. *)
@@ -597,5 +667,6 @@ let suite =
     ("sync: barrier rejects zero parties", `Quick, test_barrier_invalid_parties);
     ("sync: sleep advances the clock", `Quick, test_sleep_advances_clock);
     ("kernel: trapped path allocation budget", `Quick, test_trapped_path_allocation);
+    ("kernel: inline resumption ≡ budgeted run", `Quick, test_inline_resume_differential);
     ("sync: spinlock correct under fault injection", `Quick, test_spinlock_under_injection);
   ]

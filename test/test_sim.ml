@@ -193,10 +193,19 @@ let prop_eheap_threshold_straddle =
 let prop_eheap_matches_pairing =
   (* The tentpole contract: the array heap dequeues in exactly the pairing
      heap's order on any insert / delete-min interleaving.  Ops: [Some t] =
-     insert at time t (seq auto-increments), [None] = delete-min. *)
+     insert at time t (seq auto-increments), [None] = delete-min.  One
+     time in ten lies past [max_packed_time], so most runs spill to the
+     fallback mode part-way and its sifts carry slots too. *)
   QCheck.Test.make ~name:"eheap order == pairing heap order on random interleavings"
     ~count:500
-    QCheck.(list (option (int_bound 50)))
+    QCheck.(
+      list
+        (option
+           (frequency
+              [
+                (9, int_bound 50);
+                (1, map (fun o -> Eheap.max_packed_time + 1 + o) (int_bound 50));
+              ])))
     (fun ops ->
       let module K = struct
         type t = int * int
@@ -240,6 +249,47 @@ let prop_eheap_matches_pairing =
       in
       drain ();
       not !mismatch)
+
+(* Payloads live in slots that [pop] resets to [dummy]: once popped, a
+   boxed payload must be collectable, while the ones still queued stay
+   reachable.  Adds after pops reuse freed slots; the second heap runs in
+   the fallback mode. *)
+let test_eheap_releases_popped () =
+  let n = 64 in
+  let check_mode ~base =
+    let weak = Weak.create (2 * n) in
+    let h = Eheap.create ~capacity:4 ~dummy:(ref (-1)) () in
+    let fill lo hi =
+      for i = lo to hi - 1 do
+        let v = ref i in
+        Weak.set weak i (Some v);
+        Eheap.add h ~time:(base + ((i * 37) mod 101)) ~seq:i v
+      done
+    in
+    let pop k =
+      for _ = 1 to k do
+        ignore (Sys.opaque_identity (Eheap.pop h))
+      done
+    in
+    (* Build and pop out of line, so no stack slot keeps a payload alive. *)
+    (Sys.opaque_identity fill) 0 n;
+    (Sys.opaque_identity pop) (n / 2);
+    (Sys.opaque_identity fill) n (2 * n);
+    (Sys.opaque_identity pop) n;
+    Gc.full_major ();
+    Gc.full_major ();
+    let live = ref 0 in
+    for i = 0 to (2 * n) - 1 do
+      if Weak.check weak i then incr live
+    done;
+    Alcotest.(check int) "only the queued payloads survive a major GC" (Eheap.size h) !live;
+    Alcotest.(check int) "queued count" (n / 2) (Eheap.size h);
+    h
+  in
+  let packed = check_mode ~base:0 in
+  Alcotest.(check bool) "packed mode" true (Eheap.is_packed packed);
+  let fallback = check_mode ~base:(Eheap.max_packed_time + 1) in
+  Alcotest.(check bool) "fallback mode" false (Eheap.is_packed fallback)
 
 (* --- Engine --- *)
 
@@ -316,6 +366,49 @@ let test_engine_post_router () =
     [ ((4, 9), (false, 10)) ]
     (List.map (fun (s, d, dm, df, dl) -> ((s, d), (dm || df, dl))) !seen);
   Alcotest.(check int) "routed delivery includes the surcharge" 15 !at
+
+(* [advance_inline] stands in for the next event only inside an
+   unbudgeted, unrouted run, and only strictly before every pending
+   event; an inline step counts as a processed event. *)
+let test_engine_advance_inline () =
+  let e = Engine.create () in
+  Alcotest.(check bool) "outside a run" false (Engine.advance_inline e ~at:5);
+  let log = ref [] in
+  let try_at at =
+    let ok = Engine.advance_inline e ~at in
+    log := (at, ok, Engine.now e) :: !log
+  in
+  Engine.schedule_at e ~at:10 (fun () ->
+      Engine.schedule_at e ~at:100 ignore;
+      try_at 5;
+      try_at 100;
+      try_at 60;
+      try_at 99);
+  Engine.run e;
+  Alcotest.(check (list (triple int bool int)))
+    "past and tied refused; earlier than every pending event accepted"
+    [ (5, false, 10); (100, false, 10); (60, true, 60); (99, true, 99) ]
+    (List.rev !log);
+  Alcotest.(check int) "inline steps count as events" 4 (Engine.events_processed e);
+  Alcotest.(check bool) "no longer inlining after the run" false
+    (Engine.advance_inline e ~at:200);
+  let refused e run =
+    let got = ref true in
+    Engine.schedule_at e ~at:10 (fun () -> got := Engine.advance_inline e ~at:20);
+    run e;
+    Alcotest.(check bool) "refused" false !got
+  in
+  refused (Engine.create ()) (Engine.run ~limit:max_int);
+  refused (Engine.create ()) (fun e -> Engine.run_until e 1_000);
+  let routed = Engine.create () in
+  Engine.set_router routed
+    (Some
+       {
+         Engine.route =
+           (fun ~src:_ ~dst:_ ~daemon ~deferred ~delay fn ->
+             Engine.schedule_after routed ~daemon ~deferred ~delay fn);
+       });
+  refused routed Engine.run
 
 let test_engine_every () =
   let e = Engine.create () in
@@ -543,12 +636,14 @@ let suite =
     ("eheap: packed-threshold edges", `Quick, test_eheap_threshold_edges);
     qtest prop_eheap_threshold_straddle;
     qtest prop_eheap_matches_pairing;
+    ("eheap: popped payloads are released", `Quick, test_eheap_releases_popped);
     ("engine: time order", `Quick, test_engine_order);
     ("engine: FIFO tie-break", `Quick, test_engine_fifo_ties);
     ("engine: rejects the past", `Quick, test_engine_past_rejected);
     ("engine: nested scheduling", `Quick, test_engine_nested_scheduling);
     ("engine: post defaults to schedule_after", `Quick, test_engine_post_default);
     ("engine: post routes through an installed router", `Quick, test_engine_post_router);
+    ("engine: inline steps only as the next event", `Quick, test_engine_advance_inline);
     ("engine: recurring events", `Quick, test_engine_every);
     ("engine: run_until horizon", `Quick, test_engine_run_until);
     ("engine: daemon events interleave", `Quick, test_engine_daemon_events);
