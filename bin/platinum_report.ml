@@ -58,7 +58,7 @@ let run workload n procs page_bytes policy_name t1_ms t2_ms top counters trace =
       exit 2
   in
   let out, main = build_workload workload ~n ~nprocs:procs in
-  Format.printf "running %s on %a, policy %s@." workload Config.pp config policy.Policy.name;
+  Format.printf "running %s on %a, policy %s@." workload Config.pp config (Policy.name policy);
   let setup = Runner.make ~config ~policy () in
   let recorder =
     if trace > 0 then begin

@@ -42,7 +42,6 @@ val min_page_words_rounded : g:float -> rho:float -> int option
 (** The paper's inequality 2 with its rounded constants (107, 0.24) —
     reproduces Table 1's integers. *)
 
-val table1_rhos : float list
 val table1_gs : float list
 (** The axes of Table 1: ρ ∈ {0.17 … 2.0}, g ∈ {0.5, 1, 2}. *)
 

@@ -42,7 +42,6 @@ type t = {
 }
 
 let cache t p = t.caches.(p)
-let bus_busy_ns t = Memmodule.total_busy_ns t.bus
 let bus_utilization t ~horizon = Memmodule.utilization t.bus ~horizon
 
 let page_of t vaddr = vaddr / t.page_words

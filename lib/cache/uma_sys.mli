@@ -28,5 +28,4 @@ val create :
 val memsys : t -> Platinum_kernel.Memsys.t
 
 val cache : t -> int -> Platinum_machine.Cache.t
-val bus_busy_ns : t -> int
 val bus_utilization : t -> horizon:int -> float

@@ -40,11 +40,8 @@ type rule = {
 
 exception Parse_error of string
 
-val parse_source : file:string -> string -> Parsetree.structure
-(** Raises {!Parse_error} with a located message on a syntax error. *)
-
 val unit_of_source : file:string -> string -> unit_
-val load_files : string list -> unit_ list
+(** Raises {!Parse_error} with a located message on a syntax error. *)
 
 val load_dirs : string list -> unit_ list
 (** Every [.ml] file under the given paths, recursively and in sorted

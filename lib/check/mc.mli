@@ -27,7 +27,6 @@ type op =
   | Daemon_thaw  (** what the defrost daemon does: thaw every frozen page *)
 
 val pp_op : Format.formatter -> op -> unit
-val pp_ops : Format.formatter -> op list -> unit
 val ops_to_string : op list -> string
 
 val catalogue : nprocs:int -> npages:int -> op list
@@ -51,12 +50,10 @@ type report = {
   states : int;  (** distinct reachable states (including the initial one) *)
   transitions : int;  (** transitions attempted (replays) *)
   states_at_depth : int array;  (** new states first reached at depth d *)
-  violations : counterexample list;  (** capped at {!max_counterexamples} *)
+  violations : counterexample list;  (** capped at five *)
   total_violations : int;
   truncated : bool;  (** hit [max_states] before exhausting the space *)
 }
-
-val max_counterexamples : int
 
 val explore :
   ?mutate:bool -> ?max_states:int -> nprocs:int -> npages:int -> depth:int -> unit -> report

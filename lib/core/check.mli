@@ -94,8 +94,6 @@ type trace_entry =
   | Request of { proc : int; aspace : int; vpage : int; write : bool }
   | Event of Probe.event
 
-val pp_trace_entry : Format.formatter -> trace_entry -> unit
-
 type monitor
 (** Per-{!Coherent}-instance monitor state: a bounded ring of recent trace
     entries.  Deliberately not global — see the domain-safety lint. *)
@@ -117,7 +115,6 @@ val trace : monitor -> (Platinum_sim.Time_ns.t * trace_entry) list
 val raise_violation : monitor -> now:Platinum_sim.Time_ns.t -> fault -> 'a
 (** Raise {!Violation} carrying the monitor's current trace. *)
 
-val pp_violation : Format.formatter -> violation -> unit
 val violation_message : violation -> string
 
 val env_enabled : unit -> bool

@@ -10,39 +10,19 @@ type directive =
   | Restrict_to_read
   | Invalidate
 
-type message = {
-  msg_vpage : int;
-  msg_directive : directive;
-  mutable msg_targets : Procset.t;
-  mutable msg_done : bool;
-}
-
-(* Retraction used to rebuild the queue with [List.filter] every time a
-   message's target mask emptied — O(queue length) per retract.  A retired
-   message is now just flagged [msg_done] (O(1)) and physically dropped by
-   a lazy compaction that runs only when retired messages are at least half
-   the queue, so each message pays for its own removal: amortized O(1). *)
 type t = {
   aspace_id : int;
   entries : centry Flat.t;
-  mutable queue : message list;  (* newest first; may contain flagged-done messages *)
-  mutable queue_len : int;  (* including flagged-done *)
-  mutable queue_dead : int;  (* flagged-done still physically present *)
   mutable active_set : Procset.t;
   pmaps : Pmap.t array;
-  mutable posted : int;
 }
 
 let create ~aspace ~nprocs =
   {
     aspace_id = aspace;
     entries = Flat.create ();
-    queue = [];
-    queue_len = 0;
-    queue_dead = 0;
     active_set = Procset.empty;
     pmaps = Array.init nprocs (fun proc -> Pmap.create ~proc);
-    posted = 0;
   }
 
 let aspace t = t.aspace_id
@@ -64,31 +44,6 @@ let bind t ~vpage cpage vrights =
 
 let unbind t ~vpage = Flat.remove t.entries vpage
 let iter f t = Flat.iter f t.entries
-let nbindings t = Flat.length t.entries
-
-let post t msg =
-  if msg.msg_done then invalid_arg "Cmap.post: message already retired";
-  t.queue <- msg :: t.queue;
-  t.queue_len <- t.queue_len + 1;
-  t.posted <- t.posted + 1
-
-let compact t =
-  t.queue <- List.filter (fun m -> not m.msg_done) t.queue;
-  t.queue_len <- t.queue_len - t.queue_dead;
-  t.queue_dead <- 0
-
-let complete t msg ~proc =
-  msg.msg_targets <- Procset.remove proc msg.msg_targets;
-  if Procset.is_empty msg.msg_targets && not msg.msg_done then begin
-    msg.msg_done <- true;
-    t.queue_dead <- t.queue_dead + 1;
-    if 2 * t.queue_dead >= t.queue_len then compact t
-  end
-
-let pending_messages t =
-  if t.queue_dead = 0 then t.queue else List.filter (fun m -> not m.msg_done) t.queue
-
-let messages_posted t = t.posted
 
 (* Aspace-level invariants: the reference masks and the per-processor
    Pmaps must tell the same story, and every installed translation must
@@ -149,11 +104,4 @@ let check_faults t =
       | Some f -> if !fault = None then fault := Some f
       | None -> ())
     t.pmaps;
-  (* Queue bookkeeping must agree with the queue itself. *)
-  (if !fault = None then
-     let dead = List.length (List.filter (fun m -> m.msg_done) t.queue) in
-     if List.length t.queue <> t.queue_len || dead <> t.queue_dead then
-       fail ~inv:"retired-message-accounting" ~cite:"PR 5"
-         "aspace %d: queue holds %d messages (%d retired), counters say %d (%d)" t.aspace_id
-         (List.length t.queue) dead t.queue_len t.queue_dead);
   !fault

@@ -8,7 +8,13 @@
       holding a virtual-to-physical translation in their Pmap;
     - a queue of Cmap messages describing recent restrictive changes;
     - a bit mask of processors with this address space active;
-    - a private {!Pmap} per processor. *)
+    - a private {!Pmap} per processor.
+
+    The message queue is modelled by its cost, not stored: {!Shootdown}
+    applies every change eagerly and charges what posting and draining
+    would — [shootdown_post_ns] and one [Counters.messages] per message,
+    an interrupt for each active holder and a deferred update for each
+    inactive one. *)
 
 type centry = {
   cpage : Cpage.t;
@@ -20,15 +26,6 @@ type centry = {
 type directive =
   | Restrict_to_read
   | Invalidate
-
-type message = {
-  msg_vpage : int;
-  msg_directive : directive;
-  mutable msg_targets : Platinum_machine.Procset.t;
-      (** processors that still have to apply the change *)
-  mutable msg_done : bool;
-      (** retired (target mask emptied); the queue drops it lazily *)
-}
 
 type t
 
@@ -46,26 +43,6 @@ val bind : t -> vpage:int -> Cpage.t -> Rights.t -> centry
 
 val unbind : t -> vpage:int -> unit
 val iter : (int -> centry -> unit) -> t -> unit
-val nbindings : t -> int
-
-(* --- message queue --- *)
-
-val post : t -> message -> unit
-(** Append a shootdown message.  The simulator applies changes eagerly (see
-    {!Shootdown}), so the queue records protocol traffic: drained messages
-    accumulate in [messages_posted]. *)
-
-val complete : t -> message -> proc:int -> unit
-(** Mark one target as having applied the message; the message retires
-    (is flagged [msg_done]) when its target mask empties.  Retired
-    messages are physically dropped by a lazy compaction that runs when
-    they reach half the queue — amortized O(1) per retraction, where the
-    seed rebuilt the whole queue each time. *)
-
-val pending_messages : t -> message list
-(** Live (non-retired) messages, newest first. *)
-
-val messages_posted : t -> int
 
 (* --- sanitizer hook --- *)
 
@@ -75,7 +52,5 @@ val check_faults : t -> Check.fault option
     translation points into its page's directory (translation-in-directory),
     a write translation implies the page is write-mapped with a single copy
     (write-flag-agreement / replicas-read-only, §3.2), no Pmap entry
-    survives for an unbound vpage (stale-translation), each Pmap's packed
-    mirror tracks its entry table (packed-mirror), and the message queue's
-    length/retired counters agree with the queue
-    (retired-message-accounting). *)
+    survives for an unbound vpage (stale-translation), and each Pmap's
+    packed mirror tracks its entry table (packed-mirror). *)

@@ -13,7 +13,6 @@ module Engine = Platinum_sim.Engine
 type scratch = { mutable s_latency : int }
 
 let make_scratch () = { s_latency = 0 }
-let scratch_latency sc = sc.s_latency
 
 type t = {
   machine : Machine.t;
@@ -202,9 +201,6 @@ let fault_ctx t =
   match t.fault_ctx with
   | Some c -> c
   | None ->
-    let hooks = { Policy.freeze = (fun ~now p -> freeze_page t ~now p);
-                  thaw = (fun ~now p -> thaw_page t ~now p) }
-    in
     let c =
       {
         Fault.machine = t.machine;
@@ -212,19 +208,10 @@ let fault_ctx t =
         counters = t.counters;
         atcs = t.atcs;
         policy = t.policy;
-        hooks;
+        freeze = (fun ~now p -> freeze_page t ~now p);
+        thaw = (fun ~now p -> thaw_page t ~now p);
         mappings_of = (fun page -> mappings_of t page);
-        (* When the monitor is armed, every probe event the fault handler
-           emits is also recorded into the replayable trace. *)
-        probe =
-          (fun () ->
-            match t.monitor with
-            | None -> t.probe
-            | Some m ->
-              Some
-                (fun ~now ev ->
-                  Check.note m ~now (Check.Event ev);
-                  match t.probe with None -> () | Some p -> p ~now ev));
+        emit = (fun ~now ev -> emit t ~now ev);
         monitor = (fun () -> t.monitor);
       }
     in
@@ -323,6 +310,9 @@ let unbind t ~now cm ~vpage =
 let activate t ~now:_ ~proc ~aspace =
   if t.active_aspace.(proc) = aspace then 0
   else begin
+    (* Resolve the new space first: an unknown [aspace] must raise before
+       any of the processor's activation state changes. *)
+    let cm = cmap t ~aspace in
     let prev = t.active_aspace.(proc) in
     if prev >= 0 then begin
       match Hashtbl.find_opt t.cmaps prev with
@@ -330,7 +320,6 @@ let activate t ~now:_ ~proc ~aspace =
       | None -> ()
     end;
     t.active_aspace.(proc) <- aspace;
-    let cm = cmap t ~aspace in
     Cmap.set_active cm ~proc true;
     ignore (Atc.activate t.atcs.(proc) ~aspace);
     (* The §7 caches are virtually indexed: flush on space switch. *)
@@ -770,7 +759,6 @@ let advise t ~now ~proc ~cmap:cm ~vpage advice =
 
 let frozen_pages t = t.frozen_list
 let iter_cpages f t = Hashtbl.iter (fun _ p -> f p) t.cpages
-let n_cpages t = Hashtbl.length t.cpages
 
 (* --- sanitizer access --- *)
 

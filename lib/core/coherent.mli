@@ -57,12 +57,9 @@ type scratch
 
 val make_scratch : unit -> scratch
 
-val scratch_latency : scratch -> int
-(** Latency of the most recent [_s] access through this scratch. *)
-
 val read_word_s :
   t -> scratch -> now:Platinum_sim.Time_ns.t -> proc:int -> cmap:Cmap.t -> vaddr:int -> int
-(** The word value; latency via {!scratch_latency}.  Semantically identical
+(** The word value; the latency goes into the scratch.  Semantically identical
     to {!read_word} (same faults, same cache and interconnect charging). *)
 
 val write_word_s :
@@ -72,7 +69,7 @@ val write_word_s :
 val rmw_word_s :
   t -> scratch -> now:Platinum_sim.Time_ns.t -> proc:int -> cmap:Cmap.t -> vaddr:int ->
   (int -> int) -> int
-(** The old value; latency via {!scratch_latency}. *)
+(** The old value; the latency goes into the scratch. *)
 
 (* --- the coalescing fast-path cores (DESIGN.md §4g) ---
 
@@ -205,7 +202,6 @@ val daemon_thaw : t -> now:Platinum_sim.Time_ns.t -> Cpage.t -> unit
 (* --- introspection --- *)
 
 val iter_cpages : (Cpage.t -> unit) -> t -> unit
-val n_cpages : t -> int
 
 val check_faults : t -> Check.fault option
 (** Machine-wide consistency, structured: every {!Cpage} invariant

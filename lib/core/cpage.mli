@@ -77,8 +77,6 @@ val never_invalidated : Platinum_sim.Time_ns.t
 
 val create : id:int -> home:int -> ?label:string -> unit -> t
 
-val fresh_stats : unit -> stats
-
 val ncopies : t -> int
 (** Occupied directory slots, O(1). *)
 

@@ -33,7 +33,7 @@ let install_adaptive coh engine ~initial_t2 ~max_t2 ~refreeze_window =
   Coherent.set_freeze_hook coh (Some on_freeze)
 
 let install ?(mode = Periodic) coh engine =
-  if (Coherent.policy coh).Policy.uses_defrost then
+  if Policy.uses_defrost (Coherent.policy coh) then
     match mode with
     | Periodic -> install_periodic coh engine
     | Adaptive { initial_t2; max_t2; refreeze_window } ->

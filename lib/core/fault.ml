@@ -15,9 +15,10 @@ type ctx = {
   counters : Counters.t;
   atcs : Atc.t array;
   policy : Policy.t;
-  hooks : Policy.hooks;
+  freeze : now:Platinum_sim.Time_ns.t -> Cpage.t -> unit;
+  thaw : now:Platinum_sim.Time_ns.t -> Cpage.t -> unit;
   mappings_of : Cpage.t -> (Cmap.t * int) list;
-  probe : unit -> Probe.t option;
+  emit : Probe.t;
   monitor : unit -> Check.monitor option;
 }
 
@@ -63,7 +64,7 @@ let handle ctx ~now ~proc ~cmap ~vpage ~write =
   if not allowed then raise (Protection_violation { aspace = Cmap.aspace cmap; vpage; write });
   let page = centry.Cmap.cpage in
   let st = page.Cpage.stats in
-  let emit ev = match ctx.probe () with None -> () | Some p -> p ~now ev in
+  let emit ev = ctx.emit ~now ev in
   emit
     (if write then Probe.Write_fault { cpage = page.Cpage.id; proc }
      else Probe.Read_fault { cpage = page.Cpage.id; proc });
@@ -91,7 +92,7 @@ let handle ctx ~now ~proc ~cmap ~vpage ~write =
     (* First-touch placement is local unless the policy scatters data
        round-robin across modules (the Uniform System baseline). *)
     let prefer =
-      if first_touch && ctx.policy.Policy.scatter_placement then
+      if first_touch && Policy.scatter_placement ctx.policy then
         page.Cpage.id mod config.Config.nprocs
       else proc
     in
@@ -255,11 +256,15 @@ let handle ctx ~now ~proc ~cmap ~vpage ~write =
         let kind = if write then Policy.Write_fault else Policy.Read_fault in
         let decision =
           if Cpage.ncopies page = 0 then Policy.Replicate
-          else ctx.policy.Policy.decide ctx.hooks ~now kind page
+          else Policy.decide ctx.policy ~now kind page
         in
+        (match decision with
+        | Policy.Freeze -> ctx.freeze ~now page
+        | Policy.Thaw -> ctx.thaw ~now page
+        | Policy.Replicate | Policy.Remote_map -> ());
         match decision with
-        | Policy.Remote_map -> remote_map ()
-        | Policy.Replicate -> (
+        | Policy.Remote_map | Policy.Freeze -> remote_map ()
+        | Policy.Replicate | Policy.Thaw -> (
           match alloc_frame () with
           | None -> remote_map () (* physical memory exhausted: fall back *)
           | Some frame ->
@@ -293,7 +298,7 @@ let handle ctx ~now ~proc ~cmap ~vpage ~write =
                    so resync before the freeze (the monitor checks there). *)
                 abandon_frame frame;
                 Cpage.sync_state page;
-                ctx.hooks.freeze ~now:(now + !lat) page;
+                ctx.freeze ~now:(now + !lat) page;
                 (match inj with
                 | Some i when page.Cpage.frozen -> Platinum_sim.Inject.note_degraded_freeze i
                 | Some _ | None -> ());
@@ -323,7 +328,7 @@ let handle ctx ~now ~proc ~cmap ~vpage ~write =
                 lat := !lat + free_copies ctx page ~except:kept;
                 page.Cpage.write_mapped <- false;
                 Cpage.sync_state page;
-                ctx.hooks.freeze ~now:(now + !lat) page;
+                ctx.freeze ~now:(now + !lat) page;
                 (match inj with
                 | Some i when page.Cpage.frozen -> Platinum_sim.Inject.note_degraded_freeze i
                 | Some _ | None -> ());

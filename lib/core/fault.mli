@@ -3,9 +3,11 @@
     Every transition of the paper's Figure 4 state diagram is taken here,
     driven by read/write misses (the defrost daemon drives the remaining
     thaw transitions).  On a miss with no local physical copy, the
-    {!Policy} chooses between replication/migration and a remote mapping;
-    a frozen page is always remote-mapped with the full rights the VM
-    system permits, so it faults no further.
+    {!Policy} returns a verdict — replicate/migrate, remote-map, freeze or
+    thaw — and the handler carries it out: a [Freeze] or [Thaw] through
+    the context's [freeze]/[thaw] at the fault's own [now], then the
+    mapping.  A frozen page is always remote-mapped with the full rights
+    the VM system permits, so it faults no further.
 
     The handler returns the installed Pmap entry and the fault latency,
     which composes: trap entry + (allocate/map or map-existing) +
@@ -25,15 +27,19 @@ type ctx = {
   counters : Counters.t;
   atcs : Atc.t array;
   policy : Policy.t;
-  hooks : Policy.hooks;
+  freeze : now:Platinum_sim.Time_ns.t -> Cpage.t -> unit;
+      (** carries out a [Freeze] verdict, and the freeze-in-place that
+          follows repeatedly aborted block transfers *)
+  thaw : now:Platinum_sim.Time_ns.t -> Cpage.t -> unit;  (** carries out a [Thaw] verdict *)
   mappings_of : Cpage.t -> (Cmap.t * int) list;
       (** every (cmap, vpage) at which a coherent page is currently bound *)
-  probe : unit -> Probe.t option;
-      (** the instrumentation callback, consulted at call time so it can
-          be installed after the system is built *)
+  emit : Probe.t;
+      (** the system's one event fan-out: the sanitizer's trace when armed,
+          then the instrumentation probe when installed *)
   monitor : unit -> Check.monitor option;
-      (** the coherence sanitizer's monitor, likewise consulted at call
-          time; shootdowns report into it when armed *)
+      (** the coherence sanitizer's monitor, consulted at call time so it
+          can be armed after the system is built; shootdowns report into it
+          when armed *)
 }
 
 val handle :

@@ -142,9 +142,3 @@ let chunk_count t = Array.length t.chunks
 let chunk_touched t c =
   c >= 0 && c < Array.length t.chunks && Array.length t.chunks.(c) <> 0
 
-let touched_chunks t =
-  let n = ref 0 in
-  for c = 0 to Array.length t.chunks - 1 do
-    if Array.length t.chunks.(c) <> 0 then incr n
-  done;
-  !n

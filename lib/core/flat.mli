@@ -59,7 +59,3 @@ val chunk_touched : 'a t -> int -> bool
 (** Whether chunk [c] has been allocated (some key in
     [c * chunk_size, (c+1) * chunk_size) was set since the last
     [clear]). *)
-
-val touched_chunks : 'a t -> int
-(** Number of allocated chunks — the table's resident footprint in units
-    of [chunk_size] cells. *)

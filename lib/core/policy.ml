@@ -1,15 +1,12 @@
 type decision =
   | Replicate
   | Remote_map
+  | Freeze
+  | Thaw
 
 type fault_kind =
   | Read_fault
   | Write_fault
-
-type hooks = {
-  freeze : now:Platinum_sim.Time_ns.t -> Cpage.t -> unit;
-  thaw : now:Platinum_sim.Time_ns.t -> Cpage.t -> unit;
-}
 
 type kind =
   | Platinum of { thaw_on_fault : bool }
@@ -21,35 +18,41 @@ type kind =
   | Competitive of { threshold : int }
 
 type t = {
-  name : string;
   kind : kind;
-  uses_defrost : bool;
-  scatter_placement : bool;
-  decide : hooks -> now:Platinum_sim.Time_ns.t -> fault_kind -> Cpage.t -> decision;
+  t1 : Platinum_sim.Time_ns.t;
+  interest : (int, int) Hashtbl.t option;  (* Competitive's misses per page since it last moved *)
 }
 
-let platinum_decide ~t1 ~thaw_on_fault hooks ~now _kind (page : Cpage.t) =
-  if page.Cpage.frozen then
-    if thaw_on_fault && now - page.Cpage.last_protocol_inval >= t1 then begin
-      hooks.thaw ~now page;
-      Replicate
-    end
-    else Remote_map
-  else if now - page.Cpage.last_protocol_inval < t1 then begin
-    (* Recent protocol invalidation: the page is being actively
-       write-shared; caching it would cost more than remote access. *)
-    hooks.freeze ~now page;
-    Remote_map
-  end
+let make ~t1 kind =
+  let interest =
+    match kind with
+    | Competitive _ -> Some (Hashtbl.create 256)
+    | _ -> None
+  in
+  { kind; t1; interest }
+
+let name t =
+  match t.kind with
+  | Platinum { thaw_on_fault } -> if thaw_on_fault then "platinum-thaw" else "platinum"
+  | Always_replicate -> "always-replicate"
+  | Never_move -> "static-place"
+  | Uniform_system -> "uniform-system"
+  | Migrate_only -> "migrate-only"
+  | Bolosky _ -> "bolosky"
+  | Competitive _ -> "competitive"
+
+let uses_defrost t = match t.kind with Platinum _ -> true | _ -> false
+let scatter_placement t = match t.kind with Uniform_system -> true | _ -> false
+
+let platinum_decide ~t1 ~thaw_on_fault ~now (page : Cpage.t) =
+  (* A recent protocol invalidation means the page is being actively
+     write-shared; caching it would cost more than remote access. *)
+  let recent = now - page.Cpage.last_protocol_inval < t1 in
+  if page.Cpage.frozen then if thaw_on_fault && not recent then Thaw else Remote_map
+  else if recent then Freeze
   else Replicate
 
-let bolosky_decide ~max_migrations _hooks ~now:_ kind (page : Cpage.t) =
-  match kind with
-  | Read_fault -> if page.Cpage.stats.Cpage.ever_written then Remote_map else Replicate
-  | Write_fault ->
-    if page.Cpage.stats.Cpage.migrations < max_migrations then Replicate else Remote_map
-
-let competitive_decide ~threshold interest _hooks ~now:_ _kind (page : Cpage.t) =
+let competitive_decide ~threshold interest (page : Cpage.t) =
   let id = page.Cpage.id in
   let n = 1 + (try Hashtbl.find interest id with Not_found -> 0) in
   if n >= threshold then begin
@@ -61,69 +64,21 @@ let competitive_decide ~threshold interest _hooks ~now:_ _kind (page : Cpage.t) 
     Remote_map
   end
 
-let make ~t1 kind =
-  match kind with
-  | Platinum { thaw_on_fault } ->
-    {
-      name = (if thaw_on_fault then "platinum-thaw" else "platinum");
-      kind;
-      uses_defrost = true;
-      scatter_placement = false;
-      decide = (fun hooks ~now k page -> platinum_decide ~t1 ~thaw_on_fault hooks ~now k page);
-    }
-  | Always_replicate ->
-    {
-      name = "always-replicate";
-      kind;
-      uses_defrost = false;
-      scatter_placement = false;
-      decide = (fun _ ~now:_ _ _ -> Replicate);
-    }
-  | Never_move ->
-    {
-      name = "static-place";
-      kind;
-      uses_defrost = false;
-      scatter_placement = false;
-      decide = (fun _ ~now:_ _ _ -> Remote_map);
-    }
-  | Uniform_system ->
-    {
-      name = "uniform-system";
-      kind;
-      uses_defrost = false;
-      scatter_placement = true;
-      decide = (fun _ ~now:_ _ _ -> Remote_map);
-    }
-  | Migrate_only ->
-    {
-      name = "migrate-only";
-      kind;
-      uses_defrost = false;
-      scatter_placement = false;
-      decide =
-        (fun _ ~now:_ k _ ->
-          match k with
-          | Read_fault -> Remote_map
-          | Write_fault -> Replicate);
-    }
-  | Bolosky { max_migrations } ->
-    {
-      name = "bolosky";
-      kind;
-      uses_defrost = false;
-      scatter_placement = false;
-      decide = (fun hooks ~now k page -> bolosky_decide ~max_migrations hooks ~now k page);
-    }
-  | Competitive { threshold } ->
-    let interest : (int, int) Hashtbl.t = Hashtbl.create 256 in
-    {
-      name = "competitive";
-      kind;
-      uses_defrost = false;
-      scatter_placement = false;
-      decide = (fun hooks ~now k page -> competitive_decide ~threshold interest hooks ~now k page);
-    }
+let decide t ~now kind (page : Cpage.t) =
+  match t.kind with
+  | Platinum { thaw_on_fault } -> platinum_decide ~t1:t.t1 ~thaw_on_fault ~now page
+  | Always_replicate -> Replicate
+  | Never_move | Uniform_system -> Remote_map
+  | Migrate_only -> ( match kind with Read_fault -> Remote_map | Write_fault -> Replicate)
+  | Bolosky { max_migrations } -> (
+    match kind with
+    | Read_fault -> if page.Cpage.stats.Cpage.ever_written then Remote_map else Replicate
+    | Write_fault ->
+      if page.Cpage.stats.Cpage.migrations < max_migrations then Replicate else Remote_map)
+  | Competitive { threshold } -> (
+    match t.interest with
+    | Some interest -> competitive_decide ~threshold interest page
+    | None -> assert false (* [make] builds the table for this kind *))
 
 let default_names =
   [

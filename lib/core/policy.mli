@@ -5,22 +5,23 @@
     create a *remote mapping* to an existing physical page — in effect
     selectively disabling caching for that page.  A policy makes that
     choice; PLATINUM's interim policy freezes pages that were invalidated by
-    the protocol within the last [t1]. *)
+    the protocol within the last [t1].
+
+    A policy only decides.  Its verdict is data: {!decide} leaves the page
+    untouched, and the caller ({!Fault}) carries out a [Freeze] or [Thaw]
+    itself before mapping the page, as the paper's policy leaves thawing to
+    the defrost daemon. *)
 
 type decision =
   | Replicate
       (** Make a local copy (read miss) / migrate the page (write miss). *)
   | Remote_map  (** Map an existing physical page across the switch. *)
+  | Freeze  (** Freeze the page, then remote-map it. *)
+  | Thaw  (** Thaw the page, then replicate or migrate it. *)
 
 type fault_kind =
   | Read_fault
   | Write_fault
-
-(** Callbacks into the Cpage system so policies can freeze and thaw. *)
-type hooks = {
-  freeze : now:Platinum_sim.Time_ns.t -> Cpage.t -> unit;
-  thaw : now:Platinum_sim.Time_ns.t -> Cpage.t -> unit;
-}
 
 type kind =
   | Platinum of { thaw_on_fault : bool }
@@ -54,18 +55,25 @@ type kind =
           [threshold] misses have accumulated since it last moved, then
           replicated/migrated. *)
 
-type t = {
-  name : string;
-  kind : kind;
-  uses_defrost : bool;  (** should the defrost daemon run? *)
-  scatter_placement : bool;
-      (** place first-touch pages round-robin by page id instead of on
-          the faulting processor's module *)
-  decide : hooks -> now:Platinum_sim.Time_ns.t -> fault_kind -> Cpage.t -> decision;
-}
+type t
 
 val make : t1:Platinum_sim.Time_ns.t -> kind -> t
 (** [t1] is the freeze window used by [Platinum] (and ignored by others). *)
+
+val name : t -> string
+
+val uses_defrost : t -> bool
+(** Should the defrost daemon run? *)
+
+val scatter_placement : t -> bool
+(** Place first-touch pages round-robin by page id instead of on the
+    faulting processor's module. *)
+
+val decide : t -> now:Platinum_sim.Time_ns.t -> fault_kind -> Cpage.t -> decision
+(** The verdict for a miss at [now] on a page that has at least one copy
+    but none local to the faulting processor.  Reads the page and never
+    modifies it; only [Competitive] keeps state of its own (its per-page
+    miss counts). *)
 
 val default_names : string list
 val of_string : t1:Platinum_sim.Time_ns.t -> string -> (t, string) result

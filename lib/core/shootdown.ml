@@ -56,16 +56,7 @@ let run ?monitor ~machine ~counters ~atcs ~now ~initiator ~mappings ~directive ~
         if not (Procset.is_empty targets) then begin
           t := !t + config.Platinum_machine.Config.shootdown_post_ns;
           counters.Counters.messages <- counters.Counters.messages + 1;
-          let msg =
-            { Cmap.msg_vpage = vpage; msg_directive = directive; msg_targets = targets;
-              msg_done = false }
-          in
-          Cmap.post cmap msg;
-          Procset.iter
-            (fun p ->
-              apply_one cmap vpage p;
-              Cmap.complete cmap msg ~proc:p)
-            targets;
+          Procset.iter (fun p -> apply_one cmap vpage p) targets;
           (match directive with
           | Cmap.Invalidate ->
             if not !test_skip_refmask_clear then

@@ -17,10 +17,11 @@
     component).  Target-side handler time is charged to the target as a
     deferred penalty.
 
-    State: changes are applied eagerly (atomically within the fault event),
-    which is observably equivalent to the paper's lazy queue-draining
-    because a processor always drains its queue before touching the
-    space. *)
+    State: no message is stored.  Changes are applied eagerly (atomically
+    within the fault event), which is observably equivalent to the paper's
+    lazy queue-draining because a processor always drains its queue before
+    touching the space; the queue survives only as the costs above and the
+    [messages], [interrupts] and [deferred_updates] counters. *)
 
 type outcome = {
   latency : int;  (** time added to the initiating fault *)

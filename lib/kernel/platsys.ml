@@ -191,7 +191,7 @@ let memsys t =
     describe =
       (fun () ->
         Printf.sprintf "platinum coherent memory (policy %s)"
-          (Coherent.policy coh).Platinum_core.Policy.name);
+          (Platinum_core.Policy.name (Coherent.policy coh)));
     fastpath;
     remote = None;
   }

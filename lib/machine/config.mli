@@ -58,15 +58,12 @@ val butterfly_plus : ?nprocs:int -> ?page_words:int -> unit -> t
 (** The paper's machine.  [nprocs] defaults to 16, [page_words] to 1024
     (4 KB pages). *)
 
-val max_nodes : int
-(** Largest machine {!hierarchical} accepts (4096 nodes). *)
-
 val hierarchical : ?cluster_size:int -> ?page_words:int -> nodes:int -> unit -> t
 (** A machine far past the Butterfly's 16 nodes: [nodes] single-processor
     nodes in clusters of [cluster_size] (default 16) on a two-level
     fabric.  Intra-cluster costs are the Butterfly constants unchanged;
     crossing clusters adds the [t_cross_*]/[ipi_cross_extra] surcharges.
-    [nodes] may go to {!max_nodes}. *)
+    [nodes] may go to 4096. *)
 
 type hop =
   | Local  (** processor referencing its own module *)

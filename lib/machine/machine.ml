@@ -31,7 +31,6 @@ let config t = t.config
 let nprocs t = t.config.nprocs
 let modules t = t.modules
 let mem_module t i = t.modules.(i)
-let module_of_proc _t p = p
 let caches_enabled t = Array.length t.caches > 0
 let cache t ~proc = if Array.length t.caches = 0 then None else Some t.caches.(proc)
 let cache_exn t ~proc = t.caches.(proc)

@@ -12,9 +12,6 @@ val nprocs : t -> int
 val modules : t -> Memmodule.t array
 val mem_module : t -> int -> Memmodule.t
 
-val module_of_proc : t -> int -> int
-(** The memory module local to a processor (identity on the Butterfly). *)
-
 (* --- §7 local data caches (optional) --- *)
 
 val caches_enabled : t -> bool

@@ -75,9 +75,3 @@ let free t frame =
 
 let frame t i = frame_at t i
 
-let iter_used f t =
-  Array.iter
-    (function
-      | Some fr when Frame.owner fr <> None -> f fr
-      | _ -> ())
-    t.frames

@@ -29,5 +29,3 @@ val free : t -> Frame.t -> unit
 
 val frame : t -> int -> Frame.t
 (** Frame by index (for tests and dumps). *)
-
-val iter_used : (Frame.t -> unit) -> t -> unit

@@ -134,8 +134,6 @@ let block_abort t ~words =
    retry bounds allow. *)
 let ack_timeout t ~attempt = t.cfg.ack_timeout_ns lsl min attempt 20
 let rpc_retrans t ~attempt = t.cfg.rpc_retrans_ns lsl min attempt 20
-let max_ipi_retries t = t.cfg.max_ipi_retries
-let max_rpc_retries t = t.cfg.max_rpc_retries
 let max_copy_retries t = t.cfg.max_copy_retries
 
 let note_shootdown_retry t = t.st.shootdown_retries <- t.st.shootdown_retries + 1
@@ -166,12 +164,3 @@ let fingerprint t =
      rpc_retry=%d copy_retry=%d freeze_degrade=%d recov=%d"
     t.st.stalls t.st.outages t.st.ipi_drops t.st.ipi_delays t.st.rpc_drops t.st.copy_aborts
     t.st.shootdown_retries t.st.rpc_retries t.st.copy_retries t.st.degraded_freezes t.nsamples
-
-let pp_stats fmt t =
-  Format.fprintf fmt
-    "@[<v>injected: %d module stalls, %d outages, %d IPI drops, %d IPI delays, %d RPC drops, \
-     %d aborted transfers@,\
-     recovered: %d shootdown retries, %d RPC retransmissions, %d copy retries, %d pages \
-     frozen in place@]"
-    t.st.stalls t.st.outages t.st.ipi_drops t.st.ipi_delays t.st.rpc_drops t.st.copy_aborts
-    t.st.shootdown_retries t.st.rpc_retries t.st.copy_retries t.st.degraded_freezes

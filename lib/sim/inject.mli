@@ -90,8 +90,6 @@ val ack_timeout : t -> attempt:int -> int
 (** Exponential backoff: [ack_timeout_ns * 2^attempt]. *)
 
 val rpc_retrans : t -> attempt:int -> int
-val max_ipi_retries : t -> int
-val max_rpc_retries : t -> int
 val max_copy_retries : t -> int
 
 (* --- recovery bookkeeping (recorded by the kernel paths) --- *)
@@ -130,5 +128,3 @@ val recovery_samples : t -> int array
 
 val fingerprint : t -> string
 (** One line over every counter — what the differential tests compare. *)
-
-val pp_stats : Format.formatter -> t -> unit

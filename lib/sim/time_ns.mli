@@ -21,14 +21,8 @@ val ms : int -> t
 val s : int -> t
 (** [s x] is [x] seconds. *)
 
-val to_float_us : t -> float
-(** Duration in microseconds, for reporting. *)
-
 val to_float_ms : t -> float
 (** Duration in milliseconds, for reporting. *)
-
-val to_float_s : t -> float
-(** Duration in seconds, for reporting. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering with an adaptive unit (ns/µs/ms/s). *)

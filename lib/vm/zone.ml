@@ -13,7 +13,6 @@ let create aspace ~name ?(rights = Platinum_core.Rights.Read_write) ~pages () =
   { zone_name = name; base = base_page * pw; words = pages * pw; page_words = pw; next = 0 }
 
 let name t = t.zone_name
-let base_vaddr t = t.base
 
 let align_up x a = (x + a - 1) / a * a
 
@@ -28,4 +27,3 @@ let alloc t ~words ?(page_aligned = false) () =
 let alloc_pages t ~pages = alloc t ~words:(pages * t.page_words) ~page_aligned:true ()
 
 let used_words t = t.next
-let capacity_words t = t.words

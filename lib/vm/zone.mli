@@ -20,7 +20,6 @@ val create :
     space.  [rights] defaults to read-write. *)
 
 val name : t -> string
-val base_vaddr : t -> int
 
 val alloc : t -> words:int -> ?page_aligned:bool -> unit -> int
 (** Bump-allocate [words] words; returns the virtual word address.
@@ -31,4 +30,3 @@ val alloc_pages : t -> pages:int -> int
 (** Allocate whole pages (always page-aligned). *)
 
 val used_words : t -> int
-val capacity_words : t -> int

@@ -386,11 +386,72 @@ let test_policy_of_string () =
   List.iter
     (fun name ->
       match Policy.of_string ~t1:1000 name with
-      | Ok p -> Alcotest.(check string) "round-trips" name p.Policy.name
+      | Ok p -> Alcotest.(check string) "round-trips" name (Policy.name p)
       | Error e -> Alcotest.fail e)
     Policy.default_names;
   Alcotest.(check bool) "unknown rejected" true
     (match Policy.of_string ~t1:0 "nonsense" with Error _ -> true | Ok _ -> false)
+
+(* The verdict is data: [decide] reads the page and leaves it as it was;
+   acting on [Freeze]/[Thaw] is the fault handler's job. *)
+let decision =
+  Alcotest.testable
+    (fun fmt d ->
+      Format.pp_print_string fmt
+        (match d with
+        | Policy.Replicate -> "Replicate"
+        | Policy.Remote_map -> "Remote_map"
+        | Policy.Freeze -> "Freeze"
+        | Policy.Thaw -> "Thaw"))
+    ( = )
+
+let test_policy_verdicts () =
+  let t1 = 1_000 and inval = 10_000 in
+  let within = inval + t1 - 1 and after = inval + t1 in
+  let platinum = Policy.make ~t1 (Policy.Platinum { thaw_on_fault = false }) in
+  let thawing = Policy.make ~t1 (Policy.Platinum { thaw_on_fault = true }) in
+  let page = Cpage.create ~id:0 ~home:0 () in
+  page.Cpage.last_protocol_inval <- inval;
+  let verdict p ~now = Policy.decide p ~now Policy.Write_fault page in
+  let unmodified ~frozen =
+    Alcotest.(check bool) "frozen flag untouched" frozen page.Cpage.frozen;
+    Alcotest.(check int) "no freeze recorded" 0 page.Cpage.stats.Cpage.freezes;
+    Alcotest.(check int) "no thaw recorded" 0 page.Cpage.stats.Cpage.thaws;
+    Alcotest.(check int) "last_protocol_inval untouched" inval page.Cpage.last_protocol_inval
+  in
+  Alcotest.check decision "within t1: freeze" Policy.Freeze (verdict platinum ~now:within);
+  Alcotest.check decision "within t1, thaw variant: freeze" Policy.Freeze
+    (verdict thawing ~now:within);
+  unmodified ~frozen:false;
+  Alcotest.check decision "after t1: replicate" Policy.Replicate (verdict platinum ~now:after);
+  page.Cpage.frozen <- true;
+  Alcotest.check decision "frozen: remote map" Policy.Remote_map (verdict platinum ~now:within);
+  Alcotest.check decision "frozen, after t1: stays remote for the daemon to thaw"
+    Policy.Remote_map (verdict platinum ~now:after);
+  Alcotest.check decision "frozen within t1, thaw variant: remote map" Policy.Remote_map
+    (verdict thawing ~now:within);
+  Alcotest.check decision "frozen after t1, thaw variant: thaw" Policy.Thaw
+    (verdict thawing ~now:after);
+  unmodified ~frozen:true
+
+let test_policy_kind_flags () =
+  List.iter
+    (fun (kind, defrost, scatter) ->
+      let p = Policy.make ~t1:1_000 kind in
+      Alcotest.(check bool) (Policy.name p ^ ": uses_defrost") defrost (Policy.uses_defrost p);
+      Alcotest.(check bool)
+        (Policy.name p ^ ": scatter_placement")
+        scatter (Policy.scatter_placement p))
+    [
+      (Policy.Platinum { thaw_on_fault = false }, true, false);
+      (Policy.Platinum { thaw_on_fault = true }, true, false);
+      (Policy.Always_replicate, false, false);
+      (Policy.Never_move, false, false);
+      (Policy.Migrate_only, false, false);
+      (Policy.Bolosky { max_migrations = 4 }, false, false);
+      (Policy.Uniform_system, false, true);
+      (Policy.Competitive { threshold = 3 }, false, false);
+    ]
 
 (* --- shootdown mechanics --- *)
 
@@ -424,6 +485,32 @@ let test_shootdown_inactive_deferred () =
   Alcotest.(check bool) "applied as deferred update" true
     ((Coherent.counters env.coh).Counters.deferred_updates > def_before);
   ignore pages;
+  check_inv env
+
+(* One invalidation of a page bound in two address spaces posts one Cmap
+   message per space: the holder with the space active takes an IPI, the
+   holder that switched away gets a deferred update. *)
+let test_shootdown_counts_across_spaces () =
+  let env = mk ~nprocs:4 () in
+  let page = Coherent.new_cpage env.coh () in
+  let cm2 = Coherent.new_aspace env.coh in
+  Coherent.bind env.coh env.cm ~vpage:0 page Rights.Read_write;
+  Coherent.bind env.coh cm2 ~vpage:5 page Rights.Read_write;
+  let pw = Coherent.page_words env.coh in
+  let _ = write env ~proc:0 0 1 in
+  let _ = Coherent.read_word env.coh ~now:0 ~proc:1 ~cmap:cm2 ~vaddr:(5 * pw) in
+  let _ = read env ~proc:2 0 in
+  (* proc 2 still holds its translation in the first space, inactive. *)
+  ignore (Coherent.activate env.coh ~now:0 ~proc:2 ~aspace:(Cmap.aspace cm2));
+  Alcotest.(check int) "three copies" 3 (Cpage.ncopies page);
+  let c = Coherent.counters env.coh in
+  let messages = c.Counters.messages
+  and interrupts = c.Counters.interrupts
+  and deferred = c.Counters.deferred_updates in
+  let _ = write env ~proc:0 0 2 in
+  Alcotest.(check int) "one message per address space" (messages + 2) c.Counters.messages;
+  Alcotest.(check int) "active holder interrupted" (interrupts + 1) c.Counters.interrupts;
+  Alcotest.(check int) "inactive holder deferred" (deferred + 1) c.Counters.deferred_updates;
   check_inv env
 
 let test_refmask_tracks_pmaps () =
@@ -475,6 +562,32 @@ let test_multi_aspace_protection () =
        ignore (Coherent.write_word env.coh ~now:0 ~proc:1 ~cmap:cm2 ~vaddr:0 2);
        false
      with Fault.Protection_violation _ -> true)
+
+(* An unknown address space must be rejected before [activate] touches
+   any state: the processor stays active in its current space, so a later
+   invalidation still interrupts it. *)
+let test_activate_unknown_aspace () =
+  let env = mk ~nprocs:4 () in
+  let _ = bind_pages env 1 in
+  let _ = write env ~proc:0 0 1 in
+  let _ = read env ~proc:1 0 in
+  let aspace = Cmap.aspace env.cm in
+  Alcotest.(check (list int)) "both active" [ 0; 1 ] (Procset.to_list (Cmap.active env.cm));
+  Alcotest.(check bool) "unknown space rejected" true
+    (try
+       ignore (Coherent.activate env.coh ~now:0 ~proc:1 ~aspace:99);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check (list int)) "proc 1 still active" [ 0; 1 ]
+    (Procset.to_list (Cmap.active env.cm));
+  Alcotest.(check (option int)) "ATC still on the space" (Some aspace)
+    (Atc.active_aspace (Coherent.atc env.coh ~proc:1));
+  let c = Coherent.counters env.coh in
+  let interrupts = c.Counters.interrupts and deferred = c.Counters.deferred_updates in
+  let _ = write env ~proc:0 0 2 in
+  Alcotest.(check int) "holder interrupted" (interrupts + 1) c.Counters.interrupts;
+  Alcotest.(check int) "nothing deferred" deferred c.Counters.deferred_updates;
+  check_inv env
 
 let test_unmapped_raises () =
   let env = mk () in
@@ -750,11 +863,15 @@ let suite =
     ("policy: competitive (fault-sampled)", `Quick, test_policy_competitive);
     ("policy: always-replicate", `Quick, test_policy_always_replicate);
     ("policy: of_string", `Quick, test_policy_of_string);
+    ("policy: verdicts leave the page unmodified", `Quick, test_policy_verdicts);
+    ("policy: defrost and placement per kind", `Quick, test_policy_kind_flags);
     ("shootdown: only holders targeted", `Quick, test_shootdown_targets_only_holders);
     ("shootdown: inactive holders deferred", `Quick, test_shootdown_inactive_deferred);
     ("shootdown: refmask tracks pmaps", `Quick, test_refmask_tracks_pmaps);
+    ("shootdown: message and IPI counts across spaces", `Quick, test_shootdown_counts_across_spaces);
     ("aspace: sharing across spaces", `Quick, test_multi_aspace_sharing);
     ("aspace: per-space protection", `Quick, test_multi_aspace_protection);
+    ("aspace: unknown space leaves activation intact", `Quick, test_activate_unknown_aspace);
     ("aspace: unmapped raises", `Quick, test_unmapped_raises);
     ("aspace: unbind shoots down", `Quick, test_unbind_shootdown);
     ("atc: hits are free", `Quick, test_atc_hit_free);

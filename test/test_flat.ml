@@ -175,12 +175,11 @@ let prop_pmap_atc_differential =
 (* --- property 2: Cmap-level differential against a model --- *)
 
 (* Random bind/unbind/install/restrict/shootdown-mimic sequences through a
-   full Cmap (flat entry table, per-proc flat Pmaps, lazy-compaction
-   message queue), mirrored by a plain hash-table model.  After every
-   operation the observable state must match the model and every
-   representation sanitizer must be clean — [Cmap.check_faults] covers
-   refmask/Pmap agreement, translation-in-directory, stale translations,
-   the packed mirrors and the retired-message accounting. *)
+   full Cmap (flat entry table, per-proc flat Pmaps), mirrored by a plain
+   hash-table model.  After every operation the observable state must
+   match the model and every representation sanitizer must be clean —
+   [Cmap.check_faults] covers refmask/Pmap agreement,
+   translation-in-directory, stale translations and the packed mirrors. *)
 
 let nprocs = 4
 let cm_vpages = [| 0; 1; 5; 64; Flat.dense_limit + 3 |]
@@ -227,9 +226,6 @@ type model = {
 
 let model_procs_of m vpage =
   List.filter (fun p -> Hashtbl.mem m.m_trans (p, vpage)) (List.init nprocs Fun.id)
-
-let drain cm msg =
-  Procset.iter (fun p -> Cmap.complete cm msg ~proc:p) msg.Cmap.msg_targets
 
 let apply_cop (cm, pages, m) op =
   match op with
@@ -290,23 +286,13 @@ let apply_cop (cm, pages, m) op =
     | Some ce ->
       let targets = model_procs_of m vpage in
       if targets <> [] then begin
-        let msg =
-          {
-            Cmap.msg_vpage = vpage;
-            msg_directive = Cmap.Restrict_to_read;
-            msg_targets = Procset.of_list targets;
-            msg_done = false;
-          }
-        in
-        Cmap.post cm msg;
         List.iter
           (fun p ->
             Pmap.restrict (Cmap.pmap cm ~proc:p) ~vpage;
             Hashtbl.replace m.m_trans (p, vpage) false)
           targets;
         ce.Cmap.cpage.Cpage.write_mapped <- false;
-        Cpage.sync_state ce.Cmap.cpage;
-        drain cm msg
+        Cpage.sync_state ce.Cmap.cpage
       end)
   | Invalidate_page v ->
     let vpage = cm_vpages.(v) in
@@ -315,15 +301,6 @@ let apply_cop (cm, pages, m) op =
     | Some ce ->
       let targets = model_procs_of m vpage in
       if targets <> [] then begin
-        let msg =
-          {
-            Cmap.msg_vpage = vpage;
-            msg_directive = Cmap.Invalidate;
-            msg_targets = Procset.of_list targets;
-            msg_done = false;
-          }
-        in
-        Cmap.post cm msg;
         List.iter
           (fun p ->
             Pmap.remove (Cmap.pmap cm ~proc:p) ~vpage;
@@ -331,8 +308,7 @@ let apply_cop (cm, pages, m) op =
             Hashtbl.remove m.m_trans (p, vpage))
           targets;
         ce.Cmap.cpage.Cpage.write_mapped <- false;
-        Cpage.sync_state ce.Cmap.cpage;
-        drain cm msg
+        Cpage.sync_state ce.Cmap.cpage
       end)
 
 let check_cmap_agreement (cm, pages, m) =
@@ -369,12 +345,7 @@ let check_cmap_agreement (cm, pages, m) =
         | None, Some _ ->
           QCheck.Test.fail_reportf "proc %d vpage %d mapped only in model" p vpage
       done)
-    cm_vpages;
-  (* Every mimic-shootdown drains its message before returning, so the
-     queue must be quiescent between operations. *)
-  if Cmap.pending_messages cm <> [] then
-    QCheck.Test.fail_reportf "message queue not quiescent: %d pending"
-      (List.length (Cmap.pending_messages cm))
+    cm_vpages
 
 let prop_cmap_differential =
   QCheck.Test.make ~name:"flat Cmap/queue vs hash-table model (differential)" ~count:200

@@ -1,5 +1,5 @@
 (* Small, targeted unit tests for corners the larger suites pass over:
-   Cmap message queues, rendering functions, workload oracles at hand-
+   Cmap bindings, rendering functions, workload oracles at hand-
    checkable sizes, model edge cases, kernel error paths. *)
 
 module Config = Platinum_machine.Config
@@ -36,86 +36,7 @@ let test_rights () =
     (Rights.equal (Rights.min Rights.Read_write Rights.Read_only) Rights.Read_only);
   Alcotest.(check string) "to_string" "rw" (Rights.to_string Rights.Read_write)
 
-(* --- Cmap message queue --- *)
-
-let test_cmap_queue () =
-  let cm = Cmap.create ~aspace:0 ~nprocs:4 in
-  Alcotest.(check int) "empty" 0 (List.length (Cmap.pending_messages cm));
-  let msg =
-    {
-      Cmap.msg_vpage = 3;
-      msg_directive = Cmap.Invalidate;
-      msg_targets = Procset.of_list [ 1; 2 ];
-      msg_done = false;
-    }
-  in
-  Cmap.post cm msg;
-  Alcotest.(check int) "posted" 1 (List.length (Cmap.pending_messages cm));
-  Cmap.complete cm msg ~proc:1;
-  Alcotest.(check int) "still pending for proc 2" 1 (List.length (Cmap.pending_messages cm));
-  Cmap.complete cm msg ~proc:2;
-  Alcotest.(check int) "drained once all targets applied" 0
-    (List.length (Cmap.pending_messages cm));
-  Alcotest.(check int) "posted counter survives" 1 (Cmap.messages_posted cm)
-
-(* Retract storm: a long queue of in-flight messages retiring one by one.
-   The lazy compaction must keep [pending_messages] exact at every step
-   (retired messages invisible, newest-first order preserved) while the
-   internal counters stay consistent — the seed rebuilt the whole queue
-   per retraction; this exercises the amortized-O(1) flag-and-compact
-   replacement under the worst pattern it has to survive. *)
-let test_cmap_retract_storm () =
-  let n = 200 in
-  let cm = Cmap.create ~aspace:0 ~nprocs:4 in
-  let msgs =
-    Array.init n (fun i ->
-        let m =
-          {
-            Cmap.msg_vpage = i;
-            msg_directive = (if i mod 2 = 0 then Cmap.Invalidate else Cmap.Restrict_to_read);
-            msg_targets = Procset.of_list [ 0; 1; 2 ];
-            msg_done = false;
-          }
-        in
-        Cmap.post cm m;
-        m)
-  in
-  Alcotest.(check int) "all posted" n (List.length (Cmap.pending_messages cm));
-  Alcotest.(check int) "posted counter" n (Cmap.messages_posted cm);
-  (* Partial completion retires nothing: every message still has targets. *)
-  Array.iter (fun m -> Cmap.complete cm m ~proc:0) msgs;
-  Alcotest.(check int) "partial completion retires nothing" n
-    (List.length (Cmap.pending_messages cm));
-  (* Retire even-indexed messages fully, oldest first — the pattern that
-     keeps dead messages scattered through the live queue. *)
-  Array.iteri
-    (fun i m ->
-      if i mod 2 = 0 then begin
-        Cmap.complete cm m ~proc:1;
-        Cmap.complete cm m ~proc:2
-      end)
-    msgs;
-  let live = Cmap.pending_messages cm in
-  Alcotest.(check int) "half retired" (n / 2) (List.length live);
-  Alcotest.(check bool) "no retired message visible" false
-    (List.exists (fun m -> m.Cmap.msg_done) live);
-  (* Newest-first order of the survivors is preserved across compactions. *)
-  let expected_vpages =
-    List.filter (fun v -> v mod 2 = 1) (List.init n (fun i -> n - 1 - i))
-  in
-  Alcotest.(check (list int)) "newest-first order preserved" expected_vpages
-    (List.map (fun m -> m.Cmap.msg_vpage) live);
-  (* Drain the rest; the queue must empty and the sanitizer stay clean. *)
-  Array.iteri
-    (fun i m ->
-      if i mod 2 = 1 then begin
-        Cmap.complete cm m ~proc:1;
-        Cmap.complete cm m ~proc:2
-      end)
-    msgs;
-  Alcotest.(check int) "queue empty" 0 (List.length (Cmap.pending_messages cm));
-  Alcotest.(check int) "posted counter survives the storm" n (Cmap.messages_posted cm);
-  Alcotest.(check bool) "queue accounting clean" true (Cmap.check_faults cm = None)
+(* --- Cmap --- *)
 
 let test_cmap_bind_duplicate () =
   let cm = Cmap.create ~aspace:0 ~nprocs:2 in
@@ -328,8 +249,6 @@ let prop_engine_sorted =
 let suite =
   [
     ("rights: lattice", `Quick, test_rights);
-    ("cmap: message queue lifecycle", `Quick, test_cmap_queue);
-    ("cmap: retract storm (lazy compaction)", `Quick, test_cmap_retract_storm);
     ("cmap: duplicate binds", `Quick, test_cmap_bind_duplicate);
     ("pmap: restriction through shared entries", `Quick, test_pmap_restrict_shares_entry);
     ("atc: address-space tagging", `Quick, test_atc_aspace_tagging);
