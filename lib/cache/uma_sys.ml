@@ -100,48 +100,72 @@ let zone_alloc t ~zone ~words ~page_aligned =
   z.znext <- start + words;
   z.zbase + start
 
+(* The UMA machine has no block-transfer hardware: every transaction is
+   a stream of word-sized bus operations, so every chunk loops per word (a
+   word transaction is a one-word chunk), each word charged at [now] plus
+   the latency of every earlier one. *)
+let rec read_words t ~now ~proc data ~vaddr ~index ~words lat =
+  if words = 0 then lat
+  else begin
+    let l = read_latency t ~now:(now + lat) ~proc ~vaddr in
+    data.(index) <- load_word t vaddr;
+    read_words t ~now ~proc data ~vaddr:(vaddr + 1) ~index:(index + 1) ~words:(words - 1)
+      (lat + l)
+  end
+
+let rec write_words t ~now ~proc data ~vaddr ~index ~words lat =
+  if words = 0 then lat
+  else begin
+    let l = write_latency t ~now:(now + lat) ~proc ~vaddr in
+    store_word t vaddr data.(index);
+    write_words t ~now ~proc data ~vaddr:(vaddr + 1) ~index:(index + 1) ~words:(words - 1)
+      (lat + l)
+  end
+
+let chunk_cost t (c : Memtxn.chunk) ~now ~proc txn data =
+  let vaddr = c.Memtxn.c_vaddr and index = c.Memtxn.c_index and words = c.Memtxn.c_words in
+  match txn with
+  | Memtxn.Rmw { f; _ } ->
+    (* A locked bus transaction: read + write held together. *)
+    let l1 = read_latency t ~now ~proc ~vaddr in
+    let l2 = write_latency t ~now:(now + l1) ~proc ~vaddr in
+    let old = load_word t vaddr in
+    store_word t vaddr (f old);
+    snoop_invalidate t ~except:proc ~addr:vaddr;
+    data.(0) <- old;
+    l1 + l2
+  | Memtxn.Read _ | Memtxn.Block_read _ | Memtxn.Stride_read _ ->
+    read_words t ~now ~proc data ~vaddr ~index ~words 0
+  | Memtxn.Write _ | Memtxn.Block_write _ | Memtxn.Stride_write _ ->
+    write_words t ~now ~proc data ~vaddr ~index ~words 0
+
+let rec chunk_loop t c ~now ~proc txn data lat =
+  let lat = lat + chunk_cost t c ~now:(now + lat) ~proc txn data in
+  if Memtxn.next c then chunk_loop t c ~now ~proc txn data lat else lat
+
 (* The UMA machine has one flat physical space: all "address spaces" share
    it (a threads-in-one-process model), and segments are just ranges. *)
 let memsys t =
-  (* The UMA machine has no block-transfer hardware: every transaction is
-     a stream of word-sized bus operations, so every chunk loops per word
-     (a word transaction is a one-word chunk).  Memtxn.run threads the
-     accumulated latency through chunk boundaries, making this
-     bit-identical to the old per-word closures. *)
-  let scratch = Some (Memtxn.make_scratch ()) in
+  let cursor = Memtxn.make_chunk () and word = [| 0 |] in
   let submit ~now ~proc ~aspace:_ txn =
-    let chunk_cost ~now ~data (c : Memtxn.chunk) =
-      let vaddr = c.Memtxn.c_vaddr in
+    Memtxn.validate txn;
+    let data =
       match txn with
-      | Memtxn.Rmw { f; _ } ->
-        (* A locked bus transaction: read + write held together. *)
-        let l1 = read_latency t ~now ~proc ~vaddr in
-        let l2 = write_latency t ~now:(now + l1) ~proc ~vaddr in
-        let old = load_word t vaddr in
-        store_word t vaddr (f old);
-        snoop_invalidate t ~except:proc ~addr:vaddr;
-        data.(0) <- old;
-        l1 + l2
-      | Memtxn.Read _ | Memtxn.Block_read _ | Memtxn.Stride_read _ ->
-        let lat = ref 0 in
-        for i = 0 to c.Memtxn.c_words - 1 do
-          let va = vaddr + i in
-          let l = read_latency t ~now:(now + !lat) ~proc ~vaddr:va in
-          data.(c.Memtxn.c_index + i) <- load_word t va;
-          lat := !lat + l
-        done;
-        !lat
-      | Memtxn.Write _ | Memtxn.Block_write _ | Memtxn.Stride_write _ ->
-        let lat = ref 0 in
-        for i = 0 to c.Memtxn.c_words - 1 do
-          let va = vaddr + i in
-          let l = write_latency t ~now:(now + !lat) ~proc ~vaddr:va in
-          store_word t va data.(c.Memtxn.c_index + i);
-          lat := !lat + l
-        done;
-        !lat
+      | Memtxn.Read _ | Memtxn.Rmw _ -> word
+      | Memtxn.Write { value; _ } ->
+        word.(0) <- value;
+        word
+      | Memtxn.Block_read { dst; _ } | Memtxn.Stride_read { dst; _ } -> dst
+      | Memtxn.Block_write { src; _ } | Memtxn.Stride_write { src; _ } -> src
     in
-    Memtxn.run ~page_words:t.page_words ~now ?scratch txn ~chunk_cost
+    let lat =
+      if Memtxn.first cursor ~page_words:t.page_words txn then
+        chunk_loop t cursor ~now ~proc txn data 0
+      else 0
+    in
+    match txn with
+    | Memtxn.Read _ | Memtxn.Rmw _ -> (Memtxn.Word word.(0), lat)
+    | _ -> (Memtxn.Unit, lat)
   in
   let aspace_count = ref 1 in
   {

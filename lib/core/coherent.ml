@@ -32,8 +32,8 @@ type t = {
   mutable in_daemon : bool;  (* a thaw_all (defrost) pass is running *)
   mutable freeze_hook : (now:int -> Cpage.t -> unit) option;  (* defrost daemon's *)
   mutable monitor : Check.monitor option;  (* the runtime invariant monitor *)
-  scratch : scratch;  (* submit's own result slot for word transactions *)
-  txn_scratch : Memtxn.scratch option;  (* pre-wrapped for [?scratch:] passing *)
+  scratch : scratch;  (* submit's own latency slot *)
+  cursor : Memtxn.chunk;  (* submit's chunk cursor for block transactions *)
   fp_value : int ref;
       (* result slot for the fp_read/fp_rmw hit cores — a shared cell
          ({!fp_value_cell}) so the coalescer reads it without a call *)
@@ -243,7 +243,7 @@ let create machine ~engine:_ ~policy ?(frames_per_module = 1024) () =
     (* PLATINUM_CHECK=1 arms the coherence sanitizer at construction. *)
     monitor = (if Check.env_enabled () then Some (Check.create_monitor ()) else None);
     scratch = make_scratch ();
-    txn_scratch = Some (Memtxn.make_scratch ());
+    cursor = Memtxn.make_chunk ();
     fp_value = ref 0;
   }
 
@@ -329,25 +329,32 @@ let activate t ~now:_ ~proc ~aspace =
     (config t).Config.aspace_activate_ns
   end
 
-let translate t ~now ~proc ~cmap:cm ~vpage ~write =
+(* The translation entry for [vpage], faulting if needed; the latency goes
+   into [sc].  Callers read it straight after the call: the fault handler
+   runs inside, so nothing else may touch [sc] in between. *)
+let translate t (sc : scratch) ~now ~proc ~cmap:cm ~vpage ~write =
   let aspace = Cmap.aspace cm in
   let act = activate t ~now ~proc ~aspace in
   let atc = t.atcs.(proc) in
   match Atc.find atc ~aspace ~vpage with
-  | Some e when (not write) || e.Pmap.write_ok -> (e, act)
+  | Some e when (not write) || e.Pmap.write_ok ->
+    sc.s_latency <- act;
+    e
   | _ -> (
     match Pmap.find (Cmap.pmap cm ~proc) ~vpage with
     | Some e when (not write) || e.Pmap.write_ok ->
       Atc.load atc ~vpage e;
       t.counters.Counters.atc_reloads <- t.counters.Counters.atc_reloads + 1;
-      (e, act + (config t).Config.atc_reload_ns)
+      sc.s_latency <- act + (config t).Config.atc_reload_ns;
+      e
     | _ ->
       (match t.monitor with
       | None -> ()
       | Some m -> Check.note m ~now (Check.Request { proc; aspace; vpage; write }));
       let entry, lat = Fault.handle (fault_ctx t) ~now:(now + act) ~proc ~cmap:cm ~vpage ~write in
       checkpoint t ~now:(now + act + lat);
-      (entry, act + lat))
+      sc.s_latency <- act + lat;
+      entry)
 
 (* §7: "Almost all data is cachable.  Only modified Cpages that are mapped
    by remote processors cannot be cached."  The mapping walk is a plain
@@ -453,11 +460,11 @@ let read_word_s t sc ~now ~proc ~cmap:cm ~vaddr =
     match Atc.find t.atcs.(proc) ~aspace ~vpage with
     | Some e -> finish_read t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e
     | None ->
-      let e, l1 = translate t ~now ~proc ~cmap:cm ~vpage ~write:false in
-      finish_read t sc ~now ~proc ~cm ~vpage ~vaddr ~l1 e
+      let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:false in
+      finish_read t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e
   else
-    let e, l1 = translate t ~now ~proc ~cmap:cm ~vpage ~write:false in
-    finish_read t sc ~now ~proc ~cm ~vpage ~vaddr ~l1 e
+    let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:false in
+    finish_read t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e
 
 let write_word_s t sc ~now ~proc ~cmap:cm ~vaddr v =
   let vpage = vaddr / page_words t in
@@ -466,11 +473,11 @@ let write_word_s t sc ~now ~proc ~cmap:cm ~vaddr v =
     match Atc.find t.atcs.(proc) ~aspace ~vpage with
     | Some e when e.Pmap.write_ok -> finish_write t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e v
     | _ ->
-      let e, l1 = translate t ~now ~proc ~cmap:cm ~vpage ~write:true in
-      finish_write t sc ~now ~proc ~cm ~vpage ~vaddr ~l1 e v
+      let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:true in
+      finish_write t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e v
   else
-    let e, l1 = translate t ~now ~proc ~cmap:cm ~vpage ~write:true in
-    finish_write t sc ~now ~proc ~cm ~vpage ~vaddr ~l1 e v
+    let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:true in
+    finish_write t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e v
 
 let rmw_word_s t sc ~now ~proc ~cmap:cm ~vaddr f =
   let vpage = vaddr / page_words t in
@@ -479,11 +486,11 @@ let rmw_word_s t sc ~now ~proc ~cmap:cm ~vaddr f =
     match Atc.find t.atcs.(proc) ~aspace ~vpage with
     | Some e when e.Pmap.write_ok -> finish_rmw t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e f
     | _ ->
-      let e, l1 = translate t ~now ~proc ~cmap:cm ~vpage ~write:true in
-      finish_rmw t sc ~now ~proc ~cm ~vpage ~vaddr ~l1 e f
+      let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:true in
+      finish_rmw t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e f
   else
-    let e, l1 = translate t ~now ~proc ~cmap:cm ~vpage ~write:true in
-    finish_rmw t sc ~now ~proc ~cm ~vpage ~vaddr ~l1 e f
+    let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:true in
+    finish_rmw t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e f
 
 (* --- the coalescing fast-path cores (DESIGN.md §4g) ---
 
@@ -546,86 +553,78 @@ let fp_rmw t ~now ~proc ~cmap:cm ~vpage ~vaddr f =
 
 let fp_value_cell t = t.fp_value
 
-(* The multi-word access path.  Memtxn.run drives the per-page chunk loop
-   and the latency accumulation; this chunk_cost supplies the PLATINUM
-   semantics: block and strided transfers bypass the word caches entirely
-   (they are hardware block transfers, §7) but still make cached copies of
-   the touched range stale.  Each chunk translates through {!translate} at
-   the time it begins, so a fault raised mid-transaction is charged exactly
-   as the unbatched per-word stream would charge it; the data plane of a
-   chunk is one typed copy between the frame and the caller's slice. *)
-let submit_block t ~now ~proc ~cmap:cm txn =
-  let cfg = config t in
-  let modules = Machine.modules t.machine in
+(* The multi-word access path: block and strided transfers bypass the
+   word caches entirely (they are hardware block transfers, §7) but still
+   make cached copies of the touched range stale.  Each chunk translates
+   through {!translate} at the time it begins, so a fault raised
+   mid-transaction is charged exactly as the unbatched per-word stream
+   would charge it; the data plane of a chunk is one typed copy between
+   the frame and the caller's slice. *)
+
+(* Latency of an n-word hardware transfer chunk under fault injection: an
+   aborted transfer charges the partial run it burned, then is retried;
+   the adversary is bounded — after [max_copy_retries] aborts the final
+   attempt always completes, so a transaction never fails, it only takes
+   longer.  Without a plane this is exactly one Xbar access. *)
+let rec block_xfer t ~now ~proc ~mem_module kind ~words ~attempt ~extra =
+  let cfg = config t and modules = Machine.modules t.machine in
+  match Machine.inject t.machine with
+  | None -> Xbar.access cfg modules ~now ~proc ~mem_module kind ~words
+  | Some i as inject -> (
+    let aborted =
+      if attempt >= Platinum_sim.Inject.max_copy_retries i then None
+      else Platinum_sim.Inject.block_abort i ~words
+    in
+    match aborted with
+    | None ->
+      let l = Xbar.access ?inject cfg modules ~now:(now + extra) ~proc ~mem_module kind ~words in
+      if extra > 0 then Platinum_sim.Inject.note_recovery i extra;
+      extra + l
+    | Some w ->
+      let extra =
+        extra + Xbar.access ?inject cfg modules ~now:(now + extra) ~proc ~mem_module kind ~words:w
+      in
+      Platinum_sim.Inject.note_copy_retry i;
+      block_xfer t ~now ~proc ~mem_module kind ~words ~attempt:(attempt + 1) ~extra)
+
+let chunk_cost t (c : Memtxn.chunk) ~now ~proc ~cm ~write data =
   let pw = page_words t in
-  let inj = Machine.inject t.machine in
-  (* Latency of an n-word hardware transfer chunk under fault injection: an
-     aborted transfer charges the partial run it burned, then is retried;
-     the adversary is bounded — after [max_copy_retries] aborts the final
-     attempt always completes, so a transaction never fails, it only takes
-     longer.  Without a plane this is exactly one Xbar access. *)
-  let block_xfer ~now ~mem_module kind ~words =
-    match inj with
-    | None -> Xbar.access cfg modules ~now ~proc ~mem_module kind ~words
-    | Some i ->
-      let extra = ref 0 in
-      let rec go attempt =
-        let aborted =
-          if attempt >= Platinum_sim.Inject.max_copy_retries i then None
-          else Platinum_sim.Inject.block_abort i ~words
-        in
-        match aborted with
-        | None ->
-          let l =
-            Xbar.access ~inject:i cfg modules ~now:(now + !extra) ~proc ~mem_module kind
-              ~words
-          in
-          if !extra > 0 then Platinum_sim.Inject.note_recovery i !extra;
-          !extra + l
-        | Some w ->
-          extra :=
-            !extra
-            + Xbar.access ~inject:i cfg modules ~now:(now + !extra) ~proc ~mem_module kind
-                ~words:w;
-          Platinum_sim.Inject.note_copy_retry i;
-          go (attempt + 1)
-      in
-      go 0
+  let vaddr = c.Memtxn.c_vaddr and words = c.Memtxn.c_words in
+  let e = translate t t.scratch ~now ~proc ~cmap:cm ~vpage:(vaddr / pw) ~write in
+  let l1 = t.scratch.s_latency in
+  let frame = e.Pmap.frame in
+  let kind = if write then Xbar.Write else Xbar.Read in
+  let l2 =
+    block_xfer t ~now:(now + l1) ~proc ~mem_module:(Frame.mem_module frame) kind ~words
+      ~attempt:0 ~extra:0
   in
-  let chunk_cost ~now ~data (c : Memtxn.chunk) =
-    let vaddr = c.Memtxn.c_vaddr in
-    let vpage = vaddr / pw and off = vaddr mod pw in
-    match txn with
-    | Memtxn.Read _ | Memtxn.Write _ | Memtxn.Rmw _ ->
-      assert false (* word transactions take the scratch path in [submit] *)
-    | Memtxn.Block_read _ | Memtxn.Stride_read _ ->
-      let entry, l1 = translate t ~now ~proc ~cmap:cm ~vpage ~write:false in
-      let frame = entry.Pmap.frame in
-      let l2 =
-        block_xfer ~now:(now + l1) ~mem_module:(Frame.mem_module frame) Xbar.Read
-          ~words:c.Memtxn.c_words
-      in
-      Frame.read_words frame ~off ~dst:data ~dst_off:c.Memtxn.c_index ~words:c.Memtxn.c_words;
-      l1 + l2
-    | Memtxn.Block_write _ | Memtxn.Stride_write _ ->
-      let entry, l1 = translate t ~now ~proc ~cmap:cm ~vpage ~write:true in
-      let frame = entry.Pmap.frame in
-      let l2 =
-        block_xfer ~now:(now + l1) ~mem_module:(Frame.mem_module frame) Xbar.Write
-          ~words:c.Memtxn.c_words
-      in
-      Frame.write_words frame ~off ~src:data ~src_off:c.Memtxn.c_index ~words:c.Memtxn.c_words;
-      (* Block writes bypass the caches but still make cached copies of
-         the run stale. *)
-      if Machine.caches_enabled t.machine then
-        Machine.invalidate_cached_range_all t.machine ~addr:vaddr ~words:c.Memtxn.c_words;
-      l1 + l2
+  let off = vaddr mod pw in
+  if write then begin
+    Frame.write_words frame ~off ~src:data ~src_off:c.Memtxn.c_index ~words;
+    if Machine.caches_enabled t.machine then
+      Machine.invalidate_cached_range_all t.machine ~addr:vaddr ~words
+  end
+  else Frame.read_words frame ~off ~dst:data ~dst_off:c.Memtxn.c_index ~words;
+  l1 + l2
+
+(* Each chunk is charged at [now] plus the latency of every earlier one. *)
+let rec chunk_loop t c ~now ~proc ~cm ~write data lat =
+  let lat = lat + chunk_cost t c ~now:(now + lat) ~proc ~cm ~write data in
+  if Memtxn.next c then chunk_loop t c ~now ~proc ~cm ~write data lat else lat
+
+let submit_block t ~now ~proc ~cm ~write data txn =
+  Memtxn.validate txn;
+  let c = t.cursor in
+  let lat =
+    if Memtxn.first c ~page_words:(page_words t) txn then
+      chunk_loop t c ~now ~proc ~cm ~write data 0
+    else 0
   in
-  Memtxn.run ~page_words:pw ~now ?scratch:t.txn_scratch txn ~chunk_cost
+  (Memtxn.Unit, lat)
 
 (* The one access path: word transactions go through the scratch fast
-   cores (same semantics, no per-word allocation), multi-word transactions
-   through the shared Memtxn chunk loop. *)
+   cores, multi-word transactions through the chunk loop; neither
+   allocates beyond the returned pair in the steady state. *)
 let submit t ~now ~proc ~cmap:cm txn =
   match txn with
   | Memtxn.Read { vaddr } ->
@@ -637,8 +636,10 @@ let submit t ~now ~proc ~cmap:cm txn =
   | Memtxn.Rmw { vaddr; f } ->
     let old = rmw_word_s t t.scratch ~now ~proc ~cmap:cm ~vaddr f in
     (Memtxn.Word old, t.scratch.s_latency)
-  | Memtxn.Block_read _ | Memtxn.Block_write _ | Memtxn.Stride_read _ | Memtxn.Stride_write _
-    -> submit_block t ~now ~proc ~cmap:cm txn
+  | Memtxn.Block_read { dst; _ } | Memtxn.Stride_read { dst; _ } ->
+    submit_block t ~now ~proc ~cm ~write:false dst txn
+  | Memtxn.Block_write { src; _ } | Memtxn.Stride_write { src; _ } ->
+    submit_block t ~now ~proc ~cm ~write:true src txn
 
 (* Single-op conveniences, kept for tests and callers that move one word. *)
 

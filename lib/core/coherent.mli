@@ -95,18 +95,6 @@ val fp_rmw :
 val fp_value_cell : t -> int ref
 (** The shared result cell the last successful {!fp_read}/{!fp_rmw} wrote. *)
 
-val translate :
-  t ->
-  now:Platinum_sim.Time_ns.t ->
-  proc:int ->
-  cmap:Cmap.t ->
-  vpage:int ->
-  write:bool ->
-  Pmap.entry * int
-(** ATC hit: latency 0.  ATC miss, Pmap hit: ATC reload.  Otherwise the
-    {!Fault} handler runs.  Raises {!Fault.Unmapped} when the VM layer must
-    intervene. *)
-
 val submit :
   t ->
   now:Platinum_sim.Time_ns.t ->
@@ -116,11 +104,14 @@ val submit :
   Memtxn.result * int
 (** Run one memory transaction against the coherent memory: the single
     access path every word, block and strided operation flows through.
-    {!Memtxn.run} splits the transaction into per-page chunks; each chunk
-    translates (faulting if needed) at the simulated time it begins and is
-    charged on the interconnect, so batching never changes simulated cost.
-    Word reads use the per-processor caches; block and strided transfers
-    bypass them (§7). *)
+    A block or strided transaction is walked with the {!Memtxn.chunk}
+    cursor; each chunk translates (faulting if needed: ATC hit, else Pmap
+    reload, else the {!Fault} handler) at the simulated time it begins and
+    is charged on the interconnect, so batching never changes simulated
+    cost.  Word reads use the per-processor caches; block and strided
+    transfers bypass them (§7).  A transaction that does not fault
+    allocates only the returned pair.  Raises {!Fault.Unmapped} when the
+    VM layer must intervene. *)
 
 val read_word :
   t -> now:Platinum_sim.Time_ns.t -> proc:int -> cmap:Cmap.t -> vaddr:int -> int * int

@@ -43,78 +43,63 @@ type chunk = {
   mutable c_vaddr : int;
   mutable c_index : int;
   mutable c_words : int;
+  (* the cursor's position: words of the current element after this
+     chunk, elements after the current one, and the shape *)
+  mutable k_left : int;
+  mutable k_elems : int;
+  mutable k_elem_words : int;
+  mutable k_stride : int;
+  mutable k_page_words : int;
 }
 
-type scratch = {
-  s_chunk : chunk;  (* the one chunk record iter_chunks refills *)
-  s_word : int array;  (* one-word data buffer for word transactions *)
-}
+let make_chunk () =
+  {
+    c_vaddr = 0; c_index = 0; c_words = 0;
+    k_left = 0; k_elems = 0; k_elem_words = 0; k_stride = 0; k_page_words = 1;
+  }
 
-let make_scratch () = { s_chunk = { c_vaddr = 0; c_index = 0; c_words = 0 }; s_word = [| 0 |] }
+(* Point [c] at the longest run from [vaddr] that stays inside one page and
+   within the [words] the current element has left. *)
+let cut c ~vaddr ~index ~words =
+  let len = min (c.k_page_words - (vaddr mod c.k_page_words)) words in
+  c.c_vaddr <- vaddr;
+  c.c_index <- index;
+  c.c_words <- len;
+  c.k_left <- words - len
 
-(* Split the contiguous run [vaddr, vaddr + words) at page boundaries,
-   refilling the caller's one chunk record per run. *)
-let iter_run ~page_words ~vaddr ~index ~words ch f =
-  let pos = ref 0 in
-  while !pos < words do
-    let va = vaddr + !pos in
-    let off = va mod page_words in
-    let len = min (page_words - off) (words - !pos) in
-    ch.c_vaddr <- va;
-    ch.c_index <- index + !pos;
-    ch.c_words <- len;
-    f ch;
-    pos := !pos + len
-  done
+let start c ~page_words ~vaddr ~index ~elems ~elem_words ~stride =
+  if elems <= 0 || elem_words <= 0 then false
+  else begin
+    c.k_page_words <- page_words;
+    c.k_elems <- elems - 1;
+    c.k_elem_words <- elem_words;
+    c.k_stride <- stride;
+    cut c ~vaddr ~index ~words:elem_words;
+    true
+  end
 
-let iter_chunks ?scratch ~page_words txn f =
-  let ch =
-    match scratch with
-    | Some s -> s.s_chunk
-    | None -> { c_vaddr = 0; c_index = 0; c_words = 0 }
-  in
+let first c ~page_words txn =
   match txn with
   | Read { vaddr } | Write { vaddr; _ } | Rmw { vaddr; _ } ->
-    ch.c_vaddr <- vaddr;
-    ch.c_index <- 0;
-    ch.c_words <- 1;
-    f ch
+    start c ~page_words ~vaddr ~index:0 ~elems:1 ~elem_words:1 ~stride:1
   | Block_read { vaddr; dst_off = off; len; _ } | Block_write { vaddr; src_off = off; len; _ }
     ->
-    iter_run ~page_words ~vaddr ~index:off ~words:(max len 0) ch f
+    start c ~page_words ~vaddr ~index:off ~elems:1 ~elem_words:len ~stride:len
   | Stride_read { vaddr; dst_off = off; count; elem_words; stride; _ }
   | Stride_write { vaddr; src_off = off; count; elem_words; stride; _ } ->
-    for k = 0 to count - 1 do
-      iter_run ~page_words ~vaddr:(vaddr + (k * stride)) ~index:(off + (k * elem_words))
-        ~words:elem_words ch f
-    done
+    start c ~page_words ~vaddr ~index:off ~elems:count ~elem_words ~stride
 
-let iter_pages ~page_words txn f =
-  let last = ref min_int in
-  iter_chunks ~page_words txn (fun c ->
-      let vpage = c.c_vaddr / page_words in
-      if vpage <> !last then begin
-        last := vpage;
-        f vpage
-      end)
-
-let run ~page_words ~now ?scratch txn ~chunk_cost =
-  validate txn;
-  let data =
-    match txn with
-    | Read _ | Write _ | Rmw _ ->
-      let word = match scratch with Some s -> s.s_word | None -> [| 0 |] in
-      word.(0) <- (match txn with Write { value; _ } -> value | _ -> 0);
-      word
-    | Block_read { dst; _ } | Stride_read { dst; _ } -> dst
-    | Block_write { src; _ } | Stride_write { src; _ } -> src
-  in
-  let lat = ref 0 in
-  iter_chunks ?scratch ~page_words txn (fun chunk ->
-      lat := !lat + chunk_cost ~now:(now + !lat) ~data chunk);
-  let result =
-    match txn with
-    | Read _ | Rmw _ -> Word data.(0)
-    | Write _ | Block_read _ | Block_write _ | Stride_read _ | Stride_write _ -> Unit
-  in
-  (result, !lat)
+(* Element [k+1] starts [stride] words after element [k]; its slice index
+   follows element [k]'s last word. *)
+let next c =
+  let vaddr = c.c_vaddr + c.c_words and index = c.c_index + c.c_words in
+  if c.k_left > 0 then begin
+    cut c ~vaddr ~index ~words:c.k_left;
+    true
+  end
+  else if c.k_elems > 0 then begin
+    c.k_elems <- c.k_elems - 1;
+    cut c ~vaddr:(vaddr - c.k_elem_words + c.k_stride) ~index ~words:c.k_elem_words;
+    true
+  end
+  else false

@@ -6,8 +6,8 @@
     duplicated the loop that walks an access, threads simulated time
     through it, and accumulates latency.  A {!t} describes a whole access
     — one word, a read-modify-write, a contiguous block, or a strided
-    scatter/gather — and {!run} is the single cost-accounting routine both
-    backends share.
+    scatter/gather — and {!chunk} is the single cursor every backend walks
+    it with.
 
     {b The batching invariant}: a transaction's simulated cost is the sum
     of its per-chunk costs, each charged at [now +] the latency accumulated
@@ -53,46 +53,33 @@ val validate : t -> unit
     or a slice that does not lie inside its array. *)
 
 (** A maximal run of consecutive words that stays inside one page — the
-    unit a backend translates and charges as a whole.  Generalizes the old
-    [Coherent.block_loop] chunking to strided transactions.
+    unit a backend translates and charges as a whole — and the cursor
+    that walks a transaction's runs.  The one chunker of the simulator:
+    every backend and the VM binding loop drive it.
 
-    One chunk record is refilled per iteration (allocation-lean chunking);
-    callbacks must read the fields immediately and never retain the
-    record. *)
-type chunk = {
+    {!first} and {!next} refill the same record, so a walk allocates
+    nothing.  Chunks come in ascending address order, element by element
+    for strided transactions; a word transaction is one one-word chunk
+    with [c_index = 0].  Callers drive it with a plain loop:
+    [if first c ~page_words txn then (work c; while next c do work c done)].
+    Not reentrant — one record per concurrently walked transaction. *)
+type chunk = private {
   mutable c_vaddr : int;  (** first word address of the run *)
-  mutable c_index : int;  (** index of the run's first word in [data], slice offset included *)
+  mutable c_index : int;  (** index of the run's first word in the slice array, offset included *)
   mutable c_words : int;  (** length of the run *)
+  (* the cursor's own state; callers read only the [c_] fields *)
+  mutable k_left : int;
+  mutable k_elems : int;
+  mutable k_elem_words : int;
+  mutable k_stride : int;
+  mutable k_page_words : int;
 }
 
-(** Reusable per-caller buffers: the chunk record the iteration refills and
-    a one-word data buffer for word transactions.  With a scratch supplied,
-    {!run} on a word transaction allocates only its result; without one it
-    also allocates the chunk and the buffer.  Not reentrant — one scratch
-    per concurrently running transaction stream. *)
-type scratch
+val make_chunk : unit -> chunk
 
-val make_scratch : unit -> scratch
+val first : chunk -> page_words:int -> t -> bool
+(** Point the cursor at the transaction's first chunk; [false] if it
+    moves no words. *)
 
-val iter_pages : page_words:int -> t -> (int -> unit) -> unit
-(** The virtual pages the transaction touches, in chunk order (ascending
-    address, element by element for strided transactions), consecutive
-    duplicates elided — what a VM layer must ensure is bound before the
-    coherent layer runs. *)
-
-val run :
-  page_words:int ->
-  now:int ->
-  ?scratch:scratch ->
-  t ->
-  chunk_cost:(now:int -> data:int array -> chunk -> int) ->
-  result * int
-(** The shared cost-accounting loop.  Validates the transaction and calls
-    [chunk_cost] once per chunk, in {!iter_pages} order, with the time at which that chunk begins
-    ([now] plus the latency of every earlier chunk); [chunk_cost] performs
-    the data movement against [data] — the caller's slice array for a
-    block or strided transaction, a one-word buffer otherwise (reads fill
-    [data.(c_index ..)], writes consume it, an [Rmw] leaves the old value
-    in [data.(0)]) — and returns the chunk's latency.  Allocates no data
-    buffer for a multi-word transaction.  Returns the result and the total
-    latency. *)
+val next : chunk -> bool
+(** Advance to the next chunk; [false] once the transaction is done. *)

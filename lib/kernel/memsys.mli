@@ -7,7 +7,7 @@
     Both implement the one entry point [submit], which accepts any
     {!Platinum_core.Memtxn.t} — a word read or write, an atomic
     read-modify-write, a contiguous block, or a strided scatter/gather —
-    and share {!Platinum_core.Memtxn.run} for cost accounting.
+    and walk it with the one {!Platinum_core.Memtxn.chunk} cursor.
 
     Addresses are virtual *word* addresses (the Butterfly's unit of access
     is the 32-bit word). *)

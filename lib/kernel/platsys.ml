@@ -25,6 +25,7 @@ type t = {
   mutable spaces : space array;  (* index = the Memsys aspace id *)
   mutable zones : Zone.t array;
   mutable segments : Memobj.t array;  (* globally named objects *)
+  cursor : Memtxn.chunk;  (* the binding loop's *)
 }
 
 let space t aspace =
@@ -84,21 +85,25 @@ let ensure_bound _t sp ~now ~vpage =
   | None -> Addr_space.fault sp.asp ~now ~vpage
 
 (* Bind every page a transaction touches before the coherent layer runs,
-   each at the time the VM work reaches it.  Memtxn.iter_pages walks pages
-   in chunk order with consecutive duplicates elided, which for a
-   contiguous block is exactly the old first..last page loop.  A word
-   transaction has one page, bound directly: no closure, ref or chunk
-   record on the trapped word path. *)
+   each at the time the VM work reaches it: one [ensure_bound] per page in
+   chunk order, consecutive duplicates elided, which for a contiguous block
+   is exactly a first..last page loop.  [last] starts at [min_int], a page
+   no chunk lies in. *)
+let rec bind_loop t sp (c : Memtxn.chunk) ~now ~pw ~last lat =
+  let vpage = c.Memtxn.c_vaddr / pw in
+  let lat = if vpage <> last then lat + ensure_bound t sp ~now:(now + lat) ~vpage else lat in
+  if Memtxn.next c then bind_loop t sp c ~now ~pw ~last:vpage lat else lat
+
+(* A word transaction has one page, bound directly. *)
 let ensure_txn t sp ~now txn =
   let pw = Coherent.page_words t.coh in
   match txn with
   | Memtxn.Read { vaddr } | Write { vaddr; _ } | Rmw { vaddr; _ } ->
     ensure_bound t sp ~now ~vpage:(vaddr / pw)
   | _ ->
-    let lat = ref 0 in
-    Memtxn.iter_pages ~page_words:pw txn (fun vpage ->
-        lat := !lat + ensure_bound t sp ~now:(now + !lat) ~vpage);
-    !lat
+    if Memtxn.first t.cursor ~page_words:pw txn then
+      bind_loop t sp t.cursor ~now ~pw ~last:min_int 0
+    else 0
 
 let memsys t =
   let coh = t.coh in
@@ -198,7 +203,16 @@ let memsys t =
 
 let create coh root_aspace ?(default_zone_pages = 4096) () =
   let sp = space_of root_aspace in
-  let t = { coh; default_zone_pages; spaces = [| sp |]; zones = [||]; segments = [||] } in
+  let t =
+    {
+      coh;
+      default_zone_pages;
+      spaces = [| sp |];
+      zones = [||];
+      segments = [||];
+      cursor = Memtxn.make_chunk ();
+    }
+  in
   (* Zone 0: the root space's default heap. *)
   ignore (new_zone t ~aspace:0 ~name:"heap" ~pages:default_zone_pages);
   t

@@ -4,7 +4,8 @@
     every physical page in that module; the fault handler hashes the Cpage
     index into it to find a local copy using strictly local memory accesses
     (§3.3).  This module preserves the semantics (cpage → local frame
-    lookup, free-frame allocation) with a hash table plus free list. *)
+    lookup, free-frame allocation) with a hash table plus free list, built
+    lazily: [create] allocates O(1), whatever the frame count. *)
 
 type t
 
@@ -26,6 +27,3 @@ val lookup : t -> cpage:int -> Frame.t option
 
 val free : t -> Frame.t -> unit
 (** Return a frame to the free list and unregister its cpage binding. *)
-
-val frame : t -> int -> Frame.t
-(** Frame by index (for tests and dumps). *)

@@ -494,7 +494,10 @@ let test_sleep_advances_clock () =
    a frozen page is never coalesced, so each one is a full effect trap,
    a kernel dispatch, a Platsys submit and an engine step.  Here the step
    is inline (Engine.advance_inline): the only other pending event is the
-   defrost daemon's, far ahead, so no resume closure is built.  Minor words
+   defrost daemon's, far ahead, so no resume closure is built.  The block
+   pair moves the whole page through reused slices: a steady-state block
+   transaction allocates nothing between the submit and the frame copy
+   (DESIGN.md §4a), leaving the effect trap and the result pair.  Minor words
    per operation are deterministic for a given compiler, so the budget is
    an exact regression bound; [Gc.minor_words] boxes its result, so the
    cost of one measurement is calibrated out. *)
@@ -526,6 +529,13 @@ let test_trapped_path_allocation () =
              measure "read" (fun _ -> ignore (Api.read buf : int));
              measure "write" (fun i -> Api.write buf i);
              measure "rmw" (fun _ -> ignore (Api.rmw buf succ : int));
+             (* 64 words of the page: a real block transfer, short enough
+                that both loops end well before the defrost daemon's
+                first pass (t2 = 1 s) thaws the page *)
+             let len = Api.page_words () / 16 in
+             let slice = Array.make len 0 in
+             measure "block_read_into" (fun _ -> Api.block_read_into buf slice ~off:0 ~len);
+             measure "block_write_sub" (fun _ -> Api.block_write_sub buf slice ~off:0 ~len);
              measure "now" (fun _ -> ignore (Api.now () : int)))))
   |> ignore;
   Alcotest.(check (list int)) "one frozen page, its copy on module 0" [ 0 ]
@@ -538,7 +548,10 @@ let test_trapped_path_allocation () =
         let w = Hashtbl.find words name in
         if w <= budget then None
         else Some (Printf.sprintf "%s: %.1f minor words per op, budget %.0f" name w budget))
-      [ ("read", 24.); ("write", 24.); ("rmw", 24.); ("now", 12.) ]
+      [
+        ("read", 24.); ("write", 24.); ("rmw", 24.); ("block_read_into", 24.);
+        ("block_write_sub", 24.); ("now", 12.);
+      ]
   in
   Alcotest.(check (list string)) "every op within its budget" [] over
 

@@ -123,6 +123,64 @@ let prop_it_model =
         ops
       && IT.used_count t = Hashtbl.length model)
 
+(* The lazily built table against the eager one it replaced: a free list
+   that starts as [0; 1; ...] and takes freed frames back on its head.
+   Over random alloc/free/lookup sequences both must hand out the same
+   frame indices in the same order, agree on every lookup and count, and a
+   re-allocated index must be the very same [Frame.t] (physical identity,
+   stale data kept). *)
+type eager = {
+  mutable e_free : int list;
+  e_owner : (int, int) Hashtbl.t;  (* cpage -> frame index *)
+}
+
+let eager_create frames = { e_free = List.init frames Fun.id; e_owner = Hashtbl.create 8 }
+
+let eager_alloc e ~cpage =
+  match e.e_free with
+  | [] -> None
+  | i :: rest ->
+    e.e_free <- rest;
+    Hashtbl.replace e.e_owner cpage i;
+    Some i
+
+let eager_free e ~cpage =
+  let i = Hashtbl.find e.e_owner cpage in
+  Hashtbl.remove e.e_owner cpage;
+  e.e_free <- i :: e.e_free
+
+let prop_it_lazy_eq_eager =
+  QCheck.Test.make ~name:"inverted table: lazy build = eager model" ~count:200
+    QCheck.(pair (int_range 1 12) (list (pair (int_bound 2) (int_bound 15))))
+    (fun (frames, ops) ->
+      let t = IT.create ~mem_module:3 ~frames ~page_words:2 in
+      let e = eager_create frames in
+      let seen = Hashtbl.create 16 in  (* frame index -> the Frame.t handed out *)
+      let index = Option.map Frame.index in
+      List.for_all
+        (fun (op, cpage) ->
+          let held = Hashtbl.mem e.e_owner cpage in
+          (match op with
+          | 0 when not held ->
+            let got = IT.alloc t ~cpage and want = eager_alloc e ~cpage in
+            if index got <> want then QCheck.Test.fail_reportf "alloc %d: frame differs" cpage;
+            Option.iter
+              (fun f ->
+                if Frame.mem_module f <> 3 then QCheck.Test.fail_report "wrong module";
+                match Hashtbl.find_opt seen (Frame.index f) with
+                | Some f' when f' != f -> QCheck.Test.fail_report "re-allocated a new Frame.t"
+                | _ -> Hashtbl.replace seen (Frame.index f) f)
+              got
+          | 1 when held ->
+            IT.free t (Option.get (IT.lookup t ~cpage));
+            eager_free e ~cpage
+          | _ -> ());
+          index (IT.lookup t ~cpage) = Hashtbl.find_opt e.e_owner cpage
+          && IT.free_count t = frames - Hashtbl.length e.e_owner
+          && IT.used_count t = Hashtbl.length e.e_owner
+          && IT.capacity t = frames)
+        ops)
+
 (* --- Phys_mem --- *)
 
 let test_pm_local_alloc () =
@@ -176,6 +234,7 @@ let suite =
     ("inverted table: wrong-module free", `Quick, test_it_free_wrong_module);
     ("inverted table: double free", `Quick, test_it_double_free);
     qtest prop_it_model;
+    qtest prop_it_lazy_eq_eager;
     ("phys: local alloc", `Quick, test_pm_local_alloc);
     ("phys: fallback on full module", `Quick, test_pm_prefer_fallback);
     ("phys: fallback avoids duplicate copies", `Quick, test_pm_fallback_avoids_duplicates);

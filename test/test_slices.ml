@@ -186,8 +186,146 @@ let prop name ~span ~min_len run =
   QCheck.Test.make ~name ~count:40 (arb_prog ~span ~min_len) (fun ops ->
       check_pair (run ~slices:false ops) (run ~slices:true ops))
 
+(* --- the chunk cursor ---
+
+   Memtxn's cursor against a word-by-word model: list every word the
+   transaction moves as (element, address, slice index), in order; the
+   chunks must be exactly the maximal groups of consecutive words that
+   share an element and a page, each starting at its first word's slice
+   index, and together they move [data_words].  The page sequence is also
+   checked against the chunker the cursor replaced (element by element,
+   split at page boundaries, consecutive duplicate pages elided), kept
+   here as [old_pages]. *)
+
+module Memtxn = Platinum_core.Memtxn
+
+type shape = {
+  s_vaddr : int;
+  s_off : int;
+  s_count : int;  (* elements; 1 for a block *)
+  s_elem : int;  (* words per element; the length for a block *)
+  s_stride : int;
+  s_block : bool;
+  s_write : bool;
+  s_pw : int;
+}
+
+let show_shape s =
+  Printf.sprintf "%s%s vaddr=%d off=%d count=%d elem=%d stride=%d page_words=%d"
+    (if s.s_block then "block" else "stride")
+    (if s.s_write then "_write" else "_read")
+    s.s_vaddr s.s_off s.s_count s.s_elem s.s_stride s.s_pw
+
+let gen_shape =
+  QCheck.Gen.(
+    let* s_pw = oneofl [ 1; 2; 3; 5; 8; 64 ] in
+    let* s_vaddr = int_bound 300 in
+    let* s_off = int_bound 5 in
+    let* s_write = bool in
+    let* s_block = bool in
+    if s_block then
+      let* len = int_bound 200 in
+      return { s_vaddr; s_off; s_count = 1; s_elem = len; s_stride = len; s_block; s_write; s_pw }
+    else
+      let* s_count = int_bound 10 in
+      let* s_elem = int_range 1 8 in
+      let* gap = int_bound 20 in
+      return { s_vaddr; s_off; s_count; s_elem; s_stride = s_elem + gap; s_block; s_write; s_pw })
+
+let txn_of s =
+  let buf = Array.make (s.s_off + (s.s_count * s.s_elem)) 0 in
+  let vaddr = s.s_vaddr and off = s.s_off in
+  match (s.s_block, s.s_write) with
+  | true, false -> Memtxn.Block_read { vaddr; dst = buf; dst_off = off; len = s.s_elem }
+  | true, true -> Memtxn.Block_write { vaddr; src = buf; src_off = off; len = s.s_elem }
+  | false, false ->
+    Memtxn.Stride_read
+      { vaddr; dst = buf; dst_off = off; count = s.s_count; elem_words = s.s_elem;
+        stride = s.s_stride }
+  | false, true ->
+    Memtxn.Stride_write
+      { vaddr; src = buf; src_off = off; count = s.s_count; elem_words = s.s_elem;
+        stride = s.s_stride }
+
+let cursor_chunks ~page_words txn =
+  let c = Memtxn.make_chunk () in
+  let out = ref [] in
+  let note () = out := (c.Memtxn.c_vaddr, c.Memtxn.c_index, c.Memtxn.c_words) :: !out in
+  if Memtxn.first c ~page_words txn then begin
+    note ();
+    while Memtxn.next c do
+      note ()
+    done
+  end;
+  List.rev !out
+
+let model_chunks s =
+  let words =
+    List.concat
+      (List.init s.s_count (fun k ->
+           List.init s.s_elem (fun j ->
+               (k, s.s_vaddr + (k * s.s_stride) + j, s.s_off + (k * s.s_elem) + j))))
+  in
+  let rec group acc = function
+    | [] -> List.rev acc
+    | (k, va, ix) :: rest -> (
+      match acc with
+      | (k', va0, ix0, n) :: acc'
+        when k = k' && va = va0 + n && va / s.s_pw = va0 / s.s_pw ->
+        group ((k', va0, ix0, n + 1) :: acc') rest
+      | _ -> group ((k, va, ix, 1) :: acc) rest)
+  in
+  List.map (fun (_, va, ix, n) -> (va, ix, n)) (group [] words)
+
+let old_pages s =
+  let last = ref min_int and out = ref [] in
+  for k = 0 to s.s_count - 1 do
+    let base = s.s_vaddr + (k * s.s_stride) in
+    let pos = ref 0 in
+    while !pos < s.s_elem do
+      let va = base + !pos in
+      let len = min (s.s_pw - (va mod s.s_pw)) (s.s_elem - !pos) in
+      if va / s.s_pw <> !last then begin
+        last := va / s.s_pw;
+        out := !last :: !out
+      end;
+      pos := !pos + len
+    done
+  done;
+  List.rev !out
+
+let rec dedup = function
+  | a :: (b :: _ as rest) -> if a = b then dedup rest else a :: dedup rest
+  | l -> l
+
+let prop_cursor =
+  QCheck.Test.make ~name:"memtxn: cursor chunks = word-by-word model" ~count:500
+    (QCheck.make ~print:show_shape gen_shape) (fun s ->
+      let txn = txn_of s in
+      Memtxn.validate txn;
+      let got = cursor_chunks ~page_words:s.s_pw txn in
+      let want = model_chunks s in
+      if got <> want then QCheck.Test.fail_report "chunks differ from the model";
+      if List.fold_left (fun a (_, _, n) -> a + n) 0 got <> Memtxn.data_words txn then
+        QCheck.Test.fail_report "chunks do not sum to data_words";
+      let pages = dedup (List.map (fun (va, _, _) -> va / s.s_pw) got) in
+      if pages <> old_pages s then QCheck.Test.fail_report "page sequence differs";
+      true)
+
+let test_cursor_words () =
+  List.iter
+    (fun txn ->
+      Alcotest.(check (list (triple int int int)))
+        "one one-word chunk at index 0" [ (77, 0, 1) ] (cursor_chunks ~page_words:8 txn))
+    [
+      Memtxn.Read { vaddr = 77 }; Memtxn.Write { vaddr = 77; value = 5 };
+      Memtxn.Rmw { vaddr = 77; f = succ };
+    ]
+
 let suite =
   [
+    qtest prop_cursor;
+    ("memtxn: word transactions are one chunk", `Quick, test_cursor_words);
     qtest
       (prop "platsys: slice calls = allocating calls" ~span:(2 * page_words) ~min_len:0
          on_platsys);
