@@ -27,9 +27,7 @@ type t = {
   mutable next_cpage : int;
   mappings : (int, (Cmap.t * int) list ref) Hashtbl.t;  (* cpage id -> bindings *)
   mutable frozen_list : Cpage.t list;
-  mutable fault_ctx : Fault.ctx option;
   mutable probe : Probe.t option;
-  mutable in_daemon : bool;  (* a thaw_all (defrost) pass is running *)
   mutable freeze_hook : (now:int -> Cpage.t -> unit) option;  (* defrost daemon's *)
   mutable monitor : Check.monitor option;  (* the runtime invariant monitor *)
   scratch : scratch;  (* submit's own latency slot *)
@@ -153,7 +151,17 @@ let freeze_page t ~now (page : Cpage.t) =
     checkpoint t ~now
   end
 
-let thaw_page t ~now (page : Cpage.t) =
+(* Drop the translations a shootdown leaves in [ce]'s reference mask (the
+   initiator's own slot). *)
+let drop_translations t cm ~vpage (ce : Cmap.centry) =
+  Procset.iter
+    (fun p ->
+      Pmap.remove (Cmap.pmap cm ~proc:p) ~vpage;
+      Atc.invalidate t.atcs.(p) ~aspace:(Cmap.aspace cm) ~vpage)
+    ce.Cmap.refmask;
+  ce.Cmap.refmask <- Procset.empty
+
+let thaw_page t ~now ~by_daemon (page : Cpage.t) =
   if page.Cpage.frozen then begin
     page.Cpage.frozen <- false;
     page.Cpage.stats.Cpage.thaws <- page.Cpage.stats.Cpage.thaws + 1;
@@ -172,51 +180,18 @@ let thaw_page t ~now (page : Cpage.t) =
     (* The daemon also drops its initiator-side bookkeeping onto its own
        processor. *)
     Machine.add_penalty t.machine ~proc:daemon_proc r.Shootdown.latency;
-    (* Clear any surviving refmask bits (the initiator slot). *)
     List.iter
-      (fun (cmap, vpage) ->
-        match Cmap.find cmap ~vpage with
-        | None -> ()
-        | Some ce ->
-          Procset.iter
-            (fun p ->
-              Pmap.remove (Cmap.pmap cmap ~proc:p) ~vpage;
-              Atc.invalidate t.atcs.(p) ~aspace:(Cmap.aspace cmap) ~vpage)
-            ce.Cmap.refmask;
-          ce.Cmap.refmask <- Procset.empty)
+      (fun (cm, vpage) ->
+        match Cmap.find cm ~vpage with None -> () | Some ce -> drop_translations t cm ~vpage ce)
       (mappings_of t page);
     page.Cpage.write_mapped <- false;
     Cpage.sync_state page;
     page.Cpage.last_thaw_at <- now;
-    emit t ~now (Probe.Thawed { cpage = page.Cpage.id; by_daemon = t.in_daemon });
+    emit t ~now (Probe.Thawed { cpage = page.Cpage.id; by_daemon });
     checkpoint t ~now
   end
 
-let thaw_all t ~now =
-  t.in_daemon <- true;
-  List.iter (fun page -> thaw_page t ~now page) t.frozen_list;
-  t.in_daemon <- false
-
-let fault_ctx t =
-  match t.fault_ctx with
-  | Some c -> c
-  | None ->
-    let c =
-      {
-        Fault.machine = t.machine;
-        phys = t.phys;
-        counters = t.counters;
-        atcs = t.atcs;
-        policy = t.policy;
-        freeze = (fun ~now p -> freeze_page t ~now p);
-        thaw = (fun ~now p -> thaw_page t ~now p);
-        mappings_of = (fun page -> mappings_of t page);
-        emit = (fun ~now ev -> emit t ~now ev);
-        monitor = (fun () -> t.monitor);
-      }
-    in
-    t.fault_ctx <- Some c;
-    c
+let thaw_all t ~now = List.iter (fun page -> thaw_page t ~now ~by_daemon:true page) t.frozen_list
 
 let create machine ~engine:_ ~policy ?(frames_per_module = 1024) () =
   let config = Machine.config machine in
@@ -236,9 +211,7 @@ let create machine ~engine:_ ~policy ?(frames_per_module = 1024) () =
     next_cpage = 0;
     mappings = Hashtbl.create 1024;
     frozen_list = [];
-    fault_ctx = None;
     probe = None;
-    in_daemon = false;
     freeze_hook = None;
     (* PLATINUM_CHECK=1 arms the coherence sanitizer at construction. *)
     monitor = (if Check.env_enabled () then Some (Check.create_monitor ()) else None);
@@ -290,12 +263,7 @@ let unbind t ~now cm ~vpage =
       Shootdown.run ?monitor:t.monitor ~machine:t.machine ~counters:t.counters ~atcs:t.atcs
         ~now ~initiator:0 ~mappings:[ (cm, vpage) ] ~directive:Cmap.Invalidate ~spare:None ()
     in
-    Procset.iter
-      (fun p ->
-        Pmap.remove (Cmap.pmap cm ~proc:p) ~vpage;
-        Atc.invalidate t.atcs.(p) ~aspace:(Cmap.aspace cm) ~vpage)
-      ce.Cmap.refmask;
-    ce.Cmap.refmask <- Procset.empty;
+    drop_translations t cm ~vpage ce;
     Cmap.unbind cm ~vpage;
     (match Hashtbl.find_opt t.mappings page.Cpage.id with
     | None -> ()
@@ -329,6 +297,285 @@ let activate t ~now:_ ~proc ~aspace =
     (config t).Config.aspace_activate_ns
   end
 
+(* --- the fault executor ---
+
+   [exec] carries out a {!Fault.plan} or {!Fault.collapse} step by step,
+   synchronously: each step starts at the fault's [now] plus the latency
+   so far, which accumulates in [sc], and charges, counts and emits where
+   the protocol does, so the plan's order is the event order.  [proc]
+   initiates the shootdowns and receives the mapping; [target] is the
+   module the page is brought to (the faulting processor's own, for a
+   fault); [fresh] is the frame the plan allocated. *)
+
+let charge (sc : scratch) ns = sc.s_latency <- sc.s_latency + ns
+
+let kill_cached_lines t ~vpage =
+  let pw = page_words t in
+  Machine.invalidate_cached_range_all t.machine ~addr:(vpage * pw) ~words:pw
+
+(* Prefer the copy on the page's home module for remote mappings, so frozen
+   pages have a stable placement. *)
+let choose_copy (page : Cpage.t) =
+  match Cpage.local_copy page page.Cpage.home with Some f -> f | None -> Cpage.any_copy page
+
+let install t ~proc ~cm ~vpage (ce : Cmap.centry) frame ~write_ok =
+  let entry = Pmap.install (Cmap.pmap cm ~proc) ~vpage ~frame ~write_ok in
+  ce.Cmap.refmask <- Procset.add proc ce.Cmap.refmask;
+  let atc = t.atcs.(proc) in
+  if Atc.is_active atc ~aspace:(Cmap.aspace cm) then Atc.load atc ~vpage entry;
+  if write_ok then ce.Cmap.cpage.Cpage.write_mapped <- true;
+  Cpage.sync_state ce.Cmap.cpage
+
+let rec free_copies t page ~except lat = function
+  | [] -> lat
+  | f :: rest when f == except -> free_copies t page ~except lat rest
+  | f :: rest ->
+    Cpage.remove_copy page f;
+    Phys_mem.free t.phys f;
+    t.counters.Counters.pages_freed <- t.counters.Counters.pages_freed + 1;
+    free_copies t page ~except (lat + (config t).Config.page_free_ns) rest
+
+(* Allocation/mapping overhead depends on whether the Cpage metadata lives
+   in the faulting processor's module — the paper's 0.23 ms vs 0.27 ms. *)
+let alloc t sc ~proc ~target (page : Cpage.t) (place : Fault.place) =
+  let cfg = config t in
+  let frame =
+    match place with
+    | Fault.Exactly -> Phys_mem.alloc_local t.phys ~mem_module:target ~cpage:page.Cpage.id
+    | First_touch | Near ->
+      (* First-touch placement is local unless the policy scatters data
+         round-robin across modules (the Uniform System baseline). *)
+      let prefer =
+        if place = First_touch && Policy.scatter_placement t.policy then
+          page.Cpage.id mod cfg.Config.nprocs
+        else target
+      in
+      Phys_mem.alloc_preferring t.phys ~prefer ~cpage:page.Cpage.id
+  in
+  (match frame with
+  | None -> ()
+  | Some _ ->
+    charge sc
+      (if place <> Fault.Exactly && page.Cpage.home = proc then cfg.Config.alloc_map_local_ns
+       else cfg.Config.alloc_map_remote_ns));
+  frame
+
+(* A fault's transfers count as copy time. *)
+let transfer t sc ~now ~fault ~src ~dst ~words =
+  let clat =
+    Xbar.block_copy ?inject:(Machine.inject t.machine) (config t) (Machine.modules t.machine)
+      ~now:(now + sc.s_latency) ~src:(Frame.mem_module src) ~dst:(Frame.mem_module dst) ~words
+  in
+  charge sc clat;
+  if fault then t.counters.Counters.copy_ns <- t.counters.Counters.copy_ns + clat;
+  clat
+
+let complete_copy t sc ~now ~fault (page : Cpage.t) ~src ~dst =
+  let words = page_words t in
+  let clat = transfer t sc ~now ~fault ~src ~dst ~words in
+  Frame.blit_from ~src ~dst;
+  (* Queueing beyond the raw transfer is the paper's per-page "contention
+     in the Cpage fault handler" measure. *)
+  let st = page.Cpage.stats in
+  if fault then
+    st.Cpage.fault_wait_ns <-
+      st.Cpage.fault_wait_ns + (clat - (words * (config t).Config.t_block_word))
+
+(* Under fault injection each abort still charges the partial occupancy
+   it burned; [false] once the retries run out. *)
+let rec copy_attempts t sc ~now page ~src ~dst inj ~attempt ~extra =
+  match Platinum_sim.Inject.block_abort inj ~words:(page_words t) with
+  | None ->
+    complete_copy t sc ~now ~fault:true page ~src ~dst;
+    if extra > 0 then Platinum_sim.Inject.note_recovery inj extra;
+    true
+  | Some w ->
+    let extra = extra + transfer t sc ~now ~fault:true ~src ~dst ~words:w in
+    if attempt >= Platinum_sim.Inject.max_copy_retries inj then begin
+      Platinum_sim.Inject.note_recovery inj extra;
+      false
+    end
+    else begin
+      Platinum_sim.Inject.note_copy_retry inj;
+      copy_attempts t sc ~now page ~src ~dst inj ~attempt:(attempt + 1) ~extra
+    end
+
+let copy t sc ~now ~abortable (page : Cpage.t) ~dst =
+  let src = Cpage.any_copy page in
+  match Machine.inject t.machine with
+  | Some inj when abortable -> copy_attempts t sc ~now page ~src ~dst inj ~attempt:0 ~extra:0
+  | Some _ | None ->
+    complete_copy t sc ~now ~fault:abortable page ~src ~dst;
+    true
+
+(* The steps that cannot branch. *)
+let step t sc ~now ~proc ~target ~cm ~vpage ~(ce : Cmap.centry) ~write ~fresh (s : Fault.step) =
+  let page = ce.Cmap.cpage and cfg = config t in
+  let st = page.Cpage.stats and cpage = page.Cpage.id in
+  match s with
+  | Fault.Shootdown { directive; spare; protocol } -> (
+    let r =
+      Shootdown.run ?monitor:t.monitor ~machine:t.machine ~counters:t.counters ~atcs:t.atcs
+        ~now:(now + sc.s_latency) ~initiator:proc ~mappings:(mappings_of t page) ~directive
+        ~spare:(if spare then Some (cm, vpage) else None)
+        ()
+    in
+    charge sc r.Shootdown.latency;
+    let interrupted = r.Shootdown.interrupted in
+    match directive with
+    | _ when not protocol -> ()
+    | Cmap.Invalidate ->
+      page.Cpage.last_protocol_inval <- now;
+      st.Cpage.invalidations <- st.Cpage.invalidations + 1;
+      (* The data is about to change or move: no cached line of this page
+         may survive anywhere (§7 software-maintained coherency). *)
+      kill_cached_lines t ~vpage;
+      emit t ~now (Probe.Invalidated { cpage; interrupted })
+    | Cmap.Restrict_to_read ->
+      st.Cpage.restrictions <- st.Cpage.restrictions + 1;
+      page.Cpage.write_mapped <- false;
+      emit t ~now (Probe.Restricted { cpage; interrupted }))
+  | Zero_fill { counted } ->
+    let frame = Option.get fresh in
+    charge sc
+      (Xbar.zero_fill ?inject:(Machine.inject t.machine) cfg (Machine.modules t.machine)
+         ~now:(now + sc.s_latency) ~dst:(Frame.mem_module frame) ~words:(page_words t));
+    Frame.fill_zero frame;
+    if counted then begin
+      kill_cached_lines t ~vpage;
+      t.counters.Counters.zero_fills <- t.counters.Counters.zero_fills + 1
+    end;
+    Cpage.add_copy page frame
+  | Free_copies keep ->
+    let except =
+      match keep with
+      | Fault.Keep_local -> Option.get (Cpage.local_copy page target)
+      | Keep_fresh -> Option.get fresh
+      | Keep_chosen -> choose_copy page
+      | Keep_newest -> Cpage.any_copy page
+    in
+    (* [Cpage.copies] snapshots the directory, newest first: the loop
+       edits the slots. *)
+    charge sc (free_copies t page ~except 0 (Cpage.copies page))
+  | Settle ->
+    page.Cpage.write_mapped <- false;
+    Cpage.sync_state page
+  | Note_remote ->
+    charge sc cfg.Config.map_existing_ns;
+    st.Cpage.remote_maps <- st.Cpage.remote_maps + 1;
+    t.counters.Counters.remote_maps <- t.counters.Counters.remote_maps + 1;
+    emit t ~now (Probe.Remote_mapped { cpage; proc; frozen = page.Cpage.frozen })
+  | Freeze { degraded = false } -> freeze_page t ~now page
+  | Freeze { degraded = true } -> (
+    freeze_page t ~now:(now + sc.s_latency) page;
+    match Machine.inject t.machine with
+    | Some i when page.Cpage.frozen -> Platinum_sim.Inject.note_degraded_freeze i
+    | Some _ | None -> ())
+  | Thaw -> thaw_page t ~now ~by_daemon:false page
+  | Map Local ->
+    (* Read mappings to this single copy may remain elsewhere; their
+       cached lines must not survive the first write. *)
+    if write then kill_cached_lines t ~vpage;
+    charge sc cfg.Config.map_existing_ns;
+    install t ~proc ~cm ~vpage ce (Option.get (Cpage.local_copy page target)) ~write_ok:write
+  | Map Zeroed -> install t ~proc ~cm ~vpage ce (Option.get fresh) ~write_ok:write
+  | Map Copied ->
+    let frame = Option.get fresh in
+    let to_module = Frame.mem_module frame in
+    if write then begin
+      st.Cpage.migrations <- st.Cpage.migrations + 1;
+      t.counters.Counters.migrations <- t.counters.Counters.migrations + 1;
+      emit t ~now (Probe.Migrated { cpage; to_module })
+    end
+    else begin
+      st.Cpage.replications <- st.Cpage.replications + 1;
+      t.counters.Counters.replications <- t.counters.Counters.replications + 1;
+      emit t ~now (Probe.Replicated { cpage; to_module; copies = Cpage.ncopies page })
+    end;
+    install t ~proc ~cm ~vpage ce frame ~write_ok:write
+  | Map Remote ->
+    let full_rights =
+      page.Cpage.frozen && Rights.allows_write ce.Cmap.vrights && Cpage.ncopies page = 1
+    in
+    (* Granting a write mapping (or any remote mapping of a modified page)
+       ends the page's cachable era. *)
+    if write || full_rights || page.Cpage.state = Cpage.Modified then kill_cached_lines t ~vpage;
+    install t ~proc ~cm ~vpage ce (choose_copy page) ~write_ok:(write || full_rights)
+  | Alloc _ | Copy _ -> assert false (* [exec] branches on these *)
+
+let rec exec t sc ~now ~proc ~target ~cm ~vpage ~ce ~write ~fresh = function
+  | [] -> ()
+  | Fault.Alloc { place; fallback } :: rest -> (
+    match alloc t sc ~proc ~target ce.Cmap.cpage place with
+    | Some _ as fresh -> exec t sc ~now ~proc ~target ~cm ~vpage ~ce ~write ~fresh rest
+    | None -> (
+      match fallback with
+      | [] -> raise Fault.Out_of_physical_memory
+      | _ -> exec t sc ~now ~proc ~target ~cm ~vpage ~ce ~write ~fresh fallback))
+  | Fault.Copy { abortable; on_abort } :: rest ->
+    let page = ce.Cmap.cpage and dst = Option.get fresh in
+    if copy t sc ~now ~abortable page ~dst then begin
+      Cpage.add_copy page dst;
+      exec t sc ~now ~proc ~target ~cm ~vpage ~ce ~write ~fresh rest
+    end
+    else begin
+      (* Abandon the destination frame. *)
+      Phys_mem.free t.phys dst;
+      t.counters.Counters.pages_freed <- t.counters.Counters.pages_freed + 1;
+      charge sc (config t).Config.page_free_ns;
+      exec t sc ~now ~proc ~target ~cm ~vpage ~ce ~write ~fresh:None on_abort
+    end
+  | s :: rest ->
+    step t sc ~now ~proc ~target ~cm ~vpage ~ce ~write ~fresh s;
+    exec t sc ~now ~proc ~target ~cm ~vpage ~ce ~write ~fresh rest
+
+(* Resolve a fault by [proc] at [vpage] of [cm]'s space: the checks, probe
+   event, counts and trap entry every fault shares, then its plan. *)
+let fault t sc ~now ~proc ~cm ~vpage ~write =
+  let ce =
+    match Cmap.find cm ~vpage with
+    | Some e -> e
+    | None -> raise (Fault.Unmapped { aspace = Cmap.aspace cm; vpage })
+  in
+  let rights = ce.Cmap.vrights in
+  if not (if write then Rights.allows_write rights else Rights.allows_read rights) then
+    raise (Fault.Protection_violation { aspace = Cmap.aspace cm; vpage; write });
+  let page = ce.Cmap.cpage in
+  let st = page.Cpage.stats in
+  if write then begin
+    emit t ~now (Probe.Write_fault { cpage = page.Cpage.id; proc });
+    st.Cpage.write_faults <- st.Cpage.write_faults + 1;
+    t.counters.Counters.write_faults <- t.counters.Counters.write_faults + 1;
+    st.Cpage.ever_written <- true
+  end
+  else begin
+    emit t ~now (Probe.Read_fault { cpage = page.Cpage.id; proc });
+    st.Cpage.read_faults <- st.Cpage.read_faults + 1;
+    t.counters.Counters.read_faults <- t.counters.Counters.read_faults + 1
+  end;
+  let local = Cpage.has_copy_on page proc and copies = Cpage.ncopies page in
+  let verdict =
+    match page.Cpage.state with
+    | (Cpage.Present1 | Present_plus | Modified) when (not local) && copies > 0 ->
+      Policy.decide t.policy ~now (if write then Policy.Write_fault else Policy.Read_fault) page
+    | _ -> Policy.Replicate
+  in
+  sc.s_latency <- (config t).Config.fault_entry_ns;
+  exec t sc ~now ~proc ~target:proc ~cm ~vpage ~ce ~write ~fresh:None
+    (Fault.plan ~write ~state:page.Cpage.state ~copies ~local ~frozen:page.Cpage.frozen verdict);
+  t.counters.Counters.fault_ns <- t.counters.Counters.fault_ns + sc.s_latency
+
+(* Translation misses that the Pmap cannot serve: a cold path, kept out of
+   [translate] so the steady hit stays allocation-free. *)
+let fault_in t sc ~now ~act ~proc ~cm ~vpage ~write =
+  (match t.monitor with
+  | None -> ()
+  | Some m -> Check.note m ~now (Check.Request { proc; aspace = Cmap.aspace cm; vpage; write }));
+  fault t sc ~now:(now + act) ~proc ~cm ~vpage ~write;
+  checkpoint t ~now:(now + act + sc.s_latency);
+  sc.s_latency <- act + sc.s_latency;
+  match Pmap.find (Cmap.pmap cm ~proc) ~vpage with Some e -> e | None -> assert false
+
 (* The translation entry for [vpage], faulting if needed; the latency goes
    into [sc].  Callers read it straight after the call: the fault handler
    runs inside, so nothing else may touch [sc] in between. *)
@@ -347,14 +594,7 @@ let translate t (sc : scratch) ~now ~proc ~cmap:cm ~vpage ~write =
       t.counters.Counters.atc_reloads <- t.counters.Counters.atc_reloads + 1;
       sc.s_latency <- act + (config t).Config.atc_reload_ns;
       e
-    | _ ->
-      (match t.monitor with
-      | None -> ()
-      | Some m -> Check.note m ~now (Check.Request { proc; aspace; vpage; write }));
-      let entry, lat = Fault.handle (fault_ctx t) ~now:(now + act) ~proc ~cmap:cm ~vpage ~write in
-      checkpoint t ~now:(now + act + lat);
-      sc.s_latency <- act + lat;
-      entry)
+    | _ -> fault_in t sc ~now ~act ~proc ~cm ~vpage ~write)
 
 (* §7: "Almost all data is cachable.  Only modified Cpages that are mapped
    by remote processors cannot be cached."  The mapping walk is a plain
@@ -455,42 +695,18 @@ let finish_rmw t (sc : scratch) ~now ~proc ~cm ~vpage ~vaddr ~l1 (e : Pmap.entry
 
 let read_word_s t sc ~now ~proc ~cmap:cm ~vaddr =
   let vpage = vaddr / page_words t in
-  let aspace = Cmap.aspace cm in
-  if t.active_aspace.(proc) = aspace then
-    match Atc.find t.atcs.(proc) ~aspace ~vpage with
-    | Some e -> finish_read t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e
-    | None ->
-      let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:false in
-      finish_read t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e
-  else
-    let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:false in
-    finish_read t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e
+  let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:false in
+  finish_read t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e
 
 let write_word_s t sc ~now ~proc ~cmap:cm ~vaddr v =
   let vpage = vaddr / page_words t in
-  let aspace = Cmap.aspace cm in
-  if t.active_aspace.(proc) = aspace then
-    match Atc.find t.atcs.(proc) ~aspace ~vpage with
-    | Some e when e.Pmap.write_ok -> finish_write t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e v
-    | _ ->
-      let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:true in
-      finish_write t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e v
-  else
-    let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:true in
-    finish_write t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e v
+  let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:true in
+  finish_write t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e v
 
 let rmw_word_s t sc ~now ~proc ~cmap:cm ~vaddr f =
   let vpage = vaddr / page_words t in
-  let aspace = Cmap.aspace cm in
-  if t.active_aspace.(proc) = aspace then
-    match Atc.find t.atcs.(proc) ~aspace ~vpage with
-    | Some e when e.Pmap.write_ok -> finish_rmw t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e f
-    | _ ->
-      let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:true in
-      finish_rmw t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e f
-  else
-    let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:true in
-    finish_rmw t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e f
+  let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:true in
+  finish_rmw t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e f
 
 (* --- the coalescing fast-path cores (DESIGN.md §4g) ---
 
@@ -667,96 +883,45 @@ let block_write t ~now ~proc ~cmap ~vaddr src =
 let set_probe t probe = t.probe <- probe
 let set_freeze_hook t hook = t.freeze_hook <- hook
 
-let daemon_thaw t ~now page =
-  t.in_daemon <- true;
-  thaw_page t ~now page;
-  t.in_daemon <- false
 type advice =
   | Advise_freeze
   | Advise_thaw
   | Advise_home of int
-
-(* Collapse a page's directory to one copy, preferring module [keep_on]
-   (allocating there if needed); shoots down every translation. *)
-let collapse_to t ~now ~proc ~keep_on (page : Cpage.t) =
-  let lat = ref 0 in
-  let cfg = config t in
-  let chosen =
-    match Cpage.local_copy page keep_on with
-    | Some f -> Some f
-    | None -> (
-      match Phys_mem.alloc_local t.phys ~mem_module:keep_on ~cpage:page.Cpage.id with
-      | None -> (if Cpage.ncopies page = 0 then None else Some (Cpage.any_copy page))
-      | Some fresh ->
-        lat := !lat + cfg.Config.alloc_map_remote_ns;
-        let inj = Machine.inject t.machine in
-        if Cpage.ncopies page = 0 then begin
-          lat :=
-            !lat
-            + Xbar.zero_fill ?inject:inj cfg (Machine.modules t.machine) ~now:(now + !lat)
-                ~dst:keep_on ~words:(page_words t);
-          Frame.fill_zero fresh
-        end
-        else begin
-          let src = Cpage.any_copy page in
-          lat :=
-            !lat
-            + Xbar.block_copy ?inject:inj cfg (Machine.modules t.machine) ~now:(now + !lat)
-                ~src:(Frame.mem_module src) ~dst:keep_on ~words:(page_words t);
-          Frame.blit_from ~src ~dst:fresh
-        end;
-        Cpage.add_copy page fresh;
-        Some fresh)
-  in
-  match chosen with
-  | None -> !lat (* truly out of memory and no copies: nothing to do *)
-  | Some keep ->
-    let r =
-      Shootdown.run ?monitor:t.monitor ~machine:t.machine ~counters:t.counters ~atcs:t.atcs
-        ~now:(now + !lat) ~initiator:proc ~mappings:(mappings_of t page)
-        ~directive:Cmap.Invalidate ~spare:None ()
-    in
-    lat := !lat + r.Shootdown.latency;
-    List.iter
-      (fun f ->
-        if f != keep then begin
-          Cpage.remove_copy page f;
-          Phys_mem.free t.phys f;
-          lat := !lat + cfg.Config.page_free_ns;
-          t.counters.Counters.pages_freed <- t.counters.Counters.pages_freed + 1
-        end)
-      (Cpage.copies page);
-    page.Cpage.write_mapped <- false;
-    Cpage.sync_state page;
-    !lat
 
 let advise t ~now ~proc ~cmap:cm ~vpage advice =
   let sweep lat =
     checkpoint t ~now:(now + lat);
     lat
   in
-  let centry =
+  let ce =
     match Cmap.find cm ~vpage with
     | Some e -> e
     | None -> raise (Fault.Unmapped { aspace = Cmap.aspace cm; vpage })
   in
-  let page = centry.Cmap.cpage in
+  let page = ce.Cmap.cpage in
   let cfg = config t in
+  (* Collapse the page's directory to one copy on module [m]. *)
+  let collapse m =
+    let sc = t.scratch in
+    sc.s_latency <- 0;
+    exec t sc ~now ~proc ~target:m ~cm ~vpage ~ce ~write:false ~fresh:None
+      (Fault.collapse ~local:(Cpage.has_copy_on page m) ~copies:(Cpage.ncopies page));
+    sc.s_latency
+  in
   match advice with
   | Advise_thaw ->
-    thaw_page t ~now page;
+    thaw_page t ~now ~by_daemon:false page;
     sweep cfg.Config.map_existing_ns
   | Advise_freeze ->
     if page.Cpage.frozen then 0
     else begin
-      let lat = collapse_to t ~now ~proc ~keep_on:page.Cpage.home page in
+      let lat = collapse page.Cpage.home in
       freeze_page t ~now page;
       sweep (lat + cfg.Config.map_existing_ns)
     end
   | Advise_home m ->
     if m < 0 || m >= Machine.nprocs t.machine then invalid_arg "Coherent.advise: no such module";
-    if Cpage.ncopies page = 1 && Cpage.has_copy_on page m then 0
-    else sweep (collapse_to t ~now ~proc ~keep_on:m page)
+    if Cpage.ncopies page = 1 && Cpage.has_copy_on page m then 0 else sweep (collapse m)
 
 let frozen_pages t = t.frozen_list
 let iter_cpages f t = Hashtbl.iter (fun _ p -> f p) t.cpages

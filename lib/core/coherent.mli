@@ -39,8 +39,6 @@ val bind : t -> Cmap.t -> vpage:int -> Cpage.t -> Rights.t -> unit
 val unbind : t -> now:Platinum_sim.Time_ns.t -> Cmap.t -> vpage:int -> int
 (** Remove a mapping, shooting down any translations.  Returns latency. *)
 
-val mappings_of : t -> Cpage.t -> (Cmap.t * int) list
-
 val activate : t -> now:Platinum_sim.Time_ns.t -> proc:int -> aspace:int -> int
 (** Make [aspace] current on [proc] (ATC flush + Cmap bookkeeping).
     Returns latency (0 if already active). *)
@@ -106,7 +104,7 @@ val submit :
     access path every word, block and strided operation flows through.
     A block or strided transaction is walked with the {!Memtxn.chunk}
     cursor; each chunk translates (faulting if needed: ATC hit, else Pmap
-    reload, else the {!Fault} handler) at the simulated time it begins and
+    reload, else a {!Fault.plan}) at the simulated time it begins and
     is charged on the interconnect, so batching never changes simulated
     cost.  Word reads use the per-processor caches; block and strided
     transfers bypass them (§7).  A transaction that does not fault
@@ -171,9 +169,10 @@ val advise :
 (* --- freeze / thaw --- *)
 
 val freeze_page : t -> now:Platinum_sim.Time_ns.t -> Cpage.t -> unit
-val thaw_page : t -> now:Platinum_sim.Time_ns.t -> Cpage.t -> unit
+val thaw_page : t -> now:Platinum_sim.Time_ns.t -> by_daemon:bool -> Cpage.t -> unit
 (** Thaw one page: invalidate all its translations (charged to the page's
-    home processor as daemon work) so the next access may replicate it. *)
+    home processor as daemon work) so the next access may replicate it.
+    [by_daemon] attributes the thaw to the defrost daemon in probe events. *)
 
 val thaw_all : t -> now:Platinum_sim.Time_ns.t -> unit
 (** What the defrost daemon does every t2. *)
@@ -186,9 +185,6 @@ val set_probe : t -> Probe.t option -> unit
 val set_freeze_hook : t -> (now:Platinum_sim.Time_ns.t -> Cpage.t -> unit) option -> unit
 (** Internal notification used by the adaptive defrost daemon: called
     whenever the policy freezes a page. *)
-
-val daemon_thaw : t -> now:Platinum_sim.Time_ns.t -> Cpage.t -> unit
-(** {!thaw_page}, attributed to the defrost daemon in probe events. *)
 
 (* --- introspection --- *)
 

@@ -28,7 +28,7 @@ let install_adaptive coh engine ~initial_t2 ~max_t2 ~refreeze_window =
         (* Only thaw the freeze we were armed for: the page may have
            thawed and refrozen since, with its own later wake-up. *)
         if page.Cpage.frozen && page.Cpage.frozen_at = frozen_at then
-          Coherent.daemon_thaw coh ~now:(Engine.now engine) page)
+          Coherent.thaw_page coh ~now:(Engine.now engine) ~by_daemon:true page)
   in
   Coherent.set_freeze_hook coh (Some on_freeze)
 

@@ -8,9 +8,9 @@
     the protocol within the last [t1].
 
     A policy only decides.  Its verdict is data: {!decide} leaves the page
-    untouched, and the caller ({!Fault}) carries out a [Freeze] or [Thaw]
-    itself before mapping the page, as the paper's policy leaves thawing to
-    the defrost daemon. *)
+    untouched, and {!Fault.plan} turns a [Freeze] or [Thaw] into a step
+    before the mapping, as the paper's policy leaves thawing to the
+    defrost daemon. *)
 
 type decision =
   | Replicate

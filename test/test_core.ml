@@ -199,7 +199,7 @@ let test_thaw_allows_replication () =
   let pages = bind_pages env 1 in
   freeze_a_page env pages.(0);
   let t = 200_000_000 in
-  Coherent.thaw_page env.coh ~now:t pages.(0);
+  Coherent.thaw_page env.coh ~now:t ~by_daemon:false pages.(0);
   Alcotest.(check bool) "unfrozen" false pages.(0).Cpage.frozen;
   Alcotest.check state "single read-only copy" Cpage.Present1 pages.(0).Cpage.state;
   (* Next reader replicates: the thaw didn't count as interference. *)
@@ -258,7 +258,7 @@ let test_defrost_adaptive_backoff () =
     pages.(0).Cpage.adaptive_t2;
   (* Keep refreezing hot: the back-off is capped at max_t2. *)
   for _ = 1 to 5 do
-    Coherent.thaw_page env.coh ~now:(Engine.now env.engine) pages.(0);
+    Coherent.thaw_page env.coh ~now:(Engine.now env.engine) ~by_daemon:false pages.(0);
     Coherent.freeze_page env.coh ~now:(pages.(0).Cpage.last_thaw_at + 1) pages.(0)
   done;
   Alcotest.(check int) "doubling caps at max_t2" 8_000_000 pages.(0).Cpage.adaptive_t2;
@@ -286,7 +286,7 @@ let test_defrost_adaptive_stale_timer () =
   Coherent.freeze_page env.coh ~now:0 pages.(0);
   (* ...but the page thaws early and refreezes (new frozen_at, its own
      later wake-up at ~2.2ms after the doubled t2). *)
-  Coherent.thaw_page env.coh ~now:100_000 pages.(0);
+  Coherent.thaw_page env.coh ~now:100_000 ~by_daemon:false pages.(0);
   Coherent.freeze_page env.coh ~now:200_000 pages.(0);
   Alcotest.(check int) "quick refreeze doubled t2" 2_000_000 pages.(0).Cpage.adaptive_t2;
   (* The stale first timer fires at 1ms and must not thaw the new freeze. *)
@@ -836,6 +836,118 @@ let test_atlas_matches_figure4 () =
     expected;
   Alcotest.(check int) "no extra edges" (List.length expected) (List.length got)
 
+(* --- plan-level facts: every Fault.plan, along every outcome --- *)
+
+(* Walk every path through a plan (each allocation succeeds or falls back,
+   each abortable copy lands or aborts), tracking the copy count, whether
+   the page is frozen and whether an invalidating shootdown has run, and
+   return what breaks the protocol's plan-level facts. *)
+let plan_violations ~write ~copies ~frozen steps =
+  let bad = ref [] in
+  let fail msg = bad := msg :: !bad in
+  let rec walk ~copies ~frozen ~invalidated ~maps = function
+    | [] -> if maps <> 1 then fail (Printf.sprintf "a path ends after %d map steps" maps)
+    | step :: rest -> (
+      if maps > 0 then fail "a step follows the map";
+      let go ?(copies = copies) ?(frozen = frozen) ?(invalidated = invalidated) ?(maps = maps)
+          steps =
+        walk ~copies ~frozen ~invalidated ~maps steps
+      in
+      match (step : Fault.step) with
+      | Shootdown { directive = Cmap.Invalidate; _ } -> go ~invalidated:true rest
+      | Shootdown { directive = Cmap.Restrict_to_read; _ } | Settle | Note_remote -> go rest
+      | Alloc { place; fallback } ->
+        go rest;
+        if fallback = [] then begin
+          if place <> Fault.First_touch then fail "only first touch may raise on allocation"
+        end
+        else go fallback
+      | Zero_fill _ -> go ~copies:(copies + 1) rest
+      | Copy { abortable; on_abort } ->
+        if write && not invalidated then fail "migrates before an invalidating shootdown";
+        go ~copies:(copies + 1) rest;
+        if abortable then go on_abort
+      | Free_copies _ ->
+        if not invalidated then fail "frees copies before an invalidating shootdown";
+        go ~copies:(min copies 1) rest
+      | Freeze _ -> go ~frozen:(frozen || copies = 1) rest
+      | Thaw -> go ~frozen:false rest
+      | Map m ->
+        (* A remote mapping of a frozen single copy gets full rights. *)
+        let writable = write || (m = Fault.Remote && frozen && copies = 1) in
+        if writable && copies > 1 then
+          fail (Printf.sprintf "maps writable with %d copies left" copies);
+        go ~maps:(maps + 1) rest)
+  in
+  walk ~copies ~frozen ~invalidated:false ~maps:0 steps;
+  !bad
+
+(* Every input is planned; the facts are asserted wherever a directory can
+   be: its state agrees with the copy count and a local copy is a copy. *)
+let test_plan_facts_exhaustive () =
+  let bools = [ false; true ] in
+  let planned = ref 0 and checked = ref 0 in
+  let possible (state : Cpage.state) ~copies ~local =
+    (match state with
+    | Empty -> copies = 0
+    | Present1 | Modified -> copies = 1
+    | Present_plus -> copies > 1)
+    && ((not local) || copies > 0)
+  in
+  List.iter
+    (fun state ->
+      List.iter
+        (fun local ->
+          List.iter
+            (fun copies ->
+              List.iter
+                (fun write ->
+                  List.iter
+                    (fun frozen ->
+                      List.iter
+                        (fun verdict ->
+                          incr planned;
+                          let steps = Fault.plan ~write ~state ~copies ~local ~frozen verdict in
+                          if possible state ~copies ~local then begin
+                            incr checked;
+                            match plan_violations ~write ~copies ~frozen steps with
+                            | [] -> ()
+                            | v :: _ ->
+                              Alcotest.failf "%s %s, %d copies, local=%b frozen=%b: %s"
+                                (if write then "write" else "read")
+                                (Cpage.state_to_string state) copies local frozen v
+                          end)
+                        [ Policy.Replicate; Remote_map; Freeze; Thaw ])
+                    bools)
+                bools)
+            [ 0; 1; 2; 3 ])
+        bools)
+    [ Cpage.Empty; Present1; Present_plus; Modified ];
+  Alcotest.(check int) "every input planned" (4 * 2 * 4 * 2 * 2 * 4) !planned;
+  Alcotest.(check int) "every possible directory checked" (9 * 2 * 2 * 4) !checked
+
+let test_plan_facts_catch_bad_plans () =
+  let caught name ~write ~copies steps =
+    Alcotest.(check bool) name true (plan_violations ~write ~copies ~frozen:false steps <> [])
+  in
+  caught "present+ -> modified without its invalidation" ~write:true ~copies:2
+    [ Fault.Free_copies Keep_local; Map Local ];
+  caught "write mapping over shared copies" ~write:true ~copies:2 [ Fault.Map Local ];
+  caught "migration copy before the invalidation" ~write:true ~copies:1
+    [
+      Fault.Alloc { place = Near; fallback = [ Map Remote ] };
+      Copy { abortable = false; on_abort = [] };
+      Shootdown { directive = Cmap.Invalidate; spare = false; protocol = true };
+      Map Copied;
+    ];
+  caught "a path with no map" ~write:false ~copies:1 [ Fault.Note_remote ];
+  caught "an abort tail with no map" ~write:false ~copies:1
+    [
+      Fault.Alloc { place = Near; fallback = [ Map Remote ] };
+      Copy { abortable = true; on_abort = [ Settle ] };
+      Map Copied;
+    ]
+
 let suite =
   [
     ("protocol: empty -> present1 on read", `Quick, test_empty_read);
@@ -879,6 +991,8 @@ let suite =
     ("access: block ops cross pages", `Quick, test_block_ops_cross_pages);
     ("access: rmw", `Quick, test_rmw);
     ("robustness: OOM falls back to remote maps", `Quick, test_oom_falls_back_to_remote);
+    ("plan: every input, every outcome keeps the plan-level facts", `Quick, test_plan_facts_exhaustive);
+    ("plan: seeded bad plans are caught", `Quick, test_plan_facts_catch_bad_plans);
     ("invariants: checker detects corruption", `Quick, test_invariant_checker_detects_corruption);
     ("invariants: cpage unit checks", `Quick, test_cpage_invariants_unit);
     ("caches: hits are fast", `Quick, test_cached_read_hit_is_fast);

@@ -177,7 +177,7 @@ let test_adaptive_ignores_stale_wakeups () =
   freeze_via_protocol coh cm page;
   (* Thaw manually before the daemon's deadline; then refreeze.  The
      stale wake-up must not thaw the new freeze early. *)
-  Coherent.thaw_page coh ~now:10_000_000 page;
+  Coherent.thaw_page coh ~now:10_000_000 ~by_daemon:false page;
   let t = 20_000_000 in
   ignore (Coherent.read_word coh ~now:t ~proc:1 ~cmap:cm ~vaddr:0);
   ignore (Coherent.write_word coh ~now:(t + 1_000) ~proc:0 ~cmap:cm ~vaddr:0 3);

@@ -212,7 +212,7 @@ let test_cores_check_live_state () =
   Coherent.freeze_page coh ~now:(tick ()) page;
   Alcotest.(check bool) "the page froze" true page.Cpage.frozen;
   expect "frozen" ~proc:0 false;
-  Coherent.thaw_page coh ~now:(tick ()) page;
+  Coherent.thaw_page coh ~now:(tick ()) ~by_daemon:false page;
   fault_in ~proc:0;
   expect "thawed and re-faulted" ~proc:0 true;
   Coherent.set_monitor coh (Some (Check.create_monitor ()));
