@@ -11,7 +11,7 @@
 
    Since the coalescing fast path (DESIGN.md section 4g) the per-word
    stream no longer pays a full suspend per word: while a fiber is armed,
-   consecutive micro-ATC hits drain inline and are charged as one batched
+   consecutive ATC hits drain inline and are charged as one batched
    operation at the next effect boundary.  The experiment gates that
    ratchet: the per-word stream must stay within 12x of the batched
    stream (the seed measured 17.9x; the residual gap is the semantic

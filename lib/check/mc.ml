@@ -157,7 +157,7 @@ let fingerprint sys =
         (match Pmap.find (Cmap.pmap sys.cm ~proc) ~vpage with
         | None -> ()
         | Some e -> add "t%d:m%dw%b" proc (Frame.mem_module e.Pmap.frame) e.Pmap.write_ok);
-        match Atc.peek (Coherent.atc sys.coh ~proc) ~aspace:(Cmap.aspace sys.cm) ~vpage with
+        match Atc.find (Coherent.atc sys.coh ~proc) ~aspace:(Cmap.aspace sys.cm) ~vpage with
         | None -> ()
         | Some e -> add "a%dw%b" proc e.Pmap.write_ok
       done;

@@ -42,8 +42,8 @@ let catalogue =
       ] );
     ("memtxn.ml", [ "cut"; "start"; "first"; "next" ]);
     ("platsys.ml", [ "ensure_bound"; "bind_loop"; "ensure_txn" ]);
-    ("flat.ml", [ "find"; "mem"; "remove"; "chunk_touched" ]);
-    ("atc.ml", [ "find"; "peek" ]);
+    ("flat.ml", [ "find"; "mem"; "remove" ]);
+    ("atc.ml", [ "find" ]);
     ("cmap.ml", [ "find" ]);
     ("pmap.ml", [ "find" ]);
     ("cpage.ml", [ "any_copy"; "best_slot" ]);

@@ -6,7 +6,12 @@
     shares [Pmap.entry] records with the Pmap, so a restriction applied to
     the Pmap entry is visible through the ATC too — what matters for the
     protocol is that stale *presence* is impossible, which invalidation
-    handles. *)
+    handles.
+
+    The ATC's space is the one record of which address space a processor
+    has active: {!Coherent} activates through it and {!Shootdown} asks
+    {!is_active} to choose between interrupting a holder and deferring
+    its update. *)
 
 type t
 
@@ -22,10 +27,9 @@ val activate : t -> aspace:int -> bool
 (** Make [aspace] current.  Returns [true] (and flushes) when this changed
     the active space. *)
 
-val deactivate : t -> unit
-
 val find : t -> aspace:int -> vpage:int -> Pmap.entry option
-(** Hit only if [aspace] is the active one and the translation is cached. *)
+(** Hit only if [aspace] is the active one and the translation is cached.
+    Returns the stored option cell: a hit allocates nothing. *)
 
 val load : t -> vpage:int -> Pmap.entry -> unit
 (** Cache a translation for the active address space. *)
@@ -36,15 +40,5 @@ val invalidate : t -> aspace:int -> vpage:int -> unit
 val flush : t -> unit
 val size : t -> int
 
-(* --- sanitizer hooks --- *)
-
-val peek : t -> aspace:int -> vpage:int -> Pmap.entry option
-(** {!find} without the micro-ATC mirror update: a read-only probe for the
-    coherence sanitizer (checking must not perturb the checked state). *)
-
 val iter : (int -> Pmap.entry -> unit) -> t -> unit
 (** Iterate over cached (vpage, entry) translations of the active space. *)
-
-val check_faults : t -> Check.fault option
-(** The micro-ATC mirror (the PR 1 fast path) must mirror an [entries]
-    slot exactly — same vpage, physically the same entry record. *)

@@ -178,7 +178,4 @@ let pp_violation fmt v =
 
 let violation_message v = Format.asprintf "%a" pp_violation v
 
-let env_enabled () =
-  match Sys.getenv_opt "PLATINUM_CHECK" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
+let env_enabled = Platinum_sim.Engine.env_checks_armed

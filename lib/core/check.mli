@@ -118,5 +118,6 @@ val raise_violation : monitor -> now:Platinum_sim.Time_ns.t -> fault -> 'a
 val violation_message : violation -> string
 
 val env_enabled : unit -> bool
-(** [PLATINUM_CHECK] set to anything but [""]/["0"]: {!Coherent.create}
-    installs a monitor automatically. *)
+(** [PLATINUM_CHECK] set to anything but [""]/["0"]
+    ({!Platinum_sim.Engine.checks_armed_by}): {!Coherent.create} installs
+    a monitor automatically. *)

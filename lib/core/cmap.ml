@@ -13,7 +13,6 @@ type directive =
 type t = {
   aspace_id : int;
   entries : centry Flat.t;
-  mutable active_set : Procset.t;
   pmaps : Pmap.t array;
 }
 
@@ -21,18 +20,11 @@ let create ~aspace ~nprocs =
   {
     aspace_id = aspace;
     entries = Flat.create ();
-    active_set = Procset.empty;
     pmaps = Array.init nprocs (fun proc -> Pmap.create ~proc);
   }
 
 let aspace t = t.aspace_id
 let pmap t ~proc = t.pmaps.(proc)
-let active t = t.active_set
-
-let set_active t ~proc flag =
-  t.active_set <-
-    (if flag then Procset.add proc t.active_set else Procset.remove proc t.active_set)
-
 let find t ~vpage = Flat.find t.entries vpage
 
 let bind t ~vpage cpage vrights =
@@ -97,11 +89,6 @@ let check_faults t =
               fail ~cpage:ce.cpage.Cpage.id ~inv:"refmask-pmap-agreement" ~cite:"§3.1"
                 "aspace %d vpage %d: proc %d holds a Pmap entry but is absent from the refmask"
                 t.aspace_id vpage p)
-        pmap;
-      (* The flat representation's own invariant: the packed mirror must
-         track the entry table. *)
-      match Pmap.check_faults pmap with
-      | Some f -> if !fault = None then fault := Some f
-      | None -> ())
+        pmap)
     t.pmaps;
   !fault

@@ -14,7 +14,9 @@
     applies every change eagerly and charges what posting and draining
     would — [shootdown_post_ns] and one [Counters.messages] per message,
     an interrupt for each active holder and a deferred update for each
-    inactive one. *)
+    inactive one.  The active mask is not stored either: whether a
+    processor has this space active is its {!Atc}'s record
+    ({!Atc.is_active}). *)
 
 type centry = {
   cpage : Cpage.t;
@@ -34,9 +36,6 @@ val create : aspace:int -> nprocs:int -> t
 val aspace : t -> int
 val pmap : t -> proc:int -> Pmap.t
 
-val active : t -> Platinum_machine.Procset.t
-val set_active : t -> proc:int -> bool -> unit
-
 val find : t -> vpage:int -> centry option
 val bind : t -> vpage:int -> Cpage.t -> Rights.t -> centry
 (** Install a virtual-to-coherent mapping.  Raises if already bound. *)
@@ -52,5 +51,4 @@ val check_faults : t -> Check.fault option
     translation points into its page's directory (translation-in-directory),
     a write translation implies the page is write-mapped with a single copy
     (write-flag-agreement / replicas-read-only, §3.2), no Pmap entry
-    survives for an unbound vpage (stale-translation), and each Pmap's
-    packed mirror tracks its entry table (packed-mirror). *)
+    survives for an unbound vpage (stale-translation). *)

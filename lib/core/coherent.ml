@@ -19,8 +19,7 @@ type t = {
   phys : Phys_mem.t;
   counters : Counters.t;
   policy : Policy.t;
-  atcs : Atc.t array;
-  active_aspace : int array;  (* per processor; -1 = none *)
+  atcs : Atc.t array;  (* each holds its processor's active space *)
   cmaps : (int, Cmap.t) Hashtbl.t;
   cpages : (int, Cpage.t) Hashtbl.t;
   mutable next_aspace : int;
@@ -84,12 +83,11 @@ let check_faults t =
     t.frozen_list;
   Hashtbl.iter (fun _ cm -> match Cmap.check_faults cm with Some f -> keep f | None -> ())
     t.cmaps;
-  (* ATC consistency: the micro-ATC mirror, and the stale-translation
-     property — every cached translation must be (physically) the live
-     Pmap entry of the active address space. *)
+  (* ATC consistency, the stale-translation property: every cached
+     translation must be (physically) the live Pmap entry of the active
+     address space. *)
   Array.iteri
     (fun p atc ->
-      (match Atc.check_faults atc with Some f -> keep f | None -> ());
       match Atc.active_aspace atc with
       | None -> ()
       | Some aspace -> (
@@ -204,7 +202,6 @@ let create machine ~engine:_ ~policy ?(frames_per_module = 1024) () =
     counters = Counters.create ();
     policy;
     atcs = Array.init nprocs (fun proc -> Atc.create ~proc);
-    active_aspace = Array.make nprocs (-1);
     cmaps = Hashtbl.create 8;
     cpages = Hashtbl.create 1024;
     next_aspace = 0;
@@ -276,19 +273,11 @@ let unbind t ~now cm ~vpage =
     r.Shootdown.latency
 
 let activate t ~now:_ ~proc ~aspace =
-  if t.active_aspace.(proc) = aspace then 0
+  if Atc.is_active t.atcs.(proc) ~aspace then 0
   else begin
     (* Resolve the new space first: an unknown [aspace] must raise before
        any of the processor's activation state changes. *)
-    let cm = cmap t ~aspace in
-    let prev = t.active_aspace.(proc) in
-    if prev >= 0 then begin
-      match Hashtbl.find_opt t.cmaps prev with
-      | Some old -> Cmap.set_active old ~proc false
-      | None -> ()
-    end;
-    t.active_aspace.(proc) <- aspace;
-    Cmap.set_active cm ~proc true;
+    ignore (cmap t ~aspace);
     ignore (Atc.activate t.atcs.(proc) ~aspace);
     (* The §7 caches are virtually indexed: flush on space switch. *)
     (match Machine.cache t.machine ~proc with
@@ -645,16 +634,16 @@ let finish_read t (sc : scratch) ~now ~proc ~cm ~vpage ~vaddr ~l1 (e : Pmap.entr
       if Platinum_machine.Cache.lookup c ~addr:vaddr then cfg.Config.t_cache_hit
       else begin
         let l2 =
-          Xbar.word_access ?inject:(Machine.inject t.machine) cfg (Machine.modules t.machine)
-            ~now:(now + l1) ~proc ~mem_module:(Frame.mem_module frame) Xbar.Read
+          Xbar.access ?inject:(Machine.inject t.machine) cfg (Machine.modules t.machine)
+            ~now:(now + l1) ~proc ~mem_module:(Frame.mem_module frame) Xbar.Read ~words:1
         in
         Platinum_machine.Cache.fill c ~addr:vaddr;
         l2
       end
     end
     else
-      Xbar.word_access ?inject:(Machine.inject t.machine) cfg (Machine.modules t.machine)
-        ~now:(now + l1) ~proc ~mem_module:(Frame.mem_module frame) Xbar.Read
+      Xbar.access ?inject:(Machine.inject t.machine) cfg (Machine.modules t.machine)
+        ~now:(now + l1) ~proc ~mem_module:(Frame.mem_module frame) Xbar.Read ~words:1
   in
   sc.s_latency <- l1 + lat;
   Frame.get frame (vaddr mod page_words t)
@@ -672,8 +661,8 @@ let finish_write t (sc : scratch) ~now ~proc ~cm ~vpage ~vaddr ~l1 (e : Pmap.ent
   let cfg = config t in
   let frame = e.Pmap.frame in
   let l2 =
-    Xbar.word_access ?inject:(Machine.inject t.machine) cfg (Machine.modules t.machine)
-      ~now:(now + l1) ~proc ~mem_module:(Frame.mem_module frame) Xbar.Write
+    Xbar.access ?inject:(Machine.inject t.machine) cfg (Machine.modules t.machine)
+      ~now:(now + l1) ~proc ~mem_module:(Frame.mem_module frame) Xbar.Write ~words:1
   in
   Frame.set frame (vaddr mod page_words t) v;
   after_write_inline t ~proc ~cm ~vpage ~vaddr;
@@ -684,8 +673,8 @@ let finish_rmw t (sc : scratch) ~now ~proc ~cm ~vpage ~vaddr ~l1 (e : Pmap.entry
   let frame = e.Pmap.frame in
   let off = vaddr mod page_words t in
   let l2 =
-    Xbar.word_access ?inject:(Machine.inject t.machine) cfg (Machine.modules t.machine)
-      ~now:(now + l1) ~proc ~mem_module:(Frame.mem_module frame) Xbar.Rmw
+    Xbar.access ?inject:(Machine.inject t.machine) cfg (Machine.modules t.machine)
+      ~now:(now + l1) ~proc ~mem_module:(Frame.mem_module frame) Xbar.Rmw ~words:1
   in
   let old = Frame.get frame off in
   Frame.set frame off (f old);
@@ -738,34 +727,25 @@ let[@inline] fp_eligible t cm ~vpage =
     | None -> false)
 
 let fp_read t ~now ~proc ~cmap:cm ~vpage ~vaddr =
-  let aspace = Cmap.aspace cm in
-  if t.active_aspace.(proc) = aspace then
-    match Atc.find t.atcs.(proc) ~aspace ~vpage with
-    | Some e when fp_eligible t cm ~vpage ->
-      t.fp_value := finish_read t t.scratch ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e;
-      t.scratch.s_latency
-    | _ -> -1
-  else -1
+  match Atc.find t.atcs.(proc) ~aspace:(Cmap.aspace cm) ~vpage with
+  | Some e when fp_eligible t cm ~vpage ->
+    t.fp_value := finish_read t t.scratch ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e;
+    t.scratch.s_latency
+  | _ -> -1
 
 let fp_write t ~now ~proc ~cmap:cm ~vpage ~vaddr v =
-  let aspace = Cmap.aspace cm in
-  if t.active_aspace.(proc) = aspace then
-    match Atc.find t.atcs.(proc) ~aspace ~vpage with
-    | Some e when e.Pmap.write_ok && fp_eligible t cm ~vpage ->
-      finish_write t t.scratch ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e v;
-      t.scratch.s_latency
-    | _ -> -1
-  else -1
+  match Atc.find t.atcs.(proc) ~aspace:(Cmap.aspace cm) ~vpage with
+  | Some e when e.Pmap.write_ok && fp_eligible t cm ~vpage ->
+    finish_write t t.scratch ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e v;
+    t.scratch.s_latency
+  | _ -> -1
 
 let fp_rmw t ~now ~proc ~cmap:cm ~vpage ~vaddr f =
-  let aspace = Cmap.aspace cm in
-  if t.active_aspace.(proc) = aspace then
-    match Atc.find t.atcs.(proc) ~aspace ~vpage with
-    | Some e when e.Pmap.write_ok && fp_eligible t cm ~vpage ->
-      t.fp_value := finish_rmw t t.scratch ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e f;
-      t.scratch.s_latency
-    | _ -> -1
-  else -1
+  match Atc.find t.atcs.(proc) ~aspace:(Cmap.aspace cm) ~vpage with
+  | Some e when e.Pmap.write_ok && fp_eligible t cm ~vpage ->
+    t.fp_value := finish_rmw t t.scratch ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e f;
+    t.scratch.s_latency
+  | _ -> -1
 
 let fp_value_cell t = t.fp_value
 

@@ -40,8 +40,10 @@ val unbind : t -> now:Platinum_sim.Time_ns.t -> Cmap.t -> vpage:int -> int
 (** Remove a mapping, shooting down any translations.  Returns latency. *)
 
 val activate : t -> now:Platinum_sim.Time_ns.t -> proc:int -> aspace:int -> int
-(** Make [aspace] current on [proc] (ATC flush + Cmap bookkeeping).
-    Returns latency (0 if already active). *)
+(** Make [aspace] current on [proc]: its ATC records the space and is
+    flushed, and so is its §7 cache.  Raises [Invalid_argument] on an
+    unknown [aspace], before any state changes.  Returns latency (0 if
+    already active). *)
 
 (* --- the access paths --- *)
 
@@ -195,9 +197,8 @@ val check_faults : t -> Check.fault option
     (via {!Check.check_page}), directory frame ownership, frozen-list
     agreement in both directions, every {!Cmap.check_faults} (refmask ↔
     Pmap ↔ directory agreement, replicas read-only, no stale Pmap entry),
-    and ATC hygiene (the micro-ATC mirror, and that every cached
-    translation is physically the live Pmap entry — the stale-translation
-    property, §3.1).  Returns the first fault found. *)
+    and ATC hygiene (every cached translation is physically the live Pmap
+    entry — the stale-translation property, §3.1).  Returns the first fault found. *)
 
 val check_invariants : t -> (unit, string) result
 (** [check_faults] rendered to a message, for callers that just assert. *)

@@ -39,7 +39,6 @@ type t = {
   mutable slots : Frame.t option array;  (* directory frame per module *)
   mutable slot_seq : int array;  (* insertion stamp per module; -1 = empty *)
   mutable next_seq : int;
-  mutable ncopies : int;
   mutable copy_mask : Procset.t;
   mutable write_mapped : bool;
   mutable last_protocol_inval : Platinum_sim.Time_ns.t;
@@ -77,7 +76,6 @@ let create ~id ~home ?(label = "") () =
     slots = [||];
     slot_seq = [||];
     next_seq = 0;
-    ncopies = 0;
     copy_mask = Procset.empty;
     write_mapped = false;
     last_protocol_inval = never_invalidated;
@@ -89,7 +87,7 @@ let create ~id ~home ?(label = "") () =
     label;
   }
 
-let ncopies t = t.ncopies
+let ncopies t = Procset.cardinal t.copy_mask
 let has_copy_on t m = Procset.mem m t.copy_mask
 
 let local_copy t m =
@@ -106,7 +104,7 @@ let rec best_slot (seq : int array) m best (best_seq : int) =
   else best_slot seq (m + 1) best best_seq
 
 let any_copy t =
-  if t.ncopies = 0 then invalid_arg "Cpage.any_copy: empty page";
+  if Procset.is_empty t.copy_mask then invalid_arg "Cpage.any_copy: empty page";
   match t.slots.(best_slot t.slot_seq 0 (-1) (-1)) with
   | Some f -> f
   | None -> assert false
@@ -136,8 +134,7 @@ let add_copy t frame =
   t.slots.(m) <- Some frame;
   t.slot_seq.(m) <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  t.copy_mask <- Procset.add m t.copy_mask;
-  t.ncopies <- t.ncopies + 1
+  t.copy_mask <- Procset.add m t.copy_mask
 
 let remove_copy t frame =
   let m = Frame.mem_module frame in
@@ -145,8 +142,7 @@ let remove_copy t frame =
     invalid_arg (Printf.sprintf "Cpage.remove_copy: frame not in directory of cpage %d" t.id);
   t.slots.(m) <- None;
   t.slot_seq.(m) <- -1;
-  t.copy_mask <- Procset.remove m t.copy_mask;
-  t.ncopies <- t.ncopies - 1
+  t.copy_mask <- Procset.remove m t.copy_mask
 
 (* Newest-first, matching the old cons-list order (tests and the model
    checker fingerprint observable state through this). *)
@@ -187,18 +183,7 @@ let state_to_string = Check.state_to_string
 
 let pp_state fmt s = Format.pp_print_string fmt (state_to_string s)
 
-(* The slot representation adds one invariant of its own: the copy counter
-   must agree with the occupied slots (mask/list agreement is already in
-   the catalogue, via the view). *)
-let check_faults t =
-  let view = to_view t in
-  let occupied = List.length view.Check.pv_copies in
-  if occupied <> t.ncopies then
-    Error
-      (Check.fault ~cpage:t.id ~inv:"directory-slot-agreement" ~cite:"PR 5"
-         "cpage %d: copy counter %d disagrees with %d occupied directory slots" t.id
-         t.ncopies occupied)
-  else Check.check_page view
+let check_faults t = Check.check_page (to_view t)
 
 let check_invariants t = Result.map_error Check.render (check_faults t)
 

@@ -53,7 +53,6 @@ type t = {
       (** insertion stamp per slot (-1 = empty): {!any_copy} must keep
           choosing the most recently added copy, as the old cons list did *)
   mutable next_seq : int;
-  mutable ncopies : int;  (** occupied slots, maintained by the editors *)
   mutable copy_mask : Platinum_machine.Procset.t;
       (** modules holding a backing page (the directory's bit mask) *)
   mutable write_mapped : bool;
@@ -78,7 +77,7 @@ val never_invalidated : Platinum_sim.Time_ns.t
 val create : id:int -> home:int -> ?label:string -> unit -> t
 
 val ncopies : t -> int
-(** Occupied directory slots, O(1). *)
+(** Occupied directory slots: the population of [copy_mask]. *)
 
 val has_copy_on : t -> int -> bool
 (** [has_copy_on t m] — does module [m] back this page?  One bit test. *)
@@ -119,9 +118,7 @@ val to_view : t -> Check.page_view
 (** Snapshot the protocol-relevant fields for the {!Check} catalogue. *)
 
 val check_faults : t -> (unit, Check.fault) result
-(** Run the {!Check.page_invariants} catalogue on this page, plus the slot
-    representation's own invariant: the copy counter must agree with the
-    occupied slots ([directory-slot-agreement]). *)
+(** Run the {!Check.page_invariants} catalogue on this page. *)
 
 val check_invariants : t -> (unit, string) result
 (** {!check_faults} rendered to a message.  Verifies state/directory

@@ -138,7 +138,3 @@ let iter f t =
   Hashtbl.iter (fun k v -> match v with Some v -> f k v | None -> ()) t.spill
 
 let chunk_count t = Array.length t.chunks
-
-let chunk_touched t c =
-  c >= 0 && c < Array.length t.chunks && Array.length t.chunks.(c) <> 0
-

@@ -18,12 +18,9 @@ type 'a t
 val dense_limit : int
 (** Keys in [0, dense_limit) use the chunked arrays; others spill. *)
 
-val chunk_bits : int
-(** log2 of the chunk size: key [k] lives in chunk [k lsr chunk_bits]. *)
-
 val chunk_size : int
-(** Entries per chunk (= [1 lsl chunk_bits]); one chunk is the allocation
-    granule of the table. *)
+(** Entries per chunk, a power of two: key [k] lives in chunk
+    [k / chunk_size].  One chunk is the allocation granule of the table. *)
 
 val chunk_mask : int
 (** [chunk_size - 1]: key [k]'s slot within its chunk is
@@ -52,10 +49,5 @@ val iter : (int -> 'a -> unit) -> 'a t -> unit
 (** Chunked keys in ascending order, then spill keys in hash order. *)
 
 val chunk_count : 'a t -> int
-(** Current length of the outer chunk directory (for mirror structures
-    that must grow in lockstep, e.g. {!Pmap}'s packed-entry chunks). *)
-
-val chunk_touched : 'a t -> int -> bool
-(** Whether chunk [c] has been allocated (some key in
-    [c * chunk_size, (c+1) * chunk_size) was set since the last
-    [clear]). *)
+(** Current length of the outer chunk directory: it grows only when [set]
+    reaches a chunk beyond it. *)

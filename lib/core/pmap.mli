@@ -18,6 +18,8 @@ val create : proc:int -> t
 val proc : t -> int
 
 val find : t -> vpage:int -> entry option
+(** The stored entry cell of the chunked vpage-indexed table ({!Flat}):
+    a hit allocates nothing. *)
 
 val install : t -> vpage:int -> frame:Platinum_phys.Frame.t -> write_ok:bool -> entry
 (** Add or replace the translation for [vpage]. *)
@@ -30,23 +32,8 @@ val restrict : t -> vpage:int -> unit
 val clear : t -> unit
 val size : t -> int
 val iter : (int -> entry -> unit) -> t -> unit
-
-(* --- packed fast probes --- *)
-
-(* Entries live in a dense vpage-indexed table ({!Flat}); alongside it the
-   Pmap keeps a packed mirror folding presence, the write bit and the frame
-   coordinates into one immediate int per dense vpage.  [find] returns the
-   stored entry cell (zero allocation on a hit); the probes below answer
-   from the packed int without touching the boxed record at all. *)
-
 val mem : t -> vpage:int -> bool
-(** Is a translation installed?  One int load on the dense path. *)
+(** Is a translation installed? *)
 
 val write_ok : t -> vpage:int -> bool
 (** Does the installed translation permit writes?  [false] when absent. *)
-
-(* --- sanitizer hook --- *)
-
-val check_faults : t -> Check.fault option
-(** The packed mirror must agree with the entry table, bit for bit, over
-    the whole dense prefix (invariant [packed-mirror]). *)

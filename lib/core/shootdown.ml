@@ -37,7 +37,8 @@ let run ?monitor ~machine ~counters ~atcs ~now ~initiator ~mappings ~directive ~
     (* The initiator applies its own update directly; remote holders are
        either interrupted now or will drain the queue on activation. *)
     if proc <> initiator then
-      if Procset.mem proc (Cmap.active cmap) then to_interrupt := Procset.add proc !to_interrupt
+      if Atc.is_active atcs.(proc) ~aspace:(Cmap.aspace cmap) then
+        to_interrupt := Procset.add proc !to_interrupt
       else incr deferred
   in
   List.iter
@@ -78,13 +79,9 @@ let run ?monitor ~machine ~counters ~atcs ~now ~initiator ~mappings ~directive ~
   let last_ack = ref !t in
   Procset.iter
     (fun p ->
-      (* An IPI crossing the fabric pays the extra hop; on a flat machine
-         the extra is zero and this is the paper's per-target cost. *)
       let ipi_ns =
-        config.Platinum_machine.Config.ipi_send_ns
-        + (match Platinum_machine.Config.hop config ~src:initiator ~dst:p with
-          | Platinum_machine.Config.Cross -> config.Platinum_machine.Config.ipi_cross_extra
-          | Platinum_machine.Config.Local | Platinum_machine.Config.Intra -> 0)
+        Platinum_machine.Xbar.ipi_ns config
+          ~hop:(Platinum_machine.Config.hop config ~src:initiator ~dst:p)
       in
       t := !t + ipi_ns;
       Machine.count_ipi machine;
@@ -129,14 +126,13 @@ let run ?monitor ~machine ~counters ~atcs ~now ~initiator ~mappings ~directive ~
           (fun p ->
             match directive with
             | Cmap.Invalidate -> (
-              (* [Pmap.mem] answers from the packed mirror — one int load. *)
               if Pmap.mem (Cmap.pmap cmap ~proc:p) ~vpage then
                 Check.raise_violation m ~now:finish
                   (Check.fault ~inv:"stale-translation" ~cite:"§3.1"
                      "proc %d retains a Pmap entry for aspace %d vpage %d after an \
                       invalidating shootdown"
                      p aspace vpage);
-              match Atc.peek atcs.(p) ~aspace ~vpage with
+              match Atc.find atcs.(p) ~aspace ~vpage with
               | Some _ ->
                 Check.raise_violation m ~now:finish
                   (Check.fault ~inv:"stale-translation" ~cite:"§3.1"

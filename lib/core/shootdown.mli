@@ -5,7 +5,7 @@
     message per affected address space and interrupts exactly the
     processors that (a) appear in the reference mask of a Cmap entry for
     the page — i.e. actually hold a translation — and (b) currently have
-    that address space active.  Inactive holders apply the change when they
+    that address space active in their ATC ({!Atc.is_active}).  Inactive holders apply the change when they
     next activate the space, at no interrupt cost.
 
     Timing: the initiator pays [shootdown_post_ns] per message and

@@ -9,7 +9,7 @@ let word txn =
 
 (* The word operations probe the coalescing fast path first (DESIGN.md
    §4g): while the kernel has armed the current fiber and the access is a
-   clean micro-ATC hit, it completes inline — no effect, no suspend — and
+   clean ATC hit, it completes inline — no effect, no suspend — and
    its cost joins the run's batched charge.  Anything else performs the
    effect exactly as before.  Run detection is automatic: consecutive
    [read]/[write]/[rmw] calls form runs with no [?bulk] variants. *)

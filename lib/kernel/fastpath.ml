@@ -7,7 +7,7 @@
    the kernel *arm* the current fiber before transferring control into
    user code: while armed, [Api.read] and friends drain consecutive word
    accesses inline — no effect, no suspend — provided each one would hit
-   the micro-ATC under the seed semantics (translation present, rights
+   the ATC under the seed semantics (translation present, rights
    sufficient, page not frozen, monitor disarmed, no injected fault
    pending).  The accumulated latency is charged as a single batched
    operation when the fiber next performs any effect (the kernel's

@@ -3,7 +3,7 @@
     While a fiber is {e armed} (between the kernel event that resumed it
     and its next effect), [Api.read]/[write]/[rmw] drain word accesses
     inline through the backend's {!ops} — no effect, no suspend — as long
-    as each would hit the micro-ATC under seed semantics.  The
+    as each would hit the ATC under seed semantics.  The
     accumulated latency is charged as one batched operation at the next
     effect boundary (the kernel's settle); any miss, rights fault, frozen
     page, armed monitor, pending injected fault or quantum exhaustion

@@ -147,7 +147,7 @@ let make_thread t ~proc ~aspace body =
 
 (* Arm the coalescing fast path for [th] just before control transfers
    into its user code (DESIGN.md §4g).  While armed, [Api.read]/[write]/
-   [rmw] complete clean micro-ATC hits inline — no effect, no suspend —
+   [rmw] complete clean ATC hits inline — no effect, no suspend —
    accumulating their cost into one batched charge that [settle] applies
    at the next real suspension.  Eligibility is re-checked per word; any
    pending interrupt penalty keeps the whole window on the full path so

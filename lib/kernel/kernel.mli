@@ -32,7 +32,7 @@ val create :
 (** [coalesce] (default [true]) arms the effect-boundary fast path
     ({!Fastpath}, DESIGN.md §4g) whenever the backend provides
     {!Memsys.t.fastpath} ops: consecutive per-word accesses that hit the
-    micro-ATC drain inline and are charged as one batched operation at the
+    ATC drain inline and are charged as one batched operation at the
     next suspension.  [false] forces every access through the per-effect
     path (the differential-testing baseline).
 

@@ -25,6 +25,14 @@ let uncontended_word_ns (c : Config.t) kind ~(hop : Config.hop) =
     | Write -> c.t_remote_write_word + c.t_cross_write_extra
     | Rmw -> c.t_remote_read_word + c.t_cross_read_extra + c.t_module_service)
 
+(* An interprocessor interrupt crossing the fabric pays the extra hop; on
+   a flat machine the extra is zero and this is the paper's per-target
+   send cost. *)
+let ipi_ns (c : Config.t) ~(hop : Config.hop) =
+  match hop with
+  | Config.Cross -> c.ipi_send_ns + c.ipi_cross_extra
+  | Config.Local | Config.Intra -> c.ipi_send_ns
+
 (* Fault injection lives at the module serialization point: a transient
    stall lengthens this one request's service; a hard outage pushes the
    module's busy horizon out, so this request — and everything arriving
@@ -65,12 +73,6 @@ let access ?inject (c : Config.t) modules ~now ~proc ~mem_module kind ~words =
     in
     (start - now) + base + extra
   end
-
-let word_access ?inject c modules ~now ~proc ~mem_module kind =
-  access ?inject c modules ~now ~proc ~mem_module kind ~words:1
-
-let block_words ?inject c modules ~now ~proc ~mem_module kind ~words =
-  access ?inject c modules ~now ~proc ~mem_module kind ~words
 
 let block_copy ?inject (c : Config.t) modules ~now ~src ~dst ~words =
   if words < 0 then invalid_arg "Xbar.block_copy";

@@ -19,6 +19,10 @@ val uncontended_word_ns : Config.t -> kind -> hop:Config.hop -> int
     cross-fabric.  On a flat machine only [Local]/[Intra] occur and the
     values are the paper's constants unchanged. *)
 
+val ipi_ns : Config.t -> hop:Config.hop -> int
+(** Cost of sending one interprocessor interrupt along [hop]:
+    [ipi_send_ns], plus [ipi_cross_extra] on a [Cross] hop. *)
+
 val access :
   ?inject:Platinum_sim.Inject.t ->
   Config.t ->
@@ -31,39 +35,13 @@ val access :
   int
 (** Latency (ns) of [words] back-to-back accesses to one module issued at
     [now], including queueing at the target.  This is the primitive each
-    {!Platinum_core.Memtxn} chunk is charged with; {!word_access} and
-    {!block_words} are the [words = 1] and n-word special cases.
+    {!Platinum_core.Memtxn} chunk is charged with, and with [words = 1]
+    a single word access.
 
     [inject], when present, is consulted once per call at the module
     serialization point: a transient stall lengthens this request's
     service, a hard outage takes the module down first (the request and
     everything behind it queue until it returns). *)
-
-val word_access :
-  ?inject:Platinum_sim.Inject.t ->
-  Config.t ->
-  Memmodule.t array ->
-  now:Platinum_sim.Time_ns.t ->
-  proc:int ->
-  mem_module:int ->
-  kind ->
-  int
-(** Latency (ns) of one word access issued at [now], including queueing at
-    the target module. *)
-
-val block_words :
-  ?inject:Platinum_sim.Inject.t ->
-  Config.t ->
-  Memmodule.t array ->
-  now:Platinum_sim.Time_ns.t ->
-  proc:int ->
-  mem_module:int ->
-  kind ->
-  words:int ->
-  int
-(** Latency of [words] consecutive word accesses to one module (an
-    application-level block read or write; the processor issues them
-    back-to-back, so the module is occupied for the whole run). *)
 
 val block_copy :
   ?inject:Platinum_sim.Inject.t ->

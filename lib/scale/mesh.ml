@@ -103,7 +103,7 @@ let serve_oracle nodes logs =
   let olds = Array.make nodes [] in
   Array.iter (List.iter (fun (server, old) -> olds.(server) <- old :: olds.(server))) logs;
   Array.for_all
-    (fun l -> List.sort compare l = List.init (List.length l) Fun.id)
+    (fun l -> List.equal Int.equal (List.sort Int.compare l) (List.init (List.length l) Fun.id))
     olds
 
 let run ?check ?shards ?domains ?inject_rate ?seed ?(ops_per_node = 50)

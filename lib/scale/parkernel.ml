@@ -157,13 +157,7 @@ type pm = {
 let net_delay pm ~src ~dst =
   max pm.la (Xbar.uncontended_word_ns pm.cfg Xbar.Read ~hop:(Config.hop pm.cfg ~src ~dst))
 
-let ipi_delay pm ~src ~dst =
-  let extra =
-    match Config.hop pm.cfg ~src ~dst with
-    | Config.Cross -> pm.cfg.Config.ipi_cross_extra
-    | Config.Local | Config.Intra -> 0
-  in
-  max pm.la (pm.cfg.Config.ipi_send_ns + extra)
+let ipi_delay pm ~src ~dst = max pm.la (Xbar.ipi_ns pm.cfg ~hop:(Config.hop pm.cfg ~src ~dst))
 
 (* --- transaction shape --- *)
 

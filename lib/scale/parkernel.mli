@@ -94,6 +94,7 @@ val run :
     (at most a page), [ops_per_node] (default 32) the echo call count per
     pair, and [span_words] (default 0 = compact) stretches the row
     placement over at least that address span — the GB-scale variant.
-    [check] arms the window self-checks (defaults from
-    [PLATINUM_CHECK=1]).  Raises {!Platinum_kernel.Kernel.Thread_failure}
-    / {!Platinum_kernel.Kernel.Deadlock} like a sequential kernel run. *)
+    [check] arms the window self-checks (defaults from [PLATINUM_CHECK],
+    as {!Platinum_sim.Shard.host}).  Raises
+    {!Platinum_kernel.Kernel.Thread_failure} /
+    {!Platinum_kernel.Kernel.Deadlock} like a sequential kernel run. *)

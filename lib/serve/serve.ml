@@ -139,16 +139,15 @@ let client_loop gen ~requests ~submit =
     submit ~stamp:!next_at k
   done
 
-let env_check () =
-  match Sys.getenv_opt "PLATINUM_CHECK" with Some "1" -> true | _ -> false
-
 let run ?config ?inject ?check ?(coalesce = true) ?(seed = 42L) (p : params) transport =
   let config = match config with Some c -> c | None -> Config.butterfly_plus () in
-  let check = match check with Some c -> c | None -> env_check () in
   let nprocs = config.Config.nprocs in
   if nprocs < 2 then invalid_arg "Serve.run: need at least 2 processors";
   let setup = Runner.make ~config ?inject ~coalesce () in
-  if check then Coherent.set_monitor setup.Runner.coherent (Some (Check.create_monitor ()));
+  (* Without [check], [Runner.make] has already armed the monitor from the
+     environment. *)
+  if Option.value check ~default:false then
+    Coherent.set_monitor setup.Runner.coherent (Some (Check.create_monitor ()));
   (* Stride tenant homes across the whole machine and scatter each
      tenant's clients around its home — on a hierarchical topology roughly
      half the client traffic then crosses clusters, so the fabric actually

@@ -113,6 +113,7 @@ val run :
   result
 (** Run one serving cell to completion on its own full PLATINUM instance
     (default machine: the 16-node Butterfly Plus).  [inject] attaches a
-    fault plane; [check] (default: the [PLATINUM_CHECK=1] environment
-    variable) arms the coherence invariant monitor, and any violation
-    raises.  Requires [config.nprocs >= 2]. *)
+    fault plane; [check] (default: the [PLATINUM_CHECK] environment
+    variable, {!Platinum_core.Check.env_enabled}) arms the coherence
+    invariant monitor, and any violation raises.  Requires
+    [config.nprocs >= 2]. *)

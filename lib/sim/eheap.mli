@@ -1,9 +1,10 @@
 (** Array-backed binary min-heap specialized to [(time, seq)] integer keys.
 
-    This is the engine's event queue.  The pairing {!Heap} allocates a node
-    per insert and chases pointers on every delete-min; this heap keeps keys
-    and payloads in flat arrays, so steady-state insert/pop allocates
-    nothing and the hot comparison is a single immediate-[int] compare.
+    This is the engine's event queue.  A pairing heap (the order oracle
+    kept in the tests) allocates a node per insert and chases pointers on
+    every delete-min; this heap keeps keys and payloads in flat arrays, so
+    steady-state insert/pop allocates nothing and the hot comparison is a
+    single immediate-[int] compare.
 
     Keys are pairs [(time, seq)] ordered lexicographically; [seq] must be
     unique per live entry (the engine's monotone sequence number), which

@@ -161,3 +161,6 @@ let advance_inline t ~at =
     t.processed <- t.processed + 1;
     true
   end
+
+let checks_armed_by = function None | Some "" | Some "0" -> false | Some _ -> true
+let env_checks_armed () = checks_armed_by (Sys.getenv_opt "PLATINUM_CHECK")

@@ -145,3 +145,15 @@ val next_at : t -> Time_ns.t
 (** Timestamp of the earliest pending event of any class, or [max_int]
     when the queue is empty — the conservative floor a hosting driver
     ({!Shard.host}) uses to cut time windows. *)
+
+(* --- the self-check switch --- *)
+
+val checks_armed_by : string option -> bool
+(** The one parser of the [PLATINUM_CHECK] environment variable, given its
+    value: unset, [""] and ["0"] leave the self-checks off; any other value
+    arms them. *)
+
+val env_checks_armed : unit -> bool
+(** {!checks_armed_by} applied to the process environment.  The coherence
+    monitor ({!Platinum_core.Check.env_enabled}) and the shard window
+    checks ({!Shard.host}) both default to it. *)

@@ -247,11 +247,7 @@ let host ?check ~shards ~lookahead engines =
       if Engine.router e <> None then
         invalid_arg "Shard.host: an engine already has a router")
     engines;
-  let check =
-    match check with
-    | Some b -> b
-    | None -> ( match Sys.getenv_opt "PLATINUM_CHECK" with Some "1" -> true | _ -> false)
-  in
+  let check = match check with Some b -> b | None -> Engine.env_checks_armed () in
   let nshards = min shards nodes in
   let node_shard = Array.init nodes (fun n -> n * nshards / nodes) in
   let shard_nodes =

@@ -39,10 +39,10 @@ type hosted
 val host : ?check:bool -> shards:int -> lookahead:Time_ns.t -> Engine.t array -> hosted
 (** Group the engines and install their routers.  Shards are clamped to
     the node count; nodes map to shards in contiguous blocks.  [check]
-    arms the window-invariant self-checks (default: the [PLATINUM_CHECK=1]
-    environment variable, like the coherence monitor); they raise
-    [Failure] when a mailbox delivery lands before the end of the window
-    it was posted in.  Because every hosted node's state is touched
+    arms the window-invariant self-checks (default: the [PLATINUM_CHECK]
+    environment variable, read by {!Engine.env_checks_armed} like the
+    coherence monitor's); they raise [Failure] when a mailbox delivery
+    lands before the end of the window it was posted in.  Because every hosted node's state is touched
     only by its own engine's events, monitor sweeps are shard-local by
     construction — that is the pinned monitor strategy (DESIGN.md §4j).
     Raises [Invalid_argument] if any engine already has a router; a

@@ -289,14 +289,20 @@ let test_ring () =
   Alcotest.(check (list int)) "cleared" [] (Ring.to_list r)
 
 let test_env_enabled () =
-  (* documented parsing: unset / "" / "0" are off, anything else is on —
-     we can only exercise the current process state here *)
-  let expected =
-    match Sys.getenv_opt "PLATINUM_CHECK" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true
-  in
-  Alcotest.(check bool) "env parsing" expected (Check.env_enabled ())
+  (* documented parsing: unset / "" / "0" are off, anything else is on.
+     The one parser is exercised on every kind of value; the environment
+     readers only on the current process state. *)
+  let parse = Platinum_sim.Engine.checks_armed_by in
+  List.iter
+    (fun (v, expected) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "parse %s" (Option.value v ~default:"<unset>"))
+        expected (parse v))
+    [ (None, false); (Some "", false); (Some "0", false); (Some "1", true); (Some "yes", true) ];
+  let expected = parse (Sys.getenv_opt "PLATINUM_CHECK") in
+  Alcotest.(check bool) "env parsing" expected (Check.env_enabled ());
+  Alcotest.(check bool) "shard windows parse alike" expected
+    (Platinum_sim.Engine.env_checks_armed ())
 
 (* --- the model checker --- *)
 

@@ -572,16 +572,15 @@ let test_activate_unknown_aspace () =
   let _ = write env ~proc:0 0 1 in
   let _ = read env ~proc:1 0 in
   let aspace = Cmap.aspace env.cm in
-  Alcotest.(check (list int)) "both active" [ 0; 1 ] (Procset.to_list (Cmap.active env.cm));
+  let active p = Atc.active_aspace (Coherent.atc env.coh ~proc:p) in
+  Alcotest.(check (list (option int))) "both active" [ Some aspace; Some aspace ]
+    [ active 0; active 1 ];
   Alcotest.(check bool) "unknown space rejected" true
     (try
        ignore (Coherent.activate env.coh ~now:0 ~proc:1 ~aspace:99);
        false
      with Invalid_argument _ -> true);
-  Alcotest.(check (list int)) "proc 1 still active" [ 0; 1 ]
-    (Procset.to_list (Cmap.active env.cm));
-  Alcotest.(check (option int)) "ATC still on the space" (Some aspace)
-    (Atc.active_aspace (Coherent.atc env.coh ~proc:1));
+  Alcotest.(check (option int)) "proc 1 still active" (Some aspace) (active 1);
   let c = Coherent.counters env.coh in
   let interrupts = c.Counters.interrupts and deferred = c.Counters.deferred_updates in
   let _ = write env ~proc:0 0 2 in

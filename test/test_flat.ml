@@ -1,14 +1,12 @@
 (* Differential properties for the flat translation tables (PR 5).
 
    The seed indexed Pmap and Atc entries with hash tables; the rework
-   replaced those with dense vpage-indexed arrays ([Flat]) plus a packed
-   int mirror in Pmap.  These properties drive identical random operation
-   sequences through the old hash-based tables ([Ref_tables], kept
-   verbatim) and the new flat ones, asserting observably identical state
-   after every step — including for spill keys outside the dense range —
-   and that the representation-level sanitizers ([Pmap.check_faults],
-   [Atc.check_faults], [Cmap.check_faults], [Cpage.check_faults]) stay
-   clean throughout. *)
+   replaced those with chunked vpage-indexed arrays ([Flat]).  These
+   properties drive identical random operation sequences through the old
+   hash-based tables ([Ref_tables], kept verbatim) and the new flat ones,
+   asserting observably identical state after every step — including for
+   spill keys outside the dense range — and that the sanitizers
+   ([Cmap.check_faults], [Cpage.check_faults]) stay clean throughout. *)
 
 module Frame = Platinum_phys.Frame
 module Procset = Platinum_machine.Procset
@@ -88,12 +86,6 @@ let same_entry ~what vpage (a : Pmap.entry option) (b : Ref_tables.Pmap.entry op
   | None, Some _ -> QCheck.Test.fail_reportf "%s: vpage %d bound only in reference" what vpage
 
 let check_agreement (pm, atc) (rpm, ratc) =
-  (match Pmap.check_faults pm with
-  | None -> ()
-  | Some f -> QCheck.Test.fail_reportf "pmap sanitizer: %s" (Platinum_core.Check.render f));
-  (match Atc.check_faults atc with
-  | None -> ()
-  | Some f -> QCheck.Test.fail_reportf "atc sanitizer: %s" (Platinum_core.Check.render f));
   if Pmap.size pm <> Ref_tables.Pmap.size rpm then
     QCheck.Test.fail_reportf "pmap size %d vs reference %d" (Pmap.size pm)
       (Ref_tables.Pmap.size rpm);
@@ -106,7 +98,7 @@ let check_agreement (pm, atc) (rpm, ratc) =
     (fun vpage ->
       let e = Pmap.find pm ~vpage and r = Ref_tables.Pmap.find rpm ~vpage in
       same_entry ~what:"pmap" vpage e r;
-      (* The packed-mirror probes must answer exactly as the reference. *)
+      (* The probes must answer exactly as the reference. *)
       if Pmap.mem pm ~vpage <> (r <> None) then
         QCheck.Test.fail_reportf "mem probe disagrees for vpage %d" vpage;
       let rw = match r with Some e -> e.Ref_tables.Pmap.write_ok | None -> false in
@@ -115,7 +107,7 @@ let check_agreement (pm, atc) (rpm, ratc) =
       for aspace = 0 to 2 do
         same_entry ~what:"atc"
           vpage
-          (Atc.peek atc ~aspace ~vpage)
+          (Atc.find atc ~aspace ~vpage)
           (Ref_tables.Atc.peek ratc ~aspace ~vpage)
       done)
     vpages
@@ -179,7 +171,7 @@ let prop_pmap_atc_differential =
    hash-table model.  After every operation the observable state must
    match the model and every representation sanitizer must be clean —
    [Cmap.check_faults] covers refmask/Pmap agreement,
-   translation-in-directory, stale translations and the packed mirrors. *)
+   translation-in-directory and stale translations. *)
 
 let nprocs = 4
 let cm_vpages = [| 0; 1; 5; 64; Flat.dense_limit + 3 |]

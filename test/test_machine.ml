@@ -112,26 +112,26 @@ let fresh_modules () = Array.init config.Config.nprocs Memmodule.create
 
 let test_xbar_local_read () =
   let mods = fresh_modules () in
-  let lat = Xbar.word_access config mods ~now:0 ~proc:3 ~mem_module:3 Xbar.Read in
+  let lat = Xbar.access config mods ~now:0 ~proc:3 ~mem_module:3 Xbar.Read ~words:1 in
   Alcotest.(check int) "local read = T_l" config.Config.t_local_word lat
 
 let test_xbar_remote_read () =
   let mods = fresh_modules () in
-  let lat = Xbar.word_access config mods ~now:0 ~proc:0 ~mem_module:5 Xbar.Read in
+  let lat = Xbar.access config mods ~now:0 ~proc:0 ~mem_module:5 Xbar.Read ~words:1 in
   Alcotest.(check int) "remote read = T_r" config.Config.t_remote_read_word lat
 
 let test_xbar_remote_write_faster () =
   let mods = fresh_modules () in
-  let r = Xbar.word_access config mods ~now:0 ~proc:0 ~mem_module:5 Xbar.Read in
+  let r = Xbar.access config mods ~now:0 ~proc:0 ~mem_module:5 Xbar.Read ~words:1 in
   let mods = fresh_modules () in
-  let w = Xbar.word_access config mods ~now:0 ~proc:0 ~mem_module:5 Xbar.Write in
+  let w = Xbar.access config mods ~now:0 ~proc:0 ~mem_module:5 Xbar.Write ~words:1 in
   Alcotest.(check bool) "writes faster than reads" true (w < r)
 
 let test_xbar_contention () =
   let mods = fresh_modules () in
   (* Two processors hit module 7 at the same instant: the second queues. *)
-  let l1 = Xbar.word_access config mods ~now:0 ~proc:0 ~mem_module:7 Xbar.Read in
-  let l2 = Xbar.word_access config mods ~now:0 ~proc:1 ~mem_module:7 Xbar.Read in
+  let l1 = Xbar.access config mods ~now:0 ~proc:0 ~mem_module:7 Xbar.Read ~words:1 in
+  let l2 = Xbar.access config mods ~now:0 ~proc:1 ~mem_module:7 Xbar.Read ~words:1 in
   Alcotest.(check int) "first uncontended" config.Config.t_remote_read_word l1;
   Alcotest.(check int) "second queues one service slot"
     (config.Config.t_remote_read_word + config.Config.t_module_service)
@@ -139,11 +139,11 @@ let test_xbar_contention () =
 
 let test_xbar_block_words () =
   let mods = fresh_modules () in
-  let lat = Xbar.block_words config mods ~now:0 ~proc:2 ~mem_module:2 Xbar.Read ~words:100 in
+  let lat = Xbar.access config mods ~now:0 ~proc:2 ~mem_module:2 Xbar.Read ~words:100 in
   Alcotest.(check int) "100 local words" (100 * config.Config.t_local_word) lat;
   Alcotest.(check int) "zero words free"
     0
-    (Xbar.block_words config mods ~now:0 ~proc:2 ~mem_module:2 Xbar.Read ~words:0)
+    (Xbar.access config mods ~now:0 ~proc:2 ~mem_module:2 Xbar.Read ~words:0)
 
 let test_xbar_block_copy () =
   let mods = fresh_modules () in
@@ -158,8 +158,8 @@ let test_xbar_block_copy_occupies_both () =
   ignore (Xbar.block_copy config mods ~now:0 ~src:0 ~dst:1 ~words:1000);
   (* Both modules are busy for the transfer: a local access on either
      side queues behind it. *)
-  let l_src = Xbar.word_access config mods ~now:0 ~proc:0 ~mem_module:0 Xbar.Read in
-  let l_dst = Xbar.word_access config mods ~now:0 ~proc:1 ~mem_module:1 Xbar.Read in
+  let l_src = Xbar.access config mods ~now:0 ~proc:0 ~mem_module:0 Xbar.Read ~words:1 in
+  let l_dst = Xbar.access config mods ~now:0 ~proc:1 ~mem_module:1 Xbar.Read ~words:1 in
   Alcotest.(check bool) "src module blocked" true (l_src > 1_000_000);
   Alcotest.(check bool) "dst module blocked" true (l_dst > 1_000_000)
 
