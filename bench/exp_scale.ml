@@ -13,9 +13,10 @@
    Two things are measured:
 
    - determinism: every workload's fingerprint is byte-identical across a
-     (shards x domains) grid, and every cell passes its host oracle —
-     the sharded engine's load-bearing contract, asserted on every host (a
-     1-core machine still runs the domains);
+     (shards x domains) grid, and every cell is verified — its program's
+     oracle and the protocol's at-rest check (Homemem.at_rest_ok) both
+     hold.  This is the sharded engine's load-bearing contract, asserted
+     on every host (a 1-core machine still runs the domains);
    - throughput: host events/sec and simulated-words/sec per topology at
      the configured shard/domain counts, landing in BENCH_scale.json.
 
@@ -97,7 +98,7 @@ let measure ?(gb = false) ~config ~shards ~domains w =
   let t0 = Unix.gettimeofday () in
   let r = w.run ~config ~shards ~domains ~inject_rate:0.0 in
   let wall_s = Unix.gettimeofday () -. t0 in
-  { r; gb; clusters = Config.clusters config; lookahead_ns = Parkernel.lookahead config; wall_s }
+  { r; gb; clusters = Config.clusters config; lookahead_ns = Config.lookahead_ns config; wall_s }
 
 let row_json { r; gb; clusters; lookahead_ns; wall_s } =
   Printf.sprintf

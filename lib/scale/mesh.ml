@@ -13,7 +13,6 @@ module Api = Platinum_kernel.Api
 type workload = Traffic | Storm | Serve
 
 let workload_name = function Traffic -> "traffic" | Storm -> "storm" | Serve -> "serve"
-let all_workloads = [ Traffic; Storm; Serve ]
 
 type result = { run : Parkernel.result; latency : Hist.t }
 
@@ -112,32 +111,25 @@ let run ?check ?shards ?domains ?inject_rate ?seed ?(ops_per_node = 50)
   let hists = Array.init n (fun _ -> Hist.create ~precision_bits:5 ()) in
   let logs = Array.init n (fun _ -> ref []) in
   let ops = ops_per_node in
-  let program ~node ~row ~rng =
+  let body ~node ~row ~rng =
     let hist = hists.(node) in
     match workload with
     | Traffic -> traffic config ~ops hist ~node ~row rng
     | Storm -> storm config ~ops hist ~node ~row rng
     | Serve -> serve config ~ops ~offered_rps hist logs.(node) ~node ~row rng
   in
+  let verify _ =
+    match workload with
+    | Traffic | Storm -> true
+    | Serve -> serve_oracle n (Array.map (fun l -> !l) logs)
+  in
   let r =
-    Parkernel.run ?check ?shards ?domains ?inject_rate ?seed ~config (Parkernel.Program program)
+    Parkernel.run ?check ?shards ?domains ?inject_rate ?seed ~config
+      (Parkernel.Program { name = workload_name workload; image = []; body; verify })
   in
   let latency = Hist.create ~precision_bits:5 () in
   Array.iter (fun h -> Hist.merge ~into:latency h) hists;
   let fp = Fnv.create () in
   Fnv.string fp r.Parkernel.fingerprint;
   Fnv.string fp (Hist.fingerprint latency);
-  let verified =
-    r.Parkernel.verified
-    && (workload <> Serve || serve_oracle n (Array.map (fun l -> !l) logs))
-  in
-  {
-    run =
-      {
-        r with
-        Parkernel.workload = workload_name workload;
-        verified;
-        fingerprint = Fnv.to_hex fp;
-      };
-    latency;
-  }
+  { run = { r with Parkernel.fingerprint = Fnv.to_hex fp }; latency }

@@ -1,9 +1,9 @@
 (** The mesh workloads for machines past the Butterfly, as hosted-kernel
     programs.
 
-    Each workload is a {!Parkernel.Program}: every node runs one thread
+    Each workload is a {!Parkernel.program}: every node runs one thread
     against the ordinary {!Platinum_kernel.Api}, on the hosted kernel's
-    home-partitioned coherent memory.  Word traffic, replica shootdowns and
+    home-partitioned coherent memory ({!Homemem}).  Word traffic, replica shootdowns and
     request serving are therefore real page operations, with versions,
     holder sets and fault-plane recovery, and not message mocks.  Echo
     traffic is {!Parkernel.Rpc_echo}.
@@ -31,14 +31,14 @@ type workload =
           scheduled arrival, so queueing shows in the tail *)
 
 val workload_name : workload -> string
-val all_workloads : workload list
 
 type result = {
   run : Parkernel.result;
       (** the hosted run, named after the workload.  Its [fingerprint]
-          also folds in {!latency}'s; for [Serve], [verified] is the rmw
-          oracle: every server returned exactly the old values
-          [0 .. k-1] to the [k] requests it received. *)
+          also folds in {!latency}'s.  [verified] is the at-rest check,
+          and for [Serve] also the rmw oracle: every server returned
+          exactly the old values [0 .. k-1] to the [k] requests it
+          received. *)
   latency : Platinum_stats.Hist.t;  (** merged per-operation latency, ns *)
 }
 

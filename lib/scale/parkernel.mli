@@ -1,18 +1,16 @@
 (** The PLATINUM kernel on the sharded engine: domain-parallel coherence
     simulation with GB-scale address spaces.
 
-    This module runs the kernel simulation itself under
-    {!Platinum_sim.Shard.host}: one complete {!Platinum_kernel.Kernel} per
-    node (a one-processor run-queue slice of the shared machine), threads
-    programming against the ordinary {!Platinum_kernel.Api}, and a
-    home-partitioned distributed coherent memory underneath.  Every page
-    has one home node holding the authoritative data, holder set and
-    version; remote reads replicate page copies, writes and rmws execute
-    at the home behind invalidation IPIs with ack-timeout retry; requests
-    can be dropped by the per-node fault planes and are retransmitted.
-    Every protocol step crosses nodes as an {!Platinum_sim.Engine.post} —
-    a mailbox message under the hosted router — so no node ever touches
-    another node's state (DESIGN.md §4j).
+    This module is the host: it runs one complete
+    {!Platinum_kernel.Kernel} per node (a one-processor run-queue slice
+    of the shared machine) under {!Platinum_sim.Shard.host}, with threads
+    programming against the ordinary {!Platinum_kernel.Api}.  The
+    coherent memory underneath is {!Homemem}, the home-partitioned
+    protocol, reached only through its interface (DESIGN.md §4j).
+
+    Every workload is a {!program}.  A run loads the program's image,
+    spawns its body on every node in node order, runs, and then reports
+    [verified] as the program's oracle and {!Homemem.at_rest_ok}.
 
     Determinism contract: a run is a pure function of
     [(workload, config, seed, inject_rate, iters, ops_per_node, width,
@@ -26,22 +24,27 @@
     so a [span_words] of 2{^27}–2{^30} words costs memory proportional to
     the touched footprint. *)
 
+type program = {
+  name : string;  (** the result's [workload] *)
+  image : (int * int array) list;
+      (** setup-time contents: [(r, words)] places [words] at the start
+          of row [r], at no simulated cost *)
+  body : node:int -> row:(int -> int) -> rng:Platinum_sim.Rng.t -> unit;
+      (** node [i] runs [body ~node:i ~row ~rng], where [row r] is the
+          address of the row homed at node [r] and [rng] is node [i]'s own
+          stream, split from [seed] in node order *)
+  verify : (int -> int array) -> bool;
+      (** the oracle, given row [r]'s page words at its home after the run *)
+}
+
 type workload =
   | Jacobi  (** ring relaxation: neighbor-row replication + own-row shootdowns *)
   | Gauss  (** elimination: pivot-row replication storms (§5.1) *)
   | Rpc_echo  (** request/response over write-at-home message slots *)
-  | Program of (node:int -> row:(int -> int) -> rng:Platinum_sim.Rng.t -> unit)
-      (** every node [i] runs [f ~node:i ~row ~rng], where [row r] is the
-          address of the page homed at node [r] and [rng] is node [i]'s own
-          stream, split from [seed] in node order; verified trivially (the
-          mesh workloads of {!Mesh} are such programs) *)
+  | Program of program  (** the mesh workloads of {!Mesh} are such programs *)
 
 val workload_name : workload -> string
 val all_workloads : workload list
-
-val lookahead : Platinum_machine.Config.t -> int
-(** The conservative window width a hosted run uses:
-    {!Platinum_machine.Config.lookahead_ns}. *)
 
 type result = {
   workload : string;
@@ -62,10 +65,9 @@ type result = {
   faults : int;  (** faults the planes injected *)
   words : int;  (** simulated data words moved *)
   touched_pages : int;  (** home pages with a frame allocated *)
-  replica_pages : int;  (** replicas resident at the end *)
   span_words : int;  (** data-region address span, words *)
   setup_ms : float;  (** host wall time to build the run (not fingerprinted) *)
-  verified : bool;  (** simulation output matched the host-side oracle *)
+  verified : bool;  (** the program's oracle and {!Homemem.at_rest_ok} both held *)
   fingerprint : string;
       (** FNV-1a fold over every node's counters, engine history, module
           statistics, fault plane and home-page contents, in node order —

@@ -214,24 +214,55 @@ let fingerprint_grid ?(inject_rate = 0.0) ~check run =
         domain_counts)
     shard_counts
 
-let check_grid_identical name lines =
+(* Every grid's fingerprint is pinned, seed 7: the mesh cells run on
+   [small] with 30 ops, the kernel cells on [kernel_config] with iters 4,
+   12 ops and width 64.  A schedule change anywhere under the hosted
+   kernel moves one of these. *)
+let pinned_clean =
+  [
+    ("mesh traffic", "b913c4c097b2c0f6");
+    ("mesh storm", "58bda83f955b9820");
+    ("mesh serve", "3368716ff080a183");
+    ("mesh rpc_echo", "3d315d45c2ca9ac4");
+    ("kernel jacobi", "8abcb6622a66b61a");
+    ("kernel gauss", "e86392da283c7a67");
+    ("kernel rpc_echo", "b82b6a65d41eb62c");
+  ]
+
+let pinned_injected =
+  [
+    ("mesh traffic", "ce98010764f61a3f");
+    ("mesh storm", "d607d62716d85bc3");
+    ("mesh serve", "69abe61ee5fa9587");
+    ("mesh rpc_echo", "7d1d91faf50b3305");
+    ("kernel jacobi", "2764f1e057f19855");
+    ("kernel rpc_echo", "d0a12bcaeefbb2bc");
+  ]
+
+let check_grid_identical ~expected name lines =
   match lines with
   | [] -> Alcotest.fail "empty grid"
   | baseline :: _ ->
     Alcotest.(check (list string))
       name
       (List.map (fun _ -> baseline) lines)
-      lines
+      lines;
+    Alcotest.(check string)
+      (name ^ ": pinned fingerprint")
+      ("fp=" ^ expected)
+      (List.nth (String.split_on_char ' ' baseline) 4)
 
-let test_workload_deterministic run () =
+let test_workload_deterministic (name, run) () =
   (* check:true = the PLATINUM_CHECK window monitors are armed in every
      cell; a violation raises and fails the test. *)
   fingerprint_grid ~check:true run
-  |> check_grid_identical "fingerprint identical across shards x domains"
+  |> check_grid_identical ~expected:(List.assoc ("mesh " ^ name) pinned_clean)
+       "fingerprint identical across shards x domains"
 
-let test_workload_deterministic_injected run () =
+let test_workload_deterministic_injected (name, run) () =
   fingerprint_grid ~check:true ~inject_rate:0.02 run
-  |> check_grid_identical "fingerprint identical under 2% fault injection"
+  |> check_grid_identical ~expected:(List.assoc ("mesh " ^ name) pinned_injected)
+       "fingerprint identical under 2% fault injection"
 
 let mesh_run name = List.assoc name mesh_workloads
 
@@ -271,7 +302,10 @@ let first_read_costs config =
             Api.now () - t0)
           [ 1; 4 ]
   in
-  ignore (Parkernel.run ~check:true ~config (Parkernel.Program program));
+  ignore
+    (Parkernel.run ~check:true ~config
+       (Parkernel.Program
+          { name = "program"; image = []; body = program; verify = (fun _ -> true) }));
   match !costs with [ intra; cross ] -> (intra, cross) | _ -> Alcotest.fail "node 0 did not run"
 
 let test_hierarchical_topology_exact () =
@@ -299,7 +333,8 @@ let test_zero_length_block () =
   in
   let r =
     Parkernel.run ~check:true ~config:(Config.hierarchical ~cluster_size:4 ~nodes:8 ())
-      (Parkernel.Program program)
+      (Parkernel.Program
+         { name = "program"; image = []; body = program; verify = (fun _ -> true) })
   in
   Alcotest.(check bool) "run verified" true r.Parkernel.verified;
   Alcotest.(check (option (pair int int))) "empty result, zero elapsed" (Some (0, 0)) !out
@@ -337,11 +372,15 @@ let kernel_grid ?(inject_rate = 0.0) workload =
 
 let test_kernel_deterministic workload () =
   kernel_grid workload
-  |> check_grid_identical "kernel fingerprint identical across shards x domains"
+  |> check_grid_identical
+       ~expected:(List.assoc ("kernel " ^ Parkernel.workload_name workload) pinned_clean)
+       "kernel fingerprint identical across shards x domains"
 
 let test_kernel_deterministic_injected workload () =
   kernel_grid ~inject_rate:0.02 workload
-  |> check_grid_identical "kernel fingerprint identical under 2% fault injection"
+  |> check_grid_identical
+       ~expected:(List.assoc ("kernel " ^ Parkernel.workload_name workload) pinned_injected)
+       "kernel fingerprint identical under 2% fault injection"
 
 let test_kernel_injection_bites () =
   (* the injected grid must not degenerate to the clean one *)
@@ -393,12 +432,12 @@ let suite =
   let det (name, run) =
     ( Printf.sprintf "golden: %s fingerprint across shards x domains" name,
       `Quick,
-      test_workload_deterministic run )
+      test_workload_deterministic (name, run) )
   in
   let det_inj (name, run) =
     ( Printf.sprintf "golden: %s fingerprint under 2%% injection" name,
       `Quick,
-      test_workload_deterministic_injected run )
+      test_workload_deterministic_injected (name, run) )
   in
   [
     ("shard: basics", `Quick, test_shard_basics);

@@ -179,7 +179,10 @@ let on_parkernel ~slices ops =
     if node = 0 || node = 3 then run_ops ~slices ~base:row ops logs.(node)
   in
   let config = Config.hierarchical ~cluster_size:4 ~page_words ~nodes:8 () in
-  ignore (Parkernel.run ~check:true ~width:page_words ~config (Parkernel.Program program));
+  ignore
+    (Parkernel.run ~check:true ~width:page_words ~config
+       (Parkernel.Program
+          { name = "program"; image = []; body = program; verify = (fun _ -> true) }));
   Array.to_list (Array.map (fun l -> List.rev !l) logs)
 
 let prop name ~span ~min_len run =
