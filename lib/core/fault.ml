@@ -95,7 +95,14 @@ let plan ~write ~state ~copies ~local ~frozen verdict =
   | Empty -> zero_fill
   | Present1 | Present_plus | Modified when local -> if shared then upgrade else map_local
   | Present1 | Present_plus | Modified -> (
-    match if copies = 0 then Policy.Replicate else verdict with
+    (* A frozen page keeps its one copy whatever the policy says: only a
+       thaw may move or replicate it (§4.2). *)
+    let verdict =
+      if copies = 0 then Policy.Replicate
+      else if frozen && verdict = Policy.Replicate then Policy.Remote_map
+      else verdict
+    in
+    match verdict with
     | Policy.Remote_map -> if shared then remote_shared else remote
     | Policy.Freeze -> if shared then frozen_remote_shared else frozen_remote
     | (Policy.Replicate | Policy.Thaw) as verdict ->

@@ -93,7 +93,9 @@ val plan :
     checked) on a page in [state] with [copies] copies, one of them [local]
     to the faulting processor or not, [frozen] or not.  The verdict is read
     only when the page has copies but none local; the executor then asks
-    {!Policy.decide} for it, and passes any constructor otherwise. *)
+    {!Policy.decide} for it, and passes any constructor otherwise.  On a
+    frozen page a [Replicate] verdict plans a remote mapping, whatever
+    the policy: only a [Thaw] moves a frozen page. *)
 
 val collapse : local:bool -> copies:int -> step list
 (** The plan that collapses a page to one copy on a target module, [local]

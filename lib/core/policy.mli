@@ -10,7 +10,9 @@
     A policy only decides.  Its verdict is data: {!decide} leaves the page
     untouched, and {!Fault.plan} turns a [Freeze] or [Thaw] into a step
     before the mapping, as the paper's policy leaves thawing to the
-    defrost daemon. *)
+    defrost daemon.  {!Fault.plan} also turns a [Replicate] on a frozen
+    page into a remote mapping, so a policy that never reads
+    [Cpage.frozen] still leaves a frozen page with one copy. *)
 
 type decision =
   | Replicate

@@ -64,8 +64,8 @@ val now : unit -> int
 val sleep : int -> unit
 (** Block for the given nanoseconds of simulated time without occupying
     the processor — a timer, not computation.  Used by recovery code
-    (retransmission timeouts); the wake-up is a deferred engine event, so
-    it never consumes a {!Platinum_sim.Engine.run} [?limit] budget. *)
+    (retransmission timeouts); the wake-up is an ordinary engine event,
+    so a pending sleep keeps {!Platinum_sim.Engine.run} alive. *)
 
 val inject_handle : unit -> Platinum_sim.Inject.t option
 (** The machine's fault-injection plane, if one is attached

@@ -63,8 +63,6 @@ type _ Effect.t +=
   | Compute : int -> unit Effect.t  (** spend n ns of local computation *)
   | Sleep : int -> unit Effect.t
       (** block for n ns of simulated time without occupying the
-          processor — a timer, not computation.  The wake-up is a
-          {e deferred} engine event: it keeps the run alive but does not
-          consume a [?limit] budget (retransmission timers are recovery
-          plumbing, not application work) *)
+          processor — a timer, not computation.  The wake-up is an
+          ordinary engine event, so it keeps the run alive *)
   | Syscall : 'a request -> 'a Effect.t  (** every other kernel service *)

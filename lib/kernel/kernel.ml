@@ -331,13 +331,12 @@ and submit_op t th k txn =
   | v, lat -> complete t th k v lat
   | exception e -> Effect.Deep.discontinue k e
 
-(* A timed wait: the thread blocks, the processor moves on, and a deferred
-   engine event re-wakes it — timer plumbing rather than application
-   work, so it never consumes a run [?limit] budget. *)
+(* A timed wait: the thread blocks, the processor moves on, and a timer
+   event re-wakes it. *)
 and sleep_op t th k ns =
   th.state <- Blocked;
   park t th k ();
-  Engine.schedule_after t.engine ~deferred:true ~delay:(max ns 0) (fun () -> wake t th);
+  Engine.schedule_after t.engine ~delay:(max ns 0) (fun () -> wake t th);
   dispatch t th.proc
 
 (* Store the fiber's resumption: the next dispatch of [th] re-arms it and

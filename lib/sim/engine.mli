@@ -2,7 +2,38 @@
 
     The engine owns a virtual clock and a priority queue of events.  Events
     scheduled for the same instant run in scheduling order (a monotonically
-    increasing sequence number breaks ties), so runs are reproducible. *)
+    increasing sequence number breaks ties), so runs are reproducible.
+
+    {2 Same-time ties}
+
+    Some of the orders the sequence gives are contracts the code relies
+    on:
+    - {e An event's own follow-up at [now].}  Work an event schedules for
+      the current instant (a zero delay: [Api.sleep 0], a wake-up, a
+      dispatch) runs after the current event returns, never inside it,
+      and after every event already pending at that instant.
+    - {e FIFO among one engine's schedules.}  Events one engine schedules
+      for the same instant run in the order they were scheduled.  With no
+      router, {!post} is {!schedule_after} and keeps that order too.
+    - {e The {!advance_inline} soundness rule.}  An inline step is taken
+      only when its instant is strictly earlier than every pending event,
+      so it never reorders a tie, and it uses up a sequence number as the
+      popped event would, so every later tie breaks as it would have.
+    - {e The hosted drain's merge.}  {!Shard} delivers mail in
+      [(at, (node lsl 36) lor seq)] order, [seq] being the sending node's
+      own counter: one node's same-time messages arrive in the order it
+      posted them, and each destination numbers its arrivals in an order
+      that is a pure function of the workload.  That is what makes a
+      hosted run the same at every shard and domain count.
+
+    The other ties only make runs deterministic.  The real machine
+    promises no order for them, and the code is meant not to depend on
+    it (untested so far: these are the ties a same-time perturbation
+    would reorder):
+    - ties between different processors' events on an unhosted engine,
+      which break by which was scheduled first;
+    - ties between different nodes' mail in a hosted drain, which break
+      by the sending node's number. *)
 
 type t
 
@@ -11,29 +42,19 @@ val create : unit -> t
 val now : t -> Time_ns.t
 (** Current virtual time. *)
 
-val schedule_at :
-  t -> ?daemon:bool -> ?deferred:bool -> at:Time_ns.t -> (unit -> unit) -> unit
+val schedule_at : t -> ?daemon:bool -> at:Time_ns.t -> (unit -> unit) -> unit
 (** Run the thunk when the clock reaches [at].  Scheduling in the past
     raises [Invalid_argument].
 
-    Events come in three classes:
-    - {e normal} (the default): application work.  Keeps {!run} alive and
-      consumes the [?limit] budget.
+    Events come in two classes:
+    - {e normal} (the default): application work, and the timers that
+      belong to it (a sleep's wake-up, an IPI ack timeout, an RPC
+      retransmission).  Keeps {!run} alive.
     - [daemon] events do not keep {!run} alive: the run stops once only
       daemon events remain — this is how recurring kernel daemons avoid
-      keeping a finished simulation spinning.  They do not consume the
-      [?limit] budget either.
-    - [deferred] events are fault-plane plumbing (a delayed interrupt
-      redelivery, an RPC retransmission timer).  They must fire — the run
-      stays alive for them — but they are not application work, so they do
-      not consume the [?limit] budget.  Without this class, an injected
-      delay re-enqueued past a limit boundary would miscount against the
-      caller's non-daemon event budget.
+      keeping a finished simulation spinning. *)
 
-    [daemon] and [deferred] are mutually exclusive ([Invalid_argument]). *)
-
-val schedule_after :
-  t -> ?daemon:bool -> ?deferred:bool -> delay:Time_ns.t -> (unit -> unit) -> unit
+val schedule_after : t -> ?daemon:bool -> delay:Time_ns.t -> (unit -> unit) -> unit
 (** [schedule_after t ~delay f] is [schedule_at t ~at:(now t + delay) f].
     Negative delays raise [Invalid_argument]. *)
 
@@ -46,8 +67,8 @@ val schedule_after :
     default [post] is {!schedule_after} on this engine's own queue — the
     strictly sequential world, unchanged.
 
-    Router-install lifecycle: only {!Shard.host} ever installs a
-    {!router}, and it owns the engines for the whole run.  It groups
+    Router-install lifecycle: outside tests, only {!Shard.host} installs
+    a {!router}, and it owns the engines for the whole run.  It groups
     per-node engines — light mesh nodes or full kernel simulations —,
     keys their cross-node posts by source node and carries them through
     per-pair mailboxes; it installs a router on {e every} hosted engine
@@ -57,29 +78,12 @@ val schedule_after :
     and a router must be absent there: the no-router schedule is the
     golden oracle that sharded runs are measured against. *)
 
-type router = {
-  route :
-    src:int ->
-    dst:int ->
-    daemon:bool ->
-    deferred:bool ->
-    delay:Time_ns.t ->
-    (unit -> unit) ->
-    unit;
-}
+type router = { route : src:int -> dst:int -> delay:Time_ns.t -> (unit -> unit) -> unit }
 
 val set_router : t -> router option -> unit
 val router : t -> router option
 
-val post :
-  t ->
-  ?daemon:bool ->
-  ?deferred:bool ->
-  src:int ->
-  dst:int ->
-  delay:Time_ns.t ->
-  (unit -> unit) ->
-  unit
+val post : t -> src:int -> dst:int -> delay:Time_ns.t -> (unit -> unit) -> unit
 (** Enqueue cross-node work from node [src] due at node [dst] after
     [delay].  Identical to {!schedule_after} unless a router is
     installed.  This is the seam every cross-node effect must cross —
@@ -92,18 +96,9 @@ val every : t -> ?daemon:bool -> period:Time_ns.t -> ?start:Time_ns.t -> (unit -
     (default [now t + period]).  The event recurs while the callback returns
     [true]. *)
 
-val step : t -> bool
-(** Run the earliest event.  [false] when the queue was empty. *)
-
-val run : ?limit:int -> t -> unit
-(** Run events until no non-daemon events remain, or until [limit]
-    {e normal} events have been processed (default unlimited).  Daemon and
-    deferred events that interleave do not consume the budget: a limit
-    bounds application work, independent of how often periodic daemons tick
-    or how many times the fault plane delayed an interrupt.
-
-    Only an unbudgeted [run] on an engine with no {!router} permits
-    {!advance_inline}. *)
+val run : t -> unit
+(** Run events until no non-daemon events remain.  Only [run] on an
+    engine with no {!router} permits {!advance_inline}. *)
 
 val advance_inline : t -> at:Time_ns.t -> bool
 (** [advance_inline t ~at] is the inline form of scheduling a normal
@@ -116,10 +111,12 @@ val advance_inline : t -> at:Time_ns.t -> bool
     no heap round trip.  Otherwise it changes nothing and returns
     [false], and the caller schedules the work as usual.
 
-    It returns [false] outside an unbudgeted {!run} on an engine with no
-    router: runs with [?limit] (whose budget counts popped events),
-    {!run_until} and {!step} driven from outside, and every engine hosted
-    under {!Shard} never inline.
+    It returns [false] outside {!run} on an engine with no router:
+    {!run_until} driven from outside, and every engine hosted under
+    {!Shard}, never inline.  An identity router
+    ([fun ~src:_ ~dst:_ ~delay fn -> schedule_after t ~delay fn]) keeps
+    the schedule of the unrouted engine, so running the same program
+    under one gives the reference schedule that never inlines.
 
     Soundness: the in-place work runs before the rest of the current
     event, not after it.  So after a caller continues work inline, nothing
@@ -134,9 +131,6 @@ val run_until : t -> Time_ns.t -> unit
 
 val events_processed : t -> int
 (** Total number of events executed so far (for instrumentation). *)
-
-val pending_events : t -> int
-(** Events (daemon or not) currently queued.  O(1). *)
 
 val is_empty : t -> bool
 (** No non-daemon events pending. *)

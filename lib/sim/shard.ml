@@ -144,7 +144,6 @@ type box = {
   mutable b_at : int array;
   mutable b_key : int array;
   mutable b_dst : int array;
-  mutable b_flags : int array;  (* bit 0 daemon, bit 1 deferred *)
   mutable b_fn : (unit -> unit) array;
   mutable b_len : int;
 }
@@ -156,12 +155,11 @@ let box_create () =
     b_at = Array.make 8 0;
     b_key = Array.make 8 0;
     b_dst = Array.make 8 0;
-    b_flags = Array.make 8 0;
     b_fn = Array.make 8 nothing;
     b_len = 0;
   }
 
-let box_push b ~at ~key ~dst ~flags fn =
+let box_push b ~at ~key ~dst fn =
   let n = b.b_len in
   if n = Array.length b.b_at then begin
     let cap = 2 * n in
@@ -173,13 +171,11 @@ let box_push b ~at ~key ~dst ~flags fn =
     b.b_at <- grow b.b_at 0;
     b.b_key <- grow b.b_key 0;
     b.b_dst <- grow b.b_dst 0;
-    b.b_flags <- grow b.b_flags 0;
     b.b_fn <- grow b.b_fn nothing
   end;
   b.b_at.(n) <- at;
   b.b_key.(n) <- key;
   b.b_dst.(n) <- dst;
-  b.b_flags.(n) <- flags;
   b.b_fn.(n) <- fn;
   b.b_len <- n + 1
 
@@ -216,9 +212,9 @@ type hosted = {
    schedule; anything else draws a key from the node's counter and rides a
    mailbox.  Only [node]'s own events (or pre-run setup, which is
    single-domain) may reach this: the per-node counter is single-writer. *)
-let hosted_route h ~node ~dst ~daemon ~deferred ~delay fn =
+let hosted_route h ~node ~dst ~delay fn =
   let e = h.h_engines.(node) in
-  if dst = node then Engine.schedule_after e ~daemon ~deferred ~delay fn
+  if dst = node then Engine.schedule_after e ~delay fn
   else begin
     if dst < 0 || dst >= Array.length h.h_engines then
       invalid_arg (Printf.sprintf "Shard.host: post to unknown node %d" dst);
@@ -231,10 +227,9 @@ let hosted_route h ~node ~dst ~daemon ~deferred ~delay fn =
     h.h_node_seq.(node) <- seq + 1;
     let key = (node lsl node_seq_bits) lor seq in
     let at = Engine.now e + delay in
-    let flags = (if daemon then 1 else 0) lor if deferred then 2 else 0 in
     box_push
       h.h_boxes.((h.h_node_shard.(node) * h.h_nshards) + h.h_node_shard.(dst))
-      ~at ~key ~dst ~flags fn
+      ~at ~key ~dst fn
   end
 
 let host ?check ~shards ~lookahead engines =
@@ -290,8 +285,7 @@ let host ?check ~shards ~lookahead engines =
         (Some
            {
              Engine.route =
-               (fun ~src:_ ~dst ~daemon ~deferred ~delay fn ->
-                 hosted_route h ~node ~dst ~daemon ~deferred ~delay fn);
+               (fun ~src:_ ~dst ~delay fn -> hosted_route h ~node ~dst ~delay fn);
            }))
     engines;
   h
@@ -364,10 +358,6 @@ let hosted_run h sid ~window_end =
     end
   done
 
-(* Stored cells for the drain's optional arguments: [~daemon:b] would box
-   a fresh [Some b] per message. *)
-let some_true = Some true
-
 (* Deliver shard [sid]'s incoming mail.  Entries from every source shard
    merge through [w_mail] in (time, key) order — keys are unique, so the
    order is total — and each destination engine therefore assigns its
@@ -389,7 +379,7 @@ let hosted_drain h sid =
     let slot = Eheap.pop w.w_mail in
     let b = h.h_boxes.(((slot mod n) * n) + sid) in
     let i = slot / n in
-    let dst = b.b_dst.(i) and flags = b.b_flags.(i) and fn = b.b_fn.(i) in
+    let dst = b.b_dst.(i) and fn = b.b_fn.(i) in
     b.b_fn.(i) <- nothing;
     (* Posted in the window that just closed, so due at or after its end. *)
     if h.h_check && at < h.h_window_end then
@@ -400,10 +390,7 @@ let hosted_drain h sid =
            at dst h.h_window_end);
     let e = h.h_engines.(dst) in
     let was_live = not (Engine.is_empty e) in
-    Engine.schedule_at e
-      ?daemon:(if flags land 1 <> 0 then some_true else None)
-      ?deferred:(if flags land 2 <> 0 then some_true else None)
-      ~at fn;
+    Engine.schedule_at e ~at fn;
     wake_rekey h w dst ~was_live
   done;
   for src = 0 to n - 1 do

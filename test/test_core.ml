@@ -392,6 +392,45 @@ let test_policy_of_string () =
   Alcotest.(check bool) "unknown rejected" true
     (match Policy.of_string ~t1:0 "nonsense" with Error _ -> true | Ok _ -> false)
 
+(* A frozen page keeps one copy under every policy: after an advised
+   freeze, reads from the other processors remote-map it (or, for a
+   policy that thaws on fault, thaw it first) and never replicate it.
+   Each policy runs on a page that was written and on one that was only
+   read, with the monitor armed; the cells that raise are collected. *)
+let test_frozen_single_copy_every_policy () =
+  let raised =
+    List.concat_map
+      (fun name ->
+        List.filter_map
+          (fun written ->
+            let policy = Result.get_ok (Policy.of_string ~t1:1_000 name) in
+            let env = mk ~policy () in
+            Coherent.set_monitor env.coh (Some (Platinum_core.Check.create_monitor ()));
+            let pages = bind_pages env 1 in
+            if written then ignore (write env ~proc:0 0 1 : int)
+            else ignore (read env ~proc:0 0 : int * int);
+            ignore
+              (Coherent.advise env.coh ~now:1_000 ~proc:0 ~cmap:env.cm ~vpage:0
+                 Coherent.Advise_freeze
+                : int);
+            let cell = Printf.sprintf "%s/%s" name (if written then "written" else "read-only") in
+            match
+              List.iter
+                (fun proc ->
+                  ignore (read env ~now:(proc * 10_000) ~proc 0 : int * int);
+                  if pages.(0).Cpage.frozen && Cpage.ncopies pages.(0) <> 1 then
+                    Alcotest.failf "%s: frozen page has %d copies" cell (Cpage.ncopies pages.(0)))
+                [ 1; 2; 3 ];
+              check_inv env
+            with
+            | () -> None
+            | exception Platinum_core.Check.Violation v ->
+              Some (cell ^ ": " ^ v.Platinum_core.Check.v_fault.Platinum_core.Check.inv))
+          [ true; false ])
+      Policy.default_names
+  in
+  Alcotest.(check (list string)) "no cell breaks an invariant" [] raised
+
 (* The verdict is data: [decide] reads the page and leaves it as it was;
    acting on [Freeze]/[Thaw] is the fault handler's job. *)
 let decision =
@@ -864,6 +903,7 @@ let plan_violations ~write ~copies ~frozen steps =
       | Zero_fill _ -> go ~copies:(copies + 1) rest
       | Copy { abortable; on_abort } ->
         if write && not invalidated then fail "migrates before an invalidating shootdown";
+        if frozen then fail "copies a frozen page";
         go ~copies:(copies + 1) rest;
         if abortable then go on_abort
       | Free_copies _ ->
@@ -975,6 +1015,8 @@ let suite =
     ("policy: always-replicate", `Quick, test_policy_always_replicate);
     ("policy: of_string", `Quick, test_policy_of_string);
     ("policy: verdicts leave the page unmodified", `Quick, test_policy_verdicts);
+    ("policy: frozen pages stay single-copy under every policy", `Quick,
+      test_frozen_single_copy_every_policy);
     ("policy: defrost and placement per kind", `Quick, test_policy_kind_flags);
     ("shootdown: only holders targeted", `Quick, test_shootdown_targets_only_holders);
     ("shootdown: inactive holders deferred", `Quick, test_shootdown_inactive_deferred);

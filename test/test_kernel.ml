@@ -556,16 +556,18 @@ let test_trapped_path_allocation () =
   Alcotest.(check (list string)) "every op within its budget" [] over
 
 (* Inline resumption (Engine.advance_inline) against the schedule that
-   never inlines.  A budgeted run pops every event through the heap, so
-   the same program under [Engine.run ~limit:max_int] is the reference
-   for the plain [Engine.run] that [Kernel.run] uses.  Frozen-page reads,
+   never inlines.  An engine with a router installed pops every event
+   through the heap, and an identity router (each post is the
+   [schedule_after] it would be without one) leaves the schedule as it
+   is, so the same program on a routed engine is the reference for the
+   plain [Engine.run] that [Kernel.run] uses.  Frozen-page reads,
    writes and rmws are never coalesced, so each one is a trapped resume
-   the unbudgeted run may continue in place; five threads on three
+   the unrouted run may continue in place; five threads on three
    processors interleave them with sleeps, computes and yields, so inline
    steps alternate with popped events.  Values are recorded in host
    execution order: an inline step that ran ahead of the rest of its
    event would show up there even if the timings agreed. *)
-let run_inline_differential ~budgeted =
+let run_inline_differential ~routed =
   let config = Platinum_machine.Config.butterfly_plus ~nprocs:4 () in
   let setup = Runner.make ~config ~frames_per_module:64 ~default_zone_pages:32 () in
   let observed = ref [] in
@@ -592,8 +594,14 @@ let run_inline_differential ~budgeted =
   in
   ignore (Kernel.spawn setup.Runner.kernel ~proc:0 main : int);
   let engine = setup.Runner.engine in
-  if budgeted then Platinum_sim.Engine.run ~limit:max_int engine
-  else Platinum_sim.Engine.run engine;
+  if routed then
+    Platinum_sim.Engine.set_router engine
+      (Some
+         {
+           Platinum_sim.Engine.route =
+             (fun ~src:_ ~dst:_ ~delay fn -> Platinum_sim.Engine.schedule_after engine ~delay fn);
+         });
+  Platinum_sim.Engine.run engine;
   let elapsed = Kernel.post_run_checks setup.Runner.kernel in
   let c = Platinum_core.Coherent.counters setup.Runner.coherent in
   let counters =
@@ -611,9 +619,9 @@ let run_inline_differential ~budgeted =
     Kernel.context_switches setup.Runner.kernel )
 
 let test_inline_resume_differential () =
-  let elapsed, values, counters, events, switches = run_inline_differential ~budgeted:false in
+  let elapsed, values, counters, events, switches = run_inline_differential ~routed:false in
   let elapsed', values', counters', events', switches' =
-    run_inline_differential ~budgeted:true
+    run_inline_differential ~routed:true
   in
   Alcotest.(check int) "elapsed" elapsed' elapsed;
   Alcotest.(check (list int)) "values read, in execution order" values' values;

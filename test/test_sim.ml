@@ -353,22 +353,19 @@ let test_engine_post_router () =
     (Some
        {
          Engine.route =
-           (fun ~src ~dst ~daemon ~deferred ~delay fn ->
-             seen := (src, dst, daemon, deferred, delay) :: !seen;
+           (fun ~src ~dst ~delay fn ->
+             seen := (src, dst, delay) :: !seen;
              (* a router that adds a hop surcharge, then hands back *)
-             Engine.schedule_after e ~daemon ~deferred ~delay:(delay + 5) fn);
+             Engine.schedule_after e ~delay:(delay + 5) fn);
        });
   let at = ref 0 in
   Engine.post e ~src:4 ~dst:9 ~delay:10 (fun () -> at := Engine.now e);
   Engine.run e;
-  Alcotest.(check (list (pair (pair int int) (pair bool int))))
-    "router saw src/dst/flags/delay"
-    [ ((4, 9), (false, 10)) ]
-    (List.map (fun (s, d, dm, df, dl) -> ((s, d), (dm || df, dl))) !seen);
+  Alcotest.(check (list (triple int int int))) "router saw src/dst/delay" [ (4, 9, 10) ] !seen;
   Alcotest.(check int) "routed delivery includes the surcharge" 15 !at
 
 (* [advance_inline] stands in for the next event only inside an
-   unbudgeted, unrouted run, and only strictly before every pending
+   unrouted run, and only strictly before every pending
    event; an inline step counts as a processed event. *)
 let test_engine_advance_inline () =
   let e = Engine.create () in
@@ -398,15 +395,13 @@ let test_engine_advance_inline () =
     run e;
     Alcotest.(check bool) "refused" false !got
   in
-  refused (Engine.create ()) (Engine.run ~limit:max_int);
   refused (Engine.create ()) (fun e -> Engine.run_until e 1_000);
   let routed = Engine.create () in
   Engine.set_router routed
     (Some
        {
          Engine.route =
-           (fun ~src:_ ~dst:_ ~daemon ~deferred ~delay fn ->
-             Engine.schedule_after routed ~daemon ~deferred ~delay fn);
+           (fun ~src:_ ~dst:_ ~delay fn -> Engine.schedule_after routed ~delay fn);
        });
   refused routed Engine.run
 
@@ -454,80 +449,6 @@ let test_engine_daemon_only_never_runs () =
   (* ...but run_until still executes it (for direct clock control). *)
   Engine.run_until e 10;
   Alcotest.(check bool) "run_until executes daemons" true !fired
-
-let test_engine_limit () =
-  let e = Engine.create () in
-  let count = ref 0 in
-  for i = 1 to 10 do
-    Engine.schedule_at e ~at:i (fun () -> incr count)
-  done;
-  Engine.run ~limit:3 e;
-  Alcotest.(check int) "limited" 3 !count;
-  Alcotest.(check int) "events_processed" 3 (Engine.events_processed e);
-  Alcotest.(check int) "pending is O(1) and counts the rest" 7 (Engine.pending_events e)
-
-(* Pins the chosen ?limit semantics: the budget counts non-daemon events
-   only; interleaved daemon ticks ride along free. *)
-let test_engine_limit_ignores_daemons () =
-  let e = Engine.create () in
-  let normal = ref 0 and daemon = ref 0 in
-  for i = 1 to 5 do
-    Engine.schedule_at e ~daemon:true ~at:((2 * i) - 1) (fun () -> incr daemon);
-    Engine.schedule_at e ~at:(2 * i) (fun () -> incr normal)
-  done;
-  Engine.run ~limit:3 e;
-  Alcotest.(check int) "three normal events consumed the budget" 3 !normal;
-  Alcotest.(check int) "interleaved daemons ran for free" 3 !daemon;
-  Engine.run e;
-  Alcotest.(check int) "the rest still runs" 5 !normal
-
-(* Deferred events (retransmission timers and the like): they hold the run
-   open like normal events, but are exempt from the ?limit budget like
-   daemons. *)
-let test_engine_deferred_keeps_run_alive () =
-  let e = Engine.create () in
-  let fired = ref false in
-  Engine.schedule_after e ~deferred:true ~delay:5 (fun () -> fired := true);
-  Engine.run e;
-  Alcotest.(check bool) "deferred alone holds the run open" true !fired;
-  Alcotest.(check bool) "engine reports empty" true (Engine.is_empty e)
-
-let test_engine_limit_ignores_deferred () =
-  let e = Engine.create () in
-  let normal = ref 0 and deferred = ref 0 in
-  for i = 1 to 5 do
-    Engine.schedule_at e ~deferred:true ~at:((2 * i) - 1) (fun () -> incr deferred);
-    Engine.schedule_at e ~at:(2 * i) (fun () -> incr normal)
-  done;
-  Engine.run ~limit:3 e;
-  Alcotest.(check int) "three normal events consumed the budget" 3 !normal;
-  Alcotest.(check int) "interleaved deferred events ran for free" 3 !deferred;
-  Engine.run e;
-  Alcotest.(check int) "remaining normal events run" 5 !normal;
-  Alcotest.(check int) "remaining deferred events run" 5 !deferred
-
-(* A deferred chain that re-enqueues itself past the budget boundary must
-   not eat the budget (the retransmission-loop shape). *)
-let test_engine_limit_deferred_chain () =
-  let e = Engine.create () in
-  let hops = ref 0 and normal = ref 0 in
-  let rec hop () =
-    incr hops;
-    if !hops < 4 then Engine.schedule_after e ~deferred:true ~delay:3 hop
-  in
-  Engine.schedule_after e ~deferred:true ~delay:3 hop;
-  for i = 1 to 3 do
-    Engine.schedule_at e ~at:(100 * i) (fun () -> incr normal)
-  done;
-  Engine.run ~limit:2 e;
-  Alcotest.(check int) "the whole deferred chain ran" 4 !hops;
-  Alcotest.(check int) "budget spent on normal events only" 2 !normal
-
-let test_engine_daemon_and_deferred_rejected () =
-  let e = Engine.create () in
-  Alcotest.check_raises "daemon && deferred is a caller bug"
-    (Invalid_argument "Engine.schedule_at: daemon and deferred are exclusive")
-    (fun () -> Engine.schedule_at e ~daemon:true ~deferred:true ~at:1 ignore)
 
 (* --- Rng --- *)
 
@@ -648,12 +569,6 @@ let suite =
     ("engine: run_until horizon", `Quick, test_engine_run_until);
     ("engine: daemon events interleave", `Quick, test_engine_daemon_events);
     ("engine: daemons don't hold the run", `Quick, test_engine_daemon_only_never_runs);
-    ("engine: event limit", `Quick, test_engine_limit);
-    ("engine: limit counts only non-daemon events", `Quick, test_engine_limit_ignores_daemons);
-    ("engine: deferred events hold the run open", `Quick, test_engine_deferred_keeps_run_alive);
-    ("engine: limit exempts deferred events", `Quick, test_engine_limit_ignores_deferred);
-    ("engine: deferred chains don't eat the budget", `Quick, test_engine_limit_deferred_chain);
-    ("engine: daemon && deferred rejected", `Quick, test_engine_daemon_and_deferred_rejected);
     ("rng: deterministic", `Quick, test_rng_deterministic);
     ("rng: seed matters", `Quick, test_rng_seed_matters);
     ("rng: copy", `Quick, test_rng_copy);
