@@ -10,11 +10,13 @@
    the only time-dependent protocol input is whether a page's
    [last_protocol_inval] is [never_invalidated] or [0] (the policy's t1
    freeze window), which the fingerprint captures as a two-valued bucket.
-   Timing, penalties and statistics counters never feed back into protocol
-   decisions; frames within a module are interchangeable (data is always
-   zero-filled or blitted), so only the memory module of each copy
-   matters.  Values written are drawn from the bounded set [proc + 1], so
-   the data component of the state space is finite too. *)
+   Timing and penalties never feed back into protocol decisions, and the
+   only history a policy reads (Bolosky's write flag and migration count,
+   Competitive's miss count) enters the fingerprint bounded, through
+   [Policy.page_input].  Frames within a module are interchangeable (data
+   is always zero-filled or blitted), so only the memory module of each
+   copy matters.  Values written are drawn from the bounded set
+   [proc + 1], so the data component of the state space is finite too. *)
 
 module Config = Platinum_machine.Config
 module Machine = Platinum_machine.Machine
@@ -71,6 +73,7 @@ let catalogue ~nprocs ~npages =
 
 type sys = {
   coh : Coherent.t;
+  policy : Policy.t;
   cm : Cmap.t;
   nprocs : int;
   npages : int;
@@ -81,10 +84,17 @@ type sys = {
 let page_words = 4
 let frames_per_module = 8
 
-let make_sys ~nprocs ~npages =
+(* Past this many distinct states an exploration stops and reports
+   itself truncated. *)
+let max_states = 200_000
+
+(* A fresh [Policy.t] per system: Competitive's miss table is state. *)
+let make_sys ~policy ~nprocs ~npages =
   let config = Config.butterfly_plus ~nprocs ~page_words () in
   let policy =
-    Policy.make ~t1:config.Config.t1_freeze_window (Policy.Platinum { thaw_on_fault = false })
+    match Policy.of_string ~t1:config.Config.t1_freeze_window policy with
+    | Ok p -> p
+    | Error e -> invalid_arg ("Mc: " ^ e)
   in
   let machine = Machine.create config in
   let engine = Engine.create () in
@@ -97,7 +107,7 @@ let make_sys ~nprocs ~npages =
     let page = Coherent.new_cpage coh ~label:(Printf.sprintf "mc%d" vpage) () in
     Coherent.bind coh cm ~vpage page Rights.Read_write
   done;
-  { coh; cm; nprocs; npages; page_words; expected = Array.make npages 0 }
+  { coh; policy; cm; nprocs; npages; page_words; expected = Array.make npages 0 }
 
 exception Sc_violation of { op : op; got : int; want : int }
 
@@ -129,10 +139,11 @@ let fingerprint sys =
     | None -> add "p%d:unbound;" vpage
     | Some ce ->
       let page = ce.Cmap.cpage in
-      add "p%d:%s,f%b,w%b,lpi%d,rm%x,cm%x[" vpage
+      add "p%d:%s,f%b,w%b,lpi%d,pi%d,rm%x,cm%x[" vpage
         (Cpage.state_to_string page.Cpage.state)
         page.Cpage.frozen page.Cpage.write_mapped
         (if page.Cpage.last_protocol_inval = Cpage.never_invalidated then 0 else 1)
+        (Policy.page_input sys.policy page)
         (procset_bits ce.Cmap.refmask)
         (procset_bits page.Cpage.copy_mask);
       (* Copies sorted by module; only the module and the data matter. *)
@@ -178,6 +189,7 @@ type counterexample = {
 }
 
 type report = {
+  policy : string;
   nprocs : int;
   npages : int;
   depth : int;
@@ -194,8 +206,8 @@ let max_counterexamples = 5
 (* Replay [ops] on a fresh system.  [Ok fp] gives the resulting
    fingerprint; [Error message] reports the first monitor violation or
    sequential-consistency failure. *)
-let replay ~nprocs ~npages ops =
-  let sys = make_sys ~nprocs ~npages in
+let replay ~policy ~nprocs ~npages ops =
+  let sys = make_sys ~policy ~nprocs ~npages in
   try
     List.iter (apply sys) ops;
     Ok (fingerprint sys)
@@ -206,7 +218,7 @@ let replay ~nprocs ~npages ops =
       (Format.asprintf
          "sequential consistency: %a returned %d, last write was %d" pp_op op got want)
 
-let explore ?(mutate = false) ?(max_states = 200_000) ~nprocs ~npages ~depth () =
+let explore ?(mutate = false) ~policy ~nprocs ~npages ~depth () =
   let run () =
     let alphabet = catalogue ~nprocs ~npages in
     let visited = Hashtbl.create 4096 in
@@ -216,7 +228,7 @@ let explore ?(mutate = false) ?(max_states = 200_000) ~nprocs ~npages ~depth () 
     let truncated = ref false in
     let states_at_depth = Array.make (depth + 1) 0 in
     let root =
-      match replay ~nprocs ~npages [] with
+      match replay ~policy ~nprocs ~npages [] with
       | Ok fp -> fp
       | Error m -> failwith ("model checker: initial state violates invariants: " ^ m)
     in
@@ -237,7 +249,7 @@ let explore ?(mutate = false) ?(max_states = 200_000) ~nprocs ~npages ~depth () 
                  end;
                  incr transitions;
                  let rev_ops = op :: rev_prefix in
-                 match replay ~nprocs ~npages (List.rev rev_ops) with
+                 match replay ~policy ~nprocs ~npages (List.rev rev_ops) with
                  | Ok fp ->
                    if not (Hashtbl.mem visited fp) then begin
                      Hashtbl.replace visited fp ();
@@ -254,6 +266,7 @@ let explore ?(mutate = false) ?(max_states = 200_000) ~nprocs ~npages ~depth () 
        done
      with Exit -> ());
     {
+      policy;
       nprocs;
       npages;
       depth;
@@ -277,11 +290,11 @@ let explore ?(mutate = false) ?(max_states = 200_000) ~nprocs ~npages ~depth () 
 
 let pp_report ppf r =
   Format.fprintf ppf
-    "@[<v>model check: %d procs, %d pages, depth %d%s@,\
+    "@[<v>model check: %s, %d procs, %d pages, depth %d%s@,\
      reachable states: %d  (transitions tried: %d)@,\
      new states by depth: %a@,\
      violations: %d@]"
-    r.nprocs r.npages r.depth
+    r.policy r.nprocs r.npages r.depth
     (if r.truncated then " (TRUNCATED at state cap)" else "")
     r.states r.transitions
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
@@ -290,5 +303,6 @@ let pp_report ppf r =
     r.total_violations;
   List.iter
     (fun cx ->
-      Format.fprintf ppf "@,  after [%a]:@,    %s" pp_ops cx.cx_ops cx.cx_message)
+      Format.fprintf ppf "@,  under %s, after [%a]:@,    %s" r.policy pp_ops cx.cx_ops
+        cx.cx_message)
     r.violations

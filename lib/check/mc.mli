@@ -10,9 +10,12 @@
     are sequentially consistent: each read must return the value of the
     last preceding write to that page in the operation sequence.
 
-    States are deduplicated by a canonical fingerprint of every
-    behavior-affecting component: page state, frozen flag, write flag,
-    the freeze-window bucket of [last_protocol_inval], directory copies
+    The system runs one replication policy, named as in
+    {!Platinum_core.Policy.default_names}.  States are deduplicated by a
+    canonical fingerprint of every behavior-affecting component: page
+    state, frozen flag, write flag, the freeze-window bucket of
+    [last_protocol_inval], the policy's own per-page input
+    ({!Platinum_core.Policy.page_input}), directory copies
     (module + data), copy/reference masks, per-processor Pmap and ATC
     translations, active address spaces, and the read oracle.  Replay is
     deterministic, so a counterexample's operation prefix reproduces the
@@ -32,8 +35,10 @@ val ops_to_string : op list -> string
 val catalogue : nprocs:int -> npages:int -> op list
 (** The transition alphabet of a configuration. *)
 
-val replay : nprocs:int -> npages:int -> op list -> (string, string) result
-(** Run one operation sequence from scratch on a fresh monitored system.
+val replay : policy:string -> nprocs:int -> npages:int -> op list -> (string, string) result
+(** Run one operation sequence from scratch on a fresh monitored system
+    under [policy] (a fresh policy each time; [Invalid_argument] for a
+    name not in {!Platinum_core.Policy.default_names}).
     [Ok fingerprint] on success; [Error message] carries the first
     invariant violation or sequential-consistency failure.  Also the
     entry point for randomized (QCheck) exploration. *)
@@ -44,6 +49,7 @@ type counterexample = {
 }
 
 type report = {
+  policy : string;
   nprocs : int;
   npages : int;
   depth : int;
@@ -52,12 +58,13 @@ type report = {
   states_at_depth : int array;  (** new states first reached at depth d *)
   violations : counterexample list;  (** capped at five *)
   total_violations : int;
-  truncated : bool;  (** hit [max_states] before exhausting the space *)
+  truncated : bool;  (** hit the 200,000-state cap before exhausting the space *)
 }
 
 val explore :
-  ?mutate:bool -> ?max_states:int -> nprocs:int -> npages:int -> depth:int -> unit -> report
-(** Breadth-first exploration to [depth].  With [mutate], every replay
+  ?mutate:bool -> policy:string -> nprocs:int -> npages:int -> depth:int -> unit -> report
+(** Breadth-first exploration to [depth] under [policy], stopping at
+    200,000 distinct states.  With [mutate], every replay
     runs with {!Platinum_core.Shootdown.test_skip_refmask_clear} set — the
     deliberately broken write-invalidate transition — and the exploration
     is expected to report violations (the mutation check: a silent checker

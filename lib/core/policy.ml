@@ -80,6 +80,17 @@ let decide t ~now kind (page : Cpage.t) =
     | Some interest -> competitive_decide ~threshold interest page
     | None -> assert false (* [make] builds the table for this kind *))
 
+let page_input t (page : Cpage.t) =
+  match t.kind with
+  | Bolosky { max_migrations } ->
+    let st = page.Cpage.stats in
+    (min st.Cpage.migrations max_migrations lsl 1) lor Bool.to_int st.Cpage.ever_written
+  | Competitive _ -> (
+    match t.interest with
+    | Some interest -> ( try Hashtbl.find interest page.Cpage.id with Not_found -> 0)
+    | None -> assert false (* [make] builds the table for this kind *))
+  | Platinum _ | Always_replicate | Never_move | Migrate_only | Uniform_system -> 0
+
 let default_names =
   [
     "platinum";

@@ -77,6 +77,16 @@ val decide : t -> now:Platinum_sim.Time_ns.t -> fault_kind -> Cpage.t -> decisio
     modifies it; only [Competitive] keeps state of its own (its per-page
     miss counts). *)
 
+val page_input : t -> Cpage.t -> int
+(** The bounded part of a page's history that {!decide} reads beyond the
+    page's protocol state (its frozen flag and last protocol
+    invalidation): for [Bolosky], the migration count capped at
+    [max_migrations] and whether the page was ever written; for
+    [Competitive], the page's miss count since it last moved; [0] for
+    every other kind.  Pages in the same protocol state with equal
+    inputs get equal verdicts, so the model checker folds this into its
+    state fingerprint. *)
+
 val default_names : string list
 val of_string : t1:Platinum_sim.Time_ns.t -> string -> (t, string) result
 (** Parse a policy name for CLIs: ["platinum"], ["platinum-thaw"],

@@ -1,4 +1,7 @@
-let spin_until ?(initial_backoff = 1_000) ?(max_backoff = 100_000) pred =
+let initial_backoff = 1_000
+let max_backoff = 100_000
+
+let spin_until pred =
   let rec loop backoff =
     if not (pred ()) then begin
       Api.compute backoff;
@@ -57,6 +60,10 @@ module Barrier = struct
     if parties <= 0 then invalid_arg "Barrier.make: parties must be positive";
     let count_addr = Api.alloc ?zone 1 in
     let gen_addr = Api.alloc ?zone 1 in
+    { parties; count_addr; gen_addr }
+
+  let of_addrs ~parties ~count_addr ~gen_addr =
+    if parties <= 0 then invalid_arg "Barrier.of_addrs: parties must be positive";
     { parties; count_addr; gen_addr }
 
   let wait t =

@@ -7,9 +7,9 @@
     get their pages frozen, which is the §4.2 anecdote — so allocate them
     in their own zone, away from data. *)
 
-val spin_until : ?initial_backoff:int -> ?max_backoff:int -> (unit -> bool) -> unit
-(** Poll [pred] with exponential backoff (defaults 1 µs → 100 µs).  Each
-    poll really reads simulated memory if [pred] does. *)
+val spin_until : (unit -> bool) -> unit
+(** Poll [pred] with exponential backoff, 1 µs doubling up to 100 µs.
+    Each poll really reads simulated memory if [pred] does. *)
 
 module Spinlock : sig
   type t
@@ -44,5 +44,11 @@ module Barrier : sig
   (** A central sense-reversing barrier for a fixed number of parties. *)
 
   val make : ?zone:Eff.zone_id -> parties:int -> unit -> t
+
+  val of_addrs : parties:int -> count_addr:int -> gen_addr:int -> t
+  (** A barrier on two words the caller placed.  Put them on separate
+      pages: then arrivals do not invalidate the spinners' copies of the
+      generation word, and only the release write does. *)
+
   val wait : t -> unit
 end

@@ -148,8 +148,8 @@ let with_policy_params ?t1_freeze_window ?t2_defrost_period t =
   let t2 = Option.value t2_defrost_period ~default:t.t2_defrost_period in
   { t with t1_freeze_window = t1; t2_defrost_period = t2 }
 
-let with_local_caches ?(words = 2_048) ?(line_words = 4) ?(t_hit = 100) t =
-  { t with local_cache_words = words; local_cache_line_words = line_words; t_cache_hit = t_hit }
+let with_local_caches ?(words = 2_048) ?(line_words = 4) t =
+  { t with local_cache_words = words; local_cache_line_words = line_words; t_cache_hit = 100 }
 
 let pp fmt t =
   if clusters t > 1 then

@@ -88,10 +88,9 @@ val with_policy_params :
 (** Override the replication-policy timing parameters (for the t1/t2
     ablations). *)
 
-val with_local_caches :
-  ?words:int -> ?line_words:int -> ?t_hit:int -> t -> t
+val with_local_caches : ?words:int -> ?line_words:int -> t -> t
 (** Enable the §7 local-cache extension (defaults: 8 KB direct-mapped,
-    4-word lines, 100 ns hits).  The caches have no hardware coherency;
+    4-word lines) with 100 ns hits.  The caches have no hardware coherency;
     the coherent memory system keeps them coherent in software, and only
     cachable pages (not Modified-and-remotely-mapped) use them. *)
 

@@ -61,32 +61,6 @@ let time ?config ?policy ?defrost ?frames_per_module ?default_zone_pages ?inject
   in
   run setup ~main
 
-let speedup ?jobs ?(nprocs_list = [ 1; 2; 4; 8; 12; 16 ]) ?base_config ?policy_of
-    ?frames_per_module ?default_zone_pages main =
-  let base = match base_config with Some c -> c | None -> Config.butterfly_plus () in
-  (* Each processor count is an independent simulation: fan the curve out
-     over the domain pool and collect the points in input order. *)
-  let results =
-    Par.map ?jobs
-      (fun nprocs ->
-        let config = { base with Config.nprocs } in
-        let policy = Option.map (fun f -> f config) policy_of in
-        let r =
-          time ~config ?policy ?frames_per_module ?default_zone_pages (main ~nprocs)
-        in
-        (nprocs, r))
-      nprocs_list
-  in
-  match results with
-  | [] -> []
-  | (p1, r1) :: _ ->
-    let t1 = float_of_int r1.elapsed *. float_of_int p1 in
-    (* If the smallest configuration is not one processor, scale as if
-       linear up to it — callers normally include 1. *)
-    List.map
-      (fun (p, r) -> (p, t1 /. float_of_int r.elapsed, r))
-      results
-
 module Uma_sys = Platinum_cache.Uma_sys
 
 type uma_result = {
@@ -94,11 +68,11 @@ type uma_result = {
   uma : Uma_sys.t;
 }
 
-let time_uma ?(nprocs = 16) ?(params = Uma_sys.sequent) ?(page_words = 1024) main =
+let time_uma ?(nprocs = 16) ?(page_words = 1024) main =
   let config = Config.butterfly_plus ~nprocs ~page_words () in
   let engine = Engine.create () in
   let machine = Machine.create config in
-  let uma = Uma_sys.create ~machine ~params ~page_words in
+  let uma = Uma_sys.create ~machine ~params:Uma_sys.sequent ~page_words in
   let kernel = Kernel.create ~engine ~machine ~memsys:(Uma_sys.memsys uma) () in
   let uma_elapsed = Kernel.run kernel ~main in
   { uma_elapsed; uma }

@@ -56,29 +56,6 @@ val time :
   result
 (** [make] + [run] in one step. *)
 
-val speedup :
-  ?jobs:int ->
-  ?nprocs_list:int list ->
-  ?base_config:Platinum_machine.Config.t ->
-  ?policy_of:(Platinum_machine.Config.t -> Platinum_core.Policy.t) ->
-  ?frames_per_module:int ->
-  ?default_zone_pages:int ->
-  (nprocs:int -> unit -> unit) ->
-  (int * float * result) list
-(** Run the same program for each processor count (default 1, 2, 4, 8, 12,
-    16) and return [(p, T1/Tp, result)] per point.  The points are
-    independent simulations and run on the {!Par} domain pool ([?jobs]
-    defaults to [Par.get_jobs ()]; [~jobs:1] is strictly sequential);
-    results always come back in [nprocs_list] order.
-
-    The T1/Tp here is {e simulated} speedup of the modelled application;
-    the [?jobs] pool is {e grid-level host} parallelism (independent
-    cells side by side) and never changes any returned number.  Neither is
-    intra-simulation sharding — one simulation's event queue split across
-    domains ({!Platinum_sim.Shard}, [Par.set_shards]) — whose host
-    wall-clock lives in BENCH_scale.json under ["parallelism": "shard"],
-    distinct from the grid pool's BENCH_sweep.json ["grid"] numbers. *)
-
 (* --- the UMA comparison machine (Figure 5) --- *)
 
 type uma_result = {
@@ -88,10 +65,10 @@ type uma_result = {
 
 val time_uma :
   ?nprocs:int ->
-  ?params:Platinum_cache.Uma_sys.params ->
   ?page_words:int ->
   (unit -> unit) ->
   uma_result
 (** Run a program on the bus-based UMA machine with write-through caches
-    (Sequent Symmetry model) instead of PLATINUM.  Same kernel, same
+    ({!Platinum_cache.Uma_sys.sequent}, the Sequent Symmetry model)
+    instead of PLATINUM.  Same kernel, same
     programming model, different memory system. *)

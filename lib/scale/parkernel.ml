@@ -52,24 +52,6 @@ let data_base_page = 8
 let arena_pages_per_node = 4096
 let word_mask = Homemem.word_mask
 
-(* --- the shared barrier (control pages, homed at node 0) ---
-
-   Count and generation words live on separate pages so arrival rmws do
-   not shoot down the spinners' generation replicas; only the release
-   write does, which is exactly the invalidation that lets them see it. *)
-
-let barrier_count_addr = 0
-
-let barrier ~parties ~pw () =
-  let gen_addr = pw in
-  let g = Api.read gen_addr in
-  let arrived = Api.rmw barrier_count_addr (fun v -> v + 1) + 1 in
-  if arrived = parties then begin
-    Api.write barrier_count_addr 0;
-    Api.write gen_addr ((g + 1) land word_mask)
-  end
-  else Sync.spin_until (fun () -> Api.read gen_addr <> g)
-
 (* --- the built-in programs --- *)
 
 let seed_cell r c = (((r * 1103515245) + (c * 12345)) land 0xFFFF) + 1
@@ -80,14 +62,20 @@ let seed_cell r c = (((r * 1103515245) + (c * 12345)) land 0xFFFF) + 1
    the same [next] over a host copy of the grid. *)
 let grid ~name ~n ~pw ~width ~iters ~pre ~post ~next =
   let seed = Array.init n (fun r -> Array.init width (seed_cell r)) in
+  (* The barrier's count word is word 0 and its generation word is the
+     first word of page 1, both homed at node 0.  On separate pages,
+     arrival rmws do not shoot down the spinners' generation replicas;
+     only the release write does, which is exactly the invalidation that
+     lets them see it. *)
+  let barrier = Sync.Barrier.of_addrs ~parties:n ~count_addr:0 ~gen_addr:pw in
   let body ~node:r ~row ~rng:_ =
     let read q = Api.block_read (row q) width in
     for it = 0 to iters - 1 do
       let before = Array.map read (pre ~r ~it) in
-      barrier ~parties:n ~pw ();
+      Sync.Barrier.wait barrier;
       let rows = Array.append before (Array.map read (post ~r ~it)) in
       Api.block_write (row r) (Array.init width (next rows));
-      barrier ~parties:n ~pw ()
+      Sync.Barrier.wait barrier
     done
   in
   let verify words =

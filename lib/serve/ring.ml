@@ -19,20 +19,22 @@ type t = {
   capacity : int;
   slot_words : int;
   stride : int;
-  poll_ns : int;
   mutable sp_ticket : int;  (* producer-side ticket for the SPSC variant *)
 }
 
 let header_words = 4
 
-let create ?(zone = 0) ?(poll_ns = 2_000) ~slots ~slot_words () =
+(* The backoff between polls when a producer finds the ring full or the
+   consumer finds it empty. *)
+let poll_ns = 2_000
+
+let create ~slots ~slot_words () =
   if slots <= 0 then invalid_arg "Ring.create: slots must be positive";
   if slot_words <= 0 then invalid_arg "Ring.create: slot_words must be positive";
-  if poll_ns <= 0 then invalid_arg "Ring.create: poll_ns must be positive";
   let need = header_words + (slots * (1 + slot_words)) in
   let pw = Api.page_words () in
   let pages = (need + pw - 1) / pw in
-  let base = Api.alloc_pages ~zone pages in
+  let base = Api.alloc_pages pages in
   (* Zero-fill the header and every flag word so the first lap starts
      from a known-empty ring (fresh pages zero-fill on first touch anyway;
      writing them also faults the pages in before traffic starts). *)
@@ -49,7 +51,6 @@ let create ?(zone = 0) ?(poll_ns = 2_000) ~slots ~slot_words () =
     capacity = slots;
     slot_words;
     stride = 1 + slot_words;
-    poll_ns;
     sp_ticket = 0;
   }
 
@@ -70,7 +71,7 @@ let publish t ticket payload =
       (Printf.sprintf "Ring.push: payload %d words, ring slots carry %d"
          (Array.length payload) t.slot_words);
   while ticket - Api.read (t.base + 1) >= t.capacity do
-    Api.sleep t.poll_ns
+    Api.sleep poll_ns
   done;
   let slot = slot_addr t ticket in
   for i = 0 to t.slot_words - 1 do
@@ -94,7 +95,7 @@ let pop t =
   let h = Api.read (t.base + 1) in
   let slot = slot_addr t h in
   while Api.read slot <> h + 1 do
-    Api.sleep t.poll_ns
+    Api.sleep poll_ns
   done;
   let payload = Array.init t.slot_words (fun i -> Api.read (slot + 1 + i)) in
   Api.write slot 0;

@@ -17,12 +17,12 @@
 
 type t
 
-val create : ?zone:Platinum_kernel.Eff.zone_id -> ?poll_ns:int -> slots:int -> slot_words:int -> unit -> t
+val create : slots:int -> slot_words:int -> unit -> t
 (** Allocate and initialise a ring of [slots] slots of [slot_words]
-    payload words each, in whole coherent pages of [zone].  [poll_ns]
-    (default 2000) is the backoff between polls when a producer finds the
-    ring full or the consumer finds it empty.  [slots] and [slot_words]
-    must be positive. *)
+    payload words each, in whole coherent pages of the default zone.  A
+    producer that finds the ring full, or the consumer that finds it
+    empty, polls every 2 µs.  [slots] and [slot_words] must be
+    positive. *)
 
 val base : t -> int
 (** Base virtual word address of the ring's pages (e.g. to freeze them

@@ -34,28 +34,19 @@ type params = {
   clients_per_tenant : int;
   requests_per_client : int;
   process : Arrivals.process;
-  work_words : int;
-  service_ns : int;
-  ring_slots : int;
-  poll_ns : int;
 }
 
 let params ?(tenants = 4) ?(clients_per_tenant = 2) ?(requests_per_client = 25)
-    ?(process = Arrivals.Poisson { rate_rps = 4_000.0 }) ?(work_words = 8)
-    ?(service_ns = 2_000) ?(ring_slots = 8) ?(poll_ns = 2_000) () =
+    ?(process = Arrivals.Poisson { rate_rps = 4_000.0 }) () =
   if tenants <= 0 || clients_per_tenant <= 0 || requests_per_client < 0 then
     invalid_arg "Serve.params: tenants/clients/requests out of range";
-  if work_words <= 0 then invalid_arg "Serve.params: work_words must be positive";
-  {
-    tenants;
-    clients_per_tenant;
-    requests_per_client;
-    process;
-    work_words;
-    service_ns;
-    ring_slots;
-    poll_ns;
-  }
+  { tenants; clients_per_tenant; requests_per_client; process }
+
+(* Every request reads and writes [work_words] tenant-state words and
+   computes for [service_ns]; each ring has [ring_slots] slots. *)
+let work_words = 8
+let service_ns = 2_000
+let ring_slots = 8
 
 type tenant_row = {
   tenant : int;
@@ -106,7 +97,7 @@ type tenant = {
    per word — the shape the coalescing fast path drains inline when the
    page is a clean local hit), one atomic rmw on the request-counter
    word, and some pure compute. *)
-let do_work ~state ~work_words ~service_ns arg =
+let do_work ~state arg =
   let acc = ref 0 in
   for i = 1 to work_words - 1 do
     let v = Api.read (state + i) in
@@ -144,10 +135,13 @@ let run ?config ?inject ?check ?(coalesce = true) ?(seed = 42L) (p : params) tra
   let nprocs = config.Config.nprocs in
   if nprocs < 2 then invalid_arg "Serve.run: need at least 2 processors";
   let setup = Runner.make ~config ?inject ~coalesce () in
-  (* Without [check], [Runner.make] has already armed the monitor from the
-     environment. *)
-  if Option.value check ~default:false then
-    Coherent.set_monitor setup.Runner.coherent (Some (Check.create_monitor ()));
+  (* [Runner.make] has armed the monitor from the environment; an
+     explicit [check] overrides that either way. *)
+  Option.iter
+    (fun on ->
+      Coherent.set_monitor setup.Runner.coherent
+        (if on then Some (Check.create_monitor ()) else None))
+    check;
   (* Stride tenant homes across the whole machine and scatter each
      tenant's clients around its home — on a hierarchical topology roughly
      half the client traffic then crosses clusters, so the fabric actually
@@ -174,7 +168,7 @@ let run ?config ?inject ?check ?(coalesce = true) ?(seed = 42L) (p : params) tra
           let ring =
             match transport with
             | Ring ->
-              Some (Ring.create ~poll_ns:p.poll_ns ~slots:p.ring_slots ~slot_words:2 ())
+              Some (Ring.create ~slots:ring_slots ~slot_words:2 ())
             | Rpc | Frozen -> None
           in
           {
@@ -229,10 +223,7 @@ let run ?config ?inject ?check ?(coalesce = true) ?(seed = 42L) (p : params) tra
              processor operates on the frozen page remotely. *)
           ignore
             (Api.spawn ~proc:(client_proc t.idx c) (fun () ->
-                 let r =
-                   do_work ~state:t.state ~work_words:p.work_words
-                     ~service_ns:p.service_ns arg
-                 in
+                 let r = do_work ~state:t.state arg in
                  complete t ~stamp r))
     in
     (* Transport-specific setup. *)
@@ -245,10 +236,7 @@ let run ?config ?inject ?check ?(coalesce = true) ?(seed = 42L) (p : params) tra
             Api.spawn ~proc:t.t_home (fun () ->
                 for _ = 1 to expected do
                   let msg = Ring.pop ring in
-                  let r =
-                    do_work ~state:t.state ~work_words:p.work_words
-                      ~service_ns:p.service_ns msg.(1)
-                  in
+                  let r = do_work ~state:t.state msg.(1) in
                   complete t ~stamp:msg.(0) r
                 done)
           in
@@ -256,10 +244,7 @@ let run ?config ?inject ?check ?(coalesce = true) ?(seed = 42L) (p : params) tra
         | Rpc ->
           let server =
             Platinum_kernel.Rpc.serve ~proc:t.t_home (fun args ->
-                let r =
-                  do_work ~state:t.state ~work_words:p.work_words
-                    ~service_ns:p.service_ns args.(1)
-                in
+                let r = do_work ~state:t.state args.(1) in
                 complete t ~stamp:args.(0) r;
                 [| r |])
           in
@@ -267,11 +252,11 @@ let run ?config ?inject ?check ?(coalesce = true) ?(seed = 42L) (p : params) tra
         | Frozen ->
           (* Create the state page, collapse it to the tenant's home and
              freeze it there: every client access is a remote word op. *)
-          for i = 0 to p.work_words - 1 do
+          for i = 0 to work_words - 1 do
             Api.write (t.state + i) 0
           done;
-          Api.advise t.state p.work_words (Memsys.Home t.t_home);
-          Api.advise t.state p.work_words Memsys.Freeze)
+          Api.advise t.state work_words (Memsys.Home t.t_home);
+          Api.advise t.state work_words Memsys.Freeze)
       ts;
     (* Clients: one thread per (tenant, client), placed off the home. *)
     let client_bodies =

@@ -45,10 +45,6 @@ type params = {
   clients_per_tenant : int;
   requests_per_client : int;
   process : Platinum_sim.Arrivals.process;  (** per-client arrival process *)
-  work_words : int;  (** tenant-state words read+written per request *)
-  service_ns : int;  (** pure compute per request *)
-  ring_slots : int;  (** ring capacity (ring transport) *)
-  poll_ns : int;  (** ring poll backoff *)
 }
 
 val params :
@@ -56,14 +52,12 @@ val params :
   ?clients_per_tenant:int ->
   ?requests_per_client:int ->
   ?process:Platinum_sim.Arrivals.process ->
-  ?work_words:int ->
-  ?service_ns:int ->
-  ?ring_slots:int ->
-  ?poll_ns:int ->
   unit ->
   params
 (** Defaults: 4 tenants x 2 clients x 25 requests, Poisson at 4000 rps
-    per client, 8 work words, 2 us of compute, 8-slot rings, 2 us poll. *)
+    per client.  Every request reads and writes 8 tenant-state words and
+    computes for 2 us; the ring transport uses 8-slot rings that poll
+    every 2 us. *)
 
 type tenant_row = {
   tenant : int;
@@ -113,7 +107,8 @@ val run :
   result
 (** Run one serving cell to completion on its own full PLATINUM instance
     (default machine: the 16-node Butterfly Plus).  [inject] attaches a
-    fault plane; [check] (default: the [PLATINUM_CHECK] environment
-    variable, {!Platinum_core.Check.env_enabled}) arms the coherence
-    invariant monitor, and any violation raises.  Requires
+    fault plane; [check] arms ([true]) or disarms ([false]) the
+    coherence invariant monitor, and any violation raises.  Without
+    [check], the [PLATINUM_CHECK] environment variable decides
+    ({!Platinum_core.Check.env_enabled}).  Requires
     [config.nprocs >= 2]. *)

@@ -4,36 +4,22 @@
    query without touching the stream, so an attached-but-idle plane cannot
    perturb anything. *)
 
-type config = {
-  seed : int64;
-  rate : float;
-  hard_ratio : float;
-  stall_ns : int * int;
-  outage_ns : int * int;
-  ipi_drop_ratio : float;
-  ipi_delay_ns : int * int;
-  ack_timeout_ns : int;
-  max_ipi_retries : int;
-  rpc_retrans_ns : int;
-  max_rpc_retries : int;
-  max_copy_retries : int;
-}
+type config = { seed : int64; rate : float }
 
-let config ?(seed = 1L) ?(rate = 0.0) () =
-  {
-    seed;
-    rate;
-    hard_ratio = 0.1;
-    stall_ns = (20_000, 200_000);
-    outage_ns = (500_000, 2_000_000);
-    ipi_drop_ratio = 0.6;
-    ipi_delay_ns = (10_000, 100_000);
-    ack_timeout_ns = 100_000;
-    max_ipi_retries = 4;
-    rpc_retrans_ns = 200_000;
-    max_rpc_retries = 4;
-    max_copy_retries = 3;
-  }
+let config ?(seed = 1L) ?(rate = 0.0) () = { seed; rate }
+
+(* The fault model.  Every run draws from these; only the seed and the
+   rate vary. *)
+let hard_ratio = 0.1 (* share of module faults that are hard outages *)
+let stall_ns = (20_000, 200_000) (* transient module stall, inclusive range *)
+let outage_ns = (500_000, 2_000_000) (* hard module outage, inclusive range *)
+let ipi_drop_ratio = 0.6 (* share of IPI faults that are drops (rest delay) *)
+let ipi_delay_ns = (10_000, 100_000)
+let ack_timeout_ns = 100_000 (* initial shootdown ack timeout; doubles per retry *)
+let max_ipi_retries = 4 (* delivery is forced on the final attempt *)
+let rpc_retrans_ns = 200_000 (* initial RPC retransmission timeout; doubles *)
+let max_rpc_retries = 4
+let max_copy_retries = 3 (* block-transfer retries before freeze-in-place *)
 
 type stats = {
   mutable stalls : int;
@@ -93,30 +79,30 @@ let peek_module_fault t =
 
 let module_fault t =
   if not (hit t) then `None
-  else if Rng.float t.rng 1.0 < t.cfg.hard_ratio then begin
+  else if Rng.float t.rng 1.0 < hard_ratio then begin
     t.st.outages <- t.st.outages + 1;
-    `Outage (draw t t.cfg.outage_ns)
+    `Outage (draw t outage_ns)
   end
   else begin
     t.st.stalls <- t.st.stalls + 1;
-    `Stall (draw t t.cfg.stall_ns)
+    `Stall (draw t stall_ns)
   end
 
 let ipi_fault t ~attempt =
   if not (hit t) then `Deliver
-  else if Rng.float t.rng 1.0 < t.cfg.ipi_drop_ratio then
-    if attempt >= t.cfg.max_ipi_retries then `Deliver  (* bounded adversary *)
+  else if Rng.float t.rng 1.0 < ipi_drop_ratio then
+    if attempt >= max_ipi_retries then `Deliver  (* bounded adversary *)
     else begin
       t.st.ipi_drops <- t.st.ipi_drops + 1;
       `Drop
     end
   else begin
     t.st.ipi_delays <- t.st.ipi_delays + 1;
-    `Delay (draw t t.cfg.ipi_delay_ns)
+    `Delay (draw t ipi_delay_ns)
   end
 
 let rpc_drop t ~attempt =
-  if attempt >= t.cfg.max_rpc_retries then false
+  if attempt >= max_rpc_retries then false
   else if hit t then begin
     t.st.rpc_drops <- t.st.rpc_drops + 1;
     true
@@ -132,9 +118,9 @@ let block_abort t ~words =
 
 (* Backoff doubles per retry; shifts are safe for the attempt counts the
    retry bounds allow. *)
-let ack_timeout t ~attempt = t.cfg.ack_timeout_ns lsl min attempt 20
-let rpc_retrans t ~attempt = t.cfg.rpc_retrans_ns lsl min attempt 20
-let max_copy_retries t = t.cfg.max_copy_retries
+let ack_timeout (_ : t) ~attempt = ack_timeout_ns lsl min attempt 20
+let rpc_retrans (_ : t) ~attempt = rpc_retrans_ns lsl min attempt 20
+let max_copy_retries (_ : t) = max_copy_retries
 
 let note_shootdown_retry t = t.st.shootdown_retries <- t.st.shootdown_retries + 1
 let note_rpc_retry t = t.st.rpc_retries <- t.st.rpc_retries + 1

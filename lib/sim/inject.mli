@@ -31,23 +31,14 @@
 type config = {
   seed : int64;
   rate : float;  (** per-opportunity fault probability; 0.0 disables *)
-  hard_ratio : float;  (** share of module faults that are hard outages *)
-  stall_ns : int * int;  (** transient module stall, inclusive range *)
-  outage_ns : int * int;  (** hard module outage, inclusive range *)
-  ipi_drop_ratio : float;  (** share of IPI faults that are drops (rest delay) *)
-  ipi_delay_ns : int * int;
-  ack_timeout_ns : int;  (** initial shootdown ack timeout; doubles per retry *)
-  max_ipi_retries : int;  (** delivery is forced on the final attempt *)
-  rpc_retrans_ns : int;  (** initial RPC retransmission timeout; doubles *)
-  max_rpc_retries : int;
-  max_copy_retries : int;  (** block-transfer retries before freeze-in-place *)
 }
 
 val config : ?seed:int64 -> ?rate:float -> unit -> config
-(** The default fault model: [seed = 1L], [rate = 0.0], 20–200 µs stalls,
-    0.5–2 ms outages (10% of module faults), 60% of IPI faults are drops
-    (the rest 10–100 µs delays), 100 µs ack timeout with 4 retries,
-    200 µs RPC retransmission with 4 retries, 3 block-transfer retries. *)
+(** [seed] defaults to [1L] and [rate] to [0.0].  The rest of the fault
+    model is fixed: 20–200 µs stalls, 0.5–2 ms outages (10% of module
+    faults), 60% of IPI faults are drops (the rest 10–100 µs delays),
+    100 µs ack timeout with 4 retries, 200 µs RPC retransmission with 4
+    retries, 3 block-transfer retries. *)
 
 type t
 
@@ -73,7 +64,7 @@ val peek_module_fault : t -> bool
 
 val ipi_fault : t -> attempt:int -> [ `Deliver | `Delay of int | `Drop ]
 (** Asked once per shootdown IPI send attempt.  Never answers [`Drop] when
-    [attempt] is the last one ([max_ipi_retries]): the adversary is
+    [attempt] is the last one (the 4th retry): the adversary is
     bounded, so shootdowns always complete. *)
 
 val rpc_drop : t -> attempt:int -> bool
@@ -87,7 +78,7 @@ val block_abort : t -> words:int -> int option
 (* --- retry/backoff schedules --- *)
 
 val ack_timeout : t -> attempt:int -> int
-(** Exponential backoff: [ack_timeout_ns * 2^attempt]. *)
+(** Exponential backoff: [100 µs * 2^attempt]. *)
 
 val rpc_retrans : t -> attempt:int -> int
 val max_copy_retries : t -> int

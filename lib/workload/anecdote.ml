@@ -4,14 +4,15 @@ module Sync = Platinum_kernel.Sync
 type params = {
   nprocs : int;
   iters : int;
-  reads_per_iter : int;
-  compute_ns_per_iter : int;
   old_version : bool;
 }
 
-let params ?(iters = 4_000) ?(reads_per_iter = 4) ?(compute_ns_per_iter = 10_000) ~old_version
-    ~nprocs () =
-  { nprocs; iters; reads_per_iter; compute_ns_per_iter; old_version }
+let params ?(iters = 4_000) ~old_version ~nprocs () = { nprocs; iters; old_version }
+
+(* Each iteration reads the size variable [reads_per_iter] times, then
+   computes for [compute_ns_per_iter]. *)
+let reads_per_iter = 4
+let compute_ns_per_iter = 10_000
 
 let make p =
   let out = Outcome.create () in
@@ -35,12 +36,12 @@ let make p =
       let private_msize = if p.old_version then -1 else Api.read msize_addr in
       for _i = 1 to p.iters do
         (* Inner loop: termination test reads the size variable. *)
-        for _r = 1 to p.reads_per_iter do
+        for _r = 1 to reads_per_iter do
           let size = if p.old_version then Api.read msize_addr else private_msize in
           if size <> matrix_size then
             Outcome.fail out "anecdote: worker %d read size %d" me size
         done;
-        Api.compute p.compute_ns_per_iter
+        Api.compute compute_ns_per_iter
       done
     in
     let tids =

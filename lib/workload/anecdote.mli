@@ -16,18 +16,16 @@
 type params = {
   nprocs : int;
   iters : int;  (** inner-loop iterations reading the variable *)
-  reads_per_iter : int;
-  compute_ns_per_iter : int;
   old_version : bool;
 }
 
 val params :
   ?iters:int ->
-  ?reads_per_iter:int ->
-  ?compute_ns_per_iter:int ->
   old_version:bool ->
   nprocs:int ->
   unit ->
   params
+(** Default: 4000 iterations.  Each iteration reads the variable 4 times
+    and computes for 10 µs. *)
 
 val make : params -> Outcome.t * (unit -> unit)

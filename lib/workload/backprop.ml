@@ -7,16 +7,17 @@ type params = {
   epochs : int;
   settle_steps : int;
   nprocs : int;
-  compute_ns_per_connection : int;
   seed : int;
   verify : bool;
   bulk : bool;
 }
 
-let params ?(units = 40) ?(patterns = 16) ?(epochs = 5) ?(settle_steps = 2)
-    ?(compute_ns_per_connection = 8_700) ?(seed = 3) ?(verify = true) ?(bulk = true) ~nprocs () =
+let compute_ns_per_connection = 8_700
+
+let params ?(units = 40) ?(patterns = 16) ?(epochs = 5) ?(settle_steps = 2) ?(seed = 3)
+    ?(verify = true) ?(bulk = true) ~nprocs () =
   if units < 2 then invalid_arg "Backprop.params: need at least 2 units";
-  { units; patterns; epochs; settle_steps; nprocs; compute_ns_per_connection; seed; verify; bulk }
+  { units; patterns; epochs; settle_steps; nprocs; seed; verify; bulk }
 
 (* Fixed-point: values are scaled by 2^10; a crude saturating "sigmoid"
    keeps everything bounded. *)
@@ -94,7 +95,7 @@ let make p =
                   let wij = Api.read (w !i j) in
                   sum := !sum + (a * wij / scale)
                 done;
-              Api.compute (u * p.compute_ns_per_connection);
+              Api.compute (u * compute_ns_per_connection);
               Api.write (act + !i) (squash (!sum / 4));
               i := !i + nprocs
             done
@@ -122,7 +123,7 @@ let make p =
                 let wij = Api.read (w !i j) in
                 Api.write (w !i j) (squash (wij + (err * a_j / (scale * 16))))
               done;
-            Api.compute (u * p.compute_ns_per_connection);
+            Api.compute (u * compute_ns_per_connection);
             i := !i + nprocs
           done
         done

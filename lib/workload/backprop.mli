@@ -22,7 +22,6 @@ type params = {
   epochs : int;
   settle_steps : int;  (** forward relaxation steps per pattern *)
   nprocs : int;
-  compute_ns_per_connection : int;
   seed : int;
   verify : bool;
   bulk : bool;
@@ -35,14 +34,13 @@ val params :
   ?patterns:int ->
   ?epochs:int ->
   ?settle_steps:int ->
-  ?compute_ns_per_connection:int ->
   ?seed:int ->
   ?verify:bool ->
   ?bulk:bool ->
   nprocs:int ->
   unit ->
   params
-(** Defaults: 40 units, 16 patterns, 5 epochs, 2 settle steps, 3 µs of
-    arithmetic per connection. *)
+(** Defaults: 40 units, 16 patterns, 5 epochs, 2 settle steps.  Each
+    connection costs 8.7 µs of arithmetic. *)
 
 val make : params -> Outcome.t * (unit -> unit)

@@ -4,15 +4,16 @@ module Sync = Platinum_kernel.Sync
 type params = {
   n : int;
   nprocs : int;
-  compute_ns_per_word : int;
   seed : int;
   verify : bool;
 }
 
-let params ?(n = 400) ?(compute_ns_per_word = 3_000) ?(seed = 42) ?(verify = true) ~nprocs () =
+let compute_ns_per_word = 3_000
+
+let params ?(n = 400) ?(seed = 42) ?(verify = true) ~nprocs () =
   if n < 2 then invalid_arg "Gauss.params: n must be at least 2";
   if nprocs < 1 then invalid_arg "Gauss.params: nprocs must be positive";
-  { n; nprocs; compute_ns_per_word; seed; verify }
+  { n; nprocs; seed; verify }
 
 (* 28-bit values keep factor * pivot inside 62-bit native ints. *)
 let value_mask = 0xFFFFFFF
@@ -92,7 +93,7 @@ let make p =
           Api.block_read_into (rows.(k) + k) piv ~off:0 ~len;
           Api.block_read_into (rows.(!r) + k) row ~off:0 ~len;
           eliminate ~row ~piv ~off:0 ~len;
-          Api.compute (len * p.compute_ns_per_word);
+          Api.compute (len * compute_ns_per_word);
           Api.block_write_sub (rows.(!r) + k) row ~off:0 ~len;
           if !r = k + 1 then Sync.Event_count.advance (row_ready (k + 1));
           r := !r + nprocs

@@ -17,21 +17,22 @@
 type params = {
   n : int;  (** matrix dimension (paper: 800) *)
   nprocs : int;
-  compute_ns_per_word : int;  (** inner-loop arithmetic cost per element *)
   seed : int;
   verify : bool;
 }
 
+val compute_ns_per_word : int
+(** Inner-loop arithmetic cost per element: 3 µs. *)
+
 val params :
   ?n:int ->
-  ?compute_ns_per_word:int ->
   ?seed:int ->
   ?verify:bool ->
   nprocs:int ->
   unit ->
   params
-(** Defaults: n = 400 (use 800 to match the paper exactly),
-    3 µs of arithmetic per inner-loop element, seed 42, verify on. *)
+(** Defaults: n = 400 (use 800 to match the paper exactly), seed 42,
+    verify on. *)
 
 val make : params -> Outcome.t * (unit -> unit)
 (** The outcome cell and the [main] to hand to a runner.  [work_ns] covers

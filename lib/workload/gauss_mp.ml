@@ -4,26 +4,17 @@ module Sync = Platinum_kernel.Sync
 type params = {
   n : int;
   nprocs : int;
-  compute_ns_per_word : int;
   seed : int;
   verify : bool;
   bulk : bool;
 }
 
-let params ?(n = 400) ?(compute_ns_per_word = 3_000) ?(seed = 42) ?(verify = true)
-    ?(bulk = true) ~nprocs () =
+let params ?(n = 400) ?(seed = 42) ?(verify = true) ?(bulk = true) ~nprocs () =
   if n < 2 then invalid_arg "Gauss_mp.params: n must be at least 2";
   if nprocs < 1 then invalid_arg "Gauss_mp.params: nprocs must be positive";
-  { n; nprocs; compute_ns_per_word; seed; verify; bulk }
+  { n; nprocs; seed; verify; bulk }
 
-let to_gauss p =
-  {
-    Gauss.n = p.n;
-    nprocs = p.nprocs;
-    compute_ns_per_word = p.compute_ns_per_word;
-    seed = p.seed;
-    verify = p.verify;
-  }
+let to_gauss p = { Gauss.n = p.n; nprocs = p.nprocs; seed = p.seed; verify = p.verify }
 
 let make p =
   let gp = to_gauss p in
@@ -109,7 +100,7 @@ let make p =
         while !r < n do
           let row = Api.block_read (rows.(!r) + k) (n - k) in
           Gauss.eliminate ~row ~piv ~off:0 ~len:(n - k);
-          Api.compute ((n - k) * p.compute_ns_per_word);
+          Api.compute ((n - k) * Gauss.compute_ns_per_word);
           Api.block_write (rows.(!r) + k) row;
           if !r = k + 1 && !r <= n - 2 && nprocs > 1 then broadcast (k + 1) row;
           r := !r + nprocs

@@ -11,7 +11,6 @@
 type params = {
   n : int;
   nprocs : int;
-  compute_ns_per_word : int;
   seed : int;
   verify : bool;
   bulk : bool;
@@ -22,7 +21,6 @@ type params = {
 
 val params :
   ?n:int ->
-  ?compute_ns_per_word:int ->
   ?seed:int ->
   ?verify:bool ->
   ?bulk:bool ->
@@ -32,4 +30,5 @@ val params :
 
 val make : params -> Outcome.t * (unit -> unit)
 (** Self-verifies against the same sequential oracle as {!Gauss} (the two
-    implementations compute identical matrices). *)
+    implementations compute identical matrices, at the same
+    {!Gauss.compute_ns_per_word}). *)

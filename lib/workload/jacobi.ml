@@ -5,17 +5,17 @@ type params = {
   n : int;
   iters : int;
   nprocs : int;
-  compute_ns_per_point : int;
   seed : int;
   verify : bool;
   bulk : bool;
 }
 
-let params ?(n = 128) ?(iters = 12) ?(compute_ns_per_point = 2_000) ?(seed = 11)
-    ?(verify = true) ?(bulk = true) ~nprocs () =
+let compute_ns_per_point = 2_000
+
+let params ?(n = 128) ?(iters = 12) ?(seed = 11) ?(verify = true) ?(bulk = true) ~nprocs () =
   if n < 4 then invalid_arg "Jacobi.params: n must be at least 4";
   if nprocs < 1 || nprocs > n - 2 then invalid_arg "Jacobi.params: bad nprocs";
-  { n; iters; nprocs; compute_ns_per_point; seed; verify; bulk }
+  { n; iters; nprocs; seed; verify; bulk }
 
 let mask = 0xFFFFF
 
@@ -96,7 +96,7 @@ let make p =
           in
           let fresh = Array.make n 0 in
           relax ~above ~row ~below ~out:fresh;
-          Api.compute (n * p.compute_ns_per_point);
+          Api.compute (n * compute_ns_per_point);
           Api.block_write (!dst + (r * n)) fresh
         done;
         (* Everyone must finish reading generation g before anyone starts

@@ -17,7 +17,6 @@ type params = {
   n : int;  (** grid side; the grid is n x n *)
   iters : int;
   nprocs : int;
-  compute_ns_per_point : int;
   seed : int;
   verify : bool;
   bulk : bool;
@@ -28,14 +27,14 @@ type params = {
 val params :
   ?n:int ->
   ?iters:int ->
-  ?compute_ns_per_point:int ->
   ?seed:int ->
   ?verify:bool ->
   ?bulk:bool ->
   nprocs:int ->
   unit ->
   params
-(** Defaults: 128x128 grid, 12 iterations, 2 µs per point. *)
+(** Defaults: 128x128 grid, 12 iterations.  Each point costs 2 µs of
+    compute. *)
 
 val make : params -> Outcome.t * (unit -> unit)
 

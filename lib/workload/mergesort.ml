@@ -3,7 +3,6 @@ module Api = Platinum_kernel.Api
 type params = {
   n : int;
   nprocs : int;
-  compute_ns_per_element : int;
   chunk : int;
   seed : int;
   verify : bool;
@@ -11,12 +10,14 @@ type params = {
 
 let is_pow2 x = x > 0 && x land (x - 1) = 0
 
-let params ?(n = 65_536) ?(compute_ns_per_element = 1_500) ?(chunk = 256) ?(seed = 7)
-    ?(verify = true) ~nprocs () =
+(* Comparison/move cost per element in the merge loops. *)
+let compute_ns_per_element = 1_500
+
+let params ?(n = 65_536) ?(chunk = 256) ?(seed = 7) ?(verify = true) ~nprocs () =
   if not (is_pow2 nprocs) then invalid_arg "Mergesort.params: nprocs must be a power of two";
   if chunk <= 0 then invalid_arg "Mergesort.params: chunk must be positive";
   let n = (n + nprocs - 1) / nprocs * nprocs in
-  { n; nprocs; compute_ns_per_element; chunk; seed; verify }
+  { n; nprocs; chunk; seed; verify }
 
 let input_value p i =
   let h = ((p.seed * 0x9E3779B9) + (i * 0x85EBCA6B)) land max_int in
@@ -53,7 +54,7 @@ let stream_merge p ~src_a ~len_a ~src_b ~len_b ~dst =
   let flush () =
     if !out_fill > 0 then begin
       Api.block_write (dst + !written) (Array.sub out 0 !out_fill);
-      Api.compute (!out_fill * p.compute_ns_per_element);
+      Api.compute (!out_fill * compute_ns_per_element);
       written := !written + !out_fill;
       out_fill := 0
     end

@@ -15,7 +15,6 @@
 type params = {
   n : int;  (** element count; rounded up to a multiple of [nprocs] *)
   nprocs : int;
-  compute_ns_per_element : int;  (** comparison/move cost in merge loops *)
   chunk : int;  (** streaming-merge buffer, in words *)
   seed : int;
   verify : bool;
@@ -23,13 +22,13 @@ type params = {
 
 val params :
   ?n:int ->
-  ?compute_ns_per_element:int ->
   ?chunk:int ->
   ?seed:int ->
   ?verify:bool ->
   nprocs:int ->
   unit ->
   params
-(** Defaults: n = 65536, 1.5 µs per element, 256-word chunks. *)
+(** Defaults: n = 65536, 256-word chunks.  Merging costs 1.5 µs per
+    element. *)
 
 val make : params -> Outcome.t * (unit -> unit)

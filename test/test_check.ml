@@ -310,12 +310,13 @@ let test_mc_replay_deterministic () =
   let ops = [ Mc.Write { proc = 0; page = 0 }; Mc.Read { proc = 1; page = 0 };
               Mc.Freeze { page = 0 }; Mc.Daemon_thaw; Mc.Write { proc = 1; page = 0 } ]
   in
-  match Mc.replay ~nprocs:2 ~npages:1 ops, Mc.replay ~nprocs:2 ~npages:1 ops with
+  let replay () = Mc.replay ~policy:"platinum" ~nprocs:2 ~npages:1 ops in
+  match replay (), replay () with
   | Ok a, Ok b -> Alcotest.(check string) "same fingerprint" a b
   | Error e, _ | _, Error e -> Alcotest.failf "replay failed: %s" e
 
 let test_mc_explores_clean () =
-  let r = Mc.explore ~nprocs:2 ~npages:1 ~depth:4 () in
+  let r = Mc.explore ~policy:"platinum" ~nprocs:2 ~npages:1 ~depth:4 () in
   Alcotest.(check int) "no violations" 0 r.Mc.total_violations;
   Alcotest.(check bool) "non-trivial state count" true (r.Mc.states > 10);
   Alcotest.(check bool) "not truncated" true (not r.Mc.truncated);
@@ -323,7 +324,7 @@ let test_mc_explores_clean () =
   Alcotest.(check int) "root state" 1 r.Mc.states_at_depth.(0)
 
 let test_mc_catches_mutation () =
-  let r = Mc.explore ~mutate:true ~nprocs:2 ~npages:1 ~depth:4 () in
+  let r = Mc.explore ~mutate:true ~policy:"platinum" ~nprocs:2 ~npages:1 ~depth:4 () in
   Alcotest.(check bool) "seeded bug found" true (r.Mc.total_violations > 0);
   Alcotest.(check bool) "counterexamples reported" true (r.Mc.violations <> []);
   (* and the knob was restored *)
@@ -335,11 +336,34 @@ let test_mc_catches_mutation () =
         ~finally:(fun () -> Shootdown.test_skip_refmask_clear := false)
         (fun () ->
           Shootdown.test_skip_refmask_clear := true;
-          match Mc.replay ~nprocs:2 ~npages:1 cx.Mc.cx_ops with
+          match Mc.replay ~policy:"platinum" ~nprocs:2 ~npages:1 cx.Mc.cx_ops with
           | Error _ -> ()
           | Ok _ -> Alcotest.failf "counterexample [%s] no longer fails"
                       (Mc.ops_to_string cx.Mc.cx_ops)))
     r.Mc.violations
+
+(* Bolosky stops migrating a written page after 4 migrations, so the
+   state after 1 migration and the state after 3 must not be merged, even
+   though the page, its copy and its data look the same. *)
+let test_mc_fingerprints_policy_input () =
+  let w proc = Mc.Write { proc; page = 0 } in
+  let fp ops =
+    match Mc.replay ~policy:"bolosky" ~nprocs:2 ~npages:1 ops with
+    | Ok fp -> fp
+    | Error e -> Alcotest.failf "replay failed: %s" e
+  in
+  Alcotest.(check bool) "1 and 3 migrations fingerprint apart" false
+    (String.equal (fp [ w 1; w 0 ]) (fp [ w 1; w 0; w 1; w 0 ]))
+
+(* Every policy, at a depth the suite can afford; bench/main.exe mc goes
+   deeper. *)
+let test_mc_every_policy_clean () =
+  List.iter
+    (fun policy ->
+      let r = Mc.explore ~policy ~nprocs:2 ~npages:1 ~depth:4 () in
+      Alcotest.(check int) (policy ^ ": no violations") 0 r.Mc.total_violations;
+      Alcotest.(check bool) (policy ^ ": not truncated") true (not r.Mc.truncated))
+    Policy.default_names
 
 (* QCheck: on random request sequences the monitor stays silent and reads
    are sequentially consistent (Mc.replay checks both; 2 procs, 1 page). *)
@@ -355,7 +379,7 @@ let prop_random_sequences_clean =
   in
   QCheck.Test.make ~name:"monitor silent + reads SC on random sequences" ~count:100 ops_arb
     (fun ops ->
-      match Mc.replay ~nprocs:2 ~npages:1 ops with
+      match Mc.replay ~policy:"platinum" ~nprocs:2 ~npages:1 ops with
       | Ok _ -> true
       | Error e -> QCheck.Test.fail_reportf "violation on [%s]: %s" (Mc.ops_to_string ops) e)
 
@@ -383,5 +407,7 @@ let suite =
     ("mc: replay is deterministic", `Quick, test_mc_replay_deterministic);
     ("mc: clean exploration", `Quick, test_mc_explores_clean);
     ("mc: mutation is caught", `Quick, test_mc_catches_mutation);
+    ("mc: the policy's page input is fingerprinted", `Quick, test_mc_fingerprints_policy_input);
+    ("mc: every policy explores clean", `Quick, test_mc_every_policy_clean);
     qtest prop_random_sequences_clean;
   ]

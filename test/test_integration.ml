@@ -180,23 +180,6 @@ let test_oversubscription () =
     (fun me v -> Alcotest.(check int) (Printf.sprintf "thread %d" me) (2016 + me) v)
     results
 
-(* Runner.speedup's convenience path. *)
-let test_runner_speedup_helper () =
-  let results =
-    Runner.speedup ~nprocs_list:[ 1; 4 ] ~frames_per_module:64 ~default_zone_pages:32
-      (fun ~nprocs () ->
-        (* Fixed total work, split across the workers. *)
-        let work () = Api.compute (80_000_000 / nprocs) in
-        Api.spawn_join_all
-          ~procs:(List.init nprocs (fun i -> i))
-          (List.init nprocs (fun _ _ -> work ())))
-  in
-  match results with
-  | [ (1, s1, _); (4, s4, _) ] ->
-    Alcotest.(check (float 0.01)) "baseline 1x" 1.0 s1;
-    Alcotest.(check bool) "perfectly parallel work scales" true (s4 > 3.5)
-  | _ -> Alcotest.fail "expected two points"
-
 (* The DOT rendering carries every edge. *)
 let test_atlas_dot () =
   let module Atlas = Platinum_core.Atlas in
@@ -259,7 +242,6 @@ let suite =
     ("port pipeline across nodes", `Quick, test_port_pipeline);
     ("all policies deterministic", `Quick, test_policy_runs_deterministic);
     ("scheduler oversubscription", `Quick, test_oversubscription);
-    ("runner: speedup helper", `Quick, test_runner_speedup_helper);
     ("atlas: DOT rendering", `Quick, test_atlas_dot);
     QCheck_alcotest.to_alcotest prop_lock_counter;
   ]

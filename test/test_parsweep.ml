@@ -68,22 +68,10 @@ let test_sweep_j4_equals_j1 () =
   let par = render_sweep ~jobs:4 in
   Alcotest.(check (list string)) "-j 4 sweep is byte-identical to -j 1" seq par
 
-let test_speedup_j4_equals_j1 () =
-  let curve jobs =
-    Runner.speedup ~jobs ~nprocs_list:[ 1; 2; 4 ]
-      (fun ~nprocs () ->
-        snd (Gauss.make (Gauss.params ~n:48 ~nprocs ~verify:false ())) ())
-    |> List.map (fun (p, s, r) -> (p, s, r.Runner.elapsed))
-  in
-  let show (p, s, e) = Printf.sprintf "p=%d s=%.4f elapsed=%d" p s e in
-  Alcotest.(check (list string)) "speedup curve identical at any pool width"
-    (List.map show (curve 1)) (List.map show (curve 4))
-
 let suite =
   [
     ("par: jobs setting", `Quick, test_default_jobs);
     qtest prop_par_map_is_list_map;
     ("par: exception propagation", `Quick, test_par_map_exception);
     ("golden: -j 4 sweep == -j 1 sweep", `Quick, test_sweep_j4_equals_j1);
-    ("golden: speedup curve == at -j 4 and -j 1", `Quick, test_speedup_j4_equals_j1);
   ]

@@ -423,6 +423,26 @@ let test_serve_completes_and_measures () =
         && r.Serve.p999_ns <= Hist.max_value r.Serve.hist))
     Serve.all_transports
 
+(* [~check:false] disarms the monitor even when PLATINUM_CHECK arms it.
+   An armed monitor declines every fast-path word, so a ring run that
+   coalesces words ran unmonitored.  An unset variable is restored as
+   empty, which reads as unset. *)
+let test_serve_check_false_disarms () =
+  let old = Sys.getenv_opt "PLATINUM_CHECK" in
+  let c = Fastpath.ctx () in
+  Unix.putenv "PLATINUM_CHECK" "1";
+  let coalesced =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "PLATINUM_CHECK" (Option.value old ~default:""))
+      (fun () ->
+        Fastpath.reset_stats c;
+        ignore (Serve.run ~seed:5L ~check:false small_params Serve.Ring);
+        (Fastpath.stats c).Fastpath.coalesced)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "ring words coalesced under PLATINUM_CHECK=1 (%d)" coalesced)
+    true (coalesced > 0)
+
 (* The mesh serve program across -j(domains) {1,4} x shards {1,4}, clean
    and injected — the grid the issue pins, on top of test_parshard's wider
    sweep over every workload.  Every cell must also pass the rmw oracle. *)
@@ -485,6 +505,8 @@ let suite =
       test_serve_injected_deterministic;
     Alcotest.test_case "serve: completes and measures every request" `Quick
       test_serve_completes_and_measures;
+    Alcotest.test_case "serve: check:false disarms an env-armed monitor" `Quick
+      test_serve_check_false_disarms;
     Alcotest.test_case "serve: mesh grid -j/shards {1,4} identical" `Quick
       test_mesh_grid_identical;
     qtest prop_serve_seed_differential;
