@@ -380,7 +380,7 @@ let rec copy_attempts t sc ~now page ~src ~dst inj ~attempt ~extra =
     true
   | Some w ->
     let extra = extra + transfer t sc ~now ~fault:true ~src ~dst ~words:w in
-    if attempt >= Platinum_sim.Inject.max_copy_retries inj then begin
+    if attempt >= Platinum_sim.Inject.max_copy_retries then begin
       Platinum_sim.Inject.note_recovery inj extra;
       false
     end
@@ -768,7 +768,7 @@ let rec block_xfer t ~now ~proc ~mem_module kind ~words ~attempt ~extra =
   | None -> Xbar.access cfg modules ~now ~proc ~mem_module kind ~words
   | Some i as inject -> (
     let aborted =
-      if attempt >= Platinum_sim.Inject.max_copy_retries i then None
+      if attempt >= Platinum_sim.Inject.max_copy_retries then None
       else Platinum_sim.Inject.block_abort i ~words
     in
     match aborted with

@@ -98,7 +98,7 @@ let run ?monitor ~machine ~counters ~atcs ~now ~initiator ~mappings ~directive ~
               Platinum_sim.Inject.note_shootdown_retry inj;
               Machine.count_ipi machine;
               attempt (k + 1)
-                (send_done + Platinum_sim.Inject.ack_timeout inj ~attempt:k + ipi_ns)
+                (send_done + Platinum_sim.Inject.ack_timeout ~attempt:k + ipi_ns)
             | `Deliver -> max send_done busy + config.Platinum_machine.Config.sync_handler_ns
             | `Delay d ->
               max (send_done + d) busy + config.Platinum_machine.Config.sync_handler_ns

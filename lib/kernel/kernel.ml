@@ -4,11 +4,20 @@
    [Sleep] and [Syscall] — and each closes the coalescing window through
    [settle] before its op runs.  [syscall] handles every other service
    in one exhaustive match over the closed [Eff.request] type, so a
-   service without an arm does not compile. *)
+   service without an arm does not compile.
+
+   The trap and resume path allocates nothing beyond the effect's own
+   continuation (DESIGN.md §4g, the trapped path).  The first three arms
+   return handlers each thread built once in [start_fiber], which read
+   their payload from the thread record.  A suspended thread keeps its
+   continuation in one [pending] slot, and every event that resumes it
+   is a closure built once: the thread's [fire] and [timer], its
+   [remote_done] completion, and each processor's dispatcher. *)
 
 module Engine = Platinum_sim.Engine
 module Machine = Platinum_machine.Machine
 module Config = Platinum_machine.Config
+module Memtxn = Platinum_core.Memtxn
 
 exception Deadlock of string
 exception Thread_failure of exn
@@ -19,15 +28,30 @@ type thread_state =
   | Blocked
   | Finished
 
+(* What the next dispatch of a thread runs.  A thread has at most one
+   pending resumption — it is suspended at exactly one perform point, and
+   nothing resumes it twice — so one slot per thread is enough. *)
+type pending =
+  | Nothing  (* nothing pending: the next dispatch starts the fiber *)
+  | Result of (Memtxn.result, unit) Effect.Deep.continuation  (* value in [result] *)
+  | Unit of (unit, unit) Effect.Deep.continuation
+  | Thunk of (unit -> unit)  (* any other result, or [block]'s lazy value *)
+
 type thread = {
   tid : int;
   body : unit -> unit;
   aspace : int;  (* a thread executes within a single address space *)
   mutable proc : int;
   mutable state : thread_state;
-  mutable resume : (unit -> unit) option;  (* pending continuation *)
+  mutable pending : pending;
+  mutable result : Memtxn.result;  (* the value a [Result] continues with *)
+  mutable txn : Memtxn.t;  (* the [Access_txn] payload its stored handler reads *)
+  mutable arg : int;  (* the [Compute] or [Sleep] payload *)
   mutable joiners : int list;
   mutable quantum_used : int;
+  fire : unit -> unit;  (* every resume through the event heap *)
+  timer : unit -> unit;  (* a sleep's expiry *)
+  remote_done : Memtxn.result -> unit;  (* a remote backend's completion *)
 }
 
 type port = {
@@ -45,6 +69,7 @@ type t = {
   threads : (int, thread) Hashtbl.t;
   runqs : int Queue.t array;
   proc_active : bool array;  (* an event for this processor is in flight *)
+  dispatchers : (unit -> unit) array;  (* each processor's dispatch event, built once *)
   ports : (int, port) Hashtbl.t;
   mutable next_tid : int;
   mutable next_pid : int;
@@ -55,44 +80,6 @@ type t = {
   mutable failure : exn option;
   mutable place_rr : int;
 }
-
-(* A kernel normally schedules every processor of the machine.  Under the
-   hosted sharded driver (Shard.host, DESIGN.md §4j) one kernel instance
-   runs per node, and [slice] restricts it to that node's processors —
-   run queues and active flags are sized to the slice, not the machine,
-   so N per-node kernels cost O(N) queues in total rather than O(N^2). *)
-let create ?(coalesce = true) ?slice ~engine ~machine ~memsys () =
-  let nmachine = Machine.nprocs machine in
-  let base, count =
-    match slice with
-    | None -> (0, nmachine)
-    | Some (base, count) ->
-      if base < 0 || count < 1 || base + count > nmachine then
-        invalid_arg
-          (Printf.sprintf "Kernel.create: slice [%d, %d) outside machine of %d procs" base
-             (base + count) nmachine);
-      (base, count)
-  in
-  {
-    engine;
-    machine;
-    memsys;
-    coalesce = coalesce && memsys.Memsys.fastpath <> None;
-    proc_base = base;
-    proc_count = count;
-    threads = Hashtbl.create 64;
-    runqs = Array.init count (fun _ -> Queue.create ());
-    proc_active = Array.make count false;
-    ports = Hashtbl.create 16;
-    next_tid = 0;
-    next_pid = 0;
-    live = 0;
-    created = 0;
-    switches = 0;
-    finished_at = 0;
-    failure = None;
-    place_rr = 0;
-  }
 
 let engine t = t.engine
 let machine t = t.machine
@@ -121,26 +108,6 @@ let place t = function
     t.place_rr <- (t.place_rr + 1) mod t.proc_count;
     p
 
-let make_thread t ~proc ~aspace body =
-  let tid = t.next_tid in
-  t.next_tid <- tid + 1;
-  let th =
-    {
-      tid;
-      body;
-      aspace;
-      proc;
-      state = Runnable;
-      resume = None;
-      joiners = [];
-      quantum_used = 0;
-    }
-  in
-  Hashtbl.replace t.threads tid th;
-  t.live <- t.live + 1;
-  t.created <- t.created + 1;
-  th
-
 (* ------------------------------------------------------------------ *)
 (* Scheduling core.                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -168,7 +135,36 @@ let arm t th =
       ~proc:th.proc ~aspace:th.aspace ~quantum_left
   | _ -> ()
 
-let rec dispatch t proc =
+let rec make_thread t ~proc ~aspace body =
+  let tid = t.next_tid in
+  t.next_tid <- tid + 1;
+  let rec th =
+    {
+      tid;
+      body;
+      aspace;
+      proc;
+      state = Runnable;
+      pending = Nothing;
+      result = Memtxn.Unit;
+      txn = Memtxn.Read { vaddr = 0 };
+      arg = 0;
+      joiners = [];
+      quantum_used = 0;
+      fire = (fun () -> fired t th);
+      timer = (fun () -> wake t th);
+      remote_done =
+        (fun res ->
+          th.result <- res;
+          wake t th);
+    }
+  in
+  Hashtbl.replace t.threads tid th;
+  t.live <- t.live + 1;
+  t.created <- t.created + 1;
+  th
+
+and dispatch t proc =
   match Queue.take_opt (runq t proc) with
   | None -> set_proc_busy t proc false
   | Some tid ->
@@ -177,11 +173,31 @@ let rec dispatch t proc =
     let th = thread t tid in
     th.state <- Running;
     th.quantum_used <- 0;
-    (match th.resume with
-    | Some f ->
-      th.resume <- None;
-      f ()
-    | None -> start_fiber t th)
+    resume t th
+
+(* Empty the thread's pending slot and run what it held. *)
+and resume t th =
+  let p = th.pending in
+  th.pending <- Nothing;
+  match p with
+  | Nothing -> start_fiber t th
+  | Result k -> continue_armed t th k th.result
+  | Unit k -> continue_armed t th k ()
+  | Thunk f -> f ()
+
+and continue_armed : type a. t -> thread -> (a, unit) Effect.Deep.continuation -> a -> unit =
+ fun t th k v ->
+  arm t th;
+  Effect.Deep.continue k v
+
+(* A thread's [fire] event: a thread preempted when it queued the event
+   rejoins its run queue; any other resumes at once. *)
+and fired t th =
+  if th.state = Runnable then begin
+    Queue.add th.tid (runq t th.proc);
+    dispatch t th.proc
+  end
+  else resume t th
 
 (* A processor that was idle gets a dispatch event; one that is mid-event
    will reach its own dispatch when the current thread blocks/finishes.
@@ -197,7 +213,7 @@ and wake ?src t th =
     set_proc_busy t th.proc true;
     let delay = (config t).Config.context_switch_ns in
     let src = match src with Some s -> s | None -> th.proc in
-    Engine.post t.engine ~src ~dst:th.proc ~delay (fun () -> dispatch t th.proc)
+    Engine.post t.engine ~src ~dst:th.proc ~delay t.dispatchers.(th.proc - t.proc_base)
   end
 
 and finish_thread t th =
@@ -222,42 +238,34 @@ and charge t th ~lat =
 and preempted t th =
   th.quantum_used >= (config t).Config.quantum_ns && not (Queue.is_empty (runq t th.proc))
 
-(* Resume the current thread after a charge of [total] ns — immediately
-   for zero-cost operations, via the event queue otherwise. *)
-and resume_after t th total resume =
-  if preempted t th then begin
-    th.state <- Runnable;
-    th.resume <- Some resume;
-    Engine.schedule_after t.engine ~delay:total (fun () ->
-        Queue.add th.tid (runq t th.proc);
-        dispatch t th.proc)
-  end
-  else if total = 0 then resume ()
-  else Engine.schedule_after t.engine ~delay:total resume
-
-(* Whether the thread may go on in place after a charge of [total] ns:
-   at once for a zero charge, and by an inline engine step when its
-   resume event would be the very next one popped.  [false] means the
-   caller must take [resume_after].  A [true] answer must be followed
+(* Charge [lat] ns and say whether the thread goes on in place: at once
+   for a zero charge, and by an inline engine step when its resume event
+   would be the very next one popped.  Otherwise the thread's [fire]
+   event is queued [total] ns ahead — it puts a preempted thread back on
+   the run queue and resumes any other — and the caller must fill the
+   pending slot before it returns.  A [true] answer must be followed
    only by the resumption itself (Engine.advance_inline's soundness
    condition), so every caller uses it from tail position. *)
-and continues_in_place t th total =
-  (not (preempted t th))
-  && (total = 0 || Engine.advance_inline t.engine ~at:(Engine.now t.engine + total))
+and goes_on t th lat =
+  let total = charge t th ~lat in
+  let preempted = preempted t th in
+  if
+    (not preempted)
+    && (total = 0 || Engine.advance_inline t.engine ~at:(Engine.now t.engine + total))
+  then true
+  else begin
+    if preempted then th.state <- Runnable;
+    Engine.schedule_after t.engine ~delay:total th.fire;
+    false
+  end
 
-(* Complete an operation of [lat] ns by resuming the fiber with [v], in
-   place when [continues_in_place] allows, with no resume closure. *)
+(* Complete a service of [lat] ns by resuming the fiber with [v].  A
+   deferred resume takes a [Thunk]: a service's result can be of any
+   type.  The word-access and compute ops fill the slot's typed arms. *)
 and complete : type a. t -> thread -> (a, unit) Effect.Deep.continuation -> a -> int -> unit =
  fun t th k v lat ->
-  let total = charge t th ~lat in
-  if continues_in_place t th total then begin
-    arm t th;
-    Effect.Deep.continue k v
-  end
-  else
-    resume_after t th total (fun () ->
-        arm t th;
-        Effect.Deep.continue k v)
+  if goes_on t th lat then continue_armed t th k v
+  else th.pending <- Thunk (fun () -> continue_armed t th k v)
 
 (* Close the coalescing window before handling a real suspension, then
    perform the pending kernel work [op t th x y]: if the thread drained a
@@ -270,12 +278,8 @@ and complete : type a. t -> thread -> (a, unit) Effect.Deep.continuation -> a ->
 and settle : type a b. t -> thread -> (t -> thread -> a -> b -> unit) -> a -> b -> unit =
  fun t th op x y ->
   let acc = Fastpath.close (Fastpath.ctx ()) in
-  if acc = 0 then op t th x y
-  else begin
-    let total = charge t th ~lat:acc in
-    if continues_in_place t th total then op t th x y
-    else resume_after t th total (fun () -> op t th x y)
-  end
+  if acc = 0 || goes_on t th acc then op t th x y
+  else th.pending <- Thunk (fun () -> op t th x y)
 
 (* Run a service that may raise (a protection or address-space error,
    an exhausted zone, ...): the exception is delivered back into the
@@ -289,7 +293,9 @@ and service :
   | v, lat -> complete t th k v lat
   | exception e -> Effect.Deep.discontinue k e
 
-and compute_op t th k ns = complete t th k () (max ns 0)
+and compute_op t th k ns =
+  if goes_on t th (max ns 0) then continue_armed t th k () else th.pending <- Unit k
+
 and finish_op t th () () = finish_thread t th
 
 and fail_op t th () e =
@@ -302,64 +308,49 @@ and fail_op t th () e =
    horizon.
 
    A distributed backend (Memsys.remote, DESIGN.md §4j) may adopt the
-   transaction instead: the thread blocks, protocol messages do their
-   round trips on the engine, and the completion callback wakes it with
-   the result — the latency is implicit in when that wake fires, so
-   nothing further is charged here. *)
+   transaction instead: the thread blocks with its continuation in the
+   pending slot, protocol messages do their round trips on the engine,
+   and the thread's [remote_done] stores the result and wakes it — the
+   latency is implicit in when that wake fires, so nothing further is
+   charged here. *)
 and access_op t th k txn =
   match t.memsys.Memsys.remote with
-  | Some r ->
-    let adopted =
-      r.Memsys.try_remote ~now:(Engine.now t.engine) ~proc:th.proc ~aspace:th.aspace txn
-        ~complete:(fun res ->
-          park t th k res;
-          wake t th)
-    in
-    if adopted then begin
-      (* Blocked with no resume until [complete] supplies one: nothing
-         dispatches this thread before that [wake]. *)
-      th.state <- Blocked;
-      dispatch t th.proc
-    end
-    else submit_op t th k txn
-  | None -> submit_op t th k txn
+  | Some r
+    when r.Memsys.try_remote ~now:(Engine.now t.engine) ~proc:th.proc ~aspace:th.aspace txn
+           ~complete:th.remote_done ->
+    th.state <- Blocked;
+    th.pending <- Result k;
+    dispatch t th.proc
+  | _ -> (
+    match
+      t.memsys.Memsys.submit ~now:(Engine.now t.engine) ~proc:th.proc ~aspace:th.aspace txn
+    with
+    | v, lat ->
+      if goes_on t th lat then continue_armed t th k v
+      else begin
+        th.result <- v;
+        th.pending <- Result k
+      end
+    | exception e -> Effect.Deep.discontinue k e)
 
-and submit_op t th k txn =
-  match
-    t.memsys.Memsys.submit ~now:(Engine.now t.engine) ~proc:th.proc ~aspace:th.aspace txn
-  with
-  | v, lat -> complete t th k v lat
-  | exception e -> Effect.Deep.discontinue k e
-
-(* A timed wait: the thread blocks, the processor moves on, and a timer
-   event re-wakes it. *)
+(* A timed wait: the thread blocks, the processor moves on, and the
+   thread's [timer] event re-wakes it. *)
 and sleep_op t th k ns =
   th.state <- Blocked;
-  park t th k ();
-  Engine.schedule_after t.engine ~delay:(max ns 0) (fun () -> wake t th);
+  th.pending <- Unit k;
+  Engine.schedule_after t.engine ~delay:(max ns 0) th.timer;
   dispatch t th.proc
-
-(* Store the fiber's resumption: the next dispatch of [th] re-arms it and
-   continues [k] with [v]. *)
-and park : type a. t -> thread -> (a, unit) Effect.Deep.continuation -> a -> unit =
- fun t th k v ->
-  th.resume <-
-    Some
-      (fun () ->
-        arm t th;
-        Effect.Deep.continue k v)
 
 (* Block the current thread on [k]; its processor moves on. *)
 and block : type a. t -> thread -> (a, unit) Effect.Deep.continuation -> a Lazy.t -> unit =
  fun t th k v ->
   th.state <- Blocked;
-  th.resume <-
-    Some
+  th.pending <-
+    Thunk
       (fun () ->
         (* Force first: a failing waker must not leave a stale window. *)
         let v = Lazy.force v in
-        arm t th;
-        Effect.Deep.continue k v);
+        continue_armed t th k v);
   dispatch t th.proc
 
 (* Every kernel service, in one exhaustive match over the closed request
@@ -370,7 +361,7 @@ and syscall :
   match req with
   | Eff.Yield ->
     th.state <- Runnable;
-    park t th k ();
+    th.pending <- Unit k;
     Queue.add th.tid (runq t th.proc);
     dispatch t th.proc
   | Eff.Spawn (body, hint, aspace_hint) ->
@@ -407,7 +398,7 @@ and syscall :
       (* The thread leaves this processor; resume it on the new one and
          let this one schedule other work. *)
       th.state <- Runnable;
-      park t th k ();
+      th.pending <- Unit k;
       th.proc <- proc;
       (* The migration itself is cross-node traffic: the thread (kernel
          stack and all) lands on [proc]'s queue. *)
@@ -480,21 +471,28 @@ and syscall :
           (config t).Config.vm_fault_ns ))
   | Eff.Inject_handle -> complete t th k (Machine.inject t.machine) 0
 
-(* Thread exit and failure settle too, through top-level ops. *)
+(* Thread exit and failure settle too, through top-level ops.  The
+   [Access_txn], [Compute] and [Sleep] handlers are built here once per
+   thread: [effc] stores the payload in the thread and returns the stored
+   handler, which reads it back.  That is sound because [Effect.Deep]
+   applies the handler at once, before the fiber can perform again.  The
+   [Syscall] arm keeps its closure: its request type is existential. *)
 and start_fiber t th =
   let open Effect.Deep in
+  let on_access = Some (fun k -> settle t th access_op k th.txn) in
+  let on_compute = Some (fun k -> settle t th compute_op k th.arg) in
+  let on_sleep = Some (fun k -> settle t th sleep_op k th.arg) in
   arm t th;
   match_with th.body ()
     {
       retc = (fun () -> settle t th finish_op () ());
       exnc = (fun e -> settle t th fail_op () e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
-          | Eff.Access_txn txn ->
-            Some (fun (k : (a, _) continuation) -> settle t th access_op k txn)
-          | Eff.Compute ns -> Some (fun k -> settle t th compute_op k ns)
-          | Eff.Sleep ns -> Some (fun k -> settle t th sleep_op k ns)
+          | Eff.Access_txn txn -> th.txn <- txn; on_access
+          | Eff.Compute ns -> th.arg <- ns; on_compute
+          | Eff.Sleep ns -> th.arg <- ns; on_sleep
           | Eff.Syscall req -> Some (fun k -> settle t th syscall k req)
           | _ -> None);
     }
@@ -502,6 +500,51 @@ and start_fiber t th =
 (* ------------------------------------------------------------------ *)
 (* Entry points.                                                       *)
 (* ------------------------------------------------------------------ *)
+
+(* A kernel normally schedules every processor of the machine.  Under the
+   hosted sharded driver (Shard.host, DESIGN.md §4j) one kernel instance
+   runs per node, and [slice] restricts it to that node's processors —
+   run queues and active flags are sized to the slice, not the machine,
+   so N per-node kernels cost O(N) queues in total rather than O(N^2). *)
+let create ?(coalesce = true) ?slice ~engine ~machine ~memsys () =
+  let nmachine = Machine.nprocs machine in
+  let base, count =
+    match slice with
+    | None -> (0, nmachine)
+    | Some (base, count) ->
+      if base < 0 || count < 1 || base + count > nmachine then
+        invalid_arg
+          (Printf.sprintf "Kernel.create: slice [%d, %d) outside machine of %d procs" base
+             (base + count) nmachine);
+      (base, count)
+  in
+  let t =
+    {
+      engine;
+      machine;
+      memsys;
+      coalesce = coalesce && memsys.Memsys.fastpath <> None;
+      proc_base = base;
+      proc_count = count;
+      threads = Hashtbl.create 64;
+      runqs = Array.init count (fun _ -> Queue.create ());
+      proc_active = Array.make count false;
+      dispatchers = Array.make count ignore;
+      ports = Hashtbl.create 16;
+      next_tid = 0;
+      next_pid = 0;
+      live = 0;
+      created = 0;
+      switches = 0;
+      finished_at = 0;
+      failure = None;
+      place_rr = 0;
+    }
+  in
+  for i = 0 to count - 1 do
+    t.dispatchers.(i) <- (fun () -> dispatch t (base + i))
+  done;
+  t
 
 let spawn t ?proc ?(aspace = 0) body =
   let proc = place t proc in

@@ -35,7 +35,7 @@ let send_request port msg =
     let waited = ref 0 in
     let rec go attempt =
       if Platinum_sim.Inject.rpc_drop inj ~attempt then begin
-        let timeout = Platinum_sim.Inject.rpc_retrans inj ~attempt in
+        let timeout = Platinum_sim.Inject.rpc_retrans ~attempt in
         Api.sleep timeout;
         waited := !waited + timeout;
         Platinum_sim.Inject.note_rpc_retry inj;

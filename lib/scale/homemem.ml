@@ -305,7 +305,7 @@ and send_ipi t h ~target ~page ~vfloor ~attempt ~on_ack =
     (match nh.inject with
     | Some inj ->
       Inject.note_shootdown_retry inj;
-      Engine.schedule_after nh.engine ~delay:(Inject.ack_timeout inj ~attempt)
+      Engine.schedule_after nh.engine ~delay:(Inject.ack_timeout ~attempt)
         (fun () -> send_ipi t h ~target ~page ~vfloor ~attempt:(attempt + 1) ~on_ack)
     | None -> assert false (* a plane-free run never drops *))
   | (`Deliver | `Delay _) as d ->
@@ -341,7 +341,7 @@ let rec send_request t s h p ~attempt =
     match ns.inject with
     | Some inj ->
       Inject.note_rpc_retry inj;
-      Engine.schedule_after ns.engine ~delay:(Inject.rpc_retrans inj ~attempt)
+      Engine.schedule_after ns.engine ~delay:(Inject.rpc_retrans ~attempt)
         (fun () -> send_request t s h p ~attempt:(attempt + 1))
     | None -> assert false
   end

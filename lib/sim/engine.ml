@@ -2,8 +2,10 @@
    (time, tagged seq).  The sequence number makes simultaneous events run
    in scheduling order, which keeps runs deterministic; its low bit
    carries the event class (seq is unique per event, so tagging the low
-   bit never reorders anything).  One closure per event is the only
-   allocation.
+   bit never reorders anything).  Scheduling allocates nothing itself:
+   an event is the caller's closure, stored in the heap's slot.  The
+   kernel's resumes and dispatches post closures it built once per
+   thread and per processor, so they allocate no event at all.
 
    Two classes:
    - normal: application work and its timers; keeps {!run} alive;

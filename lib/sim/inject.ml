@@ -118,9 +118,8 @@ let block_abort t ~words =
 
 (* Backoff doubles per retry; shifts are safe for the attempt counts the
    retry bounds allow. *)
-let ack_timeout (_ : t) ~attempt = ack_timeout_ns lsl min attempt 20
-let rpc_retrans (_ : t) ~attempt = rpc_retrans_ns lsl min attempt 20
-let max_copy_retries (_ : t) = max_copy_retries
+let ack_timeout ~attempt = ack_timeout_ns lsl min attempt 20
+let rpc_retrans ~attempt = rpc_retrans_ns lsl min attempt 20
 
 let note_shootdown_retry t = t.st.shootdown_retries <- t.st.shootdown_retries + 1
 let note_rpc_retry t = t.st.rpc_retries <- t.st.rpc_retries + 1

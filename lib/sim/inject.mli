@@ -77,11 +77,11 @@ val block_abort : t -> words:int -> int option
 
 (* --- retry/backoff schedules --- *)
 
-val ack_timeout : t -> attempt:int -> int
+val ack_timeout : attempt:int -> int
 (** Exponential backoff: [100 µs * 2^attempt]. *)
 
-val rpc_retrans : t -> attempt:int -> int
-val max_copy_retries : t -> int
+val rpc_retrans : attempt:int -> int
+val max_copy_retries : int
 
 (* --- recovery bookkeeping (recorded by the kernel paths) --- *)
 

@@ -117,7 +117,7 @@ let make p =
       let r = ref 0 in
       while !r < n && out.Outcome.ok do
         let got = Api.block_read rows.(!r) n in
-        if got <> reference.(!r) then
+        if not (Array.for_all2 Int.equal got reference.(!r)) then
           Outcome.fail out "gauss-mp: row %d differs from the sequential oracle" !r;
         incr r
       done

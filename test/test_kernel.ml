@@ -529,6 +529,13 @@ let test_trapped_path_allocation () =
              measure "read" (fun _ -> ignore (Api.read buf : int));
              measure "write" (fun i -> Api.write buf i);
              measure "rmw" (fun _ -> ignore (Api.rmw buf succ : int));
+             (* An empty event posted for processor 2 one ns ahead is
+                pending before every read completes, so no read goes on
+                in place: each resumes through the thread's [fire] event
+                on the heap. *)
+             measure "read, heap resume" (fun _ ->
+                 Platinum_sim.Engine.post setup.Runner.engine ~src:2 ~dst:2 ~delay:1 ignore;
+                 ignore (Api.read buf : int));
              (* 64 words of the page: a real block transfer, short enough
                 that both loops end well before the defrost daemon's
                 first pass (t2 = 1 s) thaws the page *)
@@ -536,7 +543,9 @@ let test_trapped_path_allocation () =
              let slice = Array.make len 0 in
              measure "block_read_into" (fun _ -> Api.block_read_into buf slice ~off:0 ~len);
              measure "block_write_sub" (fun _ -> Api.block_write_sub buf slice ~off:0 ~len);
-             measure "now" (fun _ -> ignore (Api.now () : int)))))
+             measure "now" (fun _ -> ignore (Api.now () : int));
+             measure "compute" (fun _ -> Api.compute 1_000);
+             measure "sleep" (fun _ -> Api.sleep 1_000))))
   |> ignore;
   Alcotest.(check (list int)) "one frozen page, its copy on module 0" [ 0 ]
     (List.map
@@ -549,8 +558,9 @@ let test_trapped_path_allocation () =
         if w <= budget then None
         else Some (Printf.sprintf "%s: %.1f minor words per op, budget %.0f" name w budget))
       [
-        ("read", 24.); ("write", 24.); ("rmw", 24.); ("block_read_into", 24.);
-        ("block_write_sub", 24.); ("now", 12.);
+        ("read", 14.); ("write", 14.); ("rmw", 14.); ("read, heap resume", 16.);
+        ("block_read_into", 14.); ("block_write_sub", 14.); ("now", 12.); ("compute", 6.);
+        ("sleep", 16.);
       ]
   in
   Alcotest.(check (list string)) "every op within its budget" [] over
@@ -631,6 +641,92 @@ let test_inline_resume_differential () =
   (* [freezes] is the seventh counter. *)
   Alcotest.(check bool) "the run froze its page" true (List.nth counters 6 > 0)
 
+(* A remote backend's completion (Memsys.remote) through the pending
+   slot.  The stub adopts every word access, serves it through the
+   synchronous [submit] at once and completes it [lat] ns later from an
+   engine event, so the remote run differs from the synchronous one only
+   in how each access resumes: the thread blocks, its [remote_done]
+   wakes it, and its processor dispatches it again.  Three threads on
+   their own processors read back their own words and share a counter;
+   then the initial thread measures the allocation of adopted rmws. *)
+let run_remote_stub ~remote =
+  let config = Platinum_machine.Config.butterfly_plus ~nprocs:4 () in
+  let setup = Runner.make ~config ~frames_per_module:64 ~default_zone_pages:32 () in
+  let engine = setup.Runner.engine in
+  let base = Platinum_kernel.Platsys.memsys setup.Runner.platsys in
+  let adopted = ref 0 in
+  let try_remote ~now ~proc ~aspace txn ~complete =
+    match txn with
+    | Platinum_core.Memtxn.Read _ | Write _ | Rmw _ ->
+      let res, lat = base.Platinum_kernel.Memsys.submit ~now ~proc ~aspace txn in
+      incr adopted;
+      Platinum_sim.Engine.schedule_after engine ~delay:(max 1 lat) (fun () -> complete res);
+      true
+    | _ -> false
+  in
+  let memsys =
+    {
+      base with
+      Platinum_kernel.Memsys.fastpath = None;
+      remote = (if remote then Some { Platinum_kernel.Memsys.try_remote } else None);
+    }
+  in
+  let kernel = Kernel.create ~engine ~machine:setup.Runner.machine ~memsys () in
+  let logs = Array.make 3 [] in
+  let total = ref 0 in
+  let words = ref 0. in
+  let main () =
+    let buf = Api.alloc 4 in
+    let worker w () =
+      for i = 1 to 40 do
+        Api.write (buf + w) (i * (w + 1));
+        let v = Api.read (buf + w) in
+        let old = Api.rmw (buf + w) succ in
+        ignore (Api.rmw (buf + 3) succ : int);
+        logs.(w) <- (Api.my_proc (), v, old, Api.read (buf + w)) :: logs.(w)
+      done
+    in
+    List.iter Api.join (List.init 3 (fun w -> Api.spawn ~proc:(w + 1) (worker w)));
+    let n = 1_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Api.rmw (buf + 3) succ : int)
+    done;
+    words := (Gc.minor_words () -. w0) /. float_of_int n;
+    total := Api.read (buf + 3)
+  in
+  let elapsed = Kernel.run kernel ~main in
+  (elapsed, Array.map List.rev logs, !total, Kernel.context_switches kernel, !adopted, !words)
+
+let test_remote_completion () =
+  let elapsed, logs, total, switches, _, _ = run_remote_stub ~remote:false in
+  let elapsed', logs', total', switches', adopted, words = run_remote_stub ~remote:true in
+  Array.iteri
+    (fun w log ->
+      let want =
+        List.init 40 (fun i ->
+            let v = (i + 1) * (w + 1) in
+            [ w + 1; v; v; v + 1 ])
+      in
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "thread %d: its processor, read, rmw's old value, read back" w)
+        want
+        (List.map (fun (proc, v, old, back) -> [ proc; v; old; back ]) log);
+      Alcotest.(check bool) (Printf.sprintf "thread %d: as the synchronous run" w) true
+        (log = logs.(w)))
+    logs';
+  Alcotest.(check int) "every rmw of the shared counter landed" 1_120 total';
+  Alcotest.(check int) "synchronous run agrees" total total';
+  (* 3 threads x 40 rounds x 5 accesses, the 1000 measured rmws and the
+     final read. *)
+  Alcotest.(check int) "every word access adopted" 1_601 adopted;
+  (* Each completion wakes its thread into exactly one more dispatch. *)
+  Alcotest.(check int) "one dispatch per completion" (switches + adopted) switches';
+  Alcotest.(check bool) "remote completion is later" true (elapsed' > elapsed);
+  (* 27 words: the synchronous rmw's 13, the stub's completion closure,
+     the slot's [Result] and the run-queue traffic of the wake. *)
+  if words > 28. then Alcotest.failf "%.1f minor words per remote rmw, budget 28" words
+
 (* Synchronization on an adversarial machine: module stalls/outages delay
    the atomic ops but must never corrupt them. *)
 let test_spinlock_under_injection () =
@@ -689,5 +785,6 @@ let suite =
     ("sync: sleep advances the clock", `Quick, test_sleep_advances_clock);
     ("kernel: trapped path allocation budget", `Quick, test_trapped_path_allocation);
     ("kernel: inline resumption ≡ budgeted run", `Quick, test_inline_resume_differential);
+    ("kernel: remote completion through the pending slot", `Quick, test_remote_completion);
     ("sync: spinlock correct under fault injection", `Quick, test_spinlock_under_injection);
   ]
