@@ -12,7 +12,8 @@
    their payload from the thread record.  A suspended thread keeps its
    continuation in one [pending] slot, and every event that resumes it
    is a closure built once: the thread's [fire] and [timer], its
-   [remote_done] completion, and each processor's dispatcher. *)
+   [remote_done] completion, and each processor's dispatcher.  Run
+   queues are rings of tids: a wake or a dispatch allocates nothing. *)
 
 module Engine = Platinum_sim.Engine
 module Machine = Platinum_machine.Machine
@@ -51,12 +52,15 @@ type thread = {
   mutable quantum_used : int;
   fire : unit -> unit;  (* every resume through the event heap *)
   timer : unit -> unit;  (* a sleep's expiry *)
-  remote_done : Memtxn.result -> unit;  (* a remote backend's completion *)
+  remote_done : delay:int -> Memtxn.result -> unit;  (* a remote backend's completion *)
 }
+
+(* A run queue: a FIFO ring of tids that doubles when full. *)
+type iq = { mutable ring : int array; mutable head : int; mutable len : int }
 
 type port = {
   messages : int array Queue.t;
-  waiters : int Queue.t;  (* tids blocked in recv *)
+  waiters : iq;  (* tids blocked in recv *)
 }
 
 type t = {
@@ -67,7 +71,7 @@ type t = {
   proc_base : int;  (* first processor this kernel schedules *)
   proc_count : int;  (* width of the slice; run queues are indexed by offset *)
   threads : (int, thread) Hashtbl.t;
-  runqs : int Queue.t array;
+  runqs : iq array;
   proc_active : bool array;  (* an event for this processor is in flight *)
   dispatchers : (unit -> unit) array;  (* each processor's dispatch event, built once *)
   ports : (int, port) Hashtbl.t;
@@ -94,9 +98,33 @@ let set_proc_busy t proc v = t.proc_active.(proc - t.proc_base) <- v
 let in_slice t p = p >= t.proc_base && p < t.proc_base + t.proc_count
 
 let thread t tid =
-  match Hashtbl.find_opt t.threads tid with
-  | Some th -> th
-  | None -> invalid_arg (Printf.sprintf "Kernel: unknown thread %d" tid)
+  try Hashtbl.find t.threads tid
+  with Not_found -> invalid_arg (Printf.sprintf "Kernel: unknown thread %d" tid)
+
+let iq_create () = { ring = Array.make 8 0; head = 0; len = 0 }
+
+let iq_add q tid =
+  let cap = Array.length q.ring in
+  if q.len = cap then begin
+    let ring = Array.make (2 * cap) 0 in
+    for i = 0 to cap - 1 do
+      ring.(i) <- q.ring.((q.head + i) land (cap - 1))
+    done;
+    q.ring <- ring;
+    q.head <- 0
+  end;
+  q.ring.((q.head + q.len) land (Array.length q.ring - 1)) <- tid;
+  q.len <- q.len + 1
+
+(* The oldest tid, or -1 when the queue is empty. *)
+let iq_take q =
+  if q.len = 0 then -1
+  else begin
+    let tid = q.ring.(q.head) in
+    q.head <- (q.head + 1) land (Array.length q.ring - 1);
+    q.len <- q.len - 1;
+    tid
+  end
 
 let place t = function
   | Some p ->
@@ -128,7 +156,7 @@ let arm t th =
        run is unbounded by the quantum.  Otherwise the remaining quantum
        caps the run just as the per-word path's boundary check would. *)
     let quantum_left =
-      if Queue.is_empty (runq t th.proc) then max_int
+      if (runq t th.proc).len = 0 then max_int
       else (config t).Config.quantum_ns - th.quantum_used
     in
     Fastpath.arm (Fastpath.ctx ()) ops ~base:(Engine.now t.engine)
@@ -154,9 +182,9 @@ let rec make_thread t ~proc ~aspace body =
       fire = (fun () -> fired t th);
       timer = (fun () -> wake t th);
       remote_done =
-        (fun res ->
+        (fun ~delay res ->
           th.result <- res;
-          wake t th);
+          if delay = 0 then wake t th else Engine.schedule_after t.engine ~delay th.timer);
     }
   in
   Hashtbl.replace t.threads tid th;
@@ -165,9 +193,9 @@ let rec make_thread t ~proc ~aspace body =
   th
 
 and dispatch t proc =
-  match Queue.take_opt (runq t proc) with
-  | None -> set_proc_busy t proc false
-  | Some tid ->
+  match iq_take (runq t proc) with
+  | -1 -> set_proc_busy t proc false
+  | tid ->
     set_proc_busy t proc true;
     t.switches <- t.switches + 1;
     let th = thread t tid in
@@ -194,7 +222,7 @@ and continue_armed : type a. t -> thread -> (a, unit) Effect.Deep.continuation -
    rejoins its run queue; any other resumes at once. *)
 and fired t th =
   if th.state = Runnable then begin
-    Queue.add th.tid (runq t th.proc);
+    iq_add (runq t th.proc) th.tid;
     dispatch t th.proc
   end
   else resume t th
@@ -208,7 +236,7 @@ and fired t th =
    own processor (a local timer expiry). *)
 and wake ?src t th =
   th.state <- Runnable;
-  Queue.add th.tid (runq t th.proc);
+  iq_add (runq t th.proc) th.tid;
   if not (proc_busy t th.proc) then begin
     set_proc_busy t th.proc true;
     let delay = (config t).Config.context_switch_ns in
@@ -236,7 +264,7 @@ and charge t th ~lat =
 (* Preemption happens only at operation boundaries, and only when another
    thread waits for the processor. *)
 and preempted t th =
-  th.quantum_used >= (config t).Config.quantum_ns && not (Queue.is_empty (runq t th.proc))
+  th.quantum_used >= (config t).Config.quantum_ns && (runq t th.proc).len > 0
 
 (* Charge [lat] ns and say whether the thread goes on in place: at once
    for a zero charge, and by an inline engine step when its resume event
@@ -310,9 +338,9 @@ and fail_op t th () e =
    A distributed backend (Memsys.remote, DESIGN.md §4j) may adopt the
    transaction instead: the thread blocks with its continuation in the
    pending slot, protocol messages do their round trips on the engine,
-   and the thread's [remote_done] stores the result and wakes it — the
-   latency is implicit in when that wake fires, so nothing further is
-   charged here. *)
+   and the thread's [remote_done] stores the result and wakes it, now
+   or [delay] ns later — the latency is implicit in when that wake
+   fires, so nothing further is charged here. *)
 and access_op t th k txn =
   match t.memsys.Memsys.remote with
   | Some r
@@ -362,7 +390,7 @@ and syscall :
   | Eff.Yield ->
     th.state <- Runnable;
     th.pending <- Unit k;
-    Queue.add th.tid (runq t th.proc);
+    iq_add (runq t th.proc) th.tid;
     dispatch t th.proc
   | Eff.Spawn (body, hint, aspace_hint) ->
     service t th k (fun () ->
@@ -403,7 +431,7 @@ and syscall :
       (* The migration itself is cross-node traffic: the thread (kernel
          stack and all) lands on [proc]'s queue. *)
       Engine.post t.engine ~src:from_proc ~dst:proc ~delay:lat (fun () ->
-          Queue.add th.tid (runq t proc);
+          iq_add (runq t proc) th.tid;
           if not (proc_busy t proc) then begin
             set_proc_busy t proc true;
             dispatch t proc
@@ -416,7 +444,7 @@ and syscall :
   | Eff.New_port ->
     let pid = t.next_pid in
     t.next_pid <- pid + 1;
-    Hashtbl.replace t.ports pid { messages = Queue.create (); waiters = Queue.create () };
+    Hashtbl.replace t.ports pid { messages = Queue.create (); waiters = iq_create () };
     complete t th k pid 0
   | Eff.Port_send (pid, msg) -> (
     match Hashtbl.find_opt t.ports pid with
@@ -426,9 +454,9 @@ and syscall :
       let cfg = config t in
       let lat = cfg.Config.port_op_ns + (Array.length msg * cfg.Config.t_block_word) in
       Queue.add (Array.copy msg) port.messages;
-      (match Queue.take_opt port.waiters with
-      | Some tid -> wake ~src:th.proc t (thread t tid)
-      | None -> ());
+      (match iq_take port.waiters with
+      | -1 -> ()
+      | tid -> wake ~src:th.proc t (thread t tid));
       complete t th k () lat)
   | Eff.Port_recv pid -> (
     match Hashtbl.find_opt t.ports pid with
@@ -446,7 +474,7 @@ and syscall :
         complete t th k m (cfg.Config.port_op_ns + (Array.length m * cfg.Config.t_block_word))
       end
       else begin
-        Queue.add th.tid port.waiters;
+        iq_add port.waiters th.tid;
         block t th k (lazy (take ()))
       end)
   | Eff.New_zone (name, pages) ->
@@ -527,7 +555,7 @@ let create ?(coalesce = true) ?slice ~engine ~machine ~memsys () =
       proc_base = base;
       proc_count = count;
       threads = Hashtbl.create 64;
-      runqs = Array.init count (fun _ -> Queue.create ());
+      runqs = Array.init count (fun _ -> iq_create ());
       proc_active = Array.make count false;
       dispatchers = Array.make count ignore;
       ports = Hashtbl.create 16;

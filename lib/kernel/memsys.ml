@@ -7,19 +7,21 @@ type advice =
    backend whose remote operations travel as protocol messages between
    per-node engines cannot return a latency synchronously — the cost *is*
    when the reply arrives.  [try_remote] either adopts the transaction
-   (returns [true]; [complete] will be invoked exactly once, from a later
-   engine event on the submitting node, with the result) or declines
-   (returns [false]; the kernel falls back to the synchronous [submit]).
-   [try_remote] must not call [complete] synchronously and must not
-   raise after adopting; validation errors are declined so [submit] can
-   raise them on the kernel's normal error path. *)
+   (returns [true]; [complete ~delay res] will be called exactly once on
+   the submitting node, and the thread resumes with [res] [delay] ns
+   after that call) or declines (returns [false]; the kernel falls back
+   to the synchronous [submit]).  [delay = 0] may come only from a later
+   engine event; [delay >= 1] may come inside [try_remote] too.
+   [try_remote] must not raise after adopting; validation errors are
+   declined so [submit] can raise them on the kernel's normal error
+   path. *)
 type remote = {
   try_remote :
     now:int ->
     proc:int ->
     aspace:int ->
     Platinum_core.Memtxn.t ->
-    complete:(Platinum_core.Memtxn.result -> unit) ->
+    complete:(delay:int -> Platinum_core.Memtxn.result -> unit) ->
     bool;
 }
 

@@ -23,17 +23,19 @@ type remote = {
     proc:int ->
     aspace:int ->
     Platinum_core.Memtxn.t ->
-    complete:(Platinum_core.Memtxn.result -> unit) ->
+    complete:(delay:int -> Platinum_core.Memtxn.result -> unit) ->
     bool;
 }
 (** Asynchronous completion for distributed backends (DESIGN.md §4j).
     [try_remote] either adopts the transaction — returns [true], and
-    [complete] fires exactly once from a later engine event on the
-    submitting node's engine, carrying the result (the latency is
-    implicit in when that event fires) — or declines with [false], in
-    which case the kernel serves the transaction through the synchronous
-    [submit].  Adopting implies the calling thread blocks; [complete]
-    must never be invoked synchronously from inside [try_remote], and an
+    [complete ~delay res] is called exactly once on the submitting
+    node's engine — or declines with [false], in which case the kernel
+    serves the transaction through the synchronous [submit].  The
+    calling thread blocks until [delay] ns after that call, when it
+    resumes with [res] (the latency is implicit in when it wakes).
+    [delay = 0] is allowed only from a later engine event; a [delay] of
+    1 or more may be given inside [try_remote] itself, so a backend
+    that knows the latency at once builds no event of its own.  An
     adopted transaction must not raise (backends decline anything whose
     validation should fail, so [submit] raises it instead). *)
 

@@ -55,7 +55,7 @@ type pend = {
   p_txn : Memtxn.t;
   p_src : int;
   p_page : int;
-  p_complete : Memtxn.result -> unit;  (* runs on [p_src]'s engine *)
+  p_complete : delay:int -> Memtxn.result -> unit;  (* runs on [p_src]'s engine *)
 }
 
 (* Home-side page record: authoritative data, holder set, version.  [busy]
@@ -137,13 +137,13 @@ let ipi_delay t ~src ~dst = max t.la (Xbar.ipi_ns t.cfg ~hop:(Config.hop t.cfg ~
    single page so it has a single home.  Strides and page-straddling
    blocks are declined (the workloads never issue them; a caller that does
    gets the synchronous path's [Invalid_argument]), and so is a
-   zero-length block, which the synchronous path completes at no cost. *)
+   zero-length block, which the synchronous path completes at no cost.
+   The page, or -1 to decline. *)
 let txn_page t = function
-  | Memtxn.Read { vaddr } | Memtxn.Write { vaddr; _ } | Memtxn.Rmw { vaddr; _ } ->
-    Some (vaddr / t.pw)
+  | Memtxn.Read { vaddr } | Memtxn.Write { vaddr; _ } | Memtxn.Rmw { vaddr; _ } -> vaddr / t.pw
   | Memtxn.Block_read { vaddr; len; _ } | Memtxn.Block_write { vaddr; len; _ } ->
-    if len >= 1 && vaddr / t.pw = (vaddr + len - 1) / t.pw then Some (vaddr / t.pw) else None
-  | Memtxn.Stride_read _ | Memtxn.Stride_write _ -> None
+    if len >= 1 && vaddr / t.pw = (vaddr + len - 1) / t.pw then vaddr / t.pw else -1
+  | Memtxn.Stride_read _ | Memtxn.Stride_write _ -> -1
 
 (* Complete a read from page data [arr] into the requester's slice, on the
    requesting node only: a home never writes into another node's buffer.
@@ -207,7 +207,7 @@ let grant_copy t h hp p =
         ns.c.words <- ns.c.words + t.pw
       end
       else ns.c.discards <- ns.c.discards + 1;
-      p.p_complete (read_result t snapshot p.p_page p.p_txn))
+      p.p_complete ~delay:0 (read_result t snapshot p.p_page p.p_txn))
 
 let rec home_serve t h p =
   let hp = get_hpage t h p.p_page in
@@ -224,9 +224,8 @@ let rec home_serve t h p =
         let lat =
           Xbar.access ?inject:nh.inject t.cfg t.mods ~now ~proc:h ~mem_module:h Xbar.Read ~words
         in
-        let res = read_result t hp.hdata p.p_page p.p_txn in
         nh.c.words <- nh.c.words + words;
-        Engine.schedule_after nh.engine ~delay:(max 1 lat) (fun () -> p.p_complete res)
+        p.p_complete ~delay:(max 1 lat) (read_result t hp.hdata p.p_page p.p_txn)
       end
       else grant_copy t h hp p
     | Memtxn.Write _ | Memtxn.Rmw _ | Memtxn.Block_write _ ->
@@ -262,10 +261,10 @@ and apply_write t h hp p =
     Xbar.access ?inject:nh.inject t.cfg t.mods ~now ~proc:p.p_src ~mem_module:h kind ~words
   in
   nh.c.words <- nh.c.words + words;
-  if p.p_src = h then Engine.schedule_after nh.engine ~delay:(max 1 lat) (fun () -> p.p_complete res)
+  if p.p_src = h then p.p_complete ~delay:(max 1 lat) res
   else
     Engine.post nh.engine ~src:h ~dst:p.p_src ~delay:(max (net_delay t ~src:h ~dst:p.p_src) lat)
-      (fun () -> p.p_complete res)
+      (fun () -> p.p_complete ~delay:0 res)
 
 (* Invalidate every replica before a write: one IPI per holder, acks ride
    back as messages, the page queues everything until the last ack.  IPI
@@ -351,53 +350,42 @@ let rec send_request t s h p ~attempt =
 
 (* The {!Memsys.remote} hook for node [s]: adopt every valid single-page
    transaction and serve it through the protocol; decline the rest so the
-   synchronous path reports the error. *)
+   synchronous path reports the error.  A replica hit completes at once
+   through [complete ~delay]; only a request sent to or served at a home
+   builds its [pend]. *)
 let try_remote t s txn ~complete =
   match Memtxn.validate txn with
   | exception _ -> false
-  | () -> (
-    match txn_page t txn with
-    | None -> false
-    | Some page ->
+  | () ->
+    let page = txn_page t txn in
+    if page < 0 then false
+    else begin
       let ns = t.nodes.(s) in
       let h = t.home_of page in
-      let p = { p_txn = txn; p_src = s; p_page = page; p_complete = complete } in
-      (match txn with
-      | Memtxn.Read _ | Memtxn.Block_read _ ->
-        ns.c.reads <- ns.c.reads + 1;
-        if h = s then begin
-          ns.c.local_hits <- ns.c.local_hits + 1;
-          home_serve t s p
-        end
-        else (
-          match Flat.find ns.replicas page with
-          | Some r ->
-            (* steady-state hit: served from the local copy *)
-            ns.c.local_hits <- ns.c.local_hits + 1;
-            let words = Memtxn.data_words txn in
-            let now = Engine.now ns.engine in
-            let lat =
-              Xbar.access ?inject:ns.inject t.cfg t.mods ~now ~proc:s ~mem_module:s Xbar.Read
-                ~words
-            in
-            ns.c.words <- ns.c.words + words;
-            let res = read_result t r.rdata page txn in
-            Engine.schedule_after ns.engine ~delay:(max 1 lat) (fun () -> complete res)
-          | None ->
-            ns.c.remote_ops <- ns.c.remote_ops + 1;
-            send_request t s h p ~attempt:0)
-      | Memtxn.Write _ | Memtxn.Rmw _ | Memtxn.Block_write _ ->
-        ns.c.writes <- ns.c.writes + 1;
-        if h = s then begin
-          ns.c.local_hits <- ns.c.local_hits + 1;
-          home_serve t s p
-        end
-        else begin
-          ns.c.remote_ops <- ns.c.remote_ops + 1;
-          send_request t s h p ~attempt:0
-        end
-      | Memtxn.Stride_read _ | Memtxn.Stride_write _ -> assert false);
-      true)
+      let is_read = match txn with Memtxn.Read _ | Memtxn.Block_read _ -> true | _ -> false in
+      if is_read then ns.c.reads <- ns.c.reads + 1 else ns.c.writes <- ns.c.writes + 1;
+      (if h = s then begin
+         ns.c.local_hits <- ns.c.local_hits + 1;
+         home_serve t s { p_txn = txn; p_src = s; p_page = page; p_complete = complete }
+       end
+       else
+         match if is_read then Flat.find ns.replicas page else None with
+         | Some r ->
+           (* steady-state hit: served from the local copy *)
+           ns.c.local_hits <- ns.c.local_hits + 1;
+           let words = Memtxn.data_words txn in
+           let now = Engine.now ns.engine in
+           let lat =
+             Xbar.access ?inject:ns.inject t.cfg t.mods ~now ~proc:s ~mem_module:s Xbar.Read ~words
+           in
+           ns.c.words <- ns.c.words + words;
+           complete ~delay:(max 1 lat) (read_result t r.rdata page txn)
+         | None ->
+           ns.c.remote_ops <- ns.c.remote_ops + 1;
+           send_request t s h { p_txn = txn; p_src = s; p_page = page; p_complete = complete }
+             ~attempt:0);
+      true
+    end
 
 (* --- the per-node memory system --- *)
 

@@ -59,7 +59,8 @@ let seed_cell r c = (((r * 1103515245) + (c * 12345)) land 0xFFFF) + 1
 (* Jacobi and gauss: rows [0, n) start seeded; each iteration node [r]
    reads rows [pre], barriers, reads rows [post] and writes [next] of
    them (pre then post) into its own row, then barriers.  The oracle runs
-   the same [next] over a host copy of the grid. *)
+   the same [next] over a host copy of the grid.  A node's row buffers
+   are allocated once: [pre] and [post] have a fixed length per node. *)
 let grid ~name ~n ~pw ~width ~iters ~pre ~post ~next =
   let seed = Array.init n (fun r -> Array.init width (seed_cell r)) in
   (* The barrier's count word is word 0 and its generation word is the
@@ -69,12 +70,22 @@ let grid ~name ~n ~pw ~width ~iters ~pre ~post ~next =
      lets them see it. *)
   let barrier = Sync.Barrier.of_addrs ~parties:n ~count_addr:0 ~gen_addr:pw in
   let body ~node:r ~row ~rng:_ =
-    let read q = Api.block_read (row q) width in
+    let npre = Array.length (pre ~r ~it:0) in
+    let rows = Array.init (npre + Array.length (post ~r ~it:0)) (fun _ -> Array.make width 0) in
+    let out = Array.make width 0 in
+    let read first qs =
+      for i = 0 to Array.length qs - 1 do
+        Api.block_read_into (row qs.(i)) rows.(first + i) ~off:0 ~len:width
+      done
+    in
     for it = 0 to iters - 1 do
-      let before = Array.map read (pre ~r ~it) in
+      read 0 (pre ~r ~it);
       Sync.Barrier.wait barrier;
-      let rows = Array.append before (Array.map read (post ~r ~it)) in
-      Api.block_write (row r) (Array.init width (next rows));
+      read npre (post ~r ~it);
+      for c = 0 to width - 1 do
+        out.(c) <- next rows c
+      done;
+      Api.block_write (row r) out;
       Sync.Barrier.wait barrier
     done
   in

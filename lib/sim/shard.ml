@@ -42,7 +42,7 @@
    during the round lands at or after m + lookahead.  Rounds are separated
    by a barrier; mailboxes are written only in run phases and drained only
    in drain phases, so each buffer has one owner at a time and the barrier
-   publishes it.
+   publishes it, with the window's end: the phases are built once a run.
 
    Packed keys: the drain's merge heap takes (src_node lsl 36) lor src_seq
    as its seq word.  With more than one node that exceeds Eheap's
@@ -336,14 +336,15 @@ let hosted_index h sid =
     wake_rekey h w mine.(i) ~was_live:false
   done
 
-(* The run phase: pop every node whose head falls inside the window off
-   the index, run it to the window's end and re-key it.  Nodes run in pop
-   order: a node's events touch only its own state and the drain merges
-   mail by (at, key), so the order cannot change the output.  A re-keyed
-   head lands at or past [window_end], so no node is popped twice.  Nodes
-   with nothing due are not touched; their clocks lag until {!run_hosted}
-   brings them level. *)
-let hosted_run h sid ~window_end =
+(* The run phase: pop every node whose head falls before [h_window_end]
+   off the index, run it to the window's end and re-key it.  Nodes run in
+   pop order: a node's events touch only its own state and the drain
+   merges mail by (at, key), so the order cannot change the output.  A
+   re-keyed head lands at or past the window's end, so no node is popped
+   twice.  Nodes with nothing due are not touched; their clocks lag until
+   {!run_hosted} brings them level. *)
+let hosted_run h sid =
+  let window_end = h.h_window_end in
   let w = h.h_wake.(sid) in
   while (not (Eheap.is_empty w.w_heap)) && Eheap.min_time w.w_heap < window_end do
     let at = Eheap.min_time w.w_heap in
@@ -398,20 +399,22 @@ let hosted_drain h sid =
   done;
   w.w_min <- wake_head h w.w_heap
 
+(* The run and drain phases are built once; each round publishes its
+   window's end in [h_window_end] before the run phase reads it. *)
 let hosted_rounds h ~phase =
   (* Round 0 indexes the engines and folds in anything posted during setup. *)
   phase (fun sid ->
       hosted_index h sid;
       hosted_drain h sid);
+  let run sid = hosted_run h sid and drain sid = hosted_drain h sid in
   while Array.fold_left (fun acc w -> acc + w.w_live) 0 h.h_wake > 0 do
     let m = Array.fold_left (fun acc w -> min acc w.w_min) max_int h.h_wake in
     (* a live node has a normal event pending, hence a live key *)
     assert (m < max_int);
-    let window_end = m + h.h_lookahead in
-    h.h_window_end <- window_end;
+    h.h_window_end <- m + h.h_lookahead;
     h.h_windows <- h.h_windows + 1;
-    phase (fun sid -> hosted_run h sid ~window_end);
-    phase (fun sid -> hosted_drain h sid)
+    phase run;
+    phase drain
   done
 
 let run_hosted ?(domains = 1) h =

@@ -8,7 +8,11 @@ module Rule_alloc = Platinum_check.Rule_alloc
 module Rule_domain = Platinum_check.Rule_domain
 
 let unit_ ~file src = Ast_lint.unit_of_source ~file src
-let lib_units = lazy (Ast_lint.load_dirs [ "../lib" ])
+(* lib/'s sources as dune copies them beside this test's build directory
+   (the test's dune deps), found from the executable, not the working
+   directory, so the suite runs the same from anywhere. *)
+let lib_dir = Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "lib"
+let lib_units = lazy (Ast_lint.load_dirs [ lib_dir ])
 
 (* findings rendered as "name:construct" / "name:allowed" strings *)
 let tags fs =

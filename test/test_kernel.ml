@@ -560,7 +560,7 @@ let test_trapped_path_allocation () =
       [
         ("read", 14.); ("write", 14.); ("rmw", 14.); ("read, heap resume", 16.);
         ("block_read_into", 14.); ("block_write_sub", 14.); ("now", 12.); ("compute", 6.);
-        ("sleep", 16.);
+        ("sleep", 8.);
       ]
   in
   Alcotest.(check (list string)) "every op within its budget" [] over
@@ -643,12 +643,13 @@ let test_inline_resume_differential () =
 
 (* A remote backend's completion (Memsys.remote) through the pending
    slot.  The stub adopts every word access, serves it through the
-   synchronous [submit] at once and completes it [lat] ns later from an
-   engine event, so the remote run differs from the synchronous one only
-   in how each access resumes: the thread blocks, its [remote_done]
-   wakes it, and its processor dispatches it again.  Three threads on
-   their own processors read back their own words and share a counter;
-   then the initial thread measures the allocation of adopted rmws. *)
+   synchronous [submit] at once and completes it with
+   [~delay:(max 1 lat)] from inside [try_remote], so the remote run
+   differs from the synchronous one only in how each access resumes: the
+   thread blocks, its [timer] wakes it that much later, and its
+   processor dispatches it again.  Three threads on their own processors
+   read back their own words and share a counter; then the initial
+   thread measures the allocation of adopted rmws. *)
 let run_remote_stub ~remote =
   let config = Platinum_machine.Config.butterfly_plus ~nprocs:4 () in
   let setup = Runner.make ~config ~frames_per_module:64 ~default_zone_pages:32 () in
@@ -660,7 +661,7 @@ let run_remote_stub ~remote =
     | Platinum_core.Memtxn.Read _ | Write _ | Rmw _ ->
       let res, lat = base.Platinum_kernel.Memsys.submit ~now ~proc ~aspace txn in
       incr adopted;
-      Platinum_sim.Engine.schedule_after engine ~delay:(max 1 lat) (fun () -> complete res);
+      complete ~delay:(max 1 lat) res;
       true
     | _ -> false
   in
@@ -723,9 +724,77 @@ let test_remote_completion () =
   (* Each completion wakes its thread into exactly one more dispatch. *)
   Alcotest.(check int) "one dispatch per completion" (switches + adopted) switches';
   Alcotest.(check bool) "remote completion is later" true (elapsed' > elapsed);
-  (* 27 words: the synchronous rmw's 13, the stub's completion closure,
-     the slot's [Result] and the run-queue traffic of the wake. *)
-  if words > 28. then Alcotest.failf "%.1f minor words per remote rmw, budget 28" words
+  (* 15 words: the synchronous rmw's 13 and the slot's [Result]; the
+     completion posts the thread's own [timer] and the wake's run-queue
+     traffic allocates nothing. *)
+  if words > 16. then Alcotest.failf "%.1f minor words per remote rmw, budget 16" words
+
+(* Run queues are FIFO rings of tids that start with room for 8.  A
+   spawner on processor 1 starts 3 workers and yields once, so the
+   workers' own yields walk the ring's head forward; then it spawns 9
+   more, so the ring wraps and grows while its head is mid-array.  Each
+   worker notes its index and yields, 3 times; every pass over the ring
+   must run the live workers in spawn order. *)
+let test_run_queue_fifo () =
+  let log = ref [] in
+  run (fun () ->
+      let spawner () =
+        let worker i () =
+          for _ = 1 to 3 do
+            log := i :: !log;
+            Api.yield ()
+          done
+        in
+        let first = List.init 3 (fun i -> Api.spawn ~proc:1 (worker i)) in
+        Api.yield ();
+        let rest = List.init 9 (fun i -> Api.spawn ~proc:1 (worker (i + 3))) in
+        List.iter Api.join (first @ rest)
+      in
+      Api.join (Api.spawn ~proc:1 spawner))
+  |> ignore;
+  let range a b = List.init (b - a) (fun i -> a + i) in
+  Alcotest.(check (list int)) "every pass in spawn order"
+    (range 0 3 @ range 0 12 @ range 0 12 @ range 3 12)
+    (List.rev !log)
+
+(* Host allocation of a hosted replica hit (DESIGN.md §4g): node 1 reads
+   a word of row 0, homed at node 0, once to replicate its page, then
+   measures warm reads.  Each one traps, hits the replica and completes
+   through the thread's own [timer], with no request record, no
+   completion closure and no run-queue allocation, so a read costs only
+   the trap: the effect, the transaction, the continuation, the [Word]
+   result and the slot's [Result], 11 words.  Nothing else is live: the
+   other nodes finish at once. *)
+let test_hosted_hit_allocation () =
+  let config = Platinum_machine.Config.hierarchical ~cluster_size:4 ~nodes:8 () in
+  let n = 1_000 in
+  let words = ref nan and sum = ref 0 in
+  let body ~node ~row ~rng:_ =
+    if node = 1 then begin
+      let a = row 0 in
+      sum := Api.read a;
+      let c0 = Gc.minor_words () in
+      let c1 = Gc.minor_words () in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        sum := !sum + Api.read (a + 1)
+      done;
+      words := (Gc.minor_words () -. w0 -. (c1 -. c0)) /. float_of_int n
+    end
+  in
+  let prog =
+    {
+      Platinum_scale.Parkernel.name = "warm_hits";
+      image = [ (0, [| 5; 7 |]) ];
+      body;
+      verify = (fun words -> (words 0).(1) = 7);
+    }
+  in
+  let r = Platinum_scale.Parkernel.run ~config (Platinum_scale.Parkernel.Program prog) in
+  Alcotest.(check bool) "verified" true r.Platinum_scale.Parkernel.verified;
+  Alcotest.(check int) "every read saw the home's words" (5 + (7 * n)) !sum;
+  Alcotest.(check int) "one page copy" 1 r.Platinum_scale.Parkernel.replications;
+  if !words > 12. then Alcotest.failf "%.1f minor words per hosted hit, budget 12" !words
 
 (* Synchronization on an adversarial machine: module stalls/outages delay
    the atomic ops but must never corrupt them. *)
@@ -786,5 +855,7 @@ let suite =
     ("kernel: trapped path allocation budget", `Quick, test_trapped_path_allocation);
     ("kernel: inline resumption ≡ budgeted run", `Quick, test_inline_resume_differential);
     ("kernel: remote completion through the pending slot", `Quick, test_remote_completion);
+    ("kernel: run queue FIFO through wrap and growth", `Quick, test_run_queue_fifo);
+    ("kernel: hosted replica hit allocation budget", `Quick, test_hosted_hit_allocation);
     ("sync: spinlock correct under fault injection", `Quick, test_spinlock_under_injection);
   ]
