@@ -13,6 +13,7 @@ module Time_ns = Platinum_sim.Time_ns
 type scale = {
   full : bool;  (** paper-size problems (slower) *)
   procs : int list;  (** processor counts for speedup curves *)
+  shards : int;  (** event-queue shards for one simulation (the scale experiment) *)
 }
 
 let default_procs = [ 1; 2; 4; 8; 12; 16 ]

@@ -162,7 +162,7 @@ let shard_speedup ~config ~domains w =
 
 let run (scale : scale) =
   section "scale: sharded engine over hierarchical machines (emits BENCH_scale.json)";
-  let shards = Par.get_shards () in
+  let shards = scale.shards in
   let domains = Par.get_jobs () in
   let node_counts = if scale.full then [ 64; 256; 1024 ] else [ 64; 256 ] in
   let largest = List.fold_left max 0 node_counts in

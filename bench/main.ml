@@ -53,8 +53,8 @@ let run_selected names full procs jobs shards list_only =
   end
   else begin
     Platinum_runner.Par.set_jobs jobs;
-    Platinum_runner.Par.set_shards shards;
-    let scale = { Exp_common.full; procs } in
+    if shards < 0 then invalid_arg "--shards: negative shard count";
+    let scale = { Exp_common.full; procs; shards = max shards 1 } in
     let targets =
       match names with
       | [] -> experiments

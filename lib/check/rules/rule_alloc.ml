@@ -50,8 +50,8 @@ let catalogue =
     ("frame.ml", [ "copy"; "read_words"; "write_words"; "blit_from" ]);
     ( "eheap.ml",
       [
-        "add"; "pop"; "min_time"; "min_seq"; "check_nonempty"; "sift_up_packed_loop";
-        "sift_down_packed_loop"; "sift_up_fb_loop"; "sift_down_fb_loop";
+        "add"; "pop"; "min_time"; "min_seq"; "check_nonempty"; "seq_at"; "sift_up_loop";
+        "sift_down_loop";
       ] );
     ( "fastpath.ml",
       [

@@ -231,24 +231,22 @@ and fired t th =
    will reach its own dispatch when the current thread blocks/finishes.
    The wakeup is cross-node work when the waker runs elsewhere (a port
    send, a join completion), so it goes through the engine's [post]
-   façade: sequentially that is a plain [schedule_after]; under a sharded
-   driver it is a mailbox crossing.  [src] defaults to the woken thread's
-   own processor (a local timer expiry). *)
-and wake ?src t th =
+   façade: sequentially that is a plain [schedule_after]; under [Shard]
+   it is a mailbox crossing. *)
+and wake t th =
   th.state <- Runnable;
   iq_add (runq t th.proc) th.tid;
   if not (proc_busy t th.proc) then begin
     set_proc_busy t th.proc true;
     let delay = (config t).Config.context_switch_ns in
-    let src = match src with Some s -> s | None -> th.proc in
-    Engine.post t.engine ~src ~dst:th.proc ~delay t.dispatchers.(th.proc - t.proc_base)
+    Engine.post t.engine ~dst:th.proc ~delay t.dispatchers.(th.proc - t.proc_base)
   end
 
 and finish_thread t th =
   th.state <- Finished;
   t.live <- t.live - 1;
   if t.live = 0 then t.finished_at <- Engine.now t.engine;
-  List.iter (fun tid -> wake ~src:th.proc t (thread t tid)) th.joiners;
+  List.iter (fun tid -> wake t (thread t tid)) th.joiners;
   th.joiners <- [];
   dispatch t th.proc
 
@@ -397,7 +395,7 @@ and syscall :
         let proc = place t hint in
         let aspace = Option.value aspace_hint ~default:th.aspace in
         let child = make_thread t ~proc ~aspace body in
-        wake ~src:th.proc t child;
+        wake t child;
         (child.tid, (config t).Config.thread_spawn_ns))
   | Eff.Join tid -> (
     match thread t tid with
@@ -430,7 +428,7 @@ and syscall :
       th.proc <- proc;
       (* The migration itself is cross-node traffic: the thread (kernel
          stack and all) lands on [proc]'s queue. *)
-      Engine.post t.engine ~src:from_proc ~dst:proc ~delay:lat (fun () ->
+      Engine.post t.engine ~dst:proc ~delay:lat (fun () ->
           iq_add (runq t proc) th.tid;
           if not (proc_busy t proc) then begin
             set_proc_busy t proc true;
@@ -456,7 +454,7 @@ and syscall :
       Queue.add (Array.copy msg) port.messages;
       (match iq_take port.waiters with
       | -1 -> ()
-      | tid -> wake ~src:th.proc t (thread t tid));
+      | tid -> wake t (thread t tid));
       complete t th k () lat)
   | Eff.Port_recv pid -> (
     match Hashtbl.find_opt t.ports pid with

@@ -11,22 +11,6 @@ let get_jobs () =
   let j = Atomic.get jobs_setting in
   if j > 0 then j else default_jobs ()
 
-(* Intra-simulation sharding (Sim.Shard) is a different parallelism axis
-   from the grid pool above: jobs = independent simulations side by side,
-   shards = one simulation's event queue split across domains.  The bench
-   harness records them separately ("grid" vs "shard" in the BENCH JSON)
-   so the two kinds of speedup are never conflated.  0 = unset = 1 shard
-   (today's sequential engine, bit for bit). *)
-let shards_setting = Atomic.make 0
-
-let set_shards n =
-  if n < 0 then invalid_arg "Par.set_shards: negative shard count";
-  Atomic.set shards_setting n
-
-let get_shards () =
-  let s = Atomic.get shards_setting in
-  if s > 0 then s else 1
-
 let map ?jobs f cells =
   let jobs = match jobs with Some j -> j | None -> get_jobs () in
   if jobs < 1 then invalid_arg "Par.map: jobs must be >= 1";

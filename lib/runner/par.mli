@@ -13,7 +13,13 @@
     report) and must not touch mutable state outside its own cell.  The
     simulator itself satisfies the second half: all simulation state hangs
     off the per-cell instances, and the only cross-instance global (the
-    memory-object id counter) is atomic. *)
+    memory-object id counter) is atomic.
+
+    The other parallelism axis, one simulation's event queue split across
+    domains, is {!Platinum_sim.Shard}'s, which takes its shard count as an
+    argument.  The bench harness labels the two speedups ["grid"]
+    (BENCH_sweep.json) and ["shard"] (BENCH_scale.json), so they are never
+    conflated. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
@@ -27,24 +33,6 @@ val set_jobs : int -> unit
 val get_jobs : unit -> int
 (** The effective pool width: the last [set_jobs] value, or
     [default_jobs ()] when unset/reset. *)
-
-(** {2 Intra-simulation sharding}
-
-    A second, independent parallelism axis: [jobs] fans {e independent}
-    simulations over a grid, while [shards] splits {e one} simulation's
-    event queue across domains ({!Platinum_sim.Shard}).  Speedup from the
-    two must never be conflated — the bench harness labels them ["grid"]
-    (BENCH_sweep.json) and ["shard"] (BENCH_scale.json) respectively.
-    The setting is plumbing for the harness's [--shards] flag; simulation
-    results are identical at any shard count. *)
-
-val set_shards : int -> unit
-(** Set the shard count used by shard-aware experiments.  [set_shards 0]
-    restores the default (1 — the sequential engine, bit for bit);
-    negative values raise [Invalid_argument]. *)
-
-val get_shards : unit -> int
-(** The effective shard count: the last [set_shards] value, or 1. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f cells] applies [f] to every cell on [min jobs (length cells)]

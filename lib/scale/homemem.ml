@@ -71,13 +71,11 @@ type hpage = {
   hwaiting : pend Queue.t;
 }
 
-type replica = { rdata : int array }
-
 type node = {
   engine : Engine.t;
   inject : Inject.t option;
   homes : hpage Flat.t;  (* vpage -> home record, for pages homed here *)
-  replicas : replica Flat.t;  (* vpage -> read copy installed here *)
+  replicas : int array Flat.t;  (* vpage -> read copy installed here *)
   pfloor : int Flat.t;  (* vpage -> newest version invalidated here *)
   c : counters;
 }
@@ -156,6 +154,19 @@ let read_result t arr page = function
     Memtxn.Unit
   | _ -> assert false
 
+(* A read node [s] serves from its own memory, the home's page or a
+   replica alike: charged against [s]'s own module, completed [max 1 lat]
+   ns later from page data [arr]. *)
+let local_read t s arr page txn ~complete =
+  let ns = t.nodes.(s) in
+  let now = Engine.now ns.engine in
+  let words = Memtxn.data_words txn in
+  let lat =
+    Xbar.access ?inject:ns.inject t.cfg t.mods ~now ~proc:s ~mem_module:s Xbar.Read ~words
+  in
+  ns.c.words <- ns.c.words + words;
+  complete ~delay:(max 1 lat) (read_result t arr page txn)
+
 (* --- home-side service --- *)
 
 let get_hpage t h page =
@@ -198,11 +209,11 @@ let grant_copy t h hp p =
     hp.nholders <- hp.nholders + 1
   end;
   let delay = max (net_delay t ~src:h ~dst:p.p_src) lat in
-  Engine.post nh.engine ~src:h ~dst:p.p_src ~delay (fun () ->
+  Engine.post nh.engine ~dst:p.p_src ~delay (fun () ->
       let ns = t.nodes.(p.p_src) in
       let floor = match Flat.find ns.pfloor p.p_page with Some f -> f | None -> -1 in
       if version > floor then begin
-        Flat.set ns.replicas p.p_page { rdata = snapshot };
+        Flat.set ns.replicas p.p_page snapshot;
         ns.c.replications <- ns.c.replications + 1;
         ns.c.words <- ns.c.words + t.pw
       end
@@ -216,17 +227,8 @@ let rec home_serve t h p =
     ensure_data t hp;
     match p.p_txn with
     | Memtxn.Read _ | Memtxn.Block_read _ ->
-      if p.p_src = h then begin
-        (* the home reads its own page in place; no replica involved *)
-        let nh = t.nodes.(h) in
-        let now = Engine.now nh.engine in
-        let words = Memtxn.data_words p.p_txn in
-        let lat =
-          Xbar.access ?inject:nh.inject t.cfg t.mods ~now ~proc:h ~mem_module:h Xbar.Read ~words
-        in
-        nh.c.words <- nh.c.words + words;
-        p.p_complete ~delay:(max 1 lat) (read_result t hp.hdata p.p_page p.p_txn)
-      end
+      (* the home reads its own page in place; no replica involved *)
+      if p.p_src = h then local_read t h hp.hdata p.p_page p.p_txn ~complete:p.p_complete
       else grant_copy t h hp p
     | Memtxn.Write _ | Memtxn.Rmw _ | Memtxn.Block_write _ ->
       if hp.nholders = 0 then apply_write t h hp p else start_shootdown t h hp p
@@ -263,7 +265,7 @@ and apply_write t h hp p =
   nh.c.words <- nh.c.words + words;
   if p.p_src = h then p.p_complete ~delay:(max 1 lat) res
   else
-    Engine.post nh.engine ~src:h ~dst:p.p_src ~delay:(max (net_delay t ~src:h ~dst:p.p_src) lat)
+    Engine.post nh.engine ~dst:p.p_src ~delay:(max (net_delay t ~src:h ~dst:p.p_src) lat)
       (fun () -> p.p_complete ~delay:0 res)
 
 (* Invalidate every replica before a write: one IPI per holder, acks ride
@@ -309,7 +311,7 @@ and send_ipi t h ~target ~page ~vfloor ~attempt ~on_ack =
     | None -> assert false (* a plane-free run never drops *))
   | (`Deliver | `Delay _) as d ->
     let extra = match d with `Delay ns -> ns | `Deliver -> 0 in
-    Engine.post nh.engine ~src:h ~dst:target ~delay:(ipi_delay t ~src:h ~dst:target + extra)
+    Engine.post nh.engine ~dst:target ~delay:(ipi_delay t ~src:h ~dst:target + extra)
       (fun () ->
         let nt = t.nodes.(target) in
         (match Flat.find nt.replicas page with
@@ -319,7 +321,7 @@ and send_ipi t h ~target ~page ~vfloor ~attempt ~on_ack =
         | None -> ());
         let floor = match Flat.find nt.pfloor page with Some f -> f | None -> -1 in
         if vfloor > floor then Flat.set nt.pfloor page vfloor;
-        Engine.post nt.engine ~src:target ~dst:h ~delay:(net_delay t ~src:target ~dst:h)
+        Engine.post nt.engine ~dst:h ~delay:(net_delay t ~src:target ~dst:h)
           (fun () -> on_ack ()))
 
 and drain_waiting t h hp =
@@ -345,7 +347,7 @@ let rec send_request t s h p ~attempt =
     | None -> assert false
   end
   else
-    Engine.post ns.engine ~src:s ~dst:h ~delay:(net_delay t ~src:s ~dst:h) (fun () ->
+    Engine.post ns.engine ~dst:h ~delay:(net_delay t ~src:s ~dst:h) (fun () ->
         home_serve t h p)
 
 (* The {!Memsys.remote} hook for node [s]: adopt every valid single-page
@@ -373,13 +375,7 @@ let try_remote t s txn ~complete =
          | Some r ->
            (* steady-state hit: served from the local copy *)
            ns.c.local_hits <- ns.c.local_hits + 1;
-           let words = Memtxn.data_words txn in
-           let now = Engine.now ns.engine in
-           let lat =
-             Xbar.access ?inject:ns.inject t.cfg t.mods ~now ~proc:s ~mem_module:s Xbar.Read ~words
-           in
-           ns.c.words <- ns.c.words + words;
-           complete ~delay:(max 1 lat) (read_result t r.rdata page txn)
+           local_read t s r page txn ~complete
          | None ->
            ns.c.remote_ops <- ns.c.remote_ops + 1;
            send_request t s h { p_txn = txn; p_src = s; p_page = page; p_complete = complete }
@@ -451,8 +447,8 @@ let at_rest_ok t =
           | Some hp ->
             if
               Bytes.get hp.hholders s = '\000'
-              || Array.length r.rdata <> Array.length hp.hdata
-              || not (Array.for_all2 Int.equal r.rdata hp.hdata)
+              || Array.length r <> Array.length hp.hdata
+              || not (Array.for_all2 Int.equal r hp.hdata)
             then ok := false
           | None -> ok := false)
         nd.replicas;

@@ -19,7 +19,6 @@ type t = {
   capacity : int;
   slot_words : int;
   stride : int;
-  mutable sp_ticket : int;  (* producer-side ticket for the SPSC variant *)
 }
 
 let header_words = 4
@@ -51,7 +50,6 @@ let create ~slots ~slot_words () =
     capacity = slots;
     slot_words;
     stride = 1 + slot_words;
-    sp_ticket = 0;
   }
 
 let base t = t.base
@@ -81,14 +79,6 @@ let publish t ticket payload =
 
 let push t payload =
   let ticket = Api.rmw t.base (fun x -> x + 1) in
-  publish t ticket payload
-
-let push_spsc t payload =
-  let ticket = t.sp_ticket in
-  t.sp_ticket <- ticket + 1;
-  (* Keep the shared ticket word in step (plain write — no claim race
-     with a single producer) so [pending] stays meaningful. *)
-  Api.write t.base (ticket + 1);
   publish t ticket payload
 
 let pop t =

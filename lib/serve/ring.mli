@@ -41,10 +41,6 @@ val push : t -> int array -> unit
     claimed by fetch-and-add.  Blocks (polling) while the ring is full —
     no request is ever dropped. *)
 
-val push_spsc : t -> int array -> unit
-(** Single-producer variant: the ticket is kept producer-side, skipping
-    the claim [rmw].  Never mix with {!push} on the same ring. *)
-
 val pop : t -> int array
 (** Consume the oldest request (single consumer).  Blocks (polling) while
     the ring is empty.  Requests come out in exactly the ticket order

@@ -196,10 +196,9 @@ let run ?config ?inject ?check ?(coalesce = true) ?(seed = 42L) (p : params) tra
       match transport with
       | Ring ->
         let ring = match t.t_ring with Some r -> r | None -> assert false in
-        let push = if p.clients_per_tenant = 1 then Ring.push_spsc else Ring.push in
         fun ~stamp k ->
           t.t_submitted <- t.t_submitted + 1;
-          push ring [| stamp; request_arg ~tenant:t.idx ~client:c ~k |]
+          Ring.push ring [| stamp; request_arg ~tenant:t.idx ~client:c ~k |]
       | Rpc ->
         let server =
           match List.assq_opt t.idx !rpc_servers with

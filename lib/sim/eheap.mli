@@ -8,19 +8,16 @@
 
     Keys are pairs [(time, seq)] ordered lexicographically; [seq] must be
     unique per live entry (the engine's monotone sequence number), which
-    makes the order total and pops deterministic.  While both components
-    fit their packed ranges the key lives as one tagged [int]
-    ([time lsl seq_bits lor seq]); the first out-of-range insert migrates
-    the whole heap to a two-array [(time, seq)] fallback with identical
-    ordering, so correctness never depends on the ranges.
+    makes the order total and pops deterministic.  Both components may
+    take any non-negative [int]: the engine's tagged sequence numbers and
+    {!Shard}'s [(node lsl 36) lor seq] merge keys share one layout.
 
-    Payloads never move.  Each sits in its own slot of a payload array,
-    written once by {!add} and reset to the [dummy] once by {!pop}; the
-    sifts reorder keys and an [int] array of slot indices beside them, so
-    in both modes a sift step moves immediate ints only and pays no write
-    barrier.  The unused tail of the slot-index array is the stack of free
-    slots.  Space: three words per entry of capacity while packed, four in
-    the fallback mode. *)
+    Each heap position holds a [(time, slot)] pair, so a sift step moves
+    two immediate ints and pays no write barrier.  An entry's [seq] and
+    payload sit in its slot, written once by {!add} and never moved; the
+    [seq] is read only when two times tie, and {!pop} resets the payload
+    slot to the [dummy].  The unused tail of the slot array is the stack
+    of free slots.  Space: four words per entry of capacity. *)
 
 type 'a t
 
@@ -50,13 +47,3 @@ val min_seq : 'a t -> int
 val pop : 'a t -> 'a
 (** Remove and return the payload with the smallest key.  Raises
     [Invalid_argument] when empty. *)
-
-val is_packed : 'a t -> bool
-(** Whether keys currently live in the single-[int] packed representation
-    (exposed for tests). *)
-
-val max_packed_time : int
-(** Largest [time] representable in packed mode (exposed for tests). *)
-
-val max_packed_seq : int
-(** Largest [seq] representable in packed mode (exposed for tests). *)

@@ -20,7 +20,7 @@
 
 let nothing () = ()
 
-type router = { route : src:int -> dst:int -> delay:Time_ns.t -> (unit -> unit) -> unit }
+type router = { route : dst:int -> delay:Time_ns.t -> (unit -> unit) -> unit }
 
 type t = {
   mutable clock : Time_ns.t;
@@ -67,13 +67,12 @@ let schedule_after t ?daemon ~delay f =
 let set_router t r = t.router <- r
 let router t = t.router
 
-let post t ~src ~dst ~delay f =
+let post t ~dst ~delay f =
   match t.router with
   | None ->
-    ignore src;
     ignore dst;
     schedule_after t ~delay f
-  | Some r -> r.route ~src ~dst ~delay f
+  | Some r -> r.route ~dst ~delay f
 
 let every t ?daemon ~period ?start f =
   if period <= 0 then invalid_arg "Engine.every: period must be positive";

@@ -63,30 +63,30 @@ val schedule_after : t -> ?daemon:bool -> delay:Time_ns.t -> (unit -> unit) -> u
     Cross-node work — an IPI, an RPC message, a block-transfer completion,
     a kernel wakeup or thread migration landing on another node's
     processor, a coherence protocol step for a page homed elsewhere — goes
-    through {!post}, which names the source and destination nodes.  By
-    default [post] is {!schedule_after} on this engine's own queue — the
-    strictly sequential world, unchanged.
+    through {!post}, which names the destination node.  By default [post]
+    is {!schedule_after} on this engine's own queue — the strictly
+    sequential world, unchanged.
 
     Router-install lifecycle: outside tests, only {!Shard.host} installs
     a {!router}, and it owns the engines for the whole run.  It groups
     per-node engines — light mesh nodes or full kernel simulations —,
-    keys their cross-node posts by source node and carries them through
-    per-pair mailboxes; it installs a router on {e every} hosted engine
+    keys each engine's cross-node posts by the node it simulates and
+    carries them through per-pair mailboxes; it installs a router on {e every} hosted engine
     at {!Shard.host} time so that even setup-time posts take the
     deterministic mailbox path.  The classic sequential entry points
     ({!run}, [Runner], a lone kernel on one engine) install no router,
     and a router must be absent there: the no-router schedule is the
     golden oracle that sharded runs are measured against. *)
 
-type router = { route : src:int -> dst:int -> delay:Time_ns.t -> (unit -> unit) -> unit }
+type router = { route : dst:int -> delay:Time_ns.t -> (unit -> unit) -> unit }
 
 val set_router : t -> router option -> unit
 val router : t -> router option
 
-val post : t -> src:int -> dst:int -> delay:Time_ns.t -> (unit -> unit) -> unit
-(** Enqueue cross-node work from node [src] due at node [dst] after
-    [delay].  Identical to {!schedule_after} unless a router is
-    installed.  This is the seam every cross-node effect must cross —
+val post : t -> dst:int -> delay:Time_ns.t -> (unit -> unit) -> unit
+(** Enqueue cross-node work due at node [dst] after [delay].  A router
+    knows which node its engine simulates, so the sender is never named.
+    Identical to {!schedule_after} unless a router is installed.  This is the seam every cross-node effect must cross —
     kernel scheduling traffic (wakeups, migrations) and coherence
     protocol messages included — so that a sharded driver can reroute it
     without the caller changing. *)
@@ -114,7 +114,7 @@ val advance_inline : t -> at:Time_ns.t -> bool
     It returns [false] outside {!run} on an engine with no router:
     {!run_until} driven from outside, and every engine hosted under
     {!Shard}, never inline.  An identity router
-    ([fun ~src:_ ~dst:_ ~delay fn -> schedule_after t ~delay fn]) keeps
+    ([fun ~dst:_ ~delay fn -> schedule_after t ~delay fn]) keeps
     the schedule of the unrouted engine, so running the same program
     under one gives the reference schedule that never inlines.
 

@@ -44,10 +44,9 @@
    in drain phases, so each buffer has one owner at a time and the barrier
    publishes it, with the window's end: the phases are built once a run.
 
-   Packed keys: the drain's merge heap takes (src_node lsl 36) lor src_seq
-   as its seq word.  With more than one node that exceeds Eheap's
-   packed-seq range, so multi-node runs merge mail in Eheap's two-array
-   fallback mode (covered by regression tests). *)
+   The drain's merge heap takes (src_node lsl 36) lor src_seq as its seq
+   word; Eheap orders any non-negative key, so wide keys need nothing
+   special. *)
 
 let node_seq_bits = 36
 let max_node_seq = (1 lsl node_seq_bits) - 1
@@ -285,7 +284,7 @@ let host ?check ~shards ~lookahead engines =
         (Some
            {
              Engine.route =
-               (fun ~src:_ ~dst ~delay fn -> hosted_route h ~node ~dst ~delay fn);
+               (fun ~dst ~delay fn -> hosted_route h ~node ~dst ~delay fn);
            }))
     engines;
   h

@@ -534,7 +534,7 @@ let test_trapped_path_allocation () =
                 in place: each resumes through the thread's [fire] event
                 on the heap. *)
              measure "read, heap resume" (fun _ ->
-                 Platinum_sim.Engine.post setup.Runner.engine ~src:2 ~dst:2 ~delay:1 ignore;
+                 Platinum_sim.Engine.post setup.Runner.engine ~dst:2 ~delay:1 ignore;
                  ignore (Api.read buf : int));
              (* 64 words of the page: a real block transfer, short enough
                 that both loops end well before the defrost daemon's
@@ -609,7 +609,7 @@ let run_inline_differential ~routed =
       (Some
          {
            Platinum_sim.Engine.route =
-             (fun ~src:_ ~dst:_ ~delay fn -> Platinum_sim.Engine.schedule_after engine ~delay fn);
+             (fun ~dst:_ ~delay fn -> Platinum_sim.Engine.schedule_after engine ~delay fn);
          });
   Platinum_sim.Engine.run engine;
   let elapsed = Kernel.post_run_checks setup.Runner.kernel in

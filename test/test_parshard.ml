@@ -41,7 +41,7 @@ let test_shard_basics () =
   let note k node () = log := (k, Engine.now es.(node)) :: !log in
   Engine.schedule_after es.(0) ~delay:10 (note `A 0);
   Engine.schedule_after es.(7) ~delay:5 (note `B 7);
-  Engine.post es.(0) ~src:0 ~dst:7 ~delay:1_000 (note `C 7);
+  Engine.post es.(0) ~dst:7 ~delay:1_000 (note `C 7);
   Shard.run_hosted h;
   Alcotest.(check int) "three events" 3 (Shard.hosted_events h);
   Alcotest.(check (list (pair bool int)))
@@ -63,9 +63,9 @@ let test_post_under_lookahead_rejected () =
     (Shard.hosted_shard_of_node h 1);
   Alcotest.check_raises "cross-node post under the lookahead"
     (Invalid_argument "Shard.host: cross-node delay 4999 below lookahead 5000")
-    (fun () -> Engine.post es.(0) ~src:0 ~dst:1 ~delay:4_999 ignore);
+    (fun () -> Engine.post es.(0) ~dst:1 ~delay:4_999 ignore);
   (* src = dst is node-local scheduling: no lookahead constraint. *)
-  Engine.post es.(0) ~src:0 ~dst:0 ~delay:1 ignore;
+  Engine.post es.(0) ~dst:0 ~delay:1 ignore;
   Shard.run_hosted h;
   Alcotest.(check int) "local post delivered" 1 (Shard.hosted_events h)
 
@@ -74,14 +74,14 @@ let test_hosted_argument_checks () =
   let h = Shard.host ~shards:2 ~lookahead:100 es in
   Alcotest.check_raises "post to a node past the group"
     (Invalid_argument "Shard.host: post to unknown node 4")
-    (fun () -> Engine.post es.(0) ~src:0 ~dst:4 ~delay:100 ignore);
+    (fun () -> Engine.post es.(0) ~dst:4 ~delay:100 ignore);
   Alcotest.check_raises "post to a negative node"
     (Invalid_argument "Shard.host: post to unknown node -1")
-    (fun () -> Engine.post es.(0) ~src:0 ~dst:(-1) ~delay:100 ignore);
+    (fun () -> Engine.post es.(0) ~dst:(-1) ~delay:100 ignore);
   Alcotest.check_raises "an engine hosted twice"
     (Invalid_argument "Shard.host: an engine already has a router")
     (fun () -> ignore (Shard.host ~shards:1 ~lookahead:100 [| Engine.create (); es.(2) |]));
-  Engine.post es.(0) ~src:0 ~dst:3 ~delay:100 ignore;
+  Engine.post es.(0) ~dst:3 ~delay:100 ignore;
   Shard.run_hosted h;
   Alcotest.(check int) "the legal post delivered" 1 (Shard.hosted_events h);
   Alcotest.check_raises "a group runs once"
@@ -118,7 +118,7 @@ let test_hosted_idle_engines_skipped () =
       let rec ping src dst () =
         if !hops < 50 then begin
           incr hops;
-          Engine.post engines.(src) ~src ~dst ~delay:lookahead (ping dst src)
+          Engine.post engines.(src) ~dst ~delay:lookahead (ping dst src)
         end
       in
       Engine.schedule_at engines.(0) ~at:0 (ping 0 255);
@@ -139,9 +139,9 @@ let test_hosted_mail_rekeys_destination () =
       (* node 9's own queue holds only a far-future event *)
       Engine.schedule_at engines.(9) ~at:1_000_000 ignore;
       Engine.schedule_at engines.(0) ~at:0 (fun () ->
-          Engine.post engines.(0) ~src:0 ~dst:9 ~delay:lookahead (fun () ->
+          Engine.post engines.(0) ~dst:9 ~delay:lookahead (fun () ->
               ran_at := Engine.now engines.(9);
-              Engine.post engines.(9) ~src:9 ~dst:0 ~delay:lookahead (fun () ->
+              Engine.post engines.(9) ~dst:0 ~delay:lookahead (fun () ->
                   replied_at := Engine.now engines.(0))));
       Shard.run_hosted ~domains h;
       Alcotest.(check int) (name ^ ": mail runs at its own time") 100 !ran_at;
@@ -164,7 +164,7 @@ let test_hosted_daemon_does_not_keep_alive () =
       let rec ping src dst () =
         if !hops < 10 then begin
           incr hops;
-          Engine.post engines.(src) ~src ~dst ~delay:lookahead (ping dst src)
+          Engine.post engines.(src) ~dst ~delay:lookahead (ping dst src)
         end
       in
       Engine.schedule_at engines.(0) ~at:0 (ping 0 9);

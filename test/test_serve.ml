@@ -159,7 +159,7 @@ let test_ring_backpressure () =
       let producer =
         Api.spawn ~proc:1 (fun () ->
             for i = 1 to 8 do
-              Ring.push_spsc r [| i * 11 |]
+              Ring.push r [| i * 11 |]
             done;
             producer_done := Api.now ())
       in
@@ -233,11 +233,11 @@ let test_ring_freeze_midstream () =
       let producer =
         Api.spawn ~proc:1 (fun () ->
             for i = 1 to 4 do
-              Ring.push_spsc r [| i |]
+              Ring.push r [| i |]
             done;
             Api.sleep 200_000;
             for i = 5 to 8 do
-              Ring.push_spsc r [| i |]
+              Ring.push r [| i |]
             done)
       in
       for _ = 1 to 4 do
@@ -273,7 +273,7 @@ let test_ring_freeze_monitor_silent () =
       let producer =
         Api.spawn ~proc:1 (fun () ->
             for i = 1 to 10 do
-              Ring.push_spsc r [| i |]
+              Ring.push r [| i |]
             done)
       in
       for k = 1 to 10 do

@@ -104,68 +104,75 @@ let test_eheap_order () =
   Alcotest.(check (list string)) "time order, ties by seq" [ "a"; "a2"; "b"; "c" ]
     (List.map (fun (_, _, v) -> v) (drain_eheap h))
 
-let test_eheap_fallback () =
-  (* A time beyond the packed range forces the two-array representation;
-     the order must be unchanged, mid-stream. *)
+(* Keys a single packed [int] of [time lsl 26 lor seq] could not hold:
+   times from 2^36 ns (about 69 s of simulated time), seqs from 2^26, and
+   Shard's merge keys [(node lsl 36) lor seq].  They share the one layout
+   with small keys, so each test mixes both. *)
+let wide_time = 1 lsl 36
+let shard_key node seq = (node lsl 36) lor seq
+
+let test_eheap_wide_times () =
   let h = Eheap.create ~dummy:0 () in
   Eheap.add h ~time:5 ~seq:0 1;
-  Alcotest.(check bool) "starts packed" true (Eheap.is_packed h);
-  Eheap.add h ~time:(Eheap.max_packed_time + 7) ~seq:1 2;
+  Eheap.add h ~time:(wide_time + 7) ~seq:1 2;
   Eheap.add h ~time:3 ~seq:2 3;
-  Alcotest.(check bool) "spilled" false (Eheap.is_packed h);
-  Alcotest.(check (list int)) "order across the migration" [ 3; 1; 2 ]
+  Eheap.add h ~time:(wide_time - 1) ~seq:3 4;
+  Eheap.add h ~time:(max_int / 2) ~seq:4 5;
+  Eheap.add h ~time:wide_time ~seq:5 6;
+  Alcotest.(check (list int)) "time order across 2^36" [ 3; 1; 4; 6; 2; 5 ]
     (List.map (fun (_, _, v) -> v) (drain_eheap h))
 
-let test_eheap_seq_fallback () =
-  (* The sharded engine packs (src_node lsl 36 | src_seq) into the seq
-     component, so any multi-node run blows past max_packed_seq on node 1's
-     first event.  The seq threshold therefore carries real traffic now —
-     pin the migration it triggers, mid-stream, with ties across the
-     representation change. *)
+let test_eheap_wide_seqs () =
+  (* Every tie is at one time, so the seq alone decides. *)
   let h = Eheap.create ~dummy:0 () in
   Eheap.add h ~time:10 ~seq:3 1;
-  Eheap.add h ~time:10 ~seq:Eheap.max_packed_seq 2;
-  Alcotest.(check bool) "max packed seq still packed" true (Eheap.is_packed h);
-  Eheap.add h ~time:10 ~seq:(Eheap.max_packed_seq + 1) 3;
-  Alcotest.(check bool) "seq + 1 spills" false (Eheap.is_packed h);
-  (* a shard-style wide key: node 5's event 0 *)
-  Eheap.add h ~time:10 ~seq:(5 lsl 36) 4;
-  Eheap.add h ~time:9 ~seq:((1 lsl 36) lor 7) 5;
-  Alcotest.(check (list int)) "lexicographic across the migration" [ 5; 1; 2; 3; 4 ]
-    (List.map (fun (_, _, v) -> v) (drain_eheap h))
-
-let test_eheap_threshold_edges () =
-  (* Exact boundary headroom on both components: the largest packed values
-     stay packed; one past either spills; keys compare identically in both
-     representations. *)
-  Alcotest.(check int) "packed time headroom is 2^36 ns" ((1 lsl 36) - 1)
-    Eheap.max_packed_time;
-  Alcotest.(check int) "packed seq headroom is 2^26" ((1 lsl 26) - 1)
-    Eheap.max_packed_seq;
-  let boundary = Eheap.create ~dummy:0 () in
-  Eheap.add boundary ~time:Eheap.max_packed_time ~seq:Eheap.max_packed_seq 1;
-  Alcotest.(check bool) "both components at max stay packed" true
-    (Eheap.is_packed boundary);
-  let spill_time = Eheap.create ~dummy:0 () in
-  Eheap.add spill_time ~time:(Eheap.max_packed_time + 1) ~seq:0 1;
-  Alcotest.(check bool) "time threshold spills alone" false (Eheap.is_packed spill_time);
-  (* Cross BOTH thresholds in one heap — a long sharded run: wide node
-     keys from the start, then simulated time past 2^36 ns (~69 s). *)
+  Eheap.add h ~time:10 ~seq:((1 lsl 26) - 1) 2;
+  Eheap.add h ~time:10 ~seq:(1 lsl 26) 3;
+  Eheap.add h ~time:10 ~seq:(shard_key 5 0) 4;
+  Eheap.add h ~time:9 ~seq:(shard_key 1 7) 5;
+  Eheap.add h ~time:10 ~seq:(shard_key 2 ((1 lsl 36) - 1)) 6;
+  Alcotest.(check (list int)) "lexicographic with wide seqs" [ 5; 1; 2; 3; 6; 4 ]
+    (List.map (fun (_, _, v) -> v) (drain_eheap h));
   let h = Eheap.create ~dummy:0 () in
-  Eheap.add h ~time:(Eheap.max_packed_time + 100) ~seq:((3 lsl 36) lor 1) 4;
-  Eheap.add h ~time:(Eheap.max_packed_time + 100) ~seq:(2 lsl 36) 3;
-  Eheap.add h ~time:Eheap.max_packed_time ~seq:((9 lsl 36) lor 123) 2;
+  Eheap.add h ~time:(wide_time + 100) ~seq:(shard_key 3 1) 4;
+  Eheap.add h ~time:(wide_time + 100) ~seq:(shard_key 2 0) 3;
+  Eheap.add h ~time:(wide_time - 1) ~seq:(shard_key 9 123) 2;
   Eheap.add h ~time:50 ~seq:0 1;
-  Alcotest.(check bool) "wide keys + wide times coexist" false (Eheap.is_packed h);
-  Alcotest.(check (list int)) "order with both thresholds crossed" [ 1; 2; 3; 4 ]
+  Alcotest.(check (list int)) "wide times and wide seqs together" [ 1; 2; 3; 4 ]
     (List.map (fun (_, _, v) -> v) (drain_eheap h))
 
-let prop_eheap_threshold_straddle =
-  (* Keys drawn from both sides of both packed thresholds, in random
-     insert order: pops must come back lexicographically sorted whatever
-     mixture of representations the inserts marched the heap through. *)
-  QCheck.Test.make ~name:"eheap total order straddling both packed thresholds"
-    ~count:200
+let test_eheap_mixed_growth () =
+  (* From capacity 1, through seven doublings, with pops in between: narrow
+     and wide keys interleaved in one heap come out sorted. *)
+  let h = Eheap.create ~capacity:1 ~dummy:(-1) () in
+  let key i =
+    let time = match i mod 3 with 0 -> i mod 7 | 1 -> wide_time + (i mod 5) | _ -> i mod 5 in
+    let seq = match i mod 4 with 0 -> i | 1 -> (1 lsl 26) + i | _ -> shard_key (i mod 9) i in
+    (time, seq)
+  in
+  let popped = ref [] in
+  let pop () =
+    let t = Eheap.min_time h and s = Eheap.min_seq h in
+    ignore (Eheap.pop h);
+    popped := (t, s) :: !popped
+  in
+  for i = 0 to 99 do
+    let time, seq = key i in
+    Eheap.add h ~time ~seq i;
+    if i mod 10 = 9 then pop ()
+  done;
+  Alcotest.(check int) "size after growth" 90 (Eheap.size h);
+  let rest = List.map (fun (t, s, _) -> (t, s)) (drain_eheap h) in
+  let all = List.init 100 key in
+  Alcotest.(check (list (pair int int)))
+    "the rest drains sorted" (List.sort compare rest) rest;
+  Alcotest.(check (list (pair int int)))
+    "every key popped once" (List.sort compare all)
+    (List.sort compare (List.rev_append !popped rest))
+
+let prop_eheap_wide_keys =
+  (* Narrow and wide keys in random insert order: pops come back sorted. *)
+  QCheck.Test.make ~name:"eheap total order on narrow and wide keys" ~count:200
     QCheck.(list_of_size Gen.(1 -- 40) (pair (int_bound 3) (int_bound 1_000)))
     (fun picks ->
       let h = Eheap.create ~capacity:1 ~dummy:(-1) () in
@@ -174,13 +181,15 @@ let prop_eheap_threshold_straddle =
           (fun i (zone, off) ->
             let time =
               match zone with
-              | 0 -> off (* small packed *)
-              | 1 -> Eheap.max_packed_time - off (* near the edge, packed *)
-              | 2 -> Eheap.max_packed_time + 1 + off (* past the edge *)
-              | _ -> 2 * Eheap.max_packed_time (* deep fallback *)
+              | 0 -> off
+              | 1 -> wide_time - 1 - off
+              | 2 -> wide_time + off
+              | _ -> 2 * wide_time
             in
-            (* unique seqs; half narrow, half shard-style wide *)
-            let seq = if i mod 2 = 0 then i else (i lsl 36) lor i in
+            (* unique seqs: narrow, past 2^26, and shard-style *)
+            let seq =
+              match i mod 3 with 0 -> i | 1 -> (1 lsl 26) + i | _ -> shard_key (i + 1) i
+            in
             (time, seq))
           picks
       in
@@ -191,21 +200,21 @@ let prop_eheap_threshold_straddle =
       && List.length popped = List.length keys)
 
 let prop_eheap_matches_pairing =
-  (* The tentpole contract: the array heap dequeues in exactly the pairing
-     heap's order on any insert / delete-min interleaving.  Ops: [Some t] =
-     insert at time t (seq auto-increments), [None] = delete-min.  One
-     time in ten lies past [max_packed_time], so most runs spill to the
-     fallback mode part-way and its sifts carry slots too. *)
+  (* The heap's contract: the array heap dequeues in exactly the pairing
+     heap's order on any insert / delete-min interleaving.  Ops:
+     [Some (t, w)] = insert at time t, [None] = delete-min.  The seq is
+     the op's insert count [n], or the shard-style [shard_key (n + 1) n]
+     when [w = 0]; one time in ten lies at or past 2^36 ns, so narrow and
+     wide keys tie and interleave in one heap as it grows. *)
   QCheck.Test.make ~name:"eheap order == pairing heap order on random interleavings"
     ~count:500
     QCheck.(
       list
         (option
-           (frequency
-              [
-                (9, int_bound 50);
-                (1, map (fun o -> Eheap.max_packed_time + 1 + o) (int_bound 50));
-              ])))
+           (pair
+              (frequency
+                 [ (9, int_bound 50); (1, map (fun o -> wide_time + o) (int_bound 50)) ])
+              (int_bound 3))))
     (fun ops ->
       let module K = struct
         type t = int * int
@@ -222,9 +231,11 @@ let prop_eheap_matches_pairing =
       List.iter
         (fun op ->
           match op with
-          | Some t ->
-            ph := PH.insert (t, !seq) !seq !ph;
-            Eheap.add eh ~time:t ~seq:!seq !seq;
+          | Some (t, w) ->
+            let n = !seq in
+            let key = if w = 0 then shard_key (n + 1) n else n in
+            ph := PH.insert (t, key) n !ph;
+            Eheap.add eh ~time:t ~seq:key n;
             incr seq
           | None -> (
             match PH.delete_min !ph with
@@ -252,44 +263,58 @@ let prop_eheap_matches_pairing =
 
 (* Payloads live in slots that [pop] resets to [dummy]: once popped, a
    boxed payload must be collectable, while the ones still queued stay
-   reachable.  Adds after pops reuse freed slots; the second heap runs in
-   the fallback mode. *)
+   reachable.  Adds after pops reuse freed slots. *)
 let test_eheap_releases_popped () =
   let n = 64 in
-  let check_mode ~base =
-    let weak = Weak.create (2 * n) in
-    let h = Eheap.create ~capacity:4 ~dummy:(ref (-1)) () in
-    let fill lo hi =
-      for i = lo to hi - 1 do
-        let v = ref i in
-        Weak.set weak i (Some v);
-        Eheap.add h ~time:(base + ((i * 37) mod 101)) ~seq:i v
-      done
-    in
-    let pop k =
-      for _ = 1 to k do
-        ignore (Sys.opaque_identity (Eheap.pop h))
-      done
-    in
-    (* Build and pop out of line, so no stack slot keeps a payload alive. *)
-    (Sys.opaque_identity fill) 0 n;
-    (Sys.opaque_identity pop) (n / 2);
-    (Sys.opaque_identity fill) n (2 * n);
-    (Sys.opaque_identity pop) n;
-    Gc.full_major ();
-    Gc.full_major ();
-    let live = ref 0 in
-    for i = 0 to (2 * n) - 1 do
-      if Weak.check weak i then incr live
-    done;
-    Alcotest.(check int) "only the queued payloads survive a major GC" (Eheap.size h) !live;
-    Alcotest.(check int) "queued count" (n / 2) (Eheap.size h);
-    h
+  let weak = Weak.create (2 * n) in
+  let h = Eheap.create ~capacity:4 ~dummy:(ref (-1)) () in
+  let fill lo hi =
+    for i = lo to hi - 1 do
+      let v = ref i in
+      Weak.set weak i (Some v);
+      Eheap.add h ~time:((i * 37) mod 101) ~seq:i v
+    done
   in
-  let packed = check_mode ~base:0 in
-  Alcotest.(check bool) "packed mode" true (Eheap.is_packed packed);
-  let fallback = check_mode ~base:(Eheap.max_packed_time + 1) in
-  Alcotest.(check bool) "fallback mode" false (Eheap.is_packed fallback)
+  let pop k =
+    for _ = 1 to k do
+      ignore (Sys.opaque_identity (Eheap.pop h))
+    done
+  in
+  (* Build and pop out of line, so no stack slot keeps a payload alive. *)
+  (Sys.opaque_identity fill) 0 n;
+  (Sys.opaque_identity pop) (n / 2);
+  (Sys.opaque_identity fill) n (2 * n);
+  (Sys.opaque_identity pop) n;
+  Gc.full_major ();
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to (2 * n) - 1 do
+    if Weak.check weak i then incr live
+  done;
+  Alcotest.(check int) "only the queued payloads survive a major GC" (Eheap.size h) !live;
+  Alcotest.(check int) "queued count" (n / 2) (Eheap.size h)
+
+(* On a heap sized for its peak, add and pop allocate nothing, with
+   narrow keys and with wide ones alike.  The static zero-alloc lint
+   checks the same functions; this measures them. *)
+let test_eheap_no_alloc () =
+  let n = 1_000 in
+  let measure ~time_base ~node =
+    let h = Eheap.create ~capacity:(2 * n) ~dummy:0 () in
+    let before = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      Eheap.add h ~time:(time_base + ((i * 37) mod 101)) ~seq:(shard_key node (2 * i)) i;
+      Eheap.add h ~time:(time_base + ((i * 53) mod 97)) ~seq:(shard_key node ((2 * i) + 1)) i;
+      ignore (Eheap.pop h : int)
+    done;
+    let after = Gc.minor_words () in
+    Alcotest.(check int) "half the entries remain" n (Eheap.size h);
+    after -. before
+  in
+  Alcotest.(check (float 0.0)) "narrow keys: 0 minor words" 0.0 (measure ~time_base:0 ~node:0);
+  Alcotest.(check (float 0.0))
+    "wide keys: 0 minor words" 0.0
+    (measure ~time_base:wide_time ~node:7)
 
 (* --- Engine --- *)
 
@@ -333,13 +358,13 @@ let test_engine_nested_scheduling () =
 
 let test_engine_post_default () =
   (* Without a router, post IS schedule_after — same delivery times, same
-     FIFO tie order, src/dst ignored.  This is what keeps every golden
+     FIFO tie order, dst ignored.  This is what keeps every golden
      byte-identical while the kernel's cross-processor wakes route
      through the façade. *)
   let e = Engine.create () in
   let log = ref [] in
-  Engine.post e ~src:0 ~dst:3 ~delay:20 (fun () -> log := "b" :: !log);
-  Engine.post e ~src:2 ~dst:1 ~delay:10 (fun () -> log := "a" :: !log);
+  Engine.post e ~dst:3 ~delay:20 (fun () -> log := "b" :: !log);
+  Engine.post e ~dst:1 ~delay:10 (fun () -> log := "a" :: !log);
   Engine.schedule_after e ~delay:20 (fun () -> log := "c" :: !log);
   Engine.run e;
   Alcotest.(check (list string)) "schedule_after semantics, ties FIFO"
@@ -353,15 +378,15 @@ let test_engine_post_router () =
     (Some
        {
          Engine.route =
-           (fun ~src ~dst ~delay fn ->
-             seen := (src, dst, delay) :: !seen;
+           (fun ~dst ~delay fn ->
+             seen := (dst, delay) :: !seen;
              (* a router that adds a hop surcharge, then hands back *)
              Engine.schedule_after e ~delay:(delay + 5) fn);
        });
   let at = ref 0 in
-  Engine.post e ~src:4 ~dst:9 ~delay:10 (fun () -> at := Engine.now e);
+  Engine.post e ~dst:9 ~delay:10 (fun () -> at := Engine.now e);
   Engine.run e;
-  Alcotest.(check (list (triple int int int))) "router saw src/dst/delay" [ (4, 9, 10) ] !seen;
+  Alcotest.(check (list (pair int int))) "router saw dst/delay" [ (9, 10) ] !seen;
   Alcotest.(check int) "routed delivery includes the surcharge" 15 !at
 
 (* [advance_inline] stands in for the next event only inside an
@@ -401,7 +426,7 @@ let test_engine_advance_inline () =
     (Some
        {
          Engine.route =
-           (fun ~src:_ ~dst:_ ~delay fn -> Engine.schedule_after routed ~delay fn);
+           (fun ~dst:_ ~delay fn -> Engine.schedule_after routed ~delay fn);
        });
   refused routed Engine.run
 
@@ -552,12 +577,13 @@ let suite =
     qtest prop_heap_size_deep_shape;
     ("eheap: empty", `Quick, test_eheap_empty);
     ("eheap: order and ties", `Quick, test_eheap_order);
-    ("eheap: packed-range fallback", `Quick, test_eheap_fallback);
-    ("eheap: seq-threshold fallback (sharded wide keys)", `Quick, test_eheap_seq_fallback);
-    ("eheap: packed-threshold edges", `Quick, test_eheap_threshold_edges);
-    qtest prop_eheap_threshold_straddle;
+    ("eheap: times past 2^36 ns", `Quick, test_eheap_wide_times);
+    ("eheap: seqs past 2^26 and shard keys", `Quick, test_eheap_wide_seqs);
+    ("eheap: wide and narrow keys, growth", `Quick, test_eheap_mixed_growth);
+    qtest prop_eheap_wide_keys;
     qtest prop_eheap_matches_pairing;
     ("eheap: popped payloads are released", `Quick, test_eheap_releases_popped);
+    ("eheap: add and pop allocate nothing", `Quick, test_eheap_no_alloc);
     ("engine: time order", `Quick, test_engine_order);
     ("engine: FIFO tie-break", `Quick, test_engine_fifo_ties);
     ("engine: rejects the past", `Quick, test_engine_past_rejected);
