@@ -6,8 +6,9 @@
    byte-identical result tables while recording both wall-clocks.  A hold-
    model micro-benchmark of the event core (the array-backed Eheap that
    sits under Engine, plus the full Engine dispatch loop) tracks
-   events/sec.  Everything lands in BENCH_sweep.json so the perf
-   trajectory is comparable across machines (host metadata included; a
+   events/sec as the median and quartiles of interleaved runs.
+   Everything lands in BENCH_sweep.json so the perf trajectory is
+   comparable across machines (host metadata included; a
    [parallel_meaningful] flag marks whether the host had the domains for
    the wall-clock comparison to mean anything). *)
 
@@ -102,15 +103,21 @@ let engine_churn () =
   done;
   Engine.run e
 
-let best_of ~reps f =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    f ();
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best
+(* Single runs on a shared host vary by 2x, so each model runs
+   [hold_runs] times, alternating with the other so both see the same
+   host drift, and reports its median with the quartiles around it. *)
+let hold_runs = 11
+
+let rate_of f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  float_of_int hold_ops /. (Unix.gettimeofday () -. t0)
+
+(* (q1, median, q3); sorts [a] in place. *)
+let quartiles a =
+  Array.sort compare a;
+  let n = Array.length a in
+  (a.(n / 4), a.(n / 2), a.(3 * n / 4))
 
 let run (_ : scale) =
   section "sweep: domain-parallel harness wall-clock + event-core events/sec";
@@ -139,14 +146,22 @@ let run (_ : scale) =
      the host actually having the cores. *)
   if Par.default_jobs () >= 4 then
     check_shape "parallel sweep >= 3x on >=4-core host" (speedup >= 3.0);
-  let wall_eheap = best_of ~reps:3 hold_eheap in
-  let wall_engine = best_of ~reps:3 engine_churn in
-  let rate w = float_of_int hold_ops /. w in
-  Printf.printf "\n  event core (hold model, %d ops, %d pending):\n" hold_ops hold_fill;
-  Printf.printf "    eheap         %12.0f events/s\n" (rate wall_eheap);
-  Printf.printf "    engine (on eheap) %8.0f events/s\n" (rate wall_engine);
-  check_shape "engine dispatch within 10x of the bare event heap"
-    (rate wall_engine *. 10.0 >= rate wall_eheap);
+  let eheap = Array.make hold_runs 0.0 and engine = Array.make hold_runs 0.0 in
+  for i = 0 to hold_runs - 1 do
+    eheap.(i) <- rate_of hold_eheap;
+    engine.(i) <- rate_of engine_churn
+  done;
+  let eheap_q1, eheap_med, eheap_q3 = quartiles eheap in
+  let engine_q1, engine_med, engine_q3 = quartiles engine in
+  Printf.printf "\n  event core (hold model, %d ops, %d pending; median of %d interleaved runs):\n"
+    hold_ops hold_fill hold_runs;
+  let row name q1 med q3 =
+    Printf.printf "    %-17s %12.0f events/s  (q1-q3 %.0f-%.0f)\n" name med q1 q3
+  in
+  row "eheap" eheap_q1 eheap_med eheap_q3;
+  row "engine (on eheap)" engine_q1 engine_med engine_q3;
+  check_shape "engine dispatch within 10x of the bare event heap (medians)"
+    (engine_med *. 10.0 >= eheap_med);
   let oc = open_out "BENCH_sweep.json" in
   Printf.fprintf oc
     "{\n\
@@ -162,12 +177,14 @@ let run (_ : scale) =
     \  \"event_core\": {\n\
     \    \"hold_ops\": %d,\n\
     \    \"hold_pending\": %d,\n\
-    \    \"eheap_events_per_sec\": %.0f,\n\
-    \    \"engine_events_per_sec\": %.0f\n\
+    \    \"runs\": %d,\n\
+    \    \"eheap_events_per_sec\": { \"median\": %.0f, \"q1\": %.0f, \"q3\": %.0f },\n\
+    \    \"engine_events_per_sec\": { \"median\": %.0f, \"q1\": %.0f, \"q3\": %.0f }\n\
     \  }\n\
      }\n"
     (host_json ()) (List.length grid) seq_wall jobs_par par_wall parallel_meaningful
     (if parallel_meaningful then Printf.sprintf "%.2f" speedup else "null")
-    identical hold_ops hold_fill (rate wall_eheap) (rate wall_engine);
+    identical hold_ops hold_fill hold_runs eheap_med eheap_q1 eheap_q3 engine_med engine_q1
+    engine_q3;
   close_out oc;
   Printf.printf "  wrote BENCH_sweep.json\n%!"

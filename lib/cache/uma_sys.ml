@@ -178,7 +178,6 @@ let memsys t =
         id);
     new_zone = (fun ~aspace:_ ~name ~pages -> new_zone t ~name ~pages);
     alloc = (fun ~zone ~words ~page_aligned -> zone_alloc t ~zone ~words ~page_aligned);
-    alloc_pages = (fun ~zone ~pages -> zone_alloc t ~zone ~words:(pages * t.page_words) ~page_aligned:true);
     new_segment =
       (fun ~name ~pages ->
         (* a segment is a zone whose base every space shares *)
@@ -188,7 +187,6 @@ let memsys t =
         zone_alloc t ~zone:segment ~words:0 ~page_aligned:true |> fun base -> base);
     advise = (fun ~now:_ ~proc:_ ~aspace:_ ~vaddr:_ ~len:_ _ -> 0);
     migrate_cost = (fun ~now:_ ~from_proc:_ ~to_proc:_ -> 50_000);
-    describe = (fun () -> "bus-based UMA with write-through caches (Sequent Symmetry model)");
     (* The UMA machine has no directory protocol to gate eligibility on;
        every access keeps the full-suspend path. *)
     fastpath = None;

@@ -140,7 +140,7 @@ let fingerprint sys =
     | Some ce ->
       let page = ce.Cmap.cpage in
       add "p%d:%s,f%b,w%b,lpi%d,pi%d,rm%x,cm%x[" vpage
-        (Cpage.state_to_string page.Cpage.state)
+        (Cpage.state_to_string (Cpage.state page))
         page.Cpage.frozen page.Cpage.write_mapped
         (if page.Cpage.last_protocol_inval = Cpage.never_invalidated then 0 else 1)
         (Policy.page_input sys.policy page)

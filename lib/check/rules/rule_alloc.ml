@@ -46,7 +46,7 @@ let catalogue =
     ("atc.ml", [ "find" ]);
     ("cmap.ml", [ "find" ]);
     ("pmap.ml", [ "find" ]);
-    ("cpage.ml", [ "any_copy"; "best_slot" ]);
+    ("cpage.ml", [ "state"; "any_copy"; "best_slot" ]);
     ("frame.ml", [ "copy"; "read_words"; "write_words"; "blit_from" ]);
     ( "eheap.ml",
       [

@@ -80,9 +80,9 @@ let edges () =
     (fun (trigger, setup, action) ->
       let ((_, _, page) as env) = mk () in
       setup env;
-      let from_state = page.Cpage.state in
+      let from_state = Cpage.state page in
       action env;
-      let to_state = page.Cpage.state in
+      let to_state = Cpage.state page in
       Some { from_state; to_state; trigger })
     scenarios
 

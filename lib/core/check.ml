@@ -2,35 +2,15 @@ module Procset = Platinum_machine.Procset
 module Frame = Platinum_phys.Frame
 module Ring = Platinum_sim.Ring
 
-(* --- page-level state and views --- *)
-
-type page_state =
-  | Empty
-  | Present1
-  | Present_plus
-  | Modified
-
-let state_to_string = function
-  | Empty -> "empty"
-  | Present1 -> "present1"
-  | Present_plus -> "present+"
-  | Modified -> "modified"
+(* --- page views --- *)
 
 type page_view = {
   pv_id : int;
-  pv_state : page_state;
   pv_copies : Frame.t list;
   pv_copy_mask : Procset.t;
   pv_write_mapped : bool;
   pv_frozen : bool;
 }
-
-let derived_state v =
-  match v.pv_copies, v.pv_write_mapped with
-  | [], _ -> Empty
-  | [ _ ], true -> Modified
-  | [ _ ], false -> Present1
-  | _ :: _ :: _, _ -> Present_plus
 
 (* --- structured violations --- *)
 
@@ -41,8 +21,8 @@ type fault = {
   cpage : int option;
 }
 
-let fault ?cpage ~inv ~cite fmt =
-  Printf.ksprintf (fun detail -> { inv; cite; detail; cpage }) fmt
+let fault ~inv ~cite fmt =
+  Printf.ksprintf (fun detail -> { inv; cite; detail; cpage = None }) fmt
 
 let render f =
   Printf.sprintf "%s%s (%s): %s"
@@ -80,19 +60,6 @@ let page_invariants =
         (fun v ->
           if List.length v.pv_copies = Procset.cardinal (mask_of_copies v.pv_copies) then None
           else Some "two copies share a memory module");
-    };
-    {
-      pi_name = "state-agreement";
-      pi_cite = "§3.2";
-      pi_doc = "the stored state equals the state derived from directory and write flag";
-      pi_check =
-        (fun v ->
-          let d = derived_state v in
-          if v.pv_state = d then None
-          else
-            Some
-              (Printf.sprintf "state %s but directory implies %s" (state_to_string v.pv_state)
-                 (state_to_string d)));
     };
     {
       pi_name = "single-writer";

@@ -21,32 +21,18 @@
     Monitor state is per-{!Coherent}-instance (no global mutable state), so
     domain-parallel sweeps can run checked simulations concurrently. *)
 
-(* --- page-level state and views --- *)
-
-(** The four protocol states (§3.2).  {!Cpage.state} re-exports this type,
-    so [Cpage.Empty] and [Check.Empty] are the same constructor. *)
-type page_state =
-  | Empty
-  | Present1
-  | Present_plus
-  | Modified
-
-val state_to_string : page_state -> string
+(* --- page views --- *)
 
 (** A read-only snapshot of the protocol-relevant fields of a coherent
-    page.  Built by [Cpage.to_view]; building one is allocation-cheap (the
-    copy list is shared, not copied). *)
+    page.  Built by [Cpage.to_view], which lists the copies: for checks,
+    not the access path. *)
 type page_view = {
   pv_id : int;
-  pv_state : page_state;  (** the {e stored} state *)
   pv_copies : Platinum_phys.Frame.t list;
   pv_copy_mask : Platinum_machine.Procset.t;
   pv_write_mapped : bool;
   pv_frozen : bool;
 }
-
-val derived_state : page_view -> page_state
-(** The state implied by the directory and the write flag (§3.2). *)
 
 (* --- structured violations --- *)
 
@@ -57,13 +43,8 @@ type fault = {
   cpage : int option;
 }
 
-val fault :
-  ?cpage:int ->
-  inv:string ->
-  cite:string ->
-  ('a, unit, string, fault) format4 ->
-  'a
-(** Printf-style [fault] constructor. *)
+val fault : inv:string -> cite:string -> ('a, unit, string, fault) format4 -> 'a
+(** Printf-style constructor of a machine-wide [fault] ([cpage = None]). *)
 
 val render : fault -> string
 (** ["cpage 3: single-writer (§3.2): write mapping coexists with 2 copies"] *)
@@ -79,8 +60,9 @@ type page_invariant = {
 
 val page_invariants : page_invariant list
 (** The catalogue, checked in order: mask-list-agreement (§2.3),
-    one-copy-per-module (§2.3), state-agreement (§3.2), single-writer
-    (§3.2), frozen-single-copy (§4.2), replica-coherence (§2.3/§3.2). *)
+    one-copy-per-module (§2.3), single-writer (§3.2), frozen-single-copy
+    (§4.2), replica-coherence (§2.3/§3.2).  The page state needs no entry:
+    {!Cpage.state} derives it from the directory. *)
 
 val check_page : page_view -> (unit, fault) result
 (** Run the catalogue; first violated invariant wins. *)

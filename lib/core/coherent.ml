@@ -183,7 +183,6 @@ let thaw_page t ~now ~by_daemon (page : Cpage.t) =
         match Cmap.find cm ~vpage with None -> () | Some ce -> drop_translations t cm ~vpage ce)
       (mappings_of t page);
     page.Cpage.write_mapped <- false;
-    Cpage.sync_state page;
     page.Cpage.last_thaw_at <- now;
     emit t ~now (Probe.Thawed { cpage = page.Cpage.id; by_daemon });
     checkpoint t ~now
@@ -268,7 +267,6 @@ let unbind t ~now cm ~vpage =
     (* If nothing maps the page it keeps its copies (the memory object
        still owns the data); translations are simply gone. *)
     page.Cpage.write_mapped <- false;
-    Cpage.sync_state page;
     checkpoint t ~now;
     r.Shootdown.latency
 
@@ -312,8 +310,7 @@ let install t ~proc ~cm ~vpage (ce : Cmap.centry) frame ~write_ok =
   ce.Cmap.refmask <- Procset.add proc ce.Cmap.refmask;
   let atc = t.atcs.(proc) in
   if Atc.is_active atc ~aspace:(Cmap.aspace cm) then Atc.load atc ~vpage entry;
-  if write_ok then ce.Cmap.cpage.Cpage.write_mapped <- true;
-  Cpage.sync_state ce.Cmap.cpage
+  if write_ok then ce.Cmap.cpage.Cpage.write_mapped <- true
 
 let rec free_copies t page ~except lat = function
   | [] -> lat
@@ -324,13 +321,30 @@ let rec free_copies t page ~except lat = function
     t.counters.Counters.pages_freed <- t.counters.Counters.pages_freed + 1;
     free_copies t page ~except (lat + (config t).Config.page_free_ns) rest
 
+(* A frame on [prefer], else on the emptiest module that holds no copy of
+   [page]; [None] when every such module is full. *)
+let alloc_near t ~prefer (page : Cpage.t) =
+  let cpage = page.Cpage.id in
+  match Phys_mem.alloc t.phys ~mem_module:prefer ~cpage with
+  | Some _ as r -> r
+  | None ->
+    let best = ref (-1) and best_free = ref 0 in
+    for m = 0 to Phys_mem.modules t.phys - 1 do
+      let free = Phys_mem.free_count t.phys ~mem_module:m in
+      if m <> prefer && (not (Cpage.has_copy_on page m)) && free > !best_free then begin
+        best := m;
+        best_free := free
+      end
+    done;
+    if !best < 0 then None else Phys_mem.alloc t.phys ~mem_module:!best ~cpage
+
 (* Allocation/mapping overhead depends on whether the Cpage metadata lives
    in the faulting processor's module — the paper's 0.23 ms vs 0.27 ms. *)
 let alloc t sc ~proc ~target (page : Cpage.t) (place : Fault.place) =
   let cfg = config t in
   let frame =
     match place with
-    | Fault.Exactly -> Phys_mem.alloc_local t.phys ~mem_module:target ~cpage:page.Cpage.id
+    | Fault.Exactly -> Phys_mem.alloc t.phys ~mem_module:target ~cpage:page.Cpage.id
     | First_touch | Near ->
       (* First-touch placement is local unless the policy scatters data
          round-robin across modules (the Uniform System baseline). *)
@@ -339,7 +353,7 @@ let alloc t sc ~proc ~target (page : Cpage.t) (place : Fault.place) =
           page.Cpage.id mod cfg.Config.nprocs
         else target
       in
-      Phys_mem.alloc_preferring t.phys ~prefer ~cpage:page.Cpage.id
+      alloc_near t ~prefer page
   in
   (match frame with
   | None -> ()
@@ -446,9 +460,7 @@ let step t sc ~now ~proc ~target ~cm ~vpage ~(ce : Cmap.centry) ~write ~fresh (s
     (* [Cpage.copies] snapshots the directory, newest first: the loop
        edits the slots. *)
     charge sc (free_copies t page ~except 0 (Cpage.copies page))
-  | Settle ->
-    page.Cpage.write_mapped <- false;
-    Cpage.sync_state page
+  | Settle -> page.Cpage.write_mapped <- false
   | Note_remote ->
     charge sc cfg.Config.map_existing_ns;
     st.Cpage.remote_maps <- st.Cpage.remote_maps + 1;
@@ -488,7 +500,7 @@ let step t sc ~now ~proc ~target ~cm ~vpage ~(ce : Cmap.centry) ~write ~fresh (s
     in
     (* Granting a write mapping (or any remote mapping of a modified page)
        ends the page's cachable era. *)
-    if write || full_rights || page.Cpage.state = Cpage.Modified then kill_cached_lines t ~vpage;
+    if write || full_rights || Cpage.state page = Cpage.Modified then kill_cached_lines t ~vpage;
     install t ~proc ~cm ~vpage ce (choose_copy page) ~write_ok:(write || full_rights)
   | Alloc _ | Copy _ -> assert false (* [exec] branches on these *)
 
@@ -544,14 +556,14 @@ let fault t sc ~now ~proc ~cm ~vpage ~write =
   end;
   let local = Cpage.has_copy_on page proc and copies = Cpage.ncopies page in
   let verdict =
-    match page.Cpage.state with
+    match Cpage.state page with
     | (Cpage.Present1 | Present_plus | Modified) when (not local) && copies > 0 ->
       Policy.decide t.policy ~now (if write then Policy.Write_fault else Policy.Read_fault) page
     | _ -> Policy.Replicate
   in
   sc.s_latency <- (config t).Config.fault_entry_ns;
   exec t sc ~now ~proc ~target:proc ~cm ~vpage ~ce ~write ~fresh:None
-    (Fault.plan ~write ~state:page.Cpage.state ~copies ~local ~frozen:page.Cpage.frozen verdict);
+    (Fault.plan ~write ~state:(Cpage.state page) ~copies ~local ~frozen:page.Cpage.frozen verdict);
   t.counters.Counters.fault_ns <- t.counters.Counters.fault_ns + sc.s_latency
 
 (* Translation misses that the Pmap cannot serve: a cold path, kept out of
@@ -599,7 +611,7 @@ let rec only_holder_maps holder = function
       && only_holder_maps holder rest)
 
 let cachable t (page : Cpage.t) =
-  match page.Cpage.state with
+  match Cpage.state page with
   | Cpage.Empty | Cpage.Present1 | Cpage.Present_plus -> true
   | Cpage.Modified ->
     let holder = Platinum_phys.Frame.mem_module (Cpage.any_copy page) in

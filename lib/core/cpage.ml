@@ -1,7 +1,7 @@
 module Frame = Platinum_phys.Frame
 module Procset = Platinum_machine.Procset
 
-type state = Check.page_state =
+type state =
   | Empty
   | Present1
   | Present_plus
@@ -35,7 +35,6 @@ type stats = {
 type t = {
   id : int;
   home : int;
-  mutable state : state;
   mutable slots : Frame.t option array;  (* directory frame per module *)
   mutable slot_seq : int array;  (* insertion stamp per module; -1 = empty *)
   mutable next_seq : int;
@@ -72,7 +71,6 @@ let create ~id ~home ?(label = "") () =
   {
     id;
     home;
-    state = Empty;
     slots = [||];
     slot_seq = [||];
     next_seq = 0;
@@ -89,6 +87,14 @@ let create ~id ~home ?(label = "") () =
 
 let ncopies t = Procset.cardinal t.copy_mask
 let has_copy_on t m = Procset.mem m t.copy_mask
+
+(* O(1) on the mask: clearing its lowest bit leaves 0 iff one copy. *)
+let state t =
+  let m = (t.copy_mask :> int) in
+  if m = 0 then Empty
+  else if m land (m - 1) <> 0 then Present_plus
+  else if t.write_mapped then Modified
+  else Present1
 
 let local_copy t m =
   if m >= 0 && m < Array.length t.slots then Array.unsafe_get t.slots m else None
@@ -168,18 +174,17 @@ let iter_copies f t =
 let to_view t =
   {
     Check.pv_id = t.id;
-    pv_state = t.state;
     pv_copies = copies t;
     pv_copy_mask = t.copy_mask;
     pv_write_mapped = t.write_mapped;
     pv_frozen = t.frozen;
   }
 
-let derived_state t = Check.derived_state (to_view t)
-
-let sync_state t = t.state <- derived_state t
-
-let state_to_string = Check.state_to_string
+let state_to_string = function
+  | Empty -> "empty"
+  | Present1 -> "present1"
+  | Present_plus -> "present+"
+  | Modified -> "modified"
 
 let pp_state fmt s = Format.pp_print_string fmt (state_to_string s)
 
@@ -190,6 +195,6 @@ let check_invariants t = Result.map_error Check.render (check_faults t)
 let pp fmt t =
   Format.fprintf fmt "cpage %d%s: %a, copies=%a%s%s" t.id
     (if t.label = "" then "" else Printf.sprintf " (%s)" t.label)
-    pp_state t.state Procset.pp t.copy_mask
+    pp_state (state t) Procset.pp t.copy_mask
     (if t.write_mapped then ", write-mapped" else "")
     (if t.frozen then ", FROZEN" else "")

@@ -12,12 +12,11 @@
     - [Modified]: one physical page; at least one translation allows
       writes.
 
-    The state is stored explicitly (as in the kernel) but is fully
-    determined by the directory and the write-mapping flag;
-    [check_invariants] verifies agreement, along with replica data
-    equality. *)
+    The state is not stored: {!state} computes it from the directory and
+    the write-mapping flag, so it cannot disagree with them.
+    [check_invariants] verifies the directory and replica data equality. *)
 
-type state = Check.page_state =
+type state =
   | Empty
   | Present1
   | Present_plus
@@ -44,7 +43,6 @@ type stats = {
 type t = {
   id : int;
   home : int;  (** memory module holding this entry's metadata *)
-  mutable state : state;
   mutable slots : Platinum_phys.Frame.t option array;
       (** the directory: at most one backing frame per memory module,
           indexed by module number — O(1) add/remove/membership.  Use
@@ -84,8 +82,9 @@ val has_copy_on : t -> int -> bool
 
 val local_copy : t -> int -> Platinum_phys.Frame.t option
 (** Backing frame on the given module, if any.  One slot load, returning
-    the stored cell — no allocation (the kernel uses the module's inverted
-    page table for this, see {!Platinum_phys.Inverted_table}). *)
+    the stored cell — no allocation.  The slots are the only cpage→frame
+    index: the kernel's per-module inverted page table (§3.3) is the same
+    mapping read from the frame side. *)
 
 val any_copy : t -> Platinum_phys.Frame.t
 (** The most recently added backing frame (the replication source choice
@@ -108,11 +107,10 @@ val iter_copies : (Platinum_phys.Frame.t -> unit) -> t -> unit
     The callback must not edit the directory; snapshot with {!copies} when
     it does. *)
 
-val derived_state : t -> state
-(** The state implied by the directory and write flag. *)
-
-val sync_state : t -> unit
-(** Recompute [state] from the directory (call after directory edits). *)
+val state : t -> state
+(** The state the directory and write flag imply (§3.2): [Empty] with no
+    copies, [Present_plus] with two or more, else [Modified] or [Present1]
+    by [write_mapped].  Allocation-free. *)
 
 val to_view : t -> Check.page_view
 (** Snapshot the protocol-relevant fields for the {!Check} catalogue. *)
@@ -121,10 +119,10 @@ val check_faults : t -> (unit, Check.fault) result
 (** Run the {!Check.page_invariants} catalogue on this page. *)
 
 val check_invariants : t -> (unit, string) result
-(** {!check_faults} rendered to a message.  Verifies state/directory
-    agreement, copy-mask/copy-list agreement, single-copy-per-module,
-    frozen-single-copy, and data equality of replicas — delegating to the
-    one catalogue in {!Check}. *)
+(** {!check_faults} rendered to a message.  Verifies copy-mask/copy-list
+    agreement, one copy per module, a single writer, frozen-single-copy
+    and data equality of replicas — delegating to the one catalogue in
+    {!Check}. *)
 
 val state_to_string : state -> string
 val pp_state : Format.formatter -> state -> unit

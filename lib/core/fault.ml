@@ -42,8 +42,8 @@ let remote_shared = [ Note_remote; invalidate ~spare:false; Free_copies Keep_cho
 
 (* Repeated copy aborts: give up on the move, freeze the page where it
    lives and map it remotely.  The shootdown before the copy dropped write
-   mappings without the [Map] that recomputes the directory state, so
-   settle first (the monitor checks at the freeze). *)
+   mappings but not the write flag, so settle first (the monitor checks at
+   the freeze). *)
 let freeze_in_place = Settle :: Freeze { degraded = true } :: remote
 
 (* First touch: allocate locally and zero-fill. *)

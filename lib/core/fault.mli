@@ -70,7 +70,7 @@ type step =
           retries run out, the fresh frame is freed and [on_abort] runs
           instead of the rest of the plan. *)
   | Free_copies of keep  (** Free every other copy. *)
-  | Settle  (** Drop the write flag and recompute the directory state. *)
+  | Settle  (** Drop the write flag. *)
   | Note_remote
       (** Charge, count and emit a remote mapping.  It precedes the
           shootdown a write into a shared page needs, whose cost starts

@@ -480,7 +480,8 @@ and syscall :
   | Eff.Alloc (zone, words, page_aligned) ->
     service t th k (fun () -> (t.memsys.Memsys.alloc ~zone ~words ~page_aligned, 0))
   | Eff.Alloc_pages (zone, pages) ->
-    service t th k (fun () -> (t.memsys.Memsys.alloc_pages ~zone ~pages, 0))
+    let words = pages * t.memsys.Memsys.page_words in
+    service t th k (fun () -> (t.memsys.Memsys.alloc ~zone ~words ~page_aligned:true, 0))
   | Eff.Page_words -> complete t th k t.memsys.Memsys.page_words 0
   | Eff.Advise (vaddr, len, advice) ->
     service t th k (fun () ->

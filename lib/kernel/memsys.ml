@@ -32,12 +32,10 @@ type t = {
   new_aspace : unit -> int;
   new_zone : aspace:int -> name:string -> pages:int -> int;
   alloc : zone:int -> words:int -> page_aligned:bool -> int;
-  alloc_pages : zone:int -> pages:int -> int;
   new_segment : name:string -> pages:int -> int;
   map_segment : aspace:int -> segment:int -> int;
   advise : now:int -> proc:int -> aspace:int -> vaddr:int -> len:int -> advice -> int;
   migrate_cost : now:int -> from_proc:int -> to_proc:int -> int;
-  describe : unit -> string;
   fastpath : Fastpath.ops option;
       (* coalescing fast-path operations (DESIGN.md §4g); [None] = the
          backend only supports the full-suspend path *)

@@ -52,7 +52,6 @@ type t = {
   new_zone : aspace:int -> name:string -> pages:int -> int;  (** returns a zone handle *)
   alloc : zone:int -> words:int -> page_aligned:bool -> int;
       (** bump allocation inside a zone; returns the virtual word address *)
-  alloc_pages : zone:int -> pages:int -> int;
   new_segment : name:string -> pages:int -> int;
       (** a globally named memory object, shareable across address spaces *)
   map_segment : aspace:int -> segment:int -> int;
@@ -63,7 +62,6 @@ type t = {
           returns latency; a no-op on machines without coherent memory *)
   migrate_cost : now:int -> from_proc:int -> to_proc:int -> int;
       (** cost of moving a thread's kernel stack (§2.2) *)
-  describe : unit -> string;
   fastpath : Fastpath.ops option;
       (** coalescing fast-path operations (DESIGN.md §4g); [None] = the
           backend only supports the full-suspend path *)

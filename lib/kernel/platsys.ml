@@ -188,15 +188,10 @@ let memsys t =
     new_zone = (fun ~aspace ~name ~pages -> new_zone t ~aspace ~name ~pages);
     alloc =
       (fun ~zone:z ~words ~page_aligned -> Zone.alloc (zone t z) ~words ~page_aligned ());
-    alloc_pages = (fun ~zone:z ~pages -> Zone.alloc_pages (zone t z) ~pages);
     new_segment = (fun ~name ~pages -> new_segment t ~name ~pages);
     map_segment = (fun ~aspace ~segment -> map_segment t ~aspace ~segment);
     advise;
     migrate_cost;
-    describe =
-      (fun () ->
-        Printf.sprintf "platinum coherent memory (policy %s)"
-          (Platinum_core.Policy.name (Coherent.policy coh)));
     fastpath;
     remote = None;
   }

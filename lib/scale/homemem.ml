@@ -406,12 +406,10 @@ let memsys t s ~arena_base ~arena_words =
     new_aspace = (fun () -> invalid_arg "Parkernel: one address space per machine");
     new_zone = (fun ~aspace:_ ~name:_ ~pages:_ -> 0);
     alloc;
-    alloc_pages = (fun ~zone ~pages -> alloc ~zone ~words:(pages * t.pw) ~page_aligned:true);
     new_segment = (fun ~name:_ ~pages:_ -> invalid_arg "Parkernel: no segments");
     map_segment = (fun ~aspace:_ ~segment:_ -> invalid_arg "Parkernel: no segments");
     advise = (fun ~now:_ ~proc:_ ~aspace:_ ~vaddr:_ ~len:_ _ -> 0);
     migrate_cost = (fun ~now:_ ~from_proc:_ ~to_proc:_ -> t.cfg.Config.thread_migrate_ns);
-    describe = (fun () -> "parmem: home-partitioned distributed coherent memory");
     fastpath = None;
     remote =
       Some

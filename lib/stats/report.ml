@@ -6,8 +6,6 @@ module Time_ns = Platinum_sim.Time_ns
 
 type page_row = {
   label : string;
-  cpage_id : int;
-  state : Cpage.state;
   read_faults : int;
   write_faults : int;
   replications : int;
@@ -25,7 +23,6 @@ type t = {
   frozen_pages : int;
   ever_frozen_pages : int;
   module_utilization : float array;
-  module_wait_ms : float array;
   ipis : int;
 }
 
@@ -33,8 +30,6 @@ let row_of_page (p : Cpage.t) =
   let s = p.Cpage.stats in
   {
     label = (if p.Cpage.label = "" then Printf.sprintf "cpage-%d" p.Cpage.id else p.Cpage.label);
-    cpage_id = p.Cpage.id;
-    state = p.Cpage.state;
     read_faults = s.Cpage.read_faults;
     write_faults = s.Cpage.write_faults;
     replications = s.Cpage.replications;
@@ -61,8 +56,6 @@ let of_run coh ~elapsed =
     ever_frozen_pages = List.length (List.filter (fun r -> r.was_frozen) pages);
     module_utilization =
       Array.map (fun m -> Memmodule.utilization m ~horizon:elapsed) modules;
-    module_wait_ms =
-      Array.map (fun m -> Time_ns.to_float_ms (Memmodule.total_wait_ns m)) modules;
     ipis = Machine.ipis_sent machine;
   }
 

@@ -9,8 +9,6 @@
 
 type page_row = {
   label : string;
-  cpage_id : int;
-  state : Platinum_core.Cpage.state;
   read_faults : int;
   write_faults : int;
   replications : int;
@@ -28,7 +26,6 @@ type t = {
   frozen_pages : int;
   ever_frozen_pages : int;
   module_utilization : float array;
-  module_wait_ms : float array;
   ipis : int;
 }
 

@@ -24,6 +24,4 @@ let alloc t ~words ?(page_aligned = false) () =
   t.next <- start + words;
   t.base + start
 
-let alloc_pages t ~pages = alloc t ~words:(pages * t.page_words) ~page_aligned:true ()
-
 let used_words t = t.next

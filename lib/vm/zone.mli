@@ -26,7 +26,4 @@ val alloc : t -> words:int -> ?page_aligned:bool -> unit -> int
     [page_aligned] (default false) rounds the start up to a page boundary.
     Raises [Failure] when the zone is exhausted. *)
 
-val alloc_pages : t -> pages:int -> int
-(** Allocate whole pages (always page-aligned). *)
-
 val used_words : t -> int

@@ -6,13 +6,12 @@ type params = {
   nprocs : int;
   seed : int;
   verify : bool;
-  bulk : bool;
 }
 
-let params ?(n = 400) ?(seed = 42) ?(verify = true) ?(bulk = true) ~nprocs () =
+let params ?(n = 400) ?(seed = 42) ?(verify = true) ~nprocs () =
   if n < 2 then invalid_arg "Gauss_mp.params: n must be at least 2";
   if nprocs < 1 then invalid_arg "Gauss_mp.params: nprocs must be positive";
-  { n; nprocs; seed; verify; bulk }
+  { n; nprocs; seed; verify }
 
 let to_gauss p = { Gauss.n = p.n; nprocs = p.nprocs; seed = p.seed; verify = p.verify }
 
@@ -29,16 +28,16 @@ let make p =
     let inboxes = Array.init nprocs (fun _ -> Api.new_port ()) in
     let worker me =
       (* First touch of this worker's rows.  The page-aligned row buffers
-         usually sit a constant distance apart, so bulk mode scatters all
-         of them in one strided transaction (elements of n words, one per
-         row); non-uniform spacing falls back to per-row block writes. *)
+         usually sit a constant distance apart, so one strided transaction
+         scatters all of them (elements of n words, one per row);
+         non-uniform spacing falls back to per-row block writes. *)
       let my_rows =
         Array.init (if me < n then ((n - 1 - me) / nprocs) + 1 else 0)
           (fun k -> me + (k * nprocs))
       in
       let row_data r = Array.init n (fun j -> Gauss.init_elem gp r j land Gauss.value_mask) in
       let uniform_stride =
-        if (not p.bulk) || Array.length my_rows < 2 then None
+        if Array.length my_rows < 2 then None
         else begin
           let d = rows.(my_rows.(1)) - rows.(my_rows.(0)) in
           let ok = ref (d >= n) in

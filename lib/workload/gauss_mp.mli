@@ -13,17 +13,12 @@ type params = {
   nprocs : int;
   seed : int;
   verify : bool;
-  bulk : bool;
-      (** initialize this worker's rows with one strided transaction when
-          they are uniformly spaced (default); [false] always writes
-          per-row blocks *)
 }
 
 val params :
   ?n:int ->
   ?seed:int ->
   ?verify:bool ->
-  ?bulk:bool ->
   nprocs:int ->
   unit ->
   params

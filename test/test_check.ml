@@ -52,7 +52,7 @@ let write env ?(now = 0) ~proc vaddr v = Coherent.write_word env.coh ~now ~proc 
 let frame ?(mem_module = 0) ?(index = 0) ?(words = 4) () = Frame.create ~mem_module ~index ~words
 
 (* A consistent single-copy view to corrupt per test. *)
-let base_view ?(state = Check.Present1) ?copies ?copy_mask ?(write_mapped = false)
+let base_view ?copies ?copy_mask ?(write_mapped = false)
     ?(frozen = false) () =
   let copies = match copies with Some c -> c | None -> [ frame () ] in
   let copy_mask =
@@ -60,7 +60,7 @@ let base_view ?(state = Check.Present1) ?copies ?copy_mask ?(write_mapped = fals
     | Some m -> m
     | None -> Procset.of_list (List.map Frame.mem_module copies)
   in
-  { Check.pv_id = 7; pv_state = state; pv_copies = copies; pv_copy_mask = copy_mask;
+  { Check.pv_id = 7; pv_copies = copies; pv_copy_mask = copy_mask;
     pv_write_mapped = write_mapped; pv_frozen = frozen }
 
 let expect_inv name view =
@@ -89,12 +89,10 @@ let test_clean_views () =
       | Ok () -> ()
       | Error f -> Alcotest.failf "clean view rejected: %s" (Check.render f))
     [
-      base_view ~state:Check.Empty ~copies:[] ();
+      base_view ~copies:[] ();
       base_view ();
-      base_view ~state:Check.Modified ~write_mapped:true ();
-      base_view ~state:Check.Present_plus
-        ~copies:[ frame ~mem_module:0 (); frame ~mem_module:1 () ]
-        ();
+      base_view ~write_mapped:true ();
+      base_view ~copies:[ frame ~mem_module:0 (); frame ~mem_module:1 () ] ();
       base_view ~frozen:true ();
     ]
 
@@ -104,33 +102,22 @@ let test_mask_list_agreement () =
 
 let test_one_copy_per_module () =
   expect_inv "one-copy-per-module"
-    (base_view ~state:Check.Present_plus
-       ~copies:[ frame ~mem_module:2 ~index:0 (); frame ~mem_module:2 ~index:1 () ]
+    (base_view ~copies:[ frame ~mem_module:2 ~index:0 (); frame ~mem_module:2 ~index:1 () ]
        ~copy_mask:(Procset.of_list [ 2 ]) ())
-
-let test_state_agreement () =
-  expect_inv "state-agreement"
-    (base_view ~state:Check.Present_plus ());
-  expect_inv "state-agreement" (base_view ~state:Check.Modified ());
-  expect_inv "state-agreement" (base_view ~state:Check.Empty ())
 
 let test_single_writer () =
   expect_inv "single-writer"
-    (base_view ~state:Check.Present_plus
-       ~copies:[ frame ~mem_module:0 (); frame ~mem_module:1 () ]
-       ~write_mapped:true ())
+    (base_view ~copies:[ frame ~mem_module:0 (); frame ~mem_module:1 () ] ~write_mapped:true ())
 
 let test_frozen_single_copy () =
   expect_inv "frozen-single-copy"
-    (base_view ~state:Check.Present_plus
-       ~copies:[ frame ~mem_module:0 (); frame ~mem_module:1 () ]
-       ~frozen:true ())
+    (base_view ~copies:[ frame ~mem_module:0 (); frame ~mem_module:1 () ] ~frozen:true ())
 
 let test_replica_coherence () =
   let f0 = frame ~mem_module:0 () and f1 = frame ~mem_module:1 () in
   Frame.set f1 2 42;
   expect_inv "replica-coherence"
-    (base_view ~state:Check.Present_plus ~copies:[ f0; f1 ] ())
+    (base_view ~copies:[ f0; f1 ] ())
 
 let test_catalogue_documented () =
   List.iter
@@ -149,16 +136,17 @@ let test_cpage_delegates () =
   let _ = read env ~proc:1 0 in
   (* healthy page: both agree it is fine *)
   Alcotest.(check bool) "cpage ok" true (Cpage.check_invariants pages.(0) = Ok ());
-  (* corrupt the stored state: both notice, with the same structured fault *)
-  pages.(0).Cpage.state <- Cpage.Modified;
+  (* corrupt the copy mask: both notice, with the same structured fault *)
+  let mask = pages.(0).Cpage.copy_mask in
+  pages.(0).Cpage.copy_mask <- Procset.add 3 mask;
   (match Cpage.check_faults pages.(0) with
   | Ok () -> Alcotest.fail "corruption missed"
   | Error f ->
-    Alcotest.(check string) "via the catalogue" "state-agreement" f.Check.inv;
+    Alcotest.(check string) "via the catalogue" "mask-list-agreement" f.Check.inv;
     (match Check.check_page (Cpage.to_view pages.(0)) with
     | Ok () -> Alcotest.fail "view checker disagrees"
     | Error f' -> Alcotest.(check string) "same fault" (Check.render f) (Check.render f')));
-  Cpage.sync_state pages.(0)
+  pages.(0).Cpage.copy_mask <- mask
 
 (* --- machine-wide structured faults --- *)
 
@@ -388,7 +376,6 @@ let suite =
     ("catalogue: clean views pass", `Quick, test_clean_views);
     ("catalogue: mask-list-agreement", `Quick, test_mask_list_agreement);
     ("catalogue: one-copy-per-module", `Quick, test_one_copy_per_module);
-    ("catalogue: state-agreement", `Quick, test_state_agreement);
     ("catalogue: single-writer", `Quick, test_single_writer);
     ("catalogue: frozen-single-copy", `Quick, test_frozen_single_copy);
     ("catalogue: replica-coherence", `Quick, test_replica_coherence);

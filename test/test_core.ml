@@ -66,7 +66,7 @@ let test_empty_read () =
   let pages = bind_pages env 1 in
   let v, lat = read env ~proc:0 0 in
   Alcotest.(check int) "zero filled" 0 v;
-  Alcotest.check state "empty -> present1" Cpage.Present1 pages.(0).Cpage.state;
+  Alcotest.check state "empty -> present1" Cpage.Present1 (Cpage.state pages.(0));
   Alcotest.(check int) "one copy" 1 (Cpage.ncopies pages.(0));
   Alcotest.(check bool) "copy is local" true (Cpage.has_copy_on pages.(0) 0);
   Alcotest.(check bool) "fault latency charged" true (lat > 100_000);
@@ -76,7 +76,7 @@ let test_empty_write () =
   let env = mk () in
   let pages = bind_pages env 1 in
   let _ = write env ~proc:2 3 77 in
-  Alcotest.check state "empty -> modified" Cpage.Modified pages.(0).Cpage.state;
+  Alcotest.check state "empty -> modified" Cpage.Modified (Cpage.state pages.(0));
   Alcotest.(check bool) "local to writer" true (Cpage.has_copy_on pages.(0) 2);
   let v, _ = read env ~proc:2 3 in
   Alcotest.(check int) "reads back" 77 v;
@@ -89,7 +89,7 @@ let test_replication () =
   let v, _ = read env ~proc:1 1 in
   Alcotest.(check int) "replica data" 5 v;
   Alcotest.check state "modified -> present+ via replication" Cpage.Present_plus
-    pages.(0).Cpage.state;
+    (Cpage.state pages.(0));
   Alcotest.(check int) "two copies" 2 (Cpage.ncopies pages.(0));
   Alcotest.(check int) "replications counted" 1 pages.(0).Cpage.stats.Cpage.replications;
   Alcotest.(check int) "restriction counted" 1 pages.(0).Cpage.stats.Cpage.restrictions;
@@ -116,7 +116,7 @@ let test_present1_to_modified_cheap () =
   (* Same processor upgrades to write: no shootdown, no copy. *)
   let before = (Coherent.counters env.coh).Counters.shootdowns in
   let lat = write env ~proc:0 0 1 in
-  Alcotest.check state "present1 -> modified" Cpage.Modified pages.(0).Cpage.state;
+  Alcotest.check state "present1 -> modified" Cpage.Modified (Cpage.state pages.(0));
   Alcotest.(check int) "no shootdown" before (Coherent.counters env.coh).Counters.shootdowns;
   Alcotest.(check bool) "cheap (no block copy)" true (lat < 500_000);
   check_inv env
@@ -129,7 +129,7 @@ let test_write_collapses_replicas () =
   Alcotest.(check int) "four copies" 4 (Cpage.ncopies pages.(0));
   (* Writer writes again: all other copies invalidated and freed. *)
   let _ = write env ~proc:0 1 42 in
-  Alcotest.check state "back to modified" Cpage.Modified pages.(0).Cpage.state;
+  Alcotest.check state "back to modified" Cpage.Modified (Cpage.state pages.(0));
   Alcotest.(check int) "single copy" 1 (Cpage.ncopies pages.(0));
   Alcotest.(check bool) "kept the writer's copy" true (Cpage.has_copy_on pages.(0) 0);
   Alcotest.(check bool) "invalidation recorded" true
@@ -146,7 +146,7 @@ let test_migration_on_write () =
   (* Another processor writes much later (outside t1): migration. *)
   let t = 100_000_000 in
   let _ = write env ~now:t ~proc:3 2 11 in
-  Alcotest.check state "still modified" Cpage.Modified pages.(0).Cpage.state;
+  Alcotest.check state "still modified" Cpage.Modified (Cpage.state pages.(0));
   Alcotest.(check bool) "moved to writer" true (Cpage.has_copy_on pages.(0) 3);
   Alcotest.(check bool) "left the old home" false (Cpage.has_copy_on pages.(0) 0);
   Alcotest.(check int) "migration counted" 1 pages.(0).Cpage.stats.Cpage.migrations;
@@ -201,7 +201,7 @@ let test_thaw_allows_replication () =
   let t = 200_000_000 in
   Coherent.thaw_page env.coh ~now:t ~by_daemon:false pages.(0);
   Alcotest.(check bool) "unfrozen" false pages.(0).Cpage.frozen;
-  Alcotest.check state "single read-only copy" Cpage.Present1 pages.(0).Cpage.state;
+  Alcotest.check state "single read-only copy" Cpage.Present1 (Cpage.state pages.(0));
   (* Next reader replicates: the thaw didn't count as interference. *)
   let _ = read env ~now:(t + 1000) ~proc:1 0 in
   Alcotest.(check int) "replicated after thaw" 2 (Cpage.ncopies pages.(0));
@@ -718,16 +718,17 @@ let test_invariant_checker_detects_corruption () =
   let env = mk () in
   let pages = bind_pages env 1 in
   let _ = read env ~proc:0 0 in
-  pages.(0).Cpage.state <- Cpage.Modified (* lie *);
-  Alcotest.(check bool) "corruption detected" true
-    (match Coherent.check_invariants env.coh with Error _ -> true | Ok () -> false)
+  pages.(0).Cpage.copy_mask <- Procset.add 3 pages.(0).Cpage.copy_mask (* lie *);
+  match Coherent.check_faults env.coh with
+  | Some f ->
+    Alcotest.(check string) "corruption detected" "mask-list-agreement" f.Platinum_core.Check.inv
+  | None -> Alcotest.fail "corruption missed"
 
 let test_cpage_invariants_unit () =
   let p = Cpage.create ~id:0 ~home:0 () in
   Alcotest.(check bool) "fresh page ok" true (Cpage.check_invariants p = Ok ());
   let f = Platinum_phys.Frame.create ~mem_module:1 ~index:0 ~words:4 in
   Cpage.add_copy p f;
-  Cpage.sync_state p;
   Alcotest.(check bool) "present1 ok" true (Cpage.check_invariants p = Ok ());
   Alcotest.(check bool) "double add same module rejected" true
     (try

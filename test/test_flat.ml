@@ -240,8 +240,7 @@ let apply_cop (cm, pages, m) op =
             ce.Cmap.refmask <- Procset.remove p ce.Cmap.refmask;
             Hashtbl.remove m.m_trans (p, vpage))
           (model_procs_of m vpage);
-        pages.(v).Cpage.write_mapped <- false;
-        Cpage.sync_state pages.(v));
+        pages.(v).Cpage.write_mapped <- false);
       Cmap.unbind cm ~vpage;
       Hashtbl.remove m.m_bound vpage
     end
@@ -269,7 +268,6 @@ let apply_cop (cm, pages, m) op =
            ~frame:(Cpage.any_copy ce.Cmap.cpage) ~write_ok:true);
       ce.Cmap.refmask <- Procset.add p ce.Cmap.refmask;
       ce.Cmap.cpage.Cpage.write_mapped <- true;
-      Cpage.sync_state ce.Cmap.cpage;
       Hashtbl.replace m.m_trans (p, vpage) true)
   | Restrict_page v ->
     let vpage = cm_vpages.(v) in
@@ -283,8 +281,7 @@ let apply_cop (cm, pages, m) op =
             Pmap.restrict (Cmap.pmap cm ~proc:p) ~vpage;
             Hashtbl.replace m.m_trans (p, vpage) false)
           targets;
-        ce.Cmap.cpage.Cpage.write_mapped <- false;
-        Cpage.sync_state ce.Cmap.cpage
+        ce.Cmap.cpage.Cpage.write_mapped <- false
       end)
   | Invalidate_page v ->
     let vpage = cm_vpages.(v) in
@@ -299,8 +296,7 @@ let apply_cop (cm, pages, m) op =
             ce.Cmap.refmask <- Procset.remove p ce.Cmap.refmask;
             Hashtbl.remove m.m_trans (p, vpage))
           targets;
-        ce.Cmap.cpage.Cpage.write_mapped <- false;
-        Cpage.sync_state ce.Cmap.cpage
+        ce.Cmap.cpage.Cpage.write_mapped <- false
       end)
 
 let check_cmap_agreement (cm, pages, m) =
@@ -348,7 +344,6 @@ let prop_cmap_differential =
           (fun i _ ->
             let page = Cpage.create ~id:i ~home:0 () in
             Cpage.add_copy page (Frame.create ~mem_module:0 ~index:i ~words:4);
-            Cpage.sync_state page;
             page)
           cm_vpages
       in

@@ -1,8 +1,12 @@
-(* Tests for physical memory: frames, inverted page tables, allocation. *)
+(* Tests for physical memory: frames, per-module free lists, and where
+   the coherent layer places a page's frames. *)
 
 module Frame = Platinum_phys.Frame
-module IT = Platinum_phys.Inverted_table
 module Phys_mem = Platinum_phys.Phys_mem
+module Procset = Platinum_machine.Procset
+module Coherent = Platinum_core.Coherent
+module Cpage = Platinum_core.Cpage
+module Counters = Platinum_core.Counters
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -48,177 +52,158 @@ let test_frame_zero_fill () =
   Frame.fill_zero f;
   Alcotest.(check int) "zeroed" 0 (Frame.get f 2)
 
-(* --- Inverted_table --- *)
+(* --- the inverted page table: frame -> cpage, kept in each frame's owner --- *)
 
 let test_it_alloc_lookup () =
-  let t = IT.create ~mem_module:1 ~frames:8 ~page_words:4 in
-  Alcotest.(check int) "capacity" 8 (IT.capacity t);
-  Alcotest.(check int) "all free" 8 (IT.free_count t);
-  let f = Option.get (IT.alloc t ~cpage:42) in
-  Alcotest.(check bool) "lookup finds it" true (IT.lookup t ~cpage:42 = Some f);
-  Alcotest.(check bool) "lookup miss" true (IT.lookup t ~cpage:43 = None);
-  Alcotest.(check int) "free count" 7 (IT.free_count t);
-  Alcotest.(check int) "used count" 1 (IT.used_count t)
-
-let test_it_double_alloc_rejected () =
-  let t = IT.create ~mem_module:0 ~frames:4 ~page_words:4 in
-  ignore (IT.alloc t ~cpage:1);
-  Alcotest.(check bool) "second alloc for same cpage raises" true
-    (try
-       ignore (IT.alloc t ~cpage:1);
-       false
-     with Invalid_argument _ -> true)
+  let pm = Phys_mem.create ~modules:2 ~frames_per_module:8 ~page_words:4 in
+  Alcotest.(check int) "all free" 8 (Phys_mem.free_count pm ~mem_module:1);
+  let f = Option.get (Phys_mem.alloc pm ~mem_module:1 ~cpage:42) in
+  Alcotest.(check bool) "frame maps back to its cpage" true (Frame.owner f = Some 42);
+  Alcotest.(check int) "in the requested module" 1 (Frame.mem_module f);
+  let g = Option.get (Phys_mem.alloc pm ~mem_module:1 ~cpage:43) in
+  Alcotest.(check bool) "distinct frames" true (f != g && Frame.index f <> Frame.index g);
+  Alcotest.(check bool) "each keeps its own owner" true
+    (Frame.owner f = Some 42 && Frame.owner g = Some 43);
+  Alcotest.(check int) "free count" 6 (Phys_mem.free_count pm ~mem_module:1)
 
 let test_it_exhaustion () =
-  let t = IT.create ~mem_module:0 ~frames:3 ~page_words:4 in
+  let pm = Phys_mem.create ~modules:1 ~frames_per_module:3 ~page_words:4 in
   for c = 0 to 2 do
-    Alcotest.(check bool) "alloc ok" true (IT.alloc t ~cpage:c <> None)
+    Alcotest.(check bool) "alloc ok" true (Phys_mem.alloc pm ~mem_module:0 ~cpage:c <> None)
   done;
-  Alcotest.(check bool) "exhausted" true (IT.alloc t ~cpage:99 = None)
+  Alcotest.(check bool) "exhausted" true (Phys_mem.alloc pm ~mem_module:0 ~cpage:99 = None);
+  Alcotest.(check int) "none free" 0 (Phys_mem.free_count pm ~mem_module:0)
 
 let test_it_free_reuse () =
-  let t = IT.create ~mem_module:0 ~frames:2 ~page_words:4 in
-  let f1 = Option.get (IT.alloc t ~cpage:1) in
-  ignore (IT.alloc t ~cpage:2);
-  IT.free t f1;
-  Alcotest.(check bool) "lookup gone" true (IT.lookup t ~cpage:1 = None);
-  Alcotest.(check bool) "can alloc again" true (IT.alloc t ~cpage:3 <> None);
-  Alcotest.(check bool) "full again" true (IT.alloc t ~cpage:4 = None)
-
-let test_it_free_wrong_module () =
-  let t = IT.create ~mem_module:0 ~frames:2 ~page_words:4 in
-  let foreign = Frame.create ~mem_module:5 ~index:0 ~words:4 in
-  Alcotest.check_raises "wrong module"
-    (Invalid_argument "Inverted_table.free: frame belongs to another module") (fun () ->
-      IT.free t foreign)
-
-let test_it_double_free () =
-  let t = IT.create ~mem_module:0 ~frames:2 ~page_words:4 in
-  let f = Option.get (IT.alloc t ~cpage:1) in
-  IT.free t f;
-  Alcotest.check_raises "double free" (Invalid_argument "Inverted_table.free: frame is already free")
-    (fun () -> IT.free t f)
-
-(* Random alloc/free sequences keep the table consistent with a model. *)
-let prop_it_model =
-  QCheck.Test.make ~name:"inverted table agrees with a model" ~count:100
-    QCheck.(list (pair bool (int_bound 20)))
-    (fun ops ->
-      let t = IT.create ~mem_module:0 ~frames:8 ~page_words:2 in
-      let model = Hashtbl.create 8 in
-      List.for_all
-        (fun (is_alloc, cpage) ->
-          if is_alloc && not (Hashtbl.mem model cpage) then (
-            match IT.alloc t ~cpage with
-            | Some f ->
-              Hashtbl.replace model cpage f;
-              IT.lookup t ~cpage = Some f
-            | None -> Hashtbl.length model = 8)
-          else if (not is_alloc) && Hashtbl.mem model cpage then (
-            let f = Hashtbl.find model cpage in
-            IT.free t f;
-            Hashtbl.remove model cpage;
-            IT.lookup t ~cpage = None)
-          else true)
-        ops
-      && IT.used_count t = Hashtbl.length model)
-
-(* The lazily built table against the eager one it replaced: a free list
-   that starts as [0; 1; ...] and takes freed frames back on its head.
-   Over random alloc/free/lookup sequences both must hand out the same
-   frame indices in the same order, agree on every lookup and count, and a
-   re-allocated index must be the very same [Frame.t] (physical identity,
-   stale data kept). *)
-type eager = {
-  mutable e_free : int list;
-  e_owner : (int, int) Hashtbl.t;  (* cpage -> frame index *)
-}
-
-let eager_create frames = { e_free = List.init frames Fun.id; e_owner = Hashtbl.create 8 }
-
-let eager_alloc e ~cpage =
-  match e.e_free with
-  | [] -> None
-  | i :: rest ->
-    e.e_free <- rest;
-    Hashtbl.replace e.e_owner cpage i;
-    Some i
-
-let eager_free e ~cpage =
-  let i = Hashtbl.find e.e_owner cpage in
-  Hashtbl.remove e.e_owner cpage;
-  e.e_free <- i :: e.e_free
-
-let prop_it_lazy_eq_eager =
-  QCheck.Test.make ~name:"inverted table: lazy build = eager model" ~count:200
-    QCheck.(pair (int_range 1 12) (list (pair (int_bound 2) (int_bound 15))))
-    (fun (frames, ops) ->
-      let t = IT.create ~mem_module:3 ~frames ~page_words:2 in
-      let e = eager_create frames in
-      let seen = Hashtbl.create 16 in  (* frame index -> the Frame.t handed out *)
-      let index = Option.map Frame.index in
-      List.for_all
-        (fun (op, cpage) ->
-          let held = Hashtbl.mem e.e_owner cpage in
-          (match op with
-          | 0 when not held ->
-            let got = IT.alloc t ~cpage and want = eager_alloc e ~cpage in
-            if index got <> want then QCheck.Test.fail_reportf "alloc %d: frame differs" cpage;
-            Option.iter
-              (fun f ->
-                if Frame.mem_module f <> 3 then QCheck.Test.fail_report "wrong module";
-                match Hashtbl.find_opt seen (Frame.index f) with
-                | Some f' when f' != f -> QCheck.Test.fail_report "re-allocated a new Frame.t"
-                | _ -> Hashtbl.replace seen (Frame.index f) f)
-              got
-          | 1 when held ->
-            IT.free t (Option.get (IT.lookup t ~cpage));
-            eager_free e ~cpage
-          | _ -> ());
-          index (IT.lookup t ~cpage) = Hashtbl.find_opt e.e_owner cpage
-          && IT.free_count t = frames - Hashtbl.length e.e_owner
-          && IT.used_count t = Hashtbl.length e.e_owner
-          && IT.capacity t = frames)
-        ops)
+  let pm = Phys_mem.create ~modules:1 ~frames_per_module:2 ~page_words:4 in
+  let f1 = Option.get (Phys_mem.alloc pm ~mem_module:0 ~cpage:1) in
+  ignore (Phys_mem.alloc pm ~mem_module:0 ~cpage:2);
+  Phys_mem.free pm f1;
+  Alcotest.(check bool) "mapping gone" true (Frame.owner f1 = None);
+  Alcotest.(check bool) "can alloc again" true (Phys_mem.alloc pm ~mem_module:0 ~cpage:3 <> None);
+  Alcotest.(check bool) "full again" true (Phys_mem.alloc pm ~mem_module:0 ~cpage:4 = None)
 
 (* --- Phys_mem --- *)
 
 let test_pm_local_alloc () =
   let pm = Phys_mem.create ~modules:4 ~frames_per_module:2 ~page_words:4 in
-  let f = Option.get (Phys_mem.alloc_local pm ~mem_module:2 ~cpage:7) in
+  Alcotest.(check int) "total frames" 8 (Phys_mem.total_frames pm);
+  let f = Option.get (Phys_mem.alloc pm ~mem_module:2 ~cpage:7) in
   Alcotest.(check int) "in requested module" 2 (Frame.mem_module f);
-  Alcotest.(check bool) "lookup" true (Phys_mem.lookup pm ~mem_module:2 ~cpage:7 = Some f);
+  Alcotest.(check bool) "owned by the cpage" true (Frame.owner f = Some 7);
+  Alcotest.(check int) "module free" 1 (Phys_mem.free_count pm ~mem_module:2);
+  Alcotest.(check int) "other modules untouched" 2 (Phys_mem.free_count pm ~mem_module:1);
   Alcotest.(check int) "total free" 7 (Phys_mem.total_free pm)
-
-let test_pm_prefer_fallback () =
-  let pm = Phys_mem.create ~modules:3 ~frames_per_module:1 ~page_words:4 in
-  ignore (Phys_mem.alloc_local pm ~mem_module:0 ~cpage:100);
-  (* Module 0 is full: preference falls back elsewhere. *)
-  let f = Option.get (Phys_mem.alloc_preferring pm ~prefer:0 ~cpage:7) in
-  Alcotest.(check bool) "fell back" true (Frame.mem_module f <> 0)
-
-let test_pm_fallback_avoids_duplicates () =
-  let pm = Phys_mem.create ~modules:2 ~frames_per_module:2 ~page_words:4 in
-  (* cpage 7 already has a copy on module 1; module 0 is full. *)
-  ignore (Phys_mem.alloc_local pm ~mem_module:0 ~cpage:1);
-  ignore (Phys_mem.alloc_local pm ~mem_module:0 ~cpage:2);
-  ignore (Phys_mem.alloc_local pm ~mem_module:1 ~cpage:7);
-  Alcotest.(check bool) "refuses second copy in same module" true
-    (Phys_mem.alloc_preferring pm ~prefer:0 ~cpage:7 = None)
 
 let test_pm_oom () =
   let pm = Phys_mem.create ~modules:2 ~frames_per_module:1 ~page_words:4 in
-  ignore (Phys_mem.alloc_preferring pm ~prefer:0 ~cpage:1);
-  ignore (Phys_mem.alloc_preferring pm ~prefer:0 ~cpage:2);
-  Alcotest.(check bool) "exhausted" true (Phys_mem.alloc_preferring pm ~prefer:0 ~cpage:3 = None);
+  Alcotest.(check bool) "module 0" true (Phys_mem.alloc pm ~mem_module:0 ~cpage:1 <> None);
+  Alcotest.(check bool) "module 0 exhausted" true (Phys_mem.alloc pm ~mem_module:0 ~cpage:2 = None);
+  Alcotest.(check bool) "module 1 still has one" true
+    (Phys_mem.alloc pm ~mem_module:1 ~cpage:2 <> None);
+  Alcotest.(check bool) "module 1 exhausted" true (Phys_mem.alloc pm ~mem_module:1 ~cpage:3 = None);
   Alcotest.(check int) "none free" 0 (Phys_mem.total_free pm)
 
 let test_pm_free () =
   let pm = Phys_mem.create ~modules:2 ~frames_per_module:1 ~page_words:4 in
-  let f = Option.get (Phys_mem.alloc_local pm ~mem_module:1 ~cpage:5) in
+  let f = Option.get (Phys_mem.alloc pm ~mem_module:1 ~cpage:5) in
+  Frame.set f 0 9;
   Phys_mem.free pm f;
-  Alcotest.(check bool) "gone" true (Phys_mem.lookup pm ~mem_module:1 ~cpage:5 = None);
-  Alcotest.(check int) "free again" 2 (Phys_mem.total_free pm)
+  Alcotest.(check bool) "owner cleared" true (Frame.owner f = None);
+  Alcotest.(check int) "free again" 2 (Phys_mem.total_free pm);
+  let f' = Option.get (Phys_mem.alloc pm ~mem_module:1 ~cpage:6) in
+  Alcotest.(check bool) "reuse is the same frame" true (f' == f);
+  Alcotest.(check int) "stale data kept" 9 (Frame.get f' 0);
+  Alcotest.(check bool) "new owner" true (Frame.owner f' = Some 6)
+
+let test_pm_double_free () =
+  let pm = Phys_mem.create ~modules:1 ~frames_per_module:2 ~page_words:4 in
+  let f = Option.get (Phys_mem.alloc pm ~mem_module:0 ~cpage:1) in
+  Phys_mem.free pm f;
+  Alcotest.check_raises "double free" (Invalid_argument "Phys_mem.free: frame is already free")
+    (fun () -> Phys_mem.free pm f);
+  Alcotest.(check int) "count unchanged" 2 (Phys_mem.total_free pm)
+
+(* The lazily built free lists against the eager one they replaced: per
+   module, a list that starts as [0; 1; ...] and takes freed frames back
+   on its head.  Over random alloc/free sequences on two modules both must
+   hand out the same frame indices in the same order and agree on every
+   count, and a re-allocated index must be the very same [Frame.t]
+   (physical identity, stale data kept). *)
+let prop_pm_lazy_eq_eager =
+  QCheck.Test.make ~name:"phys: lazy build = eager model" ~count:200
+    QCheck.(pair (int_range 1 12) (list (triple (int_bound 1) bool (int_bound 15))))
+    (fun (frames, ops) ->
+      let pm = Phys_mem.create ~modules:2 ~frames_per_module:frames ~page_words:2 in
+      let eager = Array.init 2 (fun _ -> ref (List.init frames Fun.id)) in
+      let held = Hashtbl.create 16 in  (* (module, cpage) -> frame *)
+      let seen = Hashtbl.create 16 in  (* (module, index) -> the Frame.t handed out *)
+      List.for_all
+        (fun (m, is_alloc, cpage) ->
+          (match Hashtbl.find_opt held (m, cpage) with
+          | None when is_alloc -> (
+            let want =
+              match !(eager.(m)) with
+              | [] -> None
+              | i :: rest ->
+                eager.(m) := rest;
+                Some i
+            in
+            let got = Phys_mem.alloc pm ~mem_module:m ~cpage in
+            if Option.map Frame.index got <> want then
+              QCheck.Test.fail_reportf "alloc %d on %d: frame differs" cpage m;
+            match got with
+            | None -> ()
+            | Some f ->
+              if Frame.mem_module f <> m then QCheck.Test.fail_report "wrong module";
+              (match Hashtbl.find_opt seen (m, Frame.index f) with
+              | Some f' when f' != f -> QCheck.Test.fail_report "re-allocated a new Frame.t"
+              | _ -> Hashtbl.replace seen (m, Frame.index f) f);
+              Hashtbl.replace held (m, cpage) f)
+          | Some f when not is_alloc ->
+            Phys_mem.free pm f;
+            Hashtbl.remove held (m, cpage);
+            eager.(m) := Frame.index f :: !(eager.(m))
+          | _ -> ());
+          Phys_mem.free_count pm ~mem_module:m = List.length !(eager.(m))
+          && Phys_mem.total_free pm = (2 * frames) - Hashtbl.length held)
+        ops)
+
+(* --- placement: where [Coherent] puts a page's new frame --- *)
+
+(* The faulting processor's module is full: the replica lands on the
+   emptiest module that holds no copy of the page. *)
+let test_pm_prefer_fallback () =
+  let env = Test_core.mk ~nprocs:4 ~frames:2 () in
+  let pages = Test_core.bind_pages env 4 in
+  let pw = Coherent.page_words env.Test_core.coh in
+  let write ~proc vpage = ignore (Test_core.write env ~proc (vpage * pw) 42) in
+  write ~proc:0 0;  (* page 0 on module 0, 1 frame free there *)
+  write ~proc:1 1;
+  write ~proc:1 2;  (* module 1 full *)
+  write ~proc:2 3;  (* module 2: 1 free; module 3: 2 free *)
+  Alcotest.(check int) "replica reads the data" 42 (fst (Test_core.read env ~proc:1 0));
+  Alcotest.(check (list int)) "copies on modules 0 and 3" [ 0; 3 ]
+    (Procset.to_list pages.(0).Cpage.copy_mask);
+  Test_core.check_inv env
+
+(* Every other module is full or already holds a copy: no replica, the
+   plan maps the existing copy remotely. *)
+let test_pm_fallback_avoids_duplicates () =
+  let env = Test_core.mk ~nprocs:3 ~frames:2 () in
+  let pages = Test_core.bind_pages env 5 in
+  let pw = Coherent.page_words env.Test_core.coh in
+  let write ~proc vpage = ignore (Test_core.write env ~proc (vpage * pw) 42) in
+  write ~proc:0 0;  (* page 0 on module 0, which keeps a free frame *)
+  write ~proc:1 1;
+  write ~proc:1 2;  (* module 1 full *)
+  write ~proc:2 3;
+  write ~proc:2 4;  (* module 2 full *)
+  Alcotest.(check int) "remote read" 42 (fst (Test_core.read env ~proc:1 0));
+  Alcotest.(check int) "still one copy" 1 (Cpage.ncopies pages.(0));
+  Alcotest.(check int) "mapped remotely" 1
+    (Coherent.counters env.Test_core.coh).Counters.remote_maps;
+  Test_core.check_inv env
 
 let suite =
   [
@@ -228,16 +213,13 @@ let suite =
     ("frame: ownership", `Quick, test_frame_owner);
     ("frame: zero fill", `Quick, test_frame_zero_fill);
     ("inverted table: alloc/lookup", `Quick, test_it_alloc_lookup);
-    ("inverted table: double alloc rejected", `Quick, test_it_double_alloc_rejected);
     ("inverted table: exhaustion", `Quick, test_it_exhaustion);
     ("inverted table: free and reuse", `Quick, test_it_free_reuse);
-    ("inverted table: wrong-module free", `Quick, test_it_free_wrong_module);
-    ("inverted table: double free", `Quick, test_it_double_free);
-    qtest prop_it_model;
-    qtest prop_it_lazy_eq_eager;
     ("phys: local alloc", `Quick, test_pm_local_alloc);
-    ("phys: fallback on full module", `Quick, test_pm_prefer_fallback);
-    ("phys: fallback avoids duplicate copies", `Quick, test_pm_fallback_avoids_duplicates);
     ("phys: out of memory", `Quick, test_pm_oom);
     ("phys: free", `Quick, test_pm_free);
+    ("phys: double free", `Quick, test_pm_double_free);
+    qtest prop_pm_lazy_eq_eager;
+    ("phys: fallback on full module", `Quick, test_pm_prefer_fallback);
+    ("phys: fallback avoids duplicate copies", `Quick, test_pm_fallback_avoids_duplicates);
   ]

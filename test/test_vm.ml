@@ -160,8 +160,9 @@ let test_zone_page_aligned () =
   ignore (Zone.alloc z ~words:3 ());
   let b = Zone.alloc z ~words:8 ~page_aligned:true () in
   Alcotest.(check int) "aligned" 0 (b mod 8);
-  let c = Zone.alloc_pages z ~pages:1 in
-  Alcotest.(check int) "alloc_pages aligned" 0 (c mod 8)
+  ignore (Zone.alloc z ~words:1 ());
+  let c = Zone.alloc z ~words:8 ~page_aligned:true () in
+  Alcotest.(check int) "next page boundary" (b + 16) c
 
 let test_zone_exhaustion () =
   let coh = mk_coh ~page_words:8 () in
