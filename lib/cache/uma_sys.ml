@@ -146,7 +146,7 @@ let rec chunk_loop t c ~now ~proc txn data lat =
 (* The UMA machine has one flat physical space: all "address spaces" share
    it (a threads-in-one-process model), and segments are just ranges. *)
 let memsys t =
-  let cursor = Memtxn.make_chunk () and word = [| 0 |] in
+  let cursor = Memtxn.make_chunk () and word = [| 0 |] and value = ref 0 in
   let submit ~now ~proc ~aspace:_ txn =
     Memtxn.validate txn;
     let data =
@@ -163,14 +163,14 @@ let memsys t =
         chunk_loop t cursor ~now ~proc txn data 0
       else 0
     in
-    match txn with
-    | Memtxn.Read _ | Memtxn.Rmw _ -> (Memtxn.Word word.(0), lat)
-    | _ -> (Memtxn.Unit, lat)
+    value := word.(0);
+    lat
   in
   let aspace_count = ref 1 in
   {
     Memsys.page_words = t.page_words;
     submit;
+    value;
     new_aspace =
       (fun () ->
         let id = !aspace_count in

@@ -217,10 +217,10 @@ let index_from hay from needle =
   go (max 0 from)
 
 (* Delete the first occurrence of [needle] at or after the first
-   occurrence of [anchor].  [Error] when either string is missing — the
-   gate must fail loudly if a refactor moves the mutation site, rather
-   than silently testing nothing. *)
-let excise ~anchor ~needle src =
+   occurrence of [anchor], or put [by] in its place.  [Error] when either
+   string is missing — the gate must fail loudly if a refactor moves the
+   mutation site, rather than silently testing nothing. *)
+let excise ?(by = "") ~anchor ~needle src =
   let a = index_from src 0 anchor in
   if a < 0 then Error (Printf.sprintf "anchor %S not found" anchor)
   else
@@ -228,7 +228,7 @@ let excise ~anchor ~needle src =
     if i < 0 then Error (Printf.sprintf "%S not found after anchor %S" needle anchor)
     else
       let j = i + String.length needle in
-      Ok (String.sub src 0 i ^ String.sub src j (String.length src - j))
+      Ok (String.sub src 0 i ^ by ^ String.sub src j (String.length src - j))
 
 (* Swap a mutated copy of [base]'s source into the unit list. *)
 let mutate_unit units ~base ~f =

@@ -79,10 +79,12 @@ val binding_name : Parsetree.pattern -> string option
 
 (** {2 In-memory mutation surgery (the must-catch gate)} *)
 
-val excise : anchor:string -> needle:string -> string -> (string, string) result
-(** Delete the first [needle] after the first [anchor]; [Error] when
-    either is missing, so a refactor that moves the seeded mutation site
-    breaks the gate loudly instead of silently testing nothing. *)
+val excise :
+  ?by:string -> anchor:string -> needle:string -> string -> (string, string) result
+(** Delete the first [needle] after the first [anchor], or put [by] in
+    its place; [Error] when either is missing, so a refactor that moves
+    the seeded mutation site breaks the gate loudly instead of silently
+    testing nothing. *)
 
 val mutate_unit :
   unit_ list ->

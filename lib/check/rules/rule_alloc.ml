@@ -38,7 +38,7 @@ let catalogue =
         "fp_eligible"; "fp_read"; "fp_write"; "fp_rmw";
         "translate"; "read_word_s"; "write_word_s"; "rmw_word_s"; "finish_read"; "finish_write";
         "finish_rmw"; "after_write_inline"; "page_of"; "only_holder_maps"; "block_xfer"; "chunk_cost";
-        "chunk_loop";
+        "chunk_loop"; "submit_block"; "submit";
       ] );
     ("memtxn.ml", [ "cut"; "start"; "first"; "next" ]);
     ("platsys.ml", [ "ensure_bound"; "bind_loop"; "ensure_txn" ]);

@@ -32,8 +32,8 @@ type t = {
   scratch : scratch;  (* submit's own latency slot *)
   cursor : Memtxn.chunk;  (* submit's chunk cursor for block transactions *)
   fp_value : int ref;
-      (* result slot for the fp_read/fp_rmw hit cores — a shared cell
-         ({!fp_value_cell}) so the coalescer reads it without a call *)
+      (* the word of the last fp_read/fp_rmw hit or [submit]ted Read/Rmw —
+         a shared cell ({!fp_value_cell}) so callers read it without a call *)
 }
 
 let machine t = t.machine
@@ -823,27 +823,25 @@ let rec chunk_loop t c ~now ~proc ~cm ~write data lat =
 let submit_block t ~now ~proc ~cm ~write data txn =
   Memtxn.validate txn;
   let c = t.cursor in
-  let lat =
-    if Memtxn.first c ~page_words:(page_words t) txn then
-      chunk_loop t c ~now ~proc ~cm ~write data 0
-    else 0
-  in
-  (Memtxn.Unit, lat)
+  if Memtxn.first c ~page_words:(page_words t) txn then
+    chunk_loop t c ~now ~proc ~cm ~write data 0
+  else 0
 
 (* The one access path: word transactions go through the scratch fast
-   cores, multi-word transactions through the chunk loop; neither
-   allocates beyond the returned pair in the steady state. *)
+   cores, multi-word transactions through the chunk loop; it returns the
+   latency, and a [Read] or [Rmw] leaves its word in [fp_value].  Neither
+   path allocates in the steady state. *)
 let submit t ~now ~proc ~cmap:cm txn =
   match txn with
   | Memtxn.Read { vaddr } ->
-    let v = read_word_s t t.scratch ~now ~proc ~cmap:cm ~vaddr in
-    (Memtxn.Word v, t.scratch.s_latency)
+    t.fp_value := read_word_s t t.scratch ~now ~proc ~cmap:cm ~vaddr;
+    t.scratch.s_latency
   | Memtxn.Write { vaddr; value } ->
     write_word_s t t.scratch ~now ~proc ~cmap:cm ~vaddr value;
-    (Memtxn.Unit, t.scratch.s_latency)
+    t.scratch.s_latency
   | Memtxn.Rmw { vaddr; f } ->
-    let old = rmw_word_s t t.scratch ~now ~proc ~cmap:cm ~vaddr f in
-    (Memtxn.Word old, t.scratch.s_latency)
+    t.fp_value := rmw_word_s t t.scratch ~now ~proc ~cmap:cm ~vaddr f;
+    t.scratch.s_latency
   | Memtxn.Block_read { dst; _ } | Memtxn.Stride_read { dst; _ } ->
     submit_block t ~now ~proc ~cm ~write:false dst txn
   | Memtxn.Block_write { src; _ } | Memtxn.Stride_write { src; _ } ->
@@ -865,12 +863,11 @@ let rmw_word t ~now ~proc ~cmap ~vaddr f =
 
 let block_read t ~now ~proc ~cmap ~vaddr ~len =
   let dst = Array.make (max len 0) 0 in
-  let _, lat = submit t ~now ~proc ~cmap (Memtxn.Block_read { vaddr; dst; dst_off = 0; len }) in
-  (dst, lat)
+  (dst, submit t ~now ~proc ~cmap (Memtxn.Block_read { vaddr; dst; dst_off = 0; len }))
 
 let block_write t ~now ~proc ~cmap ~vaddr src =
   let len = Array.length src in
-  snd (submit t ~now ~proc ~cmap (Memtxn.Block_write { vaddr; src; src_off = 0; len }))
+  submit t ~now ~proc ~cmap (Memtxn.Block_write { vaddr; src; src_off = 0; len })
 
 let set_probe t probe = t.probe <- probe
 let set_freeze_hook t hook = t.freeze_hook <- hook

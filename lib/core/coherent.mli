@@ -93,7 +93,8 @@ val fp_rmw :
   (int -> int) -> int
 
 val fp_value_cell : t -> int ref
-(** The shared result cell the last successful {!fp_read}/{!fp_rmw} wrote. *)
+(** The shared word cell: the last successful {!fp_read}/{!fp_rmw}, and
+    every {!submit}ted [Read]/[Rmw], leave their word here. *)
 
 val submit :
   t ->
@@ -101,7 +102,7 @@ val submit :
   proc:int ->
   cmap:Cmap.t ->
   Memtxn.t ->
-  Memtxn.result * int
+  int
 (** Run one memory transaction against the coherent memory: the single
     access path every word, block and strided operation flows through.
     A block or strided transaction is walked with the {!Memtxn.chunk}
@@ -109,9 +110,10 @@ val submit :
     reload, else a {!Fault.plan}) at the simulated time it begins and
     is charged on the interconnect, so batching never changes simulated
     cost.  Word reads use the per-processor caches; block and strided
-    transfers bypass them (§7).  A transaction that does not fault
-    allocates only the returned pair.  Raises {!Fault.Unmapped} when the
-    VM layer must intervene. *)
+    transfers bypass them (§7).  Returns the latency; a [Read] or [Rmw]
+    leaves its word (the value, or the old value) in {!fp_value_cell}.
+    A transaction that does not fault allocates nothing.  Raises
+    {!Fault.Unmapped} when the VM layer must intervene. *)
 
 val read_word :
   t -> now:Platinum_sim.Time_ns.t -> proc:int -> cmap:Cmap.t -> vaddr:int -> int * int

@@ -9,10 +9,6 @@ type t =
   | Stride_write of
       { vaddr : int; src : int array; src_off : int; count : int; elem_words : int; stride : int }
 
-type result =
-  | Unit
-  | Word of int
-
 let data_words = function
   | Read _ | Write _ | Rmw _ -> 1
   | Block_read { len; _ } | Block_write { len; _ } -> max len 0

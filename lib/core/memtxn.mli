@@ -24,7 +24,7 @@ type t =
   | Read of { vaddr : int }  (** one 32-bit word *)
   | Write of { vaddr : int; value : int }
   | Rmw of { vaddr : int; f : int -> int }
-      (** atomic read-modify-write; the result carries the old value *)
+      (** atomic read-modify-write; the backend hands back the old value *)
   | Block_read of { vaddr : int; dst : int array; dst_off : int; len : int }
       (** [len] consecutive words into [dst.(dst_off .. dst_off+len-1)] (a
           hardware block transfer: bypasses the per-processor word caches) *)
@@ -39,10 +39,6 @@ type t =
   | Stride_write of
       { vaddr : int; src : int array; src_off : int; count : int; elem_words : int; stride : int }
       (** element [k] is [src.(src_off + k*elem_words .. src_off + (k+1)*elem_words - 1)] *)
-
-type result =
-  | Unit  (** writes, and block/strided reads (their data is in the slice) *)
-  | Word of int  (** [Read]: the value; [Rmw]: the old value *)
 
 val data_words : t -> int
 (** Words of application data the transaction moves. *)

@@ -2,11 +2,6 @@ module Memtxn = Platinum_core.Memtxn
 
 let access txn = Effect.perform (Eff.Access_txn txn)
 
-let word txn =
-  match access txn with
-  | Memtxn.Word v -> v
-  | _ -> assert false
-
 (* The word operations probe the coalescing fast path first (DESIGN.md
    §4g): while the kernel has armed the current fiber and the access is a
    clean ATC hit, it completes inline — no effect, no suspend — and
@@ -15,7 +10,7 @@ let word txn =
    [read]/[write]/[rmw] calls form runs with no [?bulk] variants. *)
 let read vaddr =
   let c = Fastpath.ctx () in
-  if Fastpath.try_read c vaddr then Fastpath.value c else word (Memtxn.Read { vaddr })
+  if Fastpath.try_read c vaddr then Fastpath.value c else access (Memtxn.Read { vaddr })
 
 let write vaddr value =
   let c = Fastpath.ctx () in
@@ -24,7 +19,7 @@ let write vaddr value =
 
 let rmw vaddr f =
   let c = Fastpath.ctx () in
-  if Fastpath.try_rmw c vaddr f then Fastpath.value c else word (Memtxn.Rmw { vaddr; f })
+  if Fastpath.try_rmw c vaddr f then Fastpath.value c else access (Memtxn.Rmw { vaddr; f })
 
 (* The slice transactions validate before the trap, so a bad slice raises
    with no simulated time charged. *)

@@ -25,7 +25,7 @@ type _ request =
   | Inject_handle : Platinum_sim.Inject.t option request
 
 type _ Effect.t +=
-  | Access_txn : Platinum_core.Memtxn.t -> Platinum_core.Memtxn.result Effect.t
+  | Access_txn : Platinum_core.Memtxn.t -> int Effect.t
   | Compute : int -> unit Effect.t
   | Sleep : int -> unit Effect.t
   | Syscall : 'a request -> 'a Effect.t

@@ -54,12 +54,13 @@ type _ request =
           per-machine adversary the kernel paths use *)
 
 type _ Effect.t +=
-  | Access_txn : Platinum_core.Memtxn.t -> Platinum_core.Memtxn.result Effect.t
+  | Access_txn : Platinum_core.Memtxn.t -> int Effect.t
       (** one memory transaction — a word read/write, an atomic
           read-modify-write, a contiguous block, or a strided
           scatter/gather.  One kernel trap per transaction: batching is
           the hot-path optimization, and the backend guarantees the
-          simulated cost equals the unbatched word-by-word stream *)
+          simulated cost equals the unbatched word-by-word stream.
+          Returns the word of a [Read] or [Rmw] ({!Api.access}) *)
   | Compute : int -> unit Effect.t  (** spend n ns of local computation *)
   | Sleep : int -> unit Effect.t
       (** block for n ns of simulated time without occupying the

@@ -7,13 +7,14 @@
    service without an arm does not compile.
 
    The trap and resume path allocates nothing beyond the effect's own
-   continuation (DESIGN.md §4g, the trapped path).  The first three arms
-   return handlers each thread built once in [start_fiber], which read
-   their payload from the thread record.  A suspended thread keeps its
-   continuation in one [pending] slot, and every event that resumes it
-   is a closure built once: the thread's [fire] and [timer], its
-   [remote_done] completion, and each processor's dispatcher.  Run
-   queues are rings of tids: a wake or a dispatch allocates nothing. *)
+   continuation (DESIGN.md §4g, the trapped path).  The first three arms,
+   and [Syscall Now], return handlers each thread built once in
+   [start_fiber], which read their payload from the thread record.  A
+   suspended thread keeps its continuation in one [pending] slot, and
+   every event that resumes it is a closure built once: the thread's
+   [fire] and [timer], its [remote_done] completion, and each
+   processor's dispatcher.  Run queues are rings of tids: a wake or a
+   dispatch allocates nothing. *)
 
 module Engine = Platinum_sim.Engine
 module Machine = Platinum_machine.Machine
@@ -34,7 +35,7 @@ type thread_state =
    nothing resumes it twice — so one slot per thread is enough. *)
 type pending =
   | Nothing  (* nothing pending: the next dispatch starts the fiber *)
-  | Result of (Memtxn.result, unit) Effect.Deep.continuation  (* value in [result] *)
+  | Result of (int, unit) Effect.Deep.continuation  (* the word in [result] *)
   | Unit of (unit, unit) Effect.Deep.continuation
   | Thunk of (unit -> unit)  (* any other result, or [block]'s lazy value *)
 
@@ -45,14 +46,14 @@ type thread = {
   mutable proc : int;
   mutable state : thread_state;
   mutable pending : pending;
-  mutable result : Memtxn.result;  (* the value a [Result] continues with *)
+  mutable result : int;  (* the word a [Result] continues with *)
   mutable txn : Memtxn.t;  (* the [Access_txn] payload its stored handler reads *)
   mutable arg : int;  (* the [Compute] or [Sleep] payload *)
   mutable joiners : int list;
   mutable quantum_used : int;
   fire : unit -> unit;  (* every resume through the event heap *)
   timer : unit -> unit;  (* a sleep's expiry *)
-  remote_done : delay:int -> Memtxn.result -> unit;  (* a remote backend's completion *)
+  remote_done : delay:int -> int -> unit;  (* a remote backend's completion *)
 }
 
 (* A run queue: a FIFO ring of tids that doubles when full. *)
@@ -174,7 +175,7 @@ let rec make_thread t ~proc ~aspace body =
       proc;
       state = Runnable;
       pending = Nothing;
-      result = Memtxn.Unit;
+      result = 0;
       txn = Memtxn.Read { vaddr = 0 };
       arg = 0;
       joiners = [];
@@ -182,8 +183,8 @@ let rec make_thread t ~proc ~aspace body =
       fire = (fun () -> fired t th);
       timer = (fun () -> wake t th);
       remote_done =
-        (fun ~delay res ->
-          th.result <- res;
+        (fun ~delay word ->
+          th.result <- word;
           if delay = 0 then wake t th else Engine.schedule_after t.engine ~delay th.timer);
     }
   in
@@ -336,7 +337,7 @@ and fail_op t th () e =
    A distributed backend (Memsys.remote, DESIGN.md §4j) may adopt the
    transaction instead: the thread blocks with its continuation in the
    pending slot, protocol messages do their round trips on the engine,
-   and the thread's [remote_done] stores the result and wakes it, now
+   and the thread's [remote_done] stores the word and wakes it, now
    or [delay] ns later — the latency is implicit in when that wake
    fires, so nothing further is charged here. *)
 and access_op t th k txn =
@@ -351,7 +352,8 @@ and access_op t th k txn =
     match
       t.memsys.Memsys.submit ~now:(Engine.now t.engine) ~proc:th.proc ~aspace:th.aspace txn
     with
-    | v, lat ->
+    | lat ->
+      let v = !(t.memsys.Memsys.value) in
       if goes_on t th lat then continue_armed t th k v
       else begin
         th.result <- v;
@@ -502,13 +504,15 @@ and syscall :
    [Access_txn], [Compute] and [Sleep] handlers are built here once per
    thread: [effc] stores the payload in the thread and returns the stored
    handler, which reads it back.  That is sound because [Effect.Deep]
-   applies the handler at once, before the fiber can perform again.  The
-   [Syscall] arm keeps its closure: its request type is existential. *)
+   applies the handler at once, before the fiber can perform again.
+   [Now] has one too; any other [Syscall] keeps its closure, as its
+   request type is existential. *)
 and start_fiber t th =
   let open Effect.Deep in
   let on_access = Some (fun k -> settle t th access_op k th.txn) in
   let on_compute = Some (fun k -> settle t th compute_op k th.arg) in
   let on_sleep = Some (fun k -> settle t th sleep_op k th.arg) in
+  let on_now = Some (fun k -> settle t th syscall k Eff.Now) in
   arm t th;
   match_with th.body ()
     {
@@ -520,6 +524,7 @@ and start_fiber t th =
           | Eff.Access_txn txn -> th.txn <- txn; on_access
           | Eff.Compute ns -> th.arg <- ns; on_compute
           | Eff.Sleep ns -> th.arg <- ns; on_sleep
+          | Eff.Syscall Eff.Now -> on_now
           | Eff.Syscall req -> Some (fun k -> settle t th syscall k req)
           | _ -> None);
     }

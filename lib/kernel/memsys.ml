@@ -7,28 +7,28 @@ type advice =
    backend whose remote operations travel as protocol messages between
    per-node engines cannot return a latency synchronously — the cost *is*
    when the reply arrives.  [try_remote] either adopts the transaction
-   (returns [true]; [complete ~delay res] will be called exactly once on
-   the submitting node, and the thread resumes with [res] [delay] ns
-   after that call) or declines (returns [false]; the kernel falls back
-   to the synchronous [submit]).  [delay = 0] may come only from a later
-   engine event; [delay >= 1] may come inside [try_remote] too.
-   [try_remote] must not raise after adopting; validation errors are
-   declined so [submit] can raise them on the kernel's normal error
-   path. *)
+   (returns [true]; [complete ~delay word] will be called exactly once on
+   the submitting node, and the thread resumes with [word], 0 unless a
+   [Read] or [Rmw], [delay] ns after that call) or declines (returns
+   [false]; the kernel falls back to the synchronous [submit]).
+   [delay = 0] may come only from a later engine event; [delay >= 1] may
+   come inside [try_remote] too.  [try_remote] must not raise after
+   adopting; validation errors are declined so [submit] can raise them
+   on the kernel's normal error path. *)
 type remote = {
   try_remote :
     now:int ->
     proc:int ->
     aspace:int ->
     Platinum_core.Memtxn.t ->
-    complete:(delay:int -> Platinum_core.Memtxn.result -> unit) ->
+    complete:(delay:int -> int -> unit) ->
     bool;
 }
 
 type t = {
   page_words : int;
-  submit : now:int -> proc:int -> aspace:int -> Platinum_core.Memtxn.t ->
-    Platinum_core.Memtxn.result * int;
+  submit : now:int -> proc:int -> aspace:int -> Platinum_core.Memtxn.t -> int;
+  value : int ref;  (* where [submit] leaves a [Read]'s or [Rmw]'s word *)
   new_aspace : unit -> int;
   new_zone : aspace:int -> name:string -> pages:int -> int;
   alloc : zone:int -> words:int -> page_aligned:bool -> int;
@@ -47,24 +47,22 @@ type t = {
 (* Single-op conveniences over [submit], for tests and simple callers. *)
 
 let read t ~now ~proc ~aspace ~vaddr =
-  match t.submit ~now ~proc ~aspace (Platinum_core.Memtxn.Read { vaddr }) with
-  | Platinum_core.Memtxn.Word v, lat -> (v, lat)
-  | _ -> assert false
+  let lat = t.submit ~now ~proc ~aspace (Platinum_core.Memtxn.Read { vaddr }) in
+  (!(t.value), lat)
 
 let write t ~now ~proc ~aspace ~vaddr value =
-  snd (t.submit ~now ~proc ~aspace (Platinum_core.Memtxn.Write { vaddr; value }))
+  t.submit ~now ~proc ~aspace (Platinum_core.Memtxn.Write { vaddr; value })
 
 let rmw t ~now ~proc ~aspace ~vaddr f =
-  match t.submit ~now ~proc ~aspace (Platinum_core.Memtxn.Rmw { vaddr; f }) with
-  | Platinum_core.Memtxn.Word old, lat -> (old, lat)
-  | _ -> assert false
+  let lat = t.submit ~now ~proc ~aspace (Platinum_core.Memtxn.Rmw { vaddr; f }) in
+  (!(t.value), lat)
 
 let block_read t ~now ~proc ~aspace ~vaddr ~len =
   let dst = Array.make (max len 0) 0 in
   let txn = Platinum_core.Memtxn.Block_read { vaddr; dst; dst_off = 0; len } in
-  (dst, snd (t.submit ~now ~proc ~aspace txn))
+  (dst, t.submit ~now ~proc ~aspace txn)
 
 let block_write t ~now ~proc ~aspace ~vaddr src =
   let len = Array.length src in
   let txn = Platinum_core.Memtxn.Block_write { vaddr; src; src_off = 0; len } in
-  snd (t.submit ~now ~proc ~aspace txn)
+  t.submit ~now ~proc ~aspace txn

@@ -1,7 +1,7 @@
 (** The memory-system interface the kernel schedules against.
 
     Application threads issue abstract memory transactions; a backend turns
-    each into (data, latency).  Two backends exist: the PLATINUM coherent
+    each into data and a latency.  Two backends exist: the PLATINUM coherent
     memory ({!Platsys}) and the bus-based UMA machine with per-processor
     caches used for the Figure 5 comparison ({!Platinum_cache.Uma_sys}).
     Both implement the one entry point [submit], which accepts any
@@ -23,16 +23,17 @@ type remote = {
     proc:int ->
     aspace:int ->
     Platinum_core.Memtxn.t ->
-    complete:(delay:int -> Platinum_core.Memtxn.result -> unit) ->
+    complete:(delay:int -> int -> unit) ->
     bool;
 }
 (** Asynchronous completion for distributed backends (DESIGN.md §4j).
     [try_remote] either adopts the transaction — returns [true], and
-    [complete ~delay res] is called exactly once on the submitting
-    node's engine — or declines with [false], in which case the kernel
+    [complete ~delay word] is called exactly once on the submitting
+    node's engine, with [word] as [value] would hold it and 0 for
+    anything else — or declines with [false], in which case the kernel
     serves the transaction through the synchronous [submit].  The
     calling thread blocks until [delay] ns after that call, when it
-    resumes with [res] (the latency is implicit in when it wakes).
+    resumes with [word] (the latency is implicit in when it wakes).
     [delay = 0] is allowed only from a later engine event; a [delay] of
     1 or more may be given inside [try_remote] itself, so a backend
     that knows the latency at once builds no event of its own.  An
@@ -41,11 +42,14 @@ type remote = {
 
 type t = {
   page_words : int;  (** machine page size in 32-bit words *)
-  submit : now:int -> proc:int -> aspace:int -> Platinum_core.Memtxn.t ->
-    Platinum_core.Memtxn.result * int;
-      (** run one memory transaction; returns (result, latency ns).
-          Batching never changes simulated cost: a transaction is charged
-          exactly what its words issued back-to-back would be. *)
+  submit : now:int -> proc:int -> aspace:int -> Platinum_core.Memtxn.t -> int;
+      (** run one memory transaction; returns its latency in ns, and a
+          [Read] or [Rmw] leaves its word in [value].  Batching never
+          changes simulated cost: a transaction is charged exactly what
+          its words issued back-to-back would be. *)
+  value : int ref;
+      (** the backend's one word cell: the value of the last [submit]ted
+          [Read], or the old value of the last [Rmw] *)
   new_aspace : unit -> int;
       (** create an empty address space (with its own default heap zone);
           returns its id.  Id 0 is the initial space. *)

@@ -112,10 +112,7 @@ let memsys t =
     let sp = space t aspace in
     Memtxn.validate txn;
     let l0 = ensure_txn t sp ~now txn in
-    if l0 = 0 then Coherent.submit coh ~now ~proc ~cmap:sp.cm txn
-    else
-      let result, l = Coherent.submit coh ~now:(now + l0) ~proc ~cmap:sp.cm txn in
-      (result, l0 + l)
+    l0 + Coherent.submit coh ~now:(now + l0) ~proc ~cmap:sp.cm txn
   in
   let advise ~now ~proc ~aspace ~vaddr ~len advice =
     let sp = space t aspace in
@@ -184,6 +181,7 @@ let memsys t =
   {
     Memsys.page_words = pw;
     submit;
+    value = Coherent.fp_value_cell coh;
     new_aspace = (fun () -> new_aspace t);
     new_zone = (fun ~aspace ~name ~pages -> new_zone t ~aspace ~name ~pages);
     alloc =

@@ -55,7 +55,7 @@ type pend = {
   p_txn : Memtxn.t;
   p_src : int;
   p_page : int;
-  p_complete : delay:int -> Memtxn.result -> unit;  (* runs on [p_src]'s engine *)
+  p_complete : delay:int -> int -> unit;  (* runs on [p_src]'s engine *)
 }
 
 (* Home-side page record: authoritative data, holder set, version.  [busy]
@@ -148,10 +148,10 @@ let txn_page t = function
    A typed loop: the slice may have been promoted while its thread waited,
    and [Array.blit] into the major heap pays the write barrier per word. *)
 let read_result t arr page = function
-  | Memtxn.Read { vaddr } -> Memtxn.Word arr.(vaddr - (page * t.pw))
+  | Memtxn.Read { vaddr } -> arr.(vaddr - (page * t.pw))
   | Memtxn.Block_read { vaddr; dst; dst_off; len } ->
     for i = 0 to len - 1 do dst.(dst_off + i) <- arr.(vaddr - (page * t.pw) + i) done;
-    Memtxn.Unit
+    0
   | _ -> assert false
 
 (* A read node [s] serves from its own memory, the home's page or a
@@ -246,16 +246,16 @@ and apply_write t h hp p =
     match p.p_txn with
     | Memtxn.Write { vaddr; value } ->
       hp.hdata.(vaddr - base) <- value land word_mask;
-      (Xbar.Write, 1, Memtxn.Unit)
+      (Xbar.Write, 1, 0)
     | Memtxn.Rmw { vaddr; f } ->
       let old = hp.hdata.(vaddr - base) in
       hp.hdata.(vaddr - base) <- f old land word_mask;
-      (Xbar.Rmw, 1, Memtxn.Word old)
+      (Xbar.Rmw, 1, old)
     | Memtxn.Block_write { vaddr; src; src_off; len } ->
       for i = 0 to len - 1 do
         hp.hdata.(vaddr - base + i) <- src.(src_off + i) land word_mask
       done;
-      (Xbar.Write, len, Memtxn.Unit)
+      (Xbar.Write, len, 0)
     | _ -> assert false
   in
   hp.hversion <- hp.hversion + 1;
@@ -398,11 +398,12 @@ let memsys t s ~arena_base ~arena_words =
     submit =
       (fun ~now:_ ~proc:_ ~aspace:_ txn ->
         Memtxn.validate txn;
-        if Memtxn.data_words txn = 0 then (Memtxn.Unit, 0)
+        if Memtxn.data_words txn = 0 then 0
         else
           invalid_arg
             "Parkernel: stride and page-straddling transactions are not supported on \
              distributed memory");
+    value = ref 0;
     new_aspace = (fun () -> invalid_arg "Parkernel: one address space per machine");
     new_zone = (fun ~aspace:_ ~name:_ ~pages:_ -> 0);
     alloc;

@@ -87,7 +87,8 @@ let pop t =
   while Api.read slot <> h + 1 do
     Api.sleep poll_ns
   done;
-  let payload = Array.init t.slot_words (fun i -> Api.read (slot + 1 + i)) in
+  let payload = Array.make t.slot_words 0 in
+  for i = 0 to t.slot_words - 1 do payload.(i) <- Api.read (slot + 1 + i) done;
   Api.write slot 0;
   Api.write (t.base + 1) (h + 1);
   payload

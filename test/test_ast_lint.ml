@@ -263,7 +263,7 @@ let test_lib_domain_findings_pinned () =
 
 let test_mutation_gate () =
   let gates = Registry.mutation_gate (Lazy.force lib_units) in
-  Alcotest.(check int) "one seeded mutation" 1 (List.length gates);
+  Alcotest.(check int) "two seeded mutations" 2 (List.length gates);
   List.iter
     (fun (g : Registry.gate) ->
       match g.g_result with
