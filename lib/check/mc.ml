@@ -37,8 +37,8 @@ type op =
   | Read of { proc : int; page : int }
   | Write of { proc : int; page : int }
       (** writes the distinguishing value [proc + 1] to word 0 *)
-  | Freeze of { page : int }  (** [Advise_freeze]: collapse + freeze *)
-  | Thaw of { page : int }  (** [Advise_thaw] *)
+  | Freeze of { page : int }  (** [Coherent.Freeze]: collapse + freeze *)
+  | Thaw of { page : int }  (** [Coherent.Thaw] *)
   | Daemon_thaw  (** what the defrost daemon does: thaw every frozen page *)
 
 let pp_op ppf = function
@@ -122,9 +122,9 @@ let apply sys op =
     let _lat = Coherent.write_word sys.coh ~now:0 ~proc ~cmap:sys.cm ~vaddr:(vaddr page) (proc + 1) in
     sys.expected.(page) <- proc + 1
   | Freeze { page } ->
-    ignore (Coherent.advise sys.coh ~now:0 ~proc:0 ~cmap:sys.cm ~vpage:page Coherent.Advise_freeze)
+    ignore (Coherent.advise sys.coh ~now:0 ~proc:0 ~cmap:sys.cm ~vpage:page Coherent.Freeze)
   | Thaw { page } ->
-    ignore (Coherent.advise sys.coh ~now:0 ~proc:0 ~cmap:sys.cm ~vpage:page Coherent.Advise_thaw)
+    ignore (Coherent.advise sys.coh ~now:0 ~proc:0 ~cmap:sys.cm ~vpage:page Coherent.Thaw)
   | Daemon_thaw -> Coherent.thaw_all sys.coh ~now:0
 
 (* --- canonical state fingerprint --- *)

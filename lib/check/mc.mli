@@ -25,8 +25,8 @@ type op =
   | Read of { proc : int; page : int }
   | Write of { proc : int; page : int }
       (** writes the distinguishing value [proc + 1] to word 0 *)
-  | Freeze of { page : int }  (** [Advise_freeze]: collapse + freeze *)
-  | Thaw of { page : int }  (** [Advise_thaw] *)
+  | Freeze of { page : int }  (** [Coherent.Freeze]: collapse + freeze *)
+  | Thaw of { page : int }  (** [Coherent.Thaw] *)
   | Daemon_thaw  (** what the defrost daemon does: thaw every frozen page *)
 
 val pp_op : Format.formatter -> op -> unit

@@ -873,9 +873,9 @@ let set_probe t probe = t.probe <- probe
 let set_freeze_hook t hook = t.freeze_hook <- hook
 
 type advice =
-  | Advise_freeze
-  | Advise_thaw
-  | Advise_home of int
+  | Freeze
+  | Thaw
+  | Home of int
 
 let advise t ~now ~proc ~cmap:cm ~vpage advice =
   let sweep lat =
@@ -898,17 +898,17 @@ let advise t ~now ~proc ~cmap:cm ~vpage advice =
     sc.s_latency
   in
   match advice with
-  | Advise_thaw ->
+  | Thaw ->
     thaw_page t ~now ~by_daemon:false page;
     sweep cfg.Config.map_existing_ns
-  | Advise_freeze ->
+  | Freeze ->
     if page.Cpage.frozen then 0
     else begin
       let lat = collapse page.Cpage.home in
       freeze_page t ~now page;
       sweep (lat + cfg.Config.map_existing_ns)
     end
-  | Advise_home m ->
+  | Home m ->
     if m < 0 || m >= Machine.nprocs t.machine then invalid_arg "Coherent.advise: no such module";
     if Cpage.ncopies page = 1 && Cpage.has_copy_on page m then 0 else sweep (collapse m)
 

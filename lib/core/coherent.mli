@@ -147,17 +147,17 @@ val block_write :
     these... utilized primarily by programming languages and their
     run-time support."  Advice never changes semantics — only placement:
 
-    - [Advise_freeze]: the caller knows the page is fine-grain
+    - [Freeze]: the caller knows the page is fine-grain
       write-shared; freeze it immediately instead of discovering that
       through a round of invalidation thrash.
-    - [Advise_thaw]: the caller knows a phase change happened; thaw now
+    - [Thaw]: the caller knows a phase change happened; thaw now
       rather than waiting for the defrost daemon.
-    - [Advise_home m]: collapse the page to a single copy on module [m]
+    - [Home m]: collapse the page to a single copy on module [m]
       (a placement directive for frozen or never-replicated data). *)
 type advice =
-  | Advise_freeze
-  | Advise_thaw
-  | Advise_home of int
+  | Freeze
+  | Thaw
+  | Home of int
 
 val advise :
   t ->

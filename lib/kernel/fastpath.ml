@@ -37,39 +37,31 @@
    per domain.  It caches no eligibility verdict: the backend's word ops
    decide every word from live state (ATC entry, rights, frozen bit,
    monitor), so no remap, freeze, thaw, shootdown or monitor change has
-   anything here to invalidate. *)
+   anything here to invalidate.  The backend supplies only what it alone
+   knows ({!ops}); the kernel's arm passes the rest — the machine's fault
+   plane and the backend's word cell — and the page shift is worked out
+   here whenever the backend changes. *)
 
 module Cmap = Platinum_core.Cmap
+module Inject = Platinum_sim.Inject
 
 (* The operations the memory backend exposes to the coalescer.  All
    closures are built once at backend construction; calling them
    allocates nothing.  [fp_read]/[fp_write]/[fp_rmw] verify the hit
    against live state (active aspace, ATC entry, rights, monitor
    disarmed, page not frozen) and return its latency, or [-1] — never
-   fault — on anything but a clean hit; the value of a successful
-   read/rmw sits in the shared [fp_value] cell. *)
+   fault — on anything but a clean hit; a successful read/rmw leaves its
+   word in the backend's word cell ([Memsys.t.value]). *)
 type ops = {
   fp_page_words : int;
-  fp_page_shift : int;
-      (* log2 of fp_page_words when it is a power of two (the per-word
-         page split becomes a shift), [-1] otherwise (divide) *)
   fp_cmap : aspace:int -> Cmap.t option;
       (* the address space's Cmap, called once per arm; [None] (an
          unknown aspace) declines every word of the run.  Returns a stored
          option cell, so the arm allocates nothing. *)
-  fp_inject_live : unit -> bool;
-      (* whether a fault plane with a non-zero rate is attached; sampled
-         once per arm to decide if [fp_ok_now] must run per word *)
-  fp_ok_now : unit -> bool;
-      (* injection gate: [false] when the fault plane's next module draw
-         would inject — the word must take the full-suspend path so the
-         fault is handled (and recovered) there.  Per-word because inline
-         hits consume draws at the interconnect, advancing the stream. *)
   fp_read : now:int -> proc:int -> cmap:Cmap.t -> vpage:int -> vaddr:int -> int;
       (* the word's latency on a clean hit, [-1] on anything else *)
   fp_write : now:int -> proc:int -> cmap:Cmap.t -> vpage:int -> vaddr:int -> value:int -> int;
   fp_rmw : now:int -> proc:int -> cmap:Cmap.t -> vpage:int -> vaddr:int -> f:(int -> int) -> int;
-  fp_value : int ref;  (* cell holding the last successful fp_read/fp_rmw result *)
 }
 
 type stats = {
@@ -82,32 +74,48 @@ type stats = {
    Api.read done] loop must not starve the engine forever. *)
 let run_cap = 4096
 
+(* The backend a fresh context holds: it knows no address space, so an
+   arm against it would decline every word.  The kernel arms only with a
+   real backend's ops; this value just lets [ops] be a plain field. *)
+let never =
+  {
+    fp_page_words = 1;
+    fp_cmap = (fun ~aspace:_ -> None);
+    fp_read = (fun ~now:_ ~proc:_ ~cmap:_ ~vpage:_ ~vaddr:_ -> -1);
+    fp_write = (fun ~now:_ ~proc:_ ~cmap:_ ~vpage:_ ~vaddr:_ ~value:_ -> -1);
+    fp_rmw = (fun ~now:_ ~proc:_ ~cmap:_ ~vpage:_ ~vaddr:_ ~f:_ -> -1);
+  }
+
 type ctx = {
   mutable armed : bool;
-  mutable ops : ops option;
+  mutable ops : ops;
+  mutable page_shift : int;
+      (* log2 of [ops.fp_page_words] when it is a power of two (the
+         per-word page split becomes a shift), [-1] otherwise (divide) *)
+  mutable value : int ref;  (* the backend's word cell *)
+  mutable plane : Inject.t option;  (* the machine's fault plane *)
   mutable cmap : Cmap.t option;  (* the armed fiber's address space *)
   mutable base : int;  (* engine time of the arming event *)
   mutable acc : int;  (* latency accumulated by the in-flight run *)
   mutable run_words : int;
   mutable proc : int;
   mutable quantum_left : int;  (* ns of quantum the run may consume *)
-  mutable check_inject : bool;  (* a live fault plane requires fp_ok_now per word *)
-  mutable out_value : int;  (* result slot for try_read/try_rmw *)
   st : stats;
 }
 
 let make_ctx () =
   {
     armed = false;
-    ops = None;
+    ops = never;
+    page_shift = 0;
+    value = ref 0;
+    plane = None;
     cmap = None;
     base = 0;
     acc = 0;
     run_words = 0;
     proc = 0;
     quantum_left = 0;
-    check_inject = false;
-    out_value = 0;
     st = { runs = 0; coalesced = 0; fallbacks = 0 };
   }
 
@@ -123,20 +131,28 @@ let ctx () = Domain.DLS.get key
 
 (* --- kernel side --- *)
 
-(* lint: allow zero-alloc — the [Some ops] refresh fires once per backend
-   handoff (a different simulation reusing the domain); in steady state
-   the [==] guard keeps the cell physically unchanged and the arm is
-   allocation-free. *)
-let arm c ops ~base ~proc ~aspace ~quantum_left =
+let rec log2 n acc = if n = 1 then acc else log2 (n lsr 1) (acc + 1)
+
+let page_shift pw = if pw > 0 && pw land (pw - 1) = 0 then log2 pw 0 else -1
+
+(* [inject] is the machine's fault plane and [value] the backend's word
+   cell.  The pointer fields are stored only when they change: they rarely
+   do between arms, and a store costs a write barrier. *)
+let arm c ops ~inject ~value ~base ~proc ~aspace ~quantum_left =
   c.armed <- true;
-  (match c.ops with Some o when o == ops -> () | _ -> c.ops <- Some ops);
-  c.cmap <- ops.fp_cmap ~aspace;
+  if c.ops != ops then begin
+    c.ops <- ops;
+    c.page_shift <- page_shift ops.fp_page_words
+  end;
+  if c.value != value then c.value <- value;
+  if c.plane != inject then c.plane <- inject;
+  let cmap = ops.fp_cmap ~aspace in
+  if c.cmap != cmap then c.cmap <- cmap;
   c.base <- base;
   c.acc <- 0;
   c.run_words <- 0;
   c.proc <- proc;
-  c.quantum_left <- quantum_left;
-  c.check_inject <- ops.fp_inject_live ()
+  c.quantum_left <- quantum_left
 
 (* Close the in-flight run: disarm and return the accumulated latency the
    kernel must charge (0 = nothing coalesced, the settle is free). *)
@@ -153,86 +169,71 @@ let armed c = c.armed
 
 (* --- user side (called from Api) --- *)
 
-let value c = c.out_value
+let value c = !(c.value)
 
-let decline c =
-  c.st.fallbacks <- c.st.fallbacks + 1;
-  false
+(* The backend's verdict on a word: its latency joins the run, or [-1]
+   declines it. *)
+let[@inline] finish c lat =
+  if lat < 0 then begin
+    c.st.fallbacks <- c.st.fallbacks + 1;
+    false
+  end
+  else begin
+    c.acc <- c.acc + lat;
+    c.run_words <- c.run_words + 1;
+    c.st.coalesced <- c.st.coalesced + 1;
+    true
+  end
 
-(* A word the backend completed inline: account for it in the run. *)
-let[@inline] accept c lat =
-  c.acc <- c.acc + lat;
-  c.run_words <- c.run_words + 1;
-  c.st.coalesced <- c.st.coalesced + 1;
-  true
+let[@inline] vpage_of c vaddr =
+  if c.page_shift >= 0 then vaddr lsr c.page_shift else vaddr / c.ops.fp_page_words
 
-let[@inline] vpage_of ops vaddr =
-  if ops.fp_page_shift >= 0 then vaddr lsr ops.fp_page_shift else vaddr / ops.fp_page_words
+(* A word whose next module draw would inject must take the full path, so
+   the fault is handled (and recovered) there.  Per word, because inline
+   hits consume draws at the interconnect; a rate-0 plane never injects
+   and its peek answers at once. *)
+let[@inline] inject_ok c =
+  match c.plane with
+  | None -> true
+  | Some inj -> not (Inject.peek_module_fault inj)
 
-(* The run-level gates every word passes before the backend sees it:
-   address sign, quantum, engine-liveness cap, injection. *)
-let[@inline] run_open c ops vaddr =
-  vaddr >= 0 && c.acc < c.quantum_left && c.run_words < run_cap
-  && ((not c.check_inject) || ops.fp_ok_now ())
+(* The gate every word passes before the backend sees it: the context is
+   armed, the address space has a Cmap, and the run is open (address
+   sign, quantum, engine-liveness cap, injection).  Returns that Cmap (the
+   stored option cell), or [None]; a word refused while armed counts as
+   a fallback. *)
+let[@inline] gate c vaddr =
+  if not c.armed then None
+  else
+    match c.cmap with
+    | Some _ as cm
+      when vaddr >= 0 && c.acc < c.quantum_left && c.run_words < run_cap && inject_ok c ->
+      cm
+    | _ ->
+      c.st.fallbacks <- c.st.fallbacks + 1;
+      None
 
 let try_read c vaddr =
-  if not c.armed then false
-  else
-    match c.ops with
-    | None -> false
-    | Some ops -> (
-      if not (run_open c ops vaddr) then decline c
-      else
-        match c.cmap with
-        | None -> decline c
-        | Some cm ->
-          let lat =
-            ops.fp_read ~now:(c.base + c.acc) ~proc:c.proc ~cmap:cm ~vpage:(vpage_of ops vaddr)
-              ~vaddr
-          in
-          if lat < 0 then decline c
-          else begin
-            c.out_value <- !(ops.fp_value);
-            accept c lat
-          end)
+  match gate c vaddr with
+  | None -> false
+  | Some cmap ->
+    finish c
+      (c.ops.fp_read ~now:(c.base + c.acc) ~proc:c.proc ~cmap ~vpage:(vpage_of c vaddr) ~vaddr)
 
 let try_write c vaddr value =
-  if not c.armed then false
-  else
-    match c.ops with
-    | None -> false
-    | Some ops -> (
-      if not (run_open c ops vaddr) then decline c
-      else
-        match c.cmap with
-        | None -> decline c
-        | Some cm ->
-          let lat =
-            ops.fp_write ~now:(c.base + c.acc) ~proc:c.proc ~cmap:cm
-              ~vpage:(vpage_of ops vaddr) ~vaddr ~value
-          in
-          if lat < 0 then decline c else accept c lat)
+  match gate c vaddr with
+  | None -> false
+  | Some cmap ->
+    finish c
+      (c.ops.fp_write ~now:(c.base + c.acc) ~proc:c.proc ~cmap ~vpage:(vpage_of c vaddr) ~vaddr
+         ~value)
 
 let try_rmw c vaddr f =
-  if not c.armed then false
-  else
-    match c.ops with
-    | None -> false
-    | Some ops -> (
-      if not (run_open c ops vaddr) then decline c
-      else
-        match c.cmap with
-        | None -> decline c
-        | Some cm ->
-          let lat =
-            ops.fp_rmw ~now:(c.base + c.acc) ~proc:c.proc ~cmap:cm ~vpage:(vpage_of ops vaddr)
-              ~vaddr ~f
-          in
-          if lat < 0 then decline c
-          else begin
-            c.out_value <- !(ops.fp_value);
-            accept c lat
-          end)
+  match gate c vaddr with
+  | None -> false
+  | Some cmap ->
+    finish c
+      (c.ops.fp_rmw ~now:(c.base + c.acc) ~proc:c.proc ~cmap ~vpage:(vpage_of c vaddr) ~vaddr ~f)
 
 (* --- introspection (tests, the bench gates) --- *)
 

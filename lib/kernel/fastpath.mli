@@ -9,20 +9,20 @@
     page, armed monitor, pending injected fault or quantum exhaustion
     declines and takes the unchanged full-suspend path.
 
-    Eligibility is documented on {!ops}.  The backend decides every word
-    from live state, so the coalescer caches no verdict and nothing needs
-    invalidating when a remap, freeze, thaw, shootdown or monitor change
-    moves that state. *)
+    The backend supplies only what it alone knows: its page size, its
+    Cmaps and the three hit-only word ops.  The kernel passes the
+    machine's fault plane and the backend's word cell at each {!arm}.
+    The backend decides every word from live state, so the coalescer
+    caches no verdict and nothing needs invalidating when a remap,
+    freeze, thaw, shootdown or monitor change moves that state. *)
 
 (** Backend operations; see the implementation for per-field contracts.
     The word ops return the access latency on a clean hit, [-1] on
-    anything else. *)
+    anything else; a read or rmw hit leaves its word in the backend's
+    word cell ([Memsys.t.value]). *)
 type ops = {
   fp_page_words : int;
-  fp_page_shift : int;
   fp_cmap : aspace:int -> Platinum_core.Cmap.t option;
-  fp_inject_live : unit -> bool;
-  fp_ok_now : unit -> bool;
   fp_read : now:int -> proc:int -> cmap:Platinum_core.Cmap.t -> vpage:int -> vaddr:int -> int;
   fp_write :
     now:int -> proc:int -> cmap:Platinum_core.Cmap.t -> vpage:int -> vaddr:int ->
@@ -30,7 +30,6 @@ type ops = {
   fp_rmw :
     now:int -> proc:int -> cmap:Platinum_core.Cmap.t -> vpage:int -> vaddr:int ->
     f:(int -> int) -> int;
-  fp_value : int ref;
 }
 
 type ctx
@@ -41,10 +40,15 @@ val ctx : unit -> ctx
 
 (* --- kernel side --- *)
 
-val arm : ctx -> ops -> base:int -> proc:int -> aspace:int -> quantum_left:int -> unit
-(** Arm the context for the fiber about to run: [base] is the engine time
-    of this event, [quantum_left] the quantum budget a run may consume
-    ([max_int] when the thread cannot be preempted). *)
+val arm :
+  ctx -> ops -> inject:Platinum_sim.Inject.t option -> value:int ref -> base:int -> proc:int ->
+  aspace:int -> quantum_left:int -> unit
+(** Arm the context for the fiber about to run: [inject] is the machine's
+    fault plane (a word whose next module draw would inject declines),
+    [value] the backend's word cell, [base] the engine time of this
+    event, [quantum_left] the quantum budget a run may consume ([max_int]
+    when the thread cannot be preempted).  Allocates nothing, also when
+    [ops] differ from the last arm's. *)
 
 val close : ctx -> int
 (** Disarm and return the accumulated latency to charge (0 = nothing was
@@ -59,7 +63,10 @@ val try_read : ctx -> int -> bool
 
 val try_write : ctx -> int -> int -> bool
 val try_rmw : ctx -> int -> (int -> int) -> bool
+
 val value : ctx -> int
+(** The word a successful {!try_read} or {!try_rmw} left in the backend's
+    word cell. *)
 
 (* --- introspection --- *)
 

@@ -68,7 +68,7 @@ type t = {
   engine : Engine.t;
   machine : Machine.t;
   memsys : Memsys.t;
-  coalesce : bool;  (* arm the effect-boundary fast path between suspends *)
+  fastpath : Fastpath.ops option;  (* the ops to arm between suspends; [None] = never arm *)
   proc_base : int;  (* first processor this kernel schedules *)
   proc_count : int;  (* width of the slice; run queues are indexed by offset *)
   threads : (int, thread) Hashtbl.t;
@@ -150,8 +150,8 @@ let place t = function
    deferred shootdown-handler charges land exactly where the seed
    schedule put them. *)
 let arm t th =
-  match t.memsys.Memsys.fastpath with
-  | Some ops when t.coalesce && Machine.pending_penalty t.machine ~proc:th.proc = 0 ->
+  match t.fastpath with
+  | Some ops when Machine.pending_penalty t.machine ~proc:th.proc = 0 ->
     (* An empty runq means preemption is impossible until some other
        event makes it non-empty — and no event can fire mid-run, so the
        run is unbounded by the quantum.  Otherwise the remaining quantum
@@ -160,8 +160,9 @@ let arm t th =
       if (runq t th.proc).len = 0 then max_int
       else (config t).Config.quantum_ns - th.quantum_used
     in
-    Fastpath.arm (Fastpath.ctx ()) ops ~base:(Engine.now t.engine)
-      ~proc:th.proc ~aspace:th.aspace ~quantum_left
+    Fastpath.arm (Fastpath.ctx ()) ops ~inject:(Machine.inject t.machine)
+      ~value:t.memsys.Memsys.value ~base:(Engine.now t.engine) ~proc:th.proc ~aspace:th.aspace
+      ~quantum_left
   | _ -> ()
 
 let rec make_thread t ~proc ~aspace body =
@@ -555,7 +556,7 @@ let create ?(coalesce = true) ?slice ~engine ~machine ~memsys () =
       engine;
       machine;
       memsys;
-      coalesce = coalesce && memsys.Memsys.fastpath <> None;
+      fastpath = (if coalesce then memsys.Memsys.fastpath else None);
       proc_base = base;
       proc_count = count;
       threads = Hashtbl.create 64;

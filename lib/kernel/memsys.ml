@@ -1,7 +1,4 @@
-type advice =
-  | Freeze
-  | Thaw
-  | Home of int
+type advice = Platinum_core.Coherent.advice = Freeze | Thaw | Home of int
 
 (* Asynchronous completion for distributed backends (DESIGN.md §4j): a
    backend whose remote operations travel as protocol messages between

@@ -12,10 +12,9 @@
     Addresses are virtual *word* addresses (the Butterfly's unit of access
     is the 32-bit word). *)
 
-type advice =
-  | Freeze  (** known fine-grain write-shared data: pin it remote now *)
-  | Thaw  (** known phase change: let the next access replicate *)
-  | Home of int  (** collapse to one copy on the given node *)
+type advice = Platinum_core.Coherent.advice = Freeze | Thaw | Home of int
+(** Placement advice, the coherent layer's own variant
+    ({!Platinum_core.Coherent.advice}). *)
 
 type remote = {
   try_remote :
@@ -49,7 +48,8 @@ type t = {
           its words issued back-to-back would be. *)
   value : int ref;
       (** the backend's one word cell: the value of the last [submit]ted
-          [Read], or the old value of the last [Rmw] *)
+          [Read], or the old value of the last [Rmw]; a fast-path read or
+          rmw hit ({!fastpath}) leaves its word here too *)
   new_aspace : unit -> int;
       (** create an empty address space (with its own default heap zone);
           returns its id.  Id 0 is the initial space. *)

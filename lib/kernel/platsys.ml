@@ -116,18 +116,12 @@ let memsys t =
   in
   let advise ~now ~proc ~aspace ~vaddr ~len advice =
     let sp = space t aspace in
-    let translated =
-      match advice with
-      | Memsys.Freeze -> Coherent.Advise_freeze
-      | Memsys.Thaw -> Coherent.Advise_thaw
-      | Memsys.Home m -> Coherent.Advise_home m
-    in
     let len = max len 1 in
     let first = vaddr / pw and last = (vaddr + len - 1) / pw in
     let lat = ref 0 in
     for vpage = first to last do
       lat := !lat + ensure_bound t sp ~now:(now + !lat) ~vpage;
-      lat := !lat + Coherent.advise coh ~now:(now + !lat) ~proc ~cmap:sp.cm ~vpage translated
+      lat := !lat + Coherent.advise coh ~now:(now + !lat) ~proc ~cmap:sp.cm ~vpage advice
     done;
     !lat
   in
@@ -139,33 +133,16 @@ let memsys t =
       ~now ~src:from_proc ~dst:to_proc ~words:pw
   in
   (* The coalescing fast-path ops (DESIGN.md §4g): the hit cores come
-     from the coherent layer, the injection gate from the machine's fault
-     plane.  [fp_cmap] never raises — an out-of-range aspace just
-     declines. *)
-  let mach = Coherent.machine coh in
+     from the coherent layer.  [fp_cmap] never raises — an out-of-range
+     aspace just declines. *)
   let fastpath =
     Some
       {
         Fastpath.fp_page_words = pw;
-        fp_page_shift =
-          (if pw > 0 && pw land (pw - 1) = 0 then
-             let rec log2 n acc = if n = 1 then acc else log2 (n lsr 1) (acc + 1) in
-             log2 pw 0
-           else -1);
         fp_cmap =
           (fun ~aspace ->
             if aspace < 0 || aspace >= Array.length t.spaces then None
             else t.spaces.(aspace).some_cm);
-        fp_inject_live =
-          (fun () ->
-            match Machine.inject mach with
-            | None -> false
-            | Some inj -> Platinum_sim.Inject.rate inj > 0.0);
-        fp_ok_now =
-          (fun () ->
-            match Machine.inject mach with
-            | None -> true
-            | Some inj -> not (Platinum_sim.Inject.peek_module_fault inj));
         fp_read =
           (fun ~now ~proc ~cmap ~vpage ~vaddr ->
             Coherent.fp_read coh ~now ~proc ~cmap ~vpage ~vaddr);
@@ -175,7 +152,6 @@ let memsys t =
         fp_rmw =
           (fun ~now ~proc ~cmap ~vpage ~vaddr ~f ->
             Coherent.fp_rmw coh ~now ~proc ~cmap ~vpage ~vaddr f);
-        fp_value = Coherent.fp_value_cell coh;
       }
   in
   {

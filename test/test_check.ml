@@ -224,8 +224,8 @@ let test_monitor_silent_on_healthy_run () =
   let _ = write env ~now:2_000_000 ~proc:1 0 2 in
   let _ = write env ~now:3_000_000 ~proc:2 8 3 in
   let _ = read env ~now:4_000_000 ~proc:3 8 in
-  ignore (Coherent.advise env.coh ~now:5_000_000 ~proc:0 ~cmap:env.cm ~vpage:0 Coherent.Advise_freeze);
-  ignore (Coherent.advise env.coh ~now:6_000_000 ~proc:0 ~cmap:env.cm ~vpage:0 Coherent.Advise_thaw);
+  ignore (Coherent.advise env.coh ~now:5_000_000 ~proc:0 ~cmap:env.cm ~vpage:0 Coherent.Freeze);
+  ignore (Coherent.advise env.coh ~now:6_000_000 ~proc:0 ~cmap:env.cm ~vpage:0 Coherent.Thaw);
   Coherent.thaw_all env.coh ~now:7_000_000;
   ignore (Coherent.unbind env.coh ~now:8_000_000 env.cm ~vpage:1);
   (* the trace recorded the activity *)

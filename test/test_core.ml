@@ -411,7 +411,7 @@ let test_frozen_single_copy_every_policy () =
             else ignore (read env ~proc:0 0 : int * int);
             ignore
               (Coherent.advise env.coh ~now:1_000 ~proc:0 ~cmap:env.cm ~vpage:0
-                 Coherent.Advise_freeze
+                 Coherent.Freeze
                 : int);
             let cell = Printf.sprintf "%s/%s" name (if written then "written" else "read-only") in
             match

@@ -40,7 +40,7 @@ let mk ?(nprocs = 4) () =
 let test_advise_freeze () =
   let coh, cm, page, _ = mk () in
   ignore (Coherent.write_word coh ~now:0 ~proc:0 ~cmap:cm ~vaddr:0 7);
-  let lat = Coherent.advise coh ~now:1_000 ~proc:0 ~cmap:cm ~vpage:0 Coherent.Advise_freeze in
+  let lat = Coherent.advise coh ~now:1_000 ~proc:0 ~cmap:cm ~vpage:0 Coherent.Freeze in
   Alcotest.(check bool) "frozen" true page.Cpage.frozen;
   Alcotest.(check bool) "cost charged" true (lat > 0);
   (* Still readable and writable, remotely. *)
@@ -55,7 +55,7 @@ let test_advise_freeze_collapses_replicas () =
   ignore (Coherent.read_word coh ~now:100_000_000 ~proc:1 ~cmap:cm ~vaddr:0);
   ignore (Coherent.read_word coh ~now:200_000_000 ~proc:2 ~cmap:cm ~vaddr:0);
   Alcotest.(check int) "3 copies before" 3 (Cpage.ncopies page);
-  ignore (Coherent.advise coh ~now:300_000_000 ~proc:0 ~cmap:cm ~vpage:0 Coherent.Advise_freeze);
+  ignore (Coherent.advise coh ~now:300_000_000 ~proc:0 ~cmap:cm ~vpage:0 Coherent.Freeze);
   Alcotest.(check int) "one copy after" 1 (Cpage.ncopies page);
   Alcotest.(check bool) "frozen" true page.Cpage.frozen;
   let v, _ = Coherent.read_word coh ~now:400_000_000 ~proc:3 ~cmap:cm ~vaddr:0 in
@@ -65,8 +65,8 @@ let test_advise_freeze_collapses_replicas () =
 let test_advise_thaw () =
   let coh, cm, page, _ = mk () in
   ignore (Coherent.write_word coh ~now:0 ~proc:0 ~cmap:cm ~vaddr:0 7);
-  ignore (Coherent.advise coh ~now:1_000 ~proc:0 ~cmap:cm ~vpage:0 Coherent.Advise_freeze);
-  ignore (Coherent.advise coh ~now:2_000 ~proc:0 ~cmap:cm ~vpage:0 Coherent.Advise_thaw);
+  ignore (Coherent.advise coh ~now:1_000 ~proc:0 ~cmap:cm ~vpage:0 Coherent.Freeze);
+  ignore (Coherent.advise coh ~now:2_000 ~proc:0 ~cmap:cm ~vpage:0 Coherent.Thaw);
   Alcotest.(check bool) "thawed" false page.Cpage.frozen;
   (* A later read replicates again (advice thaw, like the daemon's, is
      not a protocol invalidation). *)
@@ -77,7 +77,7 @@ let test_advise_home () =
   let coh, cm, page, _ = mk () in
   ignore (Coherent.write_word coh ~now:0 ~proc:0 ~cmap:cm ~vaddr:0 7);
   ignore (Coherent.read_word coh ~now:100_000_000 ~proc:1 ~cmap:cm ~vaddr:0);
-  ignore (Coherent.advise coh ~now:200_000_000 ~proc:0 ~cmap:cm ~vpage:0 (Coherent.Advise_home 3));
+  ignore (Coherent.advise coh ~now:200_000_000 ~proc:0 ~cmap:cm ~vpage:0 (Coherent.Home 3));
   Alcotest.(check int) "one copy" 1 (Cpage.ncopies page);
   Alcotest.(check bool) "on module 3" true (Cpage.has_copy_on page 3);
   let v, _ = Coherent.read_word coh ~now:300_000_000 ~proc:3 ~cmap:cm ~vaddr:0 in
@@ -86,7 +86,7 @@ let test_advise_home () =
 
 let test_advise_home_empty_page () =
   let coh, cm, page, _ = mk () in
-  ignore (Coherent.advise coh ~now:0 ~proc:0 ~cmap:cm ~vpage:0 (Coherent.Advise_home 2));
+  ignore (Coherent.advise coh ~now:0 ~proc:0 ~cmap:cm ~vpage:0 (Coherent.Home 2));
   Alcotest.(check bool) "materialized on module 2" true (Cpage.has_copy_on page 2);
   let v, _ = Coherent.read_word coh ~now:1_000_000 ~proc:0 ~cmap:cm ~vaddr:0 in
   Alcotest.(check int) "zero filled" 0 v
@@ -95,7 +95,7 @@ let test_advise_unmapped_raises () =
   let coh, cm, _, _ = mk () in
   Alcotest.(check bool) "unmapped advice raises" true
     (try
-       ignore (Coherent.advise coh ~now:0 ~proc:0 ~cmap:cm ~vpage:9 Coherent.Advise_thaw);
+       ignore (Coherent.advise coh ~now:0 ~proc:0 ~cmap:cm ~vpage:9 Coherent.Thaw);
        false
      with Fault.Unmapped _ -> true)
 

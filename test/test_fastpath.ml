@@ -7,9 +7,10 @@
    interconnect simulation, just without the per-word suspend.  The
    differential here runs random access programs both ways and compares
    full fingerprints; the unit tests pin the live-state eligibility
-   checks of the backend's hit cores, the allocation budget of a
-   multi-page stream, and the mandatory fallbacks (frozen page, armed
-   monitor, pending injected fault). *)
+   checks of the backend's hit cores, the allocation budgets of a
+   multi-page stream and of arming across backends, the mandatory
+   fallbacks (frozen page, armed monitor, pending injected fault), and a
+   rate-0 fault plane passing every word as if there were none. *)
 
 module Api = Platinum_kernel.Api
 module Fastpath = Platinum_kernel.Fastpath
@@ -323,42 +324,114 @@ let test_monitor_disables_coalescing () =
 
 (* Under injection the coalescer defers to the full path on every word
    whose next fault draw would inject, so the fault schedule — and with
-   it every counter — lands exactly where the seed path put it. *)
-let run_injected ~coalesce ~rate () =
+   it every counter — lands exactly where the seed path put it.  Without
+   [rate] no plane is attached.  [prog out] is the main thread; it sums
+   what it reads into [out]. *)
+let run_injected ~coalesce ?rate prog =
   let config = Config.butterfly_plus ~nprocs:2 () in
+  let inject = Option.map (fun rate -> Inject.config ~seed:11L ~rate ()) rate in
   let setup =
-    Runner.make ~config ~frames_per_module:64 ~default_zone_pages:32
-      ~inject:(Inject.config ~seed:11L ~rate ()) ~coalesce ()
+    Runner.make ~config ~frames_per_module:64 ~default_zone_pages:32 ?inject ~coalesce ()
   in
+  let c = Fastpath.ctx () in
+  Fastpath.reset_stats c;
   let out = ref 0 in
-  let r =
-    Runner.run setup ~main:(fun () ->
-        let buf = Api.alloc ~page_aligned:true 1024 in
-        let worker me () =
-          for i = 0 to 1023 do
-            if i land 1 = me then Api.write (buf + i) (i + me)
-          done;
-          for i = 0 to 1023 do
-            out := !out + Api.read (buf + i)
-          done
-        in
-        let t = Api.spawn ~proc:1 (worker 1) in
-        worker 0 ();
-        Api.join t)
-  in
-  let inj =
-    match Machine.inject setup.Runner.machine with Some i -> i | None -> assert false
-  in
-  (!out, fingerprint r, Inject.fingerprint inj, Inject.faults_injected inj)
+  let r = Runner.run setup ~main:(prog out) in
+  let st = Fastpath.stats c in
+  ( !out,
+    fingerprint r,
+    (st.Fastpath.runs, st.Fastpath.coalesced, st.Fastpath.fallbacks),
+    Machine.inject setup.Runner.machine )
 
-let test_injection_differential () =
-  let v_on, fp_on, inj_on, faults_on = run_injected ~coalesce:true ~rate:0.02 () in
-  let v_off, fp_off, inj_off, faults_off = run_injected ~coalesce:false ~rate:0.02 () in
+(* Two workers write alternate words of one page, then each reads it all. *)
+let interleaved out () =
+  let buf = Api.alloc ~page_aligned:true 1024 in
+  let worker me () =
+    for i = 0 to 1023 do
+      if i land 1 = me then Api.write (buf + i) (i + me)
+    done;
+    for i = 0 to 1023 do
+      out := !out + Api.read (buf + i)
+    done
+  in
+  let t = Api.spawn ~proc:1 (worker 1) in
+  worker 0 ();
+  Api.join t
+
+(* One thread writes a buffer and sums it twice: after the first touch of
+   each page every word is a clean hit, so the words coalesce. *)
+let stream out () =
+  let buf = Api.alloc ~page_aligned:true 1024 in
+  for i = 0 to 1023 do
+    Api.write (buf + i) i
+  done;
+  for _ = 1 to 2 do
+    for i = 0 to 1023 do
+      out := !out + Api.read (buf + i)
+    done
+  done
+
+let plane = function Some i -> i | None -> Alcotest.fail "no fault plane attached"
+
+(* [interleaved] coalesces no word (its page freezes); [stream] coalesces
+   most of its words, so it checks the schedule across inline words too. *)
+let injection_differential prog () =
+  let v_on, fp_on, _, p_on = run_injected ~coalesce:true ~rate:0.02 prog in
+  let v_off, fp_off, _, p_off = run_injected ~coalesce:false ~rate:0.02 prog in
+  let inj_on = Inject.fingerprint (plane p_on) and faults_on = Inject.faults_injected (plane p_on) in
+  let inj_off = Inject.fingerprint (plane p_off)
+  and faults_off = Inject.faults_injected (plane p_off) in
   Alcotest.(check bool) "the schedule actually injected" true (faults_on > 0);
   Alcotest.(check int) "values identical under injection" v_off v_on;
   Alcotest.(check string) "protocol fingerprint identical" fp_off fp_on;
   Alcotest.(check string) "injector fingerprint identical" inj_off inj_on;
   Alcotest.(check int) "fault count identical" faults_off faults_on
+
+(* A plane attached at rate 0 never injects, so the per-word injection
+   gate passes every word: the values, the coalescer's stats and the
+   protocol fingerprint equal a run with no plane at all. *)
+let test_rate0_plane_is_no_plane () =
+  let v0, fp0, st0, p0 = run_injected ~coalesce:true ~rate:0.0 stream in
+  let v, fp, st, p = run_injected ~coalesce:true stream in
+  Alcotest.(check int) "rate-0 plane injects nothing" 0 (Inject.faults_injected (plane p0));
+  Alcotest.(check bool) "plain run has no plane" true (Option.is_none p);
+  let _, coalesced, _ = st0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "words coalesced under the plane (%d)" coalesced)
+    true (coalesced > 1000);
+  Alcotest.(check int) "values identical" v v0;
+  Alcotest.(check string) "protocol fingerprint identical" fp fp0;
+  Alcotest.(check (triple int int int)) "Fastpath.stats identical" st st0
+
+(* Arming against a different backend than the last arm — a new
+   simulation reusing this domain — allocates nothing, so a handoff costs
+   no more than a steady-state arm. *)
+let test_arm_handoff_allocation () =
+  let backend () =
+    let m = Platinum_kernel.Kernel.memsys (Runner.make ~default_zone_pages:32 ()).Runner.kernel in
+    match m.Memsys.fastpath with
+    | Some ops -> (ops, m.Memsys.value)
+    | None -> Alcotest.fail "Platsys exposes no fast path"
+  in
+  let ops_a, value_a = backend () and ops_b, value_b = backend () in
+  Alcotest.(check bool) "two distinct backends" false (ops_a == ops_b);
+  let c = Fastpath.ctx () in
+  let arm ops value =
+    Fastpath.arm c ops ~inject:None ~value ~base:0 ~proc:0 ~aspace:0 ~quantum_left:max_int
+  in
+  let n = 1_000 in
+  let c0 = Gc.minor_words () in
+  let c1 = Gc.minor_words () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    arm ops_a value_a;
+    arm ops_b value_b
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check bool) "armed" true (Fastpath.armed c);
+  ignore (Fastpath.close c);
+  Alcotest.(check int) "minor words over 2000 alternating arms" 0
+    (int_of_float (w1 -. w0 -. (c1 -. c0)))
 
 (* --- the hardened stride API (input validation) --- *)
 
@@ -392,6 +465,9 @@ let suite =
     ("three-page word stream allocation", `Quick, test_three_page_stream_allocation);
     ("freeze/thaw force fallback mid-stream", `Quick, test_freeze_forces_fallback);
     ("armed monitor disables coalescing", `Quick, test_monitor_disables_coalescing);
-    ("injection schedule identical on/off", `Quick, test_injection_differential);
+    ("injection schedule identical on/off", `Quick, injection_differential interleaved);
+    ("injection identical on/off: coalescing stream", `Quick, injection_differential stream);
+    ("rate-0 plane behaves like no plane", `Quick, test_rate0_plane_is_no_plane);
+    ("arm allocates nothing on a backend handoff", `Quick, test_arm_handoff_allocation);
     ("stride API rejects malformed input", `Quick, test_stride_validation);
   ]

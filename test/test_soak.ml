@@ -144,8 +144,8 @@ let apply sys (kind, proc, page) =
   | 1 ->
     ignore (Coherent.write_word sys.coh ~now:0 ~proc ~cmap:sys.cm ~vaddr (proc + 1));
     sys.expected.(page) <- proc + 1
-  | 2 -> ignore (Coherent.advise sys.coh ~now:0 ~proc:0 ~cmap:sys.cm ~vpage:page Coherent.Advise_freeze)
-  | 3 -> ignore (Coherent.advise sys.coh ~now:0 ~proc:0 ~cmap:sys.cm ~vpage:page Coherent.Advise_thaw)
+  | 2 -> ignore (Coherent.advise sys.coh ~now:0 ~proc:0 ~cmap:sys.cm ~vpage:page Coherent.Freeze)
+  | 3 -> ignore (Coherent.advise sys.coh ~now:0 ~proc:0 ~cmap:sys.cm ~vpage:page Coherent.Thaw)
   | _ -> Coherent.thaw_all sys.coh ~now:0
 
 let op_gen =
