@@ -37,17 +37,19 @@ let catalogue =
       [
         "fp_eligible"; "fp_read"; "fp_write"; "fp_rmw";
         "translate"; "read_word_s"; "write_word_s"; "rmw_word_s"; "finish_read"; "finish_write";
-        "finish_rmw"; "after_write_inline"; "page_of"; "only_holder_maps"; "block_xfer"; "chunk_cost";
-        "chunk_loop"; "submit_block"; "submit";
+        "finish_rmw"; "after_write_inline"; "vpage_of"; "offset_of"; "only_holder_maps";
+        "block_xfer"; "chunk_cost"; "chunk_loop"; "submit_block"; "submit";
       ] );
     ("memtxn.ml", [ "cut"; "start"; "first"; "next" ]);
     ("platsys.ml", [ "ensure_bound"; "bind_loop"; "ensure_txn" ]);
-    ("flat.ml", [ "find"; "mem"; "remove" ]);
+    ("flat.ml", [ "find"; "find_spill"; "mem"; "remove" ]);
     ("atc.ml", [ "find" ]);
     ("cmap.ml", [ "find" ]);
     ("pmap.ml", [ "find" ]);
     ("cpage.ml", [ "state"; "any_copy"; "best_slot" ]);
     ("frame.ml", [ "copy"; "read_words"; "write_words"; "blit_from" ]);
+    ("phys_mem.ml", [ "vpage"; "offset" ]); ("memmodule.ml", [ "acquire"; "negative_service" ]);
+    ("xbar.ml", [ "access"; "uncontended_word_ns"; "module_fault" ]); ("config.ml", [ "hop"; "cluster_of" ]);
     ( "eheap.ml",
       [
         "add"; "pop"; "min_time"; "min_seq"; "check_nonempty"; "seq_at"; "sift_up_loop";

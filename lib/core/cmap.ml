@@ -61,7 +61,11 @@ let check_faults t =
             fail ~cpage:page.Cpage.id ~inv:"refmask-pmap-agreement" ~cite:"§3.1"
               "aspace %d vpage %d: proc %d in refmask without a Pmap entry" t.aspace_id vpage p
           | Some e ->
-            if not (Cpage.mem_frame page e.Pmap.frame) then
+            if e.Pmap.cpage != page then
+              fail ~cpage:page.Cpage.id ~inv:"entry-page-agreement" ~cite:"§3.1"
+                "aspace %d vpage %d: proc %d's Pmap entry carries cpage %d" t.aspace_id vpage p
+                e.Pmap.cpage.Cpage.id
+            else if not (Cpage.mem_frame page e.Pmap.frame) then
               fail ~cpage:page.Cpage.id ~inv:"translation-in-directory" ~cite:"§3.1/§3.2"
                 "aspace %d vpage %d: proc %d maps a frame outside the directory" t.aspace_id
                 vpage p

@@ -48,7 +48,8 @@ val iter : (int -> centry -> unit) -> t -> unit
 val check_faults : t -> Check.fault option
 (** Aspace-level invariants, first violation wins: every refmask bit has a
     live Pmap entry and vice versa (refmask-pmap-agreement, §3.1), every
-    translation points into its page's directory (translation-in-directory),
+    entry carries the page bound at its vpage (entry-page-agreement) and
+    points into that page's directory (translation-in-directory),
     a write translation implies the page is write-mapped with a single copy
     (write-flag-agreement / replicas-read-only, §3.2), no Pmap entry
     survives for an unbound vpage (stale-translation). *)

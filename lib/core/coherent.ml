@@ -17,6 +17,7 @@ let make_scratch () = { s_latency = 0 }
 type t = {
   machine : Machine.t;
   phys : Phys_mem.t;
+  page_shift : int;  (* {!Phys_mem.page_shift} of the page size *)
   counters : Counters.t;
   policy : Policy.t;
   atcs : Atc.t array;  (* each holds its processor's active space *)
@@ -42,6 +43,8 @@ let phys t = t.phys
 let counters t = t.counters
 let policy t = t.policy
 let page_words t = Phys_mem.page_words t.phys
+let vpage_of t vaddr = Phys_mem.vpage ~shift:t.page_shift ~page_words:(page_words t) vaddr
+let offset_of t vaddr = Phys_mem.offset ~shift:t.page_shift ~page_words:(page_words t) vaddr
 
 (* [Hashtbl.find] + exception match rather than [find_opt]: the cachable
    test on the read hit path lands here, and [find_opt] would allocate a
@@ -198,6 +201,7 @@ let create machine ~engine:_ ~policy ?(frames_per_module = 1024) () =
     phys =
       Phys_mem.create ~modules:nprocs ~frames_per_module
         ~page_words:config.Config.page_words;
+    page_shift = Phys_mem.page_shift config.Config.page_words;
     counters = Counters.create ();
     policy;
     atcs = Array.init nprocs (fun proc -> Atc.create ~proc);
@@ -306,7 +310,7 @@ let choose_copy (page : Cpage.t) =
   match Cpage.local_copy page page.Cpage.home with Some f -> f | None -> Cpage.any_copy page
 
 let install t ~proc ~cm ~vpage (ce : Cmap.centry) frame ~write_ok =
-  let entry = Pmap.install (Cmap.pmap cm ~proc) ~vpage ~frame ~write_ok in
+  let entry = Pmap.install (Cmap.pmap cm ~proc) ~vpage ~frame ~cpage:ce.Cmap.cpage ~write_ok in
   ce.Cmap.refmask <- Procset.add proc ce.Cmap.refmask;
   let atc = t.atcs.(proc) in
   if Atc.is_active atc ~aspace:(Cmap.aspace cm) then Atc.load atc ~vpage entry;
@@ -624,24 +628,18 @@ let cachable t (page : Cpage.t) =
    byte-for-byte those of the seed's [chunk_cost], restructured so a
    steady-state hit — active aspace, ATC hit, sufficient rights — runs
    from [read_word_s]/[write_word_s] to the returned value without
-   allocating a single minor-heap word: no options ([Atc.find]/[Cmap.find]
-   return stored cells), no tuples (latency goes through the scratch), no
+   allocating a single minor-heap word: no options ([Atc.find] returns
+   a stored cell), no tuples (latency goes through the scratch), no
    closures (top-level functions, plain loops), no polymorphic-variant
-   dispatch (the old [`Miss c] cache probe is inlined). *)
+   dispatch (the old [`Miss c] cache probe is inlined).  The page comes
+   from the translation entry, not a second table lookup, and the page
+   split is a shift on a power-of-two page. *)
 
-let page_of cm ~vpage =
-  match Cmap.find cm ~vpage with
-  | Some ce -> ce.Cmap.cpage
-  | None -> assert false (* only called after a successful translation *)
-
-let finish_read t (sc : scratch) ~now ~proc ~cm ~vpage ~vaddr ~l1 (e : Pmap.entry) =
+let finish_read t (sc : scratch) ~now ~proc ~vaddr ~l1 (e : Pmap.entry) =
   let cfg = config t in
   let frame = e.Pmap.frame in
   let lat =
-    if
-      Machine.caches_enabled t.machine
-      && cachable t (page_of cm ~vpage)
-    then begin
+    if Machine.caches_enabled t.machine && cachable t e.Pmap.cpage then begin
       let c = Machine.cache_exn t.machine ~proc in
       if Platinum_machine.Cache.lookup c ~addr:vaddr then cfg.Config.t_cache_hit
       else begin
@@ -658,56 +656,53 @@ let finish_read t (sc : scratch) ~now ~proc ~cm ~vpage ~vaddr ~l1 (e : Pmap.entr
         ~now:(now + l1) ~proc ~mem_module:(Frame.mem_module frame) Xbar.Read ~words:1
   in
   sc.s_latency <- l1 + lat;
-  Frame.get frame (vaddr mod page_words t)
+  Frame.get frame (offset_of t vaddr)
 
 (* Writes are write-through; other processors' cached copies of the word
    are invalidated in software (there is no snooping hardware, §7). *)
-let after_write_inline t ~proc ~cm ~vpage ~vaddr =
+let after_write_inline t ~proc ~vaddr (e : Pmap.entry) =
   if Machine.caches_enabled t.machine then begin
     Machine.invalidate_cached_range_all t.machine ~addr:vaddr ~words:1;
-    if cachable t (page_of cm ~vpage) then
+    if cachable t e.Pmap.cpage then
       Platinum_machine.Cache.fill (Machine.cache_exn t.machine ~proc) ~addr:vaddr
   end
 
-let finish_write t (sc : scratch) ~now ~proc ~cm ~vpage ~vaddr ~l1 (e : Pmap.entry) v =
+let finish_write t (sc : scratch) ~now ~proc ~vaddr ~l1 (e : Pmap.entry) v =
   let cfg = config t in
   let frame = e.Pmap.frame in
   let l2 =
     Xbar.access ?inject:(Machine.inject t.machine) cfg (Machine.modules t.machine)
       ~now:(now + l1) ~proc ~mem_module:(Frame.mem_module frame) Xbar.Write ~words:1
   in
-  Frame.set frame (vaddr mod page_words t) v;
-  after_write_inline t ~proc ~cm ~vpage ~vaddr;
+  Frame.set frame (offset_of t vaddr) v;
+  after_write_inline t ~proc ~vaddr e;
   sc.s_latency <- l1 + l2
 
-let finish_rmw t (sc : scratch) ~now ~proc ~cm ~vpage ~vaddr ~l1 (e : Pmap.entry) f =
+let finish_rmw t (sc : scratch) ~now ~proc ~vaddr ~l1 (e : Pmap.entry) f =
   let cfg = config t in
   let frame = e.Pmap.frame in
-  let off = vaddr mod page_words t in
+  let off = offset_of t vaddr in
   let l2 =
     Xbar.access ?inject:(Machine.inject t.machine) cfg (Machine.modules t.machine)
       ~now:(now + l1) ~proc ~mem_module:(Frame.mem_module frame) Xbar.Rmw ~words:1
   in
   let old = Frame.get frame off in
   Frame.set frame off (f old);
-  after_write_inline t ~proc ~cm ~vpage ~vaddr;
+  after_write_inline t ~proc ~vaddr e;
   sc.s_latency <- l1 + l2;
   old
 
 let read_word_s t sc ~now ~proc ~cmap:cm ~vaddr =
-  let vpage = vaddr / page_words t in
-  let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:false in
-  finish_read t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e
+  let e = translate t sc ~now ~proc ~cmap:cm ~vpage:(vpage_of t vaddr) ~write:false in
+  finish_read t sc ~now ~proc ~vaddr ~l1:sc.s_latency e
 
 let write_word_s t sc ~now ~proc ~cmap:cm ~vaddr v =
-  let vpage = vaddr / page_words t in
-  let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:true in
-  finish_write t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e v
+  let e = translate t sc ~now ~proc ~cmap:cm ~vpage:(vpage_of t vaddr) ~write:true in
+  finish_write t sc ~now ~proc ~vaddr ~l1:sc.s_latency e v
 
 let rmw_word_s t sc ~now ~proc ~cmap:cm ~vaddr f =
-  let vpage = vaddr / page_words t in
-  let e = translate t sc ~now ~proc ~cmap:cm ~vpage ~write:true in
-  finish_rmw t sc ~now ~proc ~cm ~vpage ~vaddr ~l1:sc.s_latency e f
+  let e = translate t sc ~now ~proc ~cmap:cm ~vpage:(vpage_of t vaddr) ~write:true in
+  finish_rmw t sc ~now ~proc ~vaddr ~l1:sc.s_latency e f
 
 (* --- the coalescing fast-path cores (DESIGN.md §4g) ---
 
@@ -725,37 +720,35 @@ let rmw_word_s t sc ~now ~proc ~cmap:cm ~vaddr f =
    and the Pmaps, which shootdowns keep exact, stay the only cached
    copies of translation state. *)
 
-(* What the ATC entry does not record: an armed monitor sends all traffic
+(* What the ATC entry does not decide: an armed monitor sends all traffic
    down the monitored full path, and a frozen page is shared through
    remote mappings of its single copy, so other processors reach it
    without faulting (§4.2); its words keep the per-word path, where each
-   access happens at its own charged time. *)
-let[@inline] fp_eligible t cm ~vpage =
+   access happens at its own charged time.  The frozen bit is read live
+   from the page the entry carries, so the hit makes one table lookup. *)
+let[@inline] fp_eligible t (e : Pmap.entry) =
   match t.monitor with
   | Some _ -> false
-  | None -> (
-    match Cmap.find cm ~vpage with
-    | Some ce -> not ce.Cmap.cpage.Cpage.frozen
-    | None -> false)
+  | None -> not e.Pmap.cpage.Cpage.frozen
 
 let fp_read t ~now ~proc ~cmap:cm ~vpage ~vaddr =
   match Atc.find t.atcs.(proc) ~aspace:(Cmap.aspace cm) ~vpage with
-  | Some e when fp_eligible t cm ~vpage ->
-    t.fp_value := finish_read t t.scratch ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e;
+  | Some e when fp_eligible t e ->
+    t.fp_value := finish_read t t.scratch ~now ~proc ~vaddr ~l1:0 e;
     t.scratch.s_latency
   | _ -> -1
 
 let fp_write t ~now ~proc ~cmap:cm ~vpage ~vaddr v =
   match Atc.find t.atcs.(proc) ~aspace:(Cmap.aspace cm) ~vpage with
-  | Some e when e.Pmap.write_ok && fp_eligible t cm ~vpage ->
-    finish_write t t.scratch ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e v;
+  | Some e when e.Pmap.write_ok && fp_eligible t e ->
+    finish_write t t.scratch ~now ~proc ~vaddr ~l1:0 e v;
     t.scratch.s_latency
   | _ -> -1
 
 let fp_rmw t ~now ~proc ~cmap:cm ~vpage ~vaddr f =
   match Atc.find t.atcs.(proc) ~aspace:(Cmap.aspace cm) ~vpage with
-  | Some e when e.Pmap.write_ok && fp_eligible t cm ~vpage ->
-    t.fp_value := finish_rmw t t.scratch ~now ~proc ~cm ~vpage ~vaddr ~l1:0 e f;
+  | Some e when e.Pmap.write_ok && fp_eligible t e ->
+    t.fp_value := finish_rmw t t.scratch ~now ~proc ~vaddr ~l1:0 e f;
     t.scratch.s_latency
   | _ -> -1
 
@@ -862,7 +855,7 @@ let rmw_word t ~now ~proc ~cmap ~vaddr f =
   (old, t.scratch.s_latency)
 
 let block_read t ~now ~proc ~cmap ~vaddr ~len =
-  let dst = Array.make (max len 0) 0 in
+  let dst = Array.make (Int.max len 0) 0 in
   (dst, submit t ~now ~proc ~cmap (Memtxn.Block_read { vaddr; dst; dst_off = 0; len }))
 
 let block_write t ~now ~proc ~cmap ~vaddr src =

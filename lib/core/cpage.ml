@@ -123,7 +123,7 @@ let mem_frame t frame =
 let ensure_slots t m =
   let n = Array.length t.slots in
   if m >= n then begin
-    let n' = max (m + 1) (max 4 (2 * n)) in
+    let n' = Int.max (m + 1) (Int.max 4 (2 * n)) in
     let slots = Array.make n' None in
     let seq = Array.make n' (-1) in
     Array.blit t.slots 0 slots 0 n;

@@ -22,7 +22,7 @@ let install_adaptive coh engine ~initial_t2 ~max_t2 ~refreeze_window =
     (* Back off when the previous thaw didn't stick. *)
     if page.Cpage.adaptive_t2 = 0 then page.Cpage.adaptive_t2 <- initial_t2
     else if now - page.Cpage.last_thaw_at <= refreeze_window then
-      page.Cpage.adaptive_t2 <- min (2 * page.Cpage.adaptive_t2) max_t2;
+      page.Cpage.adaptive_t2 <- Int.min (2 * page.Cpage.adaptive_t2) max_t2;
     let frozen_at = now in
     Engine.schedule_after engine ~daemon:true ~delay:page.Cpage.adaptive_t2 (fun () ->
         (* Only thaw the freeze we were armed for: the page may have

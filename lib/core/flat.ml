@@ -41,7 +41,10 @@ let max_chunks = dense_limit lsr chunk_bits
 
 let create () = { chunks = [||]; spill = Hashtbl.create 8; population = 0 }
 
-let find t k =
+(* Out of line: a [try] would keep [find] from being inlined. *)
+let find_spill t k = try Hashtbl.find t.spill k with Not_found -> None
+
+let[@inline] find t k =
   if k >= 0 && k < dense_limit then begin
     let c = k lsr chunk_bits in
     if c < Array.length t.chunks then begin
@@ -50,7 +53,7 @@ let find t k =
     end
     else None
   end
-  else try Hashtbl.find t.spill k with Not_found -> None
+  else find_spill t k
 
 let mem t k =
   if k >= 0 && k < dense_limit then begin
@@ -69,7 +72,7 @@ let ensure_chunk t k =
   let c = k lsr chunk_bits in
   let n = Array.length t.chunks in
   if c >= n then begin
-    let n' = min max_chunks (max 8 (max (c + 1) (2 * n))) in
+    let n' = Int.min max_chunks (Int.max 8 (Int.max (c + 1) (2 * n))) in
     let chunks = Array.make n' [||] in
     Array.blit t.chunks 0 chunks 0 n;
     t.chunks <- chunks

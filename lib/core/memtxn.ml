@@ -11,9 +11,9 @@ type t =
 
 let data_words = function
   | Read _ | Write _ | Rmw _ -> 1
-  | Block_read { len; _ } | Block_write { len; _ } -> max len 0
+  | Block_read { len; _ } | Block_write { len; _ } -> Int.max len 0
   | Stride_read { count; elem_words; _ } | Stride_write { count; elem_words; _ } ->
-    max (count * elem_words) 0
+    Int.max (count * elem_words) 0
 
 let validate_slice what buf ~off ~len =
   if len < 0 then invalid_arg (what ^ ": negative length");
@@ -57,7 +57,7 @@ let make_chunk () =
 (* Point [c] at the longest run from [vaddr] that stays inside one page and
    within the [words] the current element has left. *)
 let cut c ~vaddr ~index ~words =
-  let len = min (c.k_page_words - (vaddr mod c.k_page_words)) words in
+  let len = Int.min (c.k_page_words - (vaddr mod c.k_page_words)) words in
   c.c_vaddr <- vaddr;
   c.c_index <- index;
   c.c_words <- len;

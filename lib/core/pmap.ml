@@ -1,5 +1,6 @@
 type entry = {
   frame : Platinum_phys.Frame.t;
+  cpage : Cpage.t;  (* the page the Cmap binds at this vpage *)
   mutable write_ok : bool;
 }
 
@@ -16,8 +17,8 @@ let create ~proc = { pmap_proc = proc; entries = Flat.create () }
 let proc t = t.pmap_proc
 let find t ~vpage = Flat.find t.entries vpage
 
-let install t ~vpage ~frame ~write_ok =
-  let e = { frame; write_ok } in
+let install t ~vpage ~frame ~cpage ~write_ok =
+  let e = { frame; cpage; write_ok } in
   Flat.set t.entries vpage e;
   e
 

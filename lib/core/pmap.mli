@@ -9,6 +9,7 @@
 
 type entry = {
   frame : Platinum_phys.Frame.t;
+  cpage : Cpage.t;  (* the page the Cmap binds at this vpage *)
   mutable write_ok : bool;
 }
 
@@ -21,8 +22,10 @@ val find : t -> vpage:int -> entry option
 (** The stored entry cell of the chunked vpage-indexed table ({!Flat}):
     a hit allocates nothing. *)
 
-val install : t -> vpage:int -> frame:Platinum_phys.Frame.t -> write_ok:bool -> entry
-(** Add or replace the translation for [vpage]. *)
+val install :
+  t -> vpage:int -> frame:Platinum_phys.Frame.t -> cpage:Cpage.t -> write_ok:bool -> entry
+(** Add or replace the translation for [vpage]; [cpage] is the page bound
+    there, so a hit reads it from the entry without a second lookup. *)
 
 val remove : t -> vpage:int -> unit
 val restrict : t -> vpage:int -> unit

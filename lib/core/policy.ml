@@ -84,7 +84,7 @@ let page_input t (page : Cpage.t) =
   match t.kind with
   | Bolosky { max_migrations } ->
     let st = page.Cpage.stats in
-    (min st.Cpage.migrations max_migrations lsl 1) lor Bool.to_int st.Cpage.ever_written
+    (Int.min st.Cpage.migrations max_migrations lsl 1) lor Bool.to_int st.Cpage.ever_written
   | Competitive _ -> (
     match t.interest with
     | Some interest -> ( try Hashtbl.find interest page.Cpage.id with Not_found -> 0)

@@ -88,9 +88,9 @@ let run ?monitor ~machine ~counters ~atcs ~now ~initiator ~mappings ~directive ~
       let busy = Machine.proc_busy_until machine ~proc:p in
       let ack =
         match inj with
-        | None -> max !t busy + config.Platinum_machine.Config.sync_handler_ns
+        | None -> Int.max !t busy + config.Platinum_machine.Config.sync_handler_ns
         | Some inj ->
-          let base_ack = max !t busy + config.Platinum_machine.Config.sync_handler_ns in
+          let base_ack = Int.max !t busy + config.Platinum_machine.Config.sync_handler_ns in
           let rec attempt k send_done =
             match Platinum_sim.Inject.ipi_fault inj ~attempt:k with
             | `Drop ->
@@ -99,9 +99,9 @@ let run ?monitor ~machine ~counters ~atcs ~now ~initiator ~mappings ~directive ~
               Machine.count_ipi machine;
               attempt (k + 1)
                 (send_done + Platinum_sim.Inject.ack_timeout ~attempt:k + ipi_ns)
-            | `Deliver -> max send_done busy + config.Platinum_machine.Config.sync_handler_ns
+            | `Deliver -> Int.max send_done busy + config.Platinum_machine.Config.sync_handler_ns
             | `Delay d ->
-              max (send_done + d) busy + config.Platinum_machine.Config.sync_handler_ns
+              Int.max (send_done + d) busy + config.Platinum_machine.Config.sync_handler_ns
           in
           let ack = attempt 0 !t in
           if ack > base_ack then Platinum_sim.Inject.note_recovery inj (ack - base_ack);
@@ -110,7 +110,7 @@ let run ?monitor ~machine ~counters ~atcs ~now ~initiator ~mappings ~directive ~
       Machine.add_penalty machine ~proc:p config.Platinum_machine.Config.sync_handler_ns;
       if ack > !last_ack then last_ack := ack)
     to_interrupt;
-  let finish = max !t !last_ack in
+  let finish = Int.max !t !last_ack in
   (* The sanitizer's stale-translation check (the NUMA analogue of a TLB
      consistency check): once the shootdown has completed, no targeted
      processor may retain a usable translation — an Invalidate leaves

@@ -34,7 +34,7 @@ let block_write_sub vaddr src ~off ~len =
   access_valid (Memtxn.Block_write { vaddr; src; src_off = off; len })
 
 let block_read vaddr len =
-  let dst = Array.make (max len 0) 0 in
+  let dst = Array.make (Int.max len 0) 0 in
   block_read_into vaddr dst ~off:0 ~len;
   dst
 

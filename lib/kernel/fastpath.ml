@@ -37,12 +37,14 @@
    per domain.  It caches no eligibility verdict: the backend's word ops
    decide every word from live state (ATC entry, rights, frozen bit,
    monitor), so no remap, freeze, thaw, shootdown or monitor change has
-   anything here to invalidate.  The backend supplies only what it alone
-   knows ({!ops}); the kernel's arm passes the rest — the machine's fault
-   plane and the backend's word cell — and the page shift is worked out
-   here whenever the backend changes. *)
+   anything here to invalidate; a hit makes one ATC lookup, whose entry
+   carries the page.  The backend supplies only what it alone knows
+   ({!ops}); the kernel's arm passes the rest — the machine's fault plane
+   and the backend's word cell — and the page shift for {!Phys_mem.vpage}
+   is worked out here whenever the backend changes. *)
 
 module Cmap = Platinum_core.Cmap
+module Phys_mem = Platinum_phys.Phys_mem
 module Inject = Platinum_sim.Inject
 
 (* The operations the memory backend exposes to the coalescer.  All
@@ -131,10 +133,6 @@ let ctx () = Domain.DLS.get key
 
 (* --- kernel side --- *)
 
-let rec log2 n acc = if n = 1 then acc else log2 (n lsr 1) (acc + 1)
-
-let page_shift pw = if pw > 0 && pw land (pw - 1) = 0 then log2 pw 0 else -1
-
 (* [inject] is the machine's fault plane and [value] the backend's word
    cell.  The pointer fields are stored only when they change: they rarely
    do between arms, and a store costs a write barrier. *)
@@ -142,7 +140,7 @@ let arm c ops ~inject ~value ~base ~proc ~aspace ~quantum_left =
   c.armed <- true;
   if c.ops != ops then begin
     c.ops <- ops;
-    c.page_shift <- page_shift ops.fp_page_words
+    c.page_shift <- Phys_mem.page_shift ops.fp_page_words
   end;
   if c.value != value then c.value <- value;
   if c.plane != inject then c.plane <- inject;
@@ -186,7 +184,7 @@ let[@inline] finish c lat =
   end
 
 let[@inline] vpage_of c vaddr =
-  if c.page_shift >= 0 then vaddr lsr c.page_shift else vaddr / c.ops.fp_page_words
+  Phys_mem.vpage ~shift:c.page_shift ~page_words:c.ops.fp_page_words vaddr
 
 (* A word whose next module draw would inject must take the full path, so
    the fault is handled (and recovered) there.  Per word, because inline

@@ -322,7 +322,7 @@ and service :
   | exception e -> Effect.Deep.discontinue k e
 
 and compute_op t th k ns =
-  if goes_on t th (max ns 0) then continue_armed t th k () else th.pending <- Unit k
+  if goes_on t th (Int.max ns 0) then continue_armed t th k () else th.pending <- Unit k
 
 and finish_op t th () () = finish_thread t th
 
@@ -367,7 +367,7 @@ and access_op t th k txn =
 and sleep_op t th k ns =
   th.state <- Blocked;
   th.pending <- Unit k;
-  Engine.schedule_after t.engine ~delay:(max ns 0) th.timer;
+  Engine.schedule_after t.engine ~delay:(Int.max ns 0) th.timer;
   dispatch t th.proc
 
 (* Block the current thread on [k]; its processor moves on. *)

@@ -55,7 +55,7 @@ let rmw t ~now ~proc ~aspace ~vaddr f =
   (!(t.value), lat)
 
 let block_read t ~now ~proc ~aspace ~vaddr ~len =
-  let dst = Array.make (max len 0) 0 in
+  let dst = Array.make (Int.max len 0) 0 in
   let txn = Platinum_core.Memtxn.Block_read { vaddr; dst; dst_off = 0; len } in
   (dst, t.submit ~now ~proc ~aspace txn)
 

@@ -116,7 +116,7 @@ let memsys t =
   in
   let advise ~now ~proc ~aspace ~vaddr ~len advice =
     let sp = space t aspace in
-    let len = max len 1 in
+    let len = Int.max len 1 in
     let first = vaddr / pw and last = (vaddr + len - 1) / pw in
     let lat = ref 0 in
     for vpage = first to last do

@@ -5,7 +5,7 @@ let spin_until pred =
   let rec loop backoff =
     if not (pred ()) then begin
       Api.compute backoff;
-      loop (min (backoff * 2) max_backoff)
+      loop (Int.min (backoff * 2) max_backoff)
     end
   in
   loop initial_backoff

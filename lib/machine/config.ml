@@ -121,14 +121,14 @@ type hop =
   | Intra
   | Cross
 
-let cluster_of t node =
+let[@inline] cluster_of t node =
   if t.cluster_size >= t.nprocs then 0 else node / t.cluster_size
 
 let clusters t =
   if t.cluster_size >= t.nprocs then 1
   else (t.nprocs + t.cluster_size - 1) / t.cluster_size
 
-let hop t ~src ~dst =
+let[@inline] hop t ~src ~dst =
   if src = dst then Local else if cluster_of t src = cluster_of t dst then Intra else Cross
 
 (* The conservative-synchronization lookahead: no cross-node cause can
@@ -137,9 +137,9 @@ let hop t ~src ~dst =
    hearing from other nodes.  The cross-fabric extras only ever add
    latency, so the intra-cluster minimum is a sound global bound. *)
 let lookahead_ns t =
-  min
-    (min t.t_remote_read_word t.t_remote_write_word)
-    (min t.t_block_word t.ipi_send_ns)
+  Int.min
+    (Int.min t.t_remote_read_word t.t_remote_write_word)
+    (Int.min t.t_block_word t.ipi_send_ns)
 
 let page_bytes t = t.page_words * 4
 

@@ -9,9 +9,12 @@ type t = {
 let create module_id = { module_id; busy_horizon = 0; busy_ns = 0; wait_ns = 0; nrequests = 0 }
 let id t = t.module_id
 
-let acquire t ~arrival ~service =
-  if service < 0 then invalid_arg "Memmodule.acquire: negative service";
-  let start = max arrival t.busy_horizon in
+(* Out of line, so [acquire] stays small enough to inline. *)
+let negative_service () = invalid_arg "Memmodule.acquire: negative service"
+
+let[@inline] acquire t ~arrival ~service =
+  if service < 0 then negative_service ();
+  let start = Int.max arrival t.busy_horizon in
   t.busy_horizon <- start + service;
   t.busy_ns <- t.busy_ns + service;
   t.wait_ns <- t.wait_ns + (start - arrival);

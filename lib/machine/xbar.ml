@@ -8,7 +8,7 @@ type kind =
    extra fabric traversal on top.  On a flat machine (the Butterfly:
    [cluster_size >= nprocs]) Cross never occurs, so every published
    constant is reproduced bit-for-bit. *)
-let uncontended_word_ns (c : Config.t) kind ~(hop : Config.hop) =
+let[@inline] uncontended_word_ns (c : Config.t) kind ~(hop : Config.hop) =
   match hop with
   | Config.Local -> (
     match kind with
@@ -38,7 +38,7 @@ let ipi_ns (c : Config.t) ~(hop : Config.hop) =
    module's busy horizon out, so this request — and everything arriving
    behind it — queues until the module comes back.  Returns the extra
    service to charge (stall), having applied any outage to the module. *)
-let module_fault inject m ~now =
+let[@inline] module_fault inject m ~now =
   match inject with
   | None -> 0
   | Some inj -> (
@@ -46,7 +46,7 @@ let module_fault inject m ~now =
     | `None -> 0
     | `Stall n -> n
     | `Outage n ->
-      Memmodule.reserve_until m (max now (Memmodule.busy_until m) + n);
+      Memmodule.reserve_until m (Int.max now (Memmodule.busy_until m) + n);
       0)
 
 (* The one interconnect primitive behind every memory transaction chunk:
@@ -95,7 +95,7 @@ let block_copy ?inject (c : Config.t) modules ~now ~src ~dst ~words =
     end
     else begin
       (* The transfer starts once both modules are free and holds both. *)
-      let arrival = max now (max (Memmodule.busy_until msrc) (Memmodule.busy_until mdst)) in
+      let arrival = Int.max now (Int.max (Memmodule.busy_until msrc) (Memmodule.busy_until mdst)) in
       let start = Memmodule.acquire msrc ~arrival ~service:duration in
       Memmodule.reserve_until mdst (start + duration);
       (start - now) + duration

@@ -26,6 +26,17 @@ let create ~modules ~frames_per_module ~page_words =
 let modules t = Array.length t.pools
 let page_words t = t.words_per_page
 
+let page_shift pw =
+  let rec log2 n acc = if n = 1 then acc else log2 (n lsr 1) (acc + 1) in
+  if pw > 0 && pw land (pw - 1) = 0 then log2 pw 0 else -1
+
+(* A negative address divides: a shift would not truncate toward zero. *)
+let[@inline] vpage ~shift ~page_words vaddr =
+  if shift >= 0 && vaddr >= 0 then vaddr lsr shift else vaddr / page_words
+
+let[@inline] offset ~shift ~page_words vaddr =
+  if shift >= 0 && vaddr >= 0 then vaddr land (page_words - 1) else vaddr mod page_words
+
 let take t p ~mem_module =
   match p.freed with
   | f :: rest ->

@@ -18,6 +18,14 @@ val create : modules:int -> frames_per_module:int -> page_words:int -> t
 val modules : t -> int
 val page_words : t -> int
 
+val page_shift : int -> int
+(** [log2 page_words] for a power-of-two page, else [-1]: the [~shift] of
+    the page split below, [vaddr / page_words] and [vaddr mod page_words]
+    as a shift and a mask, dividing only on other pages or negative [vaddr]. *)
+
+val vpage : shift:int -> page_words:int -> int -> int
+val offset : shift:int -> page_words:int -> int -> int
+
 val alloc : t -> mem_module:int -> cpage:int -> Frame.t option
 (** A free frame of the given module, now owned by [cpage]; [None] when
     the module is full. *)

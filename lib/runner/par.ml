@@ -33,7 +33,7 @@ let map ?jobs f cells =
         worker ()
       end
     in
-    let helpers = Array.init (min jobs n - 1) (fun _ -> Domain.spawn worker) in
+    let helpers = Array.init (Int.min jobs n - 1) (fun _ -> Domain.spawn worker) in
     worker ();
     Array.iter Domain.join helpers;
     Array.to_list

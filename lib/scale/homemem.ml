@@ -125,9 +125,9 @@ let create (cfg : Config.t) mods ~engines ~injects ~home_of =
 (* --- message timing --- *)
 
 let net_delay t ~src ~dst =
-  max t.la (Xbar.uncontended_word_ns t.cfg Xbar.Read ~hop:(Config.hop t.cfg ~src ~dst))
+  Int.max t.la (Xbar.uncontended_word_ns t.cfg Xbar.Read ~hop:(Config.hop t.cfg ~src ~dst))
 
-let ipi_delay t ~src ~dst = max t.la (Xbar.ipi_ns t.cfg ~hop:(Config.hop t.cfg ~src ~dst))
+let ipi_delay t ~src ~dst = Int.max t.la (Xbar.ipi_ns t.cfg ~hop:(Config.hop t.cfg ~src ~dst))
 
 (* --- transaction shape --- *)
 
@@ -165,7 +165,7 @@ let local_read t s arr page txn ~complete =
     Xbar.access ?inject:ns.inject t.cfg t.mods ~now ~proc:s ~mem_module:s Xbar.Read ~words
   in
   ns.c.words <- ns.c.words + words;
-  complete ~delay:(max 1 lat) (read_result t arr page txn)
+  complete ~delay:(Int.max 1 lat) (read_result t arr page txn)
 
 (* --- home-side service --- *)
 
@@ -208,7 +208,7 @@ let grant_copy t h hp p =
     Bytes.set hp.hholders p.p_src '\001';
     hp.nholders <- hp.nholders + 1
   end;
-  let delay = max (net_delay t ~src:h ~dst:p.p_src) lat in
+  let delay = Int.max (net_delay t ~src:h ~dst:p.p_src) lat in
   Engine.post nh.engine ~dst:p.p_src ~delay (fun () ->
       let ns = t.nodes.(p.p_src) in
       let floor = match Flat.find ns.pfloor p.p_page with Some f -> f | None -> -1 in
@@ -263,9 +263,9 @@ and apply_write t h hp p =
     Xbar.access ?inject:nh.inject t.cfg t.mods ~now ~proc:p.p_src ~mem_module:h kind ~words
   in
   nh.c.words <- nh.c.words + words;
-  if p.p_src = h then p.p_complete ~delay:(max 1 lat) res
+  if p.p_src = h then p.p_complete ~delay:(Int.max 1 lat) res
   else
-    Engine.post nh.engine ~dst:p.p_src ~delay:(max (net_delay t ~src:h ~dst:p.p_src) lat)
+    Engine.post nh.engine ~dst:p.p_src ~delay:(Int.max (net_delay t ~src:h ~dst:p.p_src) lat)
       (fun () -> p.p_complete ~delay:0 res)
 
 (* Invalidate every replica before a write: one IPI per holder, acks ride

@@ -25,11 +25,11 @@ let pick_remote (c : Config.t) ~node rng =
   if nclusters > 1 && Rng.int rng 100 < 25 then begin
     let other = (cluster + 1 + Rng.int rng (nclusters - 1)) mod nclusters in
     let base = other * c.Config.cluster_size in
-    base + Rng.int rng (min c.Config.cluster_size (nnodes - base))
+    base + Rng.int rng (Int.min c.Config.cluster_size (nnodes - base))
   end
   else begin
     let base = cluster * c.Config.cluster_size in
-    let span = min c.Config.cluster_size (nnodes - base) in
+    let span = Int.min c.Config.cluster_size (nnodes - base) in
     if span <= 1 then (node + 1) mod nnodes
     else begin
       let d = base + Rng.int rng span in
@@ -46,7 +46,7 @@ let server_of (c : Config.t) ~node rng =
       (Config.cluster_of c node + 1 + Rng.int rng (nclusters - 1)) mod nclusters
     else Config.cluster_of c node
   in
-  min (cluster * c.Config.cluster_size) (c.Config.nprocs - 1)
+  Int.min (cluster * c.Config.cluster_size) (c.Config.nprocs - 1)
 
 let think rng = Api.sleep (1_000 + Rng.int rng 49_000)
 
@@ -76,7 +76,7 @@ let storm (c : Config.t) ~ops hist ~node ~row rng =
   Api.sleep (Rng.int rng 50_000);
   for round = 1 to ops do
     if n > 1 then begin
-      for d = 1 to 1 + Rng.int rng (min 4 (n - 1)) do
+      for d = 1 to 1 + Rng.int rng (Int.min 4 (n - 1)) do
         ignore (timed hist (fun () -> Api.read (row ((node + d) mod n))))
       done;
       timed hist (fun () -> Api.write (row node) round)

@@ -172,12 +172,12 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
   if width < 1 || width > pw then invalid_arg "Parkernel.run: width must be in [1, page_words]";
   if iters < 1 then invalid_arg "Parkernel.run: iters must be >= 1";
   (* row placement: stretch rows over at least [span_words] of address span *)
-  let spages = max 1 ((span_words + (n * pw) - 1) / (n * pw)) in
+  let spages = Int.max 1 ((span_words + (n * pw) - 1) / (n * pw)) in
   let arena_base = data_base_page + (n * spages) in
   let home_of page =
     if page < data_base_page then 0
     else if page < arena_base then (page - data_base_page) / spages mod n
-    else min (n - 1) ((page - arena_base) / arena_pages_per_node)
+    else Int.min (n - 1) ((page - arena_base) / arena_pages_per_node)
   in
   let row r = (data_base_page + (r * spages)) * pw in
   let rpcs = Array.make n 0 in
@@ -269,7 +269,7 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
     workload = prog.name;
     nodes = n;
     run_shards = eff_shards;
-    run_domains = max 1 (min domains eff_shards);
+    run_domains = Int.max 1 (Int.min domains eff_shards);
     events = Shard.hosted_events hosted;
     windows = Shard.hosted_windows hosted;
     clock = Shard.hosted_clock hosted;

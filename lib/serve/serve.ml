@@ -147,10 +147,10 @@ let run ?config ?inject ?check ?(coalesce = true) ?(seed = 42L) (p : params) tra
      half the client traffic then crosses clusters, so the fabric actually
      shows up in the tails (bunching everything into node 0's cluster
      would make every topology measure the same machine). *)
-  let stride = max 1 (nprocs / p.tenants) in
+  let stride = Int.max 1 (nprocs / p.tenants) in
   let home t = t * stride mod nprocs in
   let client_proc t c =
-    let pr = (home t + 1 + (c * max 1 (stride / 2))) mod nprocs in
+    let pr = (home t + 1 + (c * Int.max 1 (stride / 2))) mod nprocs in
     if pr = home t then (pr + 1) mod nprocs else pr
   in
   (* Per-client arrival generators, split off in fixed order. *)

@@ -23,7 +23,7 @@ type 'a t = {
 }
 
 let create ?(capacity = 1024) ~dummy () =
-  let capacity = max capacity 1 in
+  let capacity = Int.max capacity 1 in
   {
     times = Array.make capacity 0;
     slots = Array.init capacity Fun.id;

@@ -9,7 +9,7 @@ let create ~capacity =
 
 let capacity t = Array.length t.slots
 let pushed t = t.pushed
-let length t = min t.pushed (Array.length t.slots)
+let length t = Int.min t.pushed (Array.length t.slots)
 
 let push t x =
   t.slots.(t.pushed mod Array.length t.slots) <- Some x;

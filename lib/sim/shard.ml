@@ -117,7 +117,7 @@ let leader_phase pool ~nshards f =
    contract. *)
 let drive ~domains ~nshards rounds =
   if domains < 1 then invalid_arg "Shard: domains must be >= 1";
-  let ndomains = min domains nshards in
+  let ndomains = Int.min domains nshards in
   if ndomains = 1 then
     rounds ~phase:(fun f ->
         for i = 0 to nshards - 1 do
@@ -242,7 +242,7 @@ let host ?check ~shards ~lookahead engines =
         invalid_arg "Shard.host: an engine already has a router")
     engines;
   let check = match check with Some b -> b | None -> Engine.env_checks_armed () in
-  let nshards = min shards nodes in
+  let nshards = Int.min shards nodes in
   let node_shard = Array.init nodes (fun n -> n * nshards / nodes) in
   let shard_nodes =
     Array.init nshards (fun sid ->
@@ -297,7 +297,7 @@ let hosted_shard_of_node h node = h.h_node_shard.(node)
 let hosted_events h =
   Array.fold_left (fun acc e -> acc + Engine.events_processed e) 0 h.h_engines
 
-let hosted_clock h = Array.fold_left (fun acc e -> max acc (Engine.now e)) 0 h.h_engines
+let hosted_clock h = Array.fold_left (fun acc e -> Int.max acc (Engine.now e)) 0 h.h_engines
 
 (* --- the wake index (each function touches only shard [sid]'s nodes) --- *)
 
@@ -407,7 +407,7 @@ let hosted_rounds h ~phase =
       hosted_drain h sid);
   let run sid = hosted_run h sid and drain sid = hosted_drain h sid in
   while Array.fold_left (fun acc w -> acc + w.w_live) 0 h.h_wake > 0 do
-    let m = Array.fold_left (fun acc w -> min acc w.w_min) max_int h.h_wake in
+    let m = Array.fold_left (fun acc w -> Int.min acc w.w_min) max_int h.h_wake in
     (* a live node has a normal event pending, hence a live key *)
     assert (m < max_int);
     h.h_window_end <- m + h.h_lookahead;

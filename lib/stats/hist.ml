@@ -81,7 +81,7 @@ let percentile t q =
       if i >= n then t.max_v
       else begin
         let cum = cum + t.counts.(i) in
-        if cum >= rank then min (bin_upper t i) t.max_v else walk (i + 1) cum
+        if cum >= rank then Int.min (bin_upper t i) t.max_v else walk (i + 1) cum
       end
     in
     walk 0 0

@@ -66,13 +66,16 @@ let find t ~label_prefix =
       && String.sub r.label 0 (String.length label_prefix) = label_prefix)
     t.pages
 
+(* Stdlib's [max] on floats, typed so it compiles to no C call. *)
+let fmax (a : float) b = if a >= b then a else b
+
 let pp ?(top = 20) fmt t =
   Format.fprintf fmt "@[<v>=== PLATINUM post-mortem memory report ===@,";
   Format.fprintf fmt "elapsed: %a; %d coherent pages; %d frozen (%d ever); %d IPIs@,"
     Time_ns.pp t.elapsed (List.length t.pages) t.frozen_pages t.ever_frozen_pages t.ipis;
   let util = Array.to_list t.module_utilization in
-  let avg = List.fold_left ( +. ) 0.0 util /. float_of_int (max 1 (List.length util)) in
-  let peak = List.fold_left max 0.0 util in
+  let avg = List.fold_left ( +. ) 0.0 util /. float_of_int (Int.max 1 (List.length util)) in
+  let peak = List.fold_left fmax 0.0 util in
   Format.fprintf fmt "memory modules: %.1f%% mean utilization, %.1f%% peak@," (100. *. avg)
     (100. *. peak);
   Format.fprintf fmt "%-26s %9s %9s %6s %6s %6s %6s %9s %s@," "page" "rd-fault" "wr-fault" "repl"

@@ -58,7 +58,7 @@ let make p =
       for _epoch = 1 to p.epochs do
         for pat = 0 to p.patterns - 1 do
           (* Clamp the input layer (first quarter of the units). *)
-          let inputs = max 1 (u / 4) in
+          let inputs = Int.max 1 (u / 4) in
           if p.bulk then begin
             if me < inputs then begin
               let count = ((inputs - 1 - me) / nprocs) + 1 in
@@ -102,7 +102,7 @@ let make p =
           done;
           (* Backward pass: each owner updates its units' weight rows from
              the (shared, unsynchronized) activations. *)
-          let outputs = max 1 (u / 4) in
+          let outputs = Int.max 1 (u / 4) in
           let i = ref (inputs + me) in
           while !i < u do
             let is_output = !i >= u - outputs in

@@ -37,7 +37,7 @@ let stream_merge p ~src_a ~len_a ~src_b ~len_b ~dst =
   let out_fill = ref 0 in
   let refill_a () =
     if !pos_a >= Array.length !buf_a && !read_a < len_a then begin
-      let n = min p.chunk (len_a - !read_a) in
+      let n = Int.min p.chunk (len_a - !read_a) in
       buf_a := Api.block_read (src_a + !read_a) n;
       read_a := !read_a + n;
       pos_a := 0
@@ -45,7 +45,7 @@ let stream_merge p ~src_a ~len_a ~src_b ~len_b ~dst =
   in
   let refill_b () =
     if !pos_b >= Array.length !buf_b && !read_b < len_b then begin
-      let n = min p.chunk (len_b - !read_b) in
+      let n = Int.min p.chunk (len_b - !read_b) in
       buf_b := Api.block_read (src_b + !read_b) n;
       read_b := !read_b + n;
       pos_b := 0
@@ -115,7 +115,7 @@ let make p =
     let stride = 4096 in
     let i = ref 0 in
     while !i < n do
-      let len = min stride (n - !i) in
+      let len = Int.min stride (n - !i) in
       Api.block_write (src + !i) (Array.init len (fun j -> input_value p (!i + j)));
       i := !i + len
     done;
@@ -136,8 +136,8 @@ let make p =
         let src_base = if !first then base_src else !from_b in
         let off = ref 0 in
         while !off < seg do
-          let len_a = min !width (seg - !off) in
-          let len_b = min !width (seg - !off - len_a) in
+          let len_a = Int.min !width (seg - !off) in
+          let len_b = Int.min !width (seg - !off - len_a) in
           stream_merge p ~src_a:(src_base + !off) ~len_a ~src_b:(src_base + !off + len_a)
             ~len_b ~dst:(!to_b + !off);
           off := !off + len_a + len_b
@@ -187,7 +187,7 @@ let make p =
       Array.sort compare reference;
       let i = ref 0 in
       while !i < n && out.Outcome.ok do
-        let len = min 4096 (n - !i) in
+        let len = Int.min 4096 (n - !i) in
         let got = Api.block_read (result + !i) len in
         for j = 0 to len - 1 do
           if got.(j) <> reference.(!i + j) then

@@ -168,11 +168,25 @@ let test_cmap_stale_pmap_entry () =
   let _ = write env ~proc:0 0 1 in
   (* a Pmap entry for a processor the refmask does not know about *)
   let e = Pmap.find (Cmap.pmap env.cm ~proc:0) ~vpage:0 in
-  let frame = (Option.get e).Pmap.frame in
-  ignore (Pmap.install (Cmap.pmap env.cm ~proc:3) ~vpage:0 ~frame ~write_ok:false);
+  let { Pmap.frame; cpage; _ } = Option.get e in
+  ignore (Pmap.install (Cmap.pmap env.cm ~proc:3) ~vpage:0 ~frame ~cpage ~write_ok:false);
   match Coherent.check_faults env.coh with
   | None -> Alcotest.fail "corruption missed"
   | Some f -> Alcotest.(check string) "inv" "refmask-pmap-agreement" f.Check.inv
+
+let test_entry_page_agreement () =
+  let env = mk () in
+  let pages = bind_pages env 2 in
+  let _ = write env ~proc:0 0 1 in
+  (* reinstall proc 0's translation of vpage 0 with the right frame and
+     rights but vpage 1's page: the hit path would read the wrong frozen
+     bit and cachability *)
+  let pmap = Cmap.pmap env.cm ~proc:0 in
+  let { Pmap.frame; write_ok; _ } = Option.get (Pmap.find pmap ~vpage:0) in
+  ignore (Pmap.install pmap ~vpage:0 ~frame ~cpage:pages.(1) ~write_ok);
+  match Coherent.check_faults env.coh with
+  | None -> Alcotest.fail "corruption missed"
+  | Some f -> Alcotest.(check string) "inv" "entry-page-agreement" f.Check.inv
 
 let test_replicas_read_only () =
   let env = mk () in
@@ -383,6 +397,7 @@ let suite =
     ("delegation: Cpage checks via the catalogue", `Quick, test_cpage_delegates);
     ("machine: refmask without Pmap entry", `Quick, test_cmap_refmask_pmap);
     ("machine: Pmap entry outside refmask", `Quick, test_cmap_stale_pmap_entry);
+    ("machine: Pmap entry carries another page", `Quick, test_entry_page_agreement);
     ("machine: replicas imply read-only mappings", `Quick, test_replicas_read_only);
     ("machine: stale ATC translation", `Quick, test_stale_atc);
     ("machine: frozen-list agreement", `Quick, test_frozen_list_agreement);

@@ -174,6 +174,59 @@ let test_disabled_never_engages () =
   let st = Fastpath.stats c in
   Alcotest.(check int) "no words coalesced with coalesce:false" 0 st.Fastpath.coalesced
 
+(* A six-word page is not a power of two, so every page split on the word
+   paths — Fastpath's and Coherent's — takes the divide.  Word reads,
+   writes and rmws stride across page boundaries on two processors; every
+   value read must match a host-side model of the memory, both ways. *)
+let run_odd_pages ~coalesce =
+  let words = 60 in
+  let model = Array.make words 0 in
+  let mismatches = ref 0 in
+  let expect v a = if v <> model.(a) then incr mismatches in
+  let config = Config.butterfly_plus ~nprocs:4 ~page_words:6 () in
+  let c = Fastpath.ctx () in
+  Fastpath.reset_stats c;
+  let r =
+    Runner.time ~config ~frames_per_module:64 ~default_zone_pages:32 ~coalesce (fun () ->
+        Alcotest.(check int) "page size" 6 (Api.page_words ());
+        let buf = Api.alloc ~page_aligned:true words in
+        let pass () =
+          for a = 0 to words - 1 do
+            Api.write (buf + a) (a * a);
+            model.(a) <- a * a
+          done;
+          for i = 0 to 199 do
+            let a = ((i * 7) + 3) mod words in
+            match i mod 3 with
+            | 0 ->
+              Api.write (buf + a) (i * 13);
+              model.(a) <- i * 13
+            | 1 -> expect (Api.read (buf + a)) a
+            | _ ->
+              expect (Api.rmw (buf + a) (fun v -> v + 5)) a;
+              model.(a) <- model.(a) + 5
+          done;
+          for a = words - 1 downto 0 do
+            expect (Api.read (buf + a)) a
+          done
+        in
+        pass ();
+        Api.join (Api.spawn ~proc:1 pass);
+        pass ())
+  in
+  (!mismatches, fingerprint r, (Fastpath.stats c).Fastpath.coalesced)
+
+let test_odd_page_size () =
+  let bad_on, fp_on, coalesced_on = run_odd_pages ~coalesce:true in
+  let bad_off, fp_off, coalesced_off = run_odd_pages ~coalesce:false in
+  Alcotest.(check int) "values match the model, coalescing on" 0 bad_on;
+  Alcotest.(check int) "values match the model, coalescing off" 0 bad_off;
+  Alcotest.(check string) "same fingerprint on and off" fp_off fp_on;
+  Alcotest.(check bool)
+    (Printf.sprintf "words coalesced (got %d)" coalesced_on)
+    true (coalesced_on > 500);
+  Alcotest.(check int) "nothing coalesced off" 0 coalesced_off
+
 (* --- eligibility from live state --- *)
 
 let mk_coherent () =
@@ -461,6 +514,7 @@ let suite =
     qtest prop_differential;
     ("coalescer engages on a word stream", `Quick, test_coalescer_engages);
     ("coalesce:false never engages", `Quick, test_disabled_never_engages);
+    ("six-word pages: values on and off", `Quick, test_odd_page_size);
     ("hit cores check live state", `Quick, test_cores_check_live_state);
     ("three-page word stream allocation", `Quick, test_three_page_stream_allocation);
     ("freeze/thaw force fallback mid-stream", `Quick, test_freeze_forces_fallback);

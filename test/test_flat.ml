@@ -27,6 +27,10 @@ let vpages =
 
 let nframes = 6
 
+(* The page every model-test entry carries: the reference tables keep no
+   page, so the differential compares frames and rights only. *)
+let page0 = Cpage.create ~id:0 ~home:0 ()
+
 let make_frames () =
   Array.init nframes (fun i -> Frame.create ~mem_module:(i mod 3) ~index:i ~words:4)
 
@@ -116,7 +120,7 @@ let apply_op frames (pm, atc) (rpm, ratc) op =
   match op with
   | Install (v, f, w) ->
     let vpage = vpages.(v) and frame = frames.(f) in
-    ignore (Pmap.install pm ~vpage ~frame ~write_ok:w);
+    ignore (Pmap.install pm ~vpage ~frame ~cpage:page0 ~write_ok:w);
     ignore (Ref_tables.Pmap.install rpm ~vpage ~frame ~write_ok:w)
   | Remove v ->
     Pmap.remove pm ~vpage:vpages.(v);
@@ -254,7 +258,7 @@ let apply_cop (cm, pages, m) op =
       if Hashtbl.find_opt m.m_trans (p, vpage) <> Some true then begin
         ignore
           (Pmap.install (Cmap.pmap cm ~proc:p) ~vpage
-             ~frame:(Cpage.any_copy ce.Cmap.cpage) ~write_ok:false);
+             ~frame:(Cpage.any_copy ce.Cmap.cpage) ~cpage:ce.Cmap.cpage ~write_ok:false);
         ce.Cmap.refmask <- Procset.add p ce.Cmap.refmask;
         Hashtbl.replace m.m_trans (p, vpage) false
       end)
@@ -265,7 +269,7 @@ let apply_cop (cm, pages, m) op =
     | Some ce ->
       ignore
         (Pmap.install (Cmap.pmap cm ~proc:p) ~vpage
-           ~frame:(Cpage.any_copy ce.Cmap.cpage) ~write_ok:true);
+           ~frame:(Cpage.any_copy ce.Cmap.cpage) ~cpage:ce.Cmap.cpage ~write_ok:true);
       ce.Cmap.refmask <- Procset.add p ce.Cmap.refmask;
       ce.Cmap.cpage.Cpage.write_mapped <- true;
       Hashtbl.replace m.m_trans (p, vpage) true)
@@ -500,10 +504,24 @@ let test_steady_hits_allocate_nothing () =
   Alcotest.(check (float 0.0))
     "steady-state hits allocate 0 minor words" 0.0 (after -. before)
 
+(* Keys outside [0, dense_limit) take [find]'s out-of-line spill path:
+   it must still find what [set] stored there, and nothing else. *)
+let test_spill_keys_served () =
+  let fl = Flat.create () in
+  let spilled = [ -7; -1; Flat.dense_limit; Flat.dense_limit + 3; max_int ] in
+  List.iter (fun k -> Flat.set fl k (k + 1)) spilled;
+  List.iter
+    (fun k -> Alcotest.(check (option int)) (Printf.sprintf "key %d" k) (Some (k + 1)) (Flat.find fl k))
+    spilled;
+  Alcotest.(check (option int)) "absent spill key" None (Flat.find fl (Flat.dense_limit + 4));
+  Alcotest.(check int) "population" (List.length spilled) (Flat.length fl);
+  Alcotest.(check int) "no chunk touched" 0 (Flat.chunk_count fl)
+
 let suite =
   [
     qtest prop_pmap_atc_differential;
     qtest prop_cmap_differential;
     qtest prop_chunk_seams_differential;
     ("flat: chunked steady hits allocate nothing", `Quick, test_steady_hits_allocate_nothing);
+    ("flat: find serves spilled keys", `Quick, test_spill_keys_served);
   ]

@@ -104,6 +104,13 @@ let test_module_utilization () =
   ignore (Memmodule.acquire m ~arrival:0 ~service:250);
   Alcotest.(check (float 1e-9)) "25% of 1000" 0.25 (Memmodule.utilization m ~horizon:1000)
 
+let test_module_negative_service () =
+  let m = Memmodule.create 0 in
+  Alcotest.check_raises "negative service"
+    (Invalid_argument "Memmodule.acquire: negative service") (fun () ->
+      ignore (Memmodule.acquire m ~arrival:0 ~service:(-1)));
+  Alcotest.(check int) "nothing recorded" 0 (Memmodule.requests m)
+
 (* --- Xbar --- *)
 
 let config = Config.butterfly_plus ()
@@ -225,6 +232,7 @@ let suite =
     ("memmodule: idle gap", `Quick, test_module_idle_gap);
     ("memmodule: reservation", `Quick, test_module_reserve);
     ("memmodule: utilization", `Quick, test_module_utilization);
+    ("memmodule: negative service rejected", `Quick, test_module_negative_service);
     ("xbar: local read", `Quick, test_xbar_local_read);
     ("xbar: remote read", `Quick, test_xbar_remote_read);
     ("xbar: remote write faster", `Quick, test_xbar_remote_write_faster);

@@ -205,6 +205,27 @@ let test_pm_fallback_avoids_duplicates () =
     (Coherent.counters env.Test_core.coh).Counters.remote_maps;
   Test_core.check_inv env
 
+(* --- the page split --- *)
+
+(* The shift-and-mask split must equal [/] and [mod] for every page size
+   and address, negative addresses and non-power-of-two pages included. *)
+let test_page_split () =
+  List.iter
+    (fun pw ->
+      let shift = Phys_mem.page_shift pw in
+      Alcotest.(check bool)
+        (Printf.sprintf "shift of %d" pw)
+        (pw land (pw - 1) = 0)
+        (shift >= 0 && 1 lsl shift = pw);
+      for vaddr = -3 * pw to 5 * pw do
+        let what = Printf.sprintf "page %d, vaddr %d" pw vaddr in
+        Alcotest.(check int) (what ^ ": vpage") (vaddr / pw)
+          (Phys_mem.vpage ~shift ~page_words:pw vaddr);
+        Alcotest.(check int) (what ^ ": offset") (vaddr mod pw)
+          (Phys_mem.offset ~shift ~page_words:pw vaddr)
+      done)
+    [ 1; 2; 3; 6; 8; 1000; 1024 ]
+
 let suite =
   [
     ("frame: data plane", `Quick, test_frame_data);
@@ -222,4 +243,5 @@ let suite =
     qtest prop_pm_lazy_eq_eager;
     ("phys: fallback on full module", `Quick, test_pm_prefer_fallback);
     ("phys: fallback avoids duplicate copies", `Quick, test_pm_fallback_avoids_duplicates);
+    ("phys: page split equals divide and mod", `Quick, test_page_split);
   ]

@@ -56,7 +56,7 @@ let test_cmap_bind_duplicate () =
 let test_pmap_restrict_shares_entry () =
   let pm = Pmap.create ~proc:0 in
   let f = Frame.create ~mem_module:0 ~index:0 ~words:4 in
-  let e = Pmap.install pm ~vpage:1 ~frame:f ~write_ok:true in
+  let e = Pmap.install pm ~vpage:1 ~frame:f ~cpage:(Cpage.create ~id:0 ~home:0 ()) ~write_ok:true in
   Pmap.restrict pm ~vpage:1;
   Alcotest.(check bool) "restriction visible through the shared record" false e.Pmap.write_ok;
   Pmap.remove pm ~vpage:1;
@@ -67,7 +67,7 @@ let test_atc_aspace_tagging () =
   let atc = Atc.create ~proc:0 in
   let f = Frame.create ~mem_module:0 ~index:0 ~words:4 in
   ignore (Atc.activate atc ~aspace:7);
-  let e = { Pmap.frame = f; write_ok = false } in
+  let e = { Pmap.frame = f; cpage = Cpage.create ~id:0 ~home:0 (); write_ok = false } in
   Atc.load atc ~vpage:3 e;
   Alcotest.(check bool) "hit in the active space" true (Atc.find atc ~aspace:7 ~vpage:3 <> None);
   Alcotest.(check bool) "miss for another space" true (Atc.find atc ~aspace:8 ~vpage:3 = None);
