@@ -73,6 +73,12 @@ let print_speedup_table ~procs series =
     procs;
   Printf.printf "%!"
 
+(* (q1, median, q3) of repeated host measurements; sorts [a] in place. *)
+let quartiles a =
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  (a.(n / 4), a.(n / 2), a.(3 * n / 4))
+
 let ms_of ns = float_of_int ns /. 1e6
 
 let check_shape what ok =

@@ -30,7 +30,11 @@
    caller-slice calls ([block_read_into]/[block_write_sub], DESIGN.md
    section 4a).  Its major-heap words per data word must stay at or below
    0.01: a stream that went back to a fresh array per transaction would
-   put its 3n-word read results in the major heap, near 0.75. *)
+   put its 3n-word read results in the major heap, near 0.75.
+
+   All four measurements run 11 times, interleaved, and every reported
+   figure and every gate is the median over those runs (the JSON adds
+   the quartiles of each host time). *)
 
 module Api = Platinum_kernel.Api
 module Config = Platinum_machine.Config
@@ -120,32 +124,17 @@ let sweep ~stream ~n ~iters ~nprocs ?major () =
 (* Data words the sweep moves: 3n read + n written per interior row. *)
 let sweep_words ~n ~iters = iters * (n - 2) * 4 * n
 
-(* Best of [reps] wall-clock runs (a fresh simulator instance each time),
-   plus the minor-heap words the whole stream allocates per data word
-   (measured on the last rep; [Gc.minor_words] is sampled outside the run
-   so the measurement itself is not in the window). *)
-let measure ~stream ~n ~iters ~nprocs ~reps =
+(* One wall-clock run on a fresh simulator instance, and the minor-heap
+   words the whole stream allocates per data word ([Gc.minor_words] is
+   sampled outside the run so the measurement itself is not in the
+   window). *)
+let measure ~stream ~n ~iters ~nprocs =
   let config = Config.butterfly_plus ~nprocs () in
-  let best = ref infinity in
-  let mwords = ref 0.0 in
-  let fp = Platinum_kernel.Fastpath.ctx () in
-  let coalesced = ref 0 and fallbacks = ref 0 and runs = ref 0 in
-  for _ = 1 to reps do
-    Platinum_kernel.Fastpath.reset_stats fp;
-    let m0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    ignore (Runner.time ~config (sweep ~stream ~n ~iters ~nprocs));
-    let dt = Unix.gettimeofday () -. t0 in
-    mwords := Gc.minor_words () -. m0;
-    let st = Platinum_kernel.Fastpath.stats fp in
-    coalesced := st.Platinum_kernel.Fastpath.coalesced;
-    fallbacks := st.Platinum_kernel.Fastpath.fallbacks;
-    runs := st.Platinum_kernel.Fastpath.runs;
-    if dt < !best then best := dt
-  done;
-  ( !best,
-    !mwords /. float_of_int (sweep_words ~n ~iters),
-    (!runs, !coalesced, !fallbacks) )
+  let m0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  ignore (Runner.time ~config (sweep ~stream ~n ~iters ~nprocs));
+  let dt = Unix.gettimeofday () -. t0 in
+  (dt, (Gc.minor_words () -. m0) /. float_of_int (sweep_words ~n ~iters))
 
 (* Wall time (set-up and warm-up pass included) and major-heap words per
    data word of the reused-buffer stream. *)
@@ -194,36 +183,69 @@ let measure_steady ~ops =
   let dm = Gc.minor_words () -. m0 in
   (dt, dm /. float_of_int ops)
 
+(* Single runs on a shared host vary by 1.5x; interleaving lets every
+   stream see the same host drift. *)
+let runs = 11
+
 let run (scale : Exp_common.scale) =
   Exp_common.section "throughput: wall-clock words/second of the memory hot path";
   let n = if scale.Exp_common.full then 384 else 256 in
   let iters = if scale.Exp_common.full then 8 else 4 in
-  let nprocs = 4 and reps = 3 in
+  let nprocs = 4 and steady_ops = 1_000_000 in
   let words = sweep_words ~n ~iters in
-  let wall_word, mwpa_word, (runs, coalesced, fallbacks) =
-    measure ~stream:Per_word ~n ~iters ~nprocs ~reps
-  in
-  let wall_txn, mwpa_txn, _ = measure ~stream:Batched ~n ~iters ~nprocs ~reps in
-  let wall_reused, major_reused = measure_reused ~n ~iters ~nprocs in
-  let steady_ops = 1_000_000 in
-  let steady_wall, mwpa_steady = measure_steady ~ops:steady_ops in
-  let rate w = float_of_int words /. w in
-  let speedup = rate wall_txn /. rate wall_word in
+  let series () = Array.make runs 0.0 in
+  let wall_word = series () and mwpa_word = series () in
+  let wall_txn = series () and mwpa_txn = series () in
+  let wall_reused = series () and major_reused = series () in
+  let steady_wall = series () and mwpa_steady = series () in
+  let fp = Platinum_kernel.Fastpath.ctx () in
+  for i = 0 to runs - 1 do
+    Platinum_kernel.Fastpath.reset_stats fp;
+    let w, m = measure ~stream:Per_word ~n ~iters ~nprocs in
+    wall_word.(i) <- w;
+    mwpa_word.(i) <- m;
+    let w, m = measure ~stream:Batched ~n ~iters ~nprocs in
+    wall_txn.(i) <- w;
+    mwpa_txn.(i) <- m;
+    let w, m = measure_reused ~n ~iters ~nprocs in
+    wall_reused.(i) <- w;
+    major_reused.(i) <- m;
+    let w, m = measure_steady ~ops:steady_ops in
+    steady_wall.(i) <- w;
+    mwpa_steady.(i) <- m
+  done;
+  (* The last per-word run's coalescing counts: they are a pure function
+     of the simulated run, and no other stream makes a word access. *)
+  let st = Platinum_kernel.Fastpath.stats fp in
+  let runs_closed = st.Platinum_kernel.Fastpath.runs
+  and coalesced = st.Platinum_kernel.Fastpath.coalesced
+  and fallbacks = st.Platinum_kernel.Fastpath.fallbacks in
+  let q = Exp_common.quartiles in
+  let rates walls = Array.map (fun w -> float_of_int words /. w) walls in
+  let rate_word = q (rates wall_word) and rate_txn = q (rates wall_txn) in
+  let steady_rate = q (Array.map (fun w -> float_of_int steady_ops /. w) steady_wall) in
+  let med (_, m, _) = m in
+  let wall_word = q wall_word and wall_txn = q wall_txn and wall_reused = q wall_reused in
+  let mwpa_word = med (q mwpa_word) and mwpa_txn = med (q mwpa_txn) in
+  let mwpa_steady = med (q mwpa_steady) and major_reused = med (q major_reused) in
+  let steady_wall = q steady_wall in
+  let speedup = med rate_txn /. med rate_word in
   let attempts = coalesced + fallbacks in
   let coalesce_frac = if attempts = 0 then 0.0 else float_of_int coalesced /. float_of_int attempts in
-  Printf.printf "  %d x %d grid, %d iterations, %d procs, %d data words\n" n n iters nprocs
-    words;
-  Printf.printf "  per-word stream: %.3f s wall  (%.0f words/s)\n" wall_word (rate wall_word);
-  Printf.printf "  batched stream:  %.3f s wall  (%.0f words/s)\n" wall_txn (rate wall_txn);
+  let spread (q1, m, q3) = Printf.sprintf "%.0f words/s, q1-q3 %.0f-%.0f" m q1 q3 in
+  Printf.printf "  %d x %d grid, %d iterations, %d procs, %d data words; medians of %d interleaved runs\n"
+    n n iters nprocs words runs;
+  Printf.printf "  per-word stream: %.3f s wall  (%s)\n" (med wall_word) (spread rate_word);
+  Printf.printf "  batched stream:  %.3f s wall  (%s)\n" (med wall_txn) (spread rate_txn);
   Printf.printf "  reused buffers:  %.3f s wall  (one warm-up pass first), %.4f major words/data word\n"
-    wall_reused major_reused;
+    (med wall_reused) major_reused;
   Printf.printf "  batched / per-word throughput: %.1fx\n" speedup;
   Printf.printf "  coalescing: %d runs, %d words inline, %d fallbacks (%.1f%% coalesced)\n"
-    runs coalesced fallbacks (100.0 *. coalesce_frac);
+    runs_closed coalesced fallbacks (100.0 *. coalesce_frac);
   Printf.printf "  minor words/access: steady hit %.3f, per-word stream %.1f, batched %.1f\n"
     mwpa_steady mwpa_word mwpa_txn;
   Printf.printf "  steady-state driver: %d accesses in %.3f s (%.0f accesses/s)\n" steady_ops
-    steady_wall (float_of_int steady_ops /. steady_wall);
+    (med steady_wall) (med steady_rate);
   Exp_common.check_shape "batched stream moves >= 2x words/sec" (speedup >= 2.0);
   (* The coalescing ratchet (DESIGN.md section 4g): the seed's per-word
      stream trailed the batched stream by 17.9x; with the effect-boundary
@@ -256,6 +278,9 @@ let run (scale : Exp_common.scale) =
     (Printf.sprintf "reused-buffer stream allocates <= %.2f major words/data word" major_limit)
     major_ok;
   let all_ok = ratio_ok && budget_ok && word_budget_ok && major_ok in
+  let stats digits (q1, m, q3) =
+    Printf.sprintf "{ \"median\": %.*f, \"q1\": %.*f, \"q3\": %.*f }" digits m digits q1 digits q3
+  in
   let oc = open_out "BENCH_hotpath.json" in
   Printf.fprintf oc
     "{\n\
@@ -265,25 +290,24 @@ let run (scale : Exp_common.scale) =
     \  \"iters\": %d,\n\
     \  \"nprocs\": %d,\n\
     \  \"data_words\": %d,\n\
-    \  \"per_word\": { \"wall_s\": %.6f, \"words_per_sec\": %.0f },\n\
-    \  \"batched\": { \"wall_s\": %.6f, \"words_per_sec\": %.0f },\n\
-    \  \"reused\": { \"wall_s\": %.6f, \"warmup_passes\": 1, \"major_words_per_data_word\": %.6f, \
+    \  \"runs\": %d,\n\
+    \  \"per_word\": { \"wall_s\": %s, \"words_per_sec\": %s },\n\
+    \  \"batched\": { \"wall_s\": %s, \"words_per_sec\": %s },\n\
+    \  \"reused\": { \"wall_s\": %s, \"warmup_passes\": 1, \"major_words_per_data_word\": %.6f, \
      \"limit\": %.2f, \"ok\": %b },\n\
     \  \"throughput_ratio\": %.2f,\n\
     \  \"ratio_budget\": { \"limit\": %.1f, \"seed\": 17.9, \"ok\": %b },\n\
     \  \"coalescing\": { \"runs\": %d, \"words_inline\": %d, \"fallbacks\": %d, \
      \"fraction\": %.4f },\n\
-    \  \"steady_state\": { \"ops\": %d, \"wall_s\": %.6f, \"accesses_per_sec\": %.0f },\n\
+    \  \"steady_state\": { \"ops\": %d, \"wall_s\": %s, \"accesses_per_sec\": %s },\n\
     \  \"minor_words_per_access\": { \"steady_hit\": %.4f, \"per_word_stream\": %.2f, \
      \"batched_stream\": %.2f },\n\
     \  \"alloc_budget\": { \"steady_limit\": %.1f, \"per_word_limit\": %.1f, \"ok\": %b }\n\
      }\n"
-    (Exp_common.host_json ()) n iters nprocs words wall_word (rate wall_word) wall_txn
-    (rate wall_txn) wall_reused major_reused major_limit major_ok speedup ratio_limit ratio_ok runs
-    coalesced fallbacks coalesce_frac
-    steady_ops steady_wall
-    (float_of_int steady_ops /. steady_wall)
-    mwpa_steady mwpa_word mwpa_txn budget word_budget
+    (Exp_common.host_json ()) n iters nprocs words runs (stats 6 wall_word) (stats 0 rate_word)
+    (stats 6 wall_txn) (stats 0 rate_txn) (stats 6 wall_reused) major_reused major_limit major_ok
+    speedup ratio_limit ratio_ok runs_closed coalesced fallbacks coalesce_frac steady_ops
+    (stats 6 steady_wall) (stats 0 steady_rate) mwpa_steady mwpa_word mwpa_txn budget word_budget
     (budget_ok && word_budget_ok);
   close_out oc;
   Printf.printf "  wrote BENCH_hotpath.json\n%!";

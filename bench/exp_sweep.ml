@@ -113,12 +113,6 @@ let rate_of f =
   f ();
   float_of_int hold_ops /. (Unix.gettimeofday () -. t0)
 
-(* (q1, median, q3); sorts [a] in place. *)
-let quartiles a =
-  Array.sort compare a;
-  let n = Array.length a in
-  (a.(n / 4), a.(n / 2), a.(3 * n / 4))
-
 let run (_ : scale) =
   section "sweep: domain-parallel harness wall-clock + event-core events/sec";
   let jobs_par = 4 in

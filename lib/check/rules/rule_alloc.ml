@@ -35,7 +35,7 @@ let catalogue =
   [
     ( "coherent.ml",
       [
-        "fp_eligible"; "fp_read"; "fp_write"; "fp_rmw";
+        "fp_read"; "fp_write"; "fp_rmw";
         "translate"; "read_word_s"; "write_word_s"; "rmw_word_s"; "finish_read"; "finish_write";
         "finish_rmw"; "after_write_inline"; "vpage_of"; "offset_of"; "only_holder_maps";
         "block_xfer"; "chunk_cost"; "chunk_loop"; "submit_block"; "submit";

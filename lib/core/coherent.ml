@@ -708,46 +708,38 @@ let rmw_word_s t sc ~now ~proc ~cmap:cm ~vaddr f =
 
    Hit-only variants of the [_s] word paths for the effect-boundary
    coalescer: they complete a word access if and only if it is a clean
-   steady-state hit (active aspace, ATC entry, sufficient rights, monitor
-   disarmed, page not frozen), returning its latency, and return [-1]
+   steady-state hit (an ATC entry of the active aspace, sufficient
+   rights, page not frozen), returning its latency, and return [-1]
    otherwise — they never translate, never fault, never touch policy
    state.  A successful call charges exactly what the [_s] path's hit arm
    charges (the same [finish_*] core at the same [now]), with the value
-   in [fp_value].
+   in [fp_value].  Like that arm, they leave the monitor alone: it sweeps
+   at protocol transitions, and a hit makes none.
 
-   Every condition is read from live state on every word, so the
-   coalescer caches no verdict and nothing needs invalidating: the ATC
-   and the Pmaps, which shootdowns keep exact, stay the only cached
-   copies of translation state. *)
-
-(* What the ATC entry does not decide: an armed monitor sends all traffic
-   down the monitored full path, and a frozen page is shared through
-   remote mappings of its single copy, so other processors reach it
-   without faulting (§4.2); its words keep the per-word path, where each
-   access happens at its own charged time.  The frozen bit is read live
-   from the page the entry carries, so the hit makes one table lookup. *)
-let[@inline] fp_eligible t (e : Pmap.entry) =
-  match t.monitor with
-  | Some _ -> false
-  | None -> not e.Pmap.cpage.Cpage.frozen
+   Every condition is read from the translation on every word, so the
+   coalescer caches no verdict: the ATC and the Pmaps, which shootdowns
+   keep exact, stay the only cached copies of translation state.  A
+   frozen page is shared through remote mappings of its single copy
+   (§4.2), so its words keep the per-word path, where each access happens
+   at its own charged time; the bit is read from the entry's page. *)
 
 let fp_read t ~now ~proc ~cmap:cm ~vpage ~vaddr =
   match Atc.find t.atcs.(proc) ~aspace:(Cmap.aspace cm) ~vpage with
-  | Some e when fp_eligible t e ->
+  | Some e when not e.Pmap.cpage.Cpage.frozen ->
     t.fp_value := finish_read t t.scratch ~now ~proc ~vaddr ~l1:0 e;
     t.scratch.s_latency
   | _ -> -1
 
 let fp_write t ~now ~proc ~cmap:cm ~vpage ~vaddr v =
   match Atc.find t.atcs.(proc) ~aspace:(Cmap.aspace cm) ~vpage with
-  | Some e when e.Pmap.write_ok && fp_eligible t e ->
+  | Some e when e.Pmap.write_ok && not e.Pmap.cpage.Cpage.frozen ->
     finish_write t t.scratch ~now ~proc ~vaddr ~l1:0 e v;
     t.scratch.s_latency
   | _ -> -1
 
 let fp_rmw t ~now ~proc ~cmap:cm ~vpage ~vaddr f =
   match Atc.find t.atcs.(proc) ~aspace:(Cmap.aspace cm) ~vpage with
-  | Some e when e.Pmap.write_ok && fp_eligible t e ->
+  | Some e when e.Pmap.write_ok && not e.Pmap.cpage.Cpage.frozen ->
     t.fp_value := finish_rmw t t.scratch ~now ~proc ~vaddr ~l1:0 e f;
     t.scratch.s_latency
   | _ -> -1

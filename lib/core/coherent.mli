@@ -74,14 +74,14 @@ val rmw_word_s :
 (* --- the coalescing fast-path cores (DESIGN.md §4g) ---
 
    Hit-only word accesses for the kernel's effect-boundary coalescer:
-   they complete the access iff it is a clean steady-state hit (active
-   aspace, ATC entry, sufficient rights, monitor disarmed, page not
-   frozen), returning its latency, and return [-1] otherwise — never
-   translating, never faulting, never touching policy state.  Every
-   condition is checked against live state on each call, so a caller
-   caches nothing.  A successful call charges exactly what the [_s]
-   path's hit arm charges at the same [now]; read the result via
-   {!fp_value_cell}.  Not reentrant (they share the internal scratch). *)
+   they complete the access iff it is a clean steady-state hit (an ATC
+   entry of the active aspace, sufficient rights, page not frozen),
+   returning its latency, and return [-1] otherwise — never translating,
+   never faulting, never touching policy state.  Every condition is read
+   from the translation on each call, so a caller caches nothing.  A
+   successful call charges exactly what the [_s] path's hit arm charges
+   at the same [now], and like it never involves the monitor; read the
+   result via {!fp_value_cell}.  Not reentrant (shared scratch). *)
 
 val fp_read :
   t -> now:Platinum_sim.Time_ns.t -> proc:int -> cmap:Cmap.t -> vpage:int -> vaddr:int -> int

@@ -8,13 +8,14 @@
    user code: while armed, [Api.read] and friends drain consecutive word
    accesses inline — no effect, no suspend — provided each one would hit
    the ATC under the seed semantics (translation present, rights
-   sufficient, page not frozen, monitor disarmed, no injected fault
-   pending).  The accumulated latency is charged as a single batched
-   operation when the fiber next performs any effect (the kernel's
-   [settle]), exactly what a block descriptor covering the same words
-   would pay; anything else — a miss, a rights fault, a frozen page, an
-   armed monitor, a pending fault draw, quantum exhaustion — declines and
-   falls back to the unchanged full-suspend path.
+   sufficient, page not frozen, no injected fault pending).  The
+   accumulated latency is charged as a single batched operation when the
+   fiber next performs any effect (the kernel's [settle]), exactly what a
+   block descriptor covering the same words would pay; anything else — a
+   miss, a rights fault, a frozen page, a pending fault draw, quantum
+   exhaustion — declines and falls back to the unchanged full-suspend
+   path.  An armed monitor is not on that list: it sweeps at protocol
+   transitions, and a hit makes none on either path.
 
    Soundness rests on a property of the engine: the fiber runs inline
    within the engine event that resumed it, so no other simulation event
@@ -35,10 +36,9 @@
    The context is per-domain ([Domain.DLS]) because fibers execute on the
    domain that resumed them and grid-parallel sweeps run one simulation
    per domain.  It caches no eligibility verdict: the backend's word ops
-   decide every word from live state (ATC entry, rights, frozen bit,
-   monitor), so no remap, freeze, thaw, shootdown or monitor change has
-   anything here to invalidate; a hit makes one ATC lookup, whose entry
-   carries the page.  The backend supplies only what it alone knows
+   decide every word from live state (ATC entry, rights, frozen bit), so
+   no remap, freeze, thaw or shootdown has anything here to invalidate; a
+   hit makes one ATC lookup, whose entry carries the page.  The backend supplies only what it alone knows
    ({!ops}); the kernel's arm passes the rest — the machine's fault plane
    and the backend's word cell — and the page shift for {!Phys_mem.vpage}
    is worked out here whenever the backend changes. *)
@@ -50,9 +50,9 @@ module Inject = Platinum_sim.Inject
 (* The operations the memory backend exposes to the coalescer.  All
    closures are built once at backend construction; calling them
    allocates nothing.  [fp_read]/[fp_write]/[fp_rmw] verify the hit
-   against live state (active aspace, ATC entry, rights, monitor
-   disarmed, page not frozen) and return its latency, or [-1] — never
-   fault — on anything but a clean hit; a successful read/rmw leaves its
+   against live state (active aspace, ATC entry, rights, page not
+   frozen) and return its latency, or [-1] — never fault — on anything
+   but a clean hit; a successful read/rmw leaves its
    word in the backend's word cell ([Memsys.t.value]). *)
 type ops = {
   fp_page_words : int;

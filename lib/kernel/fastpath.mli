@@ -6,15 +6,15 @@
     as each would hit the ATC under seed semantics.  The
     accumulated latency is charged as one batched operation at the next
     effect boundary (the kernel's settle); any miss, rights fault, frozen
-    page, armed monitor, pending injected fault or quantum exhaustion
-    declines and takes the unchanged full-suspend path.
+    page, pending injected fault or quantum exhaustion declines and takes
+    the unchanged full-suspend path.  An armed monitor plays no part.
 
     The backend supplies only what it alone knows: its page size, its
     Cmaps and the three hit-only word ops.  The kernel passes the
     machine's fault plane and the backend's word cell at each {!arm}.
     The backend decides every word from live state, so the coalescer
     caches no verdict and nothing needs invalidating when a remap,
-    freeze, thaw, shootdown or monitor change moves that state. *)
+    freeze, thaw or shootdown moves that state. *)
 
 (** Backend operations; see the implementation for per-field contracts.
     The word ops return the access latency on a clean hit, [-1] on

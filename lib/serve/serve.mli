@@ -108,7 +108,7 @@ val run :
 (** Run one serving cell to completion on its own full PLATINUM instance
     (default machine: the 16-node Butterfly Plus).  [inject] attaches a
     fault plane; [check] arms ([true]) or disarms ([false]) the
-    coherence invariant monitor, and any violation raises.  Without
+    coherence invariant monitor, and any violation raises; either way
+    the result is the same, only the host cost differs.  Without
     [check], the [PLATINUM_CHECK] environment variable decides
-    ({!Platinum_core.Check.env_enabled}).  Requires
-    [config.nprocs >= 2]. *)
+    ({!Platinum_core.Check.env_enabled}).  Requires [config.nprocs >= 2]. *)

@@ -9,8 +9,9 @@
    full fingerprints; the unit tests pin the live-state eligibility
    checks of the backend's hit cores, the allocation budgets of a
    multi-page stream and of arming across backends, the mandatory
-   fallbacks (frozen page, armed monitor, pending injected fault), and a
-   rate-0 fault plane passing every word as if there were none. *)
+   fallbacks (frozen page, pending injected fault), an armed monitor
+   watching the same coalesced run as an unmonitored one, and a rate-0
+   fault plane passing every word as if there were none. *)
 
 module Api = Platinum_kernel.Api
 module Fastpath = Platinum_kernel.Fastpath
@@ -27,6 +28,7 @@ module Cpage = Platinum_core.Cpage
 module Rights = Platinum_core.Rights
 module Policy = Platinum_core.Policy
 module Check = Platinum_core.Check
+module Shootdown = Platinum_core.Shootdown
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -238,9 +240,11 @@ let mk_coherent () =
     ~frames_per_module:64 ()
 
 (* The hit cores decide every word from live state, so each transition
-   that once had to invalidate a cached verdict — freeze, monitor arming,
-   unbind, replica retraction — makes them decline on the very next call,
-   and a thaw or a re-fault makes them accept again. *)
+   that once had to invalidate a cached verdict — freeze, unbind, replica
+   retraction — makes them decline on the very next call, and a thaw or a
+   re-fault makes them accept again.  Arming the monitor is no such
+   transition: a clean hit is still accepted, and the transitions after
+   it run under the monitor's sweeps. *)
 let test_cores_check_live_state () =
   let coh = mk_coherent () in
   let cm = Coherent.new_aspace coh in
@@ -270,9 +274,7 @@ let test_cores_check_live_state () =
   fault_in ~proc:0;
   expect "thawed and re-faulted" ~proc:0 true;
   Coherent.set_monitor coh (Some (Check.create_monitor ()));
-  expect "monitor armed" ~proc:0 false;
-  Coherent.set_monitor coh None;
-  expect "monitor disarmed" ~proc:0 true;
+  expect "monitor armed" ~proc:0 true;
   ignore (Coherent.unbind coh ~now:(tick ()) cm ~vpage:0);
   expect "unbound" ~proc:0 false;
   Coherent.bind coh cm ~vpage:0 page Rights.Read_write;
@@ -354,38 +356,21 @@ let test_freeze_forces_fallback () =
 
 (* --- composition with the sanitizer and the fault plane (§4g) --- *)
 
-(* An armed monitor makes every page ineligible: the coalescer must not
-   bypass the per-transition invariant sweeps. *)
-let test_monitor_disables_coalescing () =
-  let c = Fastpath.ctx () in
-  let setup = Runner.make ~frames_per_module:64 ~default_zone_pages:32 () in
-  Coherent.set_monitor setup.Runner.coherent (Some (Check.create_monitor ()));
-  Fastpath.reset_stats c;
-  let sum = ref 0 in
-  Runner.run setup ~main:(fun () ->
-      let buf = Api.alloc ~page_aligned:true 512 in
-      for i = 0 to 511 do
-        Api.write (buf + i) i
-      done;
-      for i = 0 to 511 do
-        sum := !sum + Api.read (buf + i)
-      done)
-  |> ignore;
-  Alcotest.(check int) "values correct under the monitor" (511 * 512 / 2) !sum;
-  let st = Fastpath.stats c in
-  Alcotest.(check int) "monitor armed: zero words coalesced" 0 st.Fastpath.coalesced
-
-(* Under injection the coalescer defers to the full path on every word
-   whose next fault draw would inject, so the fault schedule — and with
-   it every counter — lands exactly where the seed path put it.  Without
-   [rate] no plane is attached.  [prog out] is the main thread; it sums
-   what it reads into [out]. *)
-let run_injected ~coalesce ?rate prog =
+(* One two-processor stack.  Without [rate] no fault plane is attached;
+   [monitor] arms or disarms the invariant monitor, and without it
+   PLATINUM_CHECK decides.  [prog out] is the main thread; it sums what
+   it reads into [out]. *)
+let run_stack ~coalesce ?rate ?monitor prog =
   let config = Config.butterfly_plus ~nprocs:2 () in
   let inject = Option.map (fun rate -> Inject.config ~seed:11L ~rate ()) rate in
   let setup =
     Runner.make ~config ~frames_per_module:64 ~default_zone_pages:32 ?inject ~coalesce ()
   in
+  Option.iter
+    (fun on ->
+      Coherent.set_monitor setup.Runner.coherent
+        (if on then Some (Check.create_monitor ()) else None))
+    monitor;
   let c = Fastpath.ctx () in
   Fastpath.reset_stats c;
   let out = ref 0 in
@@ -395,6 +380,57 @@ let run_injected ~coalesce ?rate prog =
     fingerprint r,
     (st.Fastpath.runs, st.Fastpath.coalesced, st.Fastpath.fallbacks),
     Machine.inject setup.Runner.machine )
+
+(* Proc 0 writes two pages and sums them; proc 1 then writes one word of
+   each page, which faults and shoots down proc 0's mappings; proc 0 sums
+   again.  The sums coalesce, and the monitor has transitions to sweep
+   between them. *)
+let shared_stream out () =
+  let pw = Api.page_words () in
+  let buf = Api.alloc ~page_aligned:true (2 * pw) in
+  let sum () =
+    for i = 0 to (2 * pw) - 1 do
+      out := !out + Api.read (buf + i)
+    done
+  in
+  for i = 0 to (2 * pw) - 1 do
+    Api.write (buf + i) i
+  done;
+  sum ();
+  Api.join
+    (Api.spawn ~proc:1 (fun () ->
+         Api.write buf (-1);
+         Api.write (buf + pw) (-1)));
+  sum ()
+
+(* A coalesced word is an ATC hit, and a hit is no protocol transition:
+   the monitor sweeps at faults, advice, binds and shootdowns, none of
+   which a coalesced word makes.  So the armed monitor watches the very
+   run an unmonitored stack makes — the same words coalesce, with the
+   same values, stats and fingerprint — and still catches a broken
+   shootdown that lands in the middle of it. *)
+let test_monitor_watches_coalesced_run () =
+  let v_on, fp_on, st_on, _ = run_stack ~coalesce:true ~monitor:true shared_stream in
+  let v_off, fp_off, st_off, _ = run_stack ~coalesce:true ~monitor:false shared_stream in
+  let _, coalesced, _ = st_on in
+  Alcotest.(check bool)
+    (Printf.sprintf "words coalesced under the monitor (%d)" coalesced)
+    true (coalesced > 1000);
+  Alcotest.(check (triple int int int)) "Fastpath.stats identical" st_off st_on;
+  Alcotest.(check int) "values identical" v_off v_on;
+  Alcotest.(check string) "protocol fingerprint identical" fp_off fp_on;
+  let c = Fastpath.ctx () in
+  Fun.protect
+    ~finally:(fun () -> Shootdown.test_skip_refmask_clear := false)
+    (fun () ->
+      Shootdown.test_skip_refmask_clear := true;
+      match run_stack ~coalesce:true ~monitor:true shared_stream with
+      | _ -> Alcotest.fail "a shootdown that keeps its refmask bits was not caught"
+      | exception Platinum_kernel.Kernel.Thread_failure (Check.Violation v) ->
+        Alcotest.(check string) "violated invariant" "refmask-pmap-agreement"
+          v.Check.v_fault.Check.inv;
+        Alcotest.(check bool) "words coalesced before the fault" true
+          ((Fastpath.stats c).Fastpath.coalesced > 0))
 
 (* Two workers write alternate words of one page, then each reads it all. *)
 let interleaved out () =
@@ -429,8 +465,8 @@ let plane = function Some i -> i | None -> Alcotest.fail "no fault plane attache
 (* [interleaved] coalesces no word (its page freezes); [stream] coalesces
    most of its words, so it checks the schedule across inline words too. *)
 let injection_differential prog () =
-  let v_on, fp_on, _, p_on = run_injected ~coalesce:true ~rate:0.02 prog in
-  let v_off, fp_off, _, p_off = run_injected ~coalesce:false ~rate:0.02 prog in
+  let v_on, fp_on, _, p_on = run_stack ~coalesce:true ~rate:0.02 prog in
+  let v_off, fp_off, _, p_off = run_stack ~coalesce:false ~rate:0.02 prog in
   let inj_on = Inject.fingerprint (plane p_on) and faults_on = Inject.faults_injected (plane p_on) in
   let inj_off = Inject.fingerprint (plane p_off)
   and faults_off = Inject.faults_injected (plane p_off) in
@@ -444,8 +480,8 @@ let injection_differential prog () =
    gate passes every word: the values, the coalescer's stats and the
    protocol fingerprint equal a run with no plane at all. *)
 let test_rate0_plane_is_no_plane () =
-  let v0, fp0, st0, p0 = run_injected ~coalesce:true ~rate:0.0 stream in
-  let v, fp, st, p = run_injected ~coalesce:true stream in
+  let v0, fp0, st0, p0 = run_stack ~coalesce:true ~rate:0.0 stream in
+  let v, fp, st, p = run_stack ~coalesce:true stream in
   Alcotest.(check int) "rate-0 plane injects nothing" 0 (Inject.faults_injected (plane p0));
   Alcotest.(check bool) "plain run has no plane" true (Option.is_none p);
   let _, coalesced, _ = st0 in
@@ -455,6 +491,20 @@ let test_rate0_plane_is_no_plane () =
   Alcotest.(check int) "values identical" v v0;
   Alcotest.(check string) "protocol fingerprint identical" fp fp0;
   Alcotest.(check (triple int int int)) "Fastpath.stats identical" st st0
+
+(* A rate-1 plane injects at every module draw, so the per-word peek
+   defers every word of [stream] to the full path, where its fault is
+   handled: nothing coalesces, and the run is the coalescing-off run.  A
+   coalescer that ignored the plane would drain the hits inline. *)
+let test_rate1_plane_defers_every_word () =
+  let v, fp, (_, coalesced, fallbacks), p = run_stack ~coalesce:true ~rate:1.0 stream in
+  let v_off, fp_off, _, _ = run_stack ~coalesce:false ~rate:1.0 stream in
+  Alcotest.(check bool) "the plane injected" true (Inject.faults_injected (plane p) > 0);
+  Alcotest.(check int) "no word coalesced" 0 coalesced;
+  Alcotest.(check bool) "every word declined" true (fallbacks >= 3 * 1024);
+  Alcotest.(check int) "values" (2 * 1023 * 1024 / 2) v;
+  Alcotest.(check int) "values as coalescing off" v_off v;
+  Alcotest.(check string) "protocol fingerprint as coalescing off" fp_off fp
 
 (* Arming against a different backend than the last arm — a new
    simulation reusing this domain — allocates nothing, so a handoff costs
@@ -518,10 +568,11 @@ let suite =
     ("hit cores check live state", `Quick, test_cores_check_live_state);
     ("three-page word stream allocation", `Quick, test_three_page_stream_allocation);
     ("freeze/thaw force fallback mid-stream", `Quick, test_freeze_forces_fallback);
-    ("armed monitor disables coalescing", `Quick, test_monitor_disables_coalescing);
+    ("armed monitor watches the coalesced run", `Quick, test_monitor_watches_coalesced_run);
     ("injection schedule identical on/off", `Quick, injection_differential interleaved);
     ("injection identical on/off: coalescing stream", `Quick, injection_differential stream);
     ("rate-0 plane behaves like no plane", `Quick, test_rate0_plane_is_no_plane);
+    ("rate-1 plane defers every word", `Quick, test_rate1_plane_defers_every_word);
     ("arm allocates nothing on a backend handoff", `Quick, test_arm_handoff_allocation);
     ("stride API rejects malformed input", `Quick, test_stride_validation);
   ]

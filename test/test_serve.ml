@@ -9,6 +9,7 @@ module Config = Platinum_machine.Config
 module Machine = Platinum_machine.Machine
 module Coherent = Platinum_core.Coherent
 module Check = Platinum_core.Check
+module Shootdown = Platinum_core.Shootdown
 module Inject = Platinum_sim.Inject
 module Arrivals = Platinum_sim.Arrivals
 module Rng = Platinum_sim.Rng
@@ -424,24 +425,32 @@ let test_serve_completes_and_measures () =
     Serve.all_transports
 
 (* [~check:false] disarms the monitor even when PLATINUM_CHECK arms it.
-   An armed monitor declines every fast-path word, so a ring run that
-   coalesces words ran unmonitored.  An unset variable is restored as
-   empty, which reads as unset. *)
+   The observable is a planted fault: a shootdown that keeps its refmask
+   bits.  The env-armed monitor stops the ring run at the sweep after that
+   shootdown; disarmed, the run completes and only [Runner.run]'s
+   machine-wide check after the run finds the fault.  An unset variable
+   is restored as empty, which reads as unset. *)
 let test_serve_check_false_disarms () =
   let old = Sys.getenv_opt "PLATINUM_CHECK" in
-  let c = Fastpath.ctx () in
-  Unix.putenv "PLATINUM_CHECK" "1";
-  let coalesced =
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "PLATINUM_CHECK" (Option.value old ~default:""))
-      (fun () ->
-        Fastpath.reset_stats c;
-        ignore (Serve.run ~seed:5L ~check:false small_params Serve.Ring);
-        (Fastpath.stats c).Fastpath.coalesced)
+  let outcome check =
+    match Serve.run ~seed:5L ?check small_params Serve.Ring with
+    | _ -> "completed"
+    | exception Platinum_kernel.Kernel.Thread_failure (Check.Violation _) -> "stopped mid-run"
+    | exception Failure _ -> "found after the run"
   in
-  Alcotest.(check bool)
-    (Printf.sprintf "ring words coalesced under PLATINUM_CHECK=1 (%d)" coalesced)
-    true (coalesced > 0)
+  Unix.putenv "PLATINUM_CHECK" "1";
+  let armed, disarmed =
+    Fun.protect
+      ~finally:(fun () ->
+        Shootdown.test_skip_refmask_clear := false;
+        Unix.putenv "PLATINUM_CHECK" (Option.value old ~default:""))
+      (fun () ->
+        Shootdown.test_skip_refmask_clear := true;
+        let armed = outcome None in
+        (armed, outcome (Some false)))
+  in
+  Alcotest.(check string) "PLATINUM_CHECK=1" "stopped mid-run" armed;
+  Alcotest.(check string) "~check:false" "found after the run" disarmed
 
 (* The mesh serve program across -j(domains) {1,4} x shards {1,4}, clean
    and injected — the grid the issue pins, on top of test_parshard's wider
