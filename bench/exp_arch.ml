@@ -196,6 +196,11 @@ let run_cache (scale : scale) =
   Printf.printf "\nbackprop (its data pages freeze -> uncachable, the paper's caveat):\n";
   Printf.printf "  without caches %9.1fms\n  with caches    %9.1fms\n" (ms_of bp_plain)
     (ms_of bp_cached);
+  (* The lines above round to 0.1 ms; this one pins every exact result. *)
+  let fp = Platinum_sim.Fnv.create () in
+  List.iter (Platinum_sim.Fnv.int fp) [ plain; cached; hits; misses; bp_plain; bp_cached ];
+  Printf.printf "\nfingerprint %s (FNV-1a over the integer ns and counts above)\n"
+    (Platinum_sim.Fnv.to_hex fp);
   Printf.printf "\n";
   check_shape "caches speed up the cachable read-mostly workload"
     (float_of_int cached < 0.8 *. float_of_int plain);

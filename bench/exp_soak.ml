@@ -186,6 +186,7 @@ let run (scale : Exp_common.scale) =
       Printf.printf "  %-10s %5Ld %5.2f  %-9s %7d %8d %9d\n" a.c_label a.c_seed a.c_rate
         (if deterministic then "identical" else "DIVERGED")
         a.c_faults a.c_retries a.c_degraded;
+      Printf.printf "    protocol %s\n    injector %s\n" a.c_fp a.c_inj;
       check
         (Printf.sprintf "%s seed=%Ld rate=%.2f: deterministic replay" a.c_label a.c_seed
            a.c_rate)

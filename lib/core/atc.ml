@@ -19,7 +19,7 @@ let activate t ~aspace =
   end
 
 (* Returns the stored option cell — a hit never allocates. *)
-let find t ~aspace ~vpage = if t.aspace <> aspace then None else Flat.find t.entries vpage
+let[@inline] find t ~aspace ~vpage = if t.aspace <> aspace then None else Flat.find t.entries vpage
 
 let load t ~vpage entry =
   if t.aspace < 0 then invalid_arg "Atc.load: no active address space";

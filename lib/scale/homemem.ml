@@ -48,6 +48,7 @@ type counters = {
   mutable ipis : int;
   mutable retrans : int;
   mutable words : int;
+  mutable snapshots : int;
 }
 
 (* One request queued (or in flight) for service at a page's home. *)
@@ -65,6 +66,8 @@ type pend = {
 type hpage = {
   mutable hdata : int array;  (* [||] until first touch *)
   mutable hversion : int;
+  mutable hsnap : int array;  (* the copy every reader of [hsnap_version] shares *)
+  mutable hsnap_version : int;  (* -1: none *)
   hholders : Bytes.t;
   mutable nholders : int;
   mutable hbusy : bool;
@@ -110,6 +113,7 @@ let create (cfg : Config.t) mods ~engines ~injects ~home_of =
           ipis = 0;
           retrans = 0;
           words = 0;
+          snapshots = 0;
         };
     }
   in
@@ -178,6 +182,8 @@ let get_hpage t h page =
       {
         hdata = [||];
         hversion = 0;
+        hsnap = [||];
+        hsnap_version = -1;
         hholders = Bytes.make (Array.length t.nodes) '\000';
         nholders = 0;
         hbusy = false;
@@ -194,7 +200,8 @@ let ensure_data t hp = if Array.length hp.hdata = 0 then hp.hdata <- Array.make 
    shootdown racing ahead of the reply is caught by the version floor:
    the IPI records the newest invalidated version at the target, and an
    arriving copy at or below the floor is discarded instead of installed
-   (the read itself still completes — it is ordered before the write). *)
+   (the read itself still completes — it is ordered before the write).
+   Replicas are never written, so readers of one version share one copy. *)
 let grant_copy t h hp p =
   let nh = t.nodes.(h) in
   let now = Engine.now nh.engine in
@@ -202,8 +209,13 @@ let grant_copy t h hp p =
     Xbar.access ?inject:nh.inject t.cfg t.mods ~now ~proc:p.p_src ~mem_module:h Xbar.Read
       ~words:t.pw
   in
-  let snapshot = Array.copy hp.hdata in
   let version = hp.hversion in
+  if hp.hsnap_version <> version then begin
+    hp.hsnap <- Array.copy hp.hdata;
+    hp.hsnap_version <- version;
+    nh.c.snapshots <- nh.c.snapshots + 1
+  end;
+  let snapshot = hp.hsnap in
   if Bytes.get hp.hholders p.p_src = '\000' then begin
     Bytes.set hp.hholders p.p_src '\001';
     hp.nholders <- hp.nholders + 1
@@ -426,6 +438,7 @@ let load t ~addr words =
   let page = addr / t.pw in
   let hp = get_hpage t (t.home_of page) page in
   ensure_data t hp;
+  hp.hsnap_version <- -1;
   Array.blit words 0 hp.hdata (addr - (page * t.pw)) (Array.length words)
 
 let home_words t page =

@@ -58,6 +58,7 @@ type counters = private {
   mutable ipis : int;  (** IPI send attempts from this home *)
   mutable retrans : int;  (** dropped requests retransmitted *)
   mutable words : int;  (** data words moved for this node's traffic *)
+  mutable snapshots : int;  (** grant copies taken here, one per version (not fingerprinted) *)
 }
 
 val counters : t -> int -> counters

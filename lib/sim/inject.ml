@@ -71,11 +71,9 @@ let stats t = t.st
 let hit t = t.cfg.rate > 0.0 && Rng.float t.rng 1.0 < t.cfg.rate
 let draw t (lo, hi) = Rng.int_in t.rng lo hi
 
-(* Replays the next rate draw on a copy of the stream: tells whether the
-   next [module_fault] will inject, without consuming anything or touching
-   stats.  Rate 0 short-circuits (no allocation, no copy). *)
-let peek_module_fault t =
-  t.cfg.rate > 0.0 && Rng.float (Rng.copy t.rng) 1.0 < t.cfg.rate
+(* Whether the next [module_fault] will inject: a peek at the next draw that
+   consumes nothing, touches no stats and allocates nothing. *)
+let peek_module_fault t = t.cfg.rate > 0.0 && Rng.peek_float t.rng 1.0 < t.cfg.rate
 
 let module_fault t =
   if not (hit t) then `None

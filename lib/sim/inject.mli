@@ -56,8 +56,9 @@ val module_fault : t -> [ `None | `Stall of int | `Outage of int ]
     (everything queued behind it waits). *)
 
 val peek_module_fault : t -> bool
-(** Whether the next {!module_fault} will inject — replayed on a copy of
-    the stream, consuming nothing and touching no stats.  The kernel's
+(** Whether the next {!module_fault} will inject — a peek at the next
+    draw ({!Rng.peek_float}) that consumes nothing, touches no stats and
+    allocates nothing.  The kernel's
     coalescing fast path asks this before completing a word inline: a
     pending fault forces the full-suspend path so the injected event (and
     its recovery) lands exactly where the seed schedule put it. *)

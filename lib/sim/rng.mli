@@ -27,6 +27,9 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [0, bound). *)
 
+val peek_float : t -> float -> float
+(** What [float t bound] would return next; [t] does not advance. *)
+
 val bool : t -> bool
 
 val shuffle : t -> 'a array -> unit

@@ -506,6 +506,40 @@ let test_rate1_plane_defers_every_word () =
   Alcotest.(check int) "values as coalescing off" v_off v;
   Alcotest.(check string) "protocol fingerprint as coalescing off" fp_off fp
 
+(* A live plane costs the coalesced stream no allocation: the per-word
+   peek reads the next draw without copying the stream, and the draw each
+   inline hit consumes at the interconnect boxes nothing.  One thread
+   writes a page, then reads it 20 times under a 2% plane; the words the
+   peek defers take the full path, and their cost is spread over the
+   coalesced ones. *)
+let test_live_plane_peek_allocation () =
+  let c = Fastpath.ctx () in
+  let coalesced = ref 0 and per_word = ref infinity in
+  let passes out () =
+    let buf = Api.alloc ~page_aligned:true 1024 in
+    for i = 0 to 1023 do
+      Api.write (buf + i) i
+    done;
+    let s0 = (Fastpath.stats c).Fastpath.coalesced in
+    let m0 = Gc.minor_words () in
+    for _ = 1 to 20 do
+      for i = 0 to 1023 do
+        out := !out + Api.read (buf + i)
+      done
+    done;
+    let m1 = Gc.minor_words () in
+    coalesced := (Fastpath.stats c).Fastpath.coalesced - s0;
+    per_word := (m1 -. m0) /. float_of_int (max 1 !coalesced)
+  in
+  let _, _, _, p = run_stack ~coalesce:true ~rate:0.02 passes in
+  Alcotest.(check bool) "the plane injected" true (Inject.faults_injected (plane p) > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "words coalesced under the plane (%d)" !coalesced)
+    true (!coalesced > 10_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 0.5 minor words per coalesced word (got %.3f)" !per_word)
+    true (!per_word <= 0.5)
+
 (* Arming against a different backend than the last arm — a new
    simulation reusing this domain — allocates nothing, so a handoff costs
    no more than a steady-state arm. *)
@@ -573,6 +607,7 @@ let suite =
     ("injection identical on/off: coalescing stream", `Quick, injection_differential stream);
     ("rate-0 plane behaves like no plane", `Quick, test_rate0_plane_is_no_plane);
     ("rate-1 plane defers every word", `Quick, test_rate1_plane_defers_every_word);
+    ("live plane: coalesced words allocate nothing", `Quick, test_live_plane_peek_allocation);
     ("arm allocates nothing on a backend handoff", `Quick, test_arm_handoff_allocation);
     ("stride API rejects malformed input", `Quick, test_stride_validation);
   ]

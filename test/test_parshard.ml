@@ -428,6 +428,66 @@ let test_kernel_gb_span_sparse () =
     (r.Parkernel.touched_pages <= 8 + 4);
   Alcotest.(check bool) (Printf.sprintf "setup under 100ms (%.1f)" setup_ms) true (setup_ms < 100.)
 
+(* --- Homemem: readers of one page version share one snapshot --- *)
+
+(* Node 0 homes page 0; nodes 1-3 drive it through the protocol directly.
+   Three readers of the loaded page cost one snapshot; node 1's write moves
+   the version, so the next readers cost one more; a [load] after those
+   grants drops the cached snapshot, so the next reader sees the loaded
+   word; a write at the home then shoots every replica down. *)
+let test_one_snapshot_per_version () =
+  let module Homemem = Platinum_scale.Homemem in
+  let module Memsys = Platinum_kernel.Memsys in
+  let module Memtxn = Platinum_core.Memtxn in
+  let cfg = Config.hierarchical ~cluster_size:4 ~nodes:4 () in
+  let pw = cfg.Config.page_words in
+  let es = engines 4 in
+  let mem =
+    Homemem.create cfg
+      (Platinum_machine.Machine.modules (Platinum_machine.Machine.create cfg))
+      ~engines:es ~injects:(Array.make 4 None) ~home_of:(fun _ -> 0)
+  in
+  Homemem.load mem ~addr:0 [| 5; 7 |];
+  let remote =
+    Array.init 4 (fun s ->
+        match (Homemem.memsys mem s ~arena_base:pw ~arena_words:pw).Memsys.remote with
+        | Some r -> r.Memsys.try_remote
+        | None -> Alcotest.fail "hosted memory has no remote hook")
+  in
+  let seen = Array.make 4 [] in
+  let submit s txn =
+    ignore
+      (remote.(s) ~now:0 ~proc:s ~aspace:0 txn ~complete:(fun ~delay:_ v ->
+           match txn with Memtxn.Read _ -> seen.(s) <- v :: seen.(s) | _ -> ()))
+  in
+  let read s = submit s (Memtxn.Read { vaddr = 1 }) in
+  let snapshots () = (Homemem.counters mem 0).Homemem.snapshots in
+  (* a page copy takes about 5 ms here: one step per 50 ms *)
+  let at step s f = Engine.schedule_after es.(s) ~delay:(step * 50_000_000) f in
+  let marks = ref [] in
+  let mark () = marks := snapshots () :: !marks in
+  let h = Shard.host ~check:true ~shards:1 ~lookahead:(Config.lookahead_ns cfg) es in
+  List.iter (fun s -> at 0 s (fun () -> read s)) [ 1; 2; 3 ];
+  at 1 1 (fun () -> submit 1 (Memtxn.Write { vaddr = 1; value = 9 }));
+  at 2 0 mark;
+  List.iter (fun s -> at 3 s (fun () -> read s)) [ 2; 3 ];
+  at 4 0 (fun () ->
+      mark ();
+      Homemem.load mem ~addr:1 [| 11 |]);
+  at 5 1 (fun () -> read 1);
+  at 6 0 (fun () -> submit 0 (Memtxn.Write { vaddr = 2; value = 1 }));
+  Shard.run_hosted h;
+  Alcotest.(check (list int)) "snapshots: 3 readers, then a write, then 2 readers" [ 2; 1 ]
+    !marks;
+  Alcotest.(check int) "load dropped the snapshot: one more for the last reader" 3
+    (snapshots ());
+  Alcotest.(check (array (list int))) "words read (newest first)"
+    [| []; [ 11; 7 ]; [ 9; 7 ]; [ 9; 7 ] |]
+    seen;
+  Alcotest.(check (list int)) "replications installed" [ 0; 2; 2; 2 ]
+    (List.init 4 (fun s -> (Homemem.counters mem s).Homemem.replications));
+  Alcotest.(check bool) "at rest" true (Homemem.at_rest_ok mem)
+
 let suite =
   let det (name, run) =
     ( Printf.sprintf "golden: %s fingerprint across shards x domains" name,
@@ -450,6 +510,8 @@ let suite =
       test_hosted_mail_rekeys_destination);
     ("hosted: a daemon fires but does not keep the run alive", `Quick,
       test_hosted_daemon_does_not_keep_alive);
+    ("hosted: readers of one page version share one snapshot", `Quick,
+      test_one_snapshot_per_version);
   ]
   @ List.map det mesh_workloads
   @ List.map det_inj mesh_workloads

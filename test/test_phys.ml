@@ -52,6 +52,81 @@ let test_frame_zero_fill () =
   Frame.fill_zero f;
   Alcotest.(check int) "zeroed" 0 (Frame.get f 2)
 
+(* --- replicas share a buffer until a write --- *)
+
+let frame_words f = Array.init (Frame.words f) (Frame.get f)
+let pattern ?(words = 8) k =
+  let f = Frame.create ~mem_module:k ~index:0 ~words in
+  for i = 0 to words - 1 do
+    Frame.set f i ((k * 100) + i)
+  done;
+  f
+
+let test_share_write_either_side () =
+  let a = pattern 1 and b = pattern 2 in
+  let a0 = frame_words a in
+  Frame.blit_from ~src:a ~dst:b;
+  Frame.set b 3 (-1);
+  Alcotest.(check (array int)) "source unchanged by a write to the copy" a0 (frame_words a);
+  Alcotest.(check int) "the copy took the write" (-1) (Frame.get b 3);
+  let c = pattern 3 in
+  Frame.blit_from ~src:a ~dst:c;
+  Frame.set a 0 (-2);
+  Frame.write_words a ~off:5 ~src:[| -3; -4 |] ~src_off:0 ~words:2;
+  Alcotest.(check (array int)) "copy unchanged by writes to the source" a0 (frame_words c);
+  Alcotest.(check (list int)) "the source took its writes" [ -2; -3; -4 ]
+    [ Frame.get a 0; Frame.get a 5; Frame.get a 6 ]
+
+let test_share_fill_zero () =
+  let a = pattern 1 and b = pattern 2 in
+  let a0 = frame_words a in
+  Frame.blit_from ~src:a ~dst:b;
+  Frame.fill_zero b;
+  Alcotest.(check (array int)) "zeroing a sharer leaves the other" a0 (frame_words a);
+  Alcotest.(check (array int)) "the sharer is zero" (Array.make 8 0) (frame_words b)
+
+(* 1,024 words: a private copy of the buffer would be a major-heap block.
+   [Gc.counters] counts it at once; OCaml 5's [quick_stat] may not yet. *)
+let major_words_of f =
+  Gc.minor ();
+  let _, _, m0 = Gc.counters () in
+  f ();
+  let _, _, m1 = Gc.counters () in
+  m1 -. m0
+
+let test_share_free_drops () =
+  let a = pattern ~words:1024 1 and b = pattern ~words:1024 2 in
+  Frame.set_owner b (Some 5);
+  Frame.blit_from ~src:a ~dst:b;
+  let w =
+    major_words_of (fun () ->
+        Frame.set_owner b None;
+        Frame.set a 0 7)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "the free and the survivor's write allocate no buffer (%.0f major words)" w)
+    true (w < 1024.);
+  Alcotest.check_raises "a freed sharer holds no data" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (Frame.get b 0));
+  Frame.fill_zero b;
+  Alcotest.(check int) "zero fill gives it a buffer again" 0 (Frame.get b 0);
+  Alcotest.(check int) "survivor kept its words" 7 (Frame.get a 0)
+
+let test_share_repeat_blit () =
+  let a = pattern ~words:1024 1 and b = pattern ~words:1024 2 in
+  Frame.blit_from ~src:a ~dst:b;
+  Frame.blit_from ~src:a ~dst:b;
+  Frame.blit_from ~src:b ~dst:a;
+  Frame.blit_from ~src:a ~dst:a;
+  Frame.set_owner b None;
+  let w = major_words_of (fun () -> Frame.set a 0 7) in
+  Alcotest.(check bool)
+    (Printf.sprintf "repeat blits count one share (%.0f major words)" w)
+    true (w < 1024.);
+  Alcotest.check_raises "a freed sharer is no blit source"
+    (Invalid_argument "Frame.blit_from: size mismatch") (fun () ->
+      Frame.blit_from ~src:b ~dst:(pattern ~words:1024 3))
+
 (* --- the inverted page table: frame -> cpage, kept in each frame's owner --- *)
 
 let test_it_alloc_lookup () =
@@ -233,6 +308,10 @@ let suite =
     ("frame: blit size mismatch", `Quick, test_frame_blit_size_mismatch);
     ("frame: ownership", `Quick, test_frame_owner);
     ("frame: zero fill", `Quick, test_frame_zero_fill);
+    ("frame: a write to either sharer leaves the other", `Quick, test_share_write_either_side);
+    ("frame: zero fill of a sharer leaves the other", `Quick, test_share_fill_zero);
+    ("frame: a freed sharer drops its share", `Quick, test_share_free_drops);
+    ("frame: a repeat blit is a no-op", `Quick, test_share_repeat_blit);
     ("inverted table: alloc/lookup", `Quick, test_it_alloc_lookup);
     ("inverted table: exhaustion", `Quick, test_it_exhaustion);
     ("inverted table: free and reuse", `Quick, test_it_free_reuse);
