@@ -7,6 +7,7 @@ module Machine = Platinum_machine.Machine
 module Engine = Platinum_sim.Engine
 module Rights = Platinum_core.Rights
 module Cmap = Platinum_core.Cmap
+module Memtxn = Platinum_core.Memtxn
 
 type env = { coh : Coherent.t; cm : Cmap.t }
 
@@ -25,14 +26,15 @@ let bind ?home env vpage =
   Coherent.bind env.coh env.cm ~vpage page Rights.Read_write;
   page
 
+let submit env ~now ~proc txn = Coherent.submit env.coh ~now ~proc ~cmap:env.cm txn
+
 let warm env procs =
   ignore (bind env 99);
-  List.iter
-    (fun proc -> ignore (Coherent.read_word env.coh ~now:0 ~proc ~cmap:env.cm ~vaddr:(99 * 1024)))
+  List.iter (fun proc -> ignore (submit env ~now:0 ~proc (Memtxn.Read { vaddr = 99 * 1024 })))
     procs
 
-let read env ~now ~proc = snd (Coherent.read_word env.coh ~now ~proc ~cmap:env.cm ~vaddr:0)
-let write env ~now ~proc v = Coherent.write_word env.coh ~now ~proc ~cmap:env.cm ~vaddr:0 v
+let read env ~now ~proc = submit env ~now ~proc (Memtxn.Read { vaddr = 0 })
+let write env ~now ~proc value = submit env ~now ~proc (Memtxn.Write { vaddr = 0; value })
 
 let row what ours paper =
   Printf.printf "%-52s %10s %14s\n" what ours paper

@@ -14,9 +14,10 @@
       finish with its self-verification intact and zero Check.Violations.
 
    2. Differential determinism: every cell is run twice with the same
-      (seed, rate); the protocol fingerprint and the injector's own
-      counters must be bit-identical — a fault schedule is a pure
-      function of (seed, rate).
+      (seed, rate), the second time with the monitor disarmed; the
+      protocol fingerprint and the injector's own counters must be
+      bit-identical — a fault schedule is a pure function of (seed,
+      rate), and the monitor never changes the run it watches.
 
    3. Recovery-path coverage gates (the mutation-style check: a soak that
       never exercised a retry or the degradation path proves nothing):
@@ -34,6 +35,7 @@ module Coherent = Platinum_core.Coherent
 module Check = Platinum_core.Check
 module Counters = Platinum_core.Counters
 module Inject = Platinum_sim.Inject
+module Frame = Platinum_phys.Frame
 module Outcome = Platinum_workload.Outcome
 module Jacobi = Platinum_workload.Jacobi
 module Gauss_mp = Platinum_workload.Gauss_mp
@@ -104,15 +106,17 @@ type cell = {
   c_error : string option;  (* violation or failure; None = clean *)
 }
 
-(* One injected run with the invariant monitor armed.  Any Check.Violation
-   (raised mid-protocol or surfacing through a thread failure) or workload
-   self-verification failure is captured, not propagated: the grid always
-   completes and reports. *)
-let run_cell (label, wl) ~seed ~rate =
+(* One injected run, with the invariant monitor armed or, whatever
+   PLATINUM_CHECK says, disarmed.  Any violation (a Check.Violation or a
+   Frame.Shared_write, raised mid-protocol or surfacing through a thread
+   failure) or workload self-verification failure is captured, not
+   propagated: the grid always completes and reports. *)
+let run_cell ~monitored (label, wl) ~seed ~rate =
   let out, main = wl () in
   let config = Config.butterfly_plus ~nprocs:4 () in
   let setup = Runner.make ~config ~inject:(Inject.config ~seed ~rate ()) () in
-  Coherent.set_monitor setup.Runner.coherent (Some (Check.create_monitor ()));
+  Coherent.set_monitor setup.Runner.coherent
+    (if monitored then Some (Check.create_monitor ()) else None);
   let inj =
     match Machine.inject setup.Runner.machine with Some i -> i | None -> assert false
   in
@@ -140,6 +144,8 @@ let run_cell (label, wl) ~seed ~rate =
   | exception Check.Violation v -> finish (Some (Check.violation_message v)) "<violation>"
   | exception Kernel.Thread_failure (Check.Violation v) ->
     finish (Some (Check.violation_message v)) "<violation>"
+  | exception (Frame.Shared_write _ as e | Kernel.Thread_failure (Frame.Shared_write _ as e)) ->
+    finish (Some (Printexc.to_string e)) "<violation>"
   | exception e -> finish (Some (Printexc.to_string e)) "<failure>"
 
 let percentile sorted p =
@@ -171,10 +177,11 @@ let run (scale : Exp_common.scale) =
         List.map (fun seed -> (wl, seed, storm_rate)) [ 1L; 2L ])
       [ "jacobi"; "rpc_echo" ]
   in
-  (* Differential: each cell twice, same (seed, rate). *)
+  (* Differential: each cell twice, same (seed, rate), monitored then not. *)
   let results =
     Exp_common.par_map
-      (fun (wl, seed, rate) -> (run_cell wl ~seed ~rate, run_cell wl ~seed ~rate))
+      (fun (wl, seed, rate) ->
+        (run_cell ~monitored:true wl ~seed ~rate, run_cell ~monitored:false wl ~seed ~rate))
       grid
   in
   Exp_common.subsection "grid (each cell run twice; fingerprints must agree)";
@@ -188,13 +195,13 @@ let run (scale : Exp_common.scale) =
         a.c_faults a.c_retries a.c_degraded;
       Printf.printf "    protocol %s\n    injector %s\n" a.c_fp a.c_inj;
       check
-        (Printf.sprintf "%s seed=%Ld rate=%.2f: deterministic replay" a.c_label a.c_seed
-           a.c_rate)
+        (Printf.sprintf "%s seed=%Ld rate=%.2f: deterministic replay, monitored = unmonitored"
+           a.c_label a.c_seed a.c_rate)
         deterministic;
-      match a.c_error with
-      | None -> ()
-      | Some e ->
-        check (Printf.sprintf "%s seed=%Ld rate=%.2f: %s" a.c_label a.c_seed a.c_rate e) false)
+      List.iter
+        (fun e ->
+          check (Printf.sprintf "%s seed=%Ld rate=%.2f: %s" a.c_label a.c_seed a.c_rate e) false)
+        (List.sort_uniq compare (List.filter_map (fun c -> c.c_error) [ a; b ])))
     results;
   let firsts = List.map fst results in
   let total f = List.fold_left (fun acc c -> acc + f c) 0 firsts in

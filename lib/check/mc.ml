@@ -31,6 +31,7 @@ module Atc = Platinum_core.Atc
 module Rights = Platinum_core.Rights
 module Policy = Platinum_core.Policy
 module Coherent = Platinum_core.Coherent
+module Memtxn = Platinum_core.Memtxn
 module Shootdown = Platinum_core.Shootdown
 
 type op =
@@ -112,14 +113,16 @@ let make_sys ~policy ~nprocs ~npages =
 exception Sc_violation of { op : op; got : int; want : int }
 
 let apply sys op =
+  let submit proc txn = ignore (Coherent.submit sys.coh ~now:0 ~proc ~cmap:sys.cm txn) in
   let vaddr page = page * sys.page_words in
   match op with
   | Read { proc; page } ->
-    let v, _lat = Coherent.read_word sys.coh ~now:0 ~proc ~cmap:sys.cm ~vaddr:(vaddr page) in
+    submit proc (Memtxn.Read { vaddr = vaddr page });
+    let v = !(Coherent.fp_value_cell sys.coh) in
     if v <> sys.expected.(page) then
       raise (Sc_violation { op; got = v; want = sys.expected.(page) })
   | Write { proc; page } ->
-    let _lat = Coherent.write_word sys.coh ~now:0 ~proc ~cmap:sys.cm ~vaddr:(vaddr page) (proc + 1) in
+    submit proc (Memtxn.Write { vaddr = vaddr page; value = proc + 1 });
     sys.expected.(page) <- proc + 1
   | Freeze { page } ->
     ignore (Coherent.advise sys.coh ~now:0 ~proc:0 ~cmap:sys.cm ~vpage:page Coherent.Freeze)
@@ -213,6 +216,7 @@ let replay ~policy ~nprocs ~npages ops =
     Ok (fingerprint sys)
   with
   | Check.Violation v -> Error (Check.violation_message v)
+  | Frame.Shared_write _ as e -> Error (Printexc.to_string e)
   | Sc_violation { op; got; want } ->
     Error
       (Format.asprintf

@@ -31,9 +31,11 @@ let far = 1_000_000_000 (* well outside t1 *)
 let scenarios :
     (string * ((Coherent.t * Cmap.t * Cpage.t) -> unit) * ((Coherent.t * Cmap.t * Cpage.t) -> unit))
     list =
-  let read ?(now = 0) proc (coh, cm, _) = ignore (Coherent.read_word coh ~now ~proc ~cmap:cm ~vaddr:0) in
-  let write ?(now = 0) proc v (coh, cm, _) =
-    ignore (Coherent.write_word coh ~now ~proc ~cmap:cm ~vaddr:0 v)
+  let read ?(now = 0) proc (coh, cm, _) =
+    ignore (Coherent.submit coh ~now ~proc ~cmap:cm (Memtxn.Read { vaddr = 0 }))
+  in
+  let write ?(now = 0) proc value (coh, cm, _) =
+    ignore (Coherent.submit coh ~now ~proc ~cmap:cm (Memtxn.Write { vaddr = 0; value }))
   in
   let nothing _ = () in
   [

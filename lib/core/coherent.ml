@@ -832,27 +832,10 @@ let submit t ~now ~proc ~cmap:cm txn =
   | Memtxn.Block_write { src; _ } | Memtxn.Stride_write { src; _ } ->
     submit_block t ~now ~proc ~cm ~write:true src txn
 
-(* Single-op conveniences, kept for tests and callers that move one word. *)
-
-let read_word t ~now ~proc ~cmap ~vaddr =
-  let v = read_word_s t t.scratch ~now ~proc ~cmap ~vaddr in
-  (v, t.scratch.s_latency)
-
+(* The benchmark floor's page warm-up (coherent.mli). *)
 let write_word t ~now ~proc ~cmap ~vaddr v =
   write_word_s t t.scratch ~now ~proc ~cmap ~vaddr v;
   t.scratch.s_latency
-
-let rmw_word t ~now ~proc ~cmap ~vaddr f =
-  let old = rmw_word_s t t.scratch ~now ~proc ~cmap ~vaddr f in
-  (old, t.scratch.s_latency)
-
-let block_read t ~now ~proc ~cmap ~vaddr ~len =
-  let dst = Array.make (Int.max len 0) 0 in
-  (dst, submit t ~now ~proc ~cmap (Memtxn.Block_read { vaddr; dst; dst_off = 0; len }))
-
-let block_write t ~now ~proc ~cmap ~vaddr src =
-  let len = Array.length src in
-  submit t ~now ~proc ~cmap (Memtxn.Block_write { vaddr; src; src_off = 0; len })
 
 let set_probe t probe = t.probe <- probe
 let set_freeze_hook t hook = t.freeze_hook <- hook

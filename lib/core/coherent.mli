@@ -47,29 +47,33 @@ val activate : t -> now:Platinum_sim.Time_ns.t -> proc:int -> aspace:int -> int
 
 (* --- the access paths --- *)
 
-(** Reusable result slot for the allocation-free word paths: the [_s]
-    variants below write their latency into the scratch and return the
-    bare value, so a steady-state hit (active aspace, ATC hit, sufficient
-    rights) allocates zero minor-heap words.  Not reentrant — use one
-    scratch per access stream; the tupled conveniences ({!read_word} and
-    friends) use an internal one. *)
+(** Every access goes through {!submit}; the coalescer's hit cores
+    ({!fp_read} and its siblings) are the only other way in.  The scratch
+    pair below is the per-word path {!submit} runs, exported only for the
+    benchmark's steady-hit floor ([perf/floors.ml]), which times it with no
+    transaction in between.  A scratch is a reusable latency slot: the
+    [_s] calls write their latency into it and return the bare value, so
+    a steady-state hit (active aspace, ATC hit, sufficient rights)
+    allocates zero minor-heap words.  Not reentrant — one scratch per
+    access stream. *)
 type scratch
 
 val make_scratch : unit -> scratch
 
 val read_word_s :
   t -> scratch -> now:Platinum_sim.Time_ns.t -> proc:int -> cmap:Cmap.t -> vaddr:int -> int
-(** The word value; the latency goes into the scratch.  Semantically identical
-    to {!read_word} (same faults, same cache and interconnect charging). *)
+(** The word value; the latency goes into the scratch.  Exactly what
+    {!submit} of a one-word [Read] does (same faults, same cache and
+    interconnect charging). *)
 
 val write_word_s :
   t -> scratch -> now:Platinum_sim.Time_ns.t -> proc:int -> cmap:Cmap.t -> vaddr:int ->
   int -> unit
 
-val rmw_word_s :
-  t -> scratch -> now:Platinum_sim.Time_ns.t -> proc:int -> cmap:Cmap.t -> vaddr:int ->
-  (int -> int) -> int
-(** The old value; the latency goes into the scratch. *)
+val write_word :
+  t -> now:Platinum_sim.Time_ns.t -> proc:int -> cmap:Cmap.t -> vaddr:int -> int -> int
+(** {!submit} of a one-word [Write]: the latency.  Kept beside the
+    scratch pair for the same floor, which warms its page with it. *)
 
 (* --- the coalescing fast-path cores (DESIGN.md §4g) ---
 
@@ -114,29 +118,6 @@ val submit :
     leaves its word (the value, or the old value) in {!fp_value_cell}.
     A transaction that does not fault allocates nothing.  Raises
     {!Fault.Unmapped} when the VM layer must intervene. *)
-
-val read_word :
-  t -> now:Platinum_sim.Time_ns.t -> proc:int -> cmap:Cmap.t -> vaddr:int -> int * int
-(** [(value, latency)].  Equivalent to {!submit} of a one-word [Read]. *)
-
-val write_word :
-  t -> now:Platinum_sim.Time_ns.t -> proc:int -> cmap:Cmap.t -> vaddr:int -> int -> int
-
-val rmw_word :
-  t ->
-  now:Platinum_sim.Time_ns.t ->
-  proc:int ->
-  cmap:Cmap.t ->
-  vaddr:int ->
-  (int -> int) ->
-  int * int
-(** Atomic read-modify-write of one word; returns [(old value, latency)]. *)
-
-val block_read :
-  t -> now:Platinum_sim.Time_ns.t -> proc:int -> cmap:Cmap.t -> vaddr:int -> len:int -> int array * int
-
-val block_write :
-  t -> now:Platinum_sim.Time_ns.t -> proc:int -> cmap:Cmap.t -> vaddr:int -> int array -> int
 
 (* --- placement advice (the §9 hint interface) --- *)
 

@@ -24,6 +24,11 @@ module Memtxn = Platinum_core.Memtxn
 exception Deadlock of string
 exception Thread_failure of exn
 
+let () =
+  Printexc.register_printer (function
+    | Thread_failure e -> Some ("thread failure: " ^ Printexc.to_string e)
+    | _ -> None)
+
 type thread_state =
   | Runnable
   | Running
@@ -92,6 +97,11 @@ let memsys t = t.memsys
 let config t = Machine.config t.machine
 let threads_created t = t.created
 let context_switches t = t.switches
+
+(* The first thread failure halts the kernel: no thread resumes after it,
+   so the engine drains and [run] reports the failure, rather than leave
+   the other threads polling a peer that will never answer. *)
+let halted t = match t.failure with None -> false | Some _ -> true
 
 let runq t proc = t.runqs.(proc - t.proc_base)
 let proc_busy t proc = t.proc_active.(proc - t.proc_base)
@@ -195,7 +205,7 @@ let rec make_thread t ~proc ~aspace body =
   th
 
 and dispatch t proc =
-  match iq_take (runq t proc) with
+  match if halted t then -1 else iq_take (runq t proc) with
   | -1 -> set_proc_busy t proc false
   | tid ->
     set_proc_busy t proc true;
@@ -223,7 +233,8 @@ and continue_armed : type a. t -> thread -> (a, unit) Effect.Deep.continuation -
 (* A thread's [fire] event: a thread preempted when it queued the event
    rejoins its run queue; any other resumes at once. *)
 and fired t th =
-  if th.state = Runnable then begin
+  if halted t then ()
+  else if th.state = Runnable then begin
     iq_add (runq t th.proc) th.tid;
     dispatch t th.proc
   end
@@ -312,8 +323,8 @@ and settle : type a b. t -> thread -> (t -> thread -> a -> b -> unit) -> a -> b 
 (* Run a service that may raise (a protection or address-space error,
    an exhausted zone, ...): the exception is delivered back into the
    faulting thread at its perform point via [discontinue], where the
-   fiber's own handler turns it into a thread failure — one broken thread
-   must not take down the whole simulated machine. *)
+   fiber's own handler turns it into a thread failure — it must not
+   escape the engine mid-event; the kernel halts and [run] reports it. *)
 and service :
     type a. t -> thread -> (a, unit) Effect.Deep.continuation -> (unit -> a * int) -> unit =
  fun t th k f ->

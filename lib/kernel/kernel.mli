@@ -17,7 +17,8 @@ exception Deadlock of string
 (** Raised by {!run} when live threads remain but no event can wake them. *)
 
 exception Thread_failure of exn
-(** A simulated thread raised; re-thrown at the end of {!run}. *)
+(** A simulated thread raised.  The first failure halts the kernel (no
+    thread resumes after it) and is re-thrown at the end of {!run}. *)
 
 type t
 

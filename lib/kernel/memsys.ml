@@ -40,26 +40,3 @@ type t = {
       (* asynchronous remote completion; [None] = every transaction is
          served synchronously by [submit] *)
 }
-
-(* Single-op conveniences over [submit], for tests and simple callers. *)
-
-let read t ~now ~proc ~aspace ~vaddr =
-  let lat = t.submit ~now ~proc ~aspace (Platinum_core.Memtxn.Read { vaddr }) in
-  (!(t.value), lat)
-
-let write t ~now ~proc ~aspace ~vaddr value =
-  t.submit ~now ~proc ~aspace (Platinum_core.Memtxn.Write { vaddr; value })
-
-let rmw t ~now ~proc ~aspace ~vaddr f =
-  let lat = t.submit ~now ~proc ~aspace (Platinum_core.Memtxn.Rmw { vaddr; f }) in
-  (!(t.value), lat)
-
-let block_read t ~now ~proc ~aspace ~vaddr ~len =
-  let dst = Array.make (Int.max len 0) 0 in
-  let txn = Platinum_core.Memtxn.Block_read { vaddr; dst; dst_off = 0; len } in
-  (dst, t.submit ~now ~proc ~aspace txn)
-
-let block_write t ~now ~proc ~aspace ~vaddr src =
-  let len = Array.length src in
-  let txn = Platinum_core.Memtxn.Block_write { vaddr; src; src_off = 0; len } in
-  t.submit ~now ~proc ~aspace txn

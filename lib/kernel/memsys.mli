@@ -73,17 +73,3 @@ type t = {
       (** asynchronous remote completion ({!remote}); [None] = every
           transaction is served synchronously by [submit] *)
 }
-
-(** Single-operation conveniences over [submit]. *)
-
-val read : t -> now:int -> proc:int -> aspace:int -> vaddr:int -> int * int
-(** (value, latency ns) *)
-
-val write : t -> now:int -> proc:int -> aspace:int -> vaddr:int -> int -> int
-(** latency *)
-
-val rmw : t -> now:int -> proc:int -> aspace:int -> vaddr:int -> (int -> int) -> int * int
-(** atomic read-modify-write; returns (old value, latency) *)
-
-val block_read : t -> now:int -> proc:int -> aspace:int -> vaddr:int -> len:int -> int array * int
-val block_write : t -> now:int -> proc:int -> aspace:int -> vaddr:int -> int array -> int

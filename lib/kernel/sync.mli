@@ -19,11 +19,10 @@ module Spinlock : sig
 
   val of_addr : int -> t
   val addr : t -> int
-  val acquire : t -> unit
-  (** Test-and-set with read-spin and backoff while held. *)
-
-  val release : t -> unit
   val with_lock : t -> (unit -> 'a) -> 'a
+  (** Run the function holding the lock, and release it however the
+      function returns.  Acquiring is test-and-set with read-spin and
+      backoff while held. *)
 end
 
 module Event_count : sig

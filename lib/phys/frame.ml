@@ -1,4 +1,5 @@
-(* Replicas share one buffer until a write; [cell.holders] counts them. *)
+(* Replicas share one buffer; [cell.holders] counts them.  A correct run
+   never writes a shared buffer (frame.mli). *)
 type cell = { mutable holders : int }
 
 type t = {
@@ -32,23 +33,32 @@ let drop t =
     t.cell <- unbacked
   end
 
-let own t data =
-  drop t;
-  t.data <- data;
-  t.cell <- { holders = 1 }
-
 let set_owner t = function
   | None -> drop t; t.owner <- -1
   | Some id ->
     if id < 0 then invalid_arg "Frame.set_owner: negative cpage id";
     t.owner <- id
 
-(* A write to a shared buffer copies it first; out of line, so [set] inlines. *)
-let[@inline never] unshare t = own t (Array.copy t.data)
+exception Shared_write of { mem_module : int; index : int; owner : int }
+
+let () =
+  Printexc.register_printer (function
+    | Shared_write { mem_module; index; owner } ->
+      Some
+        (Printf.sprintf
+           "cpage %d: shared-write (§3.2): write to frame %d on module %d while another \
+            live frame shares its buffer"
+           owner index mem_module)
+    | _ -> None)
+
+(* Out of line, so [set] inlines. *)
+let[@inline never] shared_write t =
+  raise (Shared_write { mem_module = t.frame_module; index = t.frame_index; owner = t.owner })
+
 let[@inline] get t off = t.data.(off)
 
 let[@inline] set t off v =
-  if t.cell.holders > 1 then unshare t;
+  if t.cell.holders > 1 then shared_write t;
   t.data.(off) <- v
 
 (* A typed copy, so no write barrier (see frame.mli); one range check up front. *)
@@ -63,7 +73,7 @@ let copy (src : int array) src_off (dst : int array) dst_off words =
 let read_words t ~off ~dst ~dst_off ~words = copy t.data off dst dst_off words
 
 let[@inline] write_words t ~off ~src ~src_off ~words =
-  if t.cell.holders > 1 then unshare t;
+  if t.cell.holders > 1 then shared_write t;
   copy src src_off t.data off words
 
 let blit_from ~src ~dst =
@@ -76,7 +86,12 @@ let blit_from ~src ~dst =
   end
 
 let fill_zero t =
-  if t.cell.holders = 1 then Array.fill t.data 0 t.nwords 0 else own t (Array.make t.nwords 0)
+  if t.cell.holders > 1 then shared_write t
+  else if t.cell.holders = 1 then Array.fill t.data 0 t.nwords 0
+  else begin
+    t.data <- Array.make t.nwords 0;
+    t.cell <- { holders = 1 }
+  end
 
 let equal_data a b =
   a.data == b.data

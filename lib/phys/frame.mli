@@ -1,9 +1,11 @@
 (** A physical page frame.
 
-    Frames carry real data words: replication shares them until a write,
-    and the application reads and writes through them, so protocol bugs
-    corrupt application results and are caught by the output-checking
-    tests.  Every frame reads as its own memory. *)
+    Frames carry real data words: replicas share them, and the
+    application reads and writes through them, so protocol bugs corrupt
+    application results and are caught by the output-checking tests.
+    Every frame reads as its own memory.  A write to a buffer that another
+    live frame shares raises {!Shared_write}: the page would have a writer
+    and a second copy, which §3.2 forbids. *)
 
 type t
 
@@ -25,11 +27,16 @@ val set_owner : t -> int option -> unit
     without allocating and raises on access until the next {!fill_zero}
     or {!blit_from}; any other keeps its stale words. *)
 
+exception Shared_write of { mem_module : int; index : int; owner : int }
+(** The [shared-write] violation (§3.2): {!set}, {!write_words} or
+    {!fill_zero} of frame [index] on [mem_module], backing cpage [owner],
+    while another live frame shares its buffer.  Checked in every run, at
+    the write, with or without the coherence monitor. *)
+
 val get : t -> int -> int
 (** [get f off] reads word [off]. *)
 
 val set : t -> int -> int -> unit
-(** Copies the buffer first while another live frame shares it. *)
 
 (** {b The block copies.}  [read_words] and [write_words] are the data
     plane of every block transfer.  They are typed [int array] loops, not
@@ -48,11 +55,13 @@ val read_words : t -> off:int -> dst:int array -> dst_off:int -> words:int -> un
 val write_words : t -> off:int -> src:int array -> src_off:int -> words:int -> unit
 
 val blit_from : src:t -> dst:t -> unit
-(** Give [dst] the data words of [src] by sharing [src]'s buffer; a later
-    write to either copies it first, and a repeat blit is a no-op.  Both
-    frames must have the same size and [src] must hold data. *)
+(** Give [dst] the data words of [src] by sharing [src]'s buffer, until
+    one of them is freed; a write to either meanwhile raises
+    {!Shared_write}, and a repeat blit is a no-op.  Both frames must have
+    the same size and [src] must hold data. *)
 
 val fill_zero : t -> unit
+(** Zero every word; a freed sharer gets a buffer of its own again. *)
 
 val equal_data : t -> t -> bool
 (** Word-for-word data equality (used by coherence invariant checks). *)

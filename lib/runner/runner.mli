@@ -42,7 +42,11 @@ type result = {
 val run : setup -> main:(unit -> unit) -> result
 (** Run [main] as the initial thread on processor 0 until every thread
     finishes.  Checks coherence invariants machine-wide before returning
-    (raises [Failure] on violation). *)
+    (raises [Failure] on violation).  A violation raised mid-run — the
+    monitor's {!Platinum_core.Check.Violation}, or a write to a shared
+    frame ({!Platinum_phys.Frame.Shared_write}), checked in every run —
+    fails its thread, halts the kernel, and is raised as
+    {!Platinum_kernel.Kernel.Thread_failure}. *)
 
 val time :
   ?config:Platinum_machine.Config.t ->

@@ -46,9 +46,3 @@ let next_gap_ns t =
 let mean_rps = function
   | Poisson { rate_rps } -> rate_rps
   | Mmpp { low_rps; high_rps; _ } -> 0.5 *. (low_rps +. high_rps)
-
-let scaled p f =
-  match p with
-  | Poisson { rate_rps } -> Poisson { rate_rps = rate_rps *. f }
-  | Mmpp { low_rps; high_rps; dwell_ns } ->
-    Mmpp { low_rps = low_rps *. f; high_rps = high_rps *. f; dwell_ns }

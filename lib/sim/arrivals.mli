@@ -35,7 +35,3 @@ val next_gap_ns : t -> int
 val mean_rps : process -> float
 (** The long-run offered rate of the process (the MMPP spends half its
     time in each state). *)
-
-val scaled : process -> float -> process
-(** [scaled p f] multiplies every rate in [p] by [f] (the offered-load
-    axis of the serve experiment). *)

@@ -1,6 +1,5 @@
 type t = int
 
-let zero = 0
 let ns x = x
 let us x = x * 1_000
 let ms x = x * 1_000_000

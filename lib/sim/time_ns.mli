@@ -7,8 +7,6 @@
 
 type t = int
 
-val zero : t
-
 val ns : int -> t
 (** [ns x] is [x] nanoseconds. *)
 

@@ -5,6 +5,7 @@ module Uma_sys = Platinum_cache.Uma_sys
 module Machine = Platinum_machine.Machine
 module Config = Platinum_machine.Config
 module Memsys = Platinum_kernel.Memsys
+module Memtxn = Platinum_core.Memtxn
 module Api = Platinum_kernel.Api
 module Runner = Platinum_runner.Runner
 
@@ -63,55 +64,62 @@ let mk_uma ?(nprocs = 4) () =
 let test_uma_read_write () =
   let _uma, ms = mk_uma () in
   let a = ms.Memsys.alloc ~zone:0 ~words:4 ~page_aligned:false in
-  let l1 = Memsys.write ms ~aspace:0 ~now:0 ~proc:0 ~vaddr:a 42 in
-  let v, _l2 = Memsys.read ms ~aspace:0 ~now:1_000_000 ~proc:0 ~vaddr:a in
-  Alcotest.(check int) "round trip" 42 v;
+  let l1 = ms.Memsys.submit ~aspace:0 ~now:0 ~proc:0 (Memtxn.Write { vaddr = a; value = 42 }) in
+  ignore (ms.Memsys.submit ~aspace:0 ~now:1_000_000 ~proc:0 (Memtxn.Read { vaddr = a }));
+  Alcotest.(check int) "round trip" 42 !(ms.Memsys.value);
   Alcotest.(check bool) "write cost > 0" true (l1 > 0)
 
 let test_uma_hit_faster_than_miss () =
   let _uma, ms = mk_uma () in
   let a = ms.Memsys.alloc ~zone:0 ~words:4 ~page_aligned:false in
-  let _, miss = Memsys.read ms ~aspace:0 ~now:0 ~proc:1 ~vaddr:a in
-  let _, hit = Memsys.read ms ~aspace:0 ~now:1_000_000 ~proc:1 ~vaddr:a in
+  let miss = ms.Memsys.submit ~aspace:0 ~now:0 ~proc:1 (Memtxn.Read { vaddr = a }) in
+  let hit = ms.Memsys.submit ~aspace:0 ~now:1_000_000 ~proc:1 (Memtxn.Read { vaddr = a }) in
   Alcotest.(check bool) "miss slower than hit" true (miss > hit);
   Alcotest.(check int) "hit = t_hit" Uma_sys.sequent.Uma_sys.t_hit hit
 
 let test_uma_coherence_via_snooping () =
   let _uma, ms = mk_uma () in
   let a = ms.Memsys.alloc ~zone:0 ~words:4 ~page_aligned:false in
-  ignore (Memsys.write ms ~aspace:0 ~now:0 ~proc:0 ~vaddr:a 1);
-  let v1, _ = Memsys.read ms ~aspace:0 ~now:10_000 ~proc:1 ~vaddr:a in
-  Alcotest.(check int) "first read" 1 v1;
+  ignore (ms.Memsys.submit ~aspace:0 ~now:0 ~proc:0 (Memtxn.Write { vaddr = a; value = 1 }));
+  ignore (ms.Memsys.submit ~aspace:0 ~now:10_000 ~proc:1 (Memtxn.Read { vaddr = a }));
+  Alcotest.(check int) "first read" 1 !(ms.Memsys.value);
   (* proc 0 writes again; proc 1's cached line must be invalidated. *)
-  ignore (Memsys.write ms ~aspace:0 ~now:20_000 ~proc:0 ~vaddr:a 2);
-  let v2, lat = Memsys.read ms ~aspace:0 ~now:30_000 ~proc:1 ~vaddr:a in
-  Alcotest.(check int) "stale line invalidated" 2 v2;
+  ignore (ms.Memsys.submit ~aspace:0 ~now:20_000 ~proc:0 (Memtxn.Write { vaddr = a; value = 2 }));
+  let lat = ms.Memsys.submit ~aspace:0 ~now:30_000 ~proc:1 (Memtxn.Read { vaddr = a }) in
+  Alcotest.(check int) "stale line invalidated" 2 !(ms.Memsys.value);
   Alcotest.(check bool) "and it was a miss" true (lat > Uma_sys.sequent.Uma_sys.t_hit)
 
 let test_uma_bus_contention () =
   let _uma, ms = mk_uma () in
   (* Two simultaneous misses: the second queues on the bus. *)
   let a = ms.Memsys.alloc ~zone:0 ~words:64 ~page_aligned:true in
-  let _, l1 = Memsys.read ms ~aspace:0 ~now:0 ~proc:0 ~vaddr:a in
-  let _, l2 = Memsys.read ms ~aspace:0 ~now:0 ~proc:1 ~vaddr:(a + 32) in
+  let l1 = ms.Memsys.submit ~aspace:0 ~now:0 ~proc:0 (Memtxn.Read { vaddr = a }) in
+  let l2 = ms.Memsys.submit ~aspace:0 ~now:0 ~proc:1 (Memtxn.Read { vaddr = a + 32 }) in
   Alcotest.(check bool) "second waits for the bus" true (l2 > l1)
 
 let test_uma_block_ops () =
   let _uma, ms = mk_uma () in
   let a = ms.Memsys.alloc ~zone:0 ~words:100 ~page_aligned:true in
   let data = Array.init 100 (fun i -> i * 2) in
-  ignore (Memsys.block_write ms ~aspace:0 ~now:0 ~proc:0 ~vaddr:a data);
-  let got, _ = Memsys.block_read ms ~aspace:0 ~now:1_000_000 ~proc:2 ~vaddr:a ~len:100 in
+  ignore
+    (ms.Memsys.submit ~aspace:0 ~now:0 ~proc:0
+       (Memtxn.Block_write { vaddr = a; src = data; src_off = 0; len = 100 }));
+  let got = Array.make 100 0 in
+  ignore
+    (ms.Memsys.submit ~aspace:0 ~now:1_000_000 ~proc:2
+       (Memtxn.Block_read { vaddr = a; dst = got; dst_off = 0; len = 100 }));
   Alcotest.(check (array int)) "block round trip" data got
 
 let test_uma_rmw () =
   let _uma, ms = mk_uma () in
   let a = ms.Memsys.alloc ~zone:0 ~words:1 ~page_aligned:false in
-  ignore (Memsys.write ms ~aspace:0 ~now:0 ~proc:0 ~vaddr:a 5);
-  let old, _ = Memsys.rmw ms ~aspace:0 ~now:10_000 ~proc:1 ~vaddr:a (fun v -> v + 1) in
-  Alcotest.(check int) "old" 5 old;
-  let v, _ = Memsys.read ms ~aspace:0 ~now:20_000 ~proc:2 ~vaddr:a in
-  Alcotest.(check int) "incremented" 6 v
+  ignore (ms.Memsys.submit ~aspace:0 ~now:0 ~proc:0 (Memtxn.Write { vaddr = a; value = 5 }));
+  ignore
+    (ms.Memsys.submit ~aspace:0 ~now:10_000 ~proc:1
+       (Memtxn.Rmw { vaddr = a; f = (fun v -> v + 1) }));
+  Alcotest.(check int) "old" 5 !(ms.Memsys.value);
+  ignore (ms.Memsys.submit ~aspace:0 ~now:20_000 ~proc:2 (Memtxn.Read { vaddr = a }));
+  Alcotest.(check int) "incremented" 6 !(ms.Memsys.value)
 
 (* Segments on the flat UMA machine: every "space" maps them at the same
    base (one physical space). *)

@@ -17,7 +17,12 @@ module Cmap = Platinum_core.Cmap
 module Policy = Platinum_core.Policy
 module Shootdown = Platinum_core.Shootdown
 module Coherent = Platinum_core.Coherent
+module Memtxn = Platinum_core.Memtxn
 module Mc = Platinum_check.Mc
+module Runner = Platinum_runner.Runner
+module Kernel = Platinum_kernel.Kernel
+module Api = Platinum_kernel.Api
+module Addr_space = Platinum_vm.Addr_space
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -46,8 +51,9 @@ let bind_pages env n =
       Coherent.bind env.coh env.cm ~vpage page Rights.Read_write;
       page)
 
-let read env ?(now = 0) ~proc vaddr = Coherent.read_word env.coh ~now ~proc ~cmap:env.cm ~vaddr
-let write env ?(now = 0) ~proc vaddr v = Coherent.write_word env.coh ~now ~proc ~cmap:env.cm ~vaddr v
+let read env ?(now = 0) ~proc vaddr = Word.read env.coh ~now ~proc ~cmap:env.cm ~vaddr
+let write env ?(now = 0) ~proc vaddr v =
+  Coherent.submit env.coh ~now ~proc ~cmap:env.cm (Memtxn.Write { vaddr; value = v })
 
 let frame ?(mem_module = 0) ?(index = 0) ?(words = 4) () = Frame.create ~mem_module ~index ~words
 
@@ -306,6 +312,41 @@ let test_env_enabled () =
   Alcotest.(check bool) "shard windows parse alike" expected
     (Platinum_sim.Engine.env_checks_armed ())
 
+(* --- shared-write: checked at the write, armed monitor or not --- *)
+
+(* Plant the state §3.2 forbids in an unmonitored run: after a read
+   replicates a written page, a write mapping of the new replica, whose
+   buffer the writer's copy still shares.  The write stops the run, and
+   [Runner.run] reports the named violation as the thread's failure. *)
+let test_shared_write_stops_unmonitored_run () =
+  let setup = Runner.make ~config:(Config.butterfly_plus ~nprocs:2 ()) () in
+  let coh = setup.Runner.coherent in
+  Coherent.set_monitor coh None;
+  let cm = Addr_space.cmap setup.Runner.aspace in
+  let pw = Coherent.page_words coh in
+  let cpage = ref (-1) in
+  let main () =
+    let buf = Api.alloc ~page_aligned:true pw in
+    let vpage = buf / pw in
+    Api.write buf 1;
+    Api.join
+      (Api.spawn ~proc:1 (fun () ->
+           ignore (Api.read buf);
+           let page = (Option.get (Cmap.find cm ~vpage)).Cmap.cpage in
+           Alcotest.(check int) "the read replicated the page" 2 (Cpage.ncopies page);
+           cpage := page.Cpage.id;
+           (Option.get (Pmap.find (Cmap.pmap cm ~proc:1) ~vpage)).Pmap.write_ok <- true;
+           Api.write buf 2))
+  in
+  match Runner.run setup ~main with
+  | _ -> Alcotest.fail "a write to a shared replica went unnoticed"
+  | exception Kernel.Thread_failure (Frame.Shared_write { mem_module; owner; _ } as e) ->
+    Alcotest.(check int) "the replica on the writer's module" 1 mem_module;
+    Alcotest.(check int) "the page it backs" !cpage owner;
+    let msg = Printexc.to_string e in
+    Alcotest.(check bool) ("named: " ^ msg) true
+      (String.starts_with ~prefix:(Printf.sprintf "cpage %d: shared-write" owner) msg)
+
 (* --- the model checker --- *)
 
 let test_mc_replay_deterministic () =
@@ -358,14 +399,25 @@ let test_mc_fingerprints_policy_input () =
     (String.equal (fp [ w 1; w 0 ]) (fp [ w 1; w 0; w 1; w 0 ]))
 
 (* Every policy, at a depth the suite can afford; bench/main.exe mc goes
-   deeper. *)
+   deeper.  The state counts are pinned exactly: a change to how [Mc]
+   drives the system (or to the protocol) that reaches one state more or
+   less shows here. *)
+let mc_states_at_depth_4 =
+  [
+    ("platinum", 68); ("platinum-thaw", 61); ("always-replicate", 64); ("static-place", 58);
+    ("uniform-system", 51); ("migrate-only", 65); ("bolosky", 83); ("competitive", 85);
+  ]
+
 let test_mc_every_policy_clean () =
+  Alcotest.(check (list string)) "a pinned count per policy" Policy.default_names
+    (List.map fst mc_states_at_depth_4);
   List.iter
-    (fun policy ->
+    (fun (policy, states) ->
       let r = Mc.explore ~policy ~nprocs:2 ~npages:1 ~depth:4 () in
       Alcotest.(check int) (policy ^ ": no violations") 0 r.Mc.total_violations;
+      Alcotest.(check int) (policy ^ ": reachable states") states r.Mc.states;
       Alcotest.(check bool) (policy ^ ": not truncated") true (not r.Mc.truncated))
-    Policy.default_names
+    mc_states_at_depth_4
 
 (* QCheck: on random request sequences the monitor stays silent and reads
    are sequentially consistent (Mc.replay checks both; 2 procs, 1 page). *)
@@ -402,6 +454,7 @@ let suite =
     ("machine: stale ATC translation", `Quick, test_stale_atc);
     ("machine: frozen-list agreement", `Quick, test_frozen_list_agreement);
     ("monitor: silent on a healthy run", `Quick, test_monitor_silent_on_healthy_run);
+    ("shared-write: stops an unmonitored run", `Quick, test_shared_write_stops_unmonitored_run);
     ("monitor: catches the seeded mutation", `Quick, test_monitor_catches_seeded_mutation);
     ("monitor: trace is bounded", `Quick, test_monitor_trace_is_bounded);
     ("monitor: ring buffer", `Quick, test_ring);

@@ -15,6 +15,7 @@ module Cmap = Platinum_core.Cmap
 module Policy = Platinum_core.Policy
 module Fault = Platinum_core.Fault
 module Coherent = Platinum_core.Coherent
+module Memtxn = Platinum_core.Memtxn
 module Defrost = Platinum_core.Defrost
 module Counters = Platinum_core.Counters
 
@@ -49,8 +50,9 @@ let bind_pages env n =
       Coherent.bind env.coh env.cm ~vpage page Rights.Read_write;
       page)
 
-let read env ?(now = 0) ~proc vaddr = Coherent.read_word env.coh ~now ~proc ~cmap:env.cm ~vaddr
-let write env ?(now = 0) ~proc vaddr v = Coherent.write_word env.coh ~now ~proc ~cmap:env.cm ~vaddr v
+let read env ?(now = 0) ~proc vaddr = Word.read env.coh ~now ~proc ~cmap:env.cm ~vaddr
+let write env ?(now = 0) ~proc vaddr v =
+  Coherent.submit env.coh ~now ~proc ~cmap:env.cm (Memtxn.Write { vaddr; value = v })
 
 let check_inv env =
   match Coherent.check_invariants env.coh with
@@ -537,7 +539,7 @@ let test_shootdown_counts_across_spaces () =
   Coherent.bind env.coh cm2 ~vpage:5 page Rights.Read_write;
   let pw = Coherent.page_words env.coh in
   let _ = write env ~proc:0 0 1 in
-  let _ = Coherent.read_word env.coh ~now:0 ~proc:1 ~cmap:cm2 ~vaddr:(5 * pw) in
+  let _ = Word.read env.coh ~now:0 ~proc:1 ~cmap:cm2 ~vaddr:(5 * pw) in
   let _ = read env ~proc:2 0 in
   (* proc 2 still holds its translation in the first space, inactive. *)
   ignore (Coherent.activate env.coh ~now:0 ~proc:2 ~aspace:(Cmap.aspace cm2));
@@ -575,16 +577,19 @@ let test_multi_aspace_sharing () =
   Coherent.bind env.coh cm2 ~vpage:5 page Rights.Read_only;
   let pw = Coherent.page_words env.coh in
   ignore pw;
-  let _ = Coherent.write_word env.coh ~now:0 ~proc:0 ~cmap:env.cm ~vaddr:2 99 in
+  let _ =
+    Coherent.submit env.coh ~now:0 ~proc:0 ~cmap:env.cm (Memtxn.Write { vaddr = 2; value = 99 })
+  in
   (* The second space reads the same coherent page at a different vaddr. *)
-  let v, _ = Coherent.read_word env.coh ~now:1000 ~proc:1 ~cmap:cm2 ~vaddr:(5 * pw + 2) in
+  let v, _ = Word.read env.coh ~now:1000 ~proc:1 ~cmap:cm2 ~vaddr:(5 * pw + 2) in
   Alcotest.(check int) "shared data visible across spaces" 99 v;
   (* A write in space 1 shoots down the mapping in space 2. *)
   let _ =
-    Coherent.write_word env.coh ~now:100_000_000 ~proc:0 ~cmap:env.cm ~vaddr:2 100
+    Coherent.submit env.coh ~now:100_000_000 ~proc:0 ~cmap:env.cm
+      (Memtxn.Write { vaddr = 2; value = 100 })
   in
   let v2, _ =
-    Coherent.read_word env.coh ~now:100_001_000 ~proc:1 ~cmap:cm2 ~vaddr:((5 * pw) + 2)
+    Word.read env.coh ~now:100_001_000 ~proc:1 ~cmap:cm2 ~vaddr:((5 * pw) + 2)
   in
   Alcotest.(check int) "space 2 sees the new value" 100 v2;
   check_inv env
@@ -595,10 +600,12 @@ let test_multi_aspace_protection () =
   let cm2 = Coherent.new_aspace env.coh in
   Coherent.bind env.coh env.cm ~vpage:0 page Rights.Read_write;
   Coherent.bind env.coh cm2 ~vpage:0 page Rights.Read_only;
-  ignore (Coherent.write_word env.coh ~now:0 ~proc:0 ~cmap:env.cm ~vaddr:0 1);
+  ignore
+    (Coherent.submit env.coh ~now:0 ~proc:0 ~cmap:env.cm (Memtxn.Write { vaddr = 0; value = 1 }));
   Alcotest.(check bool) "read-only space cannot write" true
     (try
-       ignore (Coherent.write_word env.coh ~now:0 ~proc:1 ~cmap:cm2 ~vaddr:0 2);
+       ignore
+         (Coherent.submit env.coh ~now:0 ~proc:1 ~cmap:cm2 (Memtxn.Write { vaddr = 0; value = 2 }));
        false
      with Fault.Protection_violation _ -> true)
 
@@ -679,8 +686,11 @@ let test_block_ops_cross_pages () =
   let env = mk ~page_words:8 () in
   let pages = bind_pages env 3 in
   let data = Array.init 20 (fun i -> i * 7) in
-  let _ = Coherent.block_write env.coh ~now:0 ~proc:0 ~cmap:env.cm ~vaddr:3 data in
-  let got, _ = Coherent.block_read env.coh ~now:1000 ~proc:1 ~cmap:env.cm ~vaddr:3 ~len:20 in
+  let src_txn = Memtxn.Block_write { vaddr = 3; src = data; src_off = 0; len = 20 } in
+  ignore (Coherent.submit env.coh ~now:0 ~proc:0 ~cmap:env.cm src_txn);
+  let got = Array.make 20 0 in
+  let dst_txn = Memtxn.Block_read { vaddr = 3; dst = got; dst_off = 0; len = 20 } in
+  ignore (Coherent.submit env.coh ~now:1000 ~proc:1 ~cmap:env.cm dst_txn);
   Alcotest.(check (array int)) "round trip across pages" data got;
   Alcotest.(check int) "three pages touched" 3
     (Array.fold_left (fun acc p -> acc + if Cpage.ncopies p > 0 then 1 else 0) 0 pages);
@@ -690,8 +700,10 @@ let test_rmw () =
   let env = mk () in
   let _ = bind_pages env 1 in
   let _ = write env ~proc:0 0 10 in
-  let old, _ = Coherent.rmw_word env.coh ~now:0 ~proc:0 ~cmap:env.cm ~vaddr:0 (fun v -> v + 5) in
-  Alcotest.(check int) "returns old" 10 old;
+  ignore
+    (Coherent.submit env.coh ~now:0 ~proc:0 ~cmap:env.cm
+       (Memtxn.Rmw { vaddr = 0; f = (fun v -> v + 5) }));
+  Alcotest.(check int) "returns old" 10 !(Coherent.fp_value_cell env.coh);
   let v, _ = read env ~proc:0 0 in
   Alcotest.(check int) "applied" 15 v
 
@@ -765,14 +777,16 @@ let run_protocol_oracle ?(local_caches = false) ~policy_kind ~seed ~ops () =
       ignore (write env ~now:!now ~proc vaddr v);
       oracle.(vaddr) <- v
     | 2 ->
-      let old, _ =
-        Coherent.rmw_word env.coh ~now:!now ~proc ~cmap:env.cm ~vaddr (fun v -> v + 1)
-      in
-      if old <> oracle.(vaddr) then ok := false;
+      ignore
+        (Coherent.submit env.coh ~now:!now ~proc ~cmap:env.cm
+           (Memtxn.Rmw { vaddr; f = (fun v -> v + 1) }));
+      if !(Coherent.fp_value_cell env.coh) <> oracle.(vaddr) then ok := false;
       oracle.(vaddr) <- oracle.(vaddr) + 1
     | _ ->
       let len = 1 + Rng.int rng (min 12 ((npages * page_words) - vaddr)) in
-      let got, _ = Coherent.block_read env.coh ~now:!now ~proc ~cmap:env.cm ~vaddr ~len in
+      let got = Array.make len 0 in
+      let txn = Memtxn.Block_read { vaddr; dst = got; dst_off = 0; len } in
+      ignore (Coherent.submit env.coh ~now:!now ~proc ~cmap:env.cm txn);
       if got <> Array.sub oracle vaddr len then ok := false
   done;
   (* Global accounting: no physical frame may leak (every allocated frame

@@ -10,6 +10,7 @@ module Cpage = Platinum_core.Cpage
 module Cmap = Platinum_core.Cmap
 module Policy = Platinum_core.Policy
 module Coherent = Platinum_core.Coherent
+module Memtxn = Platinum_core.Memtxn
 module Counters = Platinum_core.Counters
 module Defrost = Platinum_core.Defrost
 module Fault = Platinum_core.Fault
@@ -39,48 +40,48 @@ let mk ?(nprocs = 4) () =
 
 let test_advise_freeze () =
   let coh, cm, page, _ = mk () in
-  ignore (Coherent.write_word coh ~now:0 ~proc:0 ~cmap:cm ~vaddr:0 7);
+  ignore (Coherent.submit coh ~now:0 ~proc:0 ~cmap:cm (Memtxn.Write { vaddr = 0; value = 7 }));
   let lat = Coherent.advise coh ~now:1_000 ~proc:0 ~cmap:cm ~vpage:0 Coherent.Freeze in
   Alcotest.(check bool) "frozen" true page.Cpage.frozen;
   Alcotest.(check bool) "cost charged" true (lat > 0);
   (* Still readable and writable, remotely. *)
-  let v, _ = Coherent.read_word coh ~now:10_000 ~proc:2 ~cmap:cm ~vaddr:0 in
+  let v, _ = Word.read coh ~now:10_000 ~proc:2 ~cmap:cm ~vaddr:0 in
   Alcotest.(check int) "data intact" 7 v;
   Alcotest.(check int) "single copy" 1 (Cpage.ncopies page);
   Alcotest.(check bool) "invariants" true (Coherent.check_invariants coh = Ok ())
 
 let test_advise_freeze_collapses_replicas () =
   let coh, cm, page, _ = mk () in
-  ignore (Coherent.write_word coh ~now:0 ~proc:0 ~cmap:cm ~vaddr:0 7);
-  ignore (Coherent.read_word coh ~now:100_000_000 ~proc:1 ~cmap:cm ~vaddr:0);
-  ignore (Coherent.read_word coh ~now:200_000_000 ~proc:2 ~cmap:cm ~vaddr:0);
+  ignore (Coherent.submit coh ~now:0 ~proc:0 ~cmap:cm (Memtxn.Write { vaddr = 0; value = 7 }));
+  ignore (Word.read coh ~now:100_000_000 ~proc:1 ~cmap:cm ~vaddr:0);
+  ignore (Word.read coh ~now:200_000_000 ~proc:2 ~cmap:cm ~vaddr:0);
   Alcotest.(check int) "3 copies before" 3 (Cpage.ncopies page);
   ignore (Coherent.advise coh ~now:300_000_000 ~proc:0 ~cmap:cm ~vpage:0 Coherent.Freeze);
   Alcotest.(check int) "one copy after" 1 (Cpage.ncopies page);
   Alcotest.(check bool) "frozen" true page.Cpage.frozen;
-  let v, _ = Coherent.read_word coh ~now:400_000_000 ~proc:3 ~cmap:cm ~vaddr:0 in
+  let v, _ = Word.read coh ~now:400_000_000 ~proc:3 ~cmap:cm ~vaddr:0 in
   Alcotest.(check int) "data survived the collapse" 7 v;
   Alcotest.(check bool) "invariants" true (Coherent.check_invariants coh = Ok ())
 
 let test_advise_thaw () =
   let coh, cm, page, _ = mk () in
-  ignore (Coherent.write_word coh ~now:0 ~proc:0 ~cmap:cm ~vaddr:0 7);
+  ignore (Coherent.submit coh ~now:0 ~proc:0 ~cmap:cm (Memtxn.Write { vaddr = 0; value = 7 }));
   ignore (Coherent.advise coh ~now:1_000 ~proc:0 ~cmap:cm ~vpage:0 Coherent.Freeze);
   ignore (Coherent.advise coh ~now:2_000 ~proc:0 ~cmap:cm ~vpage:0 Coherent.Thaw);
   Alcotest.(check bool) "thawed" false page.Cpage.frozen;
   (* A later read replicates again (advice thaw, like the daemon's, is
      not a protocol invalidation). *)
-  ignore (Coherent.read_word coh ~now:100_000_000 ~proc:1 ~cmap:cm ~vaddr:0);
+  ignore (Word.read coh ~now:100_000_000 ~proc:1 ~cmap:cm ~vaddr:0);
   Alcotest.(check int) "replicable after thaw" 2 (Cpage.ncopies page)
 
 let test_advise_home () =
   let coh, cm, page, _ = mk () in
-  ignore (Coherent.write_word coh ~now:0 ~proc:0 ~cmap:cm ~vaddr:0 7);
-  ignore (Coherent.read_word coh ~now:100_000_000 ~proc:1 ~cmap:cm ~vaddr:0);
+  ignore (Coherent.submit coh ~now:0 ~proc:0 ~cmap:cm (Memtxn.Write { vaddr = 0; value = 7 }));
+  ignore (Word.read coh ~now:100_000_000 ~proc:1 ~cmap:cm ~vaddr:0);
   ignore (Coherent.advise coh ~now:200_000_000 ~proc:0 ~cmap:cm ~vpage:0 (Coherent.Home 3));
   Alcotest.(check int) "one copy" 1 (Cpage.ncopies page);
   Alcotest.(check bool) "on module 3" true (Cpage.has_copy_on page 3);
-  let v, _ = Coherent.read_word coh ~now:300_000_000 ~proc:3 ~cmap:cm ~vaddr:0 in
+  let v, _ = Word.read coh ~now:300_000_000 ~proc:3 ~cmap:cm ~vaddr:0 in
   Alcotest.(check int) "data moved intact" 7 v;
   Alcotest.(check bool) "invariants" true (Coherent.check_invariants coh = Ok ())
 
@@ -88,7 +89,7 @@ let test_advise_home_empty_page () =
   let coh, cm, page, _ = mk () in
   ignore (Coherent.advise coh ~now:0 ~proc:0 ~cmap:cm ~vpage:0 (Coherent.Home 2));
   Alcotest.(check bool) "materialized on module 2" true (Cpage.has_copy_on page 2);
-  let v, _ = Coherent.read_word coh ~now:1_000_000 ~proc:0 ~cmap:cm ~vaddr:0 in
+  let v, _ = Word.read coh ~now:1_000_000 ~proc:0 ~cmap:cm ~vaddr:0 in
   Alcotest.(check int) "zero filled" 0 v
 
 let test_advise_unmapped_raises () =
@@ -139,10 +140,10 @@ let test_api_advise_home_places_data () =
 (* --- adaptive defrost --- *)
 
 let freeze_via_protocol coh cm page =
-  ignore (Coherent.write_word coh ~now:0 ~proc:0 ~cmap:cm ~vaddr:0 1);
-  ignore (Coherent.read_word coh ~now:1_000 ~proc:1 ~cmap:cm ~vaddr:0);
-  ignore (Coherent.write_word coh ~now:2_000 ~proc:0 ~cmap:cm ~vaddr:0 2);
-  ignore (Coherent.read_word coh ~now:3_000 ~proc:1 ~cmap:cm ~vaddr:0);
+  ignore (Coherent.submit coh ~now:0 ~proc:0 ~cmap:cm (Memtxn.Write { vaddr = 0; value = 1 }));
+  ignore (Word.read coh ~now:1_000 ~proc:1 ~cmap:cm ~vaddr:0);
+  ignore (Coherent.submit coh ~now:2_000 ~proc:0 ~cmap:cm (Memtxn.Write { vaddr = 0; value = 2 }));
+  ignore (Word.read coh ~now:3_000 ~proc:1 ~cmap:cm ~vaddr:0);
   Alcotest.(check bool) "setup: frozen" true page.Cpage.frozen
 
 let test_adaptive_thaws_at_deadline () =
@@ -165,9 +166,10 @@ let test_adaptive_backs_off_on_refreeze () =
   (* Immediately refreeze (the thaw was wrong: still write-shared):
      replicate, invalidate, and come back inside t1. *)
   let t = 110_500_000 in
-  ignore (Coherent.read_word coh ~now:t ~proc:1 ~cmap:cm ~vaddr:0);
-  ignore (Coherent.write_word coh ~now:(t + 1_000) ~proc:0 ~cmap:cm ~vaddr:0 3);
-  ignore (Coherent.read_word coh ~now:(t + 2_000) ~proc:1 ~cmap:cm ~vaddr:0);
+  ignore (Word.read coh ~now:t ~proc:1 ~cmap:cm ~vaddr:0);
+  ignore
+    (Coherent.submit coh ~now:(t + 1_000) ~proc:0 ~cmap:cm (Memtxn.Write { vaddr = 0; value = 3 }));
+  ignore (Word.read coh ~now:(t + 2_000) ~proc:1 ~cmap:cm ~vaddr:0);
   Alcotest.(check bool) "refrozen" true page.Cpage.frozen;
   Alcotest.(check int) "per-page t2 doubled" 200_000_000 page.Cpage.adaptive_t2
 
@@ -179,9 +181,10 @@ let test_adaptive_ignores_stale_wakeups () =
      stale wake-up must not thaw the new freeze early. *)
   Coherent.thaw_page coh ~now:10_000_000 ~by_daemon:false page;
   let t = 20_000_000 in
-  ignore (Coherent.read_word coh ~now:t ~proc:1 ~cmap:cm ~vaddr:0);
-  ignore (Coherent.write_word coh ~now:(t + 1_000) ~proc:0 ~cmap:cm ~vaddr:0 3);
-  ignore (Coherent.read_word coh ~now:(t + 2_000) ~proc:1 ~cmap:cm ~vaddr:0);
+  ignore (Word.read coh ~now:t ~proc:1 ~cmap:cm ~vaddr:0);
+  ignore
+    (Coherent.submit coh ~now:(t + 1_000) ~proc:0 ~cmap:cm (Memtxn.Write { vaddr = 0; value = 3 }));
+  ignore (Word.read coh ~now:(t + 2_000) ~proc:1 ~cmap:cm ~vaddr:0);
   Alcotest.(check bool) "refrozen" true page.Cpage.frozen;
   (* The first freeze's wake-up fires around t=103ms; the refreeze came
      within the 50ms window, so its own deadline is ~20ms + 200ms. *)

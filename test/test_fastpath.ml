@@ -22,6 +22,7 @@ module Machine = Platinum_machine.Machine
 module Engine = Platinum_sim.Engine
 module Inject = Platinum_sim.Inject
 module Coherent = Platinum_core.Coherent
+module Memtxn = Platinum_core.Memtxn
 module Counters = Platinum_core.Counters
 module Cmap = Platinum_core.Cmap
 module Cpage = Platinum_core.Cpage
@@ -261,7 +262,9 @@ let test_cores_check_live_state () =
     Alcotest.(check bool) (what ^ ": read accepted") accepted (read ~proc >= 0);
     Alcotest.(check bool) (what ^ ": write accepted") accepted (write ~proc >= 0)
   in
-  let fault_in ~proc = ignore (Coherent.write_word coh ~now:(tick ()) ~proc ~cmap:cm ~vaddr:3 1) in
+  let fault_in ~proc =
+    ignore (Coherent.submit coh ~now:(tick ()) ~proc ~cmap:cm (Memtxn.Write { vaddr = 3; value = 1 }))
+  in
   Coherent.bind coh cm ~vpage:0 page Rights.Read_write;
   ignore (Coherent.activate coh ~now:0 ~proc:0 ~aspace:(Cmap.aspace cm));
   expect "unmapped" ~proc:0 false;
@@ -283,12 +286,12 @@ let test_cores_check_live_state () =
   (* Both processors read: the page replicates.  A write fault on proc 0
      retracts proc 1's replica. *)
   ignore (Coherent.activate coh ~now:(tick ()) ~proc:1 ~aspace:(Cmap.aspace cm));
-  ignore (Coherent.read_word coh ~now:(tick ()) ~proc:0 ~cmap:cm ~vaddr:3);
-  ignore (Coherent.read_word coh ~now:(tick ()) ~proc:1 ~cmap:cm ~vaddr:3);
+  ignore (Word.read coh ~now:(tick ()) ~proc:0 ~cmap:cm ~vaddr:3);
+  ignore (Word.read coh ~now:(tick ()) ~proc:1 ~cmap:cm ~vaddr:3);
   Alcotest.(check bool) "replica read accepted" true (read ~proc:1 >= 0);
   fault_in ~proc:0;
   Alcotest.(check bool) "retracted replica: read declined" false (read ~proc:1 >= 0);
-  ignore (Coherent.read_word coh ~now:(tick ()) ~proc:1 ~cmap:cm ~vaddr:3);
+  ignore (Word.read coh ~now:(tick ()) ~proc:1 ~cmap:cm ~vaddr:3);
   Alcotest.(check bool) "re-faulted replica: read accepted" true (read ~proc:1 >= 0)
 
 (* A stencil row cycles over three consecutive pages, word by word.  The

@@ -196,7 +196,27 @@ let test_thread_failure_propagates () =
     (try
        ignore (run (fun () -> failwith "boom"));
        false
-     with Kernel.Thread_failure (Failure msg) -> msg = "boom")
+     with Kernel.Thread_failure (Failure msg) -> msg = "boom");
+  (* The first failure halts the kernel: a thread polling for a word the
+     failed thread would have written stops with it, not at its bound. *)
+  let polls = ref 0 in
+  Alcotest.(check bool) "a poller's peer fails" true
+    (try
+       ignore
+         (run (fun () ->
+              let flag = Api.alloc 1 in
+              ignore
+                (Api.spawn ~proc:1 (fun () ->
+                     while Api.read flag = 0 && !polls < 100_000 do
+                       incr polls;
+                       Api.compute 1_000
+                     done));
+              Api.compute 10_000;
+              failwith "boom"));
+       false
+     with Kernel.Thread_failure (Failure _) -> true);
+  Alcotest.(check bool) (Printf.sprintf "the poller halted with it (%d polls)" !polls) true
+    (!polls < 100)
 
 (* Joining yourself can never complete: like any other invalid request
    it fails the caller at the call, rather than blocking it until the run

@@ -12,6 +12,7 @@ module Cpage = Platinum_core.Cpage
 module Cmap = Platinum_core.Cmap
 module Policy = Platinum_core.Policy
 module Coherent = Platinum_core.Coherent
+module Memtxn = Platinum_core.Memtxn
 
 type env = { coh : Coherent.t; cm : Cmap.t }
 
@@ -39,7 +40,7 @@ let bind_page ?home env vpage =
 let warm_up env procs =
   let _ = bind_page env 99 in
   List.iter
-    (fun proc -> ignore (Coherent.read_word env.coh ~now:0 ~proc ~cmap:env.cm ~vaddr:(99 * 1024)))
+    (fun proc -> ignore (Word.read env.coh ~now:0 ~proc ~cmap:env.cm ~vaddr:(99 * 1024)))
     procs
 
 let ms x = int_of_float (x *. 1e6)
@@ -58,8 +59,8 @@ let test_page_copy_time () =
   warm_up env [ 0; 1 ];
   (* Fill on proc 0, then measure only the copy component of proc 1's
      replication by subtracting the non-copy fault costs. *)
-  ignore (Coherent.read_word env.coh ~now:0 ~proc:0 ~cmap:env.cm ~vaddr:0);
-  let _, lat = Coherent.read_word env.coh ~now:10_000_000 ~proc:1 ~cmap:env.cm ~vaddr:0 in
+  ignore (Word.read env.coh ~now:0 ~proc:0 ~cmap:env.cm ~vaddr:0);
+  let _, lat = Word.read env.coh ~now:10_000_000 ~proc:1 ~cmap:env.cm ~vaddr:0 in
   let config = Coherent.config env.coh in
   let copy = config.Config.page_words * config.Config.t_block_word in
   in_range "4KB block transfer" 1.09 1.13 copy;
@@ -72,15 +73,15 @@ let test_read_miss_nonmodified () =
   let env = mk () in
   let _ = bind_page ~home:1 env 0 in
   warm_up env [ 0; 1 ];
-  ignore (Coherent.read_word env.coh ~now:0 ~proc:0 ~cmap:env.cm ~vaddr:0);
-  let _, fast = Coherent.read_word env.coh ~now:10_000_000 ~proc:1 ~cmap:env.cm ~vaddr:0 in
+  ignore (Word.read env.coh ~now:0 ~proc:0 ~cmap:env.cm ~vaddr:0);
+  let _, fast = Word.read env.coh ~now:10_000_000 ~proc:1 ~cmap:env.cm ~vaddr:0 in
   in_range "read miss, local metadata" 1.32 1.36 fast;
   (* Remote metadata. *)
   let env = mk () in
   let _ = bind_page ~home:7 env 0 in
   warm_up env [ 0; 1 ];
-  ignore (Coherent.read_word env.coh ~now:0 ~proc:0 ~cmap:env.cm ~vaddr:0);
-  let _, slow = Coherent.read_word env.coh ~now:10_000_000 ~proc:1 ~cmap:env.cm ~vaddr:0 in
+  ignore (Word.read env.coh ~now:0 ~proc:0 ~cmap:env.cm ~vaddr:0);
+  let _, slow = Word.read env.coh ~now:10_000_000 ~proc:1 ~cmap:env.cm ~vaddr:0 in
   in_range "read miss, remote metadata" 1.36 1.40 slow;
   Alcotest.(check bool) "remote metadata costs more" true (slow > fast)
 
@@ -91,16 +92,18 @@ let test_read_miss_modified () =
   let env = mk () in
   let _ = bind_page ~home:1 env 0 in
   warm_up env [ 0; 1 ];
-  ignore (Coherent.write_word env.coh ~now:0 ~proc:0 ~cmap:env.cm ~vaddr:0 5);
-  let _, lat = Coherent.read_word env.coh ~now:10_000_000 ~proc:1 ~cmap:env.cm ~vaddr:0 in
+  ignore
+    (Coherent.submit env.coh ~now:0 ~proc:0 ~cmap:env.cm (Memtxn.Write { vaddr = 0; value = 5 }));
+  let _, lat = Word.read env.coh ~now:10_000_000 ~proc:1 ~cmap:env.cm ~vaddr:0 in
   in_range "read miss on modified, idle writer" 1.35 1.60 lat;
   (* A busy writer stretches the shootdown wait (the paper's upper end). *)
   let env = mk () in
   let _ = bind_page ~home:1 env 0 in
   warm_up env [ 0; 1 ];
-  ignore (Coherent.write_word env.coh ~now:0 ~proc:0 ~cmap:env.cm ~vaddr:0 5);
+  ignore
+    (Coherent.submit env.coh ~now:0 ~proc:0 ~cmap:env.cm (Memtxn.Write { vaddr = 0; value = 5 }));
   Machine.set_proc_busy_until (Coherent.machine env.coh) ~proc:0 10_400_000;
-  let _, busy = Coherent.read_word env.coh ~now:10_000_000 ~proc:1 ~cmap:env.cm ~vaddr:0 in
+  let _, busy = Word.read env.coh ~now:10_000_000 ~proc:1 ~cmap:env.cm ~vaddr:0 in
   Alcotest.(check bool) "busy target is slower" true (busy > lat);
   in_range "read miss on modified, busy writer" 1.38 1.62 busy
 
@@ -111,11 +114,15 @@ let test_write_miss_present_plus () =
   let env = mk () in
   let _ = bind_page ~home:1 env 0 in
   warm_up env [ 0; 1 ];
-  ignore (Coherent.write_word env.coh ~now:0 ~proc:0 ~cmap:env.cm ~vaddr:0 1);
-  ignore (Coherent.read_word env.coh ~now:10_000_000 ~proc:1 ~cmap:env.cm ~vaddr:0);
+  ignore
+    (Coherent.submit env.coh ~now:0 ~proc:0 ~cmap:env.cm (Memtxn.Write { vaddr = 0; value = 1 }));
+  ignore (Word.read env.coh ~now:10_000_000 ~proc:1 ~cmap:env.cm ~vaddr:0);
   (* proc 1 now upgrades its local copy: invalidate proc 0's translation
      and free proc 0's physical page. *)
-  let lat = Coherent.write_word env.coh ~now:20_000_000 ~proc:1 ~cmap:env.cm ~vaddr:0 2 in
+  let lat =
+    Coherent.submit env.coh ~now:20_000_000 ~proc:1 ~cmap:env.cm
+      (Memtxn.Write { vaddr = 0; value = 2 })
+  in
   in_range "write miss on present+" 0.25 0.45 lat
 
 (* "For up to 16 processors, the incremental delay to the initiating
@@ -125,13 +132,15 @@ let test_incremental_shootdown_cost () =
   let measure readers =
     let env = mk () in
     let _ = bind_page ~home:1 env 0 in
-    ignore (Coherent.write_word env.coh ~now:0 ~proc:0 ~cmap:env.cm ~vaddr:0 1);
+    ignore
+      (Coherent.submit env.coh ~now:0 ~proc:0 ~cmap:env.cm (Memtxn.Write { vaddr = 0; value = 1 }));
     for r = 1 to readers do
-      ignore (Coherent.read_word env.coh ~now:(r * 10_000_000) ~proc:r ~cmap:env.cm ~vaddr:0)
+      ignore (Word.read env.coh ~now:(r * 10_000_000) ~proc:r ~cmap:env.cm ~vaddr:0)
     done;
     (* Writer collapses all replicas: one interrupt + one page free per
        reader. *)
-    Coherent.write_word env.coh ~now:1_000_000_000 ~proc:0 ~cmap:env.cm ~vaddr:0 2
+    Coherent.submit env.coh ~now:1_000_000_000 ~proc:0 ~cmap:env.cm
+      (Memtxn.Write { vaddr = 0; value = 2 })
   in
   let prev = ref (measure 1) in
   for readers = 2 to 15 do
@@ -159,14 +168,17 @@ let test_cost_model_constants () =
 let test_frozen_fault_is_cheap () =
   let env = mk () in
   let _ = bind_page ~home:1 env 0 in
-  ignore (Coherent.write_word env.coh ~now:0 ~proc:0 ~cmap:env.cm ~vaddr:0 1);
-  ignore (Coherent.read_word env.coh ~now:1_000 ~proc:1 ~cmap:env.cm ~vaddr:0);
-  ignore (Coherent.write_word env.coh ~now:1_000_000 ~proc:0 ~cmap:env.cm ~vaddr:0 2);
+  ignore
+    (Coherent.submit env.coh ~now:0 ~proc:0 ~cmap:env.cm (Memtxn.Write { vaddr = 0; value = 1 }));
+  ignore (Word.read env.coh ~now:1_000 ~proc:1 ~cmap:env.cm ~vaddr:0);
+  ignore
+    (Coherent.submit env.coh ~now:1_000_000 ~proc:0 ~cmap:env.cm
+       (Memtxn.Write { vaddr = 0; value = 2 }));
   (* Within t1: this fault freezes the page and remote-maps. *)
-  let _, freeze_fault = Coherent.read_word env.coh ~now:2_000_000 ~proc:1 ~cmap:env.cm ~vaddr:0 in
+  let _, freeze_fault = Word.read env.coh ~now:2_000_000 ~proc:1 ~cmap:env.cm ~vaddr:0 in
   Alcotest.(check bool) "freeze+remote-map ≤ 0.3 ms" true (freeze_fault <= 300_000);
   (* And a third processor touching the frozen page pays even less. *)
-  let _, lat = Coherent.read_word env.coh ~now:3_000_000 ~proc:2 ~cmap:env.cm ~vaddr:0 in
+  let _, lat = Word.read env.coh ~now:3_000_000 ~proc:2 ~cmap:env.cm ~vaddr:0 in
   Alcotest.(check bool) "frozen fault ≤ 0.25 ms" true (lat <= 250_000)
 
 let suite =

@@ -29,8 +29,10 @@ let test_frame_blit () =
   done;
   Frame.blit_from ~src:a ~dst:b;
   Alcotest.(check bool) "equal after blit" true (Frame.equal_data a b);
-  Frame.set b 0 42;
-  Alcotest.(check bool) "diverges after write" false (Frame.equal_data a b)
+  Frame.set_owner b (Some 6);
+  Alcotest.check_raises "a write to a shared frame raises"
+    (Frame.Shared_write { mem_module = 1; index = 0; owner = 6 }) (fun () -> Frame.set b 0 42);
+  Alcotest.(check bool) "still equal after the refused write" true (Frame.equal_data a b)
 
 let test_frame_blit_size_mismatch () =
   let a = Frame.create ~mem_module:0 ~index:0 ~words:8 in
@@ -62,28 +64,37 @@ let pattern ?(words = 8) k =
   done;
   f
 
+(* A write to a shared buffer would give the page a writer and a second
+   copy (§3.2), so it raises instead of writing either frame. *)
+let shared_write f =
+  Frame.Shared_write { mem_module = Frame.mem_module f; index = Frame.index f; owner = -1 }
+
 let test_share_write_either_side () =
-  let a = pattern 1 and b = pattern 2 in
+  let a = pattern 1 and b = pattern 2 and c = pattern 3 in
   let a0 = frame_words a in
   Frame.blit_from ~src:a ~dst:b;
-  Frame.set b 3 (-1);
-  Alcotest.(check (array int)) "source unchanged by a write to the copy" a0 (frame_words a);
-  Alcotest.(check int) "the copy took the write" (-1) (Frame.get b 3);
-  let c = pattern 3 in
+  Alcotest.check_raises "a write to a shared frame raises: the copy" (shared_write b) (fun () ->
+      Frame.set b 3 (-1));
   Frame.blit_from ~src:a ~dst:c;
-  Frame.set a 0 (-2);
-  Frame.write_words a ~off:5 ~src:[| -3; -4 |] ~src_off:0 ~words:2;
-  Alcotest.(check (array int)) "copy unchanged by writes to the source" a0 (frame_words c);
-  Alcotest.(check (list int)) "the source took its writes" [ -2; -3; -4 ]
-    [ Frame.get a 0; Frame.get a 5; Frame.get a 6 ]
+  Alcotest.check_raises "a write to a shared frame raises: the source" (shared_write a)
+    (fun () -> Frame.set a 0 (-2));
+  Alcotest.check_raises "a block write to a shared frame raises" (shared_write a) (fun () ->
+      Frame.write_words a ~off:5 ~src:[| -3; -4 |] ~src_off:0 ~words:2);
+  List.iter
+    (fun f -> Alcotest.(check (array int)) "every sharer keeps its words" a0 (frame_words f))
+    [ a; b; c ];
+  let msg = try Frame.set c 0 0; "" with e -> Printexc.to_string e in
+  Alcotest.(check bool) ("the violation is named: " ^ msg) true
+    (String.starts_with ~prefix:"cpage -1: shared-write" msg)
 
 let test_share_fill_zero () =
   let a = pattern 1 and b = pattern 2 in
   let a0 = frame_words a in
   Frame.blit_from ~src:a ~dst:b;
-  Frame.fill_zero b;
+  Alcotest.check_raises "zeroing a shared frame raises" (shared_write b) (fun () ->
+      Frame.fill_zero b);
   Alcotest.(check (array int)) "zeroing a sharer leaves the other" a0 (frame_words a);
-  Alcotest.(check (array int)) "the sharer is zero" (Array.make 8 0) (frame_words b)
+  Alcotest.(check (array int)) "and the sharer" a0 (frame_words b)
 
 (* 1,024 words: a private copy of the buffer would be a major-heap block.
    [Gc.counters] counts it at once; OCaml 5's [quick_stat] may not yet. *)

@@ -27,6 +27,7 @@ module Engine = Platinum_sim.Engine
 module Inject = Platinum_sim.Inject
 module Check = Platinum_core.Check
 module Coherent = Platinum_core.Coherent
+module Memtxn = Platinum_core.Memtxn
 module Counters = Platinum_core.Counters
 module Policy = Platinum_core.Policy
 module Rights = Platinum_core.Rights
@@ -137,12 +138,14 @@ let apply sys (kind, proc, page) =
   let vaddr = page * page_words in
   match kind with
   | 0 ->
-    let v, _ = Coherent.read_word sys.coh ~now:0 ~proc ~cmap:sys.cm ~vaddr in
+    let v, _ = Word.read sys.coh ~now:0 ~proc ~cmap:sys.cm ~vaddr in
     if v <> sys.expected.(page) then
       QCheck.Test.fail_reportf "SC violation: R%d(p%d) = %d, last write was %d" proc page v
         sys.expected.(page)
   | 1 ->
-    ignore (Coherent.write_word sys.coh ~now:0 ~proc ~cmap:sys.cm ~vaddr (proc + 1));
+    ignore
+      (Coherent.submit sys.coh ~now:0 ~proc ~cmap:sys.cm
+         (Memtxn.Write { vaddr; value = proc + 1 }));
     sys.expected.(page) <- proc + 1
   | 2 -> ignore (Coherent.advise sys.coh ~now:0 ~proc:0 ~cmap:sys.cm ~vpage:page Coherent.Freeze)
   | 3 -> ignore (Coherent.advise sys.coh ~now:0 ~proc:0 ~cmap:sys.cm ~vpage:page Coherent.Thaw)

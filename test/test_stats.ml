@@ -9,6 +9,7 @@ module Cmap = Platinum_core.Cmap
 module Policy = Platinum_core.Policy
 module Probe = Platinum_core.Probe
 module Coherent = Platinum_core.Coherent
+module Memtxn = Platinum_core.Memtxn
 module Report = Platinum_stats.Report
 module Trace = Platinum_stats.Trace
 module Runner = Platinum_runner.Runner
@@ -42,8 +43,8 @@ let test_probe_event_sequence () =
   let coh, cm, page = mk () in
   let log = ref [] in
   Coherent.set_probe coh (Some (fun ~now:_ ev -> log := ev :: !log));
-  ignore (Coherent.write_word coh ~now:0 ~proc:0 ~cmap:cm ~vaddr:0 1);
-  ignore (Coherent.read_word coh ~now:1_000_000 ~proc:1 ~cmap:cm ~vaddr:0);
+  ignore (Coherent.submit coh ~now:0 ~proc:0 ~cmap:cm (Memtxn.Write { vaddr = 0; value = 1 }));
+  ignore (Word.read coh ~now:1_000_000 ~proc:1 ~cmap:cm ~vaddr:0);
   let events = List.rev !log in
   let has pred = List.exists pred events in
   Alcotest.(check bool) "write fault seen" true
@@ -58,10 +59,10 @@ let test_probe_freeze_thaw_events () =
   let coh, cm, page = mk () in
   let log = ref [] in
   Coherent.set_probe coh (Some (fun ~now:_ ev -> log := ev :: !log));
-  ignore (Coherent.write_word coh ~now:0 ~proc:0 ~cmap:cm ~vaddr:0 1);
-  ignore (Coherent.read_word coh ~now:1_000 ~proc:1 ~cmap:cm ~vaddr:0);
-  ignore (Coherent.write_word coh ~now:2_000 ~proc:0 ~cmap:cm ~vaddr:0 2);
-  ignore (Coherent.read_word coh ~now:3_000 ~proc:1 ~cmap:cm ~vaddr:0);
+  ignore (Coherent.submit coh ~now:0 ~proc:0 ~cmap:cm (Memtxn.Write { vaddr = 0; value = 1 }));
+  ignore (Word.read coh ~now:1_000 ~proc:1 ~cmap:cm ~vaddr:0);
+  ignore (Coherent.submit coh ~now:2_000 ~proc:0 ~cmap:cm (Memtxn.Write { vaddr = 0; value = 2 }));
+  ignore (Word.read coh ~now:3_000 ~proc:1 ~cmap:cm ~vaddr:0);
   Alcotest.(check bool) "frozen event" true
     (List.exists (function Probe.Frozen _ -> true | _ -> false) !log);
   Coherent.thaw_all coh ~now:2_000_000_000;
@@ -73,11 +74,11 @@ let test_probe_detach () =
   let coh, cm, _ = mk () in
   let n = ref 0 in
   Coherent.set_probe coh (Some (fun ~now:_ _ -> incr n));
-  ignore (Coherent.write_word coh ~now:0 ~proc:0 ~cmap:cm ~vaddr:0 1);
+  ignore (Coherent.submit coh ~now:0 ~proc:0 ~cmap:cm (Memtxn.Write { vaddr = 0; value = 1 }));
   let seen = !n in
   Alcotest.(check bool) "probe fired" true (seen > 0);
   Coherent.set_probe coh None;
-  ignore (Coherent.read_word coh ~now:1_000_000 ~proc:1 ~cmap:cm ~vaddr:0);
+  ignore (Word.read coh ~now:1_000_000 ~proc:1 ~cmap:cm ~vaddr:0);
   Alcotest.(check int) "detached probe silent" seen !n
 
 let test_probe_pp () =
@@ -107,8 +108,8 @@ let test_trace_records () =
   let coh, cm, _ = mk () in
   let tr = Trace.create () in
   Trace.attach tr coh;
-  ignore (Coherent.write_word coh ~now:5_000 ~proc:0 ~cmap:cm ~vaddr:0 1);
-  ignore (Coherent.read_word coh ~now:1_000_000 ~proc:1 ~cmap:cm ~vaddr:0);
+  ignore (Coherent.submit coh ~now:5_000 ~proc:0 ~cmap:cm (Memtxn.Write { vaddr = 0; value = 1 }));
+  ignore (Word.read coh ~now:1_000_000 ~proc:1 ~cmap:cm ~vaddr:0);
   Alcotest.(check bool) "events recorded" true (Trace.length tr > 0);
   let faults = Trace.count tr is_fault in
   Alcotest.(check int) "two faults" 2 faults;
@@ -125,7 +126,8 @@ let test_trace_bounded () =
   for i = 0 to 9 do
     (* alternate writers to generate a steady stream of protocol events *)
     ignore
-      (Coherent.write_word coh ~now:(100_000_000 * (i + 1)) ~proc:(i mod 2) ~cmap:cm ~vaddr:0 i)
+      (Coherent.submit coh ~now:(100_000_000 * (i + 1)) ~proc:(i mod 2) ~cmap:cm
+         (Memtxn.Write { vaddr = 0; value = i }))
   done;
   Alcotest.(check int) "capacity respected" 4 (Trace.length tr);
   Alcotest.(check bool) "drops counted" true (Trace.dropped tr > 0);
@@ -136,7 +138,7 @@ let test_trace_timeline_renders () =
   let coh, cm, _ = mk () in
   let tr = Trace.create () in
   Trace.attach tr coh;
-  ignore (Coherent.write_word coh ~now:0 ~proc:0 ~cmap:cm ~vaddr:0 1);
+  ignore (Coherent.submit coh ~now:0 ~proc:0 ~cmap:cm (Memtxn.Write { vaddr = 0; value = 1 }));
   let s = Format.asprintf "%a" (Trace.pp_timeline ~limit:10) tr in
   Alcotest.(check bool) "timeline mentions the fault" true
     (String.length s > 0 && contains ~sub:"write fault" s)

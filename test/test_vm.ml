@@ -7,6 +7,7 @@ module Engine = Platinum_sim.Engine
 module Rights = Platinum_core.Rights
 module Policy = Platinum_core.Policy
 module Coherent = Platinum_core.Coherent
+module Memtxn = Platinum_core.Memtxn
 module Cpage = Platinum_core.Cpage
 module Memobj = Platinum_vm.Memobj
 module Addr_space = Platinum_vm.Addr_space
@@ -68,7 +69,7 @@ let test_aspace_map_fault () =
   (* The binding is now live: a read through coherent memory works. *)
   let pw = Addr_space.page_words asp in
   let v, _ =
-    Coherent.read_word coh ~now:0 ~proc:0 ~cmap:(Addr_space.cmap asp) ~vaddr:(11 * pw)
+    Word.read coh ~now:0 ~proc:0 ~cmap:(Addr_space.cmap asp) ~vaddr:(11 * pw)
   in
   Alcotest.(check int) "zero-fill read" 0 v
 
@@ -109,14 +110,17 @@ let test_aspace_unmap () =
   let obj = Memobj.create coh ~name:"seg" ~npages:2 in
   Addr_space.map asp ~at_page:0 ~obj ~rights:Rights.Read_write ();
   ignore (Addr_space.fault asp ~now:0 ~vpage:0);
-  let _ = Coherent.write_word coh ~now:0 ~proc:0 ~cmap:(Addr_space.cmap asp) ~vaddr:0 7 in
+  let _ =
+    Coherent.submit coh ~now:0 ~proc:0 ~cmap:(Addr_space.cmap asp)
+      (Memtxn.Write { vaddr = 0; value = 7 })
+  in
   ignore (Addr_space.unmap asp ~now:0 ~at_page:0 ~npages:2);
   Alcotest.(check bool) "unbound after unmap" true (Addr_space.resolve asp ~vpage:0 = None);
   (* Remapping the same object sees the same data: the object owns it. *)
   Addr_space.map asp ~at_page:5 ~obj ~rights:Rights.Read_write ();
   let pw = Addr_space.page_words asp in
   ignore (Addr_space.fault asp ~now:0 ~vpage:5);
-  let v, _ = Coherent.read_word coh ~now:0 ~proc:0 ~cmap:(Addr_space.cmap asp) ~vaddr:(5 * pw) in
+  let v, _ = Word.read coh ~now:0 ~proc:0 ~cmap:(Addr_space.cmap asp) ~vaddr:(5 * pw) in
   Alcotest.(check int) "object data survives unmap" 7 v
 
 let test_aspace_two_spaces_one_object () =
@@ -128,10 +132,13 @@ let test_aspace_two_spaces_one_object () =
   Addr_space.map asp2 ~at_page:7 ~obj ~rights:Rights.Read_only ();
   ignore (Addr_space.fault asp1 ~now:0 ~vpage:0);
   ignore (Addr_space.fault asp2 ~now:0 ~vpage:7);
-  let _ = Coherent.write_word coh ~now:0 ~proc:0 ~cmap:(Addr_space.cmap asp1) ~vaddr:3 55 in
+  let _ =
+    Coherent.submit coh ~now:0 ~proc:0 ~cmap:(Addr_space.cmap asp1)
+      (Memtxn.Write { vaddr = 3; value = 55 })
+  in
   let pw = Addr_space.page_words asp1 in
   let v, _ =
-    Coherent.read_word coh ~now:1000 ~proc:1 ~cmap:(Addr_space.cmap asp2) ~vaddr:((7 * pw) + 3)
+    Word.read coh ~now:1000 ~proc:1 ~cmap:(Addr_space.cmap asp2) ~vaddr:((7 * pw) + 3)
   in
   Alcotest.(check int) "same object through both spaces" 55 v
 
