@@ -10,6 +10,11 @@
      Parkernel's rpc_echo;
    - the kernel workloads: jacobi and gauss, plus a GB-span jacobi.
 
+   A last table runs the hosted jacobi, gauss and rpc_echo programs on 16
+   hosted nodes and on the sequential 16-node Butterfly Plus under the
+   paper's protocol (Runner.run_program), side by side, with no tolerance
+   claimed; the only gate is each program's oracle on both machines.
+
    Two things are measured:
 
    - determinism: every workload's fingerprint is byte-identical across a
@@ -31,6 +36,7 @@
 open Exp_common
 module Parkernel = Platinum_scale.Parkernel
 module Mesh = Platinum_scale.Mesh
+module Program = Platinum_kernel.Program
 
 let seed = 42L
 
@@ -230,6 +236,28 @@ let run (scale : scale) =
      && gr.Parkernel.touched_pages * 64 < gr.Parkernel.span_words
      && gr.Parkernel.setup_ms < 100.0));
   let kernel_speedup = shard_speedup ~config:(topology largest) ~domains jacobi in
+
+  (* --- one program on both coherence models --- *)
+  subsection "one program, two machines: hosted 16-node hierarchical vs 16-node Butterfly Plus";
+  let hosted = Config.hierarchical ~cluster_size:16 ~nodes:16 () in
+  let butterfly = Config.butterfly_plus () in
+  (* fresh per machine: echo counts its round trips in its own array *)
+  let programs () =
+    let n = 16 and pw = butterfly.Config.page_words in
+    [
+      Program.jacobi ~n ~pw ~width:64 ~iters:3; Program.gauss ~n ~pw ~width:64 ~iters:3;
+      Program.echo ~n ~ops:32 ~rpcs:(Array.make n 0);
+    ]
+  in
+  Printf.printf "%-8s %14s %14s\n" "program" "hosted" "butterfly";
+  List.iter2
+    (fun (h : Program.t) (b : Program.t) ->
+      let hr = Parkernel.run ~seed ~config:hosted (Parkernel.Program h) in
+      let br = Runner.run_program ~seed (Runner.Platinum (Runner.make ~config:butterfly ())) b in
+      Printf.printf "%-8s %14s %14s\n" h.name (Time_ns.to_string hr.Parkernel.clock)
+        (Time_ns.to_string br.Runner.timed);
+      gate (h.name ^ " oracle holds on both machines") (hr.Parkernel.verified && br.Runner.verified))
+    (programs ()) (programs ());
 
   let null_or_speedup = function
     | Some s -> Printf.sprintf "%.2f" s

@@ -62,8 +62,10 @@ let check_faults t =
   let fail ?cpage ~inv ~cite fmt =
     Printf.ksprintf (fun detail -> keep { Check.inv; cite; detail; cpage }) fmt
   in
+  let copies = ref 0 in
   Hashtbl.iter
     (fun _ (page : Cpage.t) ->
+      copies := !copies + Cpage.ncopies page;
       (match Cpage.check_faults page with Ok () -> () | Error f -> keep f);
       (* Directory frames must be owned by this page. *)
       Cpage.iter_copies
@@ -78,6 +80,11 @@ let check_faults t =
         fail ~cpage:page.Cpage.id ~inv:"frozen-list-agreement" ~cite:"§4.2"
           "frozen but not on the frozen list")
     t.cpages;
+  (* Every frame handed out is a copy in some directory: none leaks. *)
+  let allocated = Phys_mem.total_frames t.phys - Phys_mem.total_free t.phys in
+  if allocated <> !copies then
+    fail ~inv:"frame-accounting" ~cite:"§2.3" "%d frames allocated, %d in directories" allocated
+      !copies;
   List.iter
     (fun (page : Cpage.t) ->
       if not page.Cpage.frozen then

@@ -76,3 +76,34 @@ let time_uma ?(nprocs = 16) ?(page_words = 1024) main =
   let kernel = Kernel.create ~engine ~machine ~memsys:(Uma_sys.memsys uma) () in
   let uma_elapsed = Kernel.run kernel ~main in
   { uma_elapsed; uma }
+
+(* --- one program on either sequential machine --- *)
+
+module Api = Platinum_kernel.Api
+
+type machine = Platinum of setup | Uma of { nprocs : int; page_words : int }
+type program_result = { timed : Platinum_sim.Time_ns.t; verified : bool }
+
+let run_program ~seed machine (p : Platinum_kernel.Program.t) =
+  let timed = ref 0 and words = ref [||] in
+  let main nodes () =
+    let streams = Platinum_kernel.Program.streams ~seed nodes and pw = Api.page_words () in
+    let base = Api.alloc_pages nodes in
+    let row r = base + (r * pw) in
+    List.iter (fun (r, w) -> Api.block_write (row r) w) p.image;
+    List.iter (fun r -> Api.advise (row r) pw (Home r)) (List.init nodes Fun.id);
+    let t0 = Api.now () in
+    Api.spawn_join_all ~procs:(List.init nodes Fun.id)
+      (List.init nodes (fun i _ -> p.body ~node:i ~row ~rng:(fst streams.(i))));
+    timed := Api.now () - t0;
+    words := Array.init nodes (fun r -> Api.block_read (row r) pw)
+  in
+  (match machine with
+  | Platinum s ->
+    (* the control region, below the default heap *)
+    let npages = Platinum_kernel.Program.data_base_page in
+    let obj = Platinum_vm.Memobj.create s.coherent ~name:"control" ~npages in
+    Addr_space.map s.aspace ~at_page:0 ~obj ~rights:Read_write ();
+    ignore (run s ~main:(main (Machine.nprocs s.machine)))
+  | Uma { nprocs; page_words } -> ignore (time_uma ~nprocs ~page_words (main nprocs)));
+  { timed = !timed; verified = p.verify (Array.get !words) }

@@ -76,3 +76,15 @@ val time_uma :
     ({!Platinum_cache.Uma_sys.sequent}, the Sequent Symmetry model)
     instead of PLATINUM.  Same kernel, same
     programming model, different memory system. *)
+
+(* --- one program on either sequential machine --- *)
+
+type machine = Platinum of setup | Uma of { nprocs : int; page_words : int }
+type program_result = { timed : Platinum_sim.Time_ns.t; verified : bool }
+
+val run_program : seed:int64 -> machine -> Platinum_kernel.Program.t -> program_result
+(** Run a program as the hosted kernel does, node [i]'s body on processor
+    [i] with stream [i]: {!run} on [Platinum], {!time_uma} on [Uma].  It
+    maps the control region, writes the image into one page per row and
+    advises row [r] home to node [r]; [timed] covers only the bodies, and
+    [verify] gets the rows read back after them. *)

@@ -15,9 +15,6 @@
 
 type t
 
-val word_mask : int
-(** Stored words are 32 bits: every write is masked with this. *)
-
 val create :
   Platinum_machine.Config.t ->
   Platinum_machine.Memmodule.t array ->

@@ -1,12 +1,12 @@
 (** The mesh workloads for machines past the Butterfly, as hosted-kernel
     programs.
 
-    Each workload is a {!Parkernel.program}: every node runs one thread
-    against the ordinary {!Platinum_kernel.Api}, on the hosted kernel's
-    home-partitioned coherent memory ({!Homemem}).  Word traffic, replica shootdowns and
-    request serving are therefore real page operations, with versions,
-    holder sets and fault-plane recovery, and not message mocks.  Echo
-    traffic is {!Parkernel.Rpc_echo}.
+    Each workload is a {!Platinum_kernel.Program.t}: every node runs one
+    thread against the ordinary {!Platinum_kernel.Api}, on the hosted
+    kernel's home-partitioned coherent memory ({!Homemem}).  Word traffic,
+    replica shootdowns and request serving are therefore real page
+    operations, with versions, holder sets and fault-plane recovery, and
+    not message mocks.  Echo traffic is {!Parkernel.Rpc_echo}.
 
     Every operation's simulated latency (ns) lands in a per-node
     {!Platinum_stats.Hist}; {!run} merges them.

@@ -6,30 +6,22 @@
    This module is the host.  The coherent memory underneath is
    {!Homemem}, reached only through its interface: a per-node
    {!Platinum_kernel.Memsys.t}, the setup-time image, the at-rest
-   read-back and the fingerprint folds.  Every workload is a {!program}:
-   the built-in ones resolve to one here, and from then on a run is one
-   path — load the image, spawn the body on every node, run, verify. *)
+   read-back and the fingerprint folds.  Every workload is a
+   {!Platinum_kernel.Program.t}: the built-in ones resolve to one here,
+   and from then on a run is one path — load the image, spawn the body
+   on every node, run, verify. *)
 
 module Engine = Platinum_sim.Engine
 module Shard = Platinum_sim.Shard
 module Inject = Platinum_sim.Inject
-module Rng = Platinum_sim.Rng
 module Fnv = Platinum_sim.Fnv
 module Config = Platinum_machine.Config
 module Machine = Platinum_machine.Machine
 module Memmodule = Platinum_machine.Memmodule
 module Kernel = Platinum_kernel.Kernel
-module Api = Platinum_kernel.Api
-module Sync = Platinum_kernel.Sync
+module Program = Platinum_kernel.Program
 
-type program = {
-  name : string;
-  image : (int * int array) list;
-  body : node:int -> row:(int -> int) -> rng:Rng.t -> unit;
-  verify : (int -> int array) -> bool;
-}
-
-type workload = Jacobi | Gauss | Rpc_echo | Program of program
+type workload = Jacobi | Gauss | Rpc_echo | Program of Program.t
 
 let workload_name = function
   | Jacobi -> "jacobi"
@@ -48,94 +40,8 @@ let all_workloads = [ Jacobi; Gauss; Rpc_echo ]
    touched footprint (the GB-scale variant).  Each node's private bump
    arena sits above the data region. *)
 
-let data_base_page = 8
+let data_base_page = Program.data_base_page
 let arena_pages_per_node = 4096
-let word_mask = Homemem.word_mask
-
-(* --- the built-in programs --- *)
-
-let seed_cell r c = (((r * 1103515245) + (c * 12345)) land 0xFFFF) + 1
-
-(* Jacobi and gauss: rows [0, n) start seeded; each iteration node [r]
-   reads rows [pre], barriers, reads rows [post] and writes [next] of
-   them (pre then post) into its own row, then barriers.  The oracle runs
-   the same [next] over a host copy of the grid.  A node's row buffers
-   are allocated once: [pre] and [post] have a fixed length per node. *)
-let grid ~name ~n ~pw ~width ~iters ~pre ~post ~next =
-  let seed = Array.init n (fun r -> Array.init width (seed_cell r)) in
-  (* The barrier's count word is word 0 and its generation word is the
-     first word of page 1, both homed at node 0.  On separate pages,
-     arrival rmws do not shoot down the spinners' generation replicas;
-     only the release write does, which is exactly the invalidation that
-     lets them see it. *)
-  let barrier = Sync.Barrier.of_addrs ~parties:n ~count_addr:0 ~gen_addr:pw in
-  let body ~node:r ~row ~rng:_ =
-    let npre = Array.length (pre ~r ~it:0) in
-    let rows = Array.init (npre + Array.length (post ~r ~it:0)) (fun _ -> Array.make width 0) in
-    let out = Array.make width 0 in
-    let read first qs =
-      for i = 0 to Array.length qs - 1 do
-        Api.block_read_into (row qs.(i)) rows.(first + i) ~off:0 ~len:width
-      done
-    in
-    for it = 0 to iters - 1 do
-      read 0 (pre ~r ~it);
-      Sync.Barrier.wait barrier;
-      read npre (post ~r ~it);
-      for c = 0 to width - 1 do
-        out.(c) <- next rows c
-      done;
-      Api.block_write (row r) out;
-      Sync.Barrier.wait barrier
-    done
-  in
-  let verify words =
-    let g = ref seed in
-    for it = 0 to iters - 1 do
-      let prev = !g in
-      let inputs r = Array.map (Array.get prev) (Array.append (pre ~r ~it) (post ~r ~it)) in
-      g := Array.init n (fun r -> Array.init width (next (inputs r)))
-    done;
-    List.for_all
-      (fun r -> Array.for_all2 Int.equal !g.(r) (Array.sub (words r) 0 width))
-      (List.init n Fun.id)
-  in
-  { name; image = List.init n (fun r -> (r, seed.(r))); body; verify }
-
-(* Pair 2p+1 (client) with 2p (server): the request slot is homed at the
-   server, the response slot at the client, a sequence word each.  The
-   oracle: every response slot holds the last sequence number and every
-   client counted each round trip. *)
-let echo ~n ~ops ~rpcs =
-  let body ~node ~row ~rng:_ =
-    if node land 1 = 1 then begin
-      let req = row (node - 1) and resp = row node in
-      for i = 1 to ops do
-        let payload = (node * 100_003) + i in
-        Api.write (req + 1) payload;
-        Api.write req i;
-        Sync.spin_until (fun () -> Api.read resp = i);
-        if Api.read (resp + 1) <> (payload + i) land word_mask then
-          failwith "Parkernel rpc_echo: payload mismatch";
-        rpcs.(node) <- rpcs.(node) + 1
-      done
-    end
-    else if node + 1 < n then begin
-      let req = row node and resp = row (node + 1) in
-      for i = 1 to ops do
-        Sync.spin_until (fun () -> Api.read req = i);
-        let payload = Api.read (req + 1) in
-        Api.write (resp + 1) ((payload + i) land word_mask);
-        Api.write resp i
-      done
-    end
-  in
-  let verify words =
-    List.for_all
-      (fun p -> (words ((2 * p) + 1)).(0) = ops && rpcs.((2 * p) + 1) = ops)
-      (List.init (n / 2) Fun.id)
-  in
-  { name = "rpc_echo"; image = []; body; verify }
 
 (* --- results --- *)
 
@@ -183,33 +89,24 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
   let rpcs = Array.make n 0 in
   let prog =
     match workload with
-    | Jacobi ->
-      grid ~name:"jacobi" ~n ~pw ~width ~iters
-        ~pre:(fun ~r ~it:_ -> [| (r + n - 1) mod n; (r + 1) mod n; r |])
-        ~post:(fun ~r:_ ~it:_ -> [||])
-        ~next:(fun rows c -> (rows.(0).(c) + rows.(1).(c) + rows.(2).(c)) / 3 land word_mask)
-    | Gauss ->
-      grid ~name:"gauss" ~n ~pw ~width ~iters
-        ~pre:(fun ~r:_ ~it -> [| it mod n |])
-        ~post:(fun ~r ~it:_ -> [| r |])
-        ~next:(fun rows c -> ((3 * rows.(1).(c)) + rows.(0).(c)) land 0xFFFF)
-    | Rpc_echo -> echo ~n ~ops:ops_per_node ~rpcs
+    | Jacobi -> Program.jacobi ~n ~pw ~width ~iters
+    | Gauss -> Program.gauss ~n ~pw ~width ~iters
+    | Rpc_echo -> Program.echo ~n ~ops:ops_per_node ~rpcs
     | Program p -> p
   in
   let machine = Machine.create cfg in
   let mods = Machine.modules machine in
-  (* per node: split the stream, then draw the plane seed whether or not
-     a plane is attached at this rate *)
-  let master = Rng.create seed in
-  let planes =
-    Array.init n (fun _ ->
-        let rng = Rng.split master in
-        let seed = Rng.next_int64 master in
-        ( rng,
-          if inject_rate > 0.0 then Some (Inject.create (Inject.config ~seed ~rate:inject_rate ()))
-          else None ))
+  (* node [i]'s stream, and its plane seed whether or not a plane is
+     attached at this rate *)
+  let streams = Program.streams ~seed n in
+  let rngs = Array.map fst streams in
+  let injects =
+    Array.map
+      (fun (_, seed) ->
+        if inject_rate > 0.0 then Some (Inject.create (Inject.config ~seed ~rate:inject_rate ()))
+        else None)
+      streams
   in
-  let rngs = Array.map fst planes and injects = Array.map snd planes in
   let engines = Array.init n (fun _ -> Engine.create ()) in
   let mem = Homemem.create cfg mods ~engines ~injects ~home_of in
   (* per-node kernels over one-processor run-queue slices *)

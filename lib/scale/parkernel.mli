@@ -8,9 +8,9 @@
     coherent memory underneath is {!Homemem}, the home-partitioned
     protocol, reached only through its interface (DESIGN.md §4j).
 
-    Every workload is a {!program}.  A run loads the program's image,
-    spawns its body on every node in node order, runs, and then reports
-    [verified] as the program's oracle and {!Homemem.at_rest_ok}.
+    Every workload is a {!Platinum_kernel.Program.t}.  A run loads the
+    program's image, spawns its body on every node in node order, runs,
+    and then reports [verified] as its oracle and {!Homemem.at_rest_ok}.
 
     Determinism contract: a run is a pure function of
     [(workload, config, seed, inject_rate, iters, ops_per_node, width,
@@ -24,24 +24,11 @@
     so a [span_words] of 2{^27}–2{^30} words costs memory proportional to
     the touched footprint. *)
 
-type program = {
-  name : string;  (** the result's [workload] *)
-  image : (int * int array) list;
-      (** setup-time contents: [(r, words)] places [words] at the start
-          of row [r], at no simulated cost *)
-  body : node:int -> row:(int -> int) -> rng:Platinum_sim.Rng.t -> unit;
-      (** node [i] runs [body ~node:i ~row ~rng], where [row r] is the
-          address of the row homed at node [r] and [rng] is node [i]'s own
-          stream, split from [seed] in node order *)
-  verify : (int -> int array) -> bool;
-      (** the oracle, given row [r]'s page words at its home after the run *)
-}
-
 type workload =
-  | Jacobi  (** ring relaxation: neighbor-row replication + own-row shootdowns *)
-  | Gauss  (** elimination: pivot-row replication storms (§5.1) *)
-  | Rpc_echo  (** request/response over write-at-home message slots *)
-  | Program of program  (** the mesh workloads of {!Mesh} are such programs *)
+  | Jacobi  (** {!Platinum_kernel.Program.jacobi} *)
+  | Gauss  (** {!Platinum_kernel.Program.gauss} *)
+  | Rpc_echo  (** {!Platinum_kernel.Program.echo}, [ops_per_node] calls per pair *)
+  | Program of Platinum_kernel.Program.t  (** the mesh workloads of {!Mesh} are such programs *)
 
 val workload_name : workload -> string
 val all_workloads : workload list

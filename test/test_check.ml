@@ -233,6 +233,21 @@ let test_frozen_list_agreement () =
   | Some f -> Alcotest.(check string) "inv" "frozen-list-agreement" f.Check.inv);
   pages.(0).Cpage.frozen <- false
 
+(* A frame owned by a page but in no directory: directory -> frame
+   ownership holds for every copy, so only the count sees the leak. *)
+let test_frame_accounting () =
+  let env = mk () in
+  let pages = bind_pages env 1 in
+  let _ = write env ~proc:0 0 1 in
+  Alcotest.(check bool) "clean before the leak" true (Coherent.check_faults env.coh = None);
+  let phys = Coherent.phys env.coh in
+  let leaked = Platinum_phys.Phys_mem.alloc phys ~mem_module:2 ~cpage:pages.(0).Cpage.id in
+  (match Coherent.check_faults env.coh with
+  | None -> Alcotest.fail "leak missed"
+  | Some f -> Alcotest.(check string) "inv" "frame-accounting" f.Check.inv);
+  Option.iter (Platinum_phys.Phys_mem.free phys) leaked;
+  Alcotest.(check bool) "clean once freed" true (Coherent.check_faults env.coh = None)
+
 (* --- the runtime monitor --- *)
 
 let test_monitor_silent_on_healthy_run () =
@@ -453,6 +468,7 @@ let suite =
     ("machine: replicas imply read-only mappings", `Quick, test_replicas_read_only);
     ("machine: stale ATC translation", `Quick, test_stale_atc);
     ("machine: frozen-list agreement", `Quick, test_frozen_list_agreement);
+    ("machine: frame accounting", `Quick, test_frame_accounting);
     ("monitor: silent on a healthy run", `Quick, test_monitor_silent_on_healthy_run);
     ("shared-write: stops an unmonitored run", `Quick, test_shared_write_stops_unmonitored_run);
     ("monitor: catches the seeded mutation", `Quick, test_monitor_catches_seeded_mutation);

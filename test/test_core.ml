@@ -789,19 +789,12 @@ let run_protocol_oracle ?(local_caches = false) ~policy_kind ~seed ~ops () =
       ignore (Coherent.submit env.coh ~now:!now ~proc ~cmap:env.cm txn);
       if got <> Array.sub oracle vaddr len then ok := false
   done;
-  (* Global accounting: no physical frame may leak (every allocated frame
-     is in exactly one directory), and the freeze ledger must balance. *)
-  let phys = Coherent.phys env.coh in
-  let allocated =
-    Platinum_phys.Phys_mem.total_frames phys - Platinum_phys.Phys_mem.total_free phys
-  in
-  let in_directories = ref 0 in
-  Coherent.iter_cpages (fun p -> in_directories := !in_directories + Cpage.ncopies p) env.coh;
+  (* Global accounting: no physical frame may leak (the sweep's
+     frame-accounting invariant), and the freeze ledger must balance. *)
   let counters = Coherent.counters env.coh in
   let frozen_now = List.length (Coherent.frozen_pages env.coh) in
   !ok
   && Coherent.check_invariants env.coh = Ok ()
-  && allocated = !in_directories
   && counters.Counters.freezes - counters.Counters.thaws = frozen_now
 
 let prop_protocol_oracle ?local_caches kind name =

@@ -13,6 +13,8 @@ module Coherent = Platinum_core.Coherent
 module Counters = Platinum_core.Counters
 module Outcome = Platinum_workload.Outcome
 module Gauss = Platinum_workload.Gauss
+module Check = Platinum_core.Check
+module Program = Platinum_kernel.Program
 
 (* Counters and per-page stats must agree after a nontrivial run. *)
 let test_counters_agree_with_page_stats () =
@@ -232,9 +234,41 @@ let prop_lock_counter =
       ignore r;
       !total = 24)
 
+(* One program, every backend: the hosted kernel's own jacobi, gauss and
+   rpc_echo pass their oracles on the paper's machine under every policy,
+   with the monitor armed, and on the UMA machine (Runner.run_program). *)
+let hosted_programs ~n ~pw =
+  [
+    Program.jacobi ~n ~pw ~width:64 ~iters:3; Program.gauss ~n ~pw ~width:64 ~iters:3;
+    Program.echo ~n ~ops:8 ~rpcs:(Array.make n 0);
+  ]
+
+let test_hosted_programs () =
+  let config = Config.butterfly_plus () in
+  let n = config.Config.nprocs and pw = config.Config.page_words in
+  let verified what (r : Runner.program_result) =
+    Alcotest.(check bool) (what ^ " oracle") true r.Runner.verified
+  in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (p : Program.t) ->
+          let t1 = config.Config.t1_freeze_window in
+          let s = Runner.make ~config ~policy:(Result.get_ok (Policy.of_string ~t1 name)) () in
+          Coherent.set_monitor s.Runner.coherent (Some (Check.create_monitor ()));
+          verified (name ^ " " ^ p.name) (Runner.run_program ~seed:42L (Runner.Platinum s) p))
+        (hosted_programs ~n ~pw))
+    Policy.default_names;
+  List.iter
+    (fun (p : Program.t) ->
+      verified ("uma " ^ p.name)
+        (Runner.run_program ~seed:42L (Runner.Uma { nprocs = n; page_words = pw }) p))
+    (hosted_programs ~n ~pw)
+
 let suite =
   [
     ("counters agree with per-page stats", `Quick, test_counters_agree_with_page_stats);
+    ("program: hosted programs on the Butterfly Plus and UMA", `Quick, test_hosted_programs);
     ("trace agrees with counters", `Quick, test_trace_agrees_with_counters);
     ("graceful degradation under OOM", `Quick, test_oom_under_load);
     ("migration moves the working set", `Quick, test_migration_moves_working_set);

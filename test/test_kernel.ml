@@ -807,7 +807,7 @@ let test_hosted_hit_allocation () =
   in
   let prog =
     {
-      Platinum_scale.Parkernel.name = "warm_hits";
+      Platinum_kernel.Program.name = "warm_hits";
       image = [ (0, [| 5; 7 |]) ];
       body;
       verify = (fun words -> (words 0).(1) = 7);

@@ -1,7 +1,8 @@
 (* The caller-slice contract of block transactions (Memtxn's buffer
-   contract, DESIGN.md §4a), checked on every backend: the Butterfly Plus
-   (Platsys over the coherent memory), the bus-based UMA machine
-   (Uma_sys), and the hosted distributed kernel (Parkernel).
+   contract, DESIGN.md §4a), checked by one program on every backend:
+   Platsys over the coherent memory on the Butterfly Plus and the
+   bus-based UMA machine (Uma_sys), both through Runner.run_program, and
+   the hosted distributed kernel (Parkernel).
 
    The property is a differential.  One random program of block reads and
    writes runs twice on a fresh machine: once through the allocating
@@ -18,6 +19,7 @@ module Api = Platinum_kernel.Api
 module Runner = Platinum_runner.Runner
 module Config = Platinum_machine.Config
 module Parkernel = Platinum_scale.Parkernel
+module Program = Platinum_kernel.Program
 
 let qtest = QCheck_alcotest.to_alcotest
 let page_words = 64
@@ -144,50 +146,34 @@ let check_pair (alloc : obs list list) (sliced : obs list list) =
   if alloc <> sliced then QCheck.Test.fail_report "slice run differs from the allocating run";
   true
 
-(* Two threads replay the program concurrently over one shared region, so
-   the stream crosses replication and invalidation traffic. *)
-let two_threads ~slices ops =
-  let logs = [| ref []; ref [] |] in
-  let main () =
-    let region = Api.alloc ~page_aligned:true (4 * page_words) in
-    let base target = region + (target * page_words) in
-    let t = Api.spawn ~proc:1 (fun () -> run_ops ~slices ~base ops logs.(1)) in
-    run_ops ~slices ~base ops logs.(0);
-    Api.join t
-  in
-  (main, logs)
-
-let on_platsys ~slices ops =
-  let main, logs = two_threads ~slices ops in
-  let config = Config.butterfly_plus ~nprocs:2 ~page_words () in
-  ignore (Runner.time ~config ~frames_per_module:64 ~default_zone_pages:32 main);
-  Array.to_list (Array.map (fun l -> List.rev !l) logs)
-
-let on_uma ~slices ops =
-  let main, logs = two_threads ~slices ops in
-  ignore (Runner.time_uma ~nprocs:2 ~page_words main);
-  Array.to_list (Array.map (fun l -> List.rev !l) logs)
-
 (* Nodes 0 and 3 run the program against the rows homed at nodes 0, 1
    and 2: local homes, remote homes, and replica hits after the first
-   remote read.  A distributed transaction must cover one to a page of
-   words on a single page, so the generator keeps every run inside its
-   row. *)
-let on_parkernel ~slices ops =
-  let logs = Array.init 8 (fun _ -> ref []) in
-  let program ~node ~row ~rng:_ =
-    if node = 0 || node = 3 then run_ops ~slices ~base:row ops logs.(node)
+   remote read, with the two streams crossing each other's replication
+   and invalidation traffic.  One program, run by each backend's driver. *)
+let observe run ~slices ops =
+  let logs = [| ref []; ref [] |] in
+  let body ~node ~row ~rng:_ =
+    if node = 0 || node = 3 then run_ops ~slices ~base:row ops logs.(node / 3)
   in
-  let config = Config.hierarchical ~cluster_size:4 ~page_words ~nodes:8 () in
-  ignore
-    (Parkernel.run ~check:true ~width:page_words ~config
-       (Parkernel.Program
-          { name = "program"; image = []; body = program; verify = (fun _ -> true) }));
+  run { Program.name = "slices"; image = []; body; verify = (fun _ -> true) };
   Array.to_list (Array.map (fun l -> List.rev !l) logs)
+
+let on_platsys p =
+  let config = Config.butterfly_plus ~nprocs:4 ~page_words () in
+  let s = Runner.make ~config ~frames_per_module:64 ~default_zone_pages:32 () in
+  ignore (Runner.run_program ~seed:42L (Runner.Platinum s) p)
+
+let on_uma p = ignore (Runner.run_program ~seed:42L (Runner.Uma { nprocs = 4; page_words }) p)
+
+(* A distributed transaction must cover one to a page of words on a
+   single page, so its generator keeps every run inside its row. *)
+let on_parkernel p =
+  let config = Config.hierarchical ~cluster_size:4 ~page_words ~nodes:8 () in
+  ignore (Parkernel.run ~check:true ~width:page_words ~config (Parkernel.Program p))
 
 let prop name ~span ~min_len run =
   QCheck.Test.make ~name ~count:40 (arb_prog ~span ~min_len) (fun ops ->
-      check_pair (run ~slices:false ops) (run ~slices:true ops))
+      check_pair (observe run ~slices:false ops) (observe run ~slices:true ops))
 
 (* --- the chunk cursor ---
 
