@@ -32,7 +32,14 @@
    0.01: a stream that went back to a fresh array per transaction would
    put its 3n-word read results in the major heap, near 0.75.
 
-   All four measurements run 11 times, interleaved, and every reported
+   A fifth row times the block data plane alone: [Frame.read_words] and
+   [write_words] on one warm 1,024-word frame, in ns per word, next to a
+   [Bytes.blit] of the same byte count (a memmove, the floor for moving
+   those bytes).  Their ratio must stay at or below 7: in seven runs of
+   the experiment each, the one-word loop it replaced read 12.5-15.7x and
+   the 8-word unrolled loop 2.7-4.3x (a 2-core Xeon, OCaml 5.1.1).
+
+   All five measurements run 11 times, interleaved, and every reported
    figure and every gate is the median over those runs (the JSON adds
    the quartiles of each host time). *)
 
@@ -45,6 +52,7 @@ module Policy = Platinum_core.Policy
 module Rights = Platinum_core.Rights
 module Cmap = Platinum_core.Cmap
 module Coherent = Platinum_core.Coherent
+module Frame = Platinum_phys.Frame
 
 (* The three ways the sweep moves a row: a word at a time, as block
    transactions on fresh arrays, or as block transactions on two buffers
@@ -183,6 +191,32 @@ let measure_steady ~ops =
   let dm = Gc.minor_words () -. m0 in
   (dt, dm /. float_of_int ops)
 
+(* --- the block data plane, measured bare ---
+
+   [copies] alternating 1,024-word reads and writes of one warm frame,
+   then as many 8,192-byte [Bytes.blit]s between two warm buffers; each in
+   ns per 8-byte word. *)
+let frame_words = 1024
+
+let measure_copy ~copies =
+  let f = Frame.create ~mem_module:0 ~index:0 ~words:frame_words in
+  let buf = Array.make frame_words 1 in
+  let t0 = Unix.gettimeofday () in
+  for i = 1 to copies do
+    if i land 1 = 0 then Frame.read_words f ~off:0 ~dst:buf ~dst_off:0 ~words:frame_words
+    else Frame.write_words f ~off:0 ~src:buf ~src_off:0 ~words:frame_words
+  done;
+  let t1 = Unix.gettimeofday () in
+  let a = Bytes.make (8 * frame_words) 'a' and b = Bytes.make (8 * frame_words) 'b' in
+  let t2 = Unix.gettimeofday () in
+  for i = 1 to copies do
+    if i land 1 = 0 then Bytes.blit a 0 b 0 (8 * frame_words)
+    else Bytes.blit b 0 a 0 (8 * frame_words)
+  done;
+  let t3 = Unix.gettimeofday () in
+  let per_word dt = dt *. 1e9 /. float_of_int (copies * frame_words) in
+  (per_word (t1 -. t0), per_word (t3 -. t2))
+
 (* Single runs on a shared host vary by 1.5x; interleaving lets every
    stream see the same host drift. *)
 let runs = 11
@@ -191,13 +225,14 @@ let run (scale : Exp_common.scale) =
   Exp_common.section "throughput: wall-clock words/second of the memory hot path";
   let n = if scale.Exp_common.full then 384 else 256 in
   let iters = if scale.Exp_common.full then 8 else 4 in
-  let nprocs = 4 and steady_ops = 1_000_000 in
+  let nprocs = 4 and steady_ops = 1_000_000 and copies = 20_000 in
   let words = sweep_words ~n ~iters in
   let series () = Array.make runs 0.0 in
   let wall_word = series () and mwpa_word = series () in
   let wall_txn = series () and mwpa_txn = series () in
   let wall_reused = series () and major_reused = series () in
   let steady_wall = series () and mwpa_steady = series () in
+  let copy_ns = series () and blit_ns = series () in
   let fp = Platinum_kernel.Fastpath.ctx () in
   for i = 0 to runs - 1 do
     Platinum_kernel.Fastpath.reset_stats fp;
@@ -212,7 +247,10 @@ let run (scale : Exp_common.scale) =
     major_reused.(i) <- m;
     let w, m = measure_steady ~ops:steady_ops in
     steady_wall.(i) <- w;
-    mwpa_steady.(i) <- m
+    mwpa_steady.(i) <- m;
+    let c, b = measure_copy ~copies in
+    copy_ns.(i) <- c;
+    blit_ns.(i) <- b
   done;
   (* The last per-word run's coalescing counts: they are a pure function
      of the simulated run, and no other stream makes a word access. *)
@@ -229,6 +267,8 @@ let run (scale : Exp_common.scale) =
   let mwpa_word = med (q mwpa_word) and mwpa_txn = med (q mwpa_txn) in
   let mwpa_steady = med (q mwpa_steady) and major_reused = med (q major_reused) in
   let steady_wall = q steady_wall in
+  let ((copy_q1, _, copy_q3) as copy_ns) = q copy_ns and blit_ns = q blit_ns in
+  let copy_ratio = med copy_ns /. med blit_ns in
   let speedup = med rate_txn /. med rate_word in
   let attempts = coalesced + fallbacks in
   let coalesce_frac = if attempts = 0 then 0.0 else float_of_int coalesced /. float_of_int attempts in
@@ -246,6 +286,8 @@ let run (scale : Exp_common.scale) =
     mwpa_steady mwpa_word mwpa_txn;
   Printf.printf "  steady-state driver: %d accesses in %.3f s (%.0f accesses/s)\n" steady_ops
     (med steady_wall) (med steady_rate);
+  Printf.printf "  frame copies:    %.3f ns/word (q1-q3 %.3f-%.3f), Bytes.blit %.3f ns/word: %.1fx\n"
+    (med copy_ns) copy_q1 copy_q3 (med blit_ns) copy_ratio;
   Exp_common.check_shape "batched stream moves >= 2x words/sec" (speedup >= 2.0);
   (* The coalescing ratchet (DESIGN.md section 4g): the seed's per-word
      stream trailed the batched stream by 17.9x; with the effect-boundary
@@ -277,7 +319,13 @@ let run (scale : Exp_common.scale) =
   Exp_common.check_shape
     (Printf.sprintf "reused-buffer stream allocates <= %.2f major words/data word" major_limit)
     major_ok;
-  let all_ok = ratio_ok && budget_ok && word_budget_ok && major_ok in
+  (* The data-plane gate (see the header comment). *)
+  let copy_limit = 7.0 in
+  let copy_ok = copy_ratio <= copy_limit in
+  Exp_common.check_shape
+    (Printf.sprintf "frame copies within %.0fx of Bytes.blit per word" copy_limit)
+    copy_ok;
+  let all_ok = ratio_ok && budget_ok && word_budget_ok && major_ok && copy_ok in
   let stats digits (q1, m, q3) =
     Printf.sprintf "{ \"median\": %.*f, \"q1\": %.*f, \"q3\": %.*f }" digits m digits q1 digits q3
   in
@@ -300,6 +348,8 @@ let run (scale : Exp_common.scale) =
     \  \"coalescing\": { \"runs\": %d, \"words_inline\": %d, \"fallbacks\": %d, \
      \"fraction\": %.4f },\n\
     \  \"steady_state\": { \"ops\": %d, \"wall_s\": %s, \"accesses_per_sec\": %s },\n\
+    \  \"frame_copy\": { \"words\": %d, \"copies\": %d, \"ns_per_word\": %s, \
+     \"blit_ns_per_word\": %s, \"ratio\": %.2f, \"limit\": %.1f, \"ok\": %b },\n\
     \  \"minor_words_per_access\": { \"steady_hit\": %.4f, \"per_word_stream\": %.2f, \
      \"batched_stream\": %.2f },\n\
     \  \"alloc_budget\": { \"steady_limit\": %.1f, \"per_word_limit\": %.1f, \"ok\": %b }\n\
@@ -307,15 +357,17 @@ let run (scale : Exp_common.scale) =
     (Exp_common.host_json ()) n iters nprocs words runs (stats 6 wall_word) (stats 0 rate_word)
     (stats 6 wall_txn) (stats 0 rate_txn) (stats 6 wall_reused) major_reused major_limit major_ok
     speedup ratio_limit ratio_ok runs_closed coalesced fallbacks coalesce_frac steady_ops
-    (stats 6 steady_wall) (stats 0 steady_rate) mwpa_steady mwpa_word mwpa_txn budget word_budget
-    (budget_ok && word_budget_ok);
+    (stats 6 steady_wall) (stats 0 steady_rate) frame_words copies (stats 4 copy_ns)
+    (stats 4 blit_ns) copy_ratio copy_limit copy_ok mwpa_steady mwpa_word mwpa_txn budget
+    word_budget (budget_ok && word_budget_ok);
   close_out oc;
   Printf.printf "  wrote BENCH_hotpath.json\n%!";
   if not all_ok then begin
     Printf.printf
       "  GATE FAILED: ratio=%.1fx (limit %.1f), steady=%.3f (limit %.1f), per-word=%.1f \
-       (limit %.1f), reused major=%.4f (limit %.2f)\n\
+       (limit %.1f), reused major=%.4f (limit %.2f), frame copy=%.1fx (limit %.1f)\n\
        %!"
-      speedup ratio_limit mwpa_steady budget mwpa_word word_budget major_reused major_limit;
+      speedup ratio_limit mwpa_steady budget mwpa_word word_budget major_reused major_limit
+      copy_ratio copy_limit;
     exit 1
   end

@@ -47,7 +47,7 @@ let catalogue =
     ("cmap.ml", [ "find" ]);
     ("pmap.ml", [ "find" ]);
     ("cpage.ml", [ "state"; "any_copy"; "best_slot" ]);
-    ("frame.ml", [ "get"; "set"; "copy"; "read_words"; "write_words"; "blit_from" ]);
+    ("frame.ml", [ "get"; "set"; "copy_words"; "read_words"; "write_words"; "blit_from" ]);
     ("phys_mem.ml", [ "vpage"; "offset" ]); ("memmodule.ml", [ "acquire"; "negative_service" ]);
     ("xbar.ml", [ "access"; "uncontended_word_ns"; "module_fault" ]); ("config.ml", [ "hop"; "cluster_of" ]);
     ( "eheap.ml",

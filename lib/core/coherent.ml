@@ -788,9 +788,8 @@ let rec block_xfer t ~now ~proc ~mem_module kind ~words ~attempt ~extra =
       block_xfer t ~now ~proc ~mem_module kind ~words ~attempt:(attempt + 1) ~extra)
 
 let chunk_cost t (c : Memtxn.chunk) ~now ~proc ~cm ~write data =
-  let pw = page_words t in
   let vaddr = c.Memtxn.c_vaddr and words = c.Memtxn.c_words in
-  let e = translate t t.scratch ~now ~proc ~cmap:cm ~vpage:(vaddr / pw) ~write in
+  let e = translate t t.scratch ~now ~proc ~cmap:cm ~vpage:(vpage_of t vaddr) ~write in
   let l1 = t.scratch.s_latency in
   let frame = e.Pmap.frame in
   let kind = if write then Xbar.Write else Xbar.Read in
@@ -798,7 +797,7 @@ let chunk_cost t (c : Memtxn.chunk) ~now ~proc ~cm ~write data =
     block_xfer t ~now:(now + l1) ~proc ~mem_module:(Frame.mem_module frame) kind ~words
       ~attempt:0 ~extra:0
   in
-  let off = vaddr mod pw in
+  let off = offset_of t vaddr in
   if write then begin
     Frame.write_words frame ~off ~src:data ~src_off:c.Memtxn.c_index ~words;
     if Machine.caches_enabled t.machine then

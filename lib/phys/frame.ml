@@ -61,20 +61,35 @@ let[@inline] set t off v =
   if t.cell.holders > 1 then shared_write t;
   t.data.(off) <- v
 
-(* A typed copy, so no write barrier (see frame.mli); one range check up front. *)
-let copy (src : int array) src_off (dst : int array) dst_off words =
+(* Eight words per iteration, then the tail: one safepoint poll and one
+   index computation per block instead of per word (frame.mli).  [raise],
+   not [invalid_arg]: across a call that may return, ocamlopt spills the
+   arguments and reloads them in every iteration. *)
+let copy_words (src : int array) src_off (dst : int array) dst_off words =
   if words < 0 || src_off < 0 || dst_off < 0 || src_off > Array.length src - words
      || dst_off > Array.length dst - words
-  then invalid_arg "Frame: copy out of range";
-  for i = 0 to words - 1 do
+  then raise (Invalid_argument "Frame: copy out of range");
+  let blocks = words lsr 3 in
+  for b = 0 to blocks - 1 do
+    let s = src_off + (b lsl 3) and d = dst_off + (b lsl 3) in
+    Array.unsafe_set dst d (Array.unsafe_get src s);
+    Array.unsafe_set dst (d + 1) (Array.unsafe_get src (s + 1));
+    Array.unsafe_set dst (d + 2) (Array.unsafe_get src (s + 2));
+    Array.unsafe_set dst (d + 3) (Array.unsafe_get src (s + 3));
+    Array.unsafe_set dst (d + 4) (Array.unsafe_get src (s + 4));
+    Array.unsafe_set dst (d + 5) (Array.unsafe_get src (s + 5));
+    Array.unsafe_set dst (d + 6) (Array.unsafe_get src (s + 6));
+    Array.unsafe_set dst (d + 7) (Array.unsafe_get src (s + 7))
+  done;
+  for i = blocks lsl 3 to words - 1 do
     Array.unsafe_set dst (dst_off + i) (Array.unsafe_get src (src_off + i))
   done
 
-let read_words t ~off ~dst ~dst_off ~words = copy t.data off dst dst_off words
+let read_words t ~off ~dst ~dst_off ~words = copy_words t.data off dst dst_off words
 
 let[@inline] write_words t ~off ~src ~src_off ~words =
   if t.cell.holders > 1 then shared_write t;
-  copy src src_off t.data off words
+  copy_words src src_off t.data off words
 
 let blit_from ~src ~dst =
   if Array.length src.data <> dst.nwords then invalid_arg "Frame.blit_from: size mismatch";

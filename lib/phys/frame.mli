@@ -38,15 +38,18 @@ val get : t -> int -> int
 
 val set : t -> int -> int -> unit
 
-(** {b The block copies.}  [read_words] and [write_words] are the data
-    plane of every block transfer.  They are typed [int array] loops, not
-    [Array.blit]: [Array.blit] is polymorphic, so when its destination
-    lives in the major heap — every 1024-word frame, and any buffer over
-    256 words — OCaml 5 runs [caml_modify] on every word it copies.  An
-    [int array] store needs no write barrier.  Each checks its ranges
-    once and raises [Invalid_argument] before copying anything.  They are
-    in the zero-alloc catalogue ([Rule_alloc]) with [get], [set] and
-    [blit_from]. *)
+(** {b The block copies.}  [read_words] and [write_words], the data plane
+    of every block transfer, run {!copy_words}: a typed [int array] loop,
+    not [Array.blit], which is polymorphic and so runs [caml_modify] on
+    every word it copies into the major heap (every 1024-word frame, any
+    buffer over 256 words).  It moves eight words per iteration, then the
+    tail: ocamlopt polls a safepoint and recomputes the index in every
+    iteration (DESIGN.md §4a).  Each call checks its ranges once and raises
+    [Invalid_argument] before copying anything.  All three are in the
+    zero-alloc catalogue ([Rule_alloc]) with [get], [set] and [blit_from]. *)
+
+val copy_words : int array -> int -> int array -> int -> int -> unit
+(** [copy_words src src_off dst dst_off words]: [words] words, ascending. *)
 
 val read_words : t -> off:int -> dst:int array -> dst_off:int -> words:int -> unit
 (** Copy [words] data words starting at [off] into [dst] at [dst_off] — the

@@ -32,6 +32,7 @@ module Xbar = Platinum_machine.Xbar
 module Memmodule = Platinum_machine.Memmodule
 module Memtxn = Platinum_core.Memtxn
 module Flat = Platinum_core.Flat
+module Frame = Platinum_phys.Frame
 module Memsys = Platinum_kernel.Memsys
 
 let word_mask = 0xFFFFFFFF
@@ -148,13 +149,11 @@ let txn_page t = function
   | Memtxn.Stride_read _ | Memtxn.Stride_write _ -> -1
 
 (* Complete a read from page data [arr] into the requester's slice, on the
-   requesting node only: a home never writes into another node's buffer.
-   A typed loop: the slice may have been promoted while its thread waited,
-   and [Array.blit] into the major heap pays the write barrier per word. *)
+   requesting node only: a home never writes into another node's buffer. *)
 let read_result t arr page = function
   | Memtxn.Read { vaddr } -> arr.(vaddr - (page * t.pw))
   | Memtxn.Block_read { vaddr; dst; dst_off; len } ->
-    for i = 0 to len - 1 do dst.(dst_off + i) <- arr.(vaddr - (page * t.pw) + i) done;
+    Frame.copy_words arr (vaddr - (page * t.pw)) dst dst_off len;
     0
   | _ -> assert false
 

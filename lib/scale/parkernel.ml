@@ -75,8 +75,6 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
   let t0 = Sys.time () in
   let n = cfg.Config.nprocs in
   let pw = cfg.Config.page_words in
-  if width < 1 || width > pw then invalid_arg "Parkernel.run: width must be in [1, page_words]";
-  if iters < 1 then invalid_arg "Parkernel.run: iters must be >= 1";
   (* row placement: stretch rows over at least [span_words] of address span *)
   let spages = Int.max 1 ((span_words + (n * pw) - 1) / (n * pw)) in
   let arena_base = data_base_page + (n * spages) in
@@ -87,10 +85,15 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
   in
   let row r = (data_base_page + (r * spages)) * pw in
   let rpcs = Array.make n 0 in
+  let grid build =
+    if width < 1 || width > pw then invalid_arg "Parkernel.run: width must be in [1, page_words]";
+    if iters < 1 then invalid_arg "Parkernel.run: iters must be >= 1";
+    build ~n ~pw ~width ~iters
+  in
   let prog =
     match workload with
-    | Jacobi -> Program.jacobi ~n ~pw ~width ~iters
-    | Gauss -> Program.gauss ~n ~pw ~width ~iters
+    | Jacobi -> grid Program.jacobi
+    | Gauss -> grid Program.gauss
     | Rpc_echo -> Program.echo ~n ~ops:ops_per_node ~rpcs
     | Program p -> p
   in

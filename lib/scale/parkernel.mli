@@ -80,7 +80,8 @@ val run :
     > 0 attaches deterministic per-node fault planes (seeded from
     [seed] by the PR 6 split discipline).  [iters] (default 6) is the
     grid-iteration count, [width] (default 128) the row width in words
-    (at most a page), [ops_per_node] (default 32) the echo call count per
+    (at most a page) — both checked only for [Jacobi] and [Gauss], the
+    workloads that use them — [ops_per_node] (default 32) the echo call count per
     pair, and [span_words] (default 0 = compact) stretches the row
     placement over at least that address span — the GB-scale variant.
     [check] arms the window self-checks (defaults from [PLATINUM_CHECK],

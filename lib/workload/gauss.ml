@@ -30,13 +30,26 @@ let init_elem p i j =
 
 let quot a b = if b = 0 then 0 else a / b
 
-(* One elimination step of row [row] against pivot row [piv], in place
-   over the [len] elements from index [off]; index [off] is the pivot
-   column. *)
+(* Eight elements per iteration after a range check that raises
+   directly, as in [Platinum_phys.Frame.copy_words] (DESIGN.md §4a). *)
+let[@inline] step row piv factor j =
+  Array.unsafe_set row j
+    ((Array.unsafe_get row j - (factor * Array.unsafe_get piv j)) land value_mask)
+
 let eliminate ~row ~piv ~off ~len =
   let factor = quot row.(off) piv.(off) in
-  for j = off to off + len - 1 do
-    row.(j) <- (row.(j) - (factor * piv.(j))) land value_mask
+  if len < 0 || off > Array.length row - len || off > Array.length piv - len then
+    raise (Invalid_argument "Gauss.eliminate: out of range");
+  let blocks = len lsr 3 in
+  for b = 0 to blocks - 1 do
+    let j = off + (b lsl 3) in
+    step row piv factor j; step row piv factor (j + 1);
+    step row piv factor (j + 2); step row piv factor (j + 3);
+    step row piv factor (j + 4); step row piv factor (j + 5);
+    step row piv factor (j + 6); step row piv factor (j + 7)
+  done;
+  for j = off + (blocks lsl 3) to off + len - 1 do
+    step row piv factor j
   done
 
 let sequential p =

@@ -51,3 +51,7 @@ val sequential : params -> int array array
 val value_mask : int
 val init_elem : params -> int -> int -> int
 val eliminate : row:int array -> piv:int array -> off:int -> len:int -> unit
+(** One elimination step, eight elements per iteration: [row] minus
+    [row.(off) / piv.(off)] (0 for a zero pivot) times [piv], masked to 28
+    bits, in place over the [len] elements from [off].  A range past either
+    row raises [Invalid_argument] before any element changes. *)

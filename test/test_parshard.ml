@@ -339,6 +339,29 @@ let test_zero_length_block () =
   Alcotest.(check bool) "run verified" true r.Parkernel.verified;
   Alcotest.(check (option (pair int int))) "empty result, zero elapsed" (Some (0, 0)) !out
 
+(* [width] and [iters] shape the grid workloads only: a program on pages
+   under the default 128-word width starts without them, while a grid
+   there still rejects the default width. *)
+let test_program_needs_no_width () =
+  let config = Config.hierarchical ~cluster_size:4 ~page_words:64 ~nodes:8 () in
+  let seen = ref 0 in
+  let program ~node ~row ~rng:_ =
+    if node = 0 then begin
+      Api.write (row 1) 9;
+      seen := Api.read (row 1)
+    end
+  in
+  let r =
+    Parkernel.run ~check:true ~iters:0 ~config
+      (Parkernel.Program
+         { name = "program"; image = []; body = program; verify = (fun _ -> true) })
+  in
+  Alcotest.(check bool) "run verified" true r.Parkernel.verified;
+  Alcotest.(check int) "the program ran" 9 !seen;
+  Alcotest.check_raises "a grid still checks its width"
+    (Invalid_argument "Parkernel.run: width must be in [1, page_words]") (fun () ->
+      ignore (Parkernel.run ~config Parkernel.Jacobi))
+
 (* --- the hosted kernel: full per-node kernel simulations under Shard ---
 
    Same contract, harder cargo: Parkernel runs one complete Kernel.t per
@@ -521,6 +544,7 @@ let suite =
       ("scale: first cross-cluster read costs (page_words + 1) x extra", `Quick,
         test_hierarchical_topology_exact);
       ("kernel: a zero-length block completes at no cost", `Quick, test_zero_length_block);
+      ("kernel: a program needs no width or iters", `Quick, test_program_needs_no_width);
     ]
   @ List.map
       (fun w ->

@@ -138,6 +138,83 @@ let test_share_repeat_blit () =
     (Invalid_argument "Frame.blit_from: size mismatch") (fun () ->
       Frame.blit_from ~src:b ~dst:(pattern ~words:1024 3))
 
+(* --- the block copies: eight words per iteration, then the tail ---
+
+   Every length 0-40 and 1,016-1,024, at offsets on both sides of an
+   8-word block boundary, against a plain per-word copy; the words around
+   the copied range must keep their values. *)
+let copy_lengths = List.init 41 Fun.id @ List.init 9 (fun i -> 1016 + i)
+let copy_offsets = [ 0; 1; 3; 7; 8; 9 ]
+
+let plain_copy src src_off dst dst_off words =
+  for i = 0 to words - 1 do
+    dst.(dst_off + i) <- src.(src_off + i)
+  done
+
+let test_copy_matches_plain () =
+  let check what want got = Alcotest.(check (array int)) what want got in
+  List.iter
+    (fun words ->
+      List.iter
+        (fun off ->
+          List.iter
+            (fun buf_off ->
+              if off + words <= 1024 then begin
+                let what =
+                  Printf.sprintf "%d words, frame offset %d, buffer offset %d" words off buf_off
+                in
+                (* read: frame -> a sentinel-filled buffer *)
+                let f = pattern ~words:1024 3 in
+                let dst = Array.make (buf_off + words + 9) (-1) in
+                let want = Array.copy dst in
+                plain_copy (frame_words f) off want buf_off words;
+                Frame.read_words f ~off ~dst ~dst_off:buf_off ~words;
+                check ("read_words: " ^ what) want dst;
+                (* write: a buffer -> a patterned frame *)
+                let src = Array.init (buf_off + words + 9) (fun i -> -(i + 1)) in
+                let want = frame_words f in
+                plain_copy src buf_off want off words;
+                Frame.write_words f ~off ~src ~src_off:buf_off ~words;
+                check ("write_words: " ^ what) want (frame_words f)
+              end)
+            copy_offsets)
+        copy_offsets)
+    copy_lengths
+
+(* A range past either end, or a negative one, raises before any word
+   moves: the unrolled blocks before the bad end must not be copied. *)
+let test_copy_range_checked_first () =
+  let out_of_range = Invalid_argument "Frame: copy out of range" in
+  let f = pattern ~words:1024 4 in
+  let f0 = frame_words f in
+  let dst = Array.make 40 (-1) in
+  List.iter
+    (fun (off, dst_off, words) ->
+      Alcotest.check_raises
+        (Printf.sprintf "read_words ~off:%d ~dst_off:%d ~words:%d" off dst_off words)
+        out_of_range (fun () -> Frame.read_words f ~off ~dst ~dst_off ~words);
+      Alcotest.(check (array int)) "no word read" (Array.make 40 (-1)) dst)
+    [ (0, 1, 40); (1000, 0, 25); (-1, 0, 8); (0, -1, 8); (0, 0, -1) ];
+  let src = Array.make 40 7 in
+  List.iter
+    (fun (off, src_off, words) ->
+      Alcotest.check_raises
+        (Printf.sprintf "write_words ~off:%d ~src_off:%d ~words:%d" off src_off words)
+        out_of_range (fun () -> Frame.write_words f ~off ~src ~src_off ~words);
+      Alcotest.(check (array int)) "no word written" f0 (frame_words f))
+    [ (1000, 0, 25); (0, 1, 40); (-1, 0, 8); (0, -1, 8); (0, 0, -1) ]
+
+(* The shared-write check comes before the copy, on a block long enough
+   to go through the unrolled loop. *)
+let test_copy_shared_write_first () =
+  let a = pattern ~words:1024 1 and b = pattern ~words:1024 2 in
+  let a0 = frame_words a in
+  Frame.blit_from ~src:a ~dst:b;
+  Alcotest.check_raises "a long block write to a shared frame raises" (shared_write b)
+    (fun () -> Frame.write_words b ~off:3 ~src:(Array.make 37 (-5)) ~src_off:0 ~words:37);
+  Alcotest.(check (array int)) "the source keeps its words" a0 (frame_words a);
+  Alcotest.(check (array int)) "the sharer keeps its words" a0 (frame_words b)
+
 (* --- the inverted page table: frame -> cpage, kept in each frame's owner --- *)
 
 let test_it_alloc_lookup () =
@@ -323,6 +400,9 @@ let suite =
     ("frame: zero fill of a sharer leaves the other", `Quick, test_share_fill_zero);
     ("frame: a freed sharer drops its share", `Quick, test_share_free_drops);
     ("frame: a repeat blit is a no-op", `Quick, test_share_repeat_blit);
+    ("frame: block copies equal a per-word copy", `Quick, test_copy_matches_plain);
+    ("frame: a bad range raises before copying", `Quick, test_copy_range_checked_first);
+    ("frame: a shared block write raises before copying", `Quick, test_copy_shared_write_first);
     ("inverted table: alloc/lookup", `Quick, test_it_alloc_lookup);
     ("inverted table: exhaustion", `Quick, test_it_exhaustion);
     ("inverted table: free and reuse", `Quick, test_it_free_reuse);

@@ -169,7 +169,7 @@ let on_uma p = ignore (Runner.run_program ~seed:42L (Runner.Uma { nprocs = 4; pa
    single page, so its generator keeps every run inside its row. *)
 let on_parkernel p =
   let config = Config.hierarchical ~cluster_size:4 ~page_words ~nodes:8 () in
-  ignore (Parkernel.run ~check:true ~width:page_words ~config (Parkernel.Program p))
+  ignore (Parkernel.run ~check:true ~config (Parkernel.Program p))
 
 let prop name ~span ~min_len run =
   QCheck.Test.make ~name ~count:40 (arb_prog ~span ~min_len) (fun ops ->

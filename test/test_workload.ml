@@ -278,6 +278,41 @@ let test_jacobi_all_policies () =
         Alcotest.fail (Printf.sprintf "jacobi under %s: %s" name out.Outcome.detail))
     Policy.default_names
 
+(* --- the unrolled elimination step ---
+
+   [Gauss.eliminate] against a plain per-element loop, on random rows
+   with negative entries, every [len] 1-40 and [off] 0-7: the same masked
+   words inside the range, untouched words outside it.  A range past the
+   end raises before any element changes. *)
+let plain_eliminate ~row ~piv ~off ~len =
+  let factor = if piv.(off) = 0 then 0 else row.(off) / piv.(off) in
+  for j = off to off + len - 1 do
+    row.(j) <- (row.(j) - (factor * piv.(j))) land Gauss.value_mask
+  done
+
+let test_eliminate_matches_plain () =
+  let rng = Random.State.make [| 44 |] in
+  let entry () = Random.State.int rng (2 * (Gauss.value_mask + 1)) - Gauss.value_mask - 1 in
+  for len = 1 to 40 do
+    for off = 0 to 7 do
+      for _trial = 1 to 4 do
+        let size = off + len + Random.State.int rng 4 in
+        let piv = Array.init size (fun _ -> entry ()) in
+        let row = Array.init size (fun _ -> entry ()) in
+        if Random.State.int rng 4 = 0 then piv.(off) <- 1 + Random.State.int rng 1000;
+        let want = Array.copy row in
+        plain_eliminate ~row:want ~piv ~off ~len;
+        Gauss.eliminate ~row ~piv ~off ~len;
+        Alcotest.(check (array int)) (Printf.sprintf "len %d, off %d" len off) want row
+      done
+    done
+  done;
+  let row = Array.init 30 (fun i -> i - 15) and piv = Array.make 30 1 in
+  let row0 = Array.copy row in
+  Alcotest.check_raises "a range past the end" (Invalid_argument "Gauss.eliminate: out of range")
+    (fun () -> Gauss.eliminate ~row ~piv ~off:3 ~len:28);
+  Alcotest.(check (array int)) "raises before any element changes" row0 row
+
 (* --- parameter validation --- *)
 
 let test_param_validation () =
@@ -326,6 +361,7 @@ let suite =
     ("anecdote: co-located lock is a disaster", `Quick, test_anecdote_old_slower);
     ("anecdote: the defrost daemon rescues it", `Quick, test_anecdote_defrost_rescues);
     ("jacobi: correct under every policy", `Quick, test_jacobi_all_policies);
+    ("gauss: unrolled elimination equals a plain loop", `Quick, test_eliminate_matches_plain);
     ("workloads: parameter validation", `Quick, test_param_validation);
     ("determinism: identical runs", `Quick, test_runs_are_deterministic);
   ]
