@@ -200,6 +200,7 @@ let frame_words = 1024
 
 let measure_copy ~copies =
   let f = Frame.create ~mem_module:0 ~index:0 ~words:frame_words in
+  Frame.fill_zero f;
   let buf = Array.make frame_words 1 in
   let t0 = Unix.gettimeofday () in
   for i = 1 to copies do

@@ -219,8 +219,10 @@ let run (scale : scale) =
   in
   (* The GB-span variant: a >= 2^27-word address space on the largest
      topology.  The chunked page tables keep resident memory proportional
-     to the touched footprint, so this costs the same events as the dense
-     run — the row records span_words and touched_pages as evidence. *)
+     to the touched footprint (one 512-entry chunk per touched 512-page
+     window, and a directory of at most 8,192 pointers), so this costs the
+     same events as the dense run — the row records span_words and
+     touched_pages as evidence. *)
   let gb_span = 1 lsl 27 in
   let gb_row =
     measure ~gb:true ~config:(topology largest) ~shards ~domains

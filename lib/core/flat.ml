@@ -1,24 +1,20 @@
 (* Chunked vpage-indexed tables: the flat storage behind Pmap, Atc and Cmap.
 
    The PLATINUM argument (§3-4) is that the common case — a mapped,
-   coherent access — must cost almost nothing.  Hashing on every simulated
-   word made the simulator's common case pay bucket chases and [Some]
-   allocations; an array indexed by vpage makes a hit bounds checks
-   and loads, and returning the *stored* option cell keeps the hit path
-   free of minor-heap allocation.
+   coherent access — must cost almost nothing.  An array indexed by vpage
+   makes a hit bounds checks and loads, and returning the *stored* option
+   cell keeps the hit path free of minor-heap allocation.  Keys in
+   [0, dense_limit) resolve through a two-level array — an outer chunk
+   directory grown geometrically, and 2^9-entry chunks allocated on first
+   touch — so resident memory is proportional to the *touched* footprint
+   (one chunk per touched 512-page window), not the span.  Negative keys
+   and keys at or above [dense_limit] spill to a hash table that stores
+   pre-wrapped options, so even spill hits allocate nothing.
 
-   PR 5's representation was a single dense prefix capped at 2^16 keys,
-   which priced a GB-scale address space at its *span*: one sparse touch
-   near the top of a 2^27-word space would have either allocated the whole
-   prefix or pushed every access onto the spill path.  The table is now
-   chunked: keys in [0, dense_limit) resolve through a two-level array —
-   an outer chunk directory grown geometrically, and 2^12-entry chunks
-   allocated on first touch — so resident memory is proportional to the
-   *touched* footprint (one chunk per touched 4096-page window) while a
-   steady-state hit is still two bounds checks and two loads with zero
-   allocation.  Negative keys and keys at or above [dense_limit] spill to
-   a hash table that stores pre-wrapped options, so even spill hits
-   allocate nothing. *)
+   Why 2^9: a hosted node keeps three tables and touches a few pages, so
+   a 2^12 chunk (32 KB) per table set the footprint of a 256-node run.
+   512 cells is the smallest chunk still allocated straight on the major
+   heap (over 256 words), so first touches stay out of the minor heap. *)
 
 type 'a t = {
   mutable chunks : 'a option array array;
@@ -27,14 +23,14 @@ type 'a t = {
   mutable population : int;
 }
 
-let chunk_bits = 12
+let chunk_bits = 9
 let chunk_size = 1 lsl chunk_bits
 let chunk_mask = chunk_size - 1
 
 (* The chunk-addressable span: 2^22 pages = 2^32 words of address space at
    the default kilo-word page.  The outer directory tops out at
-   [dense_limit / chunk_size] = 1024 pointers, so even a touch at the very
-   top of the span costs kilobytes of directory, not gigabytes of cells. *)
+   [dense_limit / chunk_size] = 8192 pointers, so even a touch at the very
+   top of the span costs 64 KB of directory, not gigabytes of cells. *)
 let dense_limit = 1 lsl 22
 
 let max_chunks = dense_limit lsr chunk_bits

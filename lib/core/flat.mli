@@ -3,10 +3,14 @@
 
     A table maps non-negative integer keys — virtual page numbers — to
     values through a two-level array: an outer chunk directory grown
-    geometrically, and fixed-size chunks ([chunk_size] entries) allocated
-    on first touch.  Resident memory is therefore proportional to the
-    {e touched} footprint, not the address-space span, which is what lets
-    a GB-scale sparse address space cost kilobytes.  The steady-state
+    geometrically, and fixed-size chunks ([chunk_size] = 512 entries)
+    allocated on first touch.  Resident memory is therefore proportional
+    to the {e touched} footprint, not the address-space span, which is
+    what lets a GB-scale sparse address space cost kilobytes: 4 KB per
+    touched 512-page window, plus a directory of at most 8192 pointers
+    (64 KB) for a touch at the top of the span.  512 is the smallest chunk
+    the runtime still allocates straight on the major heap, so a first
+    touch costs the minor heap nothing.  The steady-state
     lookup is two bounds checks and two loads; [find] returns the
     {e stored} option cell, never a fresh [Some], so a hit allocates zero
     minor-heap words.  Keys outside [0, dense_limit) (negative, or beyond

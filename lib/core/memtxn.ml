@@ -46,18 +46,22 @@ type chunk = {
   mutable k_elem_words : int;
   mutable k_stride : int;
   mutable k_page_words : int;
+  mutable k_page_shift : int;  (* {!Phys_mem.page_shift} of [k_page_words] *)
 }
 
 let make_chunk () =
   {
     c_vaddr = 0; c_index = 0; c_words = 0;
     k_left = 0; k_elems = 0; k_elem_words = 0; k_stride = 0; k_page_words = 1;
+    k_page_shift = 0;
   }
 
 (* Point [c] at the longest run from [vaddr] that stays inside one page and
    within the [words] the current element has left. *)
 let cut c ~vaddr ~index ~words =
-  let len = Int.min (c.k_page_words - (vaddr mod c.k_page_words)) words in
+  let pw = c.k_page_words in
+  let off = Platinum_phys.Phys_mem.offset ~shift:c.k_page_shift ~page_words:pw vaddr in
+  let len = Int.min (pw - off) words in
   c.c_vaddr <- vaddr;
   c.c_index <- index;
   c.c_words <- len;
@@ -66,6 +70,8 @@ let cut c ~vaddr ~index ~words =
 let start c ~page_words ~vaddr ~index ~elems ~elem_words ~stride =
   if elems <= 0 || elem_words <= 0 then false
   else begin
+    if page_words <> c.k_page_words then
+      c.k_page_shift <- Platinum_phys.Phys_mem.page_shift page_words;
     c.k_page_words <- page_words;
     c.k_elems <- elems - 1;
     c.k_elem_words <- elem_words;

@@ -69,6 +69,7 @@ type chunk = private {
   mutable k_elem_words : int;
   mutable k_stride : int;
   mutable k_page_words : int;
+  mutable k_page_shift : int;
 }
 
 val make_chunk : unit -> chunk

@@ -7,6 +7,7 @@ module Memobj = Platinum_vm.Memobj
 module Zone = Platinum_vm.Zone
 module Xbar = Platinum_machine.Xbar
 module Machine = Platinum_machine.Machine
+module Phys_mem = Platinum_phys.Phys_mem
 
 (* One user address space as the kernel sees it. *)
 type space = {
@@ -26,6 +27,7 @@ type t = {
   mutable zones : Zone.t array;
   mutable segments : Memobj.t array;  (* globally named objects *)
   cursor : Memtxn.chunk;  (* the binding loop's *)
+  shift : int;  (* {!Phys_mem.page_shift} of the page size *)
 }
 
 let space t aspace =
@@ -90,7 +92,7 @@ let ensure_bound _t sp ~now ~vpage =
    is exactly a first..last page loop.  [last] starts at [min_int], a page
    no chunk lies in. *)
 let rec bind_loop t sp (c : Memtxn.chunk) ~now ~pw ~last lat =
-  let vpage = c.Memtxn.c_vaddr / pw in
+  let vpage = Phys_mem.vpage ~shift:t.shift ~page_words:pw c.Memtxn.c_vaddr in
   let lat = if vpage <> last then lat + ensure_bound t sp ~now:(now + lat) ~vpage else lat in
   if Memtxn.next c then bind_loop t sp c ~now ~pw ~last:vpage lat else lat
 
@@ -99,7 +101,7 @@ let ensure_txn t sp ~now txn =
   let pw = Coherent.page_words t.coh in
   match txn with
   | Memtxn.Read { vaddr } | Write { vaddr; _ } | Rmw { vaddr; _ } ->
-    ensure_bound t sp ~now ~vpage:(vaddr / pw)
+    ensure_bound t sp ~now ~vpage:(Phys_mem.vpage ~shift:t.shift ~page_words:pw vaddr)
   | _ ->
     if Memtxn.first t.cursor ~page_words:pw txn then
       bind_loop t sp t.cursor ~now ~pw ~last:min_int 0
@@ -180,6 +182,7 @@ let create coh root_aspace ?(default_zone_pages = 4096) () =
       zones = [||];
       segments = [||];
       cursor = Memtxn.make_chunk ();
+      shift = Phys_mem.page_shift (Coherent.page_words coh);
     }
   in
   (* Zone 0: the root space's default heap. *)

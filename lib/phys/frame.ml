@@ -6,7 +6,7 @@ type t = {
   frame_module : int;
   frame_index : int;
   nwords : int;
-  mutable data : int array;  (* [||] once a freed sharer dropped its share *)
+  mutable data : int array;  (* [||] before the first fill, and once a freed sharer drops it *)
   mutable cell : cell;
   mutable owner : int;  (* owning cpage id, or -1 when free *)
 }
@@ -18,7 +18,7 @@ let unbacked = { holders = 0 }
 let create ~mem_module ~index ~words =
   if words <= 0 then invalid_arg "Frame.create: words must be positive";
   { frame_module = mem_module; frame_index = index; nwords = words;
-    data = Array.make words 0; cell = { holders = 1 }; owner = -1 }
+    data = [||]; cell = unbacked; owner = -1 }
 
 let mem_module t = t.frame_module
 let index t = t.frame_index

@@ -10,6 +10,9 @@
 type t
 
 val create : mem_module:int -> index:int -> words:int -> t
+(** A free frame with no buffer, like a freed sharer: it raises on access
+    until its first {!fill_zero} (which allocates a buffer) or {!blit_from}
+    (which shares the source's), so a replica allocates no buffer. *)
 
 val mem_module : t -> int
 (** The memory module holding this frame. *)
@@ -64,7 +67,8 @@ val blit_from : src:t -> dst:t -> unit
     the same size and [src] must hold data. *)
 
 val fill_zero : t -> unit
-(** Zero every word; a freed sharer gets a buffer of its own again. *)
+(** Zero every word; a fresh frame or a freed sharer gets a buffer of its
+    own. *)
 
 val equal_data : t -> t -> bool
 (** Word-for-word data equality (used by coherence invariant checks). *)

@@ -5,11 +5,12 @@
     ([Cpage.local_copy] in platinum_core) and in each frame's owner, so this
     module only hands frames out and takes them back.
 
-    Built lazily: [create] is O(1) whatever the frame count, and a frame's
-    data array appears the first time it is handed out.  Frames go out
-    most recently freed first, then never-used frames by ascending index.
-    A freed frame is kept, so a re-allocated frame is the same [Frame.t]
-    with whatever stale data it last held. *)
+    Built lazily: [create] is O(1) whatever the frame count, and a frame
+    appears the first time it is handed out, with no data array until its
+    first [Frame.fill_zero] or [Frame.blit_from] (it raises on access
+    before).  Frames go out most recently freed first, then never-used
+    frames by ascending index.  A freed frame is kept, so a re-allocated
+    frame is the same [Frame.t] with whatever data it last held. *)
 
 type t
 

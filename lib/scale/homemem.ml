@@ -90,6 +90,7 @@ type t = {
   nodes : node array;
   home_of : int -> int;  (* vpage -> home node *)
   pw : int;  (* words per page *)
+  shift : int;  (* {!Phys_mem.page_shift} of [pw] *)
   la : int;  (* conservative lookahead, ns *)
 }
 
@@ -124,6 +125,7 @@ let create (cfg : Config.t) mods ~engines ~injects ~home_of =
     nodes = Array.map2 node engines injects;
     home_of;
     pw = cfg.Config.page_words;
+    shift = Platinum_phys.Phys_mem.page_shift cfg.Config.page_words;
     la = Config.lookahead_ns cfg;
   }
 
@@ -136,6 +138,8 @@ let ipi_delay t ~src ~dst = Int.max t.la (Xbar.ipi_ns t.cfg ~hop:(Config.hop t.c
 
 (* --- transaction shape --- *)
 
+let[@inline] vpage t vaddr = Platinum_phys.Phys_mem.vpage ~shift:t.shift ~page_words:t.pw vaddr
+
 (* The one-page restriction: a distributed transaction must fall within a
    single page so it has a single home.  Strides and page-straddling
    blocks are declined (the workloads never issue them; a caller that does
@@ -143,9 +147,10 @@ let ipi_delay t ~src ~dst = Int.max t.la (Xbar.ipi_ns t.cfg ~hop:(Config.hop t.c
    zero-length block, which the synchronous path completes at no cost.
    The page, or -1 to decline. *)
 let txn_page t = function
-  | Memtxn.Read { vaddr } | Memtxn.Write { vaddr; _ } | Memtxn.Rmw { vaddr; _ } -> vaddr / t.pw
+  | Memtxn.Read { vaddr } | Memtxn.Write { vaddr; _ } | Memtxn.Rmw { vaddr; _ } -> vpage t vaddr
   | Memtxn.Block_read { vaddr; len; _ } | Memtxn.Block_write { vaddr; len; _ } ->
-    if len >= 1 && vaddr / t.pw = (vaddr + len - 1) / t.pw then vaddr / t.pw else -1
+    let page = vpage t vaddr in
+    if len >= 1 && page = vpage t (vaddr + len - 1) then page else -1
   | Memtxn.Stride_read _ | Memtxn.Stride_write _ -> -1
 
 (* Complete a read from page data [arr] into the requester's slice, on the
@@ -434,7 +439,7 @@ let memsys t s ~arena_base ~arena_words =
 (* --- the host's view: setup image, read-back, at-rest check --- *)
 
 let load t ~addr words =
-  let page = addr / t.pw in
+  let page = vpage t addr in
   let hp = get_hpage t (t.home_of page) page in
   ensure_data t hp;
   hp.hsnap_version <- -1;

@@ -55,7 +55,10 @@ let read env ?(now = 0) ~proc vaddr = Word.read env.coh ~now ~proc ~cmap:env.cm 
 let write env ?(now = 0) ~proc vaddr v =
   Coherent.submit env.coh ~now ~proc ~cmap:env.cm (Memtxn.Write { vaddr; value = v })
 
-let frame ?(mem_module = 0) ?(index = 0) ?(words = 4) () = Frame.create ~mem_module ~index ~words
+let frame ?(mem_module = 0) ?(index = 0) ?(words = 4) () =
+  let f = Frame.create ~mem_module ~index ~words in
+  Frame.fill_zero f;
+  f
 
 (* A consistent single-copy view to corrupt per test. *)
 let base_view ?copies ?copy_mask ?(write_mapped = false)

@@ -363,7 +363,7 @@ let prop_cmap_differential =
 
 (* --- property 3: the chunked representation at its seams (PR 10) ---
 
-   The dense prefix is now a two-level chunked table (4096-entry chunks on
+   The dense prefix is now a two-level chunked table (512-entry chunks on
    first touch).  This property drives random operation streams through a
    key universe concentrated on the seams — both sides of every chunk
    boundary, the dense/spill boundary at [dense_limit], and keys in
@@ -517,6 +517,32 @@ let test_spill_keys_served () =
   Alcotest.(check int) "population" (List.length spilled) (Flat.length fl);
   Alcotest.(check int) "no chunk touched" 0 (Flat.chunk_count fl)
 
+(* --- footprint: a touched page costs one 512-entry chunk ---
+
+   One key in each of [k] 4096-page windows touches [k] chunks of at most
+   512 cells (4 KB and a header word each), plus its [Some] cell and the
+   directory, whose growth copies sum to under twice its final length.
+   [Gc.counters] counts the words allocated, minor or straight to the
+   major heap.  The minor heap is emptied first: OCaml 5.1 over-counts
+   minor words when a collection that the window triggers finds words
+   allocated before it. *)
+let words_allocated f =
+  Gc.minor ();
+  let mi0, pro0, ma0 = Gc.counters () in
+  f ();
+  let mi1, pro1, ma1 = Gc.counters () in
+  (mi1 -. mi0) +. (ma1 -. ma0) -. (pro1 -. pro0)
+
+let test_touch_footprint () =
+  let k = 64 and fl = Flat.create () in
+  let w = words_allocated (fun () -> for i = 0 to k - 1 do Flat.set fl (i * 4096) i done) in
+  let budget = (k * (512 + 1 + 2)) + (4 * Flat.chunk_count fl) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d windows touched: %.0f words allocated, budget %d" k w budget)
+    true
+    (w <= float_of_int budget);
+  Alcotest.(check int) "every key bound" k (Flat.length fl)
+
 let suite =
   [
     qtest prop_pmap_atc_differential;
@@ -524,4 +550,5 @@ let suite =
     qtest prop_chunk_seams_differential;
     ("flat: chunked steady hits allocate nothing", `Quick, test_steady_hits_allocate_nothing);
     ("flat: find serves spilled keys", `Quick, test_spill_keys_served);
+    ("flat: a touched window costs one small chunk", `Quick, test_touch_footprint);
   ]

@@ -7,6 +7,7 @@ module Procset = Platinum_machine.Procset
 module Coherent = Platinum_core.Coherent
 module Cpage = Platinum_core.Cpage
 module Counters = Platinum_core.Counters
+module Memtxn = Platinum_core.Memtxn
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -14,6 +15,7 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let test_frame_data () =
   let f = Frame.create ~mem_module:2 ~index:7 ~words:16 in
+  Frame.fill_zero f;
   Alcotest.(check int) "module" 2 (Frame.mem_module f);
   Alcotest.(check int) "index" 7 (Frame.index f);
   Alcotest.(check int) "words" 16 (Frame.words f);
@@ -24,6 +26,7 @@ let test_frame_data () =
 let test_frame_blit () =
   let a = Frame.create ~mem_module:0 ~index:0 ~words:8 in
   let b = Frame.create ~mem_module:1 ~index:0 ~words:8 in
+  Frame.fill_zero a;
   for i = 0 to 7 do
     Frame.set a i (i * i)
   done;
@@ -50,6 +53,7 @@ let test_frame_owner () =
 
 let test_frame_zero_fill () =
   let f = Frame.create ~mem_module:0 ~index:0 ~words:4 in
+  Frame.fill_zero f;
   Frame.set f 2 7;
   Frame.fill_zero f;
   Alcotest.(check int) "zeroed" 0 (Frame.get f 2)
@@ -59,6 +63,7 @@ let test_frame_zero_fill () =
 let frame_words f = Array.init (Frame.words f) (Frame.get f)
 let pattern ?(words = 8) k =
   let f = Frame.create ~mem_module:k ~index:0 ~words in
+  Frame.fill_zero f;
   for i = 0 to words - 1 do
     Frame.set f i ((k * 100) + i)
   done;
@@ -122,6 +127,59 @@ let test_share_free_drops () =
   Frame.fill_zero b;
   Alcotest.(check int) "zero fill gives it a buffer again" 0 (Frame.get b 0);
   Alcotest.(check int) "survivor kept its words" 7 (Frame.get a 0)
+
+(* --- a pool frame has no buffer until its first fill ---
+
+   A replica's first step is a Copy, which shares the source's buffer, so
+   a buffer allocated with the frame would be dropped unread.  Words
+   allocated straight on the major heap (every 1,024-word buffer) are
+   [major - promoted] in [Gc.counters]. *)
+let direct_major_words f =
+  let _, p0, m0 = Gc.counters () in
+  f ();
+  let _, p1, m1 = Gc.counters () in
+  (m1 -. m0) -. (p1 -. p0)
+
+let test_fresh_blit_allocates_no_buffer () =
+  let pm = Phys_mem.create ~modules:2 ~frames_per_module:1000 ~page_words:1024 in
+  let src = Option.get (Phys_mem.alloc pm ~mem_module:0 ~cpage:0) in
+  Frame.fill_zero src;
+  Frame.set src 5 55;
+  let frame i = Option.get (Phys_mem.alloc pm ~mem_module:1 ~cpage:i) in
+  let one = direct_major_words (fun () -> Frame.blit_from ~src ~dst:(frame 1)) in
+  Alcotest.(check (float 0.)) "alloc then blit: no page buffer" 0. one;
+  let dsts = ref [] in
+  let all =
+    direct_major_words (fun () ->
+        for i = 2 to 1000 do
+          let f = frame i in
+          Frame.blit_from ~src ~dst:f;
+          dsts := f :: !dsts
+        done)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "999 more replicas: %.0f major words, under one page" all)
+    true (all < 1024.);
+  List.iter (fun f -> Alcotest.(check int) "a replica reads the source" 55 (Frame.get f 5)) !dsts
+
+let test_fresh_zero_fill_one_buffer () =
+  let pm = Phys_mem.create ~modules:1 ~frames_per_module:2 ~page_words:1024 in
+  let f = Option.get (Phys_mem.alloc pm ~mem_module:0 ~cpage:3) in
+  let w = direct_major_words (fun () -> Frame.fill_zero f) in
+  Alcotest.(check bool)
+    (Printf.sprintf "zero fill of a fresh frame: one buffer (%.0f major words)" w)
+    true
+    (w >= 1024. && w < 2048.);
+  Alcotest.(check int) "zeroed" 0 (Frame.get f 1023)
+
+let test_fresh_frame_raises () =
+  let f = Frame.create ~mem_module:0 ~index:0 ~words:4 in
+  let unbacked = Invalid_argument "index out of bounds" in
+  Alcotest.check_raises "get before the first fill" unbacked (fun () -> ignore (Frame.get f 0));
+  Alcotest.check_raises "set before the first fill" unbacked (fun () -> Frame.set f 0 1);
+  Alcotest.check_raises "no blit source before the first fill"
+    (Invalid_argument "Frame.blit_from: size mismatch") (fun () ->
+      Frame.blit_from ~src:f ~dst:(Frame.create ~mem_module:1 ~index:0 ~words:4))
 
 let test_share_repeat_blit () =
   let a = pattern ~words:1024 1 and b = pattern ~words:1024 2 in
@@ -270,6 +328,7 @@ let test_pm_oom () =
 let test_pm_free () =
   let pm = Phys_mem.create ~modules:2 ~frames_per_module:1 ~page_words:4 in
   let f = Option.get (Phys_mem.alloc pm ~mem_module:1 ~cpage:5) in
+  Frame.fill_zero f;
   Frame.set f 0 9;
   Phys_mem.free pm f;
   Alcotest.(check bool) "owner cleared" true (Frame.owner f = None);
@@ -372,6 +431,28 @@ let test_pm_fallback_avoids_duplicates () =
 
 (* The shift-and-mask split must equal [/] and [mod] for every page size
    and address, negative addresses and non-power-of-two pages included. *)
+(* [Memtxn]'s chunk walk cuts at page ends with the same split: each
+   chunk runs to [pw - vaddr mod pw] words at most.  One cursor walks
+   every page size, so a stale shift would show. *)
+let cursor = Memtxn.make_chunk ()
+
+let chunks ~pw txn =
+  let here () = (cursor.Memtxn.c_vaddr, cursor.Memtxn.c_words) in
+  if not (Memtxn.first cursor ~page_words:pw txn) then []
+  else begin
+    let acc = ref [ here () ] in
+    while Memtxn.next cursor do
+      acc := here () :: !acc
+    done;
+    List.rev !acc
+  end
+
+let rec divide_cuts ~pw vaddr left =
+  if left = 0 then []
+  else
+    let len = Int.min (pw - (vaddr mod pw)) left in
+    (vaddr, len) :: divide_cuts ~pw (vaddr + len) (left - len)
+
 let test_page_split () =
   List.iter
     (fun pw ->
@@ -385,7 +466,14 @@ let test_page_split () =
         Alcotest.(check int) (what ^ ": vpage") (vaddr / pw)
           (Phys_mem.vpage ~shift ~page_words:pw vaddr);
         Alcotest.(check int) (what ^ ": offset") (vaddr mod pw)
-          (Phys_mem.offset ~shift ~page_words:pw vaddr)
+          (Phys_mem.offset ~shift ~page_words:pw vaddr);
+        List.iter
+          (fun len ->
+            Alcotest.(check (list (pair int int)))
+              (Printf.sprintf "%s: chunks of a %d-word block" what len)
+              (divide_cuts ~pw vaddr len)
+              (chunks ~pw (Memtxn.Block_read { vaddr; dst = Array.make len 0; dst_off = 0; len })))
+          [ 1; pw; (2 * pw) + 3 ]
       done)
     [ 1; 2; 3; 6; 8; 1000; 1024 ]
 
@@ -398,6 +486,11 @@ let suite =
     ("frame: zero fill", `Quick, test_frame_zero_fill);
     ("frame: a write to either sharer leaves the other", `Quick, test_share_write_either_side);
     ("frame: zero fill of a sharer leaves the other", `Quick, test_share_fill_zero);
+    ("frame: a blit into a pool frame allocates no buffer", `Quick,
+     test_fresh_blit_allocates_no_buffer);
+    ("frame: zero fill of a pool frame allocates one buffer", `Quick,
+     test_fresh_zero_fill_one_buffer);
+    ("frame: a fresh frame raises until filled", `Quick, test_fresh_frame_raises);
     ("frame: a freed sharer drops its share", `Quick, test_share_free_drops);
     ("frame: a repeat blit is a no-op", `Quick, test_share_repeat_blit);
     ("frame: block copies equal a per-word copy", `Quick, test_copy_matches_plain);
