@@ -107,10 +107,11 @@ type cell = {
 }
 
 (* One injected run, with the invariant monitor armed or, whatever
-   PLATINUM_CHECK says, disarmed.  Any violation (a Check.Violation or a
-   Frame.Shared_write, raised mid-protocol or surfacing through a thread
-   failure) or workload self-verification failure is captured, not
-   propagated: the grid always completes and reports. *)
+   PLATINUM_CHECK says, disarmed.  Any violation (a Check.Violation, a
+   Frame.Shared_write or a Frame.Unbacked_read, raised mid-protocol or
+   surfacing through a thread failure) or workload self-verification
+   failure is captured, not propagated: the grid always completes and
+   reports. *)
 let run_cell ~monitored (label, wl) ~seed ~rate =
   let out, main = wl () in
   let config = Config.butterfly_plus ~nprocs:4 () in
@@ -144,7 +145,9 @@ let run_cell ~monitored (label, wl) ~seed ~rate =
   | exception Check.Violation v -> finish (Some (Check.violation_message v)) "<violation>"
   | exception Kernel.Thread_failure (Check.Violation v) ->
     finish (Some (Check.violation_message v)) "<violation>"
-  | exception (Frame.Shared_write _ as e | Kernel.Thread_failure (Frame.Shared_write _ as e)) ->
+  | exception
+      (((Frame.Shared_write _ | Frame.Unbacked_read _) as e)
+      | Kernel.Thread_failure ((Frame.Shared_write _ | Frame.Unbacked_read _) as e)) ->
     finish (Some (Printexc.to_string e)) "<violation>"
   | exception e -> finish (Some (Printexc.to_string e)) "<failure>"
 

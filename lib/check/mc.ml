@@ -216,7 +216,7 @@ let replay ~policy ~nprocs ~npages ops =
     Ok (fingerprint sys)
   with
   | Check.Violation v -> Error (Check.violation_message v)
-  | Frame.Shared_write _ as e -> Error (Printexc.to_string e)
+  | (Frame.Shared_write _ | Frame.Unbacked_read _) as e -> Error (Printexc.to_string e)
   | Sc_violation { op; got; want } ->
     Error
       (Format.asprintf

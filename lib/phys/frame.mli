@@ -5,14 +5,22 @@
     application results and are caught by the output-checking tests.
     Every frame reads as its own memory.  A write to a buffer that another
     live frame shares raises {!Shared_write}: the page would have a writer
-    and a second copy, which §3.2 forbids. *)
+    and a second copy, which §3.2 forbids.
+
+    {b Invariant.}  A buffer is unscanned bytes, each 8-byte word an OCaml
+    int in its own tagged form (2v+1, native-endian), so the GC never
+    marks simulated memory.  Only this module writes buffers, and each
+    writer keeps every word a valid int: {!fill_zero} and {!set} tag, the
+    rest copy ints or share a buffer.  So a block read never puts a
+    pointer-shaped word into a heap array. *)
 
 type t
 
 val create : mem_module:int -> index:int -> words:int -> t
-(** A free frame with no buffer, like a freed sharer: it raises on access
-    until its first {!fill_zero} (which allocates a buffer) or {!blit_from}
-    (which shares the source's), so a replica allocates no buffer. *)
+(** A free frame with no buffer, like a freed sharer: it raises
+    {!Unbacked_read} until its first {!fill_zero} (which allocates a
+    buffer) or {!blit_from} (which shares the source's), so a replica
+    allocates no buffer. *)
 
 val mem_module : t -> int
 (** The memory module holding this frame. *)
@@ -36,20 +44,25 @@ exception Shared_write of { mem_module : int; index : int; owner : int }
     while another live frame shares its buffer.  Checked in every run, at
     the write, with or without the coherence monitor. *)
 
+exception Unbacked_read of { mem_module : int; index : int; owner : int }
+(** The [unbacked-frame-read] violation: an access ({!get} to
+    {!write_words}) to a freed sharer or an unfilled pool frame, which has
+    no buffer.  It comes from each access's one range check, which raises
+    [Invalid_argument] on a backed frame. *)
+
 val get : t -> int -> int
 (** [get f off] reads word [off]. *)
 
 val set : t -> int -> int -> unit
 
 (** {b The block copies.}  [read_words] and [write_words], the data plane
-    of every block transfer, run {!copy_words}: a typed [int array] loop,
-    not [Array.blit], which is polymorphic and so runs [caml_modify] on
-    every word it copies into the major heap (every 1024-word frame, any
-    buffer over 256 words).  It moves eight words per iteration, then the
-    tail: ocamlopt polls a safepoint and recomputes the index in every
-    iteration (DESIGN.md §4a).  Each call checks its ranges once and raises
-    [Invalid_argument] before copying anything.  All three are in the
-    zero-alloc catalogue ([Rule_alloc]) with [get], [set] and [blit_from]. *)
+    of every block transfer, are one [memcpy] each (frame_stubs.c): the
+    buffer holds tagged ints, which need no write barrier.  [Homemem]'s
+    {!copy_words} is a typed [int array] loop, eight words per iteration,
+    not the polymorphic [Array.blit], which runs [caml_modify] on every
+    word (DESIGN.md §4a).  Each checks its ranges and raises before
+    copying anything.  All are in the zero-alloc catalogue ([Rule_alloc])
+    with [get], [set] and [blit_from]. *)
 
 val copy_words : int array -> int -> int array -> int -> int -> unit
 (** [copy_words src src_off dst dst_off words]: [words] words, ascending. *)

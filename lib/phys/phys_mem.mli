@@ -6,11 +6,11 @@
     module only hands frames out and takes them back.
 
     Built lazily: [create] is O(1) whatever the frame count, and a frame
-    appears the first time it is handed out, with no data array until its
-    first [Frame.fill_zero] or [Frame.blit_from] (it raises on access
-    before).  Frames go out most recently freed first, then never-used
-    frames by ascending index.  A freed frame is kept, so a re-allocated
-    frame is the same [Frame.t] with whatever data it last held. *)
+    appears the first time it is handed out, with no buffer until its
+    first [Frame.fill_zero] or [Frame.blit_from] (an access before raises
+    [Frame.Unbacked_read]).  Frames go out most recently freed first, then
+    never-used frames by ascending index.  A freed frame is kept, so a
+    re-allocated frame is the same [Frame.t] with whatever data it last held. *)
 
 type t
 

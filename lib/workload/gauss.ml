@@ -30,8 +30,8 @@ let init_elem p i j =
 
 let quot a b = if b = 0 then 0 else a / b
 
-(* Eight elements per iteration after a range check that raises
-   directly, as in [Platinum_phys.Frame.copy_words] (DESIGN.md §4a). *)
+(* Eight elements per iteration, one safepoint poll each, after a range
+   check that raises directly, so nothing spills (DESIGN.md §4a). *)
 let[@inline] step row piv factor j =
   Array.unsafe_set row j
     ((Array.unsafe_get row j - (factor * Array.unsafe_get piv j)) land value_mask)

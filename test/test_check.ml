@@ -365,6 +365,38 @@ let test_shared_write_stops_unmonitored_run () =
     Alcotest.(check bool) ("named: " ^ msg) true
       (String.starts_with ~prefix:(Printf.sprintf "cpage %d: shared-write" owner) msg)
 
+(* --- unbacked-frame-read: a mapped frame that lost its buffer --- *)
+
+(* Free the reader's replica behind the protocol's back, as a
+   use-after-free would: the frame drops its share of the buffer while
+   still mapped, and the next read through the mapping names the
+   violation instead of failing on a bare index. *)
+let test_unbacked_read_stops_unmonitored_run () =
+  let setup = Runner.make ~config:(Config.butterfly_plus ~nprocs:2 ()) () in
+  let coh = setup.Runner.coherent in
+  Coherent.set_monitor coh None;
+  let cm = Addr_space.cmap setup.Runner.aspace in
+  let pw = Coherent.page_words coh in
+  let main () =
+    let buf = Api.alloc ~page_aligned:true pw in
+    let vpage = buf / pw in
+    Api.write buf 1;
+    Api.join
+      (Api.spawn ~proc:1 (fun () ->
+           ignore (Api.read buf);
+           let frame = (Option.get (Pmap.find (Cmap.pmap cm ~proc:1) ~vpage)).Pmap.frame in
+           Frame.set_owner frame None;
+           ignore (Api.read (buf + 1))))
+  in
+  match Runner.run setup ~main with
+  | _ -> Alcotest.fail "a read of a frame with no buffer went unnoticed"
+  | exception Kernel.Thread_failure (Frame.Unbacked_read { mem_module; owner; _ } as e) ->
+    Alcotest.(check int) "the replica on the reader's module" 1 mem_module;
+    Alcotest.(check int) "a freed frame" (-1) owner;
+    let msg = Printexc.to_string e in
+    Alcotest.(check bool) ("named: " ^ msg) true
+      (String.starts_with ~prefix:"cpage -1: unbacked-frame-read" msg)
+
 (* --- the model checker --- *)
 
 let test_mc_replay_deterministic () =
@@ -474,6 +506,8 @@ let suite =
     ("machine: frame accounting", `Quick, test_frame_accounting);
     ("monitor: silent on a healthy run", `Quick, test_monitor_silent_on_healthy_run);
     ("shared-write: stops an unmonitored run", `Quick, test_shared_write_stops_unmonitored_run);
+    ("unbacked-frame-read: stops an unmonitored run", `Quick,
+     test_unbacked_read_stops_unmonitored_run);
     ("monitor: catches the seeded mutation", `Quick, test_monitor_catches_seeded_mutation);
     ("monitor: trace is bounded", `Quick, test_monitor_trace_is_bounded);
     ("monitor: ring buffer", `Quick, test_ring);

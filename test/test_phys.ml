@@ -122,8 +122,12 @@ let test_share_free_drops () =
   Alcotest.(check bool)
     (Printf.sprintf "the free and the survivor's write allocate no buffer (%.0f major words)" w)
     true (w < 1024.);
-  Alcotest.check_raises "a freed sharer holds no data" (Invalid_argument "index out of bounds")
+  Alcotest.check_raises "a freed sharer holds no data"
+    (Frame.Unbacked_read { mem_module = 2; index = 0; owner = -1 })
     (fun () -> ignore (Frame.get b 0));
+  let msg = try ignore (Frame.get b 0); "" with e -> Printexc.to_string e in
+  Alcotest.(check bool) ("the violation is named: " ^ msg) true
+    (String.starts_with ~prefix:"cpage -1: unbacked-frame-read" msg);
   Frame.fill_zero b;
   Alcotest.(check int) "zero fill gives it a buffer again" 0 (Frame.get b 0);
   Alcotest.(check int) "survivor kept its words" 7 (Frame.get a 0)
@@ -174,12 +178,31 @@ let test_fresh_zero_fill_one_buffer () =
 
 let test_fresh_frame_raises () =
   let f = Frame.create ~mem_module:0 ~index:0 ~words:4 in
-  let unbacked = Invalid_argument "index out of bounds" in
+  let unbacked = Frame.Unbacked_read { mem_module = 0; index = 0; owner = -1 } in
   Alcotest.check_raises "get before the first fill" unbacked (fun () -> ignore (Frame.get f 0));
   Alcotest.check_raises "set before the first fill" unbacked (fun () -> Frame.set f 0 1);
+  let buf = Array.make 4 0 in
+  Alcotest.check_raises "read_words before the first fill" unbacked (fun () ->
+      Frame.read_words f ~off:0 ~dst:buf ~dst_off:0 ~words:4);
+  Alcotest.check_raises "write_words before the first fill" unbacked (fun () ->
+      Frame.write_words f ~off:0 ~src:buf ~src_off:0 ~words:1);
+  let pm = Phys_mem.create ~modules:2 ~frames_per_module:4 ~page_words:4 in
+  let p = Option.get (Phys_mem.alloc pm ~mem_module:1 ~cpage:9) in
+  Alcotest.check_raises "a pool frame before its first fill"
+    (Frame.Unbacked_read { mem_module = 1; index = 0; owner = 9 }) (fun () ->
+      ignore (Frame.get p 3));
   Alcotest.check_raises "no blit source before the first fill"
     (Invalid_argument "Frame.blit_from: size mismatch") (fun () ->
-      Frame.blit_from ~src:f ~dst:(Frame.create ~mem_module:1 ~index:0 ~words:4))
+      Frame.blit_from ~src:f ~dst:(Frame.create ~mem_module:1 ~index:0 ~words:4));
+  Frame.fill_zero f;
+  List.iter
+    (fun off ->
+      let what = Printf.sprintf "offset %d of a backed frame" off in
+      Alcotest.check_raises ("get at " ^ what) (Invalid_argument "index out of bounds")
+        (fun () -> ignore (Frame.get f off));
+      Alcotest.check_raises ("set at " ^ what) (Invalid_argument "index out of bounds")
+        (fun () -> Frame.set f off 1))
+    [ -1; 4; max_int; min_int; 1 lsl 60; (1 lsl 61) + 1 ]
 
 let test_share_repeat_blit () =
   let a = pattern ~words:1024 1 and b = pattern ~words:1024 2 in
@@ -195,6 +218,49 @@ let test_share_repeat_blit () =
   Alcotest.check_raises "a freed sharer is no blit source"
     (Invalid_argument "Frame.blit_from: size mismatch") (fun () ->
       Frame.blit_from ~src:b ~dst:(pattern ~words:1024 3))
+
+(* --- the buffer layout: each word is the OCaml int's own tagged form ---
+
+   A word the frame stores wrongly tagged reads back wrong, and one copied
+   into a heap array untagged is a pointer to the GC: the full major
+   collection below would follow it. *)
+let extremes = [ min_int; max_int; -1; 0; 1; 1 lsl 53; -(1 lsl 53) ]
+
+let test_layout_round_trip () =
+  let n = List.length extremes in
+  let f = Frame.create ~mem_module:0 ~index:0 ~words:n in
+  Frame.fill_zero f;
+  List.iteri (fun i v -> Frame.set f i v) extremes;
+  Alcotest.(check (list int)) "set then get" extremes (List.init n (Frame.get f));
+  let src = Array.of_list extremes in
+  let g = Frame.create ~mem_module:0 ~index:1 ~words:1024 in
+  Frame.fill_zero g;
+  Frame.write_words g ~off:1017 ~src ~src_off:0 ~words:n;
+  let dst = Array.make 1024 7 in
+  Frame.read_words g ~off:1017 ~dst ~dst_off:3 ~words:n;
+  let want = Array.init 1024 (fun i -> if i >= 3 && i < 3 + n then src.(i - 3) else 7) in
+  Alcotest.(check (array int)) "write_words then read_words" want dst;
+  Gc.full_major ();
+  Alcotest.(check (array int)) "the same after a full major collection" want dst;
+  Alcotest.(check (list int)) "and get agrees" extremes (List.init n (fun i -> Frame.get g (1017 + i)))
+
+(* A frame recycled through the free list keeps its buffer (one holder),
+   so its zero fill rewrites the words in place. *)
+let test_recycled_zero_fill () =
+  let pm = Phys_mem.create ~modules:1 ~frames_per_module:1 ~page_words:1024 in
+  let f = Option.get (Phys_mem.alloc pm ~mem_module:0 ~cpage:1) in
+  Frame.fill_zero f;
+  Frame.write_words f ~off:0 ~src:(Array.init 1024 (fun i -> i - 512)) ~src_off:0 ~words:1024;
+  Phys_mem.free pm f;
+  let f' = Option.get (Phys_mem.alloc pm ~mem_module:0 ~cpage:2) in
+  Alcotest.(check bool) "the same frame" true (f' == f);
+  Frame.fill_zero f';
+  let dst = Array.make 1024 (-1) in
+  Frame.read_words f' ~off:0 ~dst ~dst_off:0 ~words:1024;
+  Alcotest.(check (array int)) "read_words sees zeros" (Array.make 1024 0) dst;
+  Gc.full_major ();
+  Alcotest.(check (array int)) "after a full major collection" (Array.make 1024 0) dst;
+  Alcotest.(check (array int)) "get sees zeros" (Array.make 1024 0) (frame_words f')
 
 (* --- the block copies: eight words per iteration, then the tail ---
 
@@ -493,6 +559,9 @@ let suite =
     ("frame: a fresh frame raises until filled", `Quick, test_fresh_frame_raises);
     ("frame: a freed sharer drops its share", `Quick, test_share_free_drops);
     ("frame: a repeat blit is a no-op", `Quick, test_share_repeat_blit);
+    ("frame: words keep every int through a major collection", `Quick,
+     test_layout_round_trip);
+    ("frame: a recycled frame reads zeros after its zero fill", `Quick, test_recycled_zero_fill);
     ("frame: block copies equal a per-word copy", `Quick, test_copy_matches_plain);
     ("frame: a bad range raises before copying", `Quick, test_copy_range_checked_first);
     ("frame: a shared block write raises before copying", `Quick, test_copy_shared_write_first);
