@@ -8,7 +8,9 @@
       Policy.default_names: explore every read / write / freeze / thaw /
       defrost interleaving of the small configurations to the depth
       bound.  Expected result: zero violations; the reachable-state counts
-      are printed (and checked non-trivial).
+      are printed (and checked non-trivial), and so is the number of
+      protocol transitions each exploration took (the edges the fig4
+      experiment prints for the paper's policy).
 
    2. The mutation check: the same exploration with the deliberately
       broken write-invalidate transition

@@ -80,6 +80,7 @@ type sys = {
   npages : int;
   page_words : int;
   expected : int array;  (* the sequential-consistency oracle, per page *)
+  mutable events : (int * string) list;  (* the probe's (cpage, event), newest first *)
 }
 
 let page_words = 4
@@ -88,6 +89,18 @@ let frames_per_module = 8
 (* Past this many distinct states an exploration stops and reports
    itself truncated. *)
 let max_states = 200_000
+
+(* What [make_sys]'s probe records of each event: its page and its name. *)
+let event = function
+  | Platinum_core.Probe.Read_fault { cpage; _ } -> (cpage, "read-fault")
+  | Write_fault { cpage; _ } -> (cpage, "write-fault")
+  | Replicated { cpage; _ } -> (cpage, "replicate")
+  | Migrated { cpage; _ } -> (cpage, "migrate")
+  | Remote_mapped { cpage; _ } -> (cpage, "remote-map")
+  | Invalidated { cpage; _ } -> (cpage, "invalidate")
+  | Restricted { cpage; _ } -> (cpage, "restrict")
+  | Frozen { cpage } -> (cpage, "freeze")
+  | Thawed { cpage; _ } -> (cpage, "thaw")
 
 (* A fresh [Policy.t] per system: Competitive's miss table is state. *)
 let make_sys ~policy ~nprocs ~npages =
@@ -108,7 +121,11 @@ let make_sys ~policy ~nprocs ~npages =
     let page = Coherent.new_cpage coh ~label:(Printf.sprintf "mc%d" vpage) () in
     Coherent.bind coh cm ~vpage page Rights.Read_write
   done;
-  { coh; policy; cm; nprocs; npages; page_words; expected = Array.make npages 0 }
+  let expected = Array.make npages 0 in
+  let sys = { coh; policy; cm; nprocs; npages; page_words; expected; events = [] } in
+  (* The probe only records, to name the edges: it never steers. *)
+  Coherent.set_probe coh (Some (fun ~now:_ ev -> sys.events <- event ev :: sys.events));
+  sys
 
 exception Sc_violation of { op : op; got : int; want : int }
 
@@ -129,6 +146,41 @@ let apply sys op =
   | Thaw { page } ->
     ignore (Coherent.advise sys.coh ~now:0 ~proc:0 ~cmap:sys.cm ~vpage:page Coherent.Thaw)
   | Daemon_thaw -> Coherent.thaw_all sys.coh ~now:0
+
+(* --- Figure 4's edges: a page's (state, frozen) pair before and after a letter --- *)
+
+type edge = { from : Cpage.state * bool; to_ : Cpage.state * bool; trigger : string }
+
+let kind = function
+  | Read _ -> "read"
+  | Write _ -> "write"
+  | Freeze _ -> "freeze advice"
+  | Thaw _ -> "thaw advice"
+  | Daemon_thaw -> "daemon"
+
+(* Apply [op]: the edge of each page that saw a probe event or changed
+   its pair, named by the letter and the page's events in order. *)
+let step sys op =
+  let page vpage = (Option.get (Cmap.find sys.cm ~vpage)).Cmap.cpage in
+  let pair vpage = (Cpage.state (page vpage), (page vpage).Cpage.frozen) in
+  let before = Array.init sys.npages pair in
+  sys.events <- [];
+  apply sys op;
+  List.concat_map
+    (fun vpage ->
+      let from = before.(vpage) and to_ = pair vpage and id = (page vpage).Cpage.id in
+      match List.rev_map snd (List.filter (fun (c, _) -> c = id) sys.events) with
+      | [] when from = to_ -> []
+      | [] -> [ { from; to_; trigger = kind op } ]
+      | evs -> [ { from; to_; trigger = kind op ^ ": " ^ String.concat ", " evs } ])
+    (List.init sys.npages Fun.id)
+
+let label (state, frozen) = Cpage.state_to_string state ^ if frozen then "/frozen" else ""
+let pp_edge fmt e = Format.fprintf fmt "%s --[%s]--> %s" (label e.from) e.trigger (label e.to_)
+
+let to_dot edges =
+  let line e = Printf.sprintf "  %S -> %S [label=%S];\n" (label e.from) (label e.to_) e.trigger in
+  "digraph platinum_protocol {\n  rankdir=LR;\n" ^ String.concat "" (List.map line edges) ^ "}\n"
 
 (* --- canonical state fingerprint --- *)
 
@@ -202,18 +254,19 @@ type report = {
   violations : counterexample list;  (** capped at [max_counterexamples] *)
   total_violations : int;
   truncated : bool;  (** hit [max_states] before exhausting the space *)
+  edges : edge list;  (** sorted, deduplicated *)
 }
 
 let max_counterexamples = 5
 
-(* Replay [ops] on a fresh system.  [Ok fp] gives the resulting
-   fingerprint; [Error message] reports the first monitor violation or
-   sequential-consistency failure. *)
-let replay ~policy ~nprocs ~npages ops =
+(* Replay [ops] on a fresh system.  [Ok (fp, edges)] gives the resulting
+   fingerprint and the last letter's edges; [Error message] reports the
+   first monitor violation or sequential-consistency failure. *)
+let replay_edges ~policy ~nprocs ~npages ops =
   let sys = make_sys ~policy ~nprocs ~npages in
   try
-    List.iter (apply sys) ops;
-    Ok (fingerprint sys)
+    let edges = List.fold_left (fun _ op -> step sys op) [] ops in
+    Ok (fingerprint sys, edges)
   with
   | Check.Violation v -> Error (Check.violation_message v)
   | (Frame.Shared_write _ | Frame.Unbacked_read _) as e -> Error (Printexc.to_string e)
@@ -222,10 +275,13 @@ let replay ~policy ~nprocs ~npages ops =
       (Format.asprintf
          "sequential consistency: %a returned %d, last write was %d" pp_op op got want)
 
+let replay ~policy ~nprocs ~npages ops = Result.map fst (replay_edges ~policy ~nprocs ~npages ops)
+
 let explore ?(mutate = false) ~policy ~nprocs ~npages ~depth () =
   let run () =
     let alphabet = catalogue ~nprocs ~npages in
     let visited = Hashtbl.create 4096 in
+    let edges = Hashtbl.create 64 in
     let transitions = ref 0 in
     let violations = ref [] in
     let total_violations = ref 0 in
@@ -253,8 +309,9 @@ let explore ?(mutate = false) ~policy ~nprocs ~npages ~depth () =
                  end;
                  incr transitions;
                  let rev_ops = op :: rev_prefix in
-                 match replay ~policy ~nprocs ~npages (List.rev rev_ops) with
-                 | Ok fp ->
+                 match replay_edges ~policy ~nprocs ~npages (List.rev rev_ops) with
+                 | Ok (fp, taken) ->
+                   List.iter (fun e -> Hashtbl.replace edges e ()) taken;
                    if not (Hashtbl.mem visited fp) then begin
                      Hashtbl.replace visited fp ();
                      states_at_depth.(d) <- states_at_depth.(d) + 1;
@@ -280,6 +337,7 @@ let explore ?(mutate = false) ~policy ~nprocs ~npages ~depth () =
       violations = List.rev !violations;
       total_violations = !total_violations;
       truncated = !truncated;
+      edges = List.sort compare (List.of_seq (Hashtbl.to_seq_keys edges));
     }
   in
   if mutate then
@@ -296,11 +354,12 @@ let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>model check: %s, %d procs, %d pages, depth %d%s@,\
      reachable states: %d  (transitions tried: %d)@,\
+     protocol transitions (Figure 4 edges): %d@,\
      new states by depth: %a@,\
      violations: %d@]"
     r.policy r.nprocs r.npages r.depth
     (if r.truncated then " (TRUNCATED at state cap)" else "")
-    r.states r.transitions
+    r.states r.transitions (List.length r.edges)
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
        Format.pp_print_int)
     (Array.to_list r.states_at_depth)

@@ -4,6 +4,7 @@
     configuration (2–3 processors, 1–2 pages) by breadth-first search over
     operation interleavings up to a depth bound, driving the {e real}
     {!Platinum_core.Coherent} system with the invariant monitor armed.
+    It reports the states reached and the transitions taken (Figure 4).
 
     In every reachable state, all of the {!Platinum_core.Check} invariants
     hold (the monitor re-verifies them after each transition) and reads
@@ -43,6 +44,17 @@ val replay : policy:string -> nprocs:int -> npages:int -> op list -> (string, st
     invariant violation or sequential-consistency failure.  Also the
     entry point for randomized (QCheck) exploration. *)
 
+(** A page's (state, frozen) pair before and after a letter, and the letter and
+    the {!Platinum_core.Probe} events it emitted: ["read: read-fault, replicate"]. *)
+type edge = {
+  from : Platinum_core.Cpage.state * bool;
+  to_ : Platinum_core.Cpage.state * bool;
+  trigger : string;
+}
+
+val pp_edge : Format.formatter -> edge -> unit
+val to_dot : edge list -> string
+
 type counterexample = {
   cx_ops : op list;  (** the replayable operation prefix, oldest first *)
   cx_message : string;
@@ -59,6 +71,7 @@ type report = {
   violations : counterexample list;  (** capped at five *)
   total_violations : int;
   truncated : bool;  (** hit the 200,000-state cap before exhausting the space *)
+  edges : edge list;  (** what the replays' last letters took, sorted; a hit takes none *)
 }
 
 val explore :

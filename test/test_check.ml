@@ -449,25 +449,27 @@ let test_mc_fingerprints_policy_input () =
     (String.equal (fp [ w 1; w 0 ]) (fp [ w 1; w 0; w 1; w 0 ]))
 
 (* Every policy, at a depth the suite can afford; bench/main.exe mc goes
-   deeper.  The state counts are pinned exactly: a change to how [Mc]
-   drives the system (or to the protocol) that reaches one state more or
-   less shows here. *)
-let mc_states_at_depth_4 =
+   deeper.  The state and edge counts are pinned exactly: a change to how
+   [Mc] drives the system (or to the protocol) that reaches one state or
+   one transition more or less shows here. *)
+let mc_at_depth_4 =
   [
-    ("platinum", 68); ("platinum-thaw", 61); ("always-replicate", 64); ("static-place", 58);
-    ("uniform-system", 51); ("migrate-only", 65); ("bolosky", 83); ("competitive", 85);
+    ("platinum", 68, 28); ("platinum-thaw", 61, 28); ("always-replicate", 64, 26);
+    ("static-place", 58, 25); ("uniform-system", 51, 25); ("migrate-only", 65, 23);
+    ("bolosky", 83, 27); ("competitive", 85, 25);
   ]
 
 let test_mc_every_policy_clean () =
   Alcotest.(check (list string)) "a pinned count per policy" Policy.default_names
-    (List.map fst mc_states_at_depth_4);
+    (List.map (fun (p, _, _) -> p) mc_at_depth_4);
   List.iter
-    (fun (policy, states) ->
+    (fun (policy, states, edges) ->
       let r = Mc.explore ~policy ~nprocs:2 ~npages:1 ~depth:4 () in
       Alcotest.(check int) (policy ^ ": no violations") 0 r.Mc.total_violations;
       Alcotest.(check int) (policy ^ ": reachable states") states r.Mc.states;
+      Alcotest.(check int) (policy ^ ": protocol transitions") edges (List.length r.Mc.edges);
       Alcotest.(check bool) (policy ^ ": not truncated") true (not r.Mc.truncated))
-    mc_states_at_depth_4
+    mc_at_depth_4
 
 (* QCheck: on random request sequences the monitor stays silent and reads
    are sequentially consistent (Mc.replay checks both; 2 procs, 1 page). *)

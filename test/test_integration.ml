@@ -182,18 +182,20 @@ let test_oversubscription () =
     (fun me v -> Alcotest.(check int) (Printf.sprintf "thread %d" me) (2016 + me) v)
     results
 
-(* The DOT rendering carries every edge. *)
-let test_atlas_dot () =
-  let module Atlas = Platinum_core.Atlas in
-  let edges = Atlas.edges () in
-  let dot = Atlas.to_dot edges in
-  Alcotest.(check bool) "digraph" true (String.length dot > 0);
+(* The DOT rendering carries every explored edge. *)
+let test_mc_dot () =
+  let module Mc = Platinum_check.Mc in
+  let edges = (Mc.explore ~policy:"platinum" ~nprocs:2 ~npages:1 ~depth:4 ()).Mc.edges in
+  let dot = Mc.to_dot edges in
+  Alcotest.(check bool) "digraph" true (String.starts_with ~prefix:"digraph" dot);
+  Alcotest.(check bool) "edges explored" true (edges <> []);
+  let label (state, frozen) =
+    Platinum_core.Cpage.state_to_string state ^ if frozen then "/frozen" else ""
+  in
   List.iter
-    (fun (e : Atlas.edge) ->
+    (fun (e : Mc.edge) ->
       let frag =
-        Printf.sprintf "\"%s\" -> \"%s\""
-          (Platinum_core.Cpage.state_to_string e.Atlas.from_state)
-          (Platinum_core.Cpage.state_to_string e.Atlas.to_state)
+        Printf.sprintf "\"%s\" -> \"%s\" [label=\"%s\"]" (label e.from) (label e.to_) e.trigger
       in
       let contains sub s =
         let n = String.length s and m = String.length sub in
@@ -276,6 +278,6 @@ let suite =
     ("port pipeline across nodes", `Quick, test_port_pipeline);
     ("all policies deterministic", `Quick, test_policy_runs_deterministic);
     ("scheduler oversubscription", `Quick, test_oversubscription);
-    ("atlas: DOT rendering", `Quick, test_atlas_dot);
+    ("mc: DOT rendering of explored edges", `Quick, test_mc_dot);
     QCheck_alcotest.to_alcotest prop_lock_counter;
   ]
