@@ -220,12 +220,11 @@ let fingerprint sys =
       add "]";
       (* Per-processor translations. *)
       for proc = 0 to sys.nprocs - 1 do
-        (match Pmap.find (Cmap.pmap sys.cm ~proc) ~vpage with
+        match Pmap.find (Cmap.pmap sys.cm ~proc) ~vpage with
         | None -> ()
-        | Some e -> add "t%d:m%dw%b" proc (Frame.mem_module e.Pmap.frame) e.Pmap.write_ok);
-        match Atc.find (Coherent.atc sys.coh ~proc) ~aspace:(Cmap.aspace sys.cm) ~vpage with
-        | None -> ()
-        | Some e -> add "a%dw%b" proc e.Pmap.write_ok
+        | Some e ->
+          add "t%d:m%dw%b" proc (Frame.mem_module e.Pmap.frame) e.Pmap.write_ok;
+          if Atc.holds (Coherent.atc sys.coh ~proc) e then add "a%dw%b" proc e.Pmap.write_ok
       done;
       add ";"
   done;

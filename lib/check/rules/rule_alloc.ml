@@ -14,7 +14,7 @@
 
    The check is direct-body-only — callees are not followed; each layer's
    hot functions are catalogued in their own file, and the seams between
-   them (e.g. [Atc.find] returning a *stored* option cell rather than a
+   them (e.g. [Pmap.find] returning a *stored* option cell rather than a
    fresh [Some]) are exactly the designs the callee's own entry enforces.
    Subtrees under [assert] and the raise family are exempt: a cold
    failure path may build its message.  A [lint: allow <rule-id>] marker
@@ -43,7 +43,7 @@ let catalogue =
     ("memtxn.ml", [ "cut"; "start"; "first"; "next" ]);
     ("platsys.ml", [ "ensure_bound"; "bind_loop"; "ensure_txn" ]);
     ("flat.ml", [ "find"; "find_spill"; "mem"; "remove" ]);
-    ("atc.ml", [ "find" ]);
+    ("atc.ml", [ "holds"; "load" ]);
     ("cmap.ml", [ "find" ]);
     ("pmap.ml", [ "find" ]);
     ("cpage.ml", [ "state"; "any_copy"; "best_slot" ]);

@@ -1,14 +1,14 @@
 type t = {
   atc_proc : int;
   mutable aspace : int;  (* -1 = none *)
-  entries : Pmap.entry Flat.t;
+  mutable epoch : int;  (* bumped by every flush *)
 }
 
-let create ~proc = { atc_proc = proc; aspace = -1; entries = Flat.create () }
+let create ~proc = { atc_proc = proc; aspace = -1; epoch = 0 }
 let proc t = t.atc_proc
 let active_aspace t = if t.aspace < 0 then None else Some t.aspace
 let is_active t ~aspace = aspace >= 0 && t.aspace = aspace
-let flush t = Flat.clear t.entries
+let flush t = t.epoch <- t.epoch + 1
 
 let activate t ~aspace =
   if t.aspace = aspace then false
@@ -18,13 +18,8 @@ let activate t ~aspace =
     true
   end
 
-(* Returns the stored option cell — a hit never allocates. *)
-let[@inline] find t ~aspace ~vpage = if t.aspace <> aspace then None else Flat.find t.entries vpage
+let[@inline] holds t (e : Pmap.entry) = e.Pmap.loaded = t.epoch
 
-let load t ~vpage entry =
+let[@inline] load t (e : Pmap.entry) =
   if t.aspace < 0 then invalid_arg "Atc.load: no active address space";
-  Flat.set t.entries vpage entry
-
-let invalidate t ~aspace ~vpage = if t.aspace = aspace then Flat.remove t.entries vpage
-let size t = Flat.length t.entries
-let iter f t = Flat.iter f t.entries
+  e.Pmap.loaded <- t.epoch

@@ -1,12 +1,13 @@
 (** Address-translation caches (the MC68851's ATC).
 
-    One per processor; caches Pmap entries of the *currently active*
-    address space.  Flushed on address-space switch, and entries are
-    invalidated or restricted by the shootdown mechanism (§3.1).  The ATC
-    shares [Pmap.entry] records with the Pmap, so a restriction applied to
-    the Pmap entry is visible through the ATC too — what matters for the
-    protocol is that stale *presence* is impossible, which invalidation
-    handles.
+    One per processor; caches entries of that processor's Pmap for the
+    *currently active* address space (§3.1).  The ATC stores no
+    translation of its own: an entry is cached exactly when its
+    [Pmap.entry.loaded] stamp equals the ATC's epoch.  A flush (on
+    address-space switch) bumps the epoch, so every stamp goes stale at
+    once; a shootdown that removes a Pmap entry removes the only copy of
+    the translation, so a stale cached translation cannot exist, and a
+    [restrict] applied to the Pmap entry is the ATC's restriction too.
 
     The ATC's space is the one record of which address space a processor
     has active: {!Coherent} activates through it and {!Shootdown} asks
@@ -27,18 +28,13 @@ val activate : t -> aspace:int -> bool
 (** Make [aspace] current.  Returns [true] (and flushes) when this changed
     the active space. *)
 
-val find : t -> aspace:int -> vpage:int -> Pmap.entry option
-(** Hit only if [aspace] is the active one and the translation is cached.
-    Returns the stored option cell: a hit allocates nothing. *)
+val holds : t -> Pmap.entry -> bool
+(** Is this entry cached?  Meaningful only for an entry of this
+    processor's Pmap: entries of other spaces were stamped in an earlier
+    epoch, so they never hold. *)
 
-val load : t -> vpage:int -> Pmap.entry -> unit
-(** Cache a translation for the active address space. *)
-
-val invalidate : t -> aspace:int -> vpage:int -> unit
-(** Drop the cached translation if this ATC currently caches that space. *)
+val load : t -> Pmap.entry -> unit
+(** Cache an entry of the active address space's Pmap. *)
 
 val flush : t -> unit
-val size : t -> int
-
-val iter : (int -> Pmap.entry -> unit) -> t -> unit
-(** Iterate over cached (vpage, entry) translations of the active space. *)
+(** Drop every cached translation. *)

@@ -129,7 +129,7 @@ type violation = {
 
 exception Violation of violation
 
-let create_monitor ?(capacity = 128) () = { trace = Ring.create ~capacity }
+let create_monitor () = { trace = Ring.create ~capacity:128 }
 let note m ~now entry = Ring.push m.trace (now, entry)
 let trace m = Ring.to_list m.trace
 

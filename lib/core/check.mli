@@ -88,8 +88,8 @@ type violation = {
 
 exception Violation of violation
 
-val create_monitor : ?capacity:int -> unit -> monitor
-(** [capacity] (default 128) bounds the retained trace prefix. *)
+val create_monitor : unit -> monitor
+(** The retained trace prefix is bounded at 128 entries. *)
 
 val note : monitor -> now:Platinum_sim.Time_ns.t -> trace_entry -> unit
 val trace : monitor -> (Platinum_sim.Time_ns.t * trace_entry) list

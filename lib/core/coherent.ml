@@ -93,32 +93,6 @@ let check_faults t =
     t.frozen_list;
   Hashtbl.iter (fun _ cm -> match Cmap.check_faults cm with Some f -> keep f | None -> ())
     t.cmaps;
-  (* ATC consistency, the stale-translation property: every cached
-     translation must be (physically) the live Pmap entry of the active
-     address space. *)
-  Array.iteri
-    (fun p atc ->
-      match Atc.active_aspace atc with
-      | None -> ()
-      | Some aspace -> (
-        match Hashtbl.find_opt t.cmaps aspace with
-        | None ->
-          fail ~inv:"stale-translation" ~cite:"§3.1" "ATC of proc %d caches unknown aspace %d"
-            p aspace
-        | Some cm ->
-          let pmap = Cmap.pmap cm ~proc:p in
-          Atc.iter
-            (fun vpage e ->
-              match Pmap.find pmap ~vpage with
-              | Some e' when e' == e -> ()
-              | Some _ ->
-                fail ~inv:"stale-translation" ~cite:"§3.1"
-                  "ATC of proc %d caches a superseded translation for vpage %d" p vpage
-              | None ->
-                fail ~inv:"stale-translation" ~cite:"§3.1"
-                  "ATC of proc %d retains vpage %d with no Pmap entry" p vpage)
-            atc))
-    t.atcs;
   !found
 
 let check_invariants t =
@@ -161,12 +135,8 @@ let freeze_page t ~now (page : Cpage.t) =
 
 (* Drop the translations a shootdown leaves in [ce]'s reference mask (the
    initiator's own slot). *)
-let drop_translations t cm ~vpage (ce : Cmap.centry) =
-  Procset.iter
-    (fun p ->
-      Pmap.remove (Cmap.pmap cm ~proc:p) ~vpage;
-      Atc.invalidate t.atcs.(p) ~aspace:(Cmap.aspace cm) ~vpage)
-    ce.Cmap.refmask;
+let drop_translations cm ~vpage (ce : Cmap.centry) =
+  Procset.iter (fun p -> Pmap.remove (Cmap.pmap cm ~proc:p) ~vpage) ce.Cmap.refmask;
   ce.Cmap.refmask <- Procset.empty
 
 let thaw_page t ~now ~by_daemon (page : Cpage.t) =
@@ -190,7 +160,7 @@ let thaw_page t ~now ~by_daemon (page : Cpage.t) =
     Machine.add_penalty t.machine ~proc:daemon_proc r.Shootdown.latency;
     List.iter
       (fun (cm, vpage) ->
-        match Cmap.find cm ~vpage with None -> () | Some ce -> drop_translations t cm ~vpage ce)
+        match Cmap.find cm ~vpage with None -> () | Some ce -> drop_translations cm ~vpage ce)
       (mappings_of t page);
     page.Cpage.write_mapped <- false;
     page.Cpage.last_thaw_at <- now;
@@ -270,7 +240,7 @@ let unbind t ~now cm ~vpage =
       Shootdown.run ?monitor:t.monitor ~machine:t.machine ~counters:t.counters ~atcs:t.atcs
         ~now ~initiator:0 ~mappings:[ (cm, vpage) ] ~directive:Cmap.Invalidate ~spare:None ()
     in
-    drop_translations t cm ~vpage ce;
+    drop_translations cm ~vpage ce;
     Cmap.unbind cm ~vpage;
     (match Hashtbl.find_opt t.mappings page.Cpage.id with
     | None -> ()
@@ -320,7 +290,7 @@ let install t ~proc ~cm ~vpage (ce : Cmap.centry) frame ~write_ok =
   let entry = Pmap.install (Cmap.pmap cm ~proc) ~vpage ~frame ~cpage:ce.Cmap.cpage ~write_ok in
   ce.Cmap.refmask <- Procset.add proc ce.Cmap.refmask;
   let atc = t.atcs.(proc) in
-  if Atc.is_active atc ~aspace:(Cmap.aspace cm) then Atc.load atc ~vpage entry;
+  if Atc.is_active atc ~aspace:(Cmap.aspace cm) then Atc.load atc entry;
   if write_ok then ce.Cmap.cpage.Cpage.write_mapped <- true
 
 let rec free_copies t page ~except lat = function
@@ -595,18 +565,16 @@ let translate t (sc : scratch) ~now ~proc ~cmap:cm ~vpage ~write =
   let aspace = Cmap.aspace cm in
   let act = activate t ~now ~proc ~aspace in
   let atc = t.atcs.(proc) in
-  match Atc.find atc ~aspace ~vpage with
+  match Pmap.find (Cmap.pmap cm ~proc) ~vpage with
   | Some e when (not write) || e.Pmap.write_ok ->
-    sc.s_latency <- act;
-    e
-  | _ -> (
-    match Pmap.find (Cmap.pmap cm ~proc) ~vpage with
-    | Some e when (not write) || e.Pmap.write_ok ->
-      Atc.load atc ~vpage e;
+    if Atc.holds atc e then sc.s_latency <- act
+    else begin
+      Atc.load atc e;
       t.counters.Counters.atc_reloads <- t.counters.Counters.atc_reloads + 1;
-      sc.s_latency <- act + (config t).Config.atc_reload_ns;
-      e
-    | _ -> fault_in t sc ~now ~act ~proc ~cm ~vpage ~write)
+      sc.s_latency <- act + (config t).Config.atc_reload_ns
+    end;
+    e
+  | _ -> fault_in t sc ~now ~act ~proc ~cm ~vpage ~write
 
 (* §7: "Almost all data is cachable.  Only modified Cpages that are mapped
    by remote processors cannot be cached."  The mapping walk is a plain
@@ -635,7 +603,7 @@ let cachable t (page : Cpage.t) =
    byte-for-byte those of the seed's [chunk_cost], restructured so a
    steady-state hit — active aspace, ATC hit, sufficient rights — runs
    from [read_word_s]/[write_word_s] to the returned value without
-   allocating a single minor-heap word: no options ([Atc.find] returns
+   allocating a single minor-heap word: no options ([Pmap.find] returns
    a stored cell), no tuples (latency goes through the scratch), no
    closures (top-level functions, plain loops), no polymorphic-variant
    dispatch (the old [`Miss c] cache probe is inlined).  The page comes
@@ -715,8 +683,8 @@ let rmw_word_s t sc ~now ~proc ~cmap:cm ~vaddr f =
 
    Hit-only variants of the [_s] word paths for the effect-boundary
    coalescer: they complete a word access if and only if it is a clean
-   steady-state hit (an ATC entry of the active aspace, sufficient
-   rights, page not frozen), returning its latency, and return [-1]
+   steady-state hit (a Pmap entry the ATC holds, sufficient rights,
+   page not frozen), returning its latency, and return [-1]
    otherwise — they never translate, never fault, never touch policy
    state.  A successful call charges exactly what the [_s] path's hit arm
    charges (the same [finish_*] core at the same [now]), with the value
@@ -724,29 +692,29 @@ let rmw_word_s t sc ~now ~proc ~cmap:cm ~vaddr f =
    at protocol transitions, and a hit makes none.
 
    Every condition is read from the translation on every word, so the
-   coalescer caches no verdict: the ATC and the Pmaps, which shootdowns
-   keep exact, stay the only cached copies of translation state.  A
+   coalescer caches no verdict: the Pmaps, which shootdowns keep exact,
+   stay the only cached copy of translation state.  A
    frozen page is shared through remote mappings of its single copy
    (§4.2), so its words keep the per-word path, where each access happens
    at its own charged time; the bit is read from the entry's page. *)
 
 let fp_read t ~now ~proc ~cmap:cm ~vpage ~vaddr =
-  match Atc.find t.atcs.(proc) ~aspace:(Cmap.aspace cm) ~vpage with
-  | Some e when not e.Pmap.cpage.Cpage.frozen ->
+  match Pmap.find (Cmap.pmap cm ~proc) ~vpage with
+  | Some e when Atc.holds t.atcs.(proc) e && not e.Pmap.cpage.Cpage.frozen ->
     t.fp_value := finish_read t t.scratch ~now ~proc ~vaddr ~l1:0 e;
     t.scratch.s_latency
   | _ -> -1
 
 let fp_write t ~now ~proc ~cmap:cm ~vpage ~vaddr v =
-  match Atc.find t.atcs.(proc) ~aspace:(Cmap.aspace cm) ~vpage with
-  | Some e when e.Pmap.write_ok && not e.Pmap.cpage.Cpage.frozen ->
+  match Pmap.find (Cmap.pmap cm ~proc) ~vpage with
+  | Some e when e.Pmap.write_ok && Atc.holds t.atcs.(proc) e && not e.Pmap.cpage.Cpage.frozen ->
     finish_write t t.scratch ~now ~proc ~vaddr ~l1:0 e v;
     t.scratch.s_latency
   | _ -> -1
 
 let fp_rmw t ~now ~proc ~cmap:cm ~vpage ~vaddr f =
-  match Atc.find t.atcs.(proc) ~aspace:(Cmap.aspace cm) ~vpage with
-  | Some e when e.Pmap.write_ok && not e.Pmap.cpage.Cpage.frozen ->
+  match Pmap.find (Cmap.pmap cm ~proc) ~vpage with
+  | Some e when e.Pmap.write_ok && Atc.holds t.atcs.(proc) e && not e.Pmap.cpage.Cpage.frozen ->
     t.fp_value := finish_rmw t t.scratch ~now ~proc ~vaddr ~l1:0 e f;
     t.scratch.s_latency
   | _ -> -1

@@ -179,9 +179,10 @@ val check_faults : t -> Check.fault option
 (** Machine-wide consistency, structured: every {!Cpage} invariant
     (via {!Check.check_page}), directory frame ownership, frozen-list
     agreement in both directions, every {!Cmap.check_faults} (refmask ↔
-    Pmap ↔ directory agreement, replicas read-only, no stale Pmap entry),
-    and ATC hygiene (every cached translation is physically the live Pmap
-    entry — the stale-translation property, §3.1).  Returns the first fault found. *)
+    Pmap ↔ directory agreement, replicas read-only, no stale Pmap entry).
+    The ATC needs no sweep: it is a stamp on the Pmap entry ({!Atc}), so
+    a stale cached translation cannot exist.  Returns the first fault
+    found. *)
 
 val check_invariants : t -> (unit, string) result
 (** [check_faults] rendered to a message, for callers that just assert. *)

@@ -1,4 +1,4 @@
-(* Chunked vpage-indexed tables: the flat storage behind Pmap, Atc and Cmap.
+(* Chunked vpage-indexed tables: the flat storage behind Pmap and Cmap.
 
    The PLATINUM argument (§3-4) is that the common case — a mapped,
    coherent access — must cost almost nothing.  An array indexed by vpage

@@ -1,5 +1,5 @@
-(** Chunked vpage-indexed tables (the flat storage behind {!Pmap}, {!Atc}
-    and {!Cmap}).
+(** Chunked vpage-indexed tables (the flat storage behind {!Pmap} and
+    {!Cmap}).
 
     A table maps non-negative integer keys — virtual page numbers — to
     values through a two-level array: an outer chunk directory grown

@@ -2,12 +2,12 @@ type entry = {
   frame : Platinum_phys.Frame.t;
   cpage : Cpage.t;  (* the page the Cmap binds at this vpage *)
   mutable write_ok : bool;
+  mutable loaded : int;  (* the ATC epoch that cached this entry; -1 = never *)
 }
 
-(* Entries are shared by physical identity with the ATC (a [restrict]
-   applied here is visible through the ATC too), so the record itself
-   cannot be flattened away.  What is flattened is the index: a chunked
-   vpage-indexed table of entry cells (see {!Flat}). *)
+(* The index is a chunked vpage-indexed table of entry cells (see
+   {!Flat}); the ATC is a stamp on the entry ({!Atc}), so the entry is
+   the one copy of the translation. *)
 type t = {
   pmap_proc : int;
   entries : entry Flat.t;
@@ -18,7 +18,7 @@ let proc t = t.pmap_proc
 let find t ~vpage = Flat.find t.entries vpage
 
 let install t ~vpage ~frame ~cpage ~write_ok =
-  let e = { frame; cpage; write_ok } in
+  let e = { frame; cpage; write_ok; loaded = -1 } in
   Flat.set t.entries vpage e;
   e
 

@@ -11,6 +11,9 @@ type entry = {
   frame : Platinum_phys.Frame.t;
   cpage : Cpage.t;  (* the page the Cmap binds at this vpage *)
   mutable write_ok : bool;
+  mutable loaded : int;
+      (** The {!Atc} epoch in which this processor's ATC cached the entry;
+          -1 from {!install} on. *)
 }
 
 type t

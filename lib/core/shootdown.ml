@@ -29,7 +29,6 @@ let run ?monitor ~machine ~counters ~atcs ~now ~initiator ~mappings ~directive ~
     | Cmap.Restrict_to_read -> Pmap.restrict pmap ~vpage
     | Cmap.Invalidate ->
       Pmap.remove pmap ~vpage;
-      Atc.invalidate atcs.(proc) ~aspace:(Cmap.aspace cmap) ~vpage;
       (* §7 local caches are kept coherent in software: losing the
          translation also drops any cached lines of the page. *)
       let pw = config.Platinum_machine.Config.page_words in
@@ -70,7 +69,7 @@ let run ?monitor ~machine ~counters ~atcs ~now ~initiator ~mappings ~directive ~
      Under fault injection an IPI may be dropped or delayed: the initiator
      arms an ack timeout (exponential backoff) and re-sends, bounded by the
      plane's retry cap — the adversary forces delivery on the final attempt,
-     so the shootdown always completes and the refmask/ATC updates above
+     so the shootdown always completes and the refmask/Pmap updates above
      are never left partially applied.  Retries extend only that target's
      ack timeline; with no plane attached the path is byte-identical to the
      fault-free model. *)
@@ -113,9 +112,10 @@ let run ?monitor ~machine ~counters ~atcs ~now ~initiator ~mappings ~directive ~
   let finish = Int.max !t !last_ack in
   (* The sanitizer's stale-translation check (the NUMA analogue of a TLB
      consistency check): once the shootdown has completed, no targeted
-     processor may retain a usable translation — an Invalidate leaves
-     neither a Pmap entry nor an ATC entry behind, a Restrict leaves no
-     write permission behind. *)
+     processor may retain a usable translation — an Invalidate leaves no
+     Pmap entry behind, a Restrict leaves no write permission behind.  The
+     ATC caches by stamping the Pmap entry ({!Atc}), so the Pmap is the
+     one place a translation can survive. *)
   (match monitor with
   | None -> ()
   | Some m ->
@@ -125,21 +125,13 @@ let run ?monitor ~machine ~counters ~atcs ~now ~initiator ~mappings ~directive ~
         Procset.iter
           (fun p ->
             match directive with
-            | Cmap.Invalidate -> (
+            | Cmap.Invalidate ->
               if Pmap.mem (Cmap.pmap cmap ~proc:p) ~vpage then
                 Check.raise_violation m ~now:finish
                   (Check.fault ~inv:"stale-translation" ~cite:"§3.1"
                      "proc %d retains a Pmap entry for aspace %d vpage %d after an \
                       invalidating shootdown"
-                     p aspace vpage);
-              match Atc.find atcs.(p) ~aspace ~vpage with
-              | Some _ ->
-                Check.raise_violation m ~now:finish
-                  (Check.fault ~inv:"stale-translation" ~cite:"§3.1"
-                     "ATC of proc %d retains aspace %d vpage %d after an invalidating \
-                      shootdown"
                      p aspace vpage)
-              | None -> ())
             | Cmap.Restrict_to_read ->
               if Pmap.write_ok (Cmap.pmap cmap ~proc:p) ~vpage then
                 Check.raise_violation m ~now:finish

@@ -47,10 +47,10 @@ val run :
     initiator's own mapping in the faulting address space.
 
     With [monitor], the sanitizer's stale-translation check runs on
-    completion: no targeted processor may retain a Pmap or ATC translation
-    after an [Invalidate], nor write permission after a
-    [Restrict_to_read] (§3.1; the NUMA analogue of numaPTE's
-    TLB-consistency property).  Violations raise {!Check.Violation}. *)
+    completion: no targeted processor may retain a Pmap translation (the
+    only copy: the ATC is a stamp on it) after an [Invalidate], nor write
+    permission after a [Restrict_to_read] (§3.1; the NUMA analogue of
+    numaPTE's TLB-consistency property).  Violations raise {!Check.Violation}. *)
 
 val test_skip_refmask_clear : bool ref
 (** Fault injection for the sanitizer's own tests and the model checker's

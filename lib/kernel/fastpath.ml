@@ -36,9 +36,9 @@
    The context is per-domain ([Domain.DLS]) because fibers execute on the
    domain that resumed them and grid-parallel sweeps run one simulation
    per domain.  It caches no eligibility verdict: the backend's word ops
-   decide every word from live state (ATC entry, rights, frozen bit), so
+   decide every word from live state (ATC stamp, rights, frozen bit), so
    no remap, freeze, thaw or shootdown has anything here to invalidate; a
-   hit makes one ATC lookup, whose entry carries the page.  The backend supplies only what it alone knows
+   hit makes one Pmap lookup, whose entry carries the page.  The backend supplies only what it alone knows
    ({!ops}); the kernel's arm passes the rest — the machine's fault plane
    and the backend's word cell — and the page shift for {!Phys_mem.vpage}
    is worked out here whenever the backend changes. *)

@@ -20,9 +20,11 @@ let space_of asp =
   let cm = Addr_space.cmap asp in
   { asp; cm; some_cm = Some cm }
 
+(* Pages in each space's heap zone. *)
+let default_zone_pages = 4096
+
 type t = {
   coh : Coherent.t;
-  default_zone_pages : int;
   mutable spaces : space array;  (* index = the Memsys aspace id *)
   mutable zones : Zone.t array;
   mutable segments : Memobj.t array;  (* globally named objects *)
@@ -55,7 +57,7 @@ let new_aspace t =
   (* Each space gets a private heap zone; its handle is returned by the
      space's own Api.new_zone calls — the creation here just guarantees
      allocation works immediately.  Its handle is the current zone count. *)
-  ignore (new_zone t ~aspace:id ~name:(Printf.sprintf "heap@%d" id) ~pages:t.default_zone_pages);
+  ignore (new_zone t ~aspace:id ~name:(Printf.sprintf "heap@%d" id) ~pages:default_zone_pages);
   id
 
 let new_segment t ~name ~pages =
@@ -172,12 +174,11 @@ let memsys t =
     remote = None;
   }
 
-let create coh root_aspace ?(default_zone_pages = 4096) () =
+let create coh root_aspace =
   let sp = space_of root_aspace in
   let t =
     {
       coh;
-      default_zone_pages;
       spaces = [| sp |];
       zones = [||];
       segments = [||];

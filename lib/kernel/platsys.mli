@@ -12,14 +12,9 @@
 
 type t
 
-val create :
-  Platinum_core.Coherent.t ->
-  Platinum_vm.Addr_space.t ->
-  ?default_zone_pages:int ->
-  unit ->
-  t
-(** [create coh root_aspace ()] — [root_aspace] becomes address space 0.
-    [default_zone_pages] sizes each space's heap (default 4096 pages). *)
+val create : Platinum_core.Coherent.t -> Platinum_vm.Addr_space.t -> t
+(** [create coh root_aspace] — [root_aspace] becomes address space 0.
+    Each space's heap zone is 4096 pages. *)
 
 val memsys : t -> Memsys.t
 val coherent : t -> Platinum_core.Coherent.t

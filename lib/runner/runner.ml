@@ -18,8 +18,7 @@ type setup = {
   kernel : Kernel.t;
 }
 
-let make ?config ?policy ?defrost ?(frames_per_module = 1024) ?default_zone_pages ?inject
-    ?coalesce () =
+let make ?config ?policy ?defrost ?(frames_per_module = 1024) ?inject ?coalesce () =
   let config = match config with Some c -> c | None -> Config.butterfly_plus () in
   let policy =
     match policy with
@@ -34,7 +33,7 @@ let make ?config ?policy ?defrost ?(frames_per_module = 1024) ?default_zone_page
   | Some cfg -> Machine.set_inject machine (Some (Platinum_sim.Inject.create cfg)));
   let coherent = Coherent.create machine ~engine ~policy ~frames_per_module () in
   let aspace = Addr_space.create coherent in
-  let platsys = Platsys.create coherent aspace ?default_zone_pages () in
+  let platsys = Platsys.create coherent aspace in
   let kernel =
     Kernel.create ?coalesce ~engine ~machine ~memsys:(Platsys.memsys platsys) ()
   in
@@ -54,12 +53,8 @@ let run setup ~main =
   | Error e -> failwith ("coherence invariant violated after run: " ^ e));
   { elapsed; report = Report.of_run setup.coherent ~elapsed; setup }
 
-let time ?config ?policy ?defrost ?frames_per_module ?default_zone_pages ?inject ?coalesce
-    main =
-  let setup =
-    make ?config ?policy ?defrost ?frames_per_module ?default_zone_pages ?inject ?coalesce ()
-  in
-  run setup ~main
+let time ?config ?policy ?defrost ?frames_per_module ?inject ?coalesce main =
+  run (make ?config ?policy ?defrost ?frames_per_module ?inject ?coalesce ()) ~main
 
 module Uma_sys = Platinum_cache.Uma_sys
 

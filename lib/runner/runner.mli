@@ -19,7 +19,6 @@ val make :
   ?policy:Platinum_core.Policy.t ->
   ?defrost:Platinum_core.Defrost.mode ->
   ?frames_per_module:int ->
-  ?default_zone_pages:int ->
   ?inject:Platinum_sim.Inject.config ->
   ?coalesce:bool ->
   unit ->
@@ -53,7 +52,6 @@ val time :
   ?policy:Platinum_core.Policy.t ->
   ?defrost:Platinum_core.Defrost.mode ->
   ?frames_per_module:int ->
-  ?default_zone_pages:int ->
   ?inject:Platinum_sim.Inject.config ->
   ?coalesce:bool ->
   (unit -> unit) ->

@@ -74,11 +74,10 @@ let post t ~dst ~delay f =
     schedule_after t ~delay f
   | Some r -> r.route ~dst ~delay f
 
-let every t ?daemon ~period ?start f =
+let every t ?daemon ~period f =
   if period <= 0 then invalid_arg "Engine.every: period must be positive";
-  let first = match start with Some s -> s | None -> t.clock + period in
   let rec fire () = if f () then schedule_after t ?daemon ~delay:period fire in
-  schedule_at t ?daemon ~at:first fire
+  schedule_after t ?daemon ~delay:period fire
 
 (* Run the earliest event; [false] when the queue was empty. *)
 let step t =

@@ -91,9 +91,9 @@ val post : t -> dst:int -> delay:Time_ns.t -> (unit -> unit) -> unit
     protocol messages included — so that a sharded driver can reroute it
     without the caller changing. *)
 
-val every : t -> ?daemon:bool -> period:Time_ns.t -> ?start:Time_ns.t -> (unit -> bool) -> unit
-(** Run a recurring event each [period]; the first firing is at [start]
-    (default [now t + period]).  The event recurs while the callback returns
+val every : t -> ?daemon:bool -> period:Time_ns.t -> (unit -> bool) -> unit
+(** Run a recurring event each [period]; the first firing is at
+    [now t + period].  The event recurs while the callback returns
     [true]. *)
 
 val run : t -> unit

@@ -10,9 +10,7 @@ type entry = {
 
 type t = entry Ring.t
 
-let create ?(capacity = 100_000) () =
-  if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  Ring.create ~capacity
+let create () = Ring.create ~capacity:100_000
 
 let record t ~now event = Ring.push t { at = now; event }
 let attach t coh = Coherent.set_probe coh (Some (fun ~now ev -> record t ~now ev))

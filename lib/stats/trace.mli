@@ -12,8 +12,8 @@ type entry = {
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** A bounded recorder (default 100_000 entries); when full, the oldest
+val create : unit -> t
+(** A bounded recorder (100_000 entries); when full, the oldest
     entries are dropped and [dropped] counts them. *)
 
 val attach : t -> Platinum_core.Coherent.t -> unit

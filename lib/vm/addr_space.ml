@@ -7,8 +7,7 @@ exception Address_error of { aspace : int; vpage : int }
 type binding = {
   vbase : int;  (* first virtual page *)
   bnpages : int;
-  obj : Memobj.t;
-  obj_offset : int;
+  obj : Memobj.t;  (* bound from its first page *)
   rights : Rights.t;
 }
 
@@ -29,14 +28,14 @@ let page_words t = Coherent.page_words t.coh
 let overlaps b ~at_page ~npages =
   at_page < b.vbase + b.bnpages && b.vbase < at_page + npages
 
-let map t ~at_page ~obj ?(obj_offset = 0) ?npages ~rights () =
-  let npages = match npages with Some n -> n | None -> Memobj.npages obj - obj_offset in
+let map t ~at_page ~obj ?npages ~rights () =
+  let npages = match npages with Some n -> n | None -> Memobj.npages obj in
   if npages <= 0 then invalid_arg "Addr_space.map: empty range";
-  if obj_offset < 0 || obj_offset + npages > Memobj.npages obj then
+  if npages > Memobj.npages obj then
     invalid_arg "Addr_space.map: range outside object";
   if List.exists (fun b -> overlaps b ~at_page ~npages) t.bindings then
     invalid_arg (Printf.sprintf "Addr_space.map: virtual range [%d,%d) already bound" at_page (at_page + npages));
-  t.bindings <- { vbase = at_page; bnpages = npages; obj; obj_offset; rights } :: t.bindings;
+  t.bindings <- { vbase = at_page; bnpages = npages; obj; rights } :: t.bindings;
   if at_page + npages > t.next_free_page then t.next_free_page <- at_page + npages
 
 let unmap t ~now ~at_page ~npages =
@@ -59,13 +58,13 @@ let find_binding t ~vpage =
 let resolve t ~vpage =
   match find_binding t ~vpage with
   | None -> None
-  | Some b -> Some (b.obj, b.obj_offset + (vpage - b.vbase))
+  | Some b -> Some (b.obj, vpage - b.vbase)
 
 let fault t ~now:_ ~vpage =
   match find_binding t ~vpage with
   | None -> raise (Address_error { aspace = id t; vpage })
   | Some b ->
-    let index = b.obj_offset + (vpage - b.vbase) in
+    let index = vpage - b.vbase in
     let page = Memobj.page b.obj ~index in
     Coherent.bind t.coh t.cm ~vpage page b.rights;
     let counters = Coherent.counters t.coh in

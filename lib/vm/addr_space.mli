@@ -22,13 +22,12 @@ val map :
   t ->
   at_page:int ->
   obj:Memobj.t ->
-  ?obj_offset:int ->
   ?npages:int ->
   rights:Platinum_core.Rights.t ->
   unit ->
   unit
-(** Bind [npages] pages of [obj] starting at [obj_offset] (default 0, whole
-    object) to the virtual range starting at page [at_page].  Overlapping
+(** Bind the first [npages] pages of [obj] (default the whole object) to
+    the virtual range starting at page [at_page].  Overlapping
     an existing binding raises [Invalid_argument]. *)
 
 val unmap : t -> now:Platinum_sim.Time_ns.t -> at_page:int -> npages:int -> int

@@ -3,7 +3,6 @@ module Api = Platinum_kernel.Api
 type params = {
   n : int;
   nprocs : int;
-  chunk : int;
   seed : int;
   verify : bool;
 }
@@ -13,11 +12,13 @@ let is_pow2 x = x > 0 && x land (x - 1) = 0
 (* Comparison/move cost per element in the merge loops. *)
 let compute_ns_per_element = 1_500
 
-let params ?(n = 65_536) ?(chunk = 256) ?(seed = 7) ?(verify = true) ~nprocs () =
+(* Streaming-merge buffer, in words. *)
+let chunk = 256
+
+let params ?(n = 65_536) ?(seed = 7) ?(verify = true) ~nprocs () =
   if not (is_pow2 nprocs) then invalid_arg "Mergesort.params: nprocs must be a power of two";
-  if chunk <= 0 then invalid_arg "Mergesort.params: chunk must be positive";
   let n = (n + nprocs - 1) / nprocs * nprocs in
-  { n; nprocs; chunk; seed; verify }
+  { n; nprocs; seed; verify }
 
 let input_value p i =
   let h = ((p.seed * 0x9E3779B9) + (i * 0x85EBCA6B)) land max_int in
@@ -28,8 +29,8 @@ let input_value p i =
 (* Merge [len_a]+[len_b] words from two simulated arrays into [dst],
    streaming through bounded buffers so one merge is O(chunk) live data,
    not O(n). *)
-let stream_merge p ~src_a ~len_a ~src_b ~len_b ~dst =
-  let out = Array.make p.chunk 0 in
+let stream_merge ~src_a ~len_a ~src_b ~len_b ~dst =
+  let out = Array.make chunk 0 in
   let buf_a = ref [||] and buf_b = ref [||] in
   let pos_a = ref 0 and pos_b = ref 0 in  (* consumed from current buffers *)
   let read_a = ref 0 and read_b = ref 0 in  (* consumed from inputs *)
@@ -37,7 +38,7 @@ let stream_merge p ~src_a ~len_a ~src_b ~len_b ~dst =
   let out_fill = ref 0 in
   let refill_a () =
     if !pos_a >= Array.length !buf_a && !read_a < len_a then begin
-      let n = Int.min p.chunk (len_a - !read_a) in
+      let n = Int.min chunk (len_a - !read_a) in
       buf_a := Api.block_read (src_a + !read_a) n;
       read_a := !read_a + n;
       pos_a := 0
@@ -45,7 +46,7 @@ let stream_merge p ~src_a ~len_a ~src_b ~len_b ~dst =
   in
   let refill_b () =
     if !pos_b >= Array.length !buf_b && !read_b < len_b then begin
-      let n = Int.min p.chunk (len_b - !read_b) in
+      let n = Int.min chunk (len_b - !read_b) in
       buf_b := Api.block_read (src_b + !read_b) n;
       read_b := !read_b + n;
       pos_b := 0
@@ -62,7 +63,7 @@ let stream_merge p ~src_a ~len_a ~src_b ~len_b ~dst =
   let emit v =
     out.(!out_fill) <- v;
     incr out_fill;
-    if !out_fill = p.chunk then flush ()
+    if !out_fill = chunk then flush ()
   in
   let a_live () =
     refill_a ();
@@ -138,7 +139,7 @@ let make p =
         while !off < seg do
           let len_a = Int.min !width (seg - !off) in
           let len_b = Int.min !width (seg - !off - len_a) in
-          stream_merge p ~src_a:(src_base + !off) ~len_a ~src_b:(src_base + !off + len_a)
+          stream_merge ~src_a:(src_base + !off) ~len_a ~src_b:(src_base + !off + len_a)
             ~len_b ~dst:(!to_b + !off);
           off := !off + len_a + len_b
         done;
@@ -170,7 +171,7 @@ let make p =
       let mergers = nprocs lsr (level + 1) in
       let merge_one idx =
         let base = idx * 2 * run in
-        stream_merge p ~src_a:(!from_buf + base) ~len_a:run ~src_b:(!from_buf + base + run)
+        stream_merge ~src_a:(!from_buf + base) ~len_a:run ~src_b:(!from_buf + base + run)
           ~len_b:run ~dst:(!to_buf + base)
       in
       Api.spawn_join_all

@@ -15,20 +15,18 @@
 type params = {
   n : int;  (** element count; rounded up to a multiple of [nprocs] *)
   nprocs : int;
-  chunk : int;  (** streaming-merge buffer, in words *)
   seed : int;
   verify : bool;
 }
 
 val params :
   ?n:int ->
-  ?chunk:int ->
   ?seed:int ->
   ?verify:bool ->
   nprocs:int ->
   unit ->
   params
-(** Defaults: n = 65536, 256-word chunks.  Merging costs 1.5 µs per
+(** Default n = 65536; merges stream through 256-word buffers.  Merging costs 1.5 µs per
     element. *)
 
 val make : params -> Outcome.t * (unit -> unit)

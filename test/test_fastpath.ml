@@ -121,7 +121,7 @@ let run_prog ~coalesce prog =
   in
   let config = Config.butterfly_plus ~nprocs:2 () in
   let r =
-    Runner.time ~config ~frames_per_module:64 ~default_zone_pages:32 ~coalesce (fun () ->
+    Runner.time ~config ~frames_per_module:64 ~coalesce (fun () ->
         let buf = Api.alloc ~page_aligned:true 512 in
         run_ops buf prog;
         let t = Api.spawn ~proc:1 (fun () -> run_ops buf (List.rev prog)) in
@@ -146,7 +146,7 @@ let test_coalescer_engages () =
   let c = Fastpath.ctx () in
   Fastpath.reset_stats c;
   let r =
-    Runner.time ~frames_per_module:64 ~default_zone_pages:32 (fun () ->
+    Runner.time ~frames_per_module:64 (fun () ->
         let buf = Api.alloc ~page_aligned:true 1024 in
         for i = 0 to 1023 do
           Api.write (buf + i) i
@@ -168,7 +168,7 @@ let test_coalescer_engages () =
 let test_disabled_never_engages () =
   let c = Fastpath.ctx () in
   Fastpath.reset_stats c;
-  Runner.time ~frames_per_module:64 ~default_zone_pages:32 ~coalesce:false (fun () ->
+  Runner.time ~frames_per_module:64 ~coalesce:false (fun () ->
       let buf = Api.alloc ~page_aligned:true 256 in
       for i = 0 to 255 do
         Api.write (buf + i) i
@@ -190,7 +190,7 @@ let run_odd_pages ~coalesce =
   let c = Fastpath.ctx () in
   Fastpath.reset_stats c;
   let r =
-    Runner.time ~config ~frames_per_module:64 ~default_zone_pages:32 ~coalesce (fun () ->
+    Runner.time ~config ~frames_per_module:64 ~coalesce (fun () ->
         Alcotest.(check int) "page size" 6 (Api.page_words ());
         let buf = Api.alloc ~page_aligned:true words in
         let pass () =
@@ -299,7 +299,7 @@ let test_cores_check_live_state () =
    allocates nothing per word whichever page it is on. *)
 let test_three_page_stream_allocation () =
   let per_word = ref infinity in
-  Runner.time ~frames_per_module:64 ~default_zone_pages:32 (fun () ->
+  Runner.time ~frames_per_module:64 (fun () ->
       let pw = Api.page_words () in
       let buf = Api.alloc ~page_aligned:true (3 * pw) in
       let sweep () =
@@ -330,7 +330,7 @@ let test_three_page_stream_allocation () =
 let test_freeze_forces_fallback () =
   let c = Fastpath.ctx () in
   let pw = ref 0 in
-  Runner.time ~frames_per_module:64 ~default_zone_pages:32 (fun () ->
+  Runner.time ~frames_per_module:64 (fun () ->
       pw := Api.page_words ();
       let buf = Api.alloc ~page_aligned:true !pw in
       for i = 0 to !pw - 1 do
@@ -367,7 +367,7 @@ let run_stack ~coalesce ?rate ?monitor prog =
   let config = Config.butterfly_plus ~nprocs:2 () in
   let inject = Option.map (fun rate -> Inject.config ~seed:11L ~rate ()) rate in
   let setup =
-    Runner.make ~config ~frames_per_module:64 ~default_zone_pages:32 ?inject ~coalesce ()
+    Runner.make ~config ~frames_per_module:64 ?inject ~coalesce ()
   in
   Option.iter
     (fun on ->
@@ -548,7 +548,7 @@ let test_live_plane_peek_allocation () =
    no more than a steady-state arm. *)
 let test_arm_handoff_allocation () =
   let backend () =
-    let m = Platinum_kernel.Kernel.memsys (Runner.make ~default_zone_pages:32 ()).Runner.kernel in
+    let m = Platinum_kernel.Kernel.memsys (Runner.make ()).Runner.kernel in
     match m.Memsys.fastpath with
     | Some ops -> (ops, m.Memsys.value)
     | None -> Alcotest.fail "Platsys exposes no fast path"
@@ -576,7 +576,7 @@ let test_arm_handoff_allocation () =
 (* --- the hardened stride API (input validation) --- *)
 
 let test_stride_validation () =
-  Runner.time ~frames_per_module:64 ~default_zone_pages:32 (fun () ->
+  Runner.time ~frames_per_module:64 (fun () ->
       let buf = Api.alloc ~page_aligned:true 64 in
       Alcotest.check_raises "write_stride: ragged data"
         (Invalid_argument "write_stride: data length 7 is not a multiple of elem_words 3")

@@ -1,10 +1,11 @@
 (* Differential properties for the flat translation tables (PR 5).
 
    The seed indexed Pmap and Atc entries with hash tables; the rework
-   replaced those with chunked vpage-indexed arrays ([Flat]).  These
-   properties drive identical random operation sequences through the old
-   hash-based tables ([Ref_tables], kept verbatim) and the new flat ones,
-   asserting observably identical state after every step — including for
+   replaced those with chunked vpage-indexed arrays ([Flat]), and the ATC
+   became a stamp on the Pmap entry.  These properties drive identical
+   random operation sequences through the old hash-based tables
+   ([Ref_tables], kept verbatim) and the new ones, asserting observably
+   identical state after every step — including for
    spill keys outside the dense range — and that the sanitizers
    ([Cmap.check_faults], [Cpage.check_faults]) stay clean throughout. *)
 
@@ -43,7 +44,6 @@ type op =
   | Clear
   | Atc_activate of int  (* aspace *)
   | Atc_load of int  (* vpage index: cache the live pmap entry, if any *)
-  | Atc_invalidate of int * int  (* aspace, vpage index *)
   | Atc_flush
 
 let op_gen =
@@ -57,7 +57,6 @@ let op_gen =
       (1, return Clear);
       (2, map (fun a -> Atc_activate a) (int_bound 2));
       (4, map (fun v -> Atc_load v) vp);
-      (2, map2 (fun a v -> Atc_invalidate (a, v)) (int_bound 2) vp);
       (1, return Atc_flush);
     ]
 
@@ -68,7 +67,6 @@ let pp_op = function
   | Clear -> "clear"
   | Atc_activate a -> Printf.sprintf "activate a%d" a
   | Atc_load v -> Printf.sprintf "atc-load v%d" vpages.(v)
-  | Atc_invalidate (a, v) -> Printf.sprintf "atc-inval a%d v%d" a vpages.(v)
   | Atc_flush -> "atc-flush"
 
 let ops_arb =
@@ -89,13 +87,24 @@ let same_entry ~what vpage (a : Pmap.entry option) (b : Ref_tables.Pmap.entry op
   | Some _, None -> QCheck.Test.fail_reportf "%s: vpage %d bound only in flat" what vpage
   | None, Some _ -> QCheck.Test.fail_reportf "%s: vpage %d bound only in reference" what vpage
 
+(* The ATC's view of [vpage] in [aspace]: the Pmap entry, if its stamp
+   says the ATC holds it. *)
+let atc_find pm atc ~aspace ~vpage =
+  match Pmap.find pm ~vpage with
+  | Some e when Atc.is_active atc ~aspace && Atc.holds atc e -> Some e
+  | _ -> None
+
 let check_agreement (pm, atc) (rpm, ratc) =
   if Pmap.size pm <> Ref_tables.Pmap.size rpm then
     QCheck.Test.fail_reportf "pmap size %d vs reference %d" (Pmap.size pm)
       (Ref_tables.Pmap.size rpm);
-  if Atc.size atc <> Ref_tables.Atc.size ratc then
-    QCheck.Test.fail_reportf "atc size %d vs reference %d" (Atc.size atc)
-      (Ref_tables.Atc.size ratc);
+  let held =
+    Array.fold_left
+      (fun n vpage -> match Pmap.find pm ~vpage with Some e when Atc.holds atc e -> n + 1 | _ -> n)
+      0 vpages
+  in
+  if held <> Ref_tables.Atc.size ratc then
+    QCheck.Test.fail_reportf "atc holds %d vs reference %d" held (Ref_tables.Atc.size ratc);
   if Atc.active_aspace atc <> Ref_tables.Atc.active_aspace ratc then
     QCheck.Test.fail_reportf "active aspace disagrees";
   Array.iter
@@ -111,29 +120,37 @@ let check_agreement (pm, atc) (rpm, ratc) =
       for aspace = 0 to 2 do
         same_entry ~what:"atc"
           vpage
-          (Atc.find atc ~aspace ~vpage)
+          (atc_find pm atc ~aspace ~vpage)
           (Ref_tables.Atc.peek ratc ~aspace ~vpage)
       done)
     vpages
+
+(* A new or removed Pmap entry leaves the ATC without it, as Coherent's
+   shootdowns always arrange; the reference ATC must be told. *)
+let drop_ref ratc ~vpage =
+  match Ref_tables.Atc.active_aspace ratc with
+  | Some aspace -> Ref_tables.Atc.invalidate ratc ~aspace ~vpage
+  | None -> ()
 
 let apply_op frames (pm, atc) (rpm, ratc) op =
   match op with
   | Install (v, f, w) ->
     let vpage = vpages.(v) and frame = frames.(f) in
     ignore (Pmap.install pm ~vpage ~frame ~cpage:page0 ~write_ok:w);
-    ignore (Ref_tables.Pmap.install rpm ~vpage ~frame ~write_ok:w)
+    ignore (Ref_tables.Pmap.install rpm ~vpage ~frame ~write_ok:w);
+    drop_ref ratc ~vpage
   | Remove v ->
     Pmap.remove pm ~vpage:vpages.(v);
-    Ref_tables.Pmap.remove rpm ~vpage:vpages.(v)
+    Ref_tables.Pmap.remove rpm ~vpage:vpages.(v);
+    drop_ref ratc ~vpage:vpages.(v)
   | Restrict v ->
     Pmap.restrict pm ~vpage:vpages.(v);
     Ref_tables.Pmap.restrict rpm ~vpage:vpages.(v)
   | Clear ->
     Pmap.clear pm;
     Ref_tables.Pmap.clear rpm;
-    (* The seed cleared ATCs alongside (shootdown does); keep the caches
-       from holding entries their Pmap no longer owns. *)
-    Atc.flush atc;
+    (* The seed cleared ATCs alongside (shootdown does); the stamped ATC
+       loses the entries with the Pmap. *)
     Ref_tables.Atc.flush ratc
   | Atc_activate a ->
     ignore (Atc.activate atc ~aspace:a);
@@ -143,13 +160,10 @@ let apply_op frames (pm, atc) (rpm, ratc) op =
     if Atc.active_aspace atc <> None then
       match Pmap.find pm ~vpage, Ref_tables.Pmap.find rpm ~vpage with
       | Some e, Some r ->
-        Atc.load atc ~vpage e;
+        Atc.load atc e;
         Ref_tables.Atc.load ratc ~vpage r
       | None, None -> ()
       | _ -> QCheck.Test.fail_reportf "pmaps diverged before atc-load of vpage %d" vpage)
-  | Atc_invalidate (a, v) ->
-    Atc.invalidate atc ~aspace:a ~vpage:vpages.(v);
-    Ref_tables.Atc.invalidate ratc ~aspace:a ~vpage:vpages.(v)
   | Atc_flush ->
     Atc.flush atc;
     Ref_tables.Atc.flush ratc

@@ -38,11 +38,12 @@ let test_counters_agree_with_page_stats () =
 let test_trace_agrees_with_counters () =
   let out, main = Gauss.make (Gauss.params ~n:48 ~nprocs:4 ~verify:false ()) in
   let setup = Runner.make () in
-  let tr = Trace.create ~capacity:1_000_000 () in
+  let tr = Trace.create () in
   Trace.attach tr setup.Runner.coherent;
   let r = Runner.run setup ~main in
   Alcotest.(check bool) "ok" true out.Outcome.ok;
   let c = Coherent.counters r.Runner.setup.Runner.coherent in
+  Alcotest.(check int) "trace dropped nothing" 0 (Trace.dropped tr);
   Alcotest.(check int) "replication events"
     c.Counters.replications
     (Trace.count tr (function Probe.Replicated _ -> true | _ -> false));
@@ -57,7 +58,7 @@ let test_oom_under_load () =
      8 readers. *)
   let sums = Array.make 8 0 in
   let r =
-    Runner.time ~config ~frames_per_module:8 ~default_zone_pages:12 (fun () ->
+    Runner.time ~config ~frames_per_module:8 (fun () ->
         let words = 12 * Api.page_words () in
         let data = Api.alloc_pages 12 in
         Api.block_write data (Array.init words (fun i -> i land 0xFF));
@@ -213,7 +214,7 @@ let prop_lock_counter =
     (fun seed ->
       let total = ref 0 in
       let r =
-        Runner.time ~frames_per_module:64 ~default_zone_pages:32 (fun () ->
+        Runner.time ~frames_per_module:64 (fun () ->
             let rng = Platinum_sim.Rng.create (Int64.of_int seed) in
             let lock = Sync.Spinlock.make () in
             let counter = Api.alloc 1 in

@@ -10,7 +10,7 @@ module Time_ns = Platinum_sim.Time_ns
 (* Most tests run a tiny program on a full PLATINUM instance. *)
 let run ?(nprocs = 4) main =
   let config = Platinum_machine.Config.butterfly_plus ~nprocs () in
-  Runner.time ~config ~frames_per_module:64 ~default_zone_pages:32 main
+  Runner.time ~config ~frames_per_module:64 main
 
 let test_spawn_join () =
   let order = ref [] in
@@ -601,7 +601,7 @@ let test_trapped_path_allocation () =
    event would show up there even if the timings agreed. *)
 let run_inline_differential ~routed =
   let config = Platinum_machine.Config.butterfly_plus ~nprocs:4 () in
-  let setup = Runner.make ~config ~frames_per_module:64 ~default_zone_pages:32 () in
+  let setup = Runner.make ~config ~frames_per_module:64 () in
   let observed = ref [] in
   let note v = observed := v :: !observed in
   let main () =
@@ -674,7 +674,7 @@ let test_inline_resume_differential () =
    thread measures the allocation of adopted rmws. *)
 let run_remote_stub ~remote =
   let config = Platinum_machine.Config.butterfly_plus ~nprocs:4 () in
-  let setup = Runner.make ~config ~frames_per_module:64 ~default_zone_pages:32 () in
+  let setup = Runner.make ~config ~frames_per_module:64 () in
   let engine = setup.Runner.engine in
   let base = Platinum_kernel.Platsys.memsys setup.Runner.platsys in
   let adopted = ref 0 in
@@ -823,7 +823,7 @@ let test_hosted_hit_allocation () =
    the atomic ops but must never corrupt them. *)
 let test_spinlock_under_injection () =
   let config = Platinum_machine.Config.butterfly_plus ~nprocs:4 () in
-  Runner.time ~config ~frames_per_module:64 ~default_zone_pages:32
+  Runner.time ~config ~frames_per_module:64
     ~inject:(Platinum_sim.Inject.config ~seed:5L ~rate:0.3 ())
     (fun () ->
       let lock = Sync.Spinlock.make () in

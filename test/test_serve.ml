@@ -155,7 +155,7 @@ let test_ring_backpressure () =
   let got = ref [] in
   let max_pending = ref 0 in
   let producer_done = ref 0 in
-  Runner.time ~frames_per_module:64 ~default_zone_pages:32 (fun () ->
+  Runner.time ~frames_per_module:64 (fun () ->
       let r = Ring.create ~slots:2 ~slot_words:1 () in
       let producer =
         Api.spawn ~proc:1 (fun () ->
@@ -197,7 +197,7 @@ let test_ring_wraparound_fifo () =
   let per = 12 in
   let last_seen = [| 0; 0 |] in
   let total = ref 0 in
-  Runner.time ~frames_per_module:64 ~default_zone_pages:32 (fun () ->
+  Runner.time ~frames_per_module:64 (fun () ->
       let r = Ring.create ~slots:4 ~slot_words:2 () in
       let producer p =
         Api.spawn ~proc:(p + 1) (fun () ->
@@ -229,7 +229,7 @@ let test_ring_freeze_midstream () =
   let c = Fastpath.ctx () in
   let got = ref [] in
   let frozen_stats = ref (0, 0) in
-  Runner.time ~frames_per_module:64 ~default_zone_pages:32 (fun () ->
+  Runner.time ~frames_per_module:64 (fun () ->
       let r = Ring.create ~slots:4 ~slot_words:1 () in
       let producer =
         Api.spawn ~proc:1 (fun () ->
@@ -266,7 +266,7 @@ let test_ring_freeze_midstream () =
 (* Same scenario with the coherence sanitizer armed: the monitor must stay
    silent (any invariant violation raises and fails the test). *)
 let test_ring_freeze_monitor_silent () =
-  let setup = Runner.make ~frames_per_module:64 ~default_zone_pages:32 () in
+  let setup = Runner.make ~frames_per_module:64 () in
   Coherent.set_monitor setup.Runner.coherent (Some (Check.create_monitor ()));
   let sum = ref 0 in
   Runner.run setup ~main:(fun () ->
@@ -286,7 +286,7 @@ let test_ring_freeze_monitor_silent () =
   Alcotest.(check int) "all values under the monitor" 55 !sum
 
 let test_ring_validation () =
-  Runner.time ~frames_per_module:64 ~default_zone_pages:32 (fun () ->
+  Runner.time ~frames_per_module:64 (fun () ->
       Alcotest.check_raises "slots must be positive"
         (Invalid_argument "Ring.create: slots must be positive") (fun () ->
           ignore (Ring.create ~slots:0 ~slot_words:1 ()));

@@ -160,7 +160,7 @@ let observe run ~slices ops =
 
 let on_platsys p =
   let config = Config.butterfly_plus ~nprocs:4 ~page_words () in
-  let s = Runner.make ~config ~frames_per_module:64 ~default_zone_pages:32 () in
+  let s = Runner.make ~config ~frames_per_module:64 () in
   ignore (Runner.run_program ~seed:42L (Runner.Platinum s) p)
 
 let on_uma p = ignore (Runner.run_program ~seed:42L (Runner.Uma { nprocs = 4; page_words }) p)

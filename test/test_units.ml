@@ -65,16 +65,22 @@ let test_pmap_restrict_shares_entry () =
 
 let test_atc_aspace_tagging () =
   let atc = Atc.create ~proc:0 in
+  let pm = Pmap.create ~proc:0 in
   let f = Frame.create ~mem_module:0 ~index:0 ~words:4 in
+  let e = Pmap.install pm ~vpage:3 ~frame:f ~cpage:(Cpage.create ~id:0 ~home:0 ()) ~write_ok:false in
+  Alcotest.check_raises "no active space to load into"
+    (Invalid_argument "Atc.load: no active address space") (fun () -> Atc.load atc e);
   ignore (Atc.activate atc ~aspace:7);
-  let e = { Pmap.frame = f; cpage = Cpage.create ~id:0 ~home:0 (); write_ok = false } in
-  Atc.load atc ~vpage:3 e;
-  Alcotest.(check bool) "hit in the active space" true (Atc.find atc ~aspace:7 ~vpage:3 <> None);
-  Alcotest.(check bool) "miss for another space" true (Atc.find atc ~aspace:8 ~vpage:3 = None);
-  Atc.invalidate atc ~aspace:8 ~vpage:3 (* wrong space: must not touch *);
-  Alcotest.(check bool) "still cached" true (Atc.find atc ~aspace:7 ~vpage:3 <> None);
+  Alcotest.(check bool) "installed, not yet cached" false (Atc.holds atc e);
+  Atc.load atc e;
+  Alcotest.(check bool) "hit in the active space" true (Atc.holds atc e);
+  Alcotest.(check bool) "re-activating the active space is a no-op" false
+    (Atc.activate atc ~aspace:7);
+  Alcotest.(check bool) "still cached" true (Atc.holds atc e);
   ignore (Atc.activate atc ~aspace:8);
-  Alcotest.(check int) "flushed on switch" 0 (Atc.size atc)
+  Alcotest.(check bool) "flushed on switch" false (Atc.holds atc e);
+  ignore (Atc.activate atc ~aspace:7);
+  Alcotest.(check bool) "switching back does not revive it" false (Atc.holds atc e)
 
 (* --- rendering / misc --- *)
 
@@ -196,7 +202,7 @@ let test_jacobi_oracle_smoothing () =
 
 let run ?(nprocs = 4) main =
   Runner.time ~config:(Config.butterfly_plus ~nprocs ()) ~frames_per_module:32
-    ~default_zone_pages:16 main
+    main
 
 let test_spawn_bad_proc () =
   Alcotest.(check bool) "bad processor rejected" true

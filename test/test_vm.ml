@@ -98,11 +98,12 @@ let test_aspace_partial_object_binding () =
   let coh = mk_coh () in
   let asp = Addr_space.create coh in
   let obj = Memobj.create coh ~name:"big" ~npages:10 in
-  Addr_space.map asp ~at_page:0 ~obj ~obj_offset:4 ~npages:2 ~rights:Rights.Read_only ();
-  Alcotest.(check bool) "offset respected" true
-    (match Addr_space.resolve asp ~vpage:1 with
-    | Some (o, 5) -> Memobj.id o = Memobj.id obj
-    | Some _ | None -> false)
+  Addr_space.map asp ~at_page:4 ~obj ~npages:2 ~rights:Rights.Read_only ();
+  Alcotest.(check bool) "bound from the object's first page" true
+    (match Addr_space.resolve asp ~vpage:5 with
+    | Some (o, 1) -> Memobj.id o = Memobj.id obj
+    | Some _ | None -> false);
+  Alcotest.(check bool) "only npages bound" true (Addr_space.resolve asp ~vpage:6 = None)
 
 let test_aspace_unmap () =
   let coh = mk_coh () in

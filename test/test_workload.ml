@@ -322,7 +322,6 @@ let test_param_validation () =
   rejects (fun () -> Gauss.params ~n:1 ~nprocs:4 ());
   rejects (fun () -> Gauss.params ~n:16 ~nprocs:0 ());
   rejects (fun () -> Mergesort.params ~nprocs:6 ());
-  rejects (fun () -> Mergesort.params ~chunk:0 ~nprocs:4 ());
   rejects (fun () -> Backprop.params ~units:1 ~nprocs:2 ());
   rejects (fun () -> Platinum_workload.Jacobi.params ~n:3 ~nprocs:1 ());
   rejects (fun () -> Platinum_workload.Jacobi.params ~n:16 ~nprocs:15 ())
