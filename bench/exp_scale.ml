@@ -8,9 +8,9 @@
 
    - the mesh workloads: Mesh's traffic, storm and serve programs and
      Parkernel's rpc_echo;
-   - the kernel workloads: jacobi and gauss, plus a GB-span jacobi.
+   - the kernel workloads: jacobi, plus a GB-span jacobi.
 
-   A last table runs the hosted jacobi, gauss and rpc_echo programs on 16
+   A last table runs the hosted jacobi and rpc_echo programs on 16
    hosted nodes and on the sequential 16-node Butterfly Plus under the
    paper's protocol (Runner.run_program), side by side, with no tolerance
    claimed; the only gate is each program's oracle on both machines.
@@ -210,12 +210,7 @@ let run (scale : scale) =
   subsection "hosted kernel: throughput vs topology";
   let jacobi = kernel ~ops:32 Parkernel.Jacobi in
   let krows =
-    List.concat_map
-      (fun nodes ->
-        List.map
-          (measure ~config:(topology nodes) ~shards ~domains)
-          [ jacobi; kernel ~ops:32 Parkernel.Gauss ])
-      node_counts
+    List.map (fun nodes -> measure ~config:(topology nodes) ~shards ~domains jacobi) node_counts
   in
   (* The GB-span variant: a >= 2^27-word address space on the largest
      topology.  The chunked page tables keep resident memory proportional
@@ -246,10 +241,7 @@ let run (scale : scale) =
   (* fresh per machine: echo counts its round trips in its own array *)
   let programs () =
     let n = 16 and pw = butterfly.Config.page_words in
-    [
-      Program.jacobi ~n ~pw ~width:64 ~iters:3; Program.gauss ~n ~pw ~width:64 ~iters:3;
-      Program.echo ~n ~ops:32 ~rpcs:(Array.make n 0);
-    ]
+    [ Program.jacobi ~n ~pw ~width:64 ~iters:3; Program.echo ~n ~ops:32 ~rpcs:(Array.make n 0) ]
   in
   Printf.printf "%-8s %14s %14s\n" "program" "hosted" "butterfly";
   List.iter2

@@ -30,7 +30,6 @@ type op =
   | Thaw of { page : int }  (** [Coherent.Thaw] *)
   | Daemon_thaw  (** what the defrost daemon does: thaw every frozen page *)
 
-val pp_op : Format.formatter -> op -> unit
 val ops_to_string : op list -> string
 
 val catalogue : nprocs:int -> npages:int -> op list

@@ -1,11 +1,9 @@
 type t = {
-  atc_proc : int;
   mutable aspace : int;  (* -1 = none *)
   mutable epoch : int;  (* bumped by every flush *)
 }
 
-let create ~proc = { atc_proc = proc; aspace = -1; epoch = 0 }
-let proc t = t.atc_proc
+let create () = { aspace = -1; epoch = 0 }
 let active_aspace t = if t.aspace < 0 then None else Some t.aspace
 let is_active t ~aspace = aspace >= 0 && t.aspace = aspace
 let flush t = t.epoch <- t.epoch + 1

@@ -16,8 +16,7 @@
 
 type t
 
-val create : proc:int -> t
-val proc : t -> int
+val create : unit -> t
 
 val active_aspace : t -> int option
 

@@ -20,7 +20,7 @@ let create ~aspace ~nprocs =
   {
     aspace_id = aspace;
     entries = Flat.create ();
-    pmaps = Array.init nprocs (fun proc -> Pmap.create ~proc);
+    pmaps = Array.init nprocs (fun _ -> Pmap.create ());
   }
 
 let aspace t = t.aspace_id
@@ -35,7 +35,6 @@ let bind t ~vpage cpage vrights =
   e
 
 let unbind t ~vpage = Flat.remove t.entries vpage
-let iter f t = Flat.iter f t.entries
 
 (* Aspace-level invariants: the reference masks and the per-processor
    Pmaps must tell the same story, and every installed translation must

@@ -41,7 +41,6 @@ val bind : t -> vpage:int -> Cpage.t -> Rights.t -> centry
 (** Install a virtual-to-coherent mapping.  Raises if already bound. *)
 
 val unbind : t -> vpage:int -> unit
-val iter : (int -> centry -> unit) -> t -> unit
 
 (* --- sanitizer hook --- *)
 

@@ -181,7 +181,7 @@ let create machine ~engine:_ ~policy ?(frames_per_module = 1024) () =
     page_shift = Phys_mem.page_shift config.Config.page_words;
     counters = Counters.create ();
     policy;
-    atcs = Array.init nprocs (fun proc -> Atc.create ~proc);
+    atcs = Array.init nprocs (fun _ -> Atc.create ());
     cmaps = Hashtbl.create 8;
     cpages = Hashtbl.create 1024;
     next_aspace = 0;

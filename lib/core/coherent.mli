@@ -30,7 +30,6 @@ val page_words : t -> int
 (* --- address spaces and pages --- *)
 
 val new_aspace : t -> Cmap.t
-val cmap : t -> aspace:int -> Cmap.t
 val new_cpage : t -> ?home:int -> ?label:string -> unit -> Cpage.t
 
 val bind : t -> Cmap.t -> vpage:int -> Cpage.t -> Rights.t -> unit

@@ -18,8 +18,7 @@ type entry = {
 
 type t
 
-val create : proc:int -> t
-val proc : t -> int
+val create : unit -> t
 
 val find : t -> vpage:int -> entry option
 (** The stored entry cell of the chunked vpage-indexed table ({!Flat}):
@@ -35,7 +34,6 @@ val restrict : t -> vpage:int -> unit
 (** Drop write permission, keeping the translation (the [Restrict_to_read]
     shootdown directive). *)
 
-val clear : t -> unit
 val size : t -> int
 val iter : (int -> entry -> unit) -> t -> unit
 val mem : t -> vpage:int -> bool

@@ -23,5 +23,3 @@ let to_string = function
   | No_access -> "none"
   | Read_only -> "ro"
   | Read_write -> "rw"
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -17,5 +17,4 @@ val min : t -> t -> t
 (** The more restrictive of the two. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

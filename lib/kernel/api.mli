@@ -49,11 +49,6 @@ val write_stride : ?elem_words:int -> int -> stride:int -> int array -> unit
     [elem_words] consecutive words (default 1) placed [stride] words
     apart; [data] length must be a multiple of [elem_words]. *)
 
-val access : Platinum_core.Memtxn.t -> int
-(** Perform an arbitrary memory transaction — the primitive the wrappers
-    above are built on.  Returns the word of a [Read] or the old value of
-    an [Rmw]; for any other transaction the int means nothing. *)
-
 (* --- time --- *)
 
 val compute : int -> unit

@@ -91,8 +91,6 @@ type t = {
   mutable place_rr : int;
 }
 
-let engine t = t.engine
-let machine t = t.machine
 let memsys t = t.memsys
 let config t = Machine.config t.machine
 let threads_created t = t.created

@@ -44,8 +44,6 @@ val create :
     O(n²).  Placement, wakeups and migrations are confined to the slice
     ([Invalid_argument] on a processor outside it). *)
 
-val engine : t -> Platinum_sim.Engine.t
-val machine : t -> Platinum_machine.Machine.t
 val memsys : t -> Memsys.t
 
 val spawn : t -> ?proc:int -> ?aspace:int -> (unit -> unit) -> Eff.thread_id

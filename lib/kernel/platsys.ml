@@ -37,9 +37,6 @@ let space t aspace =
     invalid_arg (Printf.sprintf "Platsys: no address space %d" aspace);
   t.spaces.(aspace)
 
-let aspace t = (space t 0).asp
-let coherent t = t.coh
-
 let zone t i =
   if i < 0 || i >= Array.length t.zones then invalid_arg (Printf.sprintf "Platsys: no zone %d" i);
   t.zones.(i)

@@ -17,10 +17,3 @@ val create : Platinum_core.Coherent.t -> Platinum_vm.Addr_space.t -> t
     Each space's heap zone is 4096 pages. *)
 
 val memsys : t -> Memsys.t
-val coherent : t -> Platinum_core.Coherent.t
-
-val aspace : t -> Platinum_vm.Addr_space.t
-(** The root (id 0) address space. *)
-
-val zone : t -> int -> Platinum_vm.Zone.t
-

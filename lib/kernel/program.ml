@@ -18,13 +18,14 @@ let streams ~seed n =
 
 let seed_cell r c = (((r * 1103515245) + (c * 12345)) land 0xFFFF) + 1
 
-(* Jacobi and gauss: rows [0, n) start seeded; each iteration node [r]
-   reads rows [pre], barriers, reads rows [post] and writes [next] of
-   them (pre then post) into its own row, then barriers.  The oracle runs
-   the same [next] over a host copy of the grid.  A node's row buffers
-   are allocated once: [pre] and [post] have a fixed length per node. *)
-let grid ~name ~n ~pw ~width ~iters ~pre ~post ~next =
+(* Jacobi: rows [0, n) start seeded; each iteration node [r] reads its
+   left, right and own rows, barriers, writes their average into its own
+   row, then barriers.  The oracle runs the same average over a host copy
+   of the grid.  A node's row buffers are allocated once. *)
+let jacobi ~n ~pw ~width ~iters =
   let seed = Array.init n (fun r -> Array.init width (seed_cell r)) in
+  let neighbours r = [| (r + n - 1) mod n; (r + 1) mod n; r |] in
+  let avg rows c = (rows.(0).(c) + rows.(1).(c) + rows.(2).(c)) / 3 land word_mask in
   (* The barrier's count word is word 0 and its generation word is the
      first word of page 1, both in the control region.  On separate
      pages, arrival rmws do not shoot down the spinners' generation
@@ -32,20 +33,16 @@ let grid ~name ~n ~pw ~width ~iters ~pre ~post ~next =
      invalidation that lets them see it. *)
   let barrier = Sync.Barrier.of_addrs ~parties:n ~count_addr:0 ~gen_addr:pw in
   let body ~node:r ~row ~rng:_ =
-    let npre = Array.length (pre ~r ~it:0) in
-    let rows = Array.init (npre + Array.length (post ~r ~it:0)) (fun _ -> Array.make width 0) in
+    let qs = neighbours r in
+    let rows = Array.init 3 (fun _ -> Array.make width 0) in
     let out = Array.make width 0 in
-    let read first qs =
-      for i = 0 to Array.length qs - 1 do
-        Api.block_read_into (row qs.(i)) rows.(first + i) ~off:0 ~len:width
-      done
-    in
-    for it = 0 to iters - 1 do
-      read 0 (pre ~r ~it);
+    for _ = 1 to iters do
+      for i = 0 to 2 do
+        Api.block_read_into (row qs.(i)) rows.(i) ~off:0 ~len:width
+      done;
       Sync.Barrier.wait barrier;
-      read npre (post ~r ~it);
       for c = 0 to width - 1 do
-        out.(c) <- next rows c
+        out.(c) <- avg rows c
       done;
       Api.block_write (row r) out;
       Sync.Barrier.wait barrier
@@ -53,28 +50,16 @@ let grid ~name ~n ~pw ~width ~iters ~pre ~post ~next =
   in
   let verify words =
     let g = ref seed in
-    for it = 0 to iters - 1 do
+    for _ = 1 to iters do
       let prev = !g in
-      let inputs r = Array.map (Array.get prev) (Array.append (pre ~r ~it) (post ~r ~it)) in
-      g := Array.init n (fun r -> Array.init width (next (inputs r)))
+      let inputs r = Array.map (Array.get prev) (neighbours r) in
+      g := Array.init n (fun r -> Array.init width (avg (inputs r)))
     done;
     List.for_all
       (fun r -> Array.for_all2 Int.equal !g.(r) (Array.sub (words r) 0 width))
       (List.init n Fun.id)
   in
-  { name; image = List.init n (fun r -> (r, seed.(r))); body; verify }
-
-let jacobi ~n ~pw ~width ~iters =
-  grid ~name:"jacobi" ~n ~pw ~width ~iters
-    ~pre:(fun ~r ~it:_ -> [| (r + n - 1) mod n; (r + 1) mod n; r |])
-    ~post:(fun ~r:_ ~it:_ -> [||])
-    ~next:(fun rows c -> (rows.(0).(c) + rows.(1).(c) + rows.(2).(c)) / 3 land word_mask)
-
-let gauss ~n ~pw ~width ~iters =
-  grid ~name:"gauss" ~n ~pw ~width ~iters
-    ~pre:(fun ~r:_ ~it -> [| it mod n |])
-    ~post:(fun ~r ~it:_ -> [| r |])
-    ~next:(fun rows c -> ((3 * rows.(1).(c)) + rows.(0).(c)) land 0xFFFF)
+  { name = "jacobi"; image = List.init n (fun r -> (r, seed.(r))); body; verify }
 
 (* The request slot is homed at the server, the response slot at the
    client, a sequence word each.  The oracle: every response slot holds

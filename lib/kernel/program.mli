@@ -17,14 +17,12 @@ val data_base_page : int
 val streams : seed:int64 -> int -> (Platinum_sim.Rng.t * int64) array
 (** Node [i]'s stream and then its fault-plane seed, split in node order. *)
 
-(** The built-in programs, for [n] nodes on [pw]-word pages and rows of
-    [width <= pw] words; the grid's barrier sits at words [0] and [pw]. *)
+(** The built-in programs. *)
 
 val jacobi : n:int -> pw:int -> width:int -> iters:int -> t
-(** Ring relaxation: neighbour-row replication, own-row shootdowns. *)
-
-val gauss : n:int -> pw:int -> width:int -> iters:int -> t
-(** Elimination: pivot-row replication storms (§5.1). *)
+(** Ring relaxation for [n] nodes on [pw]-word pages and rows of
+    [width <= pw] words: neighbour-row replication, own-row shootdowns.
+    Its barrier sits at words [0] and [pw]. *)
 
 val echo : n:int -> ops:int -> rpcs:int array -> t
 (** Request/response: client [2p+1] counts [ops] round trips to server

@@ -15,7 +15,6 @@ module Spinlock = struct
 
   let make ?zone () = { lock_addr = Api.alloc ?zone 1 }
   let of_addr lock_addr = { lock_addr }
-  let addr t = t.lock_addr
 
   let try_acquire t = Api.rmw t.lock_addr (fun v -> if v = 0 then 1 else v) = 0
 
@@ -43,7 +42,6 @@ module Event_count = struct
 
   let make ?zone () = { ec_addr = Api.alloc ?zone 1 }
   let of_addr ec_addr = { ec_addr }
-  let addr t = t.ec_addr
   let advance t = ignore (Api.rmw t.ec_addr (fun v -> v + 1))
   let current t = Api.read t.ec_addr
   let await t target = spin_until (fun () -> Api.read t.ec_addr >= target)

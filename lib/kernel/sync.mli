@@ -18,7 +18,6 @@ module Spinlock : sig
   (** Allocate the lock word (in the default zone unless told otherwise). *)
 
   val of_addr : int -> t
-  val addr : t -> int
   val with_lock : t -> (unit -> 'a) -> 'a
   (** Run the function holding the lock, and release it however the
       function returns.  Acquiring is test-and-set with read-spin and
@@ -31,7 +30,6 @@ module Event_count : sig
 
   val make : ?zone:Eff.zone_id -> unit -> t
   val of_addr : int -> t
-  val addr : t -> int
   val advance : t -> unit
   val current : t -> int
   val await : t -> int -> unit

@@ -1,5 +1,4 @@
 type t = {
-  cache_words : int;
   line : int;
   nlines : int;
   tags : int array;  (* -1 = invalid; else the line-aligned address *)
@@ -13,7 +12,6 @@ let create ~words ~line_words =
   if not (is_pow2 words && is_pow2 line_words && line_words <= words) then
     invalid_arg "Cache.create: sizes must be powers of two, line <= cache";
   {
-    cache_words = words;
     line = line_words;
     nlines = words / line_words;
     tags = Array.make (words / line_words) (-1);
@@ -21,8 +19,6 @@ let create ~words ~line_words =
     miss_count = 0;
   }
 
-let words t = t.cache_words
-let line_words t = t.line
 let line_addr t addr = addr land lnot (t.line - 1)
 let index t addr = addr / t.line land (t.nlines - 1)
 

@@ -11,9 +11,6 @@ type t
 val create : words:int -> line_words:int -> t
 (** [words] and [line_words] must be powers of two. *)
 
-val words : t -> int
-val line_words : t -> int
-
 val lookup : t -> addr:int -> bool
 (** Is the word's line resident? *)
 

@@ -30,7 +30,6 @@ let inject t = t.inject
 let config t = t.config
 let nprocs t = t.config.nprocs
 let modules t = t.modules
-let mem_module t i = t.modules.(i)
 let caches_enabled t = Array.length t.caches > 0
 let cache t ~proc = if Array.length t.caches = 0 then None else Some t.caches.(proc)
 let cache_exn t ~proc = t.caches.(proc)
@@ -62,7 +61,3 @@ let set_proc_busy_until t ~proc until =
 
 let count_ipi t = t.ipis <- t.ipis + 1
 let ipis_sent t = t.ipis
-
-let reset_stats t =
-  t.ipis <- 0;
-  Array.iter Memmodule.reset_stats t.modules

@@ -10,7 +10,6 @@ val create : Config.t -> t
 val config : t -> Config.t
 val nprocs : t -> int
 val modules : t -> Memmodule.t array
-val mem_module : t -> int -> Memmodule.t
 
 (* --- §7 local data caches (optional) --- *)
 
@@ -68,4 +67,3 @@ val inject : t -> Platinum_sim.Inject.t option
 
 val count_ipi : t -> unit
 val ipis_sent : t -> int
-val reset_stats : t -> unit

@@ -7,7 +7,6 @@ type t = {
 }
 
 let create module_id = { module_id; busy_horizon = 0; busy_ns = 0; wait_ns = 0; nrequests = 0 }
-let id t = t.module_id
 
 (* Out of line, so [acquire] stays small enough to inline. *)
 let negative_service () = invalid_arg "Memmodule.acquire: negative service"

@@ -12,8 +12,6 @@ type t
 val create : int -> t
 (** [create id] is an idle module. *)
 
-val id : t -> int
-
 val acquire : t -> arrival:Platinum_sim.Time_ns.t -> service:int -> Platinum_sim.Time_ns.t
 (** [acquire m ~arrival ~service] reserves the module for [service] ns
     starting at [max arrival busy_until]; returns the start time.  The

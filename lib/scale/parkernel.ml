@@ -21,15 +21,14 @@ module Memmodule = Platinum_machine.Memmodule
 module Kernel = Platinum_kernel.Kernel
 module Program = Platinum_kernel.Program
 
-type workload = Jacobi | Gauss | Rpc_echo | Program of Program.t
+type workload = Jacobi | Rpc_echo | Program of Program.t
 
 let workload_name = function
   | Jacobi -> "jacobi"
-  | Gauss -> "gauss"
   | Rpc_echo -> "rpc_echo"
   | Program p -> p.name
 
-let all_workloads = [ Jacobi; Gauss; Rpc_echo ]
+let all_workloads = [ Jacobi; Rpc_echo ]
 
 (* --- address-space layout ---
 
@@ -85,15 +84,12 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
   in
   let row r = (data_base_page + (r * spages)) * pw in
   let rpcs = Array.make n 0 in
-  let grid build =
-    if width < 1 || width > pw then invalid_arg "Parkernel.run: width must be in [1, page_words]";
-    if iters < 1 then invalid_arg "Parkernel.run: iters must be >= 1";
-    build ~n ~pw ~width ~iters
-  in
   let prog =
     match workload with
-    | Jacobi -> grid Program.jacobi
-    | Gauss -> grid Program.gauss
+    | Jacobi ->
+        if width < 1 || width > pw then invalid_arg "Parkernel.run: width must be in [1, page_words]";
+        if iters < 1 then invalid_arg "Parkernel.run: iters must be >= 1";
+        Program.jacobi ~n ~pw ~width ~iters
     | Rpc_echo -> Program.echo ~n ~ops:ops_per_node ~rpcs
     | Program p -> p
   in

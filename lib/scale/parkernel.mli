@@ -26,7 +26,6 @@
 
 type workload =
   | Jacobi  (** {!Platinum_kernel.Program.jacobi} *)
-  | Gauss  (** {!Platinum_kernel.Program.gauss} *)
   | Rpc_echo  (** {!Platinum_kernel.Program.echo}, [ops_per_node] calls per pair *)
   | Program of Platinum_kernel.Program.t  (** the mesh workloads of {!Mesh} are such programs *)
 
@@ -79,9 +78,9 @@ val run :
     drives them in parallel — neither affects the result.  [inject_rate]
     > 0 attaches deterministic per-node fault planes (seeded from
     [seed] by the PR 6 split discipline).  [iters] (default 6) is the
-    grid-iteration count, [width] (default 128) the row width in words
-    (at most a page) — both checked only for [Jacobi] and [Gauss], the
-    workloads that use them — [ops_per_node] (default 32) the echo call count per
+    jacobi iteration count, [width] (default 128) the row width in words
+    (at most a page) — both checked only for [Jacobi], the workload that
+    uses them — [ops_per_node] (default 32) the echo call count per
     pair, and [span_words] (default 0 = compact) stretches the row
     placement over at least that address span — the GB-scale variant.
     [check] arms the window self-checks (defaults from [PLATINUM_CHECK],

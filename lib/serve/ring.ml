@@ -54,8 +54,6 @@ let create ~slots ~slot_words () =
 
 let base t = t.base
 let words t = t.words
-let slots t = t.capacity
-let slot_words t = t.slot_words
 
 let slot_addr t ticket = t.base + header_words + (ticket mod t.capacity * t.stride)
 

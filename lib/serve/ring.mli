@@ -32,9 +32,6 @@ val words : t -> int
 (** Total words occupied, header included (always a whole number of
     pages). *)
 
-val slots : t -> int
-val slot_words : t -> int
-
 val push : t -> int array -> unit
 (** Publish one request (exactly [slot_words] words;
     [Invalid_argument] otherwise).  Multi-producer safe: the slot is

@@ -64,8 +64,6 @@ let create cfg =
     nsamples = 0;
   }
 
-let rate t = t.cfg.rate
-let seed t = t.cfg.seed
 let stats t = t.st
 
 let hit t = t.cfg.rate > 0.0 && Rng.float t.rng 1.0 < t.cfg.rate

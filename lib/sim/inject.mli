@@ -45,9 +45,6 @@ type t
 val create : config -> t
 (** A fresh plane; equal configs produce identical fault schedules. *)
 
-val rate : t -> float
-val seed : t -> int64
-
 (* --- fault draws (consume the stream; deterministic in call order) --- *)
 
 val module_fault : t -> [ `None | `Stall of int | `Outage of int ]

@@ -7,7 +7,6 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { slots = Array.make capacity None; pushed = 0 }
 
-let capacity t = Array.length t.slots
 let pushed t = t.pushed
 let length t = Int.min t.pushed (Array.length t.slots)
 

@@ -18,7 +18,6 @@ val length : 'a t -> int
 val pushed : 'a t -> int
 (** Total pushes ever, including overwritten ones. *)
 
-val capacity : 'a t -> int
 val clear : 'a t -> unit
 
 val fold : 'a t -> ('b -> 'a -> 'b) -> 'b -> 'b

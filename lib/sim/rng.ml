@@ -40,8 +40,6 @@ let[@inline] scale bound z =
 let[@inline] float t bound = scale bound (next_int64 t)
 let[@inline] peek_float t bound = scale bound (mix (Int64.add (state t) golden_gamma))
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

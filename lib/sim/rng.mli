@@ -30,7 +30,5 @@ val float : t -> float -> float
 val peek_float : t -> float -> float
 (** What [float t bound] would return next; [t] does not advance. *)
 
-val bool : t -> bool
-
 val shuffle : t -> 'a array -> unit
 (** Fisher-Yates shuffle in place. *)

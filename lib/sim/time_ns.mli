@@ -7,9 +7,6 @@
 
 type t = int
 
-val ns : int -> t
-(** [ns x] is [x] nanoseconds. *)
-
 val us : int -> t
 (** [us x] is [x] microseconds. *)
 

@@ -34,8 +34,6 @@ let create ?(precision_bits = 7) () =
     max_v = 0;
   }
 
-let precision_bits t = t.precision
-
 (* Significant bits of a non-negative int; tail-recursive so the hot
    [record] path allocates nothing (no boxed loop counter). *)
 let rec bits_above n acc = if n = 0 then acc else bits_above (n lsr 1) (acc + 1)
@@ -140,7 +138,3 @@ let fingerprint t =
       end)
     t.counts;
   Fnv.to_hex h
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.0f p50=%d p95=%d p99=%d p99.9=%d max=%d" t.count (mean t)
-    (p50 t) (p95 t) (p99 t) (p999 t) (max_value t)

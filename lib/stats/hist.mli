@@ -23,8 +23,6 @@ val create : ?precision_bits:int -> unit -> t
     sub-buckets per power of two, i.e. better than 1.6% relative error)
     must be in [1, 14]. *)
 
-val precision_bits : t -> int
-
 val record : t -> int -> unit
 (** Record one sample.  Negative samples clamp to 0.  Allocates nothing in
     steady state (asserted by the test suite via [Gc.minor_words]). *)
@@ -73,6 +71,3 @@ val fingerprint : t -> string
 (** FNV-1a fold over the non-empty bins (index and count, in index order)
     plus the exact count/min/max/total — byte-identical across merge
     orders and shard/domain widths. *)
-
-val pp : Format.formatter -> t -> unit
-(** One line: count, mean, p50/p95/p99/p99.9, max. *)

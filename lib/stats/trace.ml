@@ -23,12 +23,7 @@ let clear = Ring.clear
    10^5 entries, and materializing an intermediate list per query was the
    stats layer's own hot-path tax. *)
 
-let fold = Ring.fold
-
-let filter t pred =
-  List.rev (fold t (fun acc e -> if pred e.event then e :: acc else acc) [])
-
-let count t pred = fold t (fun n e -> if pred e.event then n + 1 else n) 0
+let count t pred = Ring.fold t (fun n e -> if pred e.event then n + 1 else n) 0
 
 let pp_timeline ?(limit = 50) fmt t =
   let n = length t in
@@ -36,7 +31,7 @@ let pp_timeline ?(limit = 50) fmt t =
   Format.fprintf fmt "@[<v>protocol timeline (%d events%s):@," n
     (if nd > 0 then Printf.sprintf ", %d dropped" nd else "");
   ignore
-    (fold t
+    (Ring.fold t
        (fun i e ->
          if i < limit then
            Format.fprintf fmt "  %10s  %a@," (Time_ns.to_string e.at) Probe.pp_event e.event;

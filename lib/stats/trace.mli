@@ -26,12 +26,6 @@ val length : t -> int
 val dropped : t -> int
 val clear : t -> unit
 
-val fold : t -> ('a -> entry -> 'a) -> 'a -> 'a
-(** [fold t f init] folds [f] over the entries oldest-first, without
-    materializing a list; {!filter} and {!count} are built on it. *)
-
-val filter : t -> (Platinum_core.Probe.event -> bool) -> entry list
-
 val count : t -> (Platinum_core.Probe.event -> bool) -> int
 (** Streaming: allocates no intermediate list. *)
 

@@ -22,7 +22,6 @@ let create coh = { coh; cm = Coherent.new_aspace coh; bindings = []; next_free_p
 
 let id t = Cmap.aspace t.cm
 let cmap t = t.cm
-let coherent t = t.coh
 let page_words t = Coherent.page_words t.coh
 
 let overlaps b ~at_page ~npages =

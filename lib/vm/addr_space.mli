@@ -13,9 +13,7 @@ type t
 
 val create : Platinum_core.Coherent.t -> t
 
-val id : t -> int
 val cmap : t -> Platinum_core.Cmap.t
-val coherent : t -> Platinum_core.Coherent.t
 val page_words : t -> int
 
 val map :

@@ -19,7 +19,6 @@ let create coh ~name ~npages =
   { obj_id = id; obj_name = name; pages = Array.make npages None; coh }
 
 let id t = t.obj_id
-let name t = t.obj_name
 let npages t = Array.length t.pages
 
 let page t ~index =

@@ -11,7 +11,6 @@ type t
 val create : Platinum_core.Coherent.t -> name:string -> npages:int -> t
 
 val id : t -> int
-val name : t -> string
 val npages : t -> int
 
 val page : t -> index:int -> Platinum_core.Cpage.t

@@ -12,8 +12,6 @@ let create aspace ~name ?(rights = Platinum_core.Rights.Read_write) ~pages () =
   let pw = Addr_space.page_words aspace in
   { zone_name = name; base = base_page * pw; words = pages * pw; page_words = pw; next = 0 }
 
-let name t = t.zone_name
-
 let align_up x a = (x + a - 1) / a * a
 
 let alloc t ~words ?(page_aligned = false) () =

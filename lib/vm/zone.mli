@@ -19,8 +19,6 @@ val create :
 (** Create a zone backed by a fresh memory object bound into the address
     space.  [rights] defaults to read-write. *)
 
-val name : t -> string
-
 val alloc : t -> words:int -> ?page_aligned:bool -> unit -> int
 (** Bump-allocate [words] words; returns the virtual word address.
     [page_aligned] (default false) rounds the start up to a page boundary.

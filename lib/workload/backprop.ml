@@ -9,15 +9,14 @@ type params = {
   nprocs : int;
   seed : int;
   verify : bool;
-  bulk : bool;
 }
 
 let compute_ns_per_connection = 8_700
 
 let params ?(units = 40) ?(patterns = 16) ?(epochs = 5) ?(settle_steps = 2) ?(seed = 3)
-    ?(verify = true) ?(bulk = true) ~nprocs () =
+    ?(verify = true) ~nprocs () =
   if units < 2 then invalid_arg "Backprop.params: need at least 2 units";
-  { units; patterns; epochs; settle_steps; nprocs; seed; verify; bulk }
+  { units; patterns; epochs; settle_steps; nprocs; seed; verify }
 
 (* Fixed-point: values are scaled by 2^10; a crude saturating "sigmoid"
    keeps everything bounded. *)
@@ -47,11 +46,10 @@ let make p =
       while !i < u do
         let row = Array.init u (fun j -> (((!i * u) + j + p.seed) mod 7) - 3) in
         Api.block_write (w !i 0) row;
-        if not p.bulk then Api.write (act + !i) 0;
         i := !i + nprocs
       done;
-      (* Bulk mode scatters the activation zeros in one strided write. *)
-      if p.bulk && me < u then
+      (* The activation zeros go out in one strided write. *)
+      if me < u then
         Api.write_stride (act + me) ~stride:nprocs (Array.make (owned me) 0);
       Sync.Barrier.wait barrier;
       if me = 0 then start_ns := Api.now ();
@@ -59,42 +57,25 @@ let make p =
         for pat = 0 to p.patterns - 1 do
           (* Clamp the input layer (first quarter of the units). *)
           let inputs = Int.max 1 (u / 4) in
-          if p.bulk then begin
-            if me < inputs then begin
-              let count = ((inputs - 1 - me) / nprocs) + 1 in
-              Api.write_stride (act + me) ~stride:nprocs
-                (Array.init count (fun k -> input_bit p pat (me + (k * nprocs)) * scale))
-            end
-          end
-          else begin
-            let i = ref me in
-            while !i < inputs do
-              Api.write (act + !i) (input_bit p pat !i * scale);
-              i := !i + nprocs
-            done
+          if me < inputs then begin
+            let count = ((inputs - 1 - me) / nprocs) + 1 in
+            Api.write_stride (act + me) ~stride:nprocs
+              (Array.init count (fun k -> input_bit p pat (me + (k * nprocs)) * scale))
           end;
           (* Forward relaxation: no synchronization between threads —
-             "depending only on the atomicity of memory operations".  Bulk
-             mode snapshots the activation vector and the weight row in
+             "depending only on the atomicity of memory operations".  A
+             worker snapshots the activation vector and the weight row in
              two block reads instead of 2u word traps; the relaxation
-             tolerates either granularity of staleness. *)
+             tolerates that granularity of staleness. *)
           for _step = 1 to p.settle_steps do
             let i = ref (inputs + me) in
             while !i < u do
               let sum = ref 0 in
-              if p.bulk then begin
-                let acts = Api.block_read act u in
-                let wrow = Api.block_read (w !i 0) u in
-                for j = 0 to u - 1 do
-                  sum := !sum + (acts.(j) * wrow.(j) / scale)
-                done
-              end
-              else
-                for j = 0 to u - 1 do
-                  let a = Api.read (act + j) in
-                  let wij = Api.read (w !i j) in
-                  sum := !sum + (a * wij / scale)
-                done;
+              let acts = Api.block_read act u in
+              let wrow = Api.block_read (w !i 0) u in
+              for j = 0 to u - 1 do
+                sum := !sum + (acts.(j) * wrow.(j) / scale)
+              done;
               Api.compute (u * compute_ns_per_connection);
               Api.write (act + !i) (squash (!sum / 4));
               i := !i + nprocs
@@ -109,20 +90,12 @@ let make p =
             let target = if is_output then input_bit p pat (!i - (u - outputs)) * scale else 0 in
             let a_i = Api.read (act + !i) in
             let err = if is_output then target - a_i else a_i / 8 in
-            if p.bulk then begin
-              let acts = Api.block_read act u in
-              let wrow = Api.block_read (w !i 0) u in
-              for j = 0 to u - 1 do
-                wrow.(j) <- squash (wrow.(j) + (err * acts.(j) / (scale * 16)))
-              done;
-              Api.block_write (w !i 0) wrow
-            end
-            else
-              for j = 0 to u - 1 do
-                let a_j = Api.read (act + j) in
-                let wij = Api.read (w !i j) in
-                Api.write (w !i j) (squash (wij + (err * a_j / (scale * 16))))
-              done;
+            let acts = Api.block_read act u in
+            let wrow = Api.block_read (w !i 0) u in
+            for j = 0 to u - 1 do
+              wrow.(j) <- squash (wrow.(j) + (err * acts.(j) / (scale * 16)))
+            done;
+            Api.block_write (w !i 0) wrow;
             Api.compute (u * compute_ns_per_connection);
             i := !i + nprocs
           done

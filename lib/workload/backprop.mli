@@ -24,9 +24,6 @@ type params = {
   nprocs : int;
   seed : int;
   verify : bool;
-  bulk : bool;
-      (** batch the inner loops into block/strided transactions (default);
-          [false] replays the original per-word access stream *)
 }
 
 val params :
@@ -36,11 +33,11 @@ val params :
   ?settle_steps:int ->
   ?seed:int ->
   ?verify:bool ->
-  ?bulk:bool ->
   nprocs:int ->
   unit ->
   params
 (** Defaults: 40 units, 16 patterns, 5 epochs, 2 settle steps.  Each
-    connection costs 8.7 µs of arithmetic. *)
+    connection costs 8.7 µs of arithmetic.  The inner loops are block and
+    strided transactions. *)
 
 val make : params -> Outcome.t * (unit -> unit)

@@ -7,15 +7,14 @@ type params = {
   nprocs : int;
   seed : int;
   verify : bool;
-  bulk : bool;
 }
 
 let compute_ns_per_point = 2_000
 
-let params ?(n = 128) ?(iters = 12) ?(seed = 11) ?(verify = true) ?(bulk = true) ~nprocs () =
+let params ?(n = 128) ?(iters = 12) ?(seed = 11) ?(verify = true) ~nprocs () =
   if n < 4 then invalid_arg "Jacobi.params: n must be at least 4";
   if nprocs < 1 || nprocs > n - 2 then invalid_arg "Jacobi.params: bad nprocs";
-  { n; iters; nprocs; seed; verify; bulk }
+  { n; iters; nprocs; seed; verify }
 
 let mask = 0xFFFFF
 
@@ -83,17 +82,10 @@ let make p =
       for _iter = 1 to p.iters do
         for r = lo me to hi me do
           (* Rows r-1, r, r+1 are contiguous: one 3n-word transaction
-             replaces three kernel traps when running in bulk mode. *)
-          let above, row, below =
-            if p.bulk then begin
-              let tri = Api.block_read (!src + ((r - 1) * n)) (3 * n) in
-              (Array.sub tri 0 n, Array.sub tri n n, Array.sub tri (2 * n) n)
-            end
-            else
-              ( Api.block_read (!src + ((r - 1) * n)) n,
-                Api.block_read (!src + (r * n)) n,
-                Api.block_read (!src + ((r + 1) * n)) n )
-          in
+             instead of three kernel traps. *)
+          let tri = Api.block_read (!src + ((r - 1) * n)) (3 * n) in
+          let above = Array.sub tri 0 n and row = Array.sub tri n n in
+          let below = Array.sub tri (2 * n) n in
           let fresh = Array.make n 0 in
           relax ~above ~row ~below ~out:fresh;
           Api.compute (n * compute_ns_per_point);

@@ -19,9 +19,6 @@ type params = {
   nprocs : int;
   seed : int;
   verify : bool;
-  bulk : bool;
-      (** read the three stencil rows as one 3n-word transaction (default);
-          [false] replays the original three-block access stream *)
 }
 
 val params :
@@ -29,12 +26,12 @@ val params :
   ?iters:int ->
   ?seed:int ->
   ?verify:bool ->
-  ?bulk:bool ->
   nprocs:int ->
   unit ->
   params
 (** Defaults: 128x128 grid, 12 iterations.  Each point costs 2 µs of
-    compute. *)
+    compute.  A worker reads a row's three stencil rows as one 3n-word
+    transaction. *)
 
 val make : params -> Outcome.t * (unit -> unit)
 

@@ -41,7 +41,6 @@ type op =
   | Install of int * int * bool  (* vpage index, frame index, write_ok *)
   | Remove of int
   | Restrict of int
-  | Clear
   | Atc_activate of int  (* aspace *)
   | Atc_load of int  (* vpage index: cache the live pmap entry, if any *)
   | Atc_flush
@@ -54,7 +53,6 @@ let op_gen =
       (6, map3 (fun v f w -> Install (v, f, w)) vp (int_bound (nframes - 1)) bool);
       (3, map (fun v -> Remove v) vp);
       (3, map (fun v -> Restrict v) vp);
-      (1, return Clear);
       (2, map (fun a -> Atc_activate a) (int_bound 2));
       (4, map (fun v -> Atc_load v) vp);
       (1, return Atc_flush);
@@ -64,7 +62,6 @@ let pp_op = function
   | Install (v, f, w) -> Printf.sprintf "install v%d f%d w%b" vpages.(v) f w
   | Remove v -> Printf.sprintf "remove v%d" vpages.(v)
   | Restrict v -> Printf.sprintf "restrict v%d" vpages.(v)
-  | Clear -> "clear"
   | Atc_activate a -> Printf.sprintf "activate a%d" a
   | Atc_load v -> Printf.sprintf "atc-load v%d" vpages.(v)
   | Atc_flush -> "atc-flush"
@@ -146,12 +143,6 @@ let apply_op frames (pm, atc) (rpm, ratc) op =
   | Restrict v ->
     Pmap.restrict pm ~vpage:vpages.(v);
     Ref_tables.Pmap.restrict rpm ~vpage:vpages.(v)
-  | Clear ->
-    Pmap.clear pm;
-    Ref_tables.Pmap.clear rpm;
-    (* The seed cleared ATCs alongside (shootdown does); the stamped ATC
-       loses the entries with the Pmap. *)
-    Ref_tables.Atc.flush ratc
   | Atc_activate a ->
     ignore (Atc.activate atc ~aspace:a);
     ignore (Ref_tables.Atc.activate ratc ~aspace:a)
@@ -172,7 +163,7 @@ let prop_pmap_atc_differential =
   QCheck.Test.make ~name:"flat Pmap/Atc == seed hash tables (differential)" ~count:300
     ops_arb (fun ops ->
       let frames = make_frames () in
-      let sys = (Pmap.create ~proc:0, Atc.create ~proc:0) in
+      let sys = (Pmap.create (), Atc.create ()) in
       let ref_sys = (Ref_tables.Pmap.create ~proc:0, Ref_tables.Atc.create ~proc:0) in
       check_agreement sys ref_sys;
       List.iter

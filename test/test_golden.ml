@@ -8,12 +8,13 @@
    protocol counters through the new plumbing.
 
    Two groups:
-   - "seed" rows replay the workloads with their original per-word /
-     per-block access streams (the [`Word] access mode) and must match the
-     values recorded before the refactor, forever.
-   - "bulk" rows pin the converted ([`Txn]) workloads so later PRs can't
-     silently change their simulated behaviour either.  Their expectations
-     were recorded when the conversion landed.
+   - the "seed" row replays Gauss, whose access stream the refactor left
+     as it was, and must match the values recorded before the refactor,
+     forever.
+   - "bulk" rows pin Jacobi and Backprop, whose inner loops became block
+     and strided transactions, so later changes can't silently change
+     their simulated behaviour either.  Their expectations were recorded
+     when the conversion landed.
 
    Plus qcheck properties that simultaneous Engine events fire in FIFO
    (sequence) order, which is what makes any of this reproducible. *)
@@ -46,7 +47,7 @@ let check_run ~what ~expected ~nprocs (out, main) =
   if not out.Outcome.ok then Alcotest.fail (what ^ ": " ^ out.Outcome.detail);
   Alcotest.(check string) what expected (fingerprint ~out r)
 
-(* --- seed-identical runs (recorded before the refactor) --- *)
+(* --- the seed-identical run (recorded before the refactor) --- *)
 
 let test_gauss_seed () =
   check_run ~what:"gauss 12 procs" ~nprocs:12
@@ -55,27 +56,12 @@ let test_gauss_seed () =
        thaw=0 sd=65 atc=0"
     (Gauss.make (Gauss.params ~n:64 ~nprocs:12 ()))
 
-let test_jacobi_seed () =
-  check_run ~what:"jacobi 4 procs" ~nprocs:4
-    ~expected:
-      "elapsed=34505880 work=23386600 rf=5 wf=13 vm=3 repl=2 migr=2 rmap=9 freeze=3 thaw=0 \
-       sd=4 atc=0"
-    (Jacobi.make (Jacobi.params ~n:32 ~iters:4 ~nprocs:4 ~bulk:false ()))
-
-let test_backprop_seed () =
-  check_run ~what:"backprop 4 procs" ~nprocs:4
-    ~expected:
-      "elapsed=10147840 work=4067320 rf=5 wf=7 vm=2 repl=1 migr=1 rmap=6 freeze=2 thaw=0 \
-       sd=3 atc=0"
-    (Backprop.make
-       (Backprop.params ~units:16 ~patterns:2 ~epochs:1 ~settle_steps:1 ~nprocs:4 ~bulk:false ()))
-
 (* --- bulk-mode runs (recorded when the conversion landed) ---
 
    Batching changes when each processor claims a memory module (one event
    per transaction instead of interleaved per-word events), so contended
-   runs legitimately time differently from the seed stream; these rows pin
-   the converted workloads' own determinism. *)
+   runs legitimately time differently from the old per-word stream; these
+   rows pin the converted workloads' own determinism. *)
 
 let test_jacobi_bulk () =
   check_run ~what:"jacobi 4 procs (bulk)" ~nprocs:4
@@ -142,8 +128,6 @@ let prop_engine_fifo_nested =
 let suite =
   [
     ("golden: gauss (12 procs) matches the seed", `Quick, test_gauss_seed);
-    ("golden: jacobi matches the seed", `Quick, test_jacobi_seed);
-    ("golden: backprop matches the seed", `Quick, test_backprop_seed);
     ("golden: jacobi bulk stream is pinned", `Quick, test_jacobi_bulk);
     ("golden: backprop bulk stream is pinned", `Quick, test_backprop_bulk);
     qtest prop_engine_fifo_same_time;

@@ -237,14 +237,11 @@ let prop_lock_counter =
       ignore r;
       !total = 24)
 
-(* One program, every backend: the hosted kernel's own jacobi, gauss and
+(* One program, every backend: the hosted kernel's own jacobi and
    rpc_echo pass their oracles on the paper's machine under every policy,
    with the monitor armed, and on the UMA machine (Runner.run_program). *)
 let hosted_programs ~n ~pw =
-  [
-    Program.jacobi ~n ~pw ~width:64 ~iters:3; Program.gauss ~n ~pw ~width:64 ~iters:3;
-    Program.echo ~n ~ops:8 ~rpcs:(Array.make n 0);
-  ]
+  [ Program.jacobi ~n ~pw ~width:64 ~iters:3; Program.echo ~n ~ops:8 ~rpcs:(Array.make n 0) ]
 
 let test_hosted_programs () =
   let config = Config.butterfly_plus () in

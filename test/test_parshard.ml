@@ -225,7 +225,6 @@ let pinned_clean =
     ("mesh serve", "3368716ff080a183");
     ("mesh rpc_echo", "3d315d45c2ca9ac4");
     ("kernel jacobi", "8abcb6622a66b61a");
-    ("kernel gauss", "e86392da283c7a67");
     ("kernel rpc_echo", "b82b6a65d41eb62c");
   ]
 
@@ -339,9 +338,9 @@ let test_zero_length_block () =
   Alcotest.(check bool) "run verified" true r.Parkernel.verified;
   Alcotest.(check (option (pair int int))) "empty result, zero elapsed" (Some (0, 0)) !out
 
-(* [width] and [iters] shape the grid workloads only: a program on pages
-   under the default 128-word width starts without them, while a grid
-   there still rejects the default width. *)
+(* [width] and [iters] shape jacobi only: a program on pages under the
+   default 128-word width starts without them, while jacobi there still
+   rejects the default width. *)
 let test_program_needs_no_width () =
   let config = Config.hierarchical ~cluster_size:4 ~page_words:64 ~nodes:8 () in
   let seen = ref 0 in
@@ -358,7 +357,7 @@ let test_program_needs_no_width () =
   in
   Alcotest.(check bool) "run verified" true r.Parkernel.verified;
   Alcotest.(check int) "the program ran" 9 !seen;
-  Alcotest.check_raises "a grid still checks its width"
+  Alcotest.check_raises "jacobi still checks its width"
     (Invalid_argument "Parkernel.run: width must be in [1, page_words]") (fun () ->
       ignore (Parkernel.run ~config Parkernel.Jacobi))
 
@@ -559,7 +558,7 @@ let suite =
             (Parkernel.workload_name w),
           `Quick,
           test_kernel_deterministic_injected w ))
-      [ Parkernel.Jacobi; Parkernel.Rpc_echo ]
+      Parkernel.all_workloads
   @ [
       ("kernel: injection perturbs the hosted run", `Quick, test_kernel_injection_bites);
       ("kernel: coherence protocol exercised", `Quick, test_kernel_protocol_exercised);

@@ -54,7 +54,7 @@ let test_cmap_bind_duplicate () =
 (* --- Pmap / Atc --- *)
 
 let test_pmap_restrict_shares_entry () =
-  let pm = Pmap.create ~proc:0 in
+  let pm = Pmap.create () in
   let f = Frame.create ~mem_module:0 ~index:0 ~words:4 in
   let e = Pmap.install pm ~vpage:1 ~frame:f ~cpage:(Cpage.create ~id:0 ~home:0 ()) ~write_ok:true in
   Pmap.restrict pm ~vpage:1;
@@ -64,8 +64,8 @@ let test_pmap_restrict_shares_entry () =
   Pmap.restrict pm ~vpage:1 (* restricting a missing entry is a no-op *)
 
 let test_atc_aspace_tagging () =
-  let atc = Atc.create ~proc:0 in
-  let pm = Pmap.create ~proc:0 in
+  let atc = Atc.create () in
+  let pm = Pmap.create () in
   let f = Frame.create ~mem_module:0 ~index:0 ~words:4 in
   let e = Pmap.install pm ~vpage:3 ~frame:f ~cpage:(Cpage.create ~id:0 ~home:0 ()) ~write_ok:false in
   Alcotest.check_raises "no active space to load into"
