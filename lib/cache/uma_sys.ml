@@ -31,7 +31,6 @@ type zone = {
 }
 
 type t = {
-  machine : Machine.t;
   params : params;
   page_words : int;
   caches : Cache.t array;
@@ -134,7 +133,7 @@ let chunk_cost t (c : Memtxn.chunk) ~now ~proc txn data =
     snoop_invalidate t ~except:proc ~addr:vaddr;
     data.(0) <- old;
     l1 + l2
-  | Memtxn.Read _ | Memtxn.Block_read _ | Memtxn.Stride_read _ ->
+  | Memtxn.Read _ | Memtxn.Block_read _ ->
     read_words t ~now ~proc data ~vaddr ~index ~words 0
   | Memtxn.Write _ | Memtxn.Block_write _ | Memtxn.Stride_write _ ->
     write_words t ~now ~proc data ~vaddr ~index ~words 0
@@ -155,7 +154,7 @@ let memsys t =
       | Memtxn.Write { value; _ } ->
         word.(0) <- value;
         word
-      | Memtxn.Block_read { dst; _ } | Memtxn.Stride_read { dst; _ } -> dst
+      | Memtxn.Block_read { dst; _ } -> dst
       | Memtxn.Block_write { src; _ } | Memtxn.Stride_write { src; _ } -> src
     in
     let lat =
@@ -197,12 +196,11 @@ let create ~machine ~params ~page_words =
   let n = Machine.nprocs machine in
   let t =
     {
-      machine;
       params;
       page_words;
       caches =
         Array.init n (fun _ -> Cache.create ~words:params.cache_words ~line_words:params.line_words);
-      bus = Memmodule.create 0;
+      bus = Memmodule.create ();
       store = Hashtbl.create 1024;
       zones = [||];
       break_pt = 16;

@@ -34,6 +34,3 @@ val holds : t -> Pmap.entry -> bool
 
 val load : t -> Pmap.entry -> unit
 (** Cache an entry of the active address space's Pmap. *)
-
-val flush : t -> unit
-(** Drop every cached translation. *)

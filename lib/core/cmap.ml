@@ -34,8 +34,6 @@ let bind t ~vpage cpage vrights =
   Flat.set t.entries vpage e;
   e
 
-let unbind t ~vpage = Flat.remove t.entries vpage
-
 (* Aspace-level invariants: the reference masks and the per-processor
    Pmaps must tell the same story, and every installed translation must
    point into its page's directory with rights the page state permits.

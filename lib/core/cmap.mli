@@ -40,8 +40,6 @@ val find : t -> vpage:int -> centry option
 val bind : t -> vpage:int -> Cpage.t -> Rights.t -> centry
 (** Install a virtual-to-coherent mapping.  Raises if already bound. *)
 
-val unbind : t -> vpage:int -> unit
-
 (* --- sanitizer hook --- *)
 
 val check_faults : t -> Check.fault option

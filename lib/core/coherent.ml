@@ -231,26 +231,6 @@ let bind t cm ~vpage page rights =
   r := (cm, vpage) :: !r;
   checkpoint t ~now:0
 
-let unbind t ~now cm ~vpage =
-  match Cmap.find cm ~vpage with
-  | None -> 0
-  | Some ce ->
-    let page = ce.Cmap.cpage in
-    let r =
-      Shootdown.run ?monitor:t.monitor ~machine:t.machine ~counters:t.counters ~atcs:t.atcs
-        ~now ~initiator:0 ~mappings:[ (cm, vpage) ] ~directive:Cmap.Invalidate ~spare:None ()
-    in
-    drop_translations cm ~vpage ce;
-    Cmap.unbind cm ~vpage;
-    (match Hashtbl.find_opt t.mappings page.Cpage.id with
-    | None -> ()
-    | Some lst -> lst := List.filter (fun (c, v) -> not (c == cm && v = vpage)) !lst);
-    (* If nothing maps the page it keeps its copies (the memory object
-       still owns the data); translations are simply gone. *)
-    page.Cpage.write_mapped <- false;
-    checkpoint t ~now;
-    r.Shootdown.latency
-
 let activate t ~now:_ ~proc ~aspace =
   if Atc.is_active t.atcs.(proc) ~aspace then 0
   else begin
@@ -801,7 +781,7 @@ let submit t ~now ~proc ~cmap:cm txn =
   | Memtxn.Rmw { vaddr; f } ->
     t.fp_value := rmw_word_s t t.scratch ~now ~proc ~cmap:cm ~vaddr f;
     t.scratch.s_latency
-  | Memtxn.Block_read { dst; _ } | Memtxn.Stride_read { dst; _ } ->
+  | Memtxn.Block_read { dst; _ } ->
     submit_block t ~now ~proc ~cm ~write:false dst txn
   | Memtxn.Block_write { src; _ } | Memtxn.Stride_write { src; _ } ->
     submit_block t ~now ~proc ~cm ~write:true src txn

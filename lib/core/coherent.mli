@@ -35,9 +35,6 @@ val new_cpage : t -> ?home:int -> ?label:string -> unit -> Cpage.t
 val bind : t -> Cmap.t -> vpage:int -> Cpage.t -> Rights.t -> unit
 (** Install a virtual-to-coherent mapping in an address space. *)
 
-val unbind : t -> now:Platinum_sim.Time_ns.t -> Cmap.t -> vpage:int -> int
-(** Remove a mapping, shooting down any translations.  Returns latency. *)
-
 val activate : t -> now:Platinum_sim.Time_ns.t -> proc:int -> aspace:int -> int
 (** Make [aspace] current on [proc]: its ATC records the space and is
     flushed, and so is its §7 cache.  Raises [Invalid_argument] on an
@@ -196,7 +193,7 @@ val set_monitor : t -> Check.monitor option -> unit
     While armed: every protocol event and faulting request is recorded in
     the monitor's bounded trace, the machine-wide sweep re-runs after
     every completed protocol transition (fault resolution, freeze, thaw,
-    unbind, advice), shootdown completion is verified target-by-target,
+    advice), shootdown completion is verified target-by-target,
     and any violation raises {!Check.Violation} carrying the replayable
     event prefix.  When [None] (the default) the only cost is a [None]
     test at each transition — nothing on the ATC-hit hot path. *)

@@ -39,25 +39,6 @@ let create () =
     copy_ns = 0;
   }
 
-let reset t =
-  t.read_faults <- 0;
-  t.write_faults <- 0;
-  t.vm_faults <- 0;
-  t.replications <- 0;
-  t.migrations <- 0;
-  t.remote_maps <- 0;
-  t.freezes <- 0;
-  t.thaws <- 0;
-  t.shootdowns <- 0;
-  t.messages <- 0;
-  t.interrupts <- 0;
-  t.deferred_updates <- 0;
-  t.pages_freed <- 0;
-  t.zero_fills <- 0;
-  t.atc_reloads <- 0;
-  t.fault_ns <- 0;
-  t.copy_ns <- 0
-
 let pp fmt t =
   Format.fprintf fmt
     "@[<v>faults: %d read, %d write, %d vm@,\

@@ -22,5 +22,4 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 val pp : Format.formatter -> t -> unit

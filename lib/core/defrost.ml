@@ -8,9 +8,6 @@ type mode =
       refreeze_window : Platinum_sim.Time_ns.t;
     }
 
-let default_adaptive =
-  Adaptive { initial_t2 = 100_000_000; max_t2 = 5_000_000_000; refreeze_window = 50_000_000 }
-
 let install_periodic coh engine =
   let period = (Coherent.config coh).Platinum_machine.Config.t2_defrost_period in
   Engine.every engine ~daemon:true ~period (fun () ->

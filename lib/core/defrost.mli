@@ -26,9 +26,6 @@ type mode =
           (** a refreeze within this of the last thaw doubles the page's t2 *)
     }
 
-val default_adaptive : mode
-(** 100 ms initial, 5 s cap, 50 ms refreeze window. *)
-
 val install : ?mode:mode -> Coherent.t -> Platinum_sim.Engine.t -> unit
 (** Arm the daemon (when the active policy uses one).  All daemon events
     are engine {e daemon events}: they never keep a finished simulation

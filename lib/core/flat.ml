@@ -115,13 +115,6 @@ let remove t k =
     t.population <- t.population - 1
   end
 
-let clear t =
-  if t.population > 0 || Array.length t.chunks > 0 then begin
-    t.chunks <- [||];
-    Hashtbl.reset t.spill;
-    t.population <- 0
-  end
-
 let length t = t.population
 
 let iter f t =

@@ -43,9 +43,6 @@ val remove : 'a t -> int -> unit
 (** Unbind a key.  A no-op on keys whose chunk was never touched —
     nothing is allocated. *)
 
-val clear : 'a t -> unit
-(** Drop every binding and release all chunks. *)
-
 val length : 'a t -> int
 (** Number of bound keys, O(1). *)
 

@@ -4,15 +4,13 @@ type t =
   | Rmw of { vaddr : int; f : int -> int }
   | Block_read of { vaddr : int; dst : int array; dst_off : int; len : int }
   | Block_write of { vaddr : int; src : int array; src_off : int; len : int }
-  | Stride_read of
-      { vaddr : int; dst : int array; dst_off : int; count : int; elem_words : int; stride : int }
   | Stride_write of
       { vaddr : int; src : int array; src_off : int; count : int; elem_words : int; stride : int }
 
 let data_words = function
   | Read _ | Write _ | Rmw _ -> 1
   | Block_read { len; _ } | Block_write { len; _ } -> Int.max len 0
-  | Stride_read { count; elem_words; _ } | Stride_write { count; elem_words; _ } ->
+  | Stride_write { count; elem_words; _ } ->
     Int.max (count * elem_words) 0
 
 let validate_slice what buf ~off ~len =
@@ -30,8 +28,6 @@ let validate = function
   | Block_read { dst; dst_off; len; _ } -> validate_slice "Memtxn.Block_read" dst ~off:dst_off ~len
   | Block_write { src; src_off; len; _ } ->
     validate_slice "Memtxn.Block_write" src ~off:src_off ~len
-  | Stride_read { dst; dst_off; count; elem_words; stride; _ } ->
-    validate_stride "Memtxn.Stride_read" dst ~off:dst_off ~count ~elem_words ~stride
   | Stride_write { src; src_off; count; elem_words; stride; _ } ->
     validate_stride "Memtxn.Stride_write" src ~off:src_off ~count ~elem_words ~stride
 
@@ -87,7 +83,6 @@ let first c ~page_words txn =
   | Block_read { vaddr; dst_off = off; len; _ } | Block_write { vaddr; src_off = off; len; _ }
     ->
     start c ~page_words ~vaddr ~index:off ~elems:1 ~elem_words:len ~stride:len
-  | Stride_read { vaddr; dst_off = off; count; elem_words; stride; _ }
   | Stride_write { vaddr; src_off = off; count; elem_words; stride; _ } ->
     start c ~page_words ~vaddr ~index:off ~elems:count ~elem_words ~stride
 

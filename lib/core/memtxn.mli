@@ -6,7 +6,7 @@
     duplicated the loop that walks an access, threads simulated time
     through it, and accumulates latency.  A {!t} describes a whole access
     — one word, a read-modify-write, a contiguous block, or a strided
-    scatter/gather — and {!chunk} is the single cursor every backend walks
+    scatter — and {!chunk} is the single cursor every backend walks
     it with.
 
     {b The batching invariant}: a transaction's simulated cost is the sum
@@ -30,15 +30,12 @@ type t =
           hardware block transfer: bypasses the per-processor word caches) *)
   | Block_write of { vaddr : int; src : int array; src_off : int; len : int }
       (** [len] consecutive words from [src.(src_off .. src_off+len-1)] *)
-  | Stride_read of
-      { vaddr : int; dst : int array; dst_off : int; count : int; elem_words : int; stride : int }
-      (** [count] elements of [elem_words] consecutive words each, the
-          k-th starting at [vaddr + k*stride] and landing at
-          [dst.(dst_off + k*elem_words ..)]; charged like a block transfer
-          over each contiguous run *)
   | Stride_write of
       { vaddr : int; src : int array; src_off : int; count : int; elem_words : int; stride : int }
-      (** element [k] is [src.(src_off + k*elem_words .. src_off + (k+1)*elem_words - 1)] *)
+      (** [count] elements of [elem_words] consecutive words each, the
+          k-th starting at [vaddr + k*stride] and taken from
+          [src.(src_off + k*elem_words ..)]; charged like a block transfer
+          over each contiguous run *)
 
 val data_words : t -> int
 (** Words of application data the transaction moves. *)

@@ -40,14 +40,6 @@ let block_read vaddr len =
 
 let block_write vaddr src = block_write_sub vaddr src ~off:0 ~len:(Array.length src)
 
-let read_stride ?(elem_words = 1) vaddr ~count ~stride =
-  if elem_words <= 0 then
-    invalid_arg (Printf.sprintf "read_stride: elem_words %d must be positive" elem_words);
-  if count < 0 then invalid_arg (Printf.sprintf "read_stride: negative count %d" count);
-  let dst = Array.make (count * elem_words) 0 in
-  access_valid (Memtxn.Stride_read { vaddr; dst; dst_off = 0; count; elem_words; stride });
-  dst
-
 let write_stride ?(elem_words = 1) vaddr ~stride src =
   if elem_words <= 0 then
     invalid_arg (Printf.sprintf "write_stride: elem_words %d must be positive" elem_words);

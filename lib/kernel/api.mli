@@ -38,16 +38,12 @@ val block_read : int -> int -> int array
 val block_write : int -> int array -> unit
 (** {!block_write_sub} of the whole array. *)
 
-val read_stride : ?elem_words:int -> int -> count:int -> stride:int -> int array
-(** [read_stride vaddr ~count ~stride] gathers [count] elements of
-    [elem_words] consecutive words each (default 1), the k-th starting at
-    [vaddr + k*stride], in one kernel trap.  Simulated cost is identical
-    to the equivalent per-element block reads. *)
-
 val write_stride : ?elem_words:int -> int -> stride:int -> int array -> unit
 (** [write_stride vaddr ~stride data] scatters [data] as elements of
     [elem_words] consecutive words (default 1) placed [stride] words
-    apart; [data] length must be a multiple of [elem_words]. *)
+    apart, in one kernel trap; [data] length must be a multiple of
+    [elem_words].  Simulated cost is that of the per-element block
+    writes. *)
 
 (* --- time --- *)
 

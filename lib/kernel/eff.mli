@@ -57,7 +57,7 @@ type _ Effect.t +=
   | Access_txn : Platinum_core.Memtxn.t -> int Effect.t
       (** one memory transaction — a word read/write, an atomic
           read-modify-write, a contiguous block, or a strided
-          scatter/gather.  One kernel trap per transaction: batching is
+          scatter.  One kernel trap per transaction: batching is
           the hot-path optimization, and the backend guarantees the
           simulated cost equals the unbatched word-by-word stream.
           Returns the word of a [Read] or [Rmw] ({!Api.access}) *)

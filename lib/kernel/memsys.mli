@@ -6,7 +6,7 @@
     caches used for the Figure 5 comparison ({!Platinum_cache.Uma_sys}).
     Both implement the one entry point [submit], which accepts any
     {!Platinum_core.Memtxn.t} — a word read or write, an atomic
-    read-modify-write, a contiguous block, or a strided scatter/gather —
+    read-modify-write, a contiguous block, or a strided scatter —
     and walk it with the one {!Platinum_core.Memtxn.chunk} cursor.
 
     Addresses are virtual *word* addresses (the Butterfly's unit of access

@@ -141,8 +141,6 @@ let lookahead_ns t =
     (Int.min t.t_remote_read_word t.t_remote_write_word)
     (Int.min t.t_block_word t.ipi_send_ns)
 
-let page_bytes t = t.page_words * 4
-
 let with_policy_params ?t1_freeze_window ?t2_defrost_period t =
   let t1 = Option.value t1_freeze_window ~default:t.t1_freeze_window in
   let t2 = Option.value t2_defrost_period ~default:t.t2_defrost_period in
@@ -159,6 +157,6 @@ let pp fmt t =
     "@[<v>machine: %d processors, %d-word (%d-byte) pages@,\
      T_l=%dns T_r=%dns/%dns (r/w) T_b=%dns/word@,\
      t1=%a t2=%a@]"
-    t.nprocs t.page_words (page_bytes t) t.t_local_word t.t_remote_read_word
+    t.nprocs t.page_words (t.page_words * 4) t.t_local_word t.t_remote_read_word
     t.t_remote_write_word t.t_block_word Platinum_sim.Time_ns.pp
     t.t1_freeze_window Platinum_sim.Time_ns.pp t.t2_defrost_period

@@ -81,8 +81,6 @@ val lookahead_ns : t -> int
     conservative-synchronization horizon for a sharded simulation: no
     event at one node can affect another node sooner than this. *)
 
-val page_bytes : t -> int
-
 val with_policy_params :
   ?t1_freeze_window:int -> ?t2_defrost_period:int -> t -> t
 (** Override the replication-policy timing parameters (for the t1/t2

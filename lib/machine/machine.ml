@@ -11,7 +11,7 @@ type t = {
 let create (config : Config.t) =
   {
     config;
-    modules = Array.init config.nprocs Memmodule.create;
+    modules = Array.init config.nprocs (fun _ -> Memmodule.create ());
     caches =
       (if config.Config.local_cache_words > 0 then
          Array.init config.nprocs (fun _ ->

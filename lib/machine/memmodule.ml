@@ -1,12 +1,11 @@
 type t = {
-  module_id : int;
   mutable busy_horizon : int;
   mutable busy_ns : int;
   mutable wait_ns : int;
   mutable nrequests : int;
 }
 
-let create module_id = { module_id; busy_horizon = 0; busy_ns = 0; wait_ns = 0; nrequests = 0 }
+let create () = { busy_horizon = 0; busy_ns = 0; wait_ns = 0; nrequests = 0 }
 
 (* Out of line, so [acquire] stays small enough to inline. *)
 let negative_service () = invalid_arg "Memmodule.acquire: negative service"
@@ -31,11 +30,6 @@ let reserve_until t horizon =
 let total_busy_ns t = t.busy_ns
 let total_wait_ns t = t.wait_ns
 let requests t = t.nrequests
-
-let reset_stats t =
-  t.busy_ns <- 0;
-  t.wait_ns <- 0;
-  t.nrequests <- 0
 
 let utilization t ~horizon =
   if horizon <= 0 then 0.0 else float_of_int t.busy_ns /. float_of_int horizon

@@ -9,8 +9,8 @@
 
 type t
 
-val create : int -> t
-(** [create id] is an idle module. *)
+val create : unit -> t
+(** An idle module. *)
 
 val acquire : t -> arrival:Platinum_sim.Time_ns.t -> service:int -> Platinum_sim.Time_ns.t
 (** [acquire m ~arrival ~service] reserves the module for [service] ns
@@ -32,8 +32,6 @@ val total_wait_ns : t -> int
 (** Cumulative queueing delay experienced by requests at this module. *)
 
 val requests : t -> int
-
-val reset_stats : t -> unit
 
 val utilization : t -> horizon:Platinum_sim.Time_ns.t -> float
 (** Occupancy as a fraction of [horizon]. *)

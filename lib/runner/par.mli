@@ -12,8 +12,7 @@
     after collection — interleaved writes would otherwise scramble the
     report) and must not touch mutable state outside its own cell.  The
     simulator itself satisfies the second half: all simulation state hangs
-    off the per-cell instances, and the only cross-instance global (the
-    memory-object id counter) is atomic.
+    off the per-cell instances, and none of it is global.
 
     The other parallelism axis, one simulation's event queue split across
     domains, is {!Platinum_sim.Shard}'s, which takes its shard count as an

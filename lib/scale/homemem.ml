@@ -151,7 +151,7 @@ let txn_page t = function
   | Memtxn.Block_read { vaddr; len; _ } | Memtxn.Block_write { vaddr; len; _ } ->
     let page = vpage t vaddr in
     if len >= 1 && page = vpage t (vaddr + len - 1) then page else -1
-  | Memtxn.Stride_read _ | Memtxn.Stride_write _ -> -1
+  | Memtxn.Stride_write _ -> -1
 
 (* Complete a read from page data [arr] into the requester's slice, on the
    requesting node only: a home never writes into another node's buffer. *)
@@ -248,7 +248,7 @@ let rec home_serve t h p =
       else grant_copy t h hp p
     | Memtxn.Write _ | Memtxn.Rmw _ | Memtxn.Block_write _ ->
       if hp.nholders = 0 then apply_write t h hp p else start_shootdown t h hp p
-    | Memtxn.Stride_read _ | Memtxn.Stride_write _ -> assert false
+    | Memtxn.Stride_write _ -> assert false
   end
 
 (* Apply a write/rmw at the home and send the completion back.  Charged

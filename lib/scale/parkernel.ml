@@ -28,8 +28,6 @@ let workload_name = function
   | Rpc_echo -> "rpc_echo"
   | Program p -> p.name
 
-let all_workloads = [ Jacobi; Rpc_echo ]
-
 (* --- address-space layout ---
 
    Low pages are the shared control region (barrier words), homed at node

@@ -30,7 +30,6 @@ type workload =
   | Program of Platinum_kernel.Program.t  (** the mesh workloads of {!Mesh} are such programs *)
 
 val workload_name : workload -> string
-val all_workloads : workload list
 
 type result = {
   workload : string;

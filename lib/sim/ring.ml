@@ -14,10 +14,6 @@ let push t x =
   t.slots.(t.pushed mod Array.length t.slots) <- Some x;
   t.pushed <- t.pushed + 1
 
-let clear t =
-  Array.fill t.slots 0 (Array.length t.slots) None;
-  t.pushed <- 0
-
 let fold t f init =
   let cap = Array.length t.slots in
   let n = length t in

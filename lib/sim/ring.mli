@@ -18,8 +18,6 @@ val length : 'a t -> int
 val pushed : 'a t -> int
 (** Total pushes ever, including overwritten ones. *)
 
-val clear : 'a t -> unit
-
 val fold : 'a t -> ('b -> 'a -> 'b) -> 'b -> 'b
 (** [fold t f init] folds [f] over the retained entries, oldest first,
     without building a list. *)

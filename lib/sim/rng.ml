@@ -5,7 +5,6 @@ type t = Bytes.t
 let[@inline] state t = Bytes.get_int64_ne t 0
 let[@inline] set t s = Bytes.set_int64_ne t 0 s
 let create seed = let t = Bytes.create 8 in set t seed; t
-let copy = Bytes.copy
 
 (* splitmix64 (Steele, Lea, Flood 2014): a full-period 64-bit generator whose
    state update is a simple additive counter, making [split] trivially
@@ -39,11 +38,3 @@ let[@inline] scale bound z =
 
 let[@inline] float t bound = scale bound (next_int64 t)
 let[@inline] peek_float t bound = scale bound (mix (Int64.add (state t) golden_gamma))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -9,8 +9,6 @@ val create : int64 -> t
 (** A fresh generator seeded with the given value.  Equal seeds produce
     equal streams. *)
 
-val copy : t -> t
-
 val split : t -> t
 (** A new generator whose stream is independent of (and deterministically
     derived from) the parent's current state.  Advances the parent. *)
@@ -29,6 +27,3 @@ val float : t -> float -> float
 
 val peek_float : t -> float -> float
 (** What [float t bound] would return next; [t] does not advance. *)
-
-val shuffle : t -> 'a array -> unit
-(** Fisher-Yates shuffle in place. *)

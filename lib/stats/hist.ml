@@ -90,10 +90,6 @@ let p95 t = percentile t 0.95
 let p99 t = percentile t 0.99
 let p999 t = percentile t 0.999
 
-let equivalent_range t v =
-  let v = if v < 0 then 0 else v in
-  if v < t.sub then 1 else 1 lsl (bits_above v 0 - t.precision)
-
 let merge ~into src =
   if into.precision <> src.precision then
     invalid_arg
@@ -103,24 +99,6 @@ let merge ~into src =
   into.total <- into.total + src.total;
   if src.min_v < into.min_v then into.min_v <- src.min_v;
   if src.max_v > into.max_v then into.max_v <- src.max_v
-
-let copy t =
-  {
-    precision = t.precision;
-    sub = t.sub;
-    counts = Array.copy t.counts;
-    count = t.count;
-    total = t.total;
-    min_v = t.min_v;
-    max_v = t.max_v;
-  }
-
-let clear t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.count <- 0;
-  t.total <- 0;
-  t.min_v <- max_int;
-  t.max_v <- 0
 
 let fingerprint t =
   let h = Fnv.create () in

@@ -54,18 +54,11 @@ val p95 : t -> int
 val p99 : t -> int
 val p999 : t -> int
 
-val equivalent_range : t -> int -> int
-(** The width of the bin the given value falls in — the resolution bound
-    on {!percentile} around that value. *)
-
 val merge : into:t -> t -> unit
 (** Add every sample of the second histogram into [into].  Equivalent to
     having recorded the concatenation of both sample streams (the QCheck
     property in [test_serve.ml]).  Precisions must match
     ([Invalid_argument]). *)
-
-val copy : t -> t
-val clear : t -> unit
 
 val fingerprint : t -> string
 (** FNV-1a fold over the non-empty bins (index and count, in index order)

@@ -17,7 +17,6 @@ let attach t coh = Coherent.set_probe coh (Some (fun ~now ev -> record t ~now ev
 let entries = Ring.to_list
 let length = Ring.length
 let dropped t = Ring.pushed t - Ring.length t
-let clear = Ring.clear
 
 (* The query paths stream over the ring buffer — a trace at capacity holds
    10^5 entries, and materializing an intermediate list per query was the

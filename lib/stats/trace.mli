@@ -24,7 +24,6 @@ val entries : t -> entry list
 
 val length : t -> int
 val dropped : t -> int
-val clear : t -> unit
 
 val count : t -> (Platinum_core.Probe.event -> bool) -> int
 (** Streaming: allocates no intermediate list. *)

@@ -37,14 +37,6 @@ let map t ~at_page ~obj ?npages ~rights () =
   t.bindings <- { vbase = at_page; bnpages = npages; obj; rights } :: t.bindings;
   if at_page + npages > t.next_free_page then t.next_free_page <- at_page + npages
 
-let unmap t ~now ~at_page ~npages =
-  let lat = ref 0 in
-  for vpage = at_page to at_page + npages - 1 do
-    lat := !lat + Coherent.unbind t.coh ~now:(now + !lat) t.cm ~vpage
-  done;
-  t.bindings <- List.filter (fun b -> not (overlaps b ~at_page ~npages)) t.bindings;
-  !lat
-
 let map_new_object t ~name ~npages ~rights =
   let obj = Memobj.create t.coh ~name ~npages in
   let base = t.next_free_page in

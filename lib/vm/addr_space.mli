@@ -28,10 +28,6 @@ val map :
     the virtual range starting at page [at_page].  Overlapping
     an existing binding raises [Invalid_argument]. *)
 
-val unmap : t -> now:Platinum_sim.Time_ns.t -> at_page:int -> npages:int -> int
-(** Remove bindings covering the given virtual range; shoots down any
-    installed translations.  Returns latency. *)
-
 val map_new_object :
   t -> name:string -> npages:int -> rights:Platinum_core.Rights.t -> Memobj.t * int
 (** Convenience: create an object and bind it at the next free virtual

@@ -10,14 +10,8 @@ type t
 
 val create : Platinum_core.Coherent.t -> name:string -> npages:int -> t
 
-val id : t -> int
 val npages : t -> int
 
 val page : t -> index:int -> Platinum_core.Cpage.t
 (** The coherent page at [index], created (empty, zero-fill-on-touch) if
     needed.  Raises [Invalid_argument] when out of range. *)
-
-val page_if_exists : t -> index:int -> Platinum_core.Cpage.t option
-
-val iter_pages : (int -> Platinum_core.Cpage.t -> unit) -> t -> unit
-(** Iterate over the pages that exist. *)

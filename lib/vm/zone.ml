@@ -21,5 +21,3 @@ let alloc t ~words ?(page_aligned = false) () =
     failwith (Printf.sprintf "Zone.alloc: zone %s exhausted (%d + %d > %d words)" t.zone_name start words t.words);
   t.next <- start + words;
   t.base + start
-
-let used_words t = t.next

@@ -23,5 +23,3 @@ val alloc : t -> words:int -> ?page_aligned:bool -> unit -> int
 (** Bump-allocate [words] words; returns the virtual word address.
     [page_aligned] (default false) rounds the start up to a page boundary.
     Raises [Failure] when the zone is exhausted. *)
-
-val used_words : t -> int

@@ -257,7 +257,6 @@ let test_lib_domain_findings_pinned () =
       "test_skip_refmask_clear:marker";
       "key:marker";
       "jobs_setting:Atomic";
-      "next_id:Atomic";
     ]
     (verdicts fs)
 

@@ -269,7 +269,6 @@ let test_monitor_silent_on_healthy_run () =
   ignore (Coherent.advise env.coh ~now:5_000_000 ~proc:0 ~cmap:env.cm ~vpage:0 Coherent.Freeze);
   ignore (Coherent.advise env.coh ~now:6_000_000 ~proc:0 ~cmap:env.cm ~vpage:0 Coherent.Thaw);
   Coherent.thaw_all env.coh ~now:7_000_000;
-  ignore (Coherent.unbind env.coh ~now:8_000_000 env.cm ~vpage:1);
   (* the trace recorded the activity *)
   match Coherent.monitor env.coh with
   | None -> Alcotest.fail "monitor not installed"
@@ -314,9 +313,7 @@ let test_ring () =
   List.iter (fun i -> Ring.push r i) [ 1; 2; 3; 4; 5 ];
   Alcotest.(check int) "capped" 3 (Ring.length r);
   Alcotest.(check int) "total pushes counted" 5 (Ring.pushed r);
-  Alcotest.(check (list int)) "oldest first" [ 3; 4; 5 ] (Ring.to_list r);
-  Ring.clear r;
-  Alcotest.(check (list int)) "cleared" [] (Ring.to_list r)
+  Alcotest.(check (list int)) "oldest first" [ 3; 4; 5 ] (Ring.to_list r)
 
 let test_env_enabled () =
   (* documented parsing: unset / "" / "0" are off, anything else is on.

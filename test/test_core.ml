@@ -642,20 +642,6 @@ let test_unmapped_raises () =
        false
      with Fault.Unmapped { vpage = 0; _ } -> true)
 
-let test_unbind_shootdown () =
-  let env = mk () in
-  let pages = bind_pages env 1 in
-  let _ = write env ~proc:0 0 1 in
-  let _ = read env ~proc:1 0 in
-  let _lat = Coherent.unbind env.coh ~now:0 env.cm ~vpage:0 in
-  Alcotest.(check bool) "binding gone" true (Cmap.find env.cm ~vpage:0 = None);
-  Alcotest.(check bool) "unmapped now" true
-    (try
-       ignore (read env ~proc:1 0);
-       false
-     with Fault.Unmapped _ -> true);
-  ignore pages
-
 (* --- ATC behaviour --- *)
 
 let test_atc_hit_free () =
@@ -1073,7 +1059,6 @@ let suite =
     ("aspace: per-space protection", `Quick, test_multi_aspace_protection);
     ("aspace: unknown space leaves activation intact", `Quick, test_activate_unknown_aspace);
     ("aspace: unmapped raises", `Quick, test_unmapped_raises);
-    ("aspace: unbind shoots down", `Quick, test_unbind_shootdown);
     ("atc: hits are free", `Quick, test_atc_hit_free);
     ("atc: flushed on space switch", `Quick, test_atc_flush_on_switch);
     ("access: block ops cross pages", `Quick, test_block_ops_cross_pages);

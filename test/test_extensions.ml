@@ -146,9 +146,13 @@ let freeze_via_protocol coh cm page =
   ignore (Word.read coh ~now:3_000 ~proc:1 ~cmap:cm ~vaddr:0);
   Alcotest.(check bool) "setup: frozen" true page.Cpage.frozen
 
+(* 100 ms initial, 5 s cap, 50 ms refreeze window. *)
+let adaptive =
+  Defrost.Adaptive { initial_t2 = 100_000_000; max_t2 = 5_000_000_000; refreeze_window = 50_000_000 }
+
 let test_adaptive_thaws_at_deadline () =
   let coh, cm, page, engine = mk () in
-  Defrost.install ~mode:Defrost.default_adaptive coh engine;
+  Defrost.install ~mode:adaptive coh engine;
   freeze_via_protocol coh cm page;
   (* initial_t2 = 100 ms: not thawed before, thawed after. *)
   Engine.run_until engine 50_000_000;
@@ -158,7 +162,7 @@ let test_adaptive_thaws_at_deadline () =
 
 let test_adaptive_backs_off_on_refreeze () =
   let coh, cm, page, engine = mk () in
-  Defrost.install ~mode:Defrost.default_adaptive coh engine;
+  Defrost.install ~mode:adaptive coh engine;
   freeze_via_protocol coh cm page;
   Alcotest.(check int) "initial per-page t2" 100_000_000 page.Cpage.adaptive_t2;
   Engine.run_until engine 110_000_000;
@@ -175,7 +179,7 @@ let test_adaptive_backs_off_on_refreeze () =
 
 let test_adaptive_ignores_stale_wakeups () =
   let coh, cm, page, engine = mk () in
-  Defrost.install ~mode:Defrost.default_adaptive coh engine;
+  Defrost.install ~mode:adaptive coh engine;
   freeze_via_protocol coh cm page;
   (* Thaw manually before the daemon's deadline; then refreeze.  The
      stale wake-up must not thaw the new freeze early. *)

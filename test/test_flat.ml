@@ -43,7 +43,6 @@ type op =
   | Restrict of int
   | Atc_activate of int  (* aspace *)
   | Atc_load of int  (* vpage index: cache the live pmap entry, if any *)
-  | Atc_flush
 
 let op_gen =
   let open QCheck.Gen in
@@ -55,7 +54,6 @@ let op_gen =
       (3, map (fun v -> Restrict v) vp);
       (2, map (fun a -> Atc_activate a) (int_bound 2));
       (4, map (fun v -> Atc_load v) vp);
-      (1, return Atc_flush);
     ]
 
 let pp_op = function
@@ -64,7 +62,6 @@ let pp_op = function
   | Restrict v -> Printf.sprintf "restrict v%d" vpages.(v)
   | Atc_activate a -> Printf.sprintf "activate a%d" a
   | Atc_load v -> Printf.sprintf "atc-load v%d" vpages.(v)
-  | Atc_flush -> "atc-flush"
 
 let ops_arb =
   QCheck.make
@@ -155,9 +152,6 @@ let apply_op frames (pm, atc) (rpm, ratc) op =
         Ref_tables.Atc.load ratc ~vpage r
       | None, None -> ()
       | _ -> QCheck.Test.fail_reportf "pmaps diverged before atc-load of vpage %d" vpage)
-  | Atc_flush ->
-    Atc.flush atc;
-    Ref_tables.Atc.flush ratc
 
 let prop_pmap_atc_differential =
   QCheck.Test.make ~name:"flat Pmap/Atc == seed hash tables (differential)" ~count:300
@@ -175,7 +169,7 @@ let prop_pmap_atc_differential =
 
 (* --- property 2: Cmap-level differential against a model --- *)
 
-(* Random bind/unbind/install/restrict/shootdown-mimic sequences through a
+(* Random bind/install/restrict/shootdown-mimic sequences through a
    full Cmap (flat entry table, per-proc flat Pmaps), mirrored by a plain
    hash-table model.  After every operation the observable state must
    match the model and every representation sanitizer must be clean —
@@ -187,7 +181,6 @@ let cm_vpages = [| 0; 1; 5; 64; Flat.dense_limit + 3 |]
 
 type cop =
   | Bind of int
-  | Unbind of int
   | Read_install of int * int  (* proc, vpage index *)
   | Write_install of int * int
   | Restrict_page of int  (* shootdown-mimic Restrict_to_read *)
@@ -200,7 +193,6 @@ let cop_gen =
   frequency
     [
       (4, map (fun v -> Bind v) vp);
-      (2, map (fun v -> Unbind v) vp);
       (6, map2 (fun p v -> Read_install (p, v)) proc vp);
       (4, map2 (fun p v -> Write_install (p, v)) proc vp);
       (3, map (fun v -> Restrict_page v) vp);
@@ -209,7 +201,6 @@ let cop_gen =
 
 let pp_cop = function
   | Bind v -> Printf.sprintf "bind v%d" cm_vpages.(v)
-  | Unbind v -> Printf.sprintf "unbind v%d" cm_vpages.(v)
   | Read_install (p, v) -> Printf.sprintf "read p%d v%d" p cm_vpages.(v)
   | Write_install (p, v) -> Printf.sprintf "write p%d v%d" p cm_vpages.(v)
   | Restrict_page v -> Printf.sprintf "restrict v%d" cm_vpages.(v)
@@ -235,23 +226,6 @@ let apply_cop (cm, pages, m) op =
     if not (Hashtbl.mem m.m_bound vpage) then begin
       ignore (Cmap.bind cm ~vpage pages.(v) Rights.Read_write);
       Hashtbl.replace m.m_bound vpage ()
-    end
-  | Unbind v ->
-    let vpage = cm_vpages.(v) in
-    if Hashtbl.mem m.m_bound vpage then begin
-      (match Cmap.find cm ~vpage with
-      | None -> QCheck.Test.fail_reportf "model bound but Cmap.find misses vpage %d" vpage
-      | Some ce ->
-        (* Tear down translations first, as Coherent.unbind does. *)
-        List.iter
-          (fun p ->
-            Pmap.remove (Cmap.pmap cm ~proc:p) ~vpage;
-            ce.Cmap.refmask <- Procset.remove p ce.Cmap.refmask;
-            Hashtbl.remove m.m_trans (p, vpage))
-          (model_procs_of m vpage);
-        pages.(v).Cpage.write_mapped <- false);
-      Cmap.unbind cm ~vpage;
-      Hashtbl.remove m.m_bound vpage
     end
   | Read_install (p, v) ->
     let vpage = cm_vpages.(v) in
@@ -399,7 +373,6 @@ type fop =
   | Fset of int * int  (* key index, value *)
   | Fremove of int
   | Fremove_untouched of int  (* remove in a chunk nothing was written to *)
-  | Fclear
 
 let fop_gen =
   let open QCheck.Gen in
@@ -409,14 +382,12 @@ let fop_gen =
       (8, map2 (fun k v -> Fset (k, v)) ki (int_bound 10_000));
       (4, map (fun k -> Fremove k) ki);
       (2, map (fun k -> Fremove_untouched k) ki);
-      (1, return Fclear);
     ]
 
 let pp_fop = function
   | Fset (k, v) -> Printf.sprintf "set %d=%d" seam_keys.(k) v
   | Fremove k -> Printf.sprintf "remove %d" seam_keys.(k)
   | Fremove_untouched k -> Printf.sprintf "remove-untouched %d" seam_keys.(k)
-  | Fclear -> "clear"
 
 let fops_arb =
   QCheck.make
@@ -470,10 +441,7 @@ let prop_chunk_seams_differential =
             Flat.remove fl (untouched_key k);
             Hashtbl.remove model (untouched_key k);
             if Flat.chunk_count fl <> before then
-              QCheck.Test.fail_reportf "remove allocated directory space in an untouched chunk"
-          | Fclear ->
-            Flat.clear fl;
-            Hashtbl.reset model);
+              QCheck.Test.fail_reportf "remove allocated directory space in an untouched chunk");
           check_flat_agreement fl model)
         ops;
       true)

@@ -71,13 +71,13 @@ let prop_procset_fold =
 (* --- Memmodule --- *)
 
 let test_module_uncontended () =
-  let m = Memmodule.create 0 in
+  let m = Memmodule.create () in
   let start = Memmodule.acquire m ~arrival:100 ~service:50 in
   Alcotest.(check int) "starts at arrival" 100 start;
   Alcotest.(check int) "busy until" 150 (Memmodule.busy_until m)
 
 let test_module_queueing () =
-  let m = Memmodule.create 0 in
+  let m = Memmodule.create () in
   ignore (Memmodule.acquire m ~arrival:0 ~service:100);
   let s2 = Memmodule.acquire m ~arrival:30 ~service:10 in
   Alcotest.(check int) "queued behind first" 100 s2;
@@ -86,26 +86,26 @@ let test_module_queueing () =
   Alcotest.(check int) "requests" 2 (Memmodule.requests m)
 
 let test_module_idle_gap () =
-  let m = Memmodule.create 0 in
+  let m = Memmodule.create () in
   ignore (Memmodule.acquire m ~arrival:0 ~service:10);
   let s = Memmodule.acquire m ~arrival:100 ~service:10 in
   Alcotest.(check int) "no wait after idle gap" 100 s;
   Alcotest.(check int) "no wait recorded" 0 (Memmodule.total_wait_ns m)
 
 let test_module_reserve () =
-  let m = Memmodule.create 0 in
+  let m = Memmodule.create () in
   Memmodule.reserve_until m 500;
   let s = Memmodule.acquire m ~arrival:0 ~service:10 in
   Alcotest.(check int) "reservation blocks" 500 s;
   Alcotest.(check int) "reserved time counted busy" 510 (Memmodule.total_busy_ns m)
 
 let test_module_utilization () =
-  let m = Memmodule.create 0 in
+  let m = Memmodule.create () in
   ignore (Memmodule.acquire m ~arrival:0 ~service:250);
   Alcotest.(check (float 1e-9)) "25% of 1000" 0.25 (Memmodule.utilization m ~horizon:1000)
 
 let test_module_negative_service () =
-  let m = Memmodule.create 0 in
+  let m = Memmodule.create () in
   Alcotest.check_raises "negative service"
     (Invalid_argument "Memmodule.acquire: negative service") (fun () ->
       ignore (Memmodule.acquire m ~arrival:0 ~service:(-1)));
@@ -115,7 +115,7 @@ let test_module_negative_service () =
 
 let config = Config.butterfly_plus ()
 
-let fresh_modules () = Array.init config.Config.nprocs Memmodule.create
+let fresh_modules () = Array.init config.Config.nprocs (fun _ -> Memmodule.create ())
 
 let test_xbar_local_read () =
   let mods = fresh_modules () in
@@ -187,7 +187,7 @@ let test_xbar_zero_fill () =
 
 let test_config_preset () =
   Alcotest.(check int) "16 processors" 16 config.Config.nprocs;
-  Alcotest.(check int) "4KB pages" 4096 (Config.page_bytes config);
+  Alcotest.(check int) "4KB pages" 4096 (config.Config.page_words * 4);
   Alcotest.(check int) "T_l" 320 config.Config.t_local_word;
   Alcotest.(check int) "T_r" 5000 config.Config.t_remote_read_word;
   Alcotest.(check int) "t1 = 10ms" 10_000_000 config.Config.t1_freeze_window;

@@ -551,14 +551,14 @@ let suite =
             (Parkernel.workload_name w),
           `Quick,
           test_kernel_deterministic w ))
-      Parkernel.all_workloads
+      [ Parkernel.Jacobi; Parkernel.Rpc_echo ]
   @ List.map
       (fun w ->
         ( Printf.sprintf "golden: kernel %s fingerprint under 2%% injection"
             (Parkernel.workload_name w),
           `Quick,
           test_kernel_deterministic_injected w ))
-      Parkernel.all_workloads
+      [ Parkernel.Jacobi; Parkernel.Rpc_echo ]
   @ [
       ("kernel: injection perturbs the hosted run", `Quick, test_kernel_injection_bites);
       ("kernel: coherence protocol exercised", `Quick, test_kernel_protocol_exercised);

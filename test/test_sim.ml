@@ -487,12 +487,6 @@ let test_rng_seed_matters () =
   let a = Rng.create 1L and b = Rng.create 2L in
   Alcotest.(check bool) "different seeds differ" true (Rng.next_int64 a <> Rng.next_int64 b)
 
-let test_rng_copy () =
-  let a = Rng.create 7L in
-  ignore (Rng.next_int64 a);
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Rng.next_int64 a) (Rng.next_int64 b)
-
 let test_rng_split_independent () =
   let a = Rng.create 7L in
   let b = Rng.split a in
@@ -514,14 +508,6 @@ let prop_rng_int_in =
       let r = Rng.create (Int64.of_int seed) in
       let v = Rng.int_in r lo hi in
       v >= lo && v <= hi)
-
-let prop_rng_shuffle_permutes =
-  QCheck.Test.make ~name:"shuffle is a permutation" ~count:200
-    QCheck.(pair (int_bound 1000) (list small_int))
-    (fun (seed, l) ->
-      let a = Array.of_list l in
-      Rng.shuffle (Rng.create (Int64.of_int seed)) a;
-      List.sort compare (Array.to_list a) = List.sort compare l)
 
 let test_rng_float_bounds () =
   let r = Rng.create 5L in
@@ -597,11 +583,9 @@ let suite =
     ("engine: daemons don't hold the run", `Quick, test_engine_daemon_only_never_runs);
     ("rng: deterministic", `Quick, test_rng_deterministic);
     ("rng: seed matters", `Quick, test_rng_seed_matters);
-    ("rng: copy", `Quick, test_rng_copy);
     ("rng: split", `Quick, test_rng_split_independent);
     qtest prop_rng_int_bounds;
     qtest prop_rng_int_in;
-    qtest prop_rng_shuffle_permutes;
     ("rng: float bounds", `Quick, test_rng_float_bounds);
     ("fnv: FNV-1a vectors and the int fold", `Quick, test_fnv_vectors);
     ("time: units", `Quick, test_time_units);

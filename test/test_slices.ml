@@ -13,7 +13,8 @@
    transactions, so they may not change simulated time — and the slice
    run must leave every buffer element outside [off, off+len) untouched.
    Out-of-range slices raise [Invalid_argument] with no simulated time
-   charged, on both runs. *)
+   charged, on both runs.  Strided writes are checked on the same three
+   backends below. *)
 
 module Api = Platinum_kernel.Api
 module Runner = Platinum_runner.Runner
@@ -175,6 +176,63 @@ let prop name ~span ~min_len run =
   QCheck.Test.make ~name ~count:40 (arb_prog ~span ~min_len) (fun ops ->
       check_pair (observe run ~slices:false ops) (observe run ~slices:true ops))
 
+(* --- strided writes ---
+
+   Node 0 alone scatters random strided writes ([Api.write_stride]) over
+   the same rows and reads each span back by block reads, before and
+   after: every element must sit at its stride and every word between
+   elements must be unchanged.  The hosted kernel refuses strided
+   transactions, at no simulated cost and with memory untouched. *)
+
+type scatter = { target : int; v : int; count : int; elem : int; stride : int; seed : int }
+
+let show_scatter { target; v; count; elem; stride; seed } =
+  Printf.sprintf "S%d@%d[%dx%d/%d]=%d" target v count elem stride seed
+
+(* Every element within [span] words of its row's base. *)
+let gen_scatter ~span =
+  QCheck.Gen.(
+    let* target = int_bound 2 in
+    let* elem = int_range 1 4 in
+    let* gap = int_bound 8 in
+    let stride = elem + gap in
+    let* count = int_range 1 (1 + ((span - elem) / stride)) in
+    let* v = int_bound (span - (((count - 1) * stride) + elem)) in
+    let* seed = int_bound 100_000 in
+    return { target; v; count; elem; stride; seed })
+
+(* (landed, now delta of the write, span read back as expected) per write *)
+let scatter_log run ops =
+  let log = ref [] in
+  let body ~node ~row ~rng:_ =
+    if node = 0 then
+      List.iter
+        (fun { target; v; count; elem; stride; seed } ->
+          let vaddr = row target + v and extent = ((count - 1) * stride) + elem in
+          let expect = Api.block_read vaddr extent in
+          let data = Array.init (count * elem) (fun i -> seed + i) in
+          let t0 = Api.now () in
+          let landed =
+            not (raises (fun () -> Api.write_stride ~elem_words:elem vaddr ~stride data))
+          in
+          let dt = Api.now () - t0 in
+          if landed then
+            Array.iteri (fun i x -> expect.((i / elem * stride) + (i mod elem)) <- x) data;
+          log := (landed, dt, Api.block_read vaddr extent = expect) :: !log)
+        ops
+  in
+  run { Program.name = "strides"; image = []; body; verify = (fun _ -> true) };
+  List.rev !log
+
+let prop_strides name ~span ~strided run =
+  QCheck.Test.make ~name ~count:40
+    (QCheck.make ~print:QCheck.Print.(list show_scatter)
+       QCheck.Gen.(list_size (int_range 1 20) (gen_scatter ~span)))
+    (fun ops ->
+      List.for_all
+        (fun (landed, dt, read_back) -> read_back && landed = strided && (strided || dt = 0))
+        (scatter_log run ops))
+
 (* --- the chunk cursor ---
 
    Memtxn's cursor against a word-by-word model: list every word the
@@ -219,7 +277,8 @@ let gen_shape =
       let* s_count = int_bound 10 in
       let* s_elem = int_range 1 8 in
       let* gap = int_bound 20 in
-      return { s_vaddr; s_off; s_count; s_elem; s_stride = s_elem + gap; s_block; s_write; s_pw })
+      return
+        { s_vaddr; s_off; s_count; s_elem; s_stride = s_elem + gap; s_block; s_write = true; s_pw })
 
 let txn_of s =
   let buf = Array.make (s.s_off + (s.s_count * s.s_elem)) 0 in
@@ -227,11 +286,7 @@ let txn_of s =
   match (s.s_block, s.s_write) with
   | true, false -> Memtxn.Block_read { vaddr; dst = buf; dst_off = off; len = s.s_elem }
   | true, true -> Memtxn.Block_write { vaddr; src = buf; src_off = off; len = s.s_elem }
-  | false, false ->
-    Memtxn.Stride_read
-      { vaddr; dst = buf; dst_off = off; count = s.s_count; elem_words = s.s_elem;
-        stride = s.s_stride }
-  | false, true ->
+  | false, _ ->
     Memtxn.Stride_write
       { vaddr; src = buf; src_off = off; count = s.s_count; elem_words = s.s_elem;
         stride = s.s_stride }
@@ -322,4 +377,13 @@ let suite =
     qtest
       (prop "parkernel: slice calls = allocating calls" ~span:page_words ~min_len:1
          on_parkernel);
+    qtest
+      (prop_strides "platsys: strided writes read back by block reads" ~span:(2 * page_words)
+         ~strided:true on_platsys);
+    qtest
+      (prop_strides "uma: strided writes read back by block reads" ~span:(2 * page_words)
+         ~strided:true on_uma);
+    qtest
+      (prop_strides "parkernel: strided writes refused at no cost" ~span:page_words
+         ~strided:false on_parkernel);
   ]

@@ -5,7 +5,6 @@
 module Config = Platinum_machine.Config
 module Machine = Platinum_machine.Machine
 module Procset = Platinum_machine.Procset
-module Memmodule = Platinum_machine.Memmodule
 module Engine = Platinum_sim.Engine
 module Rng = Platinum_sim.Rng
 module Rights = Platinum_core.Rights
@@ -14,7 +13,6 @@ module Cmap = Platinum_core.Cmap
 module Pmap = Platinum_core.Pmap
 module Atc = Platinum_core.Atc
 module Counters = Platinum_core.Counters
-module Defrost = Platinum_core.Defrost
 module Api = Platinum_kernel.Api
 module Kernel = Platinum_kernel.Kernel
 module Runner = Platinum_runner.Runner
@@ -46,10 +44,7 @@ let test_cmap_bind_duplicate () =
     (try
        ignore (Cmap.bind cm ~vpage:5 page Rights.Read_only);
        false
-     with Invalid_argument _ -> true);
-  Cmap.unbind cm ~vpage:5;
-  Alcotest.(check bool) "rebindable after unbind" true
-    (match Cmap.bind cm ~vpage:5 page Rights.Read_only with _ -> true)
+     with Invalid_argument _ -> true)
 
 (* --- Pmap / Atc --- *)
 
@@ -88,9 +83,7 @@ let test_counters_pp () =
   let c = Counters.create () in
   c.Counters.replications <- 3;
   let s = Format.asprintf "%a" Counters.pp c in
-  Alcotest.(check bool) "mentions replications" true (String.length s > 20);
-  Counters.reset c;
-  Alcotest.(check int) "reset" 0 c.Counters.replications
+  Alcotest.(check bool) "mentions replications" true (String.length s > 20)
 
 let test_config_pp () =
   let s = Format.asprintf "%a" Config.pp (Config.butterfly_plus ()) in
@@ -103,15 +96,6 @@ let test_cpage_pp () =
   let p = Cpage.create ~id:9 ~home:2 ~label:"demo" () in
   let s = Format.asprintf "%a" Cpage.pp p in
   Alcotest.(check bool) "labelled rendering" true (String.length s > 10)
-
-let test_memmodule_reset () =
-  let m = Memmodule.create 0 in
-  ignore (Memmodule.acquire m ~arrival:0 ~service:100);
-  Memmodule.reset_stats m;
-  Alcotest.(check int) "busy cleared" 0 (Memmodule.total_busy_ns m);
-  Alcotest.(check int) "requests cleared" 0 (Memmodule.requests m);
-  Alcotest.(check bool) "horizon survives (it is machine state)" true
-    (Memmodule.busy_until m = 100)
 
 let test_outcome_helpers () =
   let o = Outcome.create () in
@@ -134,13 +118,6 @@ let test_model_edges () =
        ignore (M.g_round_robin ~p:1);
        false
      with Invalid_argument _ -> true)
-
-let test_defrost_default () =
-  match Defrost.default_adaptive with
-  | Defrost.Adaptive { initial_t2; max_t2; refreeze_window } ->
-    Alcotest.(check bool) "sane ordering" true
-      (refreeze_window < initial_t2 && initial_t2 < max_t2)
-  | Defrost.Periodic -> Alcotest.fail "expected adaptive"
 
 (* --- hand-checkable gauss oracle --- *)
 
@@ -262,10 +239,8 @@ let suite =
     ("render: config", `Quick, test_config_pp);
     ("render: procset", `Quick, test_procset_pp);
     ("render: cpage", `Quick, test_cpage_pp);
-    ("memmodule: stats reset", `Quick, test_memmodule_reset);
     ("outcome: helpers", `Quick, test_outcome_helpers);
     ("analysis: edge cases", `Quick, test_model_edges);
-    ("defrost: default adaptive parameters", `Quick, test_defrost_default);
     ("gauss: 2x2 oracle by hand", `Quick, test_gauss_oracle_2x2);
     ("gauss: in-place oracle = sub/blit", `Quick, test_gauss_oracle_in_place);
     ("jacobi: oracle smoothing by hand", `Quick, test_jacobi_oracle_smoothing);

@@ -27,9 +27,7 @@ let test_memobj_lazy_pages () =
   let coh = mk_coh () in
   let obj = Memobj.create coh ~name:"data" ~npages:4 in
   Alcotest.(check int) "npages" 4 (Memobj.npages obj);
-  Alcotest.(check bool) "no pages yet" true (Memobj.page_if_exists obj ~index:2 = None);
   let p = Memobj.page obj ~index:2 in
-  Alcotest.(check bool) "created on demand" true (Memobj.page_if_exists obj ~index:2 = Some p);
   Alcotest.(check bool) "same page on re-request" true (Memobj.page obj ~index:2 == p);
   Alcotest.(check string) "labelled" "data[2]" p.Cpage.label
 
@@ -42,15 +40,6 @@ let test_memobj_bounds () =
        false
      with Invalid_argument _ -> true)
 
-let test_memobj_iter () =
-  let coh = mk_coh () in
-  let obj = Memobj.create coh ~name:"x" ~npages:5 in
-  ignore (Memobj.page obj ~index:1);
-  ignore (Memobj.page obj ~index:3);
-  let seen = ref [] in
-  Memobj.iter_pages (fun i _ -> seen := i :: !seen) obj;
-  Alcotest.(check (list int)) "only existing pages" [ 1; 3 ] (List.sort compare !seen)
-
 (* --- Addr_space --- *)
 
 let test_aspace_map_fault () =
@@ -61,7 +50,7 @@ let test_aspace_map_fault () =
   (let resolved = Addr_space.resolve asp ~vpage:11 in
    Alcotest.(check bool) "resolve inside" true
      (match resolved with
-     | Some (o, 1) -> Memobj.id o = Memobj.id obj
+     | Some (o, 1) -> o == obj
      | Some _ | None -> false));
   Alcotest.(check bool) "resolve outside" true (Addr_space.resolve asp ~vpage:13 = None);
   let lat = Addr_space.fault asp ~now:0 ~vpage:11 in
@@ -101,28 +90,9 @@ let test_aspace_partial_object_binding () =
   Addr_space.map asp ~at_page:4 ~obj ~npages:2 ~rights:Rights.Read_only ();
   Alcotest.(check bool) "bound from the object's first page" true
     (match Addr_space.resolve asp ~vpage:5 with
-    | Some (o, 1) -> Memobj.id o = Memobj.id obj
+    | Some (o, 1) -> o == obj
     | Some _ | None -> false);
   Alcotest.(check bool) "only npages bound" true (Addr_space.resolve asp ~vpage:6 = None)
-
-let test_aspace_unmap () =
-  let coh = mk_coh () in
-  let asp = Addr_space.create coh in
-  let obj = Memobj.create coh ~name:"seg" ~npages:2 in
-  Addr_space.map asp ~at_page:0 ~obj ~rights:Rights.Read_write ();
-  ignore (Addr_space.fault asp ~now:0 ~vpage:0);
-  let _ =
-    Coherent.submit coh ~now:0 ~proc:0 ~cmap:(Addr_space.cmap asp)
-      (Memtxn.Write { vaddr = 0; value = 7 })
-  in
-  ignore (Addr_space.unmap asp ~now:0 ~at_page:0 ~npages:2);
-  Alcotest.(check bool) "unbound after unmap" true (Addr_space.resolve asp ~vpage:0 = None);
-  (* Remapping the same object sees the same data: the object owns it. *)
-  Addr_space.map asp ~at_page:5 ~obj ~rights:Rights.Read_write ();
-  let pw = Addr_space.page_words asp in
-  ignore (Addr_space.fault asp ~now:0 ~vpage:5);
-  let v, _ = Word.read coh ~now:0 ~proc:0 ~cmap:(Addr_space.cmap asp) ~vaddr:(5 * pw) in
-  Alcotest.(check int) "object data survives unmap" 7 v
 
 let test_aspace_two_spaces_one_object () =
   let coh = mk_coh () in
@@ -158,8 +128,7 @@ let test_zone_alloc () =
   let z = Zone.create asp ~name:"z" ~pages:2 () in
   let a = Zone.alloc z ~words:3 () in
   let b = Zone.alloc z ~words:3 () in
-  Alcotest.(check int) "bump allocation" (a + 3) b;
-  Alcotest.(check int) "used" 6 (Zone.used_words z)
+  Alcotest.(check int) "bump allocation" (a + 3) b
 
 let test_zone_page_aligned () =
   let coh = mk_coh ~page_words:8 () in
@@ -196,12 +165,10 @@ let suite =
   [
     ("memobj: lazy page creation", `Quick, test_memobj_lazy_pages);
     ("memobj: bounds", `Quick, test_memobj_bounds);
-    ("memobj: iter existing", `Quick, test_memobj_iter);
     ("aspace: map and fault", `Quick, test_aspace_map_fault);
     ("aspace: fault on unbound address", `Quick, test_aspace_fault_unbound);
     ("aspace: overlapping bindings rejected", `Quick, test_aspace_overlap_rejected);
     ("aspace: partial object binding", `Quick, test_aspace_partial_object_binding);
-    ("aspace: unmap and remap", `Quick, test_aspace_unmap);
     ("aspace: one object, two spaces", `Quick, test_aspace_two_spaces_one_object);
     ("aspace: fresh objects don't overlap", `Quick, test_map_new_object_no_overlap);
     ("zone: bump allocation", `Quick, test_zone_alloc);
